@@ -5,8 +5,8 @@ replays the node list in reverse, accumulating vector-Jacobian products in a
 single fixed order so repeated runs are bit-identical.  With no tape active,
 ops run eagerly as plain numpy and build no graph (inference mode).
 
-Primitives: matmul, add, mul, transpose, reshape, concat, layer_norm, gelu,
-softmax, cross_entropy, masked scaled-dot-product attention, reduce
+Primitives: matmul, add, mul, transpose, reshape, concat, take, layer_norm,
+gelu, softmax, cross_entropy, masked scaled-dot-product attention, reduce
 mean/sum/max, l2_normalize.  Everything else is composed from these.
 """
 
@@ -19,14 +19,6 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-_nan_check = True
-
-
-def set_nan_check(enabled: bool) -> None:
-    """Toggle the finite-value check after every op (on by default)."""
-    global _nan_check
-    _nan_check = bool(enabled)
 
 
 class Tensor:
@@ -196,7 +188,7 @@ def backward(tape: Tape, loss: Tensor, seed_grad=None) -> dict[str, np.ndarray]:
 
 
 def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
-    if _nan_check and not np.all(np.isfinite(out.data)):
+    if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("non-finite values produced by an op")
     tape = _tape_state.current
     if tape is None:
@@ -284,6 +276,23 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors), vjp)
+
+
+def take(x: Tensor, idx, axis: int = 0) -> Tensor:
+    """``np.take(x, idx, axis)``: embedding lookup and row selection.
+
+    The VJP scatter-adds into zeros, so repeated indices accumulate.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(np.take(x.data, idx, axis=axis))
+    where = (slice(None),) * (axis % x.ndim) + (idx,)
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, where, g)
+        return (gx,)
+
+    return _record(out, (x,), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:

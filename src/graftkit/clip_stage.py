@@ -13,7 +13,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tape, Tensor
 from .corpus import Corpus, augment, select_report_text, tokenize
-from .nn import ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig
+from .nn import (ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig,
+                 pad_batch)
 from .optim import SgdMomentum
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -166,15 +167,10 @@ class ClipModel:
 
 
 def load_clip(path) -> ClipModel:
-    meta, values, frozen = load_checkpoint(path)
-    if meta.get("kind") != "elixr-c":
-        raise ValueError(f"not an elixr-c checkpoint: kind={meta.get('kind')!r}")
+    meta, values, frozen = load_checkpoint(path, "elixr-c")
     model = ClipModel(int(meta["vocab_size"]), ClipConfig.from_json(meta["config"]),
                       int(meta["seed"]))
-    model.registry.load_values(values)
-    for name, fl in frozen.items():
-        if fl:
-            model.registry[name].freeze()
+    model.registry.load_values(values, frozen)
     return model
 
 
@@ -190,18 +186,6 @@ def clip_loss(img_emb: Tensor, txt_emb: Tensor, temperature: float = 0.07) -> Te
     loss_i = ag.cross_entropy(logits, targets)
     loss_t = ag.cross_entropy(ag.transpose(logits), targets)
     return ag.mul(ag.add(loss_i, loss_t), Tensor(0.5))
-
-
-def _batch_texts(corpus: Corpus, ids, max_len: int):
-    seqs = [tokenize(select_report_text(corpus.studies[i].report), corpus.vocab, max_len)
-            for i in ids]
-    lengths = [len(s) for s in seqs]
-    l = max(lengths)
-    pad = corpus.vocab.id("[PAD]")
-    tokens = np.full((len(seqs), l), pad, dtype=np.int64)
-    for r, s in enumerate(seqs):
-        tokens[r, : len(s)] = s
-    return tokens, np.asarray(lengths)
 
 
 def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> tuple[ClipModel, list]:
@@ -224,12 +208,8 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
                                         swap_text_on_flip=cfg.swap_text_on_flip)
             images.append(image)
             texts.append(select_report_text(report))
-        seqs = [tokenize(t, corpus.vocab, cfg.text_max_len) for t in texts]
-        lengths = [len(sq) for sq in seqs]
-        pad = corpus.vocab.id("[PAD]")
-        tokens = np.full((len(seqs), max(lengths)), pad, dtype=np.int64)
-        for r, sq in enumerate(seqs):
-            tokens[r, : len(sq)] = sq
+        tokens, lengths = pad_batch([tokenize(t, corpus.vocab, cfg.text_max_len) for t in texts],
+                                    corpus.vocab.id("[PAD]"))
         with Tape() as tape:
             img_emb = model.image_embeddings(np.stack(images))
             txt_emb = model.text_embeddings(tokens, lengths)
@@ -268,13 +248,3 @@ def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab,
 def softmax_pair(pos: float, neg: float, scale: float = 1.0) -> float:
     z = scale * (pos - neg)
     return float(1.0 / (1.0 + np.exp(-z)))
-
-
-def zero_shot_auc(model: ClipModel, vocab, studies, prompt_set: PromptSet,
-                  kind: str | None = None) -> float:
-    from .stats import auc
-
-    kind = kind or prompt_set.finding
-    scores = [zero_shot_score_c(s.image, prompt_set, model, vocab) for s in studies]
-    labels = [s.labels[kind] for s in studies]
-    return auc(scores, labels)

@@ -7,7 +7,6 @@ frozen-graft contracts can be checked by content digest per prefix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +157,10 @@ class ImageEncoder:
         g = self.cfg.grid
         return out.data[0].reshape(g, g, self.cfg.dim)
 
+    def grid_tokens(self, image: np.ndarray, pooled_hw: int) -> np.ndarray:
+        """Grid average-pooled to (pooled_hw**2, dim) tokens; inference only."""
+        return pool_grid(self.encode_image(image), pooled_hw).reshape(-1, self.cfg.dim)
+
 
 def pool_grid(grid: np.ndarray, out_hw: int = 2) -> np.ndarray:
     """Average-pool an (H, W, D) grid to (out_hw, out_hw, D) over equal windows."""
@@ -191,10 +194,7 @@ class TextEncoder:
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
     def embed(self, tokens: np.ndarray) -> Tensor:
-        onehot = np.zeros(tokens.shape + (self.cfg.vocab_size,))
-        np.put_along_axis(onehot, tokens[..., None], 1.0, axis=-1)
-        emb = ag.matmul(Tensor(onehot), self.tok)
-        return ag.add(emb, Tensor(self.pos[: tokens.shape[-1]]))
+        return ag.add(ag.take(self.tok, tokens), Tensor(self.pos[: tokens.shape[-1]]))
 
     def forward(self, tokens: np.ndarray, lengths) -> tuple[Tensor, Tensor]:
         """(B, L) padded ids -> ((B, L, d) per-token, (B, d) pooled unit-norm)."""
@@ -275,9 +275,7 @@ class DecoderLM:
         return self.reg.combined_digest(self.prefix + ".")
 
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
-        onehot = np.zeros(tokens.shape + (self.cfg.vocab_size,))
-        np.put_along_axis(onehot, tokens[..., None], 1.0, axis=-1)
-        return ag.matmul(Tensor(onehot), self.tok)
+        return ag.take(self.tok, tokens)
 
     def _run(self, emb: Tensor, lengths) -> Tensor:
         b, l, _ = emb.shape
@@ -368,10 +366,6 @@ class DecoderLM:
                 break
         return out
 
-    def img_slot_embeddings(self) -> np.ndarray:
-        """Embeddings of the [IMG] placeholder row, one per soft slot."""
-        return np.tile(self.tok.data[self.cfg.img_id], (self.cfg.soft_slots, 1))
-
 
 def save_lm(lm: DecoderLM, path) -> dict:
     from .params import save_checkpoint
@@ -382,43 +376,11 @@ def save_lm(lm: DecoderLM, path) -> dict:
 def load_lm(path) -> DecoderLM:
     from .params import load_checkpoint
 
-    meta, values, frozen = load_checkpoint(path)
-    if meta.get("kind") != "lm":
-        raise ValueError(f"not an lm checkpoint: kind={meta.get('kind')!r}")
+    meta, values, frozen = load_checkpoint(path, "lm")
     reg = ParamRegistry()
     lm = DecoderLM(reg, LmConfig.from_json(meta["config"]), np.random.default_rng(0))
-    reg.load_values(values)
-    for name, fl in frozen.items():
-        if fl:
-            reg[name].freeze()
+    reg.load_values(values, frozen)
     return lm
-
-
-# ---------------------------------------------------------------------------
-# replica pool: the in-process stand-in for a fleet of LM inference servers
-
-
-class LmReplicaPool:
-    """Fans lm_loss_and_grad calls out to up to ``n_replicas`` workers.
-
-    Responses always come back in request index order, so downstream
-    gradient reductions are deterministic regardless of scheduling.
-    """
-
-    def __init__(self, lm: DecoderLM, n_replicas: int = 4, parallel: bool = False):
-        if n_replicas < 1:
-            raise ValueError("need at least one replica")
-        self.lm = lm
-        self.n_replicas = n_replicas
-        self.parallel = parallel
-
-    def evaluate(self, requests) -> list[tuple[float, np.ndarray]]:
-        requests = list(requests)
-        if not self.parallel or len(requests) <= 1:
-            return [self.lm.lm_loss_and_grad(*r) for r in requests]
-        with ThreadPoolExecutor(max_workers=self.n_replicas) as pool:
-            futures = [pool.submit(self.lm.lm_loss_and_grad, *r) for r in requests]
-            return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +416,17 @@ def _make_batches(dataset, cfg: LmTrainConfig, rng):
             yield batches[j]
 
 
+def pad_batch(seqs, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences -> ((B, max len) ids right-padded with ``pad_id``, lengths)."""
+    lengths = np.asarray([len(s) for s in seqs])
+    tokens = np.full((len(seqs), lengths.max()), pad_id, dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
+    return tokens, lengths
+
+
 def _pad_batch(dataset, idx, pad_id):
-    seqs = [dataset[i][0] for i in idx]
-    starts = [dataset[i][1] for i in idx]
-    lengths = [len(s) for s in seqs]
-    l = max(lengths)
-    tokens = np.full((len(seqs), l), pad_id, dtype=np.int64)
-    for r, s in enumerate(seqs):
-        tokens[r, : len(s)] = s
-    return tokens, np.asarray(lengths), np.asarray(starts)
+    tokens, lengths = pad_batch([dataset[i][0] for i in idx], pad_id)
+    return tokens, lengths, np.asarray([dataset[i][1] for i in idx])
 
 
 def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:

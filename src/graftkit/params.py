@@ -39,12 +39,6 @@ class ParamRegistry:
         self._params[name] = p
         return p
 
-    def adopt(self, p: Parameter) -> Parameter:
-        if p.name in self._params:
-            raise ValueError(f"duplicate parameter name: {p.name}")
-        self._params[p.name] = p
-        return p
-
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
@@ -81,13 +75,18 @@ class ParamRegistry:
             h.update(_blob_bytes(p.data))
         return h.hexdigest()
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite registered parameter values in place (shapes must match)."""
+    def load_values(self, values: dict[str, np.ndarray],
+                    frozen: dict[str, bool] | None = None) -> None:
+        """Overwrite registered parameter values in place (shapes must match),
+        then freeze every parameter whose ``frozen`` flag is set."""
         for name, arr in values.items():
             p = self._params[name]
             if p.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arr.shape}")
             p.data[...] = arr
+        for name, flag in (frozen or {}).items():
+            if flag:
+                self._params[name].freeze()
 
     def snapshot(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.select(prefix)}
@@ -125,21 +124,33 @@ def save_checkpoint(registry: ParamRegistry, path, meta: dict | None = None) -> 
     return manifest
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]:
+def load_checkpoint(path, kind: str | None = None
+                    ) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]:
     """Read a manifest + blob; returns (meta, values, frozen flags).
 
-    Refuses to load when the blob digest differs from the manifest or an
-    entry's shape disagrees with its byte extent.
+    Refuses to load when the manifest version is not ``MANIFEST_VERSION``,
+    ``kind`` is given and differs from ``meta["kind"]``, the blob digest
+    differs from the manifest, an entry's shape disagrees with its byte
+    extent, or the entries do not tile the blob exactly (no overlap, no gap,
+    no trailing bytes).
     """
     path = Path(path)
     manifest = json.loads(path.read_text())
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"checkpoint manifest version {manifest.get('version')!r} "
+                         f"!= supported {MANIFEST_VERSION}")
+    meta = manifest.get("meta", {})
+    if kind is not None and meta.get("kind") != kind:
+        article = "an" if kind[0] in "aeilo" else "a"  # "an elixr-c", "an lm"
+        raise ValueError(f"not {article} {kind} checkpoint: kind={meta.get('kind')!r}")
     blob = path.with_suffix(path.suffix + ".bin").read_bytes()
     got = hashlib.sha256(blob).hexdigest()
     if got != manifest["blob_sha256"]:
         raise ValueError(f"checkpoint blob digest mismatch: blob_sha256 {got} != manifest")
     values: dict[str, np.ndarray] = {}
     frozen: dict[str, bool] = {}
-    for e in manifest["params"]:
+    end = 0
+    for e in sorted(manifest["params"], key=lambda e: e["offset"]):
         shape = tuple(e["shape"])
         expect = int(np.prod(shape, dtype=np.int64)) * 8
         if expect != e["nbytes"]:
@@ -147,9 +158,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]
                 f"checkpoint entry {e['name']!r}: field 'shape' {shape} "
                 f"inconsistent with nbytes {e['nbytes']}"
             )
-        raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
-        if len(raw) != e["nbytes"]:
-            raise ValueError(f"checkpoint entry {e['name']!r}: blob truncated")
+        if e["offset"] != end:
+            problem = "overlaps the previous entry" if e["offset"] < end else "leaves a gap"
+            raise ValueError(f"checkpoint entry {e['name']!r}: offset {e['offset']} {problem} "
+                             f"(expected {end})")
+        end += e["nbytes"]
+        raw = blob[e["offset"] : end]
         values[e["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         frozen[e["name"]] = bool(e["frozen"])
-    return manifest.get("meta", {}), values, frozen
+    if end != len(blob):
+        raise ValueError(f"checkpoint entries end at byte {end}, blob has {len(blob)}")
+    return meta, values, frozen

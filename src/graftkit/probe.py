@@ -147,9 +147,6 @@ def embed_for_probe(image: np.ndarray, variant: str, clip_model, qformer=None,
     if variant == "B":
         if qformer is None:
             raise ValueError("variant B needs a qformer")
-        from .nn import pool_grid
-
-        grid = clip_model.image_encoder.encode_image(image)
-        tokens = pool_grid(grid, pooled_hw).reshape(-1, grid.shape[-1])
+        tokens = clip_model.image_encoder.grid_tokens(image, pooled_hw)
         return qformer.query_outputs(tokens).reshape(-1)
     raise ValueError(f"unknown variant {variant!r}")

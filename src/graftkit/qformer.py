@@ -5,15 +5,15 @@ into the frozen decoder LM, zero-shot scoring, and impression generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Tensor
 from .corpus import Corpus, detokenize, select_report_text, tokenize
-from .nn import (DecoderLM, LayerNorm, Linear, LmReplicaPool, MultiHeadAttention,
-                 Mlp, NEG_INF, pool_grid, sinusoid_table)
+from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, pad_batch,
+                 sinusoid_table)
 from .optim import Adam
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -64,14 +64,12 @@ class _QFormerBlock:
         h = self.ln1(x)
         x = ag.add(x, self.self_attn(h, h, self_mask))
         if grid is not None and n_queries:
-            b, m, d = x.shape
-            sel = np.eye(n_queries, m)  # query rows only
-            q_rows = ag.matmul(Tensor(sel), x)
-            cross = self.cross_attn(self.ln_x(q_rows), grid)
-            if m > n_queries:
-                pad = Tensor(np.zeros((b, m - n_queries, d)))
-                cross = ag.concat([cross, pad], axis=1)
-            x = ag.add(x, cross)
+            m = x.shape[1]
+            q_rows = ag.take(x, np.arange(n_queries), axis=1)
+            x_q = ag.add(q_rows, self.cross_attn(self.ln_x(q_rows), grid))
+            if m > n_queries:  # text rows pass through unchanged
+                x_q = ag.concat([x_q, ag.take(x, np.arange(n_queries, m), axis=1)], axis=1)
+            x = x_q
         return ag.add(x, self.mlp(self.ln2(x)))
 
 
@@ -128,10 +126,7 @@ class QFormerModel:
     # -- forward
 
     def _embed_text(self, tokens: np.ndarray) -> Tensor:
-        onehot = np.zeros(tokens.shape + (self.cfg.vocab_size,))
-        np.put_along_axis(onehot, tokens[..., None], 1.0, axis=-1)
-        emb = ag.matmul(Tensor(onehot), self.tok)
-        return ag.add(emb, Tensor(self.pos[: tokens.shape[-1]]))
+        return ag.add(ag.take(self.tok, tokens), Tensor(self.pos[: tokens.shape[-1]]))
 
     def forward(self, grids: np.ndarray | None, tokens: np.ndarray | None,
                 lengths=None, mode: str = "itc") -> tuple[Tensor | None, Tensor | None]:
@@ -155,9 +150,7 @@ class QFormerModel:
             grid_t = Tensor(np.asarray(grids, dtype=np.float64))
             if self.grid_proj is not None:
                 grid_t = self.grid_proj(grid_t)
-            q = ag.reshape(self.queries, (1, self.cfg.n_queries, self.cfg.dim))
-            ones = Tensor(np.ones((b, 1, 1)))
-            parts.append(ag.mul(q, ones))  # broadcast queries across the batch
+            parts.append(ag.take(self.queries, np.broadcast_to(np.arange(n_q), (b, n_q))))
         l_text = 0
         if tokens is not None:
             tokens = np.asarray(tokens, dtype=np.int64)
@@ -169,15 +162,8 @@ class QFormerModel:
             x = blk(x, n_q, grid_t, mask)
         x = self.ln_out(x)
 
-        q_out = t_out = None
-        m = n_q + l_text
-        if n_q:
-            sel = np.eye(n_q, m)
-            q_out = ag.matmul(Tensor(sel), x)
-        if l_text:
-            sel = np.zeros((l_text, m))
-            sel[:, n_q:] = np.eye(l_text)
-            t_out = ag.matmul(Tensor(sel), x)
+        q_out = ag.take(x, np.arange(n_q), axis=1) if n_q else None
+        t_out = ag.take(x, np.arange(n_q, n_q + l_text), axis=1) if l_text else None
         return q_out, t_out
 
     # -- projections
@@ -186,11 +172,7 @@ class QFormerModel:
         return ag.l2_normalize(self.itc_img_proj(q_out))
 
     def cls_projection(self, t_out: Tensor) -> Tensor:
-        b, l, d = t_out.shape
-        sel = np.zeros((1, l))
-        sel[0, 0] = 1.0
-        cls = ag.reshape(ag.matmul(Tensor(sel), t_out), (b, d))
-        return ag.l2_normalize(self.itc_txt_proj(cls))
+        return ag.l2_normalize(self.itc_txt_proj(ag.take(t_out, 0, axis=1)))
 
     # -- inference conveniences
 
@@ -226,14 +208,9 @@ class QFormerModel:
 
 
 def load_qformer(path) -> "QFormerModel":
-    meta, values, frozen = load_checkpoint(path)
-    if meta.get("kind") != "qformer":
-        raise ValueError(f"not a qformer checkpoint: kind={meta.get('kind')!r}")
+    meta, values, frozen = load_checkpoint(path, "qformer")
     model = QFormerModel(QFormerConfig.from_json(meta["config"]), int(meta["seed"]))
-    model.registry.load_values(values)
-    for name, fl in frozen.items():
-        if fl:
-            model.registry[name].freeze()
+    model.registry.load_values(values, frozen)
     return model
 
 
@@ -344,12 +321,7 @@ class Phase1Config:
 
 def precompute_grids(clip_model, studies, pooled_hw: int = 2) -> np.ndarray:
     """Frozen image-encoder grids, average pooled, flattened to token lists."""
-    out = []
-    for s in studies:
-        grid = clip_model.image_encoder.encode_image(s.image)
-        pooled = pool_grid(grid, pooled_hw)
-        out.append(pooled.reshape(-1, grid.shape[-1]))
-    return np.stack(out)
+    return np.stack([clip_model.image_encoder.grid_tokens(s.image, pooled_hw) for s in studies])
 
 
 def _phase1_batch(corpus, grids, ids, vocab, cfg):
@@ -358,15 +330,7 @@ def _phase1_batch(corpus, grids, ids, vocab, cfg):
     bos, eos = vocab.id("[BOS]"), vocab.id("[EOS]")
     itg_seqs = [[bos] + tokenize(t, vocab, cfg.text_max_len - 2, lead=None) + [eos] for t in texts]
     pad = vocab.id("[PAD]")
-
-    def pad_batch(seqs):
-        lengths = [len(s) for s in seqs]
-        arr = np.full((len(seqs), max(lengths)), pad, dtype=np.int64)
-        for r, s in enumerate(seqs):
-            arr[r, : len(s)] = s
-        return arr, np.asarray(lengths)
-
-    return grids[ids], pad_batch(cls_seqs), pad_batch(itg_seqs)
+    return grids[ids], pad_batch(cls_seqs, pad), pad_batch(itg_seqs, pad)
 
 
 def phase1_losses(model, batch_grids, cls_batch, itg_batch, mismatch_idx):
@@ -419,7 +383,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
 
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
-        qcfg.vocab_size = len(corpus.vocab)
+        qcfg = replace(qcfg, vocab_size=len(corpus.vocab))
     if qcfg.grid_dim != clip_model.cfg.image.dim:
         raise ValueError("qformer grid_dim must match the image encoder dim")
     if grids is None:
@@ -517,9 +481,6 @@ class Phase2Config:
     beta2: float = 0.999
     eps: float = 1e-8
     bridge_hidden: int = 96
-    n_replicas: int = 4
-    parallel_replicas: bool = False
-    grad_reduction: str = "mean"  # across per-example replica responses
 
 
 class Phase2Bridge:
@@ -552,12 +513,29 @@ def impression_targets(corpus: Corpus, ids) -> list[list[int]]:
     return out
 
 
+def phase2_step(model: QFormerModel, bridge: Phase2Bridge, lm: DecoderLM, grids: np.ndarray,
+                targets) -> tuple[dict[str, np.ndarray], list[float]]:
+    """Gradients of the batch-mean LM loss for the adapter and bridge, plus
+    the per-example LM losses.
+
+    One taped forward makes every soft prompt; the frozen LM returns
+    d loss / d soft prompt per example, and the stacked (mean-scaled) LM
+    gradients seed the backward pass at the soft prompts.
+    """
+    with Tape() as tape:
+        q_out, _ = model.forward(grids, None, mode="itc")
+        soft = bridge(q_out)
+    responses = [lm.lm_loss_and_grad(soft.data[j], [], t) for j, t in enumerate(targets)]
+    grads = tape.gradients(soft, seed_grad=np.stack([g for _, g in responses]) / len(targets))
+    return grads, [loss for loss, _ in responses]
+
+
 def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: DecoderLM,
                  cfg: Phase2Config, seed: int = 0, grids=None, eval_ids=None, log=None):
     """Train bridge + Q-Former to generate impressions through the frozen LM.
 
-    Gradients for the soft prompts come back from the replica pool and are
-    backpropagated through the adapter locally.
+    Each step is one taped, batched adapter pass (``phase2_step``); the
+    frozen LM serves only the gradients for its soft prompts.
     """
     if not lm.frozen:
         raise RuntimeError("phase 2 requires a frozen LM")
@@ -571,7 +549,6 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     bridge_reg = ParamRegistry()
     bridge = Phase2Bridge(bridge_reg, model.cfg.dim, lm.cfg.dim, cfg.bridge_hidden,
                           substream(seed, "init.bridge"), init_bias=lm.tok.data[lm.cfg.img_id])
-    pool = LmReplicaPool(lm, cfg.n_replicas, parallel=cfg.parallel_replicas)
     params = list(model.registry) + list(bridge_reg)
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     order_rng = substream(seed, "batch-order.phase2")
@@ -585,21 +562,9 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
         ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
                                replace=False)
         ids = [train_ids[int(i)] for i in ids]
-        softs = [soft_prompts_for_grid(model, bridge, grids[i]) for i in ids]
-        requests = [(softs[j], [], targets_all[i]) for j, i in enumerate(ids)]
-        responses = pool.evaluate(requests)  # index-ordered
-        scale = 1.0 / len(ids) if cfg.grad_reduction == "mean" else 1.0
-        with Tape() as tape:
-            surrogate = None
-            for j, i in enumerate(ids):
-                q_out, _ = model.forward(grids[i][None], None, mode="itc")
-                soft = bridge(q_out)
-                g = Tensor(responses[j][1][None] * scale)
-                term = ag.reduce_sum(ag.mul(soft, g))
-                surrogate = term if surrogate is None else ag.add(surrogate, term)
-        grads = tape.gradients(surrogate)
+        grads, losses = phase2_step(model, bridge, lm, grids[ids], [targets_all[i] for i in ids])
         opt.step(grads)
-        mean_loss = float(np.mean([r[0] for r in responses]))
+        mean_loss = float(np.mean(losses))
         history.append({"step": step, "lm_loss": mean_loss})
         if log and step % 50 == 0:
             log(f"phase2 step {step} lm loss {mean_loss:.4f}")
@@ -636,14 +601,9 @@ def save_phase2(model: QFormerModel, bridge: Phase2Bridge, bridge_reg: ParamRegi
 
 
 def load_bridge(path) -> tuple[ParamRegistry, Phase2Bridge, dict]:
-    meta, values, frozen = load_checkpoint(path)
-    if meta.get("kind") != "bridge":
-        raise ValueError(f"not a bridge checkpoint: kind={meta.get('kind')!r}")
+    meta, values, frozen = load_checkpoint(path, "bridge")
     reg = ParamRegistry()
     bridge = Phase2Bridge(reg, int(meta["q_dim"]), int(meta["lm_dim"]),
                           int(meta["hidden"]), np.random.default_rng(0))
-    reg.load_values(values)
-    for name, fl in frozen.items():
-        if fl:
-            reg[name].freeze()
+    reg.load_values(values, frozen)
     return reg, bridge, meta

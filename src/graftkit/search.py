@@ -59,13 +59,10 @@ class ImageIndexB:
 
     @staticmethod
     def build(clip_model, qformer, studies, pooled_hw: int | None = None) -> "ImageIndexB":
-        from .nn import pool_grid
-
         hw = pooled_hw or qformer.cfg.pooled_hw
         ids, grids, projs = [], [], []
         for s in studies:
-            grid = clip_model.image_encoder.encode_image(s.image)
-            tokens = pool_grid(grid, hw).reshape(-1, grid.shape[-1])
+            tokens = clip_model.image_encoder.grid_tokens(s.image, hw)
             ids.append(s.study_id)
             grids.append(tokens)
             projs.append(qformer.image_query_proj(tokens))

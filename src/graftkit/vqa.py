@@ -12,7 +12,7 @@ import numpy as np
 from . import templates as T
 from .clip_stage import ClipModel
 from .corpus import Vocab, detokenize, tokenize
-from .nn import DecoderLM, pool_grid
+from .nn import DecoderLM
 from .qformer import Phase2Bridge, QFormerModel, generate_impression, soft_prompts_for_grid
 
 
@@ -37,9 +37,7 @@ class ElixrBundle:
             raise RuntimeError("bundle requires a frozen LM")
 
     def grid_for(self, image: np.ndarray) -> np.ndarray:
-        grid = self.clip.image_encoder.encode_image(image)
-        pooled = pool_grid(grid, self.qformer_impression.cfg.pooled_hw)
-        return pooled.reshape(-1, grid.shape[-1])
+        return self.clip.image_encoder.grid_tokens(image, self.qformer_impression.cfg.pooled_hw)
 
     def impression_for(self, image: np.ndarray) -> str:
         return generate_impression(self.grid_for(image), self.qformer_impression, self.vocab)
@@ -84,8 +82,3 @@ def auto_grade_yes_no(answer: str, expected_yes: bool) -> float | None:
     if mapped == "other":
         return None
     return 1.0 if mapped == ("yes" if expected_yes else "no") else 0.0
-
-
-def presence_question_for(kind: str, index: int = 0) -> str:
-    qs = T.PRESENCE_QUESTIONS[kind]
-    return qs[index % len(qs)]

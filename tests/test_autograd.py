@@ -136,6 +136,10 @@ PRIMS = [
     ("mean", lambda p: ag.reduce_mean(p)),
     ("max", lambda p: ag.reduce_sum(ag.reduce_max(p, axis=1))),
     ("l2norm", lambda p: ag.reduce_sum(ag.mul(ag.l2_normalize(p), Tensor(np.linspace(0.1, 1, 12).reshape(3, 4))))),
+    # repeated ids accumulate in the scatter-add VJP
+    ("take_rows", lambda p: ag.reduce_sum(ag.mul(ag.take(p, [2, 0, 2, 2]), Tensor(np.linspace(-1, 1, 16).reshape(4, 4))))),
+    ("take_cols", lambda p: ag.reduce_sum(ag.mul(ag.take(p, np.arange(1, 4), axis=1), Tensor(np.linspace(0, 1, 9).reshape(3, 3))))),
+    ("take_scalar", lambda p: ag.reduce_sum(ag.mul(ag.take(p, 1, axis=1), Tensor([0.5, -1.0, 2.0])))),
 ]
 
 
@@ -201,21 +205,20 @@ def test_concat_gradient():
     assert finite_diff_check(f, [a, b]) < 1e-8
 
 
+def test_take_equals_onehot_matmul_bitwise():
+    # the one-hot product take replaced is the reference: selection is exact
+    rng = np.random.default_rng(11)
+    table = rng.normal(0, 1, (17, 6))
+    ids = rng.integers(0, 17, (3, 9))
+    onehot = np.zeros(ids.shape + (17,))
+    np.put_along_axis(onehot, ids[..., None], 1.0, axis=-1)
+    assert np.array_equal(ag.take(Tensor(table), ids).data, onehot @ table)
+
+
 def test_nan_check_raises():
-    ag.set_nan_check(True)
     big = Tensor(np.array([1e308, 1e308]))
     with pytest.raises(FloatingPointError):
         ag.add(big, big)
-
-
-def test_nan_check_can_be_disabled():
-    ag.set_nan_check(False)
-    try:
-        big = Tensor(np.array([1e308, 1e308]))
-        out = ag.add(big, big)
-        assert np.isinf(out.data).all()
-    finally:
-        ag.set_nan_check(True)
 
 
 def test_tape_does_not_nest():

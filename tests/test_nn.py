@@ -6,9 +6,8 @@ import pytest
 import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
-    DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, LmReplicaPool,
-    TextEncoder, TextEncoderConfig, causal_mask, key_padding_mask, pool_grid,
-    sinusoid_table,
+    DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
+    causal_mask, key_padding_mask, pad_batch, pool_grid, sinusoid_table,
 )
 from graftkit.params import ParamRegistry
 
@@ -219,21 +218,21 @@ def test_lm_generate_terminates_and_deterministic():
     assert len(out3) <= 64
 
 
-def test_replica_pool_parallel_matches_serial():
-    _, lm = make_lm()
-    rng = np.random.default_rng(7)
-    requests = [(rng.normal(0, 0.1, (2, 32)), [4], [5, 6, 7]) for _ in range(6)]
-    serial = LmReplicaPool(lm, 4, parallel=False).evaluate(requests)
-    threaded = LmReplicaPool(lm, 4, parallel=True).evaluate(requests)
-    for (l1, g1), (l2, g2) in zip(serial, threaded):
-        assert l1 == l2
-        assert g1.tobytes() == g2.tobytes()
+def test_embeddings_equal_onehot_products_bitwise():
+    # the one-hot @ table products the gather replaced are the reference
+    tokens = np.array([[3, 5, 5, 0], [29, 1, 3, 3]])
+    onehot = np.zeros(tokens.shape + (30,))
+    np.put_along_axis(onehot, tokens[..., None], 1.0, axis=-1)
+    _, lm = make_lm(vocab=30)
+    assert np.array_equal(lm.embed_tokens(tokens).data, onehot @ lm.tok.data)
+    _, enc = make_text_encoder(vocab=30)
+    assert np.array_equal(enc.embed(tokens).data, onehot @ enc.tok.data + enc.pos[:4])
 
 
-def test_replica_pool_rejects_zero_replicas():
-    _, lm = make_lm()
-    with pytest.raises(ValueError):
-        LmReplicaPool(lm, 0)
+def test_pad_batch():
+    tokens, lengths = pad_batch([[4, 5, 6], [7], np.array([8, 9])], pad_id=0)
+    assert tokens.tolist() == [[4, 5, 6], [7, 0, 0], [8, 9, 0]]
+    assert lengths.tolist() == [3, 1, 2]
 
 
 GOLDEN_ZERO_IMAGE_DIGEST = "78e2ed1267d9c1ac5d9b67cdce134eaae43792a61ca63b1fa3eebad5dc31a5cb"

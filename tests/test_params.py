@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from graftkit.autograd import Tensor
+from graftkit.clip_stage import load_clip
+from graftkit.nn import DecoderLM, LmConfig, load_lm, save_lm
 from graftkit.params import ParamRegistry, load_checkpoint, save_checkpoint
+from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, load_bridge,
+                              load_qformer, save_phase2)
 
 
 def small_registry():
@@ -83,3 +88,72 @@ def test_combined_digest_covers_prefix():
     assert reg.combined_digest("enc.") == d
     reg["enc.b"].data += 1.0
     assert reg.combined_digest("enc.") != d
+
+
+def test_version_mismatch_refused(tmp_path):
+    p = tmp_path / "v.ckpt"
+    save_checkpoint(small_registry(), p)
+    manifest = json.loads(p.read_text())
+    manifest["version"] = 2
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="version 2"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: m["params"][1].update(offset=24), "overlaps"),
+    (lambda m: m["params"][1].update(offset=40), "gap"),
+    (lambda m: m["params"].pop(), "end at byte 128"),
+], ids=["overlap", "gap", "short"])
+def test_entries_must_tile_blob(tmp_path, edit, match):
+    # entries in name order: enc.b [0, 32), enc.w [32, 128), lm.emb [128, 208)
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(small_registry(), p)
+    manifest = json.loads(p.read_text())
+    edit(manifest)
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("loader,message", [
+    (load_clip, "not an elixr-c checkpoint"),
+    (load_qformer, "not a qformer checkpoint"),
+    (load_lm, "not an lm checkpoint"),
+    (load_bridge, "not a bridge checkpoint"),
+], ids=["clip", "qformer", "lm", "bridge"])
+def test_loaders_reject_wrong_kind(tmp_path, loader, message):
+    p = tmp_path / "w.ckpt"
+    save_checkpoint(small_registry(), p, meta={"kind": "other"})
+    with pytest.raises(ValueError, match=f"{message}: kind='other'"):
+        loader(p)
+
+
+def test_load_lm_restores_values_and_frozen_flags(tmp_path):
+    reg = ParamRegistry()
+    lm = DecoderLM(reg, LmConfig(vocab_size=12, dim=8, blocks=1, heads=2, max_len=16),
+                   np.random.default_rng(1))
+    reg["lm.head.b"].data += 0.5  # differs from a fresh init
+    lm.freeze()
+    p = tmp_path / "lm.ckpt"
+    save_lm(lm, p)
+    loaded = load_lm(p)
+    assert loaded.cfg == lm.cfg
+    assert loaded.digest() == lm.digest()
+    assert loaded.frozen
+
+
+def test_load_bridge_restores_values_and_frozen_flags(tmp_path):
+    qf = QFormerModel(QFormerConfig(n_queries=2, dim=8, blocks=1, heads=2, proj_dim=4,
+                                    grid_dim=8, text_max_len=8, vocab_size=12), seed=0)
+    reg = ParamRegistry()
+    bridge = Phase2Bridge(reg, 8, 6, 10, np.random.default_rng(2))
+    bridge.fc2.b.data += 0.25
+    reg["bridge.fc1.w"].freeze()
+    save_phase2(qf, bridge, reg, tmp_path / "qf.ckpt", tmp_path / "br.ckpt", lm_digest="d")
+    loaded_reg, loaded, meta = load_bridge(tmp_path / "br.ckpt")
+    assert meta["lm_digest"] == "d"
+    assert loaded_reg.combined_digest() == reg.combined_digest()
+    assert {p.name: p.frozen for p in loaded_reg} == {p.name: p.frozen for p in reg}
+    x = Tensor(np.random.default_rng(3).normal(0, 1, (2, 8)))
+    assert np.array_equal(loaded(x).data, bridge(x).data)

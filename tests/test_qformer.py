@@ -3,13 +3,14 @@ import pytest
 
 import graftkit.autograd as ag
 from graftkit.autograd import Tape, Tensor
-from graftkit.clip_stage import PromptSet
-from graftkit.corpus import build_vocab, tokenize
-from graftkit.nn import DecoderLM, LmConfig
+from graftkit.clip_stage import ClipConfig, ClipModel, PromptSet
+from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, tokenize
+from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
-    Phase2Bridge, QFormerConfig, QFormerModel, generate_impression, itc_loss,
-    itg_loss, itm_loss, load_qformer, pairwise_similarity, zero_shot_score_b,
+    Phase1Config, Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, generate_impression,
+    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_train, phase2_step,
+    soft_prompts_for_grid, zero_shot_score_b,
 )
 
 
@@ -108,6 +109,65 @@ def test_pad_positions_inert(model):
         assert np.allclose(qa.data, qb.data, atol=1e-12), mode
         assert np.allclose(ta.data[0, :3], tb.data[0, :3], atol=1e-12), mode
         assert np.allclose(ta.data[1, :4], tb.data[1, :4], atol=1e-12), mode
+
+
+def _eye_forward(model, grids, tokens, lengths, mode):
+    """The adapter forward written with one-hot and identity-matrix products."""
+    cfg = model.cfg
+    n_q = cfg.n_queries if grids is not None else 0
+    b = grids.shape[0] if grids is not None else tokens.shape[0]
+    parts, grid_t, l_text = [], None, 0
+    if grids is not None:
+        grid_t = Tensor(grids)
+        if model.grid_proj is not None:
+            grid_t = model.grid_proj(grid_t)
+        q = ag.reshape(model.queries, (1, n_q, cfg.dim))
+        parts.append(ag.mul(q, Tensor(np.ones((b, 1, 1)))))
+    if tokens is not None:
+        l_text = tokens.shape[1]
+        onehot = np.zeros(tokens.shape + (cfg.vocab_size,))
+        np.put_along_axis(onehot, tokens[..., None], 1.0, axis=-1)
+        parts.append(ag.add(ag.matmul(Tensor(onehot), model.tok), Tensor(model.pos[:l_text])))
+    x = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    m = n_q + l_text
+    mask = _self_mask(mode, n_q, lengths if tokens is not None else None, l_text)
+    for blk in model.blocks:
+        h = blk.ln1(x)
+        x = ag.add(x, blk.self_attn(h, h, mask))
+        if grid_t is not None:
+            q_rows = ag.matmul(Tensor(np.eye(n_q, m)), x)
+            cross = blk.cross_attn(blk.ln_x(q_rows), grid_t)
+            if m > n_q:
+                cross = ag.concat([cross, Tensor(np.zeros((b, m - n_q, cfg.dim)))], axis=1)
+            x = ag.add(x, cross)
+        x = ag.add(x, blk.mlp(blk.ln2(x)))
+    x = model.ln_out(x)
+    t_sel = np.zeros((l_text, m))
+    t_sel[:, n_q:] = np.eye(l_text)
+    return (ag.matmul(Tensor(np.eye(n_q, m)), x) if n_q else None,
+            ag.matmul(Tensor(t_sel), x) if l_text else None)
+
+
+@pytest.mark.parametrize("mode,with_grids,with_text", [
+    ("itc", True, False), ("itc", False, True), ("itc", True, True),
+    ("itg", True, True), ("itm", True, True),
+])
+def test_forward_equals_identity_selection_reference(model, mode, with_grids, with_text):
+    grids = rand_grids(2, model.cfg, seed=3) if with_grids else None
+    tokens = np.array([[1, 8, 9, 0], [1, 5, 6, 7]]) if with_text else None
+    lengths = [3, 4] if with_text else None
+    got = model.forward(grids, tokens, lengths, mode=mode)
+    want = _eye_forward(model, grids, tokens, lengths, mode)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert np.array_equal(g.data, w.data)
+    if with_text:
+        cls = model.cls_projection(got[1]).data
+        sel = np.zeros((1, tokens.shape[1]))
+        sel[0, 0] = 1.0
+        ref = model.itc_txt_proj(Tensor((sel @ want[1].data)[:, 0]))
+        assert np.array_equal(cls, ag.l2_normalize(ref).data)
 
 
 def test_same_inputs_same_outputs(model):
@@ -212,13 +272,8 @@ def test_phase2_end_to_end_gradient(model):
         q_out, _ = model.forward(grid[None], None, mode="itc")
         return bridge(q_out).data[0]
 
-    # AD path mirrors training: server grad seeds a local surrogate backward
-    _, g_soft = lm.lm_loss_and_grad(soft_np(), [], target)
-    with Tape() as tape:
-        q_out, _ = model.forward(grid[None], None, mode="itc")
-        soft = bridge(q_out)
-        surrogate = ag.reduce_sum(ag.mul(soft, Tensor(g_soft[None])))
-    grads = tape.gradients(surrogate)
+    # the training step: the LM's soft-prompt gradient seeds the local backward
+    grads, _ = phase2_step(model, bridge, lm, grid[None], [target])
 
     rng = np.random.default_rng(4)
     h = 1e-5
@@ -301,3 +356,44 @@ def test_qformer_checkpoint_roundtrip(tmp_path, model):
     loaded = load_qformer(p)
     assert loaded.registry.combined_digest() == model.registry.combined_digest()
     assert loaded.cfg.to_json() == model.cfg.to_json()
+
+
+def test_phase2_step_matches_per_example_surrogate(model):
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=30, dim=16, blocks=1, heads=2,
+                                             max_len=32), np.random.default_rng(9))
+    lm.freeze()
+    bridge = Phase2Bridge(ParamRegistry(), model.cfg.dim, 16, 16, np.random.default_rng(3))
+    grids = rand_grids(3, model.cfg, seed=6)
+    targets = [[5, 6, 7], [8], [9, 10]]
+    grads, losses = phase2_step(model, bridge, lm, grids, targets)
+
+    # reference: LM responses at per-example soft prompts, then a taped
+    # surrogate sum of <soft, LM gradient / batch> over the examples
+    responses = [lm.lm_loss_and_grad(soft_prompts_for_grid(model, bridge, grid), [], target)
+                 for grid, target in zip(grids, targets)]
+    surrogate = None
+    with Tape() as tape:
+        for grid, (_, g) in zip(grids, responses):
+            q_out, _ = model.forward(grid[None], None, mode="itc")
+            term = ag.reduce_sum(ag.mul(bridge(q_out), Tensor(g[None] / len(targets))))
+            surrogate = term if surrogate is None else ag.add(surrogate, term)
+    ref = tape.gradients(surrogate)
+    assert losses == [loss for loss, _ in responses]
+    assert set(grads) == set(ref)
+    # relative to the largest gradient entry: some entries (key biases) are
+    # zero up to rounding, so a per-entry relative error is meaningless there
+    scale = max(np.abs(r).max() for r in ref.values())
+    for name, g in grads.items():
+        assert np.abs(g - ref[name]).max() <= 1e-12 * scale, name
+
+
+def test_phase1_train_leaves_caller_config_unchanged():
+    corpus = generate_corpus(3, CorpusSpec(n_studies=6))
+    clip = ClipModel(len(corpus.vocab),
+                     ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2),
+                                text_dim=16, text_blocks=1, text_heads=2, proj_dim=8), seed=0)
+    cfg = Phase1Config(steps=1, batch_size=2, eval_every=1,
+                       qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
+    models, _, _ = phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
+    assert cfg.qformer.vocab_size == 0
+    assert models["final"].cfg.vocab_size == len(corpus.vocab)
