@@ -18,14 +18,14 @@ import numpy as np
 
 from . import __version__
 from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt_sets,
-                         save_prompt_sets, train_elixr_c, zero_shot_score_c)
+                         train_elixr_c, zero_shot_score_c)
 from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from .lmdata import pretrain_frozen_lm
-from .nn import LmTrainConfig, load_lm, save_lm
+from .nn import load_lm, save_lm
 from .params import load_checkpoint, save_checkpoint, ParamRegistry
 from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
-from .qformer import (Phase1Config, Phase2Config, QFormerConfig, load_bridge,
+from .qformer import (Phase1Config, Phase2Config, load_bridge,
                       load_qformer, phase1_train, phase2_train, precompute_grids,
                       save_phase2, loss_log_to_csv, zero_shot_score_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c

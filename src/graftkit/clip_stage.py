@@ -143,11 +143,13 @@ class ClipModel:
     def embed_image(self, image: np.ndarray) -> np.ndarray:
         return self.image_embeddings(np.asarray(image, dtype=np.float64)[None]).data[0]
 
+    def embed_texts(self, seqs) -> np.ndarray:
+        """(N, proj_dim) unit embeddings of N token sequences, one padded forward."""
+        tokens, lengths = pad_batch(seqs, 0)  # pad keys are masked: any id will do
+        return self.text_embeddings(tokens, lengths).data
+
     def embed_text(self, token_ids) -> np.ndarray:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("empty token sequence")
-        return self.text_embeddings(ids[None], [ids.size]).data[0]
+        return self.embed_texts([token_ids])[0]
 
     def freeze(self) -> None:
         self.registry.freeze()
@@ -226,22 +228,20 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
 # zero-shot classification (ELIXR-C variant)
 
 
-def _prompt_embedding(model: ClipModel, vocab, prompt: str) -> np.ndarray:
-    ids = tokenize(prompt, vocab)
-    return model.embed_text(ids)
-
-
 def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab,
                       use_temperature: bool = False) -> float:
     """Mean positive/negative prompt cosine -> 2-way softmax -> P(positive).
 
-    Raw cosines by default; dividing by the stored temperature is available
-    behind the flag for comparison (AUC ordering is unchanged either way).
+    All of the set's prompts are encoded in one padded text forward
+    (``ClipModel.embed_texts``).  Raw cosines by default; dividing by the
+    stored temperature is available behind the flag for comparison (AUC
+    ordering is unchanged either way).
     """
     prompt_set.validate()
-    img = model.embed_image(image)
-    pos = np.mean([float(img @ _prompt_embedding(model, vocab, p)) for p in prompt_set.positive])
-    neg = np.mean([float(img @ _prompt_embedding(model, vocab, p)) for p in prompt_set.negative])
+    prompts = prompt_set.positive + prompt_set.negative
+    cos = model.embed_texts([tokenize(p, vocab) for p in prompts]) @ model.embed_image(image)
+    n_pos = len(prompt_set.positive)
+    pos, neg = np.mean(cos[:n_pos]), np.mean(cos[n_pos:])
     return softmax_pair(pos, neg, 1.0 / model.cfg.temperature if use_temperature else 1.0)
 
 

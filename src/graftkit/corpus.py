@@ -18,7 +18,6 @@ import numpy as np
 from scipy import ndimage
 
 from . import templates as T
-from .seeding import substream
 
 IMAGE_SIZE = 64
 MAX_TEXT_LEN = 128
@@ -265,8 +264,9 @@ def build_vocab() -> Vocab:
     return Vocab(RESERVED + sorted(seen))
 
 
-def tokenize(text: str, vocab: Vocab, max_len: int = MAX_TEXT_LEN, lead: str = CLS) -> list[int]:
-    """[CLS]-led id sequence, truncated to max_len."""
+def tokenize(text: str, vocab: Vocab, max_len: int | None = MAX_TEXT_LEN,
+             lead: str = CLS) -> list[int]:
+    """[CLS]-led id sequence, truncated to max_len (None: not truncated)."""
     ids = [vocab.id(lead)] if lead else []
     ids.extend(vocab.id(w) for w in words(text))
     return ids[:max_len]

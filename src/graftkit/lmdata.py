@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import templates as T
 from .corpus import Corpus, Vocab, select_report_text, tokenize
 from .nn import DecoderLM, LmConfig, LmTrainConfig, pretrain_lm

@@ -157,18 +157,23 @@ class ImageEncoder:
         g = self.cfg.grid
         return out.data[0].reshape(g, g, self.cfg.dim)
 
-    def grid_tokens(self, image: np.ndarray, pooled_hw: int) -> np.ndarray:
-        """Grid average-pooled to (pooled_hw**2, dim) tokens; inference only."""
-        return pool_grid(self.encode_image(image), pooled_hw).reshape(-1, self.cfg.dim)
+    def grid_tokens(self, images: np.ndarray, pooled_hw: int) -> np.ndarray:
+        """(B, H, W) images -> (B, pooled_hw**2, dim) average-pooled grid
+        tokens from one forward pass; inference only."""
+        images = np.asarray(images, dtype=np.float64)
+        g, b = self.cfg.grid, images.shape[0]
+        grids = self.forward(images).data.reshape(b, g, g, self.cfg.dim)
+        return pool_grid(grids, pooled_hw).reshape(b, -1, self.cfg.dim)
 
 
 def pool_grid(grid: np.ndarray, out_hw: int = 2) -> np.ndarray:
-    """Average-pool an (H, W, D) grid to (out_hw, out_hw, D) over equal windows."""
-    h, w, d = grid.shape
+    """Average-pool an (..., H, W, D) grid to (..., out_hw, out_hw, D) over
+    equal windows; leading axes are batch axes."""
+    *lead, h, w, d = grid.shape
     if h % out_hw or w % out_hw:
         raise ValueError("grid not divisible by pooled size")
     fh, fw = h // out_hw, w // out_hw
-    return grid.reshape(out_hw, fh, out_hw, fw, d).mean(axis=(1, 3))
+    return grid.reshape(*lead, out_hw, fh, out_hw, fw, d).mean(axis=(-4, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -307,40 +312,43 @@ class DecoderLM:
 
     # -- the gradient-server contract
 
-    def lm_loss_and_grad(self, soft_prompts: np.ndarray, prompt_ids, target_ids):
-        """(loss, d loss / d soft_prompts); the LM itself receives no gradient.
-
-        Loss is the mean cross-entropy over the target positions only.
-        """
-        soft = np.asarray(soft_prompts, dtype=np.float64)
+    def soft_prompt_loss(self, soft: Tensor, prompt_ids, target_ids) -> Tensor:
+        """Mean cross-entropy over the target positions of [soft prompts (S, dim)
+        || prompt || target]; the graph ``lm_loss_and_grad`` differentiates."""
         if soft.ndim != 2 or soft.shape[1] != self.cfg.dim:
             raise ValueError(f"soft prompts must be (S, {self.cfg.dim})")
         if soft.shape[0] < 1:
             raise ValueError("need at least one soft prompt slot")
         if len(target_ids) == 0:
             raise ValueError("empty target")
-        if not self.frozen:
-            raise RuntimeError("LM must be frozen before serving gradients")
         s, p, t = soft.shape[0], len(prompt_ids), len(target_ids)
         hard = np.asarray(list(prompt_ids) + list(target_ids), dtype=np.int64)
-        leaf = Parameter("_soft_prompt", soft)
         l = s + p + t
         targets = np.zeros(l, dtype=np.int64)
         mask = np.zeros(l)
         for j, tok_id in enumerate(target_ids):
             targets[s + p - 1 + j] = tok_id  # position s+p-1+j predicts target j
             mask[s + p - 1 + j] = 1.0
+        parts = [ag.reshape(soft, (1, s, self.cfg.dim))]
+        if hard.size:
+            parts.append(self.embed_tokens(hard[None]))
+        emb = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+        logits = self._run(emb, [l])
+        return ag.cross_entropy(ag.reshape(logits, (l, self.cfg.vocab_size)), targets, mask=mask)
+
+    def lm_loss_and_grad(self, soft_prompts: np.ndarray, prompt_ids, target_ids):
+        """(loss, d loss / d soft_prompts); the LM itself receives no gradient.
+
+        Loss is the mean cross-entropy over the target positions only.
+        """
+        if not self.frozen:
+            raise RuntimeError("LM must be frozen before serving gradients")
+        leaf = Parameter("_soft_prompt", np.asarray(soft_prompts, dtype=np.float64))
         with Tape() as tape:
-            parts = [ag.reshape(leaf, (1, s, self.cfg.dim))]
-            if hard.size:
-                parts.append(self.embed_tokens(hard[None]))
-            emb = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-            logits = self._run(emb, [l])
-            loss = ag.cross_entropy(ag.reshape(logits, (l, self.cfg.vocab_size)),
-                                    targets, mask=mask)
+            loss = self.soft_prompt_loss(leaf, prompt_ids, target_ids)
         grads = tape.gradients(loss)
         assert set(grads) <= {"_soft_prompt"}, "gradient leaked into frozen LM"
-        return float(loss.data), grads["_soft_prompt"].reshape(soft.shape)
+        return float(loss.data), grads["_soft_prompt"].reshape(leaf.shape)
 
     def generate(self, soft_prompts, prompt_ids, max_new: int = 64) -> list[int]:
         """Greedy decode; stops at [EOS] or after max_new tokens."""

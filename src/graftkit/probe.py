@@ -5,7 +5,7 @@ repeated subsamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,6 +147,7 @@ def embed_for_probe(image: np.ndarray, variant: str, clip_model, qformer=None,
     if variant == "B":
         if qformer is None:
             raise ValueError("variant B needs a qformer")
-        tokens = clip_model.image_encoder.grid_tokens(image, pooled_hw)
-        return qformer.query_outputs(tokens).reshape(-1)
+        tokens = clip_model.image_encoder.grid_tokens(np.asarray(image)[None], pooled_hw)
+        q_out, _ = qformer.forward(tokens, None, mode="itc")
+        return q_out.data[0].reshape(-1)
     raise ValueError(f"unknown variant {variant!r}")

@@ -180,21 +180,26 @@ class QFormerModel:
         q_out, _ = self.forward(grid_tokens[None], None, mode="itc")
         return self.query_projections(q_out).data[0]
 
-    def text_cls_proj(self, token_ids) -> np.ndarray:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        _, t_out = self.forward(None, ids[None], [ids.size], mode="itc")
-        return self.cls_projection(t_out).data[0]
+    def text_cls_projs(self, seqs) -> np.ndarray:
+        """(N, proj_dim) [CLS] projections of N token sequences, one padded forward."""
+        tokens, lengths = pad_batch(seqs, 0)  # pad keys are masked: any id will do
+        _, t_out = self.forward(None, tokens, lengths, mode="itc")
+        return self.cls_projection(t_out).data
 
-    def query_outputs(self, grid_tokens: np.ndarray) -> np.ndarray:
-        q_out, _ = self.forward(grid_tokens[None], None, mode="itc")
-        return q_out.data[0]
+    def text_cls_proj(self, token_ids) -> np.ndarray:
+        return self.text_cls_projs([token_ids])[0]
+
+    def itm_probabilities(self, grids: np.ndarray, token_ids) -> np.ndarray:
+        """Matched-class probability of one text against each of (N, G, grid_dim)
+        grids, from one matching-head forward (the rows need no padding)."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        n = grids.shape[0]
+        z = self.itm_logits(grids, np.broadcast_to(ids, (n, ids.size)), [ids.size] * n).data
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e[:, 0] / e.sum(axis=1)
 
     def itm_matched_probability(self, grid_tokens: np.ndarray, token_ids) -> float:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        logits = self.itm_logits(grid_tokens[None], ids[None], [ids.size])
-        z = logits.data[0]
-        e = np.exp(z - z.max())
-        return float(e[0] / e.sum())
+        return float(self.itm_probabilities(grid_tokens[None], token_ids)[0])
 
     def itm_logits(self, grids, tokens, lengths) -> Tensor:
         q_out, _ = self.forward(grids, tokens, lengths, mode="itm")
@@ -270,17 +275,19 @@ def itm_loss(model: QFormerModel, grids, tokens, lengths, matched) -> Tensor:
 
 
 def zero_shot_score_b(grid_tokens: np.ndarray, prompt_set, model: QFormerModel, vocab) -> float:
-    """Max query-token cosine per prompt; max over each list; 2-way softmax."""
+    """Max query-token cosine per prompt; max over each list; 2-way softmax.
+
+    All of the set's prompts are encoded in one padded text forward
+    (``QFormerModel.text_cls_projs``).
+    """
     from .clip_stage import softmax_pair
 
     prompt_set.validate()
-    q_proj = model.image_query_proj(grid_tokens)  # (Q, p)
-
-    def best(prompts):
-        return max(float(np.max(q_proj @ model.text_cls_proj(
-            tokenize(p, vocab, model.cfg.text_max_len)))) for p in prompts)
-
-    return softmax_pair(best(prompt_set.positive), best(prompt_set.negative))
+    prompts = prompt_set.positive + prompt_set.negative
+    t_proj = model.text_cls_projs([tokenize(p, vocab, model.cfg.text_max_len) for p in prompts])
+    best = (model.image_query_proj(grid_tokens) @ t_proj.T).max(axis=0)  # (Q, P) -> (P,)
+    n_pos = len(prompt_set.positive)
+    return softmax_pair(float(best[:n_pos].max()), float(best[n_pos:].max()))
 
 
 def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab,
@@ -321,7 +328,7 @@ class Phase1Config:
 
 def precompute_grids(clip_model, studies, pooled_hw: int = 2) -> np.ndarray:
     """Frozen image-encoder grids, average pooled, flattened to token lists."""
-    return np.stack([clip_model.image_encoder.grid_tokens(s.image, pooled_hw) for s in studies])
+    return clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
 
 
 def _phase1_batch(corpus, grids, ids, vocab, cfg):
@@ -579,12 +586,18 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
 
 
 def phase2_eval(model, bridge, lm, grids, targets_all, eval_ids) -> dict:
-    """Held-out impression loss vs the no-image (all-zero soft prompt) baseline."""
+    """Held-out impression loss vs the no-image (all-zero soft prompt) baseline.
+
+    Forward passes only: one batched adapter pass makes every soft prompt,
+    and the LM's soft-prompt loss runs without a tape.
+    """
+    eval_ids = list(eval_ids)
+    q_out, _ = model.forward(grids[eval_ids], None, mode="itc")
     losses, base = [], []
-    for i in eval_ids:
-        soft = soft_prompts_for_grid(model, bridge, grids[i])
-        losses.append(lm.lm_loss_and_grad(soft, [], targets_all[i])[0])
-        base.append(lm.lm_loss_and_grad(np.zeros_like(soft), [], targets_all[i])[0])
+    for soft, i in zip(bridge(q_out).data, eval_ids):
+        losses.append(float(lm.soft_prompt_loss(Tensor(soft), [], targets_all[i]).data))
+        base.append(float(lm.soft_prompt_loss(Tensor(np.zeros_like(soft)), [],
+                                              targets_all[i]).data))
     return {"heldout_loss": float(np.mean(losses)),
             "zero_prompt_baseline": float(np.mean(base))}
 

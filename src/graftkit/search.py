@@ -1,11 +1,15 @@
 """Semantic search: single-stage cosine retrieval for the contrastive model
 and two-stage retrieval (cosine shortlist, matching-head rerank) for the
 adapter, with deterministic id-ascending tie-breaking throughout.
+
+Everything is batch-first: an index build runs one image-encoder pass (and,
+for the adapter, one query pass) over all the studies it is given, and the
+rerank scores the whole shortlist with one matching-head forward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +48,8 @@ class ImageIndexC:
 
     @staticmethod
     def build(clip_model, studies) -> "ImageIndexC":
-        ids = [s.study_id for s in studies]
-        emb = np.stack([clip_model.embed_image(s.image) for s in studies])
-        return ImageIndexC(ids, emb)
+        emb = clip_model.image_embeddings(np.stack([s.image for s in studies])).data
+        return ImageIndexC([s.study_id for s in studies], emb)
 
 
 @dataclass
@@ -60,13 +63,10 @@ class ImageIndexB:
     @staticmethod
     def build(clip_model, qformer, studies, pooled_hw: int | None = None) -> "ImageIndexB":
         hw = pooled_hw or qformer.cfg.pooled_hw
-        ids, grids, projs = [], [], []
-        for s in studies:
-            tokens = clip_model.image_encoder.grid_tokens(s.image, hw)
-            ids.append(s.study_id)
-            grids.append(tokens)
-            projs.append(qformer.image_query_proj(tokens))
-        return ImageIndexB(ids, np.stack(grids), np.stack(projs))
+        grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), hw)
+        q_out, _ = qformer.forward(grids, None, mode="itc")
+        return ImageIndexB([s.study_id for s in studies], grids,
+                           qformer.query_projections(q_out).data)
 
 
 def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> RankedRetrieval:
@@ -79,9 +79,10 @@ def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> R
 
 
 def itm_scores(query_ids, index: ImageIndexB, qformer, subset=None) -> np.ndarray:
-    rows = range(len(index.ids)) if subset is None else subset
-    return np.array([qformer.itm_matched_probability(index.grids[i], query_ids)
-                     for i in rows])
+    """Matched-class probability of the query against each ``subset`` row
+    (default: the whole pool), from one matching-head forward."""
+    grids = index.grids if subset is None else index.grids[list(subset)]
+    return qformer.itm_probabilities(grids, query_ids)
 
 
 def search_b(query: str, index: ImageIndexB, qformer, vocab, k: int = 5,

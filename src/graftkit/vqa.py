@@ -37,7 +37,8 @@ class ElixrBundle:
             raise RuntimeError("bundle requires a frozen LM")
 
     def grid_for(self, image: np.ndarray) -> np.ndarray:
-        return self.clip.image_encoder.grid_tokens(image, self.qformer_impression.cfg.pooled_hw)
+        hw = self.qformer_impression.cfg.pooled_hw
+        return self.clip.image_encoder.grid_tokens(np.asarray(image)[None], hw)[0]
 
     def impression_for(self, image: np.ndarray) -> str:
         return generate_impression(self.grid_for(image), self.qformer_impression, self.vocab)
@@ -56,11 +57,16 @@ def vqa_prompt_body(impression: str, question: str) -> str:
 def run_vqa(image: np.ndarray, question: str, bundle: ElixrBundle,
             max_new: int = 64) -> str:
     """Impression from phase 1, aligned tokens from phase 2, answer from the
-    frozen LM; deterministic given checkpoints."""
+    frozen LM; deterministic given checkpoints.  A prompt that does not fit
+    the LM context next to the soft prompts is rejected, not truncated."""
     impression = bundle.impression_for(image)
-    soft = bundle.soft_prompts_for(image)
     body = vqa_prompt_body(impression, question)
-    prompt_ids = tokenize(body, bundle.vocab, max_len=bundle.lm.cfg.max_len, lead=None)
+    prompt_ids = tokenize(body, bundle.vocab, max_len=None, lead=None)
+    n_soft, limit = bundle.qformer_aligned.cfg.n_queries, bundle.lm.cfg.max_len
+    if n_soft + len(prompt_ids) > limit:
+        raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft prompts "
+                         f"exceeds the LM context of {limit} tokens")
+    soft = bundle.soft_prompts_for(image)
     answer_ids = bundle.lm.generate(soft, prompt_ids, max_new=max_new)
     return detokenize(answer_ids, bundle.vocab)
 

@@ -76,6 +76,9 @@ class _StubClip:
         c = self.cosines[tuple(ids)]
         return np.array([c, np.sqrt(1.0 - c * c)])
 
+    def embed_texts(self, seqs):
+        return np.stack([self.embed_text(ids) for ids in seqs])
+
 
 class _VocabStub:
     def id(self, tok):
@@ -162,3 +165,16 @@ def test_train_deterministic_checkpoint(tmp_path):
     loaded = load_clip(p)
     assert loaded.registry.combined_digest() == m1.registry.combined_digest()
     assert loaded.cfg.temperature == cfg.temperature
+
+
+def test_embed_texts_match_per_sequence_calls():
+    cfg = ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2),
+                     text_dim=16, text_blocks=1, text_heads=2, proj_dim=8)
+    model = ClipModel(40, cfg, seed=0)
+    seqs = [[1, 8, 9, 10, 11, 12], [1, 30], [1, 12, 13, 14]]
+    batched = model.embed_texts(seqs)
+    assert batched.shape == (3, 8)
+    for row, ids in zip(batched, seqs):
+        assert np.abs(row - model.embed_text(ids)).max() <= 1e-12
+    with pytest.raises(ValueError):
+        model.embed_texts([[1, 2], []])

@@ -57,6 +57,14 @@ def test_pool_grid_average():
         pool_grid(np.zeros((3, 3, 2)), 2)
 
 
+def test_pool_grid_leading_axes_equal_3d_form_bitwise():
+    grids = np.random.default_rng(4).normal(0, 1, (5, 4, 4, 3))
+    batched = pool_grid(grids, 2)
+    assert batched.shape == (5, 2, 2, 3)
+    assert np.array_equal(batched, np.stack([pool_grid(g, 2) for g in grids]))
+    assert np.array_equal(pool_grid(grids[None], 1)[0], np.stack([pool_grid(g, 1) for g in grids]))
+
+
 def test_encode_image_deterministic_and_golden():
     _, enc = make_image_encoder(seed=0)
     grid1 = enc.encode_image(np.zeros((64, 64)))

@@ -9,8 +9,8 @@ from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
     Phase1Config, Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, generate_impression,
-    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_train, phase2_step,
-    soft_prompts_for_grid, zero_shot_score_b,
+    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_train, phase2_eval,
+    phase2_step, soft_prompts_for_grid, zero_shot_score_b,
 )
 
 
@@ -307,6 +307,9 @@ class _StubQFormer:
         # vector whose dot with each basis query row is the requested cosine
         return c
 
+    def text_cls_projs(self, seqs):
+        return np.stack([self.text_cls_proj(ids) for ids in seqs])
+
 
 class _VocabStub:
     def id(self, tok):
@@ -397,3 +400,49 @@ def test_phase1_train_leaves_caller_config_unchanged():
     models, _, _ = phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
     assert cfg.qformer.vocab_size == 0
     assert models["final"].cfg.vocab_size == len(corpus.vocab)
+
+
+def test_text_cls_projs_match_per_sequence_calls(model):
+    seqs = [[1, 8, 9, 10, 11], [1, 30], [1, 12, 13]]
+    batched = model.text_cls_projs(seqs)
+    assert batched.shape == (3, model.cfg.proj_dim)
+    for row, ids in zip(batched, seqs):
+        assert np.abs(row - model.text_cls_proj(ids)).max() <= 1e-12
+
+
+def _phase2_eval_world(model):
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=30, dim=16, blocks=1, heads=2,
+                                             max_len=32), np.random.default_rng(9))
+    lm.freeze()
+    bridge = Phase2Bridge(ParamRegistry(), model.cfg.dim, 16, 16, np.random.default_rng(3))
+    grids = rand_grids(5, model.cfg, seed=8)
+    targets = [[5, 6, 7], [8], [9, 10], [11, 12, 13, 14], [15, 3]]
+    return lm, bridge, grids, targets
+
+
+def test_phase2_eval_matches_per_example_losses_bitwise(model):
+    lm, bridge, grids, targets = _phase2_eval_world(model)
+    eval_ids = [4, 1, 2]
+    stats = phase2_eval(model, bridge, lm, grids, targets, eval_ids)
+    soft = [soft_prompts_for_grid(model, bridge, grids[i]) for i in eval_ids]
+    losses = [lm.lm_loss_and_grad(s, [], targets[i])[0] for s, i in zip(soft, eval_ids)]
+    base = [lm.lm_loss_and_grad(np.zeros_like(s), [], targets[i])[0]
+            for s, i in zip(soft, eval_ids)]
+    assert stats == {"heldout_loss": float(np.mean(losses)),
+                     "zero_prompt_baseline": float(np.mean(base))}
+
+
+def test_phase2_eval_runs_no_backward_pass(model, monkeypatch):
+    lm, bridge, grids, targets = _phase2_eval_world(model)
+    calls = []
+    original = Tape.gradients
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "gradients", counting)
+    phase2_eval(model, bridge, lm, grids, targets, [0, 1, 2, 3])
+    assert calls == []
+    lm.lm_loss_and_grad(np.zeros((3, 16)), [], [5])  # the counter does see backward passes
+    assert calls == [1]

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from graftkit import templates as T
-from graftkit.clip_stage import ClipConfig, ClipModel
-from graftkit.corpus import CorpusSpec, Finding, build_vocab, generate_corpus, generate_study
-from graftkit.nn import ImageEncoderConfig
+from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c
+from graftkit.corpus import (CorpusSpec, Finding, build_vocab, generate_corpus, generate_study,
+                             tokenize)
+from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, pool_grid
+from graftkit.params import ParamRegistry
 from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
                             embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, grade_qa_case, load_grades_csv,
                          save_grades_csv)
-from graftkit.qformer import QFormerConfig, QFormerModel
+from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, precompute_grids,
+                              zero_shot_score_b)
 from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval,
-                             exhaustive_itm_ranking, grade_retrieval, laterality_query,
-                             search_b, search_c)
-from graftkit.vqa import auto_grade_yes_no, map_yes_no, vqa_prompt_body
+                             exhaustive_itm_ranking, grade_retrieval, itm_scores,
+                             laterality_query, search_b, search_c)
+from graftkit.stats import auc
+from graftkit.vqa import ElixrBundle, auto_grade_yes_no, map_yes_no, run_vqa, vqa_prompt_body
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -458,3 +462,131 @@ def test_embed_for_probe_variants(small_world):
         embed_for_probe(img, "B", clip)
     with pytest.raises(ValueError):
         embed_for_probe(img, "X", clip)
+
+
+# --------------------------------------------------------------------------
+# batched retrieval paths against their per-item forms
+
+
+def test_itm_scores_equal_per_pair_loop_bitwise(small_world):
+    corpus, _, qf, _, index_b = small_world
+    q_ids = tokenize("moderate cardiomegaly", corpus.vocab, qf.cfg.text_max_len)
+    for subset in ([7, 0, 19, 3, 3], None):
+        rows = range(len(index_b.ids)) if subset is None else subset
+        loop = np.array([qf.itm_matched_probability(index_b.grids[i], q_ids) for i in rows])
+        assert np.array_equal(itm_scores(q_ids, index_b, qf, subset=subset), loop)
+
+
+def test_itm_scores_one_adapter_forward(small_world, monkeypatch):
+    corpus, _, qf, _, index_b = small_world
+    calls = []
+    original = QFormerModel.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(QFormerModel, "forward", counting)
+    itm_scores(tokenize("pneumothorax", corpus.vocab, qf.cfg.text_max_len), index_b, qf,
+               subset=list(range(12)))
+    assert len(calls) == 1
+
+
+def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
+    corpus, clip, qf, _, index_b = small_world
+    hw = qf.cfg.pooled_hw
+    grids = np.stack([pool_grid(clip.image_encoder.encode_image(s.image), hw).reshape(-1, 16)
+                      for s in corpus.studies])
+    assert index_b.ids == [s.study_id for s in corpus.studies]
+    assert np.array_equal(index_b.grids, grids)
+    assert np.array_equal(index_b.query_proj, np.stack([qf.image_query_proj(g) for g in grids]))
+    assert np.array_equal(precompute_grids(clip, corpus.studies, hw), grids)
+
+
+def test_index_c_close_to_per_image_embeddings(small_world):
+    corpus, clip, _, index_c, _ = small_world
+    per_image = np.stack([clip.embed_image(s.image) for s in corpus.studies])
+    assert index_c.ids == [s.study_id for s in corpus.studies]
+    assert np.abs(index_c.embeddings - per_image).max() <= 1e-12
+
+
+def _per_prompt_score_c(image, ps, clip, vocab):
+    img = clip.embed_image(image)
+    pos = np.mean([float(img @ clip.embed_text(tokenize(p, vocab))) for p in ps.positive])
+    neg = np.mean([float(img @ clip.embed_text(tokenize(p, vocab))) for p in ps.negative])
+    return float(1.0 / (1.0 + np.exp(-(pos - neg))))
+
+
+def _per_prompt_score_b(grid, ps, qf, vocab):
+    q_proj = qf.image_query_proj(grid)
+
+    def best(prompts):
+        return max(float(np.max(q_proj @ qf.text_cls_proj(tokenize(p, vocab, qf.cfg.text_max_len))))
+                   for p in prompts)
+
+    return float(1.0 / (1.0 + np.exp(-(best(ps.positive) - best(ps.negative)))))
+
+
+def test_zero_shot_batched_prompts_keep_aucs(small_world):
+    corpus, clip, qf, _, index_b = small_world
+    vocab, studies = corpus.vocab, corpus.studies
+    checked = 0
+    for name, ps in DEFAULT_PROMPT_SETS.items():
+        labels = [s.labels[name] for s in studies]
+        if len(set(labels)) < 2:
+            continue
+        for batched, reference in (
+                ([zero_shot_score_c(s.image, ps, clip, vocab) for s in studies],
+                 [_per_prompt_score_c(s.image, ps, clip, vocab) for s in studies]),
+                ([zero_shot_score_b(g, ps, qf, vocab) for g in index_b.grids],
+                 [_per_prompt_score_b(g, ps, qf, vocab) for g in index_b.grids])):
+            assert np.abs(np.array(batched) - reference).max() <= 1e-12
+            assert auc(batched, labels) == auc(reference, labels)
+        checked += 1
+    assert checked >= 2
+
+
+# --------------------------------------------------------------------------
+# VQA prompt length against the LM context
+
+
+def _vqa_bundle(small_world, lm_max_len):
+    corpus, clip, qf, _, _ = small_world
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(corpus.vocab), dim=16, blocks=1,
+                                             heads=2, max_len=lm_max_len),
+                   np.random.default_rng(2))
+    lm.freeze()
+    bridge = Phase2Bridge(ParamRegistry(), qf.cfg.dim, 16, 16, np.random.default_rng(3))
+    return ElixrBundle(clip, qf, qf, bridge, lm, corpus.vocab)
+
+
+def _vqa_prompt_len(small_world, image, question):
+    bundle = _vqa_bundle(small_world, 448)
+    body = vqa_prompt_body(bundle.impression_for(image), question)
+    return len(tokenize(body, bundle.vocab, max_len=None, lead=None))
+
+
+def test_run_vqa_prompt_filling_the_context_is_answered(small_world):
+    corpus, _, qf, _, _ = small_world
+    image, question = corpus.studies[0].image, "is there a pleural effusion ?"
+    n = qf.cfg.n_queries + _vqa_prompt_len(small_world, image, question)
+    assert isinstance(run_vqa(image, question, _vqa_bundle(small_world, n), max_new=3), str)
+
+
+def test_run_vqa_rejects_prompt_over_the_context(small_world):
+    corpus, _, qf, _, _ = small_world
+    image, question = corpus.studies[0].image, "is there a pleural effusion ?"
+    p = _vqa_prompt_len(small_world, image, question)
+    bundle = _vqa_bundle(small_world, qf.cfg.n_queries + p - 1)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoding started for an over-long prompt")
+
+    bundle.lm.generate = no_decode
+    msg = (f"VQA prompt of {p} tokens plus {qf.cfg.n_queries} soft prompts exceeds "
+           f"the LM context of {qf.cfg.n_queries + p - 1} tokens")
+    with pytest.raises(ValueError, match=msg):
+        run_vqa(image, question, bundle)
+    long_question = "is there " + "a very large " * 200 + "effusion ?"
+    with pytest.raises(ValueError, match=r"VQA prompt of \d+ tokens plus 3 soft prompts"):
+        run_vqa(image, long_question, _vqa_bundle(small_world, 448))
