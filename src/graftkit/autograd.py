@@ -49,34 +49,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; composes primitives, no new node kinds
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), _const(-1.0)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, _const(-1.0)))
-
-    def __neg__(self):
-        return mul(self, _const(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 class Parameter(Tensor):
     """Named leaf tensor.  Frozen parameters never enter the graph."""
@@ -95,14 +67,6 @@ class Parameter(Tensor):
     def __repr__(self):
         state = "frozen" if self.frozen else "trainable"
         return f"Parameter({self.name!r}, shape={self.data.shape}, {state})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _const(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class _Node:

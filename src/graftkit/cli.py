@@ -21,7 +21,7 @@ from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt
                          train_elixr_c, zero_shot_score_c)
 from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from .lmdata import pretrain_frozen_lm
-from .nn import load_lm, save_lm
+from .nn import LmTrainConfig, load_lm, save_lm
 from .params import load_checkpoint, save_checkpoint, ParamRegistry
 from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
@@ -149,8 +149,14 @@ def cmd_train_b2(args):
     if args.lm:
         lm = load_lm(args.lm)
     else:
-        _, lm, lm_stats = pretrain_frozen_lm(corpus, seed=args.seed,
+        lm_cfg = LmTrainConfig()
+        _, lm, lm_stats = pretrain_frozen_lm(corpus, seed=args.seed, train_cfg=lm_cfg,
                                              log=print if args.verbose else None)
+        if not lm_stats["perplexity_ok"]:
+            ppl = lm_stats.get("holdout_perplexity", float("inf"))
+            raise RuntimeError(f"LM held-out perplexity {ppl:.3f} is above the target "
+                               f"{lm_cfg.target_perplexity}; phase 2 not run "
+                               "(pass an LM that meets it with --lm)")
         save_lm(lm, out / "lm.ckpt")
     cfg = Phase2Config()
     if args.steps is not None:
@@ -184,8 +190,6 @@ def cmd_zeroshot(args):
     prompts = _load_prompts(args)
     findings = [args.finding] if args.finding else sorted(prompts)
     scores = {}
-    from .stats import auc as auc_fn
-
     if args.variant == "B":
         if not args.b1:
             raise UsageError("variant B requires --b1")
@@ -202,7 +206,7 @@ def cmd_zeroshot(args):
         labels = [s.labels[finding] for s in corpus.studies]
         entry = {"scores_head": vals[:5]}
         if len(set(labels)) == 2:
-            entry["auc"] = auc_fn(vals, labels)
+            entry["auc"] = auc(vals, labels)
         scores[finding] = entry
     _write_result(out, "zeroshot.json", scores, _resolved_config(args))
     return 0
@@ -213,8 +217,8 @@ def cmd_probe(args):
     corpus = load_corpus(args.corpus)
     clip_model = load_clip(args.clip)
     qf = load_qformer(args.b1) if args.b1 else None
-    feats = np.stack([embed_for_probe(s.image, args.variant, clip_model, qf)
-                      for s in corpus.studies])
+    feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,
+                            clip_model, qf)
     labels = np.asarray([s.labels[args.finding] for s in corpus.studies])
     n_test = max(len(corpus) // 4, 2)
     tr_f, te_f = feats[:-n_test], feats[-n_test:]

@@ -5,7 +5,7 @@ projection heads, plus the prompt-based zero-shot classification score.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +39,7 @@ class ClipConfig:
     text_heads: int = 4
 
     def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("proj_dim", "temperature", "steps", "batch_size", "lr", "momentum",
-              "text_max_len", "augment", "swap_text_on_flip", "text_dim",
-              "text_blocks", "text_heads")}
-        d["image"] = vars(self.image).copy()
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "ClipConfig":
@@ -228,23 +223,22 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
 # zero-shot classification (ELIXR-C variant)
 
 
-def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab,
-                      use_temperature: bool = False) -> float:
+def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab) -> float:
     """Mean positive/negative prompt cosine -> 2-way softmax -> P(positive).
 
     All of the set's prompts are encoded in one padded text forward
-    (``ClipModel.embed_texts``).  Raw cosines by default; dividing by the
-    stored temperature is available behind the flag for comparison (AUC
-    ordering is unchanged either way).
+    (``ClipModel.embed_texts``).  The softmax takes the raw cosines; the
+    stored training temperature is not applied (it would rescale the margin
+    but leave the AUC ordering unchanged).
     """
     prompt_set.validate()
     prompts = prompt_set.positive + prompt_set.negative
     cos = model.embed_texts([tokenize(p, vocab) for p in prompts]) @ model.embed_image(image)
     n_pos = len(prompt_set.positive)
     pos, neg = np.mean(cos[:n_pos]), np.mean(cos[n_pos:])
-    return softmax_pair(pos, neg, 1.0 / model.cfg.temperature if use_temperature else 1.0)
+    return softmax_pair(pos, neg)
 
 
-def softmax_pair(pos: float, neg: float, scale: float = 1.0) -> float:
-    z = scale * (pos - neg)
-    return float(1.0 / (1.0 + np.exp(-z)))
+def softmax_pair(pos: float, neg: float) -> float:
+    """P(positive) of a 2-way softmax over (pos, neg)."""
+    return float(1.0 / (1.0 + np.exp(-(pos - neg))))

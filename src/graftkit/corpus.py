@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,13 +81,7 @@ class CorpusSpec:
                 raise ValueError(f"prevalence for {kind} outside [0, 1]: {p}")
 
     def to_json(self) -> dict:
-        return {
-            "n_studies": self.n_studies,
-            "prevalence": dict(self.prevalence),
-            "image_size": self.image_size,
-            "max_text_len": self.max_text_len,
-            "separable": list(self.separable),
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "CorpusSpec":

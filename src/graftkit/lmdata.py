@@ -168,20 +168,17 @@ def build_lm_dataset(corpus: Corpus, slots: int, seed: int,
     return train, holdout
 
 
-def pretrain_frozen_lm(corpus: Corpus, seed: int = 0, lm_cfg: LmConfig | None = None,
-                       train_cfg: LmTrainConfig | None = None,
+def pretrain_frozen_lm(corpus: Corpus, seed: int = 0, train_cfg: LmTrainConfig | None = None,
                        data_cfg: LmDataConfig | None = None, log=None):
-    """Build the LM, pretrain it on the mixed template corpus, freeze it.
+    """Build the LM for the corpus vocabulary, pretrain it on the mixed
+    template corpus, freeze it.
 
     Returns (registry, lm, stats); stats carries the held-out report
-    perplexity that gates downstream use.
+    perplexity and ``perplexity_ok``, the gate for downstream use.
     """
-    lm_cfg = lm_cfg or LmConfig()
-    if lm_cfg.vocab_size <= 0:
-        lm_cfg.vocab_size = len(corpus.vocab)
-    lm_cfg.pad_id = corpus.vocab.id("[PAD]")
-    lm_cfg.eos_id = corpus.vocab.id("[EOS]")
-    lm_cfg.img_id = corpus.vocab.id("[IMG]")
+    vocab = corpus.vocab
+    lm_cfg = LmConfig(vocab_size=len(vocab), pad_id=vocab.id("[PAD]"),
+                      eos_id=vocab.id("[EOS]"), img_id=vocab.id("[IMG]"))
     train_cfg = train_cfg or LmTrainConfig()
     reg = ParamRegistry()
     lm = DecoderLM(reg, lm_cfg, substream(seed, "init.lm"))

@@ -7,7 +7,7 @@ frozen-graft contracts can be checked by content digest per prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,23 @@ def key_padding_mask(lengths, max_len: int) -> np.ndarray:
     lengths = np.asarray(lengths)
     cols = np.arange(max_len)[None, :]
     return np.where(cols < lengths[:, None], 0.0, NEG_INF)[:, None, None, :]
+
+
+def next_token_targets(tokens, lengths, loss_starts) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted targets for (B, L) padded ids: position i predicts token i+1.
+
+    Returns ((B, L) targets, (B, L) bool selection); a position is selected
+    when the token it predicts is real and at or past its row's loss start.
+    The final position has no next token and is never selected.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    b, l = tokens.shape
+    targets = np.zeros((b, l), dtype=np.int64)
+    targets[:, :-1] = tokens[:, 1:]
+    tpos = np.arange(1, l + 1)[None, :]  # index of the predicted token
+    selected = (tpos < np.asarray(lengths)[:, None]) & (tpos >= np.asarray(loss_starts)[:, None])
+    selected &= tpos <= l - 1
+    return targets, selected
 
 
 class Linear:
@@ -80,9 +97,9 @@ class MultiHeadAttention:
 
 
 class Mlp:
-    def __init__(self, reg, name, dim, ratio, rng):
-        self.fc1 = Linear(reg, f"{name}.fc1", dim, dim * ratio, rng)
-        self.fc2 = Linear(reg, f"{name}.fc2", dim * ratio, dim, rng)
+    def __init__(self, reg, name, dim, rng):
+        self.fc1 = Linear(reg, f"{name}.fc1", dim, dim * 4, rng)
+        self.fc2 = Linear(reg, f"{name}.fc2", dim * 4, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ag.gelu(self.fc1(x)))
@@ -91,11 +108,11 @@ class Mlp:
 class TransformerBlock:
     """Pre-LN self-attention block."""
 
-    def __init__(self, reg, name, dim, n_heads, rng, mlp_ratio=4):
+    def __init__(self, reg, name, dim, n_heads, rng):
         self.ln1 = LayerNorm(reg, f"{name}.ln1", dim)
         self.attn = MultiHeadAttention(reg, f"{name}.attn", dim, n_heads, rng)
         self.ln2 = LayerNorm(reg, f"{name}.ln2", dim)
-        self.mlp = Mlp(reg, f"{name}.mlp", dim, mlp_ratio, rng)
+        self.mlp = Mlp(reg, f"{name}.mlp", dim, rng)
 
     def __call__(self, x: Tensor, mask=None) -> Tensor:
         h = self.ln1(x)
@@ -243,9 +260,7 @@ class LmConfig:
     img_id: int = 6
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("vocab_size", "dim", "blocks", "heads", "max_len", "soft_slots",
-                 "pad_id", "eos_id", "img_id")}
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "LmConfig":
@@ -282,6 +297,14 @@ class DecoderLM:
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
 
+    def _embed(self, soft: Tensor | None, ids) -> Tensor:
+        """(1, S + len(ids), dim) embeddings of [soft prompts (S, dim) || tokens]."""
+        ids = np.asarray(ids, dtype=np.int64)
+        parts = [] if soft is None else [ag.reshape(soft, (1, *soft.shape))]
+        if ids.size:
+            parts.append(self.embed_tokens(ids[None]))
+        return ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+
     def _run(self, emb: Tensor, lengths) -> Tensor:
         b, l, _ = emb.shape
         if l > self.cfg.max_len:
@@ -302,11 +325,7 @@ class DecoderLM:
         tokens = np.asarray(tokens, dtype=np.int64)
         b, l = tokens.shape
         logits = self.logits(tokens, lengths)
-        targets = np.zeros((b, l), dtype=np.int64)
-        targets[:, :-1] = tokens[:, 1:]
-        tpos = np.arange(1, l + 1)[None, :]  # index of the predicted token
-        sel = (tpos < np.asarray(lengths)[:, None]) & (tpos >= np.asarray(loss_starts)[:, None])
-        sel &= tpos <= l - 1
+        targets, sel = next_token_targets(tokens, lengths, loss_starts)
         return ag.cross_entropy(ag.reshape(logits, (b * l, self.cfg.vocab_size)),
                                 targets.reshape(-1), mask=sel.reshape(-1).astype(np.float64))
 
@@ -321,20 +340,15 @@ class DecoderLM:
             raise ValueError("need at least one soft prompt slot")
         if len(target_ids) == 0:
             raise ValueError("empty target")
-        s, p, t = soft.shape[0], len(prompt_ids), len(target_ids)
-        hard = np.asarray(list(prompt_ids) + list(target_ids), dtype=np.int64)
-        l = s + p + t
-        targets = np.zeros(l, dtype=np.int64)
-        mask = np.zeros(l)
-        for j, tok_id in enumerate(target_ids):
-            targets[s + p - 1 + j] = tok_id  # position s+p-1+j predicts target j
-            mask[s + p - 1 + j] = 1.0
-        parts = [ag.reshape(soft, (1, s, self.cfg.dim))]
-        if hard.size:
-            parts.append(self.embed_tokens(hard[None]))
-        emb = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-        logits = self._run(emb, [l])
-        return ag.cross_entropy(ag.reshape(logits, (l, self.cfg.vocab_size)), targets, mask=mask)
+        s = soft.shape[0]
+        hard = [*prompt_ids, *target_ids]
+        l = s + len(hard)
+        # the soft slots get pad placeholders; they are never predicted
+        tokens = np.asarray([[self.cfg.pad_id] * s + hard], dtype=np.int64)
+        targets, sel = next_token_targets(tokens, [l], [s + len(prompt_ids)])
+        logits = self._run(self._embed(soft, hard), [l])
+        return ag.cross_entropy(ag.reshape(logits, (l, self.cfg.vocab_size)), targets[0],
+                                mask=sel[0].astype(np.float64))
 
     def lm_loss_and_grad(self, soft_prompts: np.ndarray, prompt_ids, target_ids):
         """(loss, d loss / d soft_prompts); the LM itself receives no gradient.
@@ -353,18 +367,11 @@ class DecoderLM:
     def generate(self, soft_prompts, prompt_ids, max_new: int = 64) -> list[int]:
         """Greedy decode; stops at [EOS] or after max_new tokens."""
         ids = list(prompt_ids)
-        soft = None if soft_prompts is None else np.asarray(soft_prompts, dtype=np.float64)
+        soft = None if soft_prompts is None else Tensor(soft_prompts)
         s = 0 if soft is None else soft.shape[0]
         out: list[int] = []
         for _ in range(max_new):
-            hard = np.asarray(ids, dtype=np.int64)
-            parts = []
-            if soft is not None:
-                parts.append(Tensor(soft[None]))
-            if hard.size:
-                parts.append(self.embed_tokens(hard[None]))
-            emb = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-            logits = self._run(emb, [s + hard.size])
+            logits = self._run(self._embed(soft, ids), [s + len(ids)])
             nxt = int(np.argmax(logits.data[0, -1]))
             if nxt == self.cfg.eos_id:
                 break
@@ -404,7 +411,6 @@ class LmTrainConfig:
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
-    holdout_fraction: float = 0.1
     target_perplexity: float = 3.0
     log_every: int = 200
 

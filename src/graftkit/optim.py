@@ -120,9 +120,3 @@ class Lars(_Optimizer):
             v += llr * update
             p.data -= self.lr * v
 
-
-def make_optimizer(kind: str, params, **hp) -> _Optimizer:
-    kinds = {"sgd-momentum": SgdMomentum, "adam": Adam, "lars": Lars}
-    if kind not in kinds:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
-    return kinds[kind](params, **hp)

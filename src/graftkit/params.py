@@ -48,14 +48,8 @@ class ParamRegistry:
     def __iter__(self):
         return iter(self._params.values())
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def select(self, prefix: str) -> list[Parameter]:
         return [p for n, p in self._params.items() if n.startswith(prefix)]
-
-    def trainable(self, prefix: str = "") -> list[Parameter]:
-        return [p for p in self.select(prefix) if not p.frozen]
 
     def freeze(self, prefix: str = "") -> None:
         for p in self.select(prefix):
@@ -63,9 +57,6 @@ class ParamRegistry:
 
     def digest(self, name: str) -> str:
         return digest_array(self._params[name].data)
-
-    def digests(self, prefix: str = "") -> dict[str, str]:
-        return {p.name: digest_array(p.data) for p in self.select(prefix)}
 
     def combined_digest(self, prefix: str = "") -> str:
         """Single digest over the sorted (name, blob) stream under prefix."""

@@ -138,16 +138,17 @@ def curve_is_monotone(curve: dict, slack: float = 0.01, max_inversions: int = 1)
     return inversions <= max_inversions
 
 
-def embed_for_probe(image: np.ndarray, variant: str, clip_model, qformer=None,
-                    pooled_hw: int = 2) -> np.ndarray:
-    """Feature vector per the variant: pooled projection embedding (C) or
-    concatenated query-token outputs (B)."""
+def embed_for_probe(images: np.ndarray, variant: str, clip_model, qformer=None) -> np.ndarray:
+    """(N, H, W) images -> (N, F) features from one encoder pass: pooled
+    projection embeddings (C) or concatenated query-token outputs (B, on
+    grids pooled as the adapter was trained)."""
+    images = np.asarray(images, dtype=np.float64)
     if variant == "C":
-        return clip_model.embed_image(image)
+        return clip_model.image_embeddings(images).data
     if variant == "B":
         if qformer is None:
             raise ValueError("variant B needs a qformer")
-        tokens = clip_model.image_encoder.grid_tokens(np.asarray(image)[None], pooled_hw)
+        tokens = clip_model.image_encoder.grid_tokens(images, qformer.cfg.pooled_hw)
         q_out, _ = qformer.forward(tokens, None, mode="itc")
-        return q_out.data[0].reshape(-1)
+        return q_out.data.reshape(len(images), -1)
     raise ValueError(f"unknown variant {variant!r}")

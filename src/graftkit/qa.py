@@ -15,9 +15,6 @@ from . import templates as T
 from .corpus import SyntheticStudy, swap_laterality_words, tokenize, detokenize
 from .vqa import ElixrBundle, run_vqa
 
-ALTERATIONS = ("control", "swap-laterality", "remove-finding", "add-finding")
-
-
 @dataclass
 class QaCase:
     study_id: int

@@ -5,15 +5,15 @@ into the frozen decoder LM, zero-shot scoring, and impression generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Tensor
 from .corpus import Corpus, detokenize, select_report_text, tokenize
-from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, pad_batch,
-                 sinusoid_table)
+from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF,
+                 next_token_targets, pad_batch, sinusoid_table)
 from .optim import Adam
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -35,9 +35,7 @@ class QFormerConfig:
     vocab_size: int = 0
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("n_queries", "dim", "blocks", "heads", "proj_dim", "pooled_hw",
-                 "grid_dim", "text_max_len", "itc_temperature", "vocab_size")}
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "QFormerConfig":
@@ -58,7 +56,7 @@ class _QFormerBlock:
         self.ln_x = LayerNorm(reg, f"{name}.ln_x", cfg.dim)
         self.cross_attn = MultiHeadAttention(reg, f"{name}.cross", cfg.dim, cfg.heads, rng)
         self.ln2 = LayerNorm(reg, f"{name}.ln2", cfg.dim)
-        self.mlp = Mlp(reg, f"{name}.mlp", cfg.dim, 4, rng)
+        self.mlp = Mlp(reg, f"{name}.mlp", cfg.dim, rng)
 
     def __call__(self, x: Tensor, n_queries: int, grid: Tensor | None, self_mask) -> Tensor:
         h = self.ln1(x)
@@ -255,10 +253,7 @@ def itg_loss(model: QFormerModel, grids, tokens, lengths) -> Tensor:
     _, t_out = model.forward(grids, tokens, lengths, mode="itg")
     logits = model.itg_head(t_out)  # (B, L, V)
     b, l = tokens.shape
-    targets = np.zeros((b, l), dtype=np.int64)
-    targets[:, :-1] = tokens[:, 1:]
-    tpos = np.arange(1, l + 1)[None, :]
-    sel = (tpos < lengths[:, None]) & (tpos <= l - 1)
+    targets, sel = next_token_targets(tokens, lengths, np.zeros(b, dtype=np.int64))
     return ag.cross_entropy(ag.reshape(logits, (b * l, model.cfg.vocab_size)),
                             targets.reshape(-1), mask=sel.reshape(-1).astype(np.float64))
 
@@ -322,11 +317,10 @@ class Phase1Config:
     beta2: float = 0.999
     eps: float = 1e-8
     eval_every: int = 250
-    loss_weights: tuple = (1.0, 1.0, 1.0)  # itc, itg, itm
     qformer: QFormerConfig = field(default_factory=QFormerConfig)
 
 
-def precompute_grids(clip_model, studies, pooled_hw: int = 2) -> np.ndarray:
+def precompute_grids(clip_model, studies, pooled_hw: int) -> np.ndarray:
     """Frozen image-encoder grids, average pooled, flattened to token lists."""
     return clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
 
@@ -440,9 +434,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
         mismatch = _mismatch(neg_rng, len(ids))
         with Tape() as tape:
             l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, cls_batch, itg_batch, mismatch)
-            w = cfg.loss_weights
-            total = ag.add(ag.add(ag.mul(l_itc, Tensor(w[0])), ag.mul(l_itg, Tensor(w[1]))),
-                           ag.mul(l_itm, Tensor(w[2])))
+            total = ag.add(ag.add(l_itc, l_itg), l_itm)
         grads = tape.gradients(total)
         opt.step(grads)
         history.append({"step": step, "itc": float(l_itc.data), "itg": float(l_itg.data),

@@ -61,9 +61,9 @@ class ImageIndexB:
     query_proj: np.ndarray   # (N, Q, proj_dim)
 
     @staticmethod
-    def build(clip_model, qformer, studies, pooled_hw: int | None = None) -> "ImageIndexB":
-        hw = pooled_hw or qformer.cfg.pooled_hw
-        grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), hw)
+    def build(clip_model, qformer, studies) -> "ImageIndexB":
+        grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]),
+                                                     qformer.cfg.pooled_hw)
         q_out, _ = qformer.forward(grids, None, mode="itc")
         return ImageIndexB([s.study_id for s in studies], grids,
                            qformer.query_projections(q_out).data)

@@ -19,7 +19,6 @@ LABEL_KINDS = KINDS + [NO_FINDING]
 PSEUDO_KINDS = ["atelectasis", "fibrosis", "hernia", "fracture"]
 
 SEVERITIES = ["mild", "moderate", "severe"]
-LATERAL = ["left", "right", "bilateral"]
 
 # laterality domain per kind; None means the kind carries no laterality
 KIND_LATERALITY = {

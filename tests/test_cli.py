@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graftkit.cli import checkpoint_roundtrip, main
+from graftkit.clip_stage import ClipConfig, ClipModel
 from graftkit.corpus import CorpusSpec, generate_corpus, save_corpus
+from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry, save_checkpoint
+from graftkit.qformer import QFormerConfig, QFormerModel
 
 
 def run_cli(args, **kw):
@@ -150,3 +154,42 @@ def test_tiny_train_c_via_cli(tmp_path):
     assert Path(doc["result"]["checkpoint"]).exists()
     res = checkpoint_roundtrip(doc["result"]["checkpoint"])
     assert res["verified"]
+
+
+@pytest.mark.parametrize("perplexity_ok", [False, True])
+def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, capsys,
+                                                       perplexity_ok):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=36))  # phase 2 holds out 32
+    save_corpus(corpus, tmp_path / "corpus")
+    vocab = corpus.vocab
+    clip = ClipModel(len(vocab), ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1,
+                                                                     heads=2),
+                                            text_dim=16, text_blocks=1, text_heads=2), seed=0)
+    clip.save(tmp_path / "clip.ckpt")
+    QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
+                               vocab_size=len(vocab)), seed=0).save(tmp_path / "b1.ckpt")
+    ppl = 2.5 if perplexity_ok else 4.25
+
+    def fake_pretrain(corpus, seed=0, train_cfg=None, log=None):
+        lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2,
+                                                 max_len=128, pad_id=vocab.id("[PAD]"),
+                                                 eos_id=vocab.id("[EOS]"),
+                                                 img_id=vocab.id("[IMG]")),
+                       np.random.default_rng(0))
+        lm.freeze()
+        return lm.reg, lm, {"holdout_perplexity": ppl, "perplexity_ok": perplexity_ok}
+
+    monkeypatch.setattr("graftkit.cli.pretrain_frozen_lm", fake_pretrain)
+    out = tmp_path / "o"
+    code = run_cli(["train-b2", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "clip.ckpt"), "--b1", str(tmp_path / "b1.ckpt"),
+                    "--steps", "1", "--out", str(out)])
+    written = {"lm.ckpt", "b2_qformer.ckpt", "b2_bridge.ckpt", "train_b2.json"}
+    if perplexity_ok:
+        assert code == 0
+        assert written <= {p.name for p in out.iterdir()}
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "perplexity 4.250" in err and "target 3.0" in err
+        assert not written & {p.name for p in out.iterdir()}

@@ -1,12 +1,18 @@
-"""Static check: every name a graftkit module imports is used in that module."""
+"""Static checks: every name a graftkit module imports is used in that module,
+and every top-level function, class or constant of a graftkit module is
+referenced somewhere in src/, tests/ or perfbench/ outside its own definition."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "graftkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "graftkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+SCANNED = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -64,3 +70,70 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# --------------------------------------------------------------------------
+# dead top-level names
+
+_PATH = re.compile(r"[A-Za-z_][\w.:]*")  # "name", "pkg.mod:Name" (tracer targets)
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """Names loaded, reached as attributes, imported, spelled as an identifier
+    path string (``getattr`` targets) or used in a quoted annotation."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _PATH.fullmatch(node.value)):
+            refs.update(re.split(r"[.:]", node.value))
+    for ann in annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                refs.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return refs
+
+
+def top_level_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def dead_definitions(modules: dict[str, str], others=()) -> list[tuple[str, str]]:
+    """(module, name) for each top-level definition in ``modules`` that no
+    source in ``modules`` or ``others`` references outside the definition."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    refs = Counter()
+    for tree in [*trees.values(), *(ast.parse(src) for src in others)]:
+        refs += referenced_names(tree)
+    return sorted((mod, name) for mod, tree in trees.items()
+                  for name, node in top_level_definitions(tree)
+                  if refs[name] <= referenced_names(node)[name])
+
+
+def test_dead_checker_flags_unreferenced_definitions():
+    module = ("X = 1\nY = 2\nZ: int = 3\n"
+              "def f(n):\n    return f(n - 1)\n"
+              "class C:\n    def copy(self) -> 'C':\n        return self\n"
+              "def g():\n    return Y\n")
+    other = "import m\nm.g()\ngetattr(m, 'Z')\n"
+    assert dead_definitions({"m": module}, [other]) == [("m", "C"), ("m", "X"), ("m", "f")]
+
+
+def test_no_dead_top_level_names():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [p.read_text() for p in SCANNED if p.parent != SRC or p.name == "__init__.py"]
+    assert dead_definitions(modules, others) == []

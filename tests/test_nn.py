@@ -7,7 +7,7 @@ import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
     DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
-    causal_mask, key_padding_mask, pad_batch, pool_grid, sinusoid_table,
+    causal_mask, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
 )
 from graftkit.params import ParamRegistry
 
@@ -213,6 +213,48 @@ def test_lm_loss_and_grad_bit_deterministic():
     b = lm.lm_loss_and_grad(soft, [4], [5, 6])
     assert a[0] == b[0]
     assert a[1].tobytes() == b[1].tobytes()
+
+
+def test_next_token_targets_hand_worked():
+    # row 0: 4 real tokens and one pad, loss from token 2; row 1: no pad, loss from token 0
+    tokens = np.array([[7, 8, 9, 10, 0], [1, 2, 3, 4, 5]])
+    targets, selected = next_token_targets(tokens, [4, 5], [2, 0])
+    assert targets.tolist() == [[8, 9, 10, 0, 0], [2, 3, 4, 5, 0]]  # position i -> token i+1
+    # row 0: positions 1, 2 predict tokens 2, 3; position 3 predicts a pad;
+    # the final position of either row has no next token
+    assert selected.tolist() == [[False, True, True, False, False],
+                                 [True, True, True, True, False]]
+
+
+def _per_target_loop_loss(lm, soft, prompt_ids, target_ids):
+    """The per-target-loop construction ``next_token_targets`` replaced in
+    ``soft_prompt_loss``, kept as the reference."""
+    s, p, t = soft.shape[0], len(prompt_ids), len(target_ids)
+    hard = np.asarray(list(prompt_ids) + list(target_ids), dtype=np.int64)
+    l = s + p + t
+    targets = np.zeros(l, dtype=np.int64)
+    mask = np.zeros(l)
+    for j, tok_id in enumerate(target_ids):
+        targets[s + p - 1 + j] = tok_id  # position s+p-1+j predicts target j
+        mask[s + p - 1 + j] = 1.0
+    emb = ag.concat([ag.reshape(soft, (1, s, lm.cfg.dim)), lm.embed_tokens(hard[None])], axis=1)
+    logits = lm._run(emb, [l])
+    return ag.cross_entropy(ag.reshape(logits, (l, lm.cfg.vocab_size)), targets, mask=mask)
+
+
+@pytest.mark.parametrize("prompt", [[], [4, 5, 9]])
+def test_soft_prompt_loss_equals_per_target_loop_bitwise(prompt):
+    _, lm = make_lm(vocab=20, dim=16, blocks=1, heads=2)
+    soft = np.random.default_rng(6).normal(0, 0.1, (3, 16))
+    target = [6, 7, 8, 3]
+    ref = Parameter("_soft_prompt", soft)
+    with Tape() as tape:
+        ref_loss = _per_target_loop_loss(lm, ref, prompt, target)
+    ref_grad = tape.gradients(ref_loss)["_soft_prompt"]
+    assert lm.soft_prompt_loss(Tensor(soft), prompt, target).data == ref_loss.data
+    loss, grad = lm.lm_loss_and_grad(soft, prompt, target)
+    assert loss == float(ref_loss.data)
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_lm_generate_terminates_and_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graftkit.autograd import Parameter
-from graftkit.optim import Adam, FrozenParameterError, Lars, SgdMomentum, make_optimizer
+from graftkit.optim import Adam, FrozenParameterError, Lars, SgdMomentum
 
 
 def params_one(val=1.0, shape=(4,), name="w"):
@@ -93,11 +93,3 @@ def test_deterministic_given_state():
 
     assert run() == run()
 
-
-def test_make_optimizer_kinds():
-    p = params_one()
-    assert isinstance(make_optimizer("adam", [p], lr=0.1), Adam)
-    assert isinstance(make_optimizer("lars", [p], lr=0.1), Lars)
-    assert isinstance(make_optimizer("sgd-momentum", [p], lr=0.1), SgdMomentum)
-    with pytest.raises(ValueError):
-        make_optimizer("lbfgs", [p], lr=0.1)

@@ -453,15 +453,34 @@ def test_grade_study_rules(small_world):
 def test_embed_for_probe_variants(small_world):
     corpus, clip, qf, _, _ = small_world
     img = corpus.studies[0].image
-    c_feat = embed_for_probe(img, "C", clip)
-    assert c_feat.shape == (8,)
-    b_feat = embed_for_probe(img, "B", clip, qf)
-    assert b_feat.shape == (3 * 16,)
-    assert np.array_equal(b_feat, embed_for_probe(img, "B", clip, qf))
+    c_feat = embed_for_probe(img[None], "C", clip)
+    assert c_feat.shape == (1, 8)
+    b_feat = embed_for_probe(img[None], "B", clip, qf)
+    assert b_feat.shape == (1, 3 * 16)
+    assert np.array_equal(b_feat, embed_for_probe(img[None], "B", clip, qf))
     with pytest.raises(ValueError):
-        embed_for_probe(img, "B", clip)
+        embed_for_probe(img[None], "B", clip)
     with pytest.raises(ValueError):
-        embed_for_probe(img, "X", clip)
+        embed_for_probe(img[None], "X", clip)
+
+
+def test_embed_for_probe_batch_equals_per_image(small_world):
+    corpus, clip, qf, _, _ = small_world
+    images = np.stack([s.image for s in corpus.studies[:6]])
+    b_rows = np.concatenate([embed_for_probe(im[None], "B", clip, qf) for im in images])
+    assert np.array_equal(embed_for_probe(images, "B", clip, qf), b_rows)
+    c_rows = np.concatenate([embed_for_probe(im[None], "C", clip) for im in images])
+    assert np.abs(embed_for_probe(images, "C", clip) - c_rows).max() <= 1e-12
+
+
+def test_embed_for_probe_pools_as_the_adapter_was_trained(small_world):
+    corpus, clip, _, _, _ = small_world
+    qf1 = QFormerModel(QFormerConfig(n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8,
+                                     pooled_hw=1, grid_dim=16, text_max_len=32,
+                                     vocab_size=len(corpus.vocab)), seed=0)
+    images = np.stack([s.image for s in corpus.studies[:4]])
+    q_out, _ = qf1.forward(clip.image_encoder.grid_tokens(images, 1), None, "itc")
+    assert np.array_equal(embed_for_probe(images, "B", clip, qf1), q_out.data.reshape(4, -1))
 
 
 # --------------------------------------------------------------------------
