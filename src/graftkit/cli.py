@@ -18,16 +18,15 @@ import numpy as np
 
 from . import __version__
 from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt_sets,
-                         train_elixr_c, zero_shot_score_c)
+                         train_elixr_c, zero_shot_scores_c)
 from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from .lmdata import pretrain_frozen_lm
 from .nn import LmTrainConfig, load_lm, save_lm
 from .params import load_checkpoint, save_checkpoint, ParamRegistry
 from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
-from .qformer import (Phase1Config, Phase2Config, load_bridge,
-                      load_qformer, phase1_train, phase2_train, precompute_grids,
-                      save_phase2, loss_log_to_csv, zero_shot_score_b)
+from .qformer import (Phase1Config, Phase2Config, load_bridge, load_qformer, phase1_train,
+                      phase2_train, save_phase2, loss_log_to_csv, zero_shot_scores_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c
 from .stats import auc, bootstrap_ci, ndcg_at_k, permutation_test, precision_at_k
 from .vqa import ElixrBundle, run_vqa
@@ -189,20 +188,15 @@ def cmd_zeroshot(args):
     clip_model = load_clip(args.clip)
     prompts = _load_prompts(args)
     findings = [args.finding] if args.finding else sorted(prompts)
+    if args.variant == "C":
+        model, score = clip_model, zero_shot_scores_c
+        feats = ImageIndexC.build(clip_model, corpus.studies).embeddings
+    else:
+        model, score = load_qformer(args.b1), zero_shot_scores_b
+        feats = ImageIndexB.build(clip_model, model, corpus.studies).query_proj
     scores = {}
-    if args.variant == "B":
-        if not args.b1:
-            raise UsageError("variant B requires --b1")
-        qf = load_qformer(args.b1)
-        grids = precompute_grids(clip_model, corpus.studies, qf.cfg.pooled_hw)
     for finding in findings:
-        ps = prompts[finding]
-        if args.variant == "C":
-            vals = [zero_shot_score_c(s.image, ps, clip_model, corpus.vocab)
-                    for s in corpus.studies]
-        else:
-            vals = [zero_shot_score_b(grids[i], ps, qf, corpus.vocab)
-                    for i in range(len(corpus.studies))]
+        vals = score(feats, prompts[finding], model, corpus.vocab).tolist()
         labels = [s.labels[finding] for s in corpus.studies]
         entry = {"scores_head": vals[:5]}
         if len(set(labels)) == 2:
@@ -216,7 +210,7 @@ def cmd_probe(args):
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     clip_model = load_clip(args.clip)
-    qf = load_qformer(args.b1) if args.b1 else None
+    qf = load_qformer(args.b1) if args.variant == "B" else None
     feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,
                             clip_model, qf)
     labels = np.asarray([s.labels[args.finding] for s in corpus.studies])
@@ -238,8 +232,6 @@ def cmd_search(args):
         index = ImageIndexC.build(clip_model, corpus.studies)
         res = search_c(args.query, index, clip_model, corpus.vocab, k=args.k)
     else:
-        if not args.b1:
-            raise UsageError("variant B requires --b1")
         qf = load_qformer(args.b1)
         index = ImageIndexB.build(clip_model, qf, corpus.studies)
         res = search_b(args.query, index, qf, corpus.vocab, k=args.k, stage1=args.stage1)
@@ -455,6 +447,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
+        if getattr(args, "variant", None) == "B" and not args.b1:
+            raise UsageError("variant B requires --b1")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from . import autograd as ag
 from .autograd import Tape, Tensor
 from .corpus import Corpus, augment, select_report_text, tokenize
 from .nn import (ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig,
-                 pad_batch)
+                 pad_batch, symmetric_cross_entropy)
 from .optim import SgdMomentum
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -173,16 +173,12 @@ def load_clip(path) -> ClipModel:
 
 def clip_loss(img_emb: Tensor, txt_emb: Tensor, temperature: float = 0.07) -> Tensor:
     """Symmetric InfoNCE over the cosine/temperature logit matrix."""
-    n = img_emb.shape[0]
     for emb in (img_emb, txt_emb):
         norms = np.linalg.norm(emb.data, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("clip_loss expects unit-norm embeddings")
-    logits = ag.mul(ag.matmul(img_emb, ag.transpose(txt_emb)), Tensor(1.0 / temperature))
-    targets = np.arange(n)
-    loss_i = ag.cross_entropy(logits, targets)
-    loss_t = ag.cross_entropy(ag.transpose(logits), targets)
-    return ag.mul(ag.add(loss_i, loss_t), Tensor(0.5))
+    return symmetric_cross_entropy(
+        ag.mul(ag.matmul(img_emb, ag.transpose(txt_emb)), Tensor(1.0 / temperature)))
 
 
 def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> tuple[ClipModel, list]:
@@ -223,22 +219,28 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
 # zero-shot classification (ELIXR-C variant)
 
 
-def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab) -> float:
-    """Mean positive/negative prompt cosine -> 2-way softmax -> P(positive).
+def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: ClipModel,
+                       vocab) -> np.ndarray:
+    """(N,) P(positive) for (N, proj_dim) unit image embeddings: mean
+    positive/negative prompt cosine -> 2-way softmax.
 
-    All of the set's prompts are encoded in one padded text forward
+    The set's prompts are encoded once, in one padded text forward
     (``ClipModel.embed_texts``).  The softmax takes the raw cosines; the
     stored training temperature is not applied (it would rescale the margin
     but leave the AUC ordering unchanged).
     """
     prompt_set.validate()
     prompts = prompt_set.positive + prompt_set.negative
-    cos = model.embed_texts([tokenize(p, vocab) for p in prompts]) @ model.embed_image(image)
+    cos = model.embed_texts([tokenize(p, vocab) for p in prompts]) @ np.asarray(image_emb).T
     n_pos = len(prompt_set.positive)
-    pos, neg = np.mean(cos[:n_pos]), np.mean(cos[n_pos:])
-    return softmax_pair(pos, neg)
+    return softmax_pair(cos[:n_pos].mean(axis=0), cos[n_pos:].mean(axis=0))
 
 
-def softmax_pair(pos: float, neg: float) -> float:
-    """P(positive) of a 2-way softmax over (pos, neg)."""
-    return float(1.0 / (1.0 + np.exp(-(pos - neg))))
+def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab) -> float:
+    """``zero_shot_scores_c`` for one image."""
+    return float(zero_shot_scores_c(model.embed_image(image)[None], prompt_set, model, vocab)[0])
+
+
+def softmax_pair(pos, neg):
+    """Elementwise P(positive) of a 2-way softmax over (pos, neg)."""
+    return 1.0 / (1.0 + np.exp(-(pos - neg)))

@@ -158,7 +158,9 @@ def render_image(findings, rng, size=IMAGE_SIZE) -> np.ndarray:
 # study and corpus generation
 
 
-def _sample_findings(rng, prevalence) -> list[Finding]:
+def sample_findings(rng, prevalence) -> list[Finding]:
+    """Each kind in canonical order is present with its prevalence, then
+    draws a laterality and a severity where it has them."""
     found = []
     for kind in T.KINDS:
         p = prevalence.get(kind, 0.0)
@@ -173,7 +175,7 @@ def _sample_findings(rng, prevalence) -> list[Finding]:
 def generate_study(seed: int, spec: CorpusSpec, study_id: int = 0) -> SyntheticStudy:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(study_id)]))
-    findings = _sample_findings(rng, spec.prevalence)
+    findings = sample_findings(rng, spec.prevalence)
     style_bits = [int(b) for b in rng.integers(0, 3, size=8)]
     ftext, itext = T.render_report([(f.kind, f.laterality, f.severity) for f in findings], style_bits)
     image = render_image(findings, rng, spec.image_size)

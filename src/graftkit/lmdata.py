@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import templates as T
-from .corpus import Corpus, Vocab, select_report_text, tokenize
+from .corpus import Corpus, Vocab, sample_findings, select_report_text, tokenize
 from .nn import DecoderLM, LmConfig, LmTrainConfig, pretrain_lm
 from .params import ParamRegistry
-from .qa import alter_impression_text
+from .qa import alter_impression_text, assessment_text
 from .seeding import substream
 from .vqa import vqa_prompt_body
 
@@ -36,23 +36,19 @@ def _img_prefix(vocab: Vocab, slots: int) -> list[int]:
 def _seq(vocab: Vocab, prefix_ids, body_text: str, answer_text: str | None = None):
     """Token sequence + loss_start; loss covers the answer (or the body when
     no answer is given) plus the closing [EOS]."""
-    ids = list(prefix_ids) + tokenize(body_text, vocab, max_len=10_000, lead=None)
+    ids = list(prefix_ids) + tokenize(body_text, vocab, max_len=None, lead=None)
     loss_start = len(prefix_ids) if answer_text is None else len(ids)
     if answer_text is not None:
-        ids = ids + tokenize(answer_text, vocab, max_len=10_000, lead=None)
+        ids = ids + tokenize(answer_text, vocab, max_len=None, lead=None)
     ids.append(vocab.id("[EOS]"))
     return ids, loss_start
 
 
+_EVEN_PREVALENCE = {kind: 0.30 for kind in T.KINDS}
+
+
 def _random_findings(rng) -> list[tuple[str, str, str]]:
-    out = []
-    for kind in T.KINDS:
-        if rng.random() < 0.30:
-            lats = T.KIND_LATERALITY[kind]
-            lat = lats[rng.integers(len(lats))] if lats else "n/a"
-            sev = T.SEVERITIES[rng.integers(3)] if T.KIND_HAS_SEVERITY[kind] else "n/a"
-            out.append((kind, lat, sev))
-    return out
+    return [(f.kind, f.laterality, f.severity) for f in sample_findings(rng, _EVEN_PREVALENCE)]
 
 
 def _render_impression(findings, rng) -> str:
@@ -113,7 +109,7 @@ def _reviewer_examples(vocab, rng, noise):
     fmap = {k: (lat, sev) for k, lat, sev in findings}
     beliefs_map = _perturbed_beliefs(findings, rng, noise)
     answers = [T.ideal_answer(kind, beliefs_map) for kind in T.QA_QUESTION_KINDS]
-    assessment = "\n".join(f"{q} {a}" for q, a in zip(T.QA_QUESTIONS, answers))
+    assessment = assessment_text(answers)
     impression = _render_impression(findings, rng)
 
     choices = ["control", "add-finding"]

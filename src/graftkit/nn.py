@@ -53,6 +53,14 @@ def next_token_targets(tokens, lengths, loss_starts) -> tuple[np.ndarray, np.nda
     return targets, selected
 
 
+def symmetric_cross_entropy(logits: Tensor) -> Tensor:
+    """Symmetric InfoNCE over an (N, N) logit matrix whose diagonal holds the
+    matched pairs: the mean of the row-wise and column-wise cross-entropies."""
+    targets = np.arange(logits.shape[0])
+    return ag.mul(ag.add(ag.cross_entropy(logits, targets),
+                         ag.cross_entropy(ag.transpose(logits), targets)), Tensor(0.5))
+
+
 class Linear:
     def __init__(self, reg: ParamRegistry, name: str, d_in: int, d_out: int, rng, scale=None):
         s = scale if scale is not None else 1.0 / np.sqrt(d_in)
@@ -412,7 +420,6 @@ class LmTrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     target_perplexity: float = 3.0
-    log_every: int = 200
 
 
 def _make_batches(dataset, cfg: LmTrainConfig, rng):
@@ -479,7 +486,7 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
         grads = tape.gradients(loss)
         opt.step(grads)
         history.append(float(loss.data))
-        if log and (step % cfg.log_every == 0 or step == cfg.steps - 1):
+        if log and (step % 200 == 0 or step == cfg.steps - 1):
             log(f"lm step {step} loss {loss.data:.4f}")
     stats = {"final_train_loss": history[-1] if history else float("nan"),
              "history_head": history[:5]}

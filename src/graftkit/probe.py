@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Tensor
+from .nn import Linear
 from .optim import Lars
 from .params import ParamRegistry
 from .seeding import indexed_rng, substream
@@ -39,16 +40,13 @@ class Probe:
         self.registry = ParamRegistry()
         rng = substream(cfg.seed, "probe-init")
         dims = [n_features, *cfg.hidden, 2]
-        self.layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            w = self.registry.param(f"probe.l{i}.w", rng.normal(0, 1 / np.sqrt(a), (a, b)))
-            bias = self.registry.param(f"probe.l{i}.b", np.zeros(b))
-            self.layers.append((w, bias))
+        self.layers = [Linear(self.registry, f"probe.l{i}", a, b, rng)
+                       for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))]
 
     def logits(self, feats: np.ndarray) -> Tensor:
         x = Tensor(np.asarray(feats, dtype=np.float64))
-        for i, (w, b) in enumerate(self.layers):
-            x = ag.add(ag.matmul(x, w), b)
+        for i, layer in enumerate(self.layers):
+            x = layer(x)
             if i < len(self.layers) - 1:
                 x = ag.gelu(x)
         return x

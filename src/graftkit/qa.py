@@ -142,9 +142,11 @@ def default_reviewer(bundle: ElixrBundle):
     conforming callable can replace it."""
 
     def review(prompt: str) -> str:
-        ids = tokenize(prompt, bundle.vocab, max_len=bundle.lm.cfg.max_len, lead=None)
-        if len(ids) > bundle.lm.cfg.max_len - 16:
-            raise ValueError("reviewer prompt too long for the LM context window")
+        ids = tokenize(prompt, bundle.vocab, max_len=None, lead=None)
+        limit = bundle.lm.cfg.max_len
+        if len(ids) + 16 > limit:
+            raise ValueError(f"reviewer prompt of {len(ids)} tokens plus 16 answer tokens "
+                             f"exceeds the LM context of {limit} tokens")
         out = bundle.lm.generate(None, ids, max_new=32)
         return detokenize(out, bundle.vocab)
 

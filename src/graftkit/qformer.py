@@ -11,9 +11,11 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Tensor
+from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
-from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF,
-                 next_token_targets, pad_batch, sinusoid_table)
+from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
+                 key_padding_mask, next_token_targets, pad_batch, sinusoid_table,
+                 symmetric_cross_entropy)
 from .optim import Adam
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -84,17 +86,11 @@ def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
         base[t, q] = NEG_INF  # text never sees queries (unimodal)
     elif mode == "itg":
         base[q, t] = NEG_INF  # queries never see text
-        if l_text:
-            causal = np.triu(np.full((l_text, l_text), NEG_INF), k=1)
-            base[t, t] = causal  # text attends causally to itself, freely to queries
+        if l_text:  # text attends causally to itself, freely to queries
+            base[t, t] = causal_mask(l_text)[0, 0]
     mask = base[None, None]
     if lengths is not None and l_text:
-        lengths = np.asarray(lengths)
-        cols = np.arange(l_text)[None, :]
-        pad = np.where(cols < lengths[:, None], 0.0, NEG_INF)  # (B, L)
-        full = np.zeros((lengths.size, 1, 1, m))
-        full[:, 0, 0, n_q:] = pad
-        mask = mask + full
+        mask = mask + np.pad(key_padding_mask(lengths, l_text), [(0, 0)] * 3 + [(n_q, 0)])
     return mask
 
 
@@ -232,16 +228,10 @@ def pairwise_similarity(model: QFormerModel, grids, tokens, lengths) -> Tensor:
 
 
 def itc_loss(model: QFormerModel, grids, tokens, lengths) -> Tensor:
-    n = grids.shape[0]
-    if n == 1:
-        sim = pairwise_similarity(model, grids, tokens, lengths)
-        return ag.mul(ag.reduce_sum(sim), Tensor(0.0))  # single pair: loss 0 by definition
-    logits = ag.mul(pairwise_similarity(model, grids, tokens, lengths),
-                    Tensor(1.0 / model.cfg.itc_temperature))
-    targets = np.arange(n)
-    return ag.mul(ag.add(ag.cross_entropy(logits, targets),
-                         ag.cross_entropy(ag.transpose(logits), targets)),
-                  Tensor(0.5))
+    """Symmetric InfoNCE over the temperature-scaled pairwise similarities (a
+    single pair is one class: loss and gradient exactly 0)."""
+    return symmetric_cross_entropy(ag.mul(pairwise_similarity(model, grids, tokens, lengths),
+                                          Tensor(1.0 / model.cfg.itc_temperature)))
 
 
 def itg_loss(model: QFormerModel, grids, tokens, lengths) -> Tensor:
@@ -269,20 +259,26 @@ def itm_loss(model: QFormerModel, grids, tokens, lengths, matched) -> Tensor:
 # zero-shot scoring (ELIXR-B variant) and generation
 
 
-def zero_shot_score_b(grid_tokens: np.ndarray, prompt_set, model: QFormerModel, vocab) -> float:
-    """Max query-token cosine per prompt; max over each list; 2-way softmax.
+def zero_shot_scores_b(query_proj: np.ndarray, prompt_set, model: QFormerModel,
+                       vocab) -> np.ndarray:
+    """(N,) P(positive) for (N, Q, proj_dim) query projections: max
+    query-token cosine per prompt; max over each list; 2-way softmax.
 
-    All of the set's prompts are encoded in one padded text forward
+    The set's prompts are encoded once, in one padded text forward
     (``QFormerModel.text_cls_projs``).
     """
-    from .clip_stage import softmax_pair
-
     prompt_set.validate()
     prompts = prompt_set.positive + prompt_set.negative
     t_proj = model.text_cls_projs([tokenize(p, vocab, model.cfg.text_max_len) for p in prompts])
-    best = (model.image_query_proj(grid_tokens) @ t_proj.T).max(axis=0)  # (Q, P) -> (P,)
+    best = (query_proj @ t_proj.T).max(axis=1)  # (N, Q, P) -> (N, P)
     n_pos = len(prompt_set.positive)
-    return softmax_pair(float(best[:n_pos].max()), float(best[n_pos:].max()))
+    return softmax_pair(best[:, :n_pos].max(axis=1), best[:, n_pos:].max(axis=1))
+
+
+def zero_shot_score_b(grid_tokens: np.ndarray, prompt_set, model: QFormerModel, vocab) -> float:
+    """``zero_shot_scores_b`` for one (G, grid_dim) grid."""
+    return float(zero_shot_scores_b(model.image_query_proj(grid_tokens)[None], prompt_set,
+                                    model, vocab)[0])
 
 
 def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab,
@@ -361,14 +357,16 @@ def _mismatch(rng, n: int) -> np.ndarray:
 def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):
     from .stats import auc
 
+    eval_ids = list(eval_ids)
+    q_out, _ = model.forward(grids[eval_ids], None, mode="itc")
+    query_proj = model.query_projections(q_out).data
     aucs = []
     for ps in prompt_sets.values():
         labels = [corpus.studies[i].labels[ps.finding] for i in eval_ids]
         if len(set(labels)) < 2:
             continue
-        scores = [zero_shot_score_b(grids[i], ps, model, vocab) for i in eval_ids]
-        aucs.append(auc(scores, labels))
-    batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, list(eval_ids), vocab, model.cfg)
+        aucs.append(auc(zero_shot_scores_b(query_proj, ps, model, vocab), labels))
+    batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, eval_ids, vocab, model.cfg)
     l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, cls_batch, itg_batch,
                                         _mismatch(rng, len(eval_ids)))
     return {"auc": float(np.mean(aucs)) if aucs else 0.5,
@@ -380,8 +378,6 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     """Joint training; returns (model, history, selection) where selection
     holds deep-copied best checkpoints: lexicographic (zero-shot AUC, ITM
     loss, ITC loss) for scoring and search, best ITG loss for phase 2."""
-    from .clip_stage import DEFAULT_PROMPT_SETS
-
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
         qcfg = replace(qcfg, vocab_size=len(corpus.vocab))

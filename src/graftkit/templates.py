@@ -383,18 +383,9 @@ NOT_PRESENT_ANSWER = "it is not present."
 
 
 def presence_answer(kind: str, finding_map: dict) -> str:
-    if kind == "cardiomegaly":
+    if kind in ("cardiomegaly", "device-line"):
         return "yes." if kind in finding_map else "no."
-    if kind == "device-line":
-        return "yes." if kind in finding_map else "no."
-    if kind not in finding_map:
-        return "no."
-    lat, _ = finding_map[kind]
-    if lat in ("left", "right"):
-        return f"yes, on the {lat}."
-    if lat == "bilateral":
-        return "yes, bilateral."
-    return "yes."
+    return ideal_answer(kind, finding_map)
 
 
 def location_answer(kind: str, finding_map: dict) -> str:

@@ -43,9 +43,6 @@ class ElixrBundle:
     def impression_for(self, image: np.ndarray) -> str:
         return generate_impression(self.grid_for(image), self.qformer_impression, self.vocab)
 
-    def soft_prompts_for(self, image: np.ndarray) -> np.ndarray:
-        return soft_prompts_for_grid(self.qformer_aligned, self.bridge, self.grid_for(image))
-
 
 def vqa_prompt_body(impression: str, question: str) -> str:
     """Dialog text after the aligned-tokens marker line (which the soft
@@ -58,15 +55,17 @@ def run_vqa(image: np.ndarray, question: str, bundle: ElixrBundle,
             max_new: int = 64) -> str:
     """Impression from phase 1, aligned tokens from phase 2, answer from the
     frozen LM; deterministic given checkpoints.  A prompt that does not fit
-    the LM context next to the soft prompts is rejected, not truncated."""
-    impression = bundle.impression_for(image)
+    the LM context next to the soft prompts is rejected, not truncated.
+    The image is encoded once; its grid feeds both adapters."""
+    grid = bundle.grid_for(image)
+    impression = generate_impression(grid, bundle.qformer_impression, bundle.vocab)
     body = vqa_prompt_body(impression, question)
     prompt_ids = tokenize(body, bundle.vocab, max_len=None, lead=None)
     n_soft, limit = bundle.qformer_aligned.cfg.n_queries, bundle.lm.cfg.max_len
     if n_soft + len(prompt_ids) > limit:
         raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft prompts "
                          f"exceeds the LM context of {limit} tokens")
-    soft = bundle.soft_prompts_for(image)
+    soft = soft_prompts_for_grid(bundle.qformer_aligned, bundle.bridge, grid)
     answer_ids = bundle.lm.generate(soft, prompt_ids, max_new=max_new)
     return detokenize(answer_ids, bundle.vocab)
 

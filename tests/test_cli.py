@@ -7,15 +7,30 @@ import numpy as np
 import pytest
 
 from graftkit.cli import checkpoint_roundtrip, main
-from graftkit.clip_stage import ClipConfig, ClipModel
-from graftkit.corpus import CorpusSpec, generate_corpus, save_corpus
-from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
+from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel
+from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, save_corpus
+from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, save_lm
 from graftkit.params import ParamRegistry, save_checkpoint
 from graftkit.qformer import QFormerConfig, QFormerModel
 
 
 def run_cli(args, **kw):
     return main(list(args))
+
+
+def tiny_clip(vocab) -> ClipModel:
+    return ClipModel(len(vocab), ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1,
+                                                                     heads=2),
+                                            text_dim=16, text_blocks=1, text_heads=2), seed=0)
+
+
+def tiny_lm(vocab) -> DecoderLM:
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2,
+                                             pad_id=vocab.id("[PAD]"), eos_id=vocab.id("[EOS]"),
+                                             img_id=vocab.id("[IMG]")),
+                   np.random.default_rng(0))
+    lm.freeze()
+    return lm
 
 
 def test_unknown_command_exits_2(capsys):
@@ -162,21 +177,13 @@ def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, ca
     corpus = generate_corpus(3, CorpusSpec(n_studies=36))  # phase 2 holds out 32
     save_corpus(corpus, tmp_path / "corpus")
     vocab = corpus.vocab
-    clip = ClipModel(len(vocab), ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1,
-                                                                     heads=2),
-                                            text_dim=16, text_blocks=1, text_heads=2), seed=0)
-    clip.save(tmp_path / "clip.ckpt")
+    tiny_clip(vocab).save(tmp_path / "clip.ckpt")
     QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
                                vocab_size=len(vocab)), seed=0).save(tmp_path / "b1.ckpt")
     ppl = 2.5 if perplexity_ok else 4.25
 
     def fake_pretrain(corpus, seed=0, train_cfg=None, log=None):
-        lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2,
-                                                 max_len=128, pad_id=vocab.id("[PAD]"),
-                                                 eos_id=vocab.id("[EOS]"),
-                                                 img_id=vocab.id("[IMG]")),
-                       np.random.default_rng(0))
-        lm.freeze()
+        lm = tiny_lm(vocab)
         return lm.reg, lm, {"holdout_perplexity": ppl, "perplexity_ok": perplexity_ok}
 
     monkeypatch.setattr("graftkit.cli.pretrain_frozen_lm", fake_pretrain)
@@ -193,3 +200,59 @@ def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, ca
         err = capsys.readouterr().err
         assert "perplexity 4.250" in err and "target 3.0" in err
         assert not written & {p.name for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["zeroshot", "probe", "search"])
+def test_variant_b_without_b1_is_a_usage_error_before_loading(tmp_path, capsys, command):
+    args = [command, "--corpus", str(tmp_path / "missing"), "--clip", str(tmp_path / "missing"),
+            "--variant", "B", "--out", str(tmp_path / "o")]
+    if command == "search":
+        args += ["--query", "left pleural effusion"]
+    assert run_cli(args) == 2
+    assert "usage error: variant B requires --b1" in capsys.readouterr().err
+
+
+def test_zeroshot_c_encodes_the_images_once(tmp_path, monkeypatch):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=12))
+    save_corpus(corpus, tmp_path / "corpus")
+    tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
+    calls = []
+    original = ImageEncoder.forward
+
+    def counting(self, images):
+        calls.append(len(images))
+        return original(self, images)
+
+    monkeypatch.setattr(ImageEncoder, "forward", counting)
+    assert run_cli(["zeroshot", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "clip.ckpt"), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "zeroshot.json").read_text())
+    assert sorted(doc["result"]) == sorted(DEFAULT_PROMPT_SETS) and len(doc["result"]) == 7
+    assert calls == [12]
+
+
+def test_cli_chain_end_to_end(tmp_path):
+    """synth -> train-c -> train-b1 -> train-b2 (on a saved frozen LM) ->
+    zeroshot / probe / search on the adapter -> vqa; each step exits 0 and
+    writes its result file."""
+    out = tmp_path / "o"
+    save_lm(tiny_lm(build_vocab()), tmp_path / "lm.ckpt")
+    corpus, clip = ["--corpus", str(out / "corpus")], ["--clip", str(out / "elixr_c.ckpt")]
+    b1 = ["--b1", str(out / "b1_scoring.ckpt"), "--variant", "B"]
+    steps = [
+        (["synth", "--n", "100"], "synth.json"),
+        (["train-c", *corpus, "--steps", "2"], "train_c.json"),
+        (["train-b1", *corpus, *clip, "--steps", "2"], "train_b1.json"),
+        (["train-b2", *corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
+          "--lm", str(tmp_path / "lm.ckpt"), "--steps", "1"], "train_b2.json"),
+        (["zeroshot", *corpus, *clip, *b1], "zeroshot.json"),
+        (["probe", *corpus, *clip, *b1, "--sizes", "16", "--repeats", "1"], "probe.json"),
+        (["search", *corpus, *clip, *b1, "--query", "left pleural effusion"], "search.json"),
+        (["vqa", *corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
+          "--b2", str(out / "b2_qformer.ckpt"), "--bridge", str(out / "b2_bridge.ckpt"),
+          "--lm", str(tmp_path / "lm.ckpt"), "--study", "0",
+          "--question", "Is a pneumothorax present?"], "vqa.json"),
+    ]
+    for args, result in steps:
+        assert run_cli([*args, "--out", str(out)]) == 0, args[0]
+        assert json.loads((out / result).read_text())["result"], args[0]

@@ -8,6 +8,7 @@ from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
     DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
     causal_mask, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
+    symmetric_cross_entropy,
 )
 from graftkit.params import ParamRegistry
 
@@ -286,3 +287,27 @@ def test_pad_batch():
 
 
 GOLDEN_ZERO_IMAGE_DIGEST = "78e2ed1267d9c1ac5d9b67cdce134eaae43792a61ca63b1fa3eebad5dc31a5cb"
+
+
+def _infonce_reference(logits):
+    """The composition ``clip_loss`` and ``itc_loss`` each wrote out before
+    they shared ``symmetric_cross_entropy``."""
+    targets = np.arange(logits.shape[0])
+    return ag.mul(ag.add(ag.cross_entropy(logits, targets),
+                         ag.cross_entropy(ag.transpose(logits), targets)), Tensor(0.5))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_symmetric_cross_entropy_equals_reference_bitwise(n):
+    values = np.random.default_rng(n).normal(0.0, 3.0, (n, n))
+    results = []
+    for loss_fn in (symmetric_cross_entropy, _infonce_reference):
+        leaf = Parameter("logits", values.copy())
+        with Tape() as tape:
+            loss = loss_fn(leaf)
+        results.append((loss.data, tape.gradients(loss)["logits"]))
+    (value, grad), (ref_value, ref_grad) = results
+    assert value.tobytes() == ref_value.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    if n == 1:  # a single class: loss and gradient are exactly 0
+        assert value == 0.0 and not grad.any()

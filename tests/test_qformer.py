@@ -3,15 +3,16 @@ import pytest
 
 import graftkit.autograd as ag
 from graftkit.autograd import Tape, Tensor
-from graftkit.clip_stage import ClipConfig, ClipModel, PromptSet
+from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet
 from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, tokenize
 from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
     Phase1Config, Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, generate_impression,
-    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_train, phase2_eval,
-    phase2_step, soft_prompts_for_grid, zero_shot_score_b,
+    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_eval, phase1_train,
+    phase2_eval, phase2_step, soft_prompts_for_grid, zero_shot_score_b,
 )
+from graftkit.stats import auc
 
 
 def tiny_cfg(vocab=40, **kw):
@@ -446,3 +447,28 @@ def test_phase2_eval_runs_no_backward_pass(model, monkeypatch):
     assert calls == []
     lm.lm_loss_and_grad(np.zeros((3, 16)), [], [5])  # the counter does see backward passes
     assert calls == [1]
+
+
+def test_phase1_eval_encodes_each_image_and_prompt_set_once(monkeypatch):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=24))
+    vocab = corpus.vocab
+    model = QFormerModel(tiny_cfg(len(vocab)), seed=0)
+    grids = rand_grids(24, model.cfg, seed=1)
+    eval_ids = list(range(8, 24))
+    scored = [ps for ps in DEFAULT_PROMPT_SETS.values()
+              if len({corpus.studies[i].labels[ps.finding] for i in eval_ids}) == 2]
+    assert len(scored) >= 2
+    per_image = np.mean([auc([zero_shot_score_b(grids[i], ps, model, vocab) for i in eval_ids],
+                             [corpus.studies[i].labels[ps.finding] for i in eval_ids])
+                         for ps in scored])
+    calls = {"image_query_proj": 0, "text_cls_projs": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _original=getattr(QFormerModel, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(QFormerModel, name, counting)
+    metrics = phase1_eval(model, corpus, grids, eval_ids, DEFAULT_PROMPT_SETS, vocab,
+                          np.random.default_rng(0))
+    assert calls == {"image_query_proj": 0, "text_cls_projs": len(scored)}
+    assert metrics["auc"] == per_image

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graftkit import templates as T
-from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c
+from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c,
+                                 zero_shot_scores_c)
 from graftkit.corpus import (CorpusSpec, Finding, build_vocab, generate_corpus, generate_study,
                              tokenize)
 from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, pool_grid
@@ -12,10 +13,10 @@ from graftkit.params import ParamRegistry
 from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
                             embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
-                         assessment_text, build_qa_cases, grade_qa_case, load_grades_csv,
-                         save_grades_csv)
+                         assessment_text, build_qa_cases, default_reviewer, grade_qa_case,
+                         load_grades_csv, save_grades_csv)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, precompute_grids,
-                              zero_shot_score_b)
+                              zero_shot_score_b, zero_shot_scores_b)
 from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval,
                              exhaustive_itm_ranking, grade_retrieval, itm_scores,
                              laterality_query, search_b, search_c)
@@ -547,22 +548,57 @@ def _per_prompt_score_b(grid, ps, qf, vocab):
 
 
 def test_zero_shot_batched_prompts_keep_aucs(small_world):
-    corpus, clip, qf, _, index_b = small_world
+    corpus, clip, qf, index_c, index_b = small_world
     vocab, studies = corpus.vocab, corpus.studies
     checked = 0
     for name, ps in DEFAULT_PROMPT_SETS.items():
         labels = [s.labels[name] for s in studies]
         if len(set(labels)) < 2:
             continue
-        for batched, reference in (
-                ([zero_shot_score_c(s.image, ps, clip, vocab) for s in studies],
-                 [_per_prompt_score_c(s.image, ps, clip, vocab) for s in studies]),
-                ([zero_shot_score_b(g, ps, qf, vocab) for g in index_b.grids],
-                 [_per_prompt_score_b(g, ps, qf, vocab) for g in index_b.grids])):
-            assert np.abs(np.array(batched) - reference).max() <= 1e-12
-            assert auc(batched, labels) == auc(reference, labels)
+        per_image_b = [zero_shot_score_b(g, ps, qf, vocab) for g in index_b.grids]
+        batched_b = zero_shot_scores_b(index_b.query_proj, ps, qf, vocab)
+        assert np.array_equal(batched_b, per_image_b)
+        reference_c = [_per_prompt_score_c(s.image, ps, clip, vocab) for s in studies]
+        reference_b = [_per_prompt_score_b(g, ps, qf, vocab) for g in index_b.grids]
+        for scores, reference in (
+                ([zero_shot_score_c(s.image, ps, clip, vocab) for s in studies], reference_c),
+                (zero_shot_scores_c(index_c.embeddings, ps, clip, vocab), reference_c),
+                (per_image_b, reference_b),
+                (batched_b, reference_b)):
+            assert np.abs(np.array(scores) - reference).max() <= 1e-12
+            assert auc(scores, labels) == auc(reference, labels)
         checked += 1
     assert checked >= 2
+
+
+def _one_image_score_c(image, ps, clip, vocab):
+    """The one-image formula ``zero_shot_score_c`` computed before it wrapped
+    the batched scorer."""
+    cos = clip.embed_texts([tokenize(p, vocab) for p in ps.positive + ps.negative]) \
+        @ clip.embed_image(image)
+    n_pos = len(ps.positive)
+    return float(1.0 / (1.0 + np.exp(-(np.mean(cos[:n_pos]) - np.mean(cos[n_pos:])))))
+
+
+def _one_image_score_b(grid, ps, qf, vocab):
+    """The one-image formula ``zero_shot_score_b`` computed before it wrapped
+    the batched scorer."""
+    t_proj = qf.text_cls_projs([tokenize(p, vocab, qf.cfg.text_max_len)
+                                for p in ps.positive + ps.negative])
+    best = (qf.image_query_proj(grid) @ t_proj.T).max(axis=0)
+    n_pos = len(ps.positive)
+    pos, neg = float(best[:n_pos].max()), float(best[n_pos:].max())
+    return float(1.0 / (1.0 + np.exp(-(pos - neg))))
+
+
+def test_zero_shot_one_image_wrappers_equal_one_image_formulas_bitwise(small_world):
+    corpus, clip, qf, _, index_b = small_world
+    vocab = corpus.vocab
+    for ps in DEFAULT_PROMPT_SETS.values():
+        for s, g in zip(corpus.studies, index_b.grids):
+            assert zero_shot_score_c(s.image, ps, clip, vocab) == _one_image_score_c(s.image, ps,
+                                                                                     clip, vocab)
+            assert zero_shot_score_b(g, ps, qf, vocab) == _one_image_score_b(g, ps, qf, vocab)
 
 
 # --------------------------------------------------------------------------
@@ -583,6 +619,16 @@ def _vqa_prompt_len(small_world, image, question):
     bundle = _vqa_bundle(small_world, 448)
     body = vqa_prompt_body(bundle.impression_for(image), question)
     return len(tokenize(body, bundle.vocab, max_len=None, lead=None))
+
+
+def test_default_reviewer_rejects_prompt_over_the_context(small_world):
+    prompt = T.make_reviewer_prompts(assessment_text(["no."] * 12), T.NORMAL_IMPRESSION)[0]
+    n = len(tokenize(prompt, build_vocab(), max_len=None, lead=None))
+    assert isinstance(default_reviewer(_vqa_bundle(small_world, n + 16))(prompt), str)
+    for max_len in (n + 15, n - 10):
+        with pytest.raises(ValueError, match=f"reviewer prompt of {n} tokens plus 16 answer "
+                                             f"tokens exceeds the LM context of {max_len} tokens"):
+            default_reviewer(_vqa_bundle(small_world, max_len))(prompt)
 
 
 def test_run_vqa_prompt_filling_the_context_is_answered(small_world):
