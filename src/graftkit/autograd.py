@@ -22,9 +22,9 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """Dense float64 tensor, value-like.  ``grad`` is filled by backward."""
+    """Dense float64 tensor, value-like."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -33,7 +33,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = None
 
     @property
     def shape(self):
@@ -102,53 +101,29 @@ class Tape:
         _tape_state.current = None
         return False
 
-    def gradients(self, loss: Tensor, seed_grad=None) -> dict[str, np.ndarray]:
-        """Backward pass from ``loss``; returns {param name: gradient}.
-
-        Also sets ``.grad`` on every reached unfrozen leaf.  ``seed_grad``
-        overrides the default all-ones seed (used to inject an upstream
-        gradient at a non-scalar node).
-        """
-        return backward(self, loss, seed_grad=seed_grad)
-
-
-def backward(tape: Tape, loss: Tensor, seed_grad=None) -> dict[str, np.ndarray]:
-    if seed_grad is None:
-        if loss.data.ndim != 0 and loss.data.size != 1:
-            raise ValueError("backward requires a scalar loss (or explicit seed_grad)")
-        seed = np.ones_like(loss.data)
-    else:
-        seed = np.asarray(seed_grad, dtype=np.float64)
-        if seed.shape != loss.data.shape:
-            raise ValueError("seed_grad shape does not match node shape")
-
-    grads: dict[int, np.ndarray] = {id(loss): seed}
-    for node in reversed(tape.nodes):
-        g_out = grads.pop(id(node.output), None)
-        if g_out is None:
-            continue
-        for inp, g in zip(node.inputs, node.vjp(g_out)):
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g.copy() if g.base is not None or g is g_out else g
-
-    named: dict[str, np.ndarray] = {}
-    seen: set[int] = set()
-    for node in tape.nodes:
-        for inp in node.inputs:
-            if id(inp) in seen or id(inp) not in grads:
+    def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
+        """Backward pass from the scalar ``loss``; returns {param name:
+        gradient} for every reached unfrozen parameter, in order of first
+        appearance on the tape."""
+        if loss.data.size != 1:
+            raise ValueError("gradients requires a scalar loss")
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        for node in reversed(self.nodes):
+            g_out = grads.pop(id(node.output), None)
+            if g_out is None:
                 continue
-            seen.add(id(inp))
-            inp.grad = grads[id(inp)]
-            if isinstance(inp, Parameter):
-                named[inp.name] = inp.grad
-    if id(loss) in grads and loss.requires_grad and id(loss) not in seen:
-        loss.grad = grads[id(loss)]
-        if isinstance(loss, Parameter):
-            named[loss.name] = loss.grad
-    return named
+            for inp, g in zip(node.inputs, node.vjp(g_out)):
+                key = id(inp)
+                if key in grads:
+                    grads[key] = grads[key] + g
+                else:
+                    grads[key] = g.copy() if g.base is not None or g is g_out else g
+
+        named: dict[str, np.ndarray] = {}
+        for t in [*(inp for node in self.nodes for inp in node.inputs), loss]:
+            if isinstance(t, Parameter) and t.requires_grad and id(t) in grads:
+                named[t.name] = grads[id(t)]
+        return named
 
 
 def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
@@ -436,7 +411,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 
 
 def finite_diff_check(f, params, step: float = 1e-5, max_coords: int = 40, seed: int = 0) -> float:
-    """Compare backward() against central differences on sampled coordinates.
+    """Compare ``Tape.gradients`` against central differences on sampled coordinates.
 
     ``f`` maps the live values of ``params`` to a scalar Tensor.  Frozen
     parameters receive no AD gradient and are excluded from the comparison.

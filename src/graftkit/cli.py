@@ -41,6 +41,27 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else exits 2."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+COUNT, INDEX = _int_at_least(1), _int_at_least(0)
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    return tuple(COUNT(x) for x in text.split(","))
+
+
+METRIC_INPUTS = {"ndcg": ("rel",), "precision": ("rel",), "auc": ("scores", "labels"),
+                 "bootstrap-mean": ("scores",), "permutation": ("scores", "labels"),
+                 "checkpoint": ("ckpt",)}  # the flags each eval metric reads
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("GRAFTKIT_OUT") or "graftkit-out"
     path = Path(out)
@@ -217,8 +238,7 @@ def cmd_probe(args):
     n_test = max(len(corpus) // 4, 2)
     tr_f, te_f = feats[:-n_test], feats[-n_test:]
     tr_l, te_l = labels[:-n_test], labels[-n_test:]
-    sizes = tuple(int(x) for x in args.sizes.split(","))
-    curve = data_efficiency_curve(tr_f, tr_l, te_f, te_l, sizes=sizes,
+    curve = data_efficiency_curve(tr_f, tr_l, te_f, te_l, sizes=args.sizes,
                                   repeats=args.repeats, cfg=ProbeConfig(), seed=args.seed)
     _write_result(out, "probe.json", curve, _resolved_config(args))
     return 0
@@ -252,6 +272,8 @@ def _load_bundle(args, corpus) -> ElixrBundle:
 def cmd_vqa(args):
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
+    if args.study >= len(corpus):
+        raise ValueError(f"--study {args.study} is past the corpus (studies 0..{len(corpus) - 1})")
     bundle = _load_bundle(args, corpus)
     study = corpus.studies[args.study]
     answer = run_vqa(study.image, args.question, bundle)
@@ -285,6 +307,9 @@ def cmd_qa(args):
 
 
 def cmd_eval(args):
+    for flag in METRIC_INPUTS[args.metric]:
+        if not getattr(args, flag):
+            raise UsageError(f"--{flag} required for metric {args.metric}")
     out = _out_dir(args)
     if args.metric == "ndcg":
         rel = [int(x) for x in args.rel.split(",")]
@@ -309,12 +334,8 @@ def cmd_eval(args):
         payload = {"metric": "permutation", "value": permutation_test(a, b, n=args.n,
                                                                       seed=args.seed),
                    "n": args.n, "seed": args.seed}
-    elif args.metric == "checkpoint":
-        if not args.ckpt:
-            raise UsageError("--ckpt required for checkpoint verification")
-        payload = {"metric": "checkpoint", "value": checkpoint_roundtrip(args.ckpt)}
     else:
-        raise UsageError(f"unknown metric {args.metric!r}")
+        payload = {"metric": "checkpoint", "value": checkpoint_roundtrip(args.ckpt)}
     _write_result(out, "eval.json", payload, _resolved_config(args))
     print(json.dumps(payload))
     return 0
@@ -337,20 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     common(p)
     p.add_argument("--spec", default=None, help="corpus spec JSON")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=COUNT, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-c", help="stage-1 contrastive training")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=COUNT, default=None)
     p.set_defaults(func=cmd_train_c)
 
     p = sub.add_parser("train-b1", help="adapter phase-1 training")
     common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--clip", required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=COUNT, default=None)
     p.set_defaults(func=cmd_train_b1)
 
     p = sub.add_parser("train-b2", help="adapter phase-2 soft-prompt training")
@@ -359,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", required=True)
     p.add_argument("--b1", required=True, help="phase-1 generation checkpoint")
     p.add_argument("--lm", default=None, help="frozen LM checkpoint (pretrained here if absent)")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=COUNT, default=None)
     p.set_defaults(func=cmd_train_b2)
 
     p = sub.add_parser("zeroshot", help="prompt-based zero-shot classification")
@@ -379,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("C", "B"), default="C")
     p.add_argument("--b1", default=None)
     p.add_argument("--finding", default="effusion")
-    p.add_argument("--sizes", default="16,64,256")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--sizes", type=_counts, default="16,64,256")
+    p.add_argument("--repeats", type=COUNT, default=10)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("search", help="semantic search over a corpus")
@@ -390,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("C", "B"), default="C")
     p.add_argument("--b1", default=None)
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--stage1", type=int, default=128)
+    p.add_argument("--k", type=COUNT, default=5)
+    p.add_argument("--stage1", type=COUNT, default=128)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("vqa", help="visual question answering on one study")
@@ -402,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b2", required=True)
     p.add_argument("--bridge", required=True)
     p.add_argument("--lm", required=True)
-    p.add_argument("--study", type=int, required=True)
+    p.add_argument("--study", type=INDEX, required=True)
     p.add_argument("--question", required=True)
     p.set_defaults(func=cmd_vqa)
 
@@ -414,18 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b2", required=True)
     p.add_argument("--bridge", required=True)
     p.add_argument("--lm", required=True)
-    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--cases", type=COUNT, default=None)
     p.set_defaults(func=cmd_qa)
 
     p = sub.add_parser("eval", help="evaluation metrics on explicit inputs")
     common(p)
-    p.add_argument("--metric", required=True,
-                   choices=("ndcg", "precision", "auc", "bootstrap-mean",
-                            "permutation", "checkpoint"))
+    p.add_argument("--metric", required=True, choices=tuple(METRIC_INPUTS))
     p.add_argument("--rel", default=None, help="comma-separated relevance grades")
     p.add_argument("--scores", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=COUNT, default=1000)
     p.add_argument("--ckpt", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -345,11 +345,16 @@ def load_corpus(in_dir) -> Corpus:
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
     spec = CorpusSpec.from_json(manifest["spec"])
-    size = spec.image_size
-    raw = np.frombuffer((src / "images.bin").read_bytes(), dtype="<f8")
-    images = raw.reshape(-1, size, size)
+    size, n = spec.image_size, manifest["n_studies"]
+    rows = (src / "meta.jsonl").read_text().splitlines()
+    blob = (src / "images.bin").read_bytes()
+    for path, have, want, unit in ((src / "meta.jsonl", len(rows), n, "rows"),
+                                   (src / "images.bin", len(blob), n * size * size * 8, "bytes")):
+        if have != want:
+            raise ValueError(f"{path} has {have} {unit}; the manifest's {n} studies need {want}")
+    images = np.frombuffer(blob, dtype="<f8").reshape(n, size, size)
     studies = []
-    for line in (src / "meta.jsonl").read_text().splitlines():
+    for line in rows:
         d = json.loads(line)
         sid = d["study_id"]
         studies.append(SyntheticStudy(

@@ -305,12 +305,12 @@ class DecoderLM:
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
 
-    def _embed(self, soft: Tensor | None, ids) -> Tensor:
-        """(1, S + len(ids), dim) embeddings of [soft prompts (S, dim) || tokens]."""
-        ids = np.asarray(ids, dtype=np.int64)
-        parts = [] if soft is None else [ag.reshape(soft, (1, *soft.shape))]
-        if ids.size:
-            parts.append(self.embed_tokens(ids[None]))
+    def _embed(self, soft: Tensor | None, tokens) -> Tensor:
+        """(B, S + L, dim) embeddings of [soft prompts (B, S, dim) || tokens (B, L)]."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        parts = [] if soft is None else [soft]
+        if tokens.shape[1]:
+            parts.append(self.embed_tokens(tokens))
         return ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
     def _run(self, emb: Tensor, lengths) -> Tensor:
@@ -323,63 +323,61 @@ class DecoderLM:
             x = blk(x, mask)
         return self.head(self.ln_out(x))
 
-    def logits(self, tokens: np.ndarray, lengths) -> Tensor:
-        return self._run(self.embed_tokens(np.asarray(tokens, dtype=np.int64)), lengths)
-
     def batch_loss(self, tokens: np.ndarray, lengths, loss_starts) -> Tensor:
         """Mean next-token cross-entropy over token positions >= loss_start,
         pads excluded.  Position i predicts token i+1; the final position and
         padded targets are masked out rather than sliced away."""
         tokens = np.asarray(tokens, dtype=np.int64)
         b, l = tokens.shape
-        logits = self.logits(tokens, lengths)
+        logits = self._run(self.embed_tokens(tokens), lengths)
         targets, sel = next_token_targets(tokens, lengths, loss_starts)
         return ag.cross_entropy(ag.reshape(logits, (b * l, self.cfg.vocab_size)),
                                 targets.reshape(-1), mask=sel.reshape(-1).astype(np.float64))
 
     # -- the gradient-server contract
 
-    def soft_prompt_loss(self, soft: Tensor, prompt_ids, target_ids) -> Tensor:
-        """Mean cross-entropy over the target positions of [soft prompts (S, dim)
-        || prompt || target]; the graph ``lm_loss_and_grad`` differentiates."""
-        if soft.ndim != 2 or soft.shape[1] != self.cfg.dim:
-            raise ValueError(f"soft prompts must be (S, {self.cfg.dim})")
-        if soft.shape[0] < 1:
-            raise ValueError("need at least one soft prompt slot")
-        if len(target_ids) == 0:
-            raise ValueError("empty target")
-        s = soft.shape[0]
-        hard = [*prompt_ids, *target_ids]
-        l = s + len(hard)
+    def soft_prompt_loss(self, soft: Tensor, prompts, targets) -> Tensor:
+        """Mean over rows of each row's mean target cross-entropy, for the rows
+        [soft prompts (S, dim) || prompt || target] of a (B, S, dim) batch.
+
+        A row's targets each weigh 1 / its target count, scaled so the rows
+        with the most weigh 1: a single row is the plain target mean, bitwise.
+        """
+        if soft.ndim != 3 or soft.shape[1] < 1 or soft.shape[2] != self.cfg.dim:
+            raise ValueError(f"soft prompts must be (B, S >= 1, {self.cfg.dim})")
+        b, s = soft.shape[:2]
+        if len(prompts) != b or len(targets) != b or not all(len(t) for t in targets):
+            raise ValueError("need one prompt and one non-empty target per soft-prompt row")
+        hard, lengths = pad_batch([[*p, *t] for p, t in zip(prompts, targets)], self.cfg.pad_id)
         # the soft slots get pad placeholders; they are never predicted
-        tokens = np.asarray([[self.cfg.pad_id] * s + hard], dtype=np.int64)
-        targets, sel = next_token_targets(tokens, [l], [s + len(prompt_ids)])
-        logits = self._run(self._embed(soft, hard), [l])
-        return ag.cross_entropy(ag.reshape(logits, (l, self.cfg.vocab_size)), targets[0],
-                                mask=sel[0].astype(np.float64))
+        tokens = np.concatenate([np.full((b, s), self.cfg.pad_id), hard], axis=1)
+        tgt, sel = next_token_targets(tokens, s + lengths, [s + len(p) for p in prompts])
+        n = sel.sum(axis=1)
+        logits = self._run(self._embed(soft, hard), s + lengths)
+        return ag.cross_entropy(ag.reshape(logits, (tgt.size, self.cfg.vocab_size)),
+                                tgt.reshape(-1), mask=(sel * (n.max() / n)[:, None]).reshape(-1))
 
     def lm_loss_and_grad(self, soft_prompts: np.ndarray, prompt_ids, target_ids):
-        """(loss, d loss / d soft_prompts); the LM itself receives no gradient.
+        """(loss, d loss / d soft_prompts) for one (S, dim) soft prompt; the
+        LM itself receives no gradient.
 
         Loss is the mean cross-entropy over the target positions only.
         """
         if not self.frozen:
             raise RuntimeError("LM must be frozen before serving gradients")
-        leaf = Parameter("_soft_prompt", np.asarray(soft_prompts, dtype=np.float64))
+        leaf = Parameter("_soft_prompt", np.asarray(soft_prompts, dtype=np.float64)[None])
         with Tape() as tape:
-            loss = self.soft_prompt_loss(leaf, prompt_ids, target_ids)
-        grads = tape.gradients(loss)
-        assert set(grads) <= {"_soft_prompt"}, "gradient leaked into frozen LM"
-        return float(loss.data), grads["_soft_prompt"].reshape(leaf.shape)
+            loss = self.soft_prompt_loss(leaf, [prompt_ids], [target_ids])
+        return float(loss.data), tape.gradients(loss)["_soft_prompt"][0]
 
     def generate(self, soft_prompts, prompt_ids, max_new: int = 64) -> list[int]:
         """Greedy decode; stops at [EOS] or after max_new tokens."""
         ids = list(prompt_ids)
-        soft = None if soft_prompts is None else Tensor(soft_prompts)
-        s = 0 if soft is None else soft.shape[0]
+        soft = None if soft_prompts is None else Tensor(np.asarray(soft_prompts)[None])
+        s = 0 if soft is None else soft.shape[1]
         out: list[int] = []
         for _ in range(max_new):
-            logits = self._run(self._embed(soft, ids), [s + len(ids)])
+            logits = self._run(self._embed(soft, [ids]), [s + len(ids)])
             nxt = int(np.argmax(logits.data[0, -1]))
             if nxt == self.cfg.eos_id:
                 break

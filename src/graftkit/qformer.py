@@ -162,7 +162,9 @@ class QFormerModel:
 
     # -- projections
 
-    def query_projections(self, q_out: Tensor) -> Tensor:
+    def query_projections(self, grids: np.ndarray) -> Tensor:
+        """(B, Q, proj_dim) unit-norm query projections of (B, G, grid_dim) grids."""
+        q_out, _ = self.forward(grids, None, mode="itc")
         return ag.l2_normalize(self.itc_img_proj(q_out))
 
     def cls_projection(self, t_out: Tensor) -> Tensor:
@@ -171,8 +173,7 @@ class QFormerModel:
     # -- inference conveniences
 
     def image_query_proj(self, grid_tokens: np.ndarray) -> np.ndarray:
-        q_out, _ = self.forward(grid_tokens[None], None, mode="itc")
-        return self.query_projections(q_out).data[0]
+        return self.query_projections(grid_tokens[None]).data[0]
 
     def text_cls_projs(self, seqs) -> np.ndarray:
         """(N, proj_dim) [CLS] projections of N token sequences, one padded forward."""
@@ -217,20 +218,20 @@ def load_qformer(path) -> "QFormerModel":
 # losses
 
 
-def pairwise_similarity(model: QFormerModel, grids, tokens, lengths) -> Tensor:
-    """(B_img, B_txt) similarity: max over query-token cosines vs text [CLS]."""
-    q_out, _ = model.forward(grids, None, mode="itc")
+def pairwise_similarity(model: QFormerModel, q_proj: Tensor, tokens, lengths) -> Tensor:
+    """(B_img, B_txt) similarity of (B_img, Q, p) query projections
+    (``QFormerModel.query_projections``): max over query-token cosines vs
+    text [CLS]."""
     _, t_out = model.forward(None, tokens, lengths, mode="itc")
-    q_proj = model.query_projections(q_out)          # (B, Q, p)
     t_proj = model.cls_projection(t_out)             # (B, p)
     sims = ag.matmul(q_proj, ag.transpose(t_proj))   # (B, Q, B)
     return ag.reduce_max(sims, axis=1)
 
 
-def itc_loss(model: QFormerModel, grids, tokens, lengths) -> Tensor:
+def itc_loss(model: QFormerModel, q_proj: Tensor, tokens, lengths) -> Tensor:
     """Symmetric InfoNCE over the temperature-scaled pairwise similarities (a
     single pair is one class: loss and gradient exactly 0)."""
-    return symmetric_cross_entropy(ag.mul(pairwise_similarity(model, grids, tokens, lengths),
+    return symmetric_cross_entropy(ag.mul(pairwise_similarity(model, q_proj, tokens, lengths),
                                           Tensor(1.0 / model.cfg.itc_temperature)))
 
 
@@ -330,12 +331,13 @@ def _phase1_batch(corpus, grids, ids, vocab, cfg):
     return grids[ids], pad_batch(cls_seqs, pad), pad_batch(itg_seqs, pad)
 
 
-def phase1_losses(model, batch_grids, cls_batch, itg_batch, mismatch_idx):
-    """The three objectives on one batch; ITM sees matched pairs plus one
-    uniformly drawn in-batch mismatched text per image."""
+def phase1_losses(model, batch_grids, q_proj, cls_batch, itg_batch, mismatch_idx):
+    """The three objectives on one batch of grids and their query projections;
+    ITM sees matched pairs plus one uniformly drawn in-batch mismatched text
+    per image."""
     cls_tokens, cls_lengths = cls_batch
     itg_tokens, itg_lengths = itg_batch
-    l_itc = itc_loss(model, batch_grids, cls_tokens, cls_lengths)
+    l_itc = itc_loss(model, q_proj, cls_tokens, cls_lengths)
     l_itg = itg_loss(model, batch_grids, itg_tokens, itg_lengths)
     n = batch_grids.shape[0]
     itm_grids = np.concatenate([batch_grids, batch_grids])
@@ -358,16 +360,15 @@ def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):
     from .stats import auc
 
     eval_ids = list(eval_ids)
-    q_out, _ = model.forward(grids[eval_ids], None, mode="itc")
-    query_proj = model.query_projections(q_out).data
+    batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, eval_ids, vocab, model.cfg)
+    q_proj = model.query_projections(batch_grids)
     aucs = []
     for ps in prompt_sets.values():
         labels = [corpus.studies[i].labels[ps.finding] for i in eval_ids]
         if len(set(labels)) < 2:
             continue
-        aucs.append(auc(zero_shot_scores_b(query_proj, ps, model, vocab), labels))
-    batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, eval_ids, vocab, model.cfg)
-    l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, cls_batch, itg_batch,
+        aucs.append(auc(zero_shot_scores_b(q_proj.data, ps, model, vocab), labels))
+    l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, q_proj, cls_batch, itg_batch,
                                         _mismatch(rng, len(eval_ids)))
     return {"auc": float(np.mean(aucs)) if aucs else 0.5,
             "itc": float(l_itc.data), "itg": float(l_itg.data), "itm": float(l_itm.data)}
@@ -429,7 +430,9 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
         batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, ids, vocab, qcfg)
         mismatch = _mismatch(neg_rng, len(ids))
         with Tape() as tape:
-            l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, cls_batch, itg_batch, mismatch)
+            l_itc, l_itg, l_itm = phase1_losses(model, batch_grids,
+                                                model.query_projections(batch_grids),
+                                                cls_batch, itg_batch, mismatch)
             total = ag.add(ag.add(l_itc, l_itg), l_itm)
         grads = tape.gradients(total)
         opt.step(grads)
@@ -509,28 +512,25 @@ def impression_targets(corpus: Corpus, ids) -> list[list[int]]:
 
 
 def phase2_step(model: QFormerModel, bridge: Phase2Bridge, lm: DecoderLM, grids: np.ndarray,
-                targets) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Gradients of the batch-mean LM loss for the adapter and bridge, plus
-    the per-example LM losses.
-
-    One taped forward makes every soft prompt; the frozen LM returns
-    d loss / d soft prompt per example, and the stacked (mean-scaled) LM
-    gradients seed the backward pass at the soft prompts.
-    """
+                targets) -> tuple[dict[str, np.ndarray], float]:
+    """Adapter and bridge gradients of the batch-mean LM loss, and that loss,
+    from one taped graph: adapter -> bridge -> frozen LM over the padded batch."""
     with Tape() as tape:
         q_out, _ = model.forward(grids, None, mode="itc")
-        soft = bridge(q_out)
-    responses = [lm.lm_loss_and_grad(soft.data[j], [], t) for j, t in enumerate(targets)]
-    grads = tape.gradients(soft, seed_grad=np.stack([g for _, g in responses]) / len(targets))
-    return grads, [loss for loss, _ in responses]
+        loss = lm.soft_prompt_loss(bridge(q_out), [[]] * len(targets), targets)
+    grads = tape.gradients(loss)
+    if any(name.startswith(lm.prefix + ".") for name in grads):
+        raise RuntimeError("gradient leaked into frozen LM")
+    return grads, float(loss.data)
 
 
 def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: DecoderLM,
                  cfg: Phase2Config, seed: int = 0, grids=None, eval_ids=None, log=None):
     """Train bridge + Q-Former to generate impressions through the frozen LM.
 
-    Each step is one taped, batched adapter pass (``phase2_step``); the
-    frozen LM serves only the gradients for its soft prompts.
+    Each step is one taped graph through the adapter, the bridge and the
+    frozen LM (``phase2_step``); the LM passes gradient only to its soft
+    prompts.
     """
     if not lm.frozen:
         raise RuntimeError("phase 2 requires a frozen LM")
@@ -557,12 +557,11 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
         ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
                                replace=False)
         ids = [train_ids[int(i)] for i in ids]
-        grads, losses = phase2_step(model, bridge, lm, grids[ids], [targets_all[i] for i in ids])
+        grads, loss = phase2_step(model, bridge, lm, grids[ids], [targets_all[i] for i in ids])
         opt.step(grads)
-        mean_loss = float(np.mean(losses))
-        history.append({"step": step, "lm_loss": mean_loss})
+        history.append({"step": step, "lm_loss": loss})
         if log and step % 50 == 0:
-            log(f"phase2 step {step} lm loss {mean_loss:.4f}")
+            log(f"phase2 step {step} lm loss {loss:.4f}")
 
     if lm.digest() != lm_digest_before:
         raise RuntimeError("frozen contract violated: LM changed during phase 2")
@@ -577,17 +576,14 @@ def phase2_eval(model, bridge, lm, grids, targets_all, eval_ids) -> dict:
     """Held-out impression loss vs the no-image (all-zero soft prompt) baseline.
 
     Forward passes only: one batched adapter pass makes every soft prompt,
-    and the LM's soft-prompt loss runs without a tape.
+    and one batched LM pass scores each prompt set, without a tape.
     """
     eval_ids = list(eval_ids)
     q_out, _ = model.forward(grids[eval_ids], None, mode="itc")
-    losses, base = [], []
-    for soft, i in zip(bridge(q_out).data, eval_ids):
-        losses.append(float(lm.soft_prompt_loss(Tensor(soft), [], targets_all[i]).data))
-        base.append(float(lm.soft_prompt_loss(Tensor(np.zeros_like(soft)), [],
-                                              targets_all[i]).data))
-    return {"heldout_loss": float(np.mean(losses)),
-            "zero_prompt_baseline": float(np.mean(base))}
+    soft = bridge(q_out)
+    prompts, targets = [[]] * len(eval_ids), [targets_all[i] for i in eval_ids]
+    return {name: float(lm.soft_prompt_loss(x, prompts, targets).data) for name, x in
+            (("heldout_loss", soft), ("zero_prompt_baseline", Tensor(np.zeros_like(soft.data))))}
 
 
 def save_phase2(model: QFormerModel, bridge: Phase2Bridge, bridge_reg: ParamRegistry,

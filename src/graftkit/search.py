@@ -35,6 +35,8 @@ class RankedRetrieval:
 
 
 def _rank(ids, scores, k: int) -> list:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [(ids[i], float(scores[i])) for i in order[:k]]
 
@@ -64,9 +66,8 @@ class ImageIndexB:
     def build(clip_model, qformer, studies) -> "ImageIndexB":
         grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]),
                                                      qformer.cfg.pooled_hw)
-        q_out, _ = qformer.forward(grids, None, mode="itc")
         return ImageIndexB([s.study_id for s in studies], grids,
-                           qformer.query_projections(q_out).data)
+                           qformer.query_projections(grids).data)
 
 
 def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> RankedRetrieval:
@@ -91,6 +92,8 @@ def search_b(query: str, index: ImageIndexB, qformer, vocab, k: int = 5,
     shortlist by the matching head's matched-class probability."""
     if not index.ids:
         raise ValueError("empty retrieval pool")
+    if stage1 < 1:
+        raise ValueError(f"stage1 must be at least 1, got {stage1}")
     q_ids = tokenize(query, vocab, qformer.cfg.text_max_len)
     t_proj = qformer.text_cls_proj(q_ids)
     cosine = (index.query_proj @ t_proj).max(axis=1)

@@ -88,6 +88,16 @@ def test_backward_requires_scalar():
         tape.gradients(y)
 
 
+def test_gradients_is_scalar_only():
+    x = Parameter("x", np.ones((2, 3)))
+    with Tape() as tape:
+        y = ag.reduce_sum(ag.mul(x, x), axis=1)
+    with pytest.raises(ValueError, match="scalar"):
+        tape.gradients(y)
+    with pytest.raises(TypeError):
+        tape.gradients(y, seed_grad=np.ones(2))  # no seeded backward from a non-scalar
+
+
 def test_backward_deterministic_bitwise():
     def run():
         rng = np.random.default_rng(7)
@@ -231,6 +241,6 @@ def test_tape_does_not_nest():
 def test_no_tape_records_nothing():
     x = Parameter("x", np.ones(3))
     y = ag.mul(x, x)
-    assert y.grad is None
+    assert not y.requires_grad
     t = Tape()
     assert t.nodes == []

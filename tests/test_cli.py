@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,35 @@ def test_eval_checkpoint_command(tmp_path):
 def test_eval_checkpoint_requires_ckpt(capsys, tmp_path):
     assert run_cli(["eval", "--metric", "checkpoint", "--out", str(tmp_path)]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["synth", "--n", "0"], 2, "--n: must be at least 1"),
+    (["synth", "--n", "-3"], 2, "--n: must be at least 1"),
+    (["train-c", "--corpus", "C", "--steps", "-1"], 2, "--steps: must be at least 1"),
+    (["train-b1", "--corpus", "C", "--clip", "M", "--steps", "0"], 2, "--steps"),
+    (["search", "--corpus", "C", "--clip", "M", "--query", "q", "--k", "0"], 2, "--k"),
+    (["search", "--corpus", "C", "--clip", "M", "--query", "q", "--stage1", "0"], 2, "--stage1"),
+    (["probe", "--corpus", "C", "--clip", "M", "--repeats", "0"], 2, "--repeats"),
+    (["probe", "--corpus", "C", "--clip", "M", "--sizes", "2,x"], 2, "--sizes"),
+    (["probe", "--corpus", "C", "--clip", "M", "--sizes", "16,0"], 2, "--sizes"),
+    (["qa", "--corpus", "C", "--clip", "M", "--b1", "B", "--b2", "B", "--bridge", "B",
+      "--lm", "L", "--cases", "0"], 2, "--cases"),
+    (["eval", "--metric", "bootstrap-mean", "--scores", "1,2", "--n", "0"], 2, "--n"),
+    (["eval", "--metric", "ndcg"], 2, "--rel required"),
+    (["eval", "--metric", "auc", "--scores", "0.1,0.9"], 2, "--labels required"),
+    (["vqa", "--corpus", "{corpus}", "--clip", "M", "--b1", "B", "--b2", "B", "--bridge", "B",
+      "--lm", "L", "--study", "-1", "--question", "q"], 2, "--study: must be at least 0"),
+    (["vqa", "--corpus", "{corpus}", "--clip", "M", "--b1", "B", "--b2", "B", "--bridge", "B",
+      "--lm", "L", "--study", "99", "--question", "q"], 1, r"studies 0\.\.3"),
+])
+def test_bad_counts_and_indices_rejected(tmp_path, capsys, args, code, message):
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=4)), tmp_path / "corpus")
+    out = tmp_path / "o"
+    args = [a.format(corpus=tmp_path / "corpus") for a in args]
+    assert run_cli([*args, "--out", str(out)]) == code
+    assert re.search(message, capsys.readouterr().err)
+    assert list(out.glob("*.json")) == []
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):

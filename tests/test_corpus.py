@@ -186,6 +186,27 @@ def test_corpus_load_refuses_tamper(tmp_path):
         load_corpus(tmp_path / "c")
 
 
+def _saved_corpus(tmp_path):
+    corpus = generate_corpus(8, CorpusSpec(n_studies=4))
+    save_corpus(corpus, tmp_path / "c")
+    return tmp_path / "c", corpus.spec.image_size ** 2 * 8
+
+
+@pytest.mark.parametrize("name, edit, counts", [
+    ("images.bin", lambda data, image: data + data[:image], "163840 bytes.*need 131072"),
+    ("images.bin", lambda data, image: data[:-image], "98304 bytes.*need 131072"),
+    ("images.bin", lambda data, image: data[:-8], "131064 bytes.*need 131072"),
+    ("meta.jsonl", lambda data, image: data + data.splitlines(keepends=True)[0], "5 rows.*need 4"),
+])
+def test_corpus_load_checks_counts_against_manifest(tmp_path, name, edit, counts):
+    # one extra image, one image short, a partial image, one extra meta row
+    root, image = _saved_corpus(tmp_path)
+    path = root / name
+    path.write_bytes(edit(path.read_bytes(), image))
+    with pytest.raises(ValueError, match=f"{name} has {counts}"):
+        load_corpus(root)
+
+
 def test_two_finding_spec_only_two_kinds():
     spec = CorpusSpec(n_studies=64, prevalence=dict(TWO_FINDING_PREVALENCE))
     corpus = generate_corpus(2, spec)

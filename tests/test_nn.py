@@ -252,7 +252,7 @@ def test_soft_prompt_loss_equals_per_target_loop_bitwise(prompt):
     with Tape() as tape:
         ref_loss = _per_target_loop_loss(lm, ref, prompt, target)
     ref_grad = tape.gradients(ref_loss)["_soft_prompt"]
-    assert lm.soft_prompt_loss(Tensor(soft), prompt, target).data == ref_loss.data
+    assert lm.soft_prompt_loss(Tensor(soft[None]), [prompt], [target]).data == ref_loss.data
     loss, grad = lm.lm_loss_and_grad(soft, prompt, target)
     assert loss == float(ref_loss.data)
     assert grad.tobytes() == ref_grad.tobytes()

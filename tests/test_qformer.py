@@ -183,7 +183,7 @@ def test_same_inputs_same_outputs(model):
 def test_pairwise_similarity_is_max_over_queries(model):
     grids = rand_grids(3, model.cfg)
     tok = np.array([[1, 8, 9], [1, 5, 6], [1, 20, 21]])
-    sim = pairwise_similarity(model, grids, tok, [3, 3, 3]).data
+    sim = pairwise_similarity(model, model.query_projections(grids), tok, [3, 3, 3]).data
     # independent path: per-image query projections vs per-text cls projection
     for i in range(3):
         qp = model.image_query_proj(grids[i])
@@ -195,7 +195,7 @@ def test_pairwise_similarity_is_max_over_queries(model):
 def test_itc_single_pair_zero(model):
     grids = rand_grids(1, model.cfg)
     tok = np.array([[1, 8, 9]])
-    assert float(itc_loss(model, grids, tok, [3]).data) == 0.0
+    assert float(itc_loss(model, model.query_projections(grids), tok, [3]).data) == 0.0
 
 
 def test_itc_gradient(model):
@@ -203,7 +203,7 @@ def test_itc_gradient(model):
     tok = np.array([[1, 8, 9], [1, 5, 6]])
 
     def f():
-        return itc_loss(model, grids, tok, [3, 3])
+        return itc_loss(model, model.query_projections(grids), tok, [3, 3])
 
     params = [model.registry["qf.queries"], model.registry["qf.itc_img_proj.w"],
               model.registry["qf.tok"], model.registry["qf.blk0.self.q.w"]]
@@ -369,7 +369,7 @@ def test_phase2_step_matches_per_example_surrogate(model):
     bridge = Phase2Bridge(ParamRegistry(), model.cfg.dim, 16, 16, np.random.default_rng(3))
     grids = rand_grids(3, model.cfg, seed=6)
     targets = [[5, 6, 7], [8], [9, 10]]
-    grads, losses = phase2_step(model, bridge, lm, grids, targets)
+    grads, loss = phase2_step(model, bridge, lm, grids, targets)
 
     # reference: LM responses at per-example soft prompts, then a taped
     # surrogate sum of <soft, LM gradient / batch> over the examples
@@ -382,13 +382,44 @@ def test_phase2_step_matches_per_example_surrogate(model):
             term = ag.reduce_sum(ag.mul(bridge(q_out), Tensor(g[None] / len(targets))))
             surrogate = term if surrogate is None else ag.add(surrogate, term)
     ref = tape.gradients(surrogate)
-    assert losses == [loss for loss, _ in responses]
+    mean_loss = np.mean([loss for loss, _ in responses])
+    assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
     assert set(grads) == set(ref)
     # relative to the largest gradient entry: some entries (key biases) are
     # zero up to rounding, so a per-entry relative error is meaningless there
     scale = max(np.abs(r).max() for r in ref.values())
     for name, g in grads.items():
         assert np.abs(g - ref[name]).max() <= 1e-12 * scale, name
+
+
+def _phase2_step_world(model, frozen=True):
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=30, dim=16, blocks=1, heads=2,
+                                             max_len=32), np.random.default_rng(9))
+    if frozen:
+        lm.freeze()
+    bridge = Phase2Bridge(ParamRegistry(), model.cfg.dim, 16, 16, np.random.default_rng(3))
+    return lm, bridge, rand_grids(4, model.cfg, seed=6), [[5, 6, 7], [8], [9, 10], [11, 3]]
+
+
+def test_phase2_step_is_one_graph_and_one_backward(model, monkeypatch):
+    lm, bridge, grids, targets = _phase2_step_world(model)
+    calls = {"gradients": 0, "lm_loss_and_grad": 0, "soft_prompt_loss": 0}
+    for owner, name in ((Tape, "gradients"), (DecoderLM, "lm_loss_and_grad"),
+                        (DecoderLM, "soft_prompt_loss")):
+        def counting(self, *args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    grads, loss = phase2_step(model, bridge, lm, grids, targets)
+    assert calls == {"gradients": 1, "lm_loss_and_grad": 0, "soft_prompt_loss": 1}
+    assert np.isfinite(loss) and grads and not any(n.startswith("lm.") for n in grads)
+
+
+def test_phase2_step_refuses_an_unfrozen_lm(model):
+    lm, bridge, grids, targets = _phase2_step_world(model, frozen=False)
+    with pytest.raises(RuntimeError, match="gradient leaked into frozen LM"):
+        phase2_step(model, bridge, lm, grids, targets)
 
 
 def test_phase1_train_leaves_caller_config_unchanged():
@@ -472,3 +503,22 @@ def test_phase1_eval_encodes_each_image_and_prompt_set_once(monkeypatch):
                           np.random.default_rng(0))
     assert calls == {"image_query_proj": 0, "text_cls_projs": len(scored)}
     assert metrics["auc"] == per_image
+
+
+def test_phase1_eval_runs_the_itc_query_forward_once(monkeypatch):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=24))
+    model = QFormerModel(tiny_cfg(len(corpus.vocab)), seed=0)
+    grids = rand_grids(24, model.cfg, seed=1)
+    eval_ids = list(range(8, 24))
+    query_forwards = []
+    original = QFormerModel.forward
+
+    def spying(self, grids_in, tokens, lengths=None, mode="itc"):
+        if grids_in is not None and mode == "itc":
+            query_forwards.append(np.array_equal(grids_in, grids[eval_ids]))
+        return original(self, grids_in, tokens, lengths, mode=mode)
+
+    monkeypatch.setattr(QFormerModel, "forward", spying)
+    phase1_eval(model, corpus, grids, eval_ids, DEFAULT_PROMPT_SETS, corpus.vocab,
+                np.random.default_rng(0))
+    assert query_forwards == [True]

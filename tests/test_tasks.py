@@ -427,6 +427,17 @@ def test_search_empty_pool_rejected(small_world):
                  qf, corpus.vocab)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_search_rejects_k_or_stage1_below_one(small_world, k):
+    corpus, clip, qf, index_c, index_b = small_world
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        search_c("pleural effusion", index_c, clip, corpus.vocab, k=k)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        search_b("pleural effusion", index_b, qf, corpus.vocab, k=k)
+    with pytest.raises(ValueError, match="stage1 must be at least 1"):
+        search_b("pleural effusion", index_b, qf, corpus.vocab, stage1=k)
+
+
 def test_retrieval_grading_and_metrics(small_world):
     corpus, *_ = small_world
     spec = laterality_query("effusion", "left")
