@@ -22,14 +22,14 @@ from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt
 from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from .lmdata import pretrain_frozen_lm
 from .nn import LmTrainConfig, load_lm, save_lm
-from .params import load_checkpoint, save_checkpoint, ParamRegistry
+from .params import checkpoint_meta, load_checkpoint, save_checkpoint, ParamRegistry
 from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
 from .qformer import (Phase1Config, Phase2Config, load_bridge, load_qformer, phase1_train,
                       phase2_train, save_phase2, loss_log_to_csv, zero_shot_scores_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c
 from .stats import auc, bootstrap_ci, ndcg_at_k, permutation_test, precision_at_k
-from .vqa import ElixrBundle, run_vqa
+from .vqa import ElixrBundle
 
 VERSION_STRING = f"graftkit-{__version__}"
 
@@ -261,11 +261,18 @@ def cmd_search(args):
 
 
 def _load_bundle(args, corpus) -> ElixrBundle:
+    """The text-task checkpoints; the phase-2 pair must have been trained
+    against the LM it is served with."""
     clip_model = load_clip(args.clip)
     qf_imp = load_qformer(args.b1)
     qf_aligned = load_qformer(args.b2)
-    _, bridge, _ = load_bridge(args.bridge)
+    _, bridge, bridge_meta = load_bridge(args.bridge)
     lm = load_lm(args.lm)
+    digest = lm.digest()
+    for flag, meta in (("--b2", checkpoint_meta(args.b2, "qformer")), ("--bridge", bridge_meta)):
+        if meta.get("lm_digest") != digest:
+            raise ValueError(f"{flag} checkpoint was trained against LM digest "
+                             f"{meta.get('lm_digest')}, but --lm has digest {digest}")
     return ElixrBundle(clip_model, qf_imp, qf_aligned, bridge, lm, corpus.vocab)
 
 
@@ -276,9 +283,10 @@ def cmd_vqa(args):
         raise ValueError(f"--study {args.study} is past the corpus (studies 0..{len(corpus) - 1})")
     bundle = _load_bundle(args, corpus)
     study = corpus.studies[args.study]
-    answer = run_vqa(study.image, args.question, bundle)
-    payload = {"study_id": study.study_id, "question": args.question, "answer": answer,
-               "impression": bundle.impression_for(study.image)}
+    prepared = bundle.prepare(study.image)
+    payload = {"study_id": study.study_id, "question": args.question,
+               "answer": bundle.answer(prepared, args.question),
+               "impression": prepared.impression}
     _write_result(out, "vqa.json", payload, _resolved_config(args))
     return 0
 

@@ -8,6 +8,7 @@ frozen-graft contracts can be checked by content digest per prefix.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -93,15 +94,32 @@ class MultiHeadAttention:
     def _split(self, x: Tensor, b: int, l: int) -> Tensor:
         return ag.transpose(ag.reshape(x, (b, l, self.n_heads, self.dh)), (0, 2, 1, 3))
 
+    def _merge(self, att: Tensor) -> Tensor:
+        b, _, l, _ = att.shape
+        return self.o(ag.reshape(ag.transpose(att, (0, 2, 1, 3)), (b, l, self.dim)))
+
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None) -> Tensor:
         b, lq, _ = x_q.shape
         lk = x_kv.shape[1]
         q = self._split(self.q(x_q), b, lq)
         k = self._split(self.k(x_kv), b, lk)
         v = self._split(self.v(x_kv), b, lk)
-        att = ag.sdpa(q, k, v, mask=mask)
-        merged = ag.reshape(ag.transpose(att, (0, 2, 1, 3)), (b, lq, self.dim))
-        return self.o(merged)
+        return self._merge(ag.sdpa(q, k, v, mask=mask))
+
+    def extend(self, h: Tensor, past=None, causal: bool = True) -> tuple[Tensor, tuple]:
+        """Self-attention of new rows ``h`` (1, m, dim) over the cached
+        (keys, values) ``past`` (each (1, heads, n, dh), or None) and over
+        themselves, causally unless ``causal`` is False.  Returns (output rows,
+        (keys, values) of all n + m rows); inference only, ``past`` is kept."""
+        m = h.shape[1]
+        q = self._split(self.q(h), 1, m)
+        k = self._split(self.k(h), 1, m).data
+        v = self._split(self.v(h), 1, m).data
+        if past is not None:
+            k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
+        n = k.shape[2] - m
+        mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1) if causal and m > 1 else None
+        return self._merge(ag.sdpa(q, Tensor(k), Tensor(v), mask=mask)), (k, v)
 
 
 class Mlp:
@@ -126,6 +144,13 @@ class TransformerBlock:
         h = self.ln1(x)
         x = ag.add(x, self.attn(h, h, mask))
         return ag.add(x, self.mlp(self.ln2(x)))
+
+    def extend(self, x: Tensor, past) -> tuple[Tensor, tuple]:
+        """The block over new causal rows after cached (keys, values)
+        (``MultiHeadAttention.extend``); inference only."""
+        a, kv = self.attn.extend(self.ln1(x), past)
+        x = ag.add(x, a)
+        return ag.add(x, self.mlp(self.ln2(x))), kv
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +395,114 @@ class DecoderLM:
             loss = self.soft_prompt_loss(leaf, [prompt_ids], [target_ids])
         return float(loss.data), tape.gradients(loss)["_soft_prompt"][0]
 
-    def generate(self, soft_prompts, prompt_ids, max_new: int = 64) -> list[int]:
-        """Greedy decode; stops at [EOS] or after max_new tokens."""
-        ids = list(prompt_ids)
-        soft = None if soft_prompts is None else Tensor(np.asarray(soft_prompts)[None])
-        s = 0 if soft is None else soft.shape[1]
-        out: list[int] = []
-        for _ in range(max_new):
-            logits = self._run(self._embed(soft, [ids]), [s + len(ids)])
-            nxt = int(np.argmax(logits.data[0, -1]))
-            if nxt == self.cfg.eos_id:
-                break
-            out.append(nxt)
-            ids.append(nxt)
-            if s + len(ids) >= self.cfg.max_len:
-                break
-        return out
+    # -- incremental decoding (no tape)
+
+    def prefill(self, soft_prompts, prompt_ids, prefix: LmState | None = None) -> LmState:
+        """The decoding state of [soft prompts (S, dim) || prompt ids].
+
+        Given ``prefix``, a state built from the same soft prompts, its rows up
+        to the longest common prefix of the ids are reused, keeping at least
+        one prompt token to run (``LmState.cut``).
+        """
+        soft = None if soft_prompts is None else np.asarray(soft_prompts, dtype=np.float64)
+        if soft is not None and (soft.ndim != 2 or soft.shape[0] < 1
+                                 or soft.shape[1] != self.cfg.dim):
+            raise ValueError(f"soft prompts must be (S >= 1, {self.cfg.dim}), "
+                             f"got shape {soft.shape}")
+        ids = tuple(int(i) for i in prompt_ids)
+        if soft is None and not ids:
+            raise ValueError("nothing to decode from: no soft prompts (shape None) and 0 "
+                             "prompt ids")
+        if prefix is not None:
+            if (prefix.soft is None) != (soft is None) or (
+                    soft is not None and not np.array_equal(prefix.soft, soft)):
+                raise ValueError("prefix state was built from other soft prompts")
+            if ids:
+                n = 0
+                limit = min(len(prefix.ids), len(ids) - 1)
+                while n < limit and prefix.ids[n] == ids[n]:
+                    n += 1
+                return self.extend(prefix.cut(n), ids[n:])[0]
+        emb = self._embed(None if soft is None else Tensor(soft[None]), [ids])
+        return self._append(LmState(soft, (), (None,) * len(self.blocks), None), emb, ids)
+
+    def extend(self, state: LmState, ids) -> tuple[LmState, np.ndarray]:
+        """(state after ``ids``, next-token logits after its last row);
+        ``state`` itself is kept, so one state can fork into many."""
+        ids = tuple(int(i) for i in ids)
+        new = self._append(state, self.embed_tokens(np.asarray(ids, dtype=np.int64)[None]), ids)
+        return new, new.logits
+
+    def _append(self, state: LmState, emb: Tensor, ids: tuple) -> LmState:
+        n, m = state.length, emb.shape[1]
+        if m < 1:
+            raise ValueError("extend needs at least one token")
+        if n + m > self.cfg.max_len:
+            raise ValueError(f"sequence length {n + m} exceeds LM max_len {self.cfg.max_len}")
+        x = ag.add(emb, Tensor(self.pos[n : n + m]))
+        kv = []
+        for blk, past in zip(self.blocks, state.kv):
+            x, blk_kv = blk.extend(x, past)
+            kv.append(blk_kv)
+        last = ag.take(x, [m - 1], axis=1)
+        logits = self.head(self.ln_out(last)).data[0, 0]
+        return LmState(state.soft, state.ids + ids, tuple(kv), logits)
+
+    def generate(self, soft_prompts, prompt_ids, max_new: int = 64,
+                 prefix: LmState | None = None) -> list[int]:
+        """Greedy decode on a K/V cache; stops at [EOS], after max_new tokens
+        or when the context is full.  ``prefix`` is a state to fork from
+        (``prefill``)."""
+        state = self.prefill(soft_prompts, prompt_ids, prefix)
+
+        def step(token: int) -> np.ndarray:
+            nonlocal state
+            state, logits = self.extend(state, [token])
+            return logits
+
+        return greedy_decode(state.logits, step, self.cfg.eos_id, max_new,
+                             self.cfg.max_len - state.length)
+
+
+@dataclass(frozen=True, eq=False)
+class LmState:
+    """Per-block (keys, values), each (1, heads, n, dh), of the n rows
+    [soft prompts || ids], and the next-token logits after the last row
+    (None once cut).  States are never mutated."""
+
+    soft: np.ndarray | None
+    ids: tuple[int, ...]
+    kv: tuple
+    logits: np.ndarray | None
+
+    @property
+    def length(self) -> int:
+        return 0 if self.kv[0] is None else self.kv[0][0].shape[2]
+
+    def cut(self, n_ids: int) -> LmState:
+        """The state of [soft prompts || ids[:n_ids]], exact because no row
+        attends to a later one under the causal mask."""
+        n = self.length - len(self.ids) + n_ids
+        return LmState(self.soft, self.ids[:n_ids],
+                       tuple((k[:, :, :n], v[:, :, :n]) for k, v in self.kv), None)
+
+
+def greedy_decode(logits: np.ndarray, step: Callable[[int], np.ndarray], eos_id: int,
+                  max_new: int, room: int) -> list[int]:
+    """Greedy tokens from the next-token ``logits`` on; ``step(token)`` runs a
+    chosen token and returns the logits after it.  Stops at ``eos_id``, after
+    ``max_new`` tokens, or once ``room`` tokens fill the context (the first
+    token is kept even when there is no room)."""
+    out: list[int] = []
+    for _ in range(max_new):
+        nxt = int(np.argmax(logits))
+        if nxt == eos_id:
+            break
+        out.append(nxt)
+        if len(out) == max_new or len(out) >= room:
+            break
+        logits = step(nxt)
+    return out
 
 
 def save_lm(lm: DecoderLM, path) -> dict:

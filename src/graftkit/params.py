@@ -115,6 +115,24 @@ def save_checkpoint(registry: ParamRegistry, path, meta: dict | None = None) -> 
     return manifest
 
 
+def _read_manifest(path: Path, kind: str | None) -> dict:
+    manifest = json.loads(path.read_text())
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"checkpoint manifest version {manifest.get('version')!r} "
+                         f"!= supported {MANIFEST_VERSION}")
+    meta = manifest.get("meta", {})
+    if kind is not None and meta.get("kind") != kind:
+        article = "an" if kind[0] in "aeilo" else "a"  # "an elixr-c", "an lm"
+        raise ValueError(f"not {article} {kind} checkpoint: kind={meta.get('kind')!r}")
+    return manifest
+
+
+def checkpoint_meta(path, kind: str | None = None) -> dict:
+    """A checkpoint's meta, after the manifest checks of ``load_checkpoint``;
+    the blob is not read."""
+    return _read_manifest(Path(path), kind).get("meta", {})
+
+
 def load_checkpoint(path, kind: str | None = None
                     ) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]:
     """Read a manifest + blob; returns (meta, values, frozen flags).
@@ -126,14 +144,8 @@ def load_checkpoint(path, kind: str | None = None
     no trailing bytes).
     """
     path = Path(path)
-    manifest = json.loads(path.read_text())
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"checkpoint manifest version {manifest.get('version')!r} "
-                         f"!= supported {MANIFEST_VERSION}")
+    manifest = _read_manifest(path, kind)
     meta = manifest.get("meta", {})
-    if kind is not None and meta.get("kind") != kind:
-        article = "an" if kind[0] in "aeilo" else "a"  # "an elixr-c", "an lm"
-        raise ValueError(f"not {article} {kind} checkpoint: kind={meta.get('kind')!r}")
     blob = path.with_suffix(path.suffix + ".bin").read_bytes()
     got = hashlib.sha256(blob).hexdigest()
     if got != manifest["blob_sha256"]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import templates as T
 from .corpus import SyntheticStudy, swap_laterality_words, tokenize, detokenize
-from .vqa import ElixrBundle, run_vqa
+from .vqa import ElixrBundle
 
 @dataclass
 class QaCase:
@@ -139,15 +139,19 @@ class QaResult:
 
 def default_reviewer(bundle: ElixrBundle):
     """Text-in/text-out endpoint backed by the frozen desk-scale LM; any
-    conforming callable can replace it."""
+    conforming callable can replace it.  It keeps the LM state of the last
+    prompt it saw, so a prompt sharing a header with it runs only the rest."""
+    last = None
 
     def review(prompt: str) -> str:
+        nonlocal last
         ids = tokenize(prompt, bundle.vocab, max_len=None, lead=None)
         limit = bundle.lm.cfg.max_len
         if len(ids) + 16 > limit:
             raise ValueError(f"reviewer prompt of {len(ids)} tokens plus 16 answer tokens "
                              f"exceeds the LM context of {limit} tokens")
-        out = bundle.lm.generate(None, ids, max_new=32)
+        last = bundle.lm.prefill(None, ids, prefix=last)
+        out = bundle.lm.generate(None, ids, max_new=32, prefix=last)
         return detokenize(out, bundle.vocab)
 
     return review
@@ -163,7 +167,8 @@ def run_qa_pipeline(study: SyntheticStudy, altered_impression: str,
     """Ask all 12 questions about the image, then have the reviewer LM diff
     the assessment against the altered impression (both prompt templates)."""
     reviewer = reviewer or default_reviewer(bundle)
-    answers = [run_vqa(study.image, q, bundle) for q in T.QA_QUESTIONS]
+    prepared = bundle.prepare(study.image)
+    answers = [bundle.answer(prepared, q) for q in T.QA_QUESTIONS]
     assessment = assessment_text(answers)
     prompt_missing, prompt_added = T.make_reviewer_prompts(assessment, altered_impression)
     resp_missing = reviewer(prompt_missing)

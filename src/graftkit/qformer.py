@@ -14,7 +14,7 @@ from .autograd import Tape, Tensor
 from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
 from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
-                 key_padding_mask, next_token_targets, pad_batch, sinusoid_table,
+                 greedy_decode, key_padding_mask, next_token_targets, pad_batch, sinusoid_table,
                  symmetric_cross_entropy)
 from .optim import Adam
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
@@ -282,22 +282,49 @@ def zero_shot_score_b(grid_tokens: np.ndarray, prompt_set, model: QFormerModel, 
                                     model, vocab)[0])
 
 
+def itg_decoder(grid_tokens: np.ndarray, model: QFormerModel):
+    """Step function of grounded decoding on one (G, grid_dim) grid:
+    ``step(token)`` runs the next text token and returns the ITG logits after
+    it.
+
+    Under the ITG mask the queries never attend to text, so the query stream
+    and its per-block self-attention keys and values are computed once here;
+    each step then runs only the new text row over them.
+    """
+    grid = Tensor(np.asarray(grid_tokens, dtype=np.float64)[None])
+    if model.grid_proj is not None:
+        grid = model.grid_proj(grid)
+    x = ag.take(model.queries, np.arange(model.cfg.n_queries)[None])
+    kv = []
+    for blk in model.blocks:
+        a, blk_kv = blk.self_attn.extend(blk.ln1(x), causal=False)
+        kv.append(blk_kv)
+        x = ag.add(x, a)
+        x = ag.add(x, blk.cross_attn(blk.ln_x(x), grid))
+        x = ag.add(x, blk.mlp(blk.ln2(x)))
+    n_text = 0
+
+    def step(token: int) -> np.ndarray:
+        nonlocal n_text
+        t = ag.add(ag.take(model.tok, [[token]]), Tensor(model.pos[n_text : n_text + 1]))
+        n_text += 1
+        for i, blk in enumerate(model.blocks):
+            a, kv[i] = blk.self_attn.extend(blk.ln1(t), kv[i])
+            t = ag.add(t, a)
+            t = ag.add(t, blk.mlp(blk.ln2(t)))
+        return model.itg_head(model.ln_out(t)).data[0, 0]
+
+    return step
+
+
 def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab,
                         max_len: int = 64) -> str:
-    """Greedy grounded decoding from [BOS] until [EOS] (deterministic)."""
-    bos, eos = vocab.id("[BOS]"), vocab.id("[EOS]")
-    ids = [bos]
-    for _ in range(max_len):
-        arr = np.asarray(ids, dtype=np.int64)[None]
-        _, t_out = model.forward(grid_tokens[None], arr, [arr.shape[1]], mode="itg")
-        logits = model.itg_head(t_out).data[0, -1]
-        nxt = int(np.argmax(logits))
-        if nxt == eos:
-            break
-        ids.append(nxt)
-        if len(ids) >= model.cfg.text_max_len:
-            break
-    return detokenize(ids[1:], vocab)
+    """Greedy grounded decoding from [BOS] until [EOS] (deterministic), on
+    ``itg_decoder``."""
+    step = itg_decoder(grid_tokens, model)
+    out = greedy_decode(step(vocab.id("[BOS]")), step, vocab.id("[EOS]"), max_len,
+                        model.cfg.text_max_len - 1)
+    return detokenize(out, vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from . import templates as T
 from .clip_stage import ClipModel
 from .corpus import Vocab, detokenize, tokenize
-from .nn import DecoderLM
+from .nn import DecoderLM, LmState
 from .qformer import Phase2Bridge, QFormerModel, generate_impression, soft_prompts_for_grid
 
 
@@ -43,6 +43,44 @@ class ElixrBundle:
     def impression_for(self, image: np.ndarray) -> str:
         return generate_impression(self.grid_for(image), self.qformer_impression, self.vocab)
 
+    def prepare(self, image: np.ndarray) -> "PreparedImage":
+        """Everything the questions about one image share, computed once: the
+        grid (one encoder pass feeds both adapters), the impression, the soft
+        prompts and the LM state of the dialog up to the question."""
+        grid = self.grid_for(image)
+        impression = generate_impression(grid, self.qformer_impression, self.vocab)
+        dialog = tokenize(vqa_prompt_body(impression, ""), self.vocab, max_len=None, lead=None)
+        self._check_vqa_prompt(dialog)
+        soft = soft_prompts_for_grid(self.qformer_aligned, self.bridge, grid)
+        return PreparedImage(grid, impression, soft, self.lm.prefill(soft, dialog))
+
+    def _check_vqa_prompt(self, prompt_ids) -> None:
+        """Reject a prompt that does not fit the LM context next to the soft
+        prompts, rather than truncate it."""
+        n_soft, limit = self.qformer_aligned.cfg.n_queries, self.lm.cfg.max_len
+        if n_soft + len(prompt_ids) > limit:
+            raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft "
+                             f"prompts exceeds the LM context of {limit} tokens")
+
+    def answer(self, prepared: "PreparedImage", question: str, max_new: int = 64) -> str:
+        """Greedy answer from the frozen LM, forked from the prepared dialog."""
+        body = vqa_prompt_body(prepared.impression, question)
+        prompt_ids = tokenize(body, self.vocab, max_len=None, lead=None)
+        self._check_vqa_prompt(prompt_ids)
+        answer_ids = self.lm.generate(prepared.soft, prompt_ids, max_new=max_new,
+                                      prefix=prepared.dialog)
+        return detokenize(answer_ids, self.vocab)
+
+
+@dataclass(frozen=True)
+class PreparedImage:
+    """Per-image VQA inputs (``ElixrBundle.prepare``)."""
+
+    grid: np.ndarray
+    impression: str
+    soft: np.ndarray
+    dialog: LmState
+
 
 def vqa_prompt_body(impression: str, question: str) -> str:
     """Dialog text after the aligned-tokens marker line (which the soft
@@ -55,19 +93,8 @@ def run_vqa(image: np.ndarray, question: str, bundle: ElixrBundle,
             max_new: int = 64) -> str:
     """Impression from phase 1, aligned tokens from phase 2, answer from the
     frozen LM; deterministic given checkpoints.  A prompt that does not fit
-    the LM context next to the soft prompts is rejected, not truncated.
-    The image is encoded once; its grid feeds both adapters."""
-    grid = bundle.grid_for(image)
-    impression = generate_impression(grid, bundle.qformer_impression, bundle.vocab)
-    body = vqa_prompt_body(impression, question)
-    prompt_ids = tokenize(body, bundle.vocab, max_len=None, lead=None)
-    n_soft, limit = bundle.qformer_aligned.cfg.n_queries, bundle.lm.cfg.max_len
-    if n_soft + len(prompt_ids) > limit:
-        raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft prompts "
-                         f"exceeds the LM context of {limit} tokens")
-    soft = soft_prompts_for_grid(bundle.qformer_aligned, bundle.bridge, grid)
-    answer_ids = bundle.lm.generate(soft, prompt_ids, max_new=max_new)
-    return detokenize(answer_ids, bundle.vocab)
+    the LM context next to the soft prompts is rejected, not truncated."""
+    return bundle.answer(bundle.prepare(image), question, max_new=max_new)
 
 
 _PUNCT = re.compile(r"[^\w\s\-']")

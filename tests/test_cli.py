@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graftkit import vqa as vqa_mod
 from graftkit.cli import checkpoint_roundtrip, main
 from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel
 from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, save_corpus
 from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, save_lm
 from graftkit.params import ParamRegistry, save_checkpoint
-from graftkit.qformer import QFormerConfig, QFormerModel
+from graftkit.qformer import Phase2Bridge, QFormerConfig, QFormerModel, save_phase2
 
 
 def run_cli(args, **kw):
@@ -286,3 +287,54 @@ def test_cli_chain_end_to_end(tmp_path):
     for args, result in steps:
         assert run_cli([*args, "--out", str(out)]) == 0, args[0]
         assert json.loads((out / result).read_text())["result"], args[0]
+
+
+def _vqa_checkpoints(tmp_path, lm_seed=0):
+    """A saved corpus, CLIP, phase-1 Q-Former and phase-2 pair trained (by
+    manifest) against ``tiny_lm``, and an LM made from ``lm_seed``; returns
+    the ``graftkit vqa`` arguments."""
+    corpus = generate_corpus(3, CorpusSpec(n_studies=4))
+    save_corpus(corpus, tmp_path / "corpus")
+    vocab = corpus.vocab
+    tiny_clip(vocab).save(tmp_path / "clip.ckpt")
+    qf = QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
+                                    vocab_size=len(vocab)), seed=0)
+    qf.save(tmp_path / "b1.ckpt")
+    bridge_reg = ParamRegistry()
+    bridge = Phase2Bridge(bridge_reg, 16, 16, 16, np.random.default_rng(1))
+    save_phase2(qf, bridge, bridge_reg, tmp_path / "b2.ckpt", tmp_path / "bridge.ckpt",
+                lm_digest=tiny_lm(vocab).digest())
+    lm = tiny_lm(vocab)
+    if lm_seed:
+        lm = DecoderLM(ParamRegistry(), lm.cfg, np.random.default_rng(lm_seed))
+        lm.freeze()
+    save_lm(lm, tmp_path / "lm.ckpt")
+    return ["vqa", "--corpus", str(tmp_path / "corpus"), "--clip", str(tmp_path / "clip.ckpt"),
+            "--b1", str(tmp_path / "b1.ckpt"), "--b2", str(tmp_path / "b2.ckpt"),
+            "--bridge", str(tmp_path / "bridge.ckpt"), "--lm", str(tmp_path / "lm.ckpt"),
+            "--study", "1", "--question", "Is a pneumothorax present?",
+            "--out", str(tmp_path / "o")]
+
+
+def test_vqa_decodes_the_impression_once(tmp_path, monkeypatch):
+    args = _vqa_checkpoints(tmp_path)
+    impressions = []
+    original = vqa_mod.generate_impression
+
+    def counting(*a, **k):
+        impressions.append(original(*a, **k))
+        return impressions[-1]
+
+    monkeypatch.setattr(vqa_mod, "generate_impression", counting)
+    assert run_cli(args) == 0
+    doc = json.loads((tmp_path / "o" / "vqa.json").read_text())
+    assert len(impressions) == 1 and doc["result"]["impression"] == impressions[0]
+
+
+def test_vqa_rejects_a_phase2_pair_trained_against_another_lm(tmp_path, capsys):
+    args = _vqa_checkpoints(tmp_path, lm_seed=5)
+    want = tiny_lm(build_vocab()).digest()
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert f"--b2 checkpoint was trained against LM digest {want}, but --lm has digest" in err
+    assert not (tmp_path / "o" / "vqa.json").exists()

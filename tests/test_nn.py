@@ -1,13 +1,15 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
     DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
-    causal_mask, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
+    causal_mask, greedy_decode, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
     symmetric_cross_entropy,
 )
 from graftkit.params import ParamRegistry
@@ -267,6 +269,175 @@ def test_lm_generate_terminates_and_deterministic():
     soft = np.random.default_rng(0).normal(0, 0.1, (2, 32))
     out3 = lm.generate(soft, [4, 5], max_new=64)
     assert len(out3) <= 64
+
+
+# -- incremental decoding against the full-sequence path (``DecoderLM._run``)
+
+
+def _full_logits(lm, soft, ids):
+    """(S + L, vocab) logits of [soft || ids] from one full-sequence pass."""
+    soft_t = None if soft is None else Tensor(np.asarray(soft)[None])
+    n = (0 if soft is None else len(soft)) + len(ids)
+    return lm._run(lm._embed(soft_t, [list(ids)]), [n]).data[0]
+
+
+def _reference_generate(lm, soft, prompt_ids, max_new=64):
+    """Greedy decoding that reruns the whole sequence for every new token."""
+    ids = list(prompt_ids)
+    s = 0 if soft is None else len(soft)
+    out = []
+    for _ in range(max_new):
+        nxt = int(np.argmax(_full_logits(lm, soft, ids)[-1]))
+        if nxt == lm.cfg.eos_id:
+            break
+        out.append(nxt)
+        ids.append(nxt)
+        if s + len(ids) >= lm.cfg.max_len:
+            break
+    return out
+
+
+def _prompt_set():
+    """(soft prompts or None, prompt ids) pairs: no soft prompts, soft prompts
+    only, both, one token, and a prompt that nearly fills the context."""
+    rng = np.random.default_rng(11)
+    soft = lambda s: rng.normal(0, 0.1, (s, 32))
+    return [(None, [4]), (None, [4, 5, 6, 7]), (soft(3), []), (soft(2), [9]),
+            (soft(4), list(rng.integers(4, 30, 17))), (None, list(rng.integers(4, 30, 40))),
+            (soft(2), list(rng.integers(4, 30, 60)))]
+
+
+def test_prefill_and_extend_logits_match_the_full_sequence_pass():
+    _, lm = make_lm()
+    for soft, ids in _prompt_set():
+        full = _full_logits(lm, soft, ids)
+        state = lm.prefill(soft, ids)
+        assert state.length == len(full)
+        assert np.max(np.abs(state.logits - full[-1])) < 1e-9
+        for tail in ([7], [8, 9, 10]):
+            if state.length + len(tail) <= lm.cfg.max_len:
+                _, logits = lm.extend(state, tail)
+                assert np.max(np.abs(logits - _full_logits(lm, soft, [*ids, *tail])[-1])) < 1e-9
+
+
+def test_generate_equals_full_recompute_reference():
+    _, lm = make_lm()
+    for soft, ids in _prompt_set():
+        for max_new in (1, 5, 64):
+            assert lm.generate(soft, ids, max_new) == _reference_generate(lm, soft, ids, max_new)
+
+
+def test_extend_keeps_its_input_state():
+    _, lm = make_lm()
+    state = lm.prefill(None, [4, 5, 6])
+    before = [(k.copy(), v.copy()) for k, v in state.kv]
+    logits = state.logits.copy()
+    lm.extend(state, [7, 8])
+    lm.extend(state.cut(1), [9])
+    assert state.ids == (4, 5, 6) and np.array_equal(state.logits, logits)
+    assert all(np.array_equal(k, k0) and np.array_equal(v, v0)
+               for (k, v), (k0, v0) in zip(state.kv, before))
+
+
+def test_a_forked_state_equals_a_fresh_prefill():
+    _, lm = make_lm()
+    rng = np.random.default_rng(4)
+    soft = rng.normal(0, 0.1, (3, 32))
+    head, branch, other = ([int(i) for i in rng.integers(4, 30, n)] for n in (12, 8, 6))
+    fresh = lm.prefill(soft, head)
+    # cutting is exact: a state grown from ``head`` and cut back is ``head``'s state
+    grown = lm.extend(fresh, branch)[0].cut(len(head))
+    assert grown.ids == fresh.ids and grown.length == fresh.length
+    a, b = lm.extend(grown, other)[1], lm.extend(fresh, other)[1]
+    assert a.tobytes() == b.tobytes()
+    assert (lm.generate(soft, head + other, 20, prefix=grown)
+            == lm.generate(soft, head + other, 20, prefix=fresh))
+    # a fork of a longer prefill reuses rows computed over more (masked) keys:
+    # equal tokens, logits equal to rounding
+    longer = lm.prefill(soft, head + branch)
+    forked = lm.prefill(soft, head + other, prefix=longer)
+    assert np.max(np.abs(forked.logits - lm.prefill(soft, head + other).logits)) < 1e-12
+    assert (lm.generate(soft, head + other, 20, prefix=longer)
+            == lm.generate(soft, head + other, 20) == _reference_generate(lm, soft, head + other,
+                                                                          20))
+
+
+def test_generate_prefix_keeps_one_prompt_token_to_run():
+    _, lm = make_lm()
+    state = lm.prefill(None, [4, 5, 6])
+    calls = []
+    original = lm.extend
+
+    def counting(st, ids):
+        calls.append((st.length, tuple(ids)))
+        return original(st, ids)
+
+    lm.extend = counting
+    assert lm.generate(None, [4, 5, 6], 1, prefix=state) == lm.generate(None, [4, 5, 6], 1)
+    assert calls[0] == (2, (6,))  # the same prompt re-runs its last token only
+    calls.clear()
+    lm.generate(None, [4, 9, 6], 1, prefix=state)
+    assert calls[0] == (1, (9, 6))
+
+
+def test_generate_prefix_from_other_soft_prompts_raises():
+    _, lm = make_lm()
+    soft = np.random.default_rng(0).normal(0, 0.1, (2, 32))
+    state = lm.prefill(soft, [4, 5])
+    for other in (soft + 1.0, None):
+        with pytest.raises(ValueError, match="prefix state was built from other soft prompts"):
+            lm.generate(other, [4, 5, 6], 3, prefix=state)
+    with pytest.raises(ValueError, match="other soft prompts"):
+        lm.generate(soft, [4], 3, prefix=lm.prefill(None, [4]))
+
+
+def test_prefill_rejects_bad_soft_prompts_and_empty_sequences():
+    _, lm = make_lm()
+    for bad in (np.zeros((2, 16)), np.zeros((0, 32)), np.zeros(32), np.zeros((1, 2, 32))):
+        with pytest.raises(ValueError, match=re.escape(f"soft prompts must be (S >= 1, 32), "
+                                                       f"got shape {bad.shape}")):
+            lm.generate(bad, [4, 5], 3)
+    with pytest.raises(ValueError, match=r"no soft prompts \(shape None\) and 0 prompt ids"):
+        lm.generate(None, [], 3)
+    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
+        lm.generate(np.zeros((1, 32)), [4 + i % 20 for i in range(64)], 3)
+    long_ids = [4 + i % 20 for i in range(65)]
+    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
+        lm.generate(None, long_ids, 3, prefix=lm.prefill(None, long_ids[:5]))
+
+
+def test_greedy_decode_stops_at_eos_max_new_and_room():
+    seq = iter([1, 2, 3, 0])
+
+    def step(token):
+        logits = np.zeros(5)
+        logits[next(seq)] = 1.0
+        return logits
+
+    first = np.eye(5)[4]
+    assert greedy_decode(first, step, eos_id=0, max_new=10, room=10) == [4, 1, 2, 3]
+    seq = iter([1, 2, 3, 0])
+    assert greedy_decode(first, step, eos_id=0, max_new=2, room=10) == [4, 1]
+    seq = iter([1, 2, 3, 0])
+    assert greedy_decode(first, step, eos_id=0, max_new=10, room=3) == [4, 1, 2]
+    assert greedy_decode(first, step, eos_id=0, max_new=10, room=0) == [4]
+    assert greedy_decode(first, step, eos_id=4, max_new=10, room=10) == []
+
+
+@given(st.lists(st.integers(0, 29), min_size=0, max_size=24), st.integers(0, 3),
+       st.integers(1, 12), st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_cached_decoding_matches_full_recompute_property(ids, n_soft, max_new, seed):
+    if n_soft + len(ids) == 0:
+        ids = [5]
+    _, lm = make_lm(max_len=40)
+    soft = np.random.default_rng(seed).normal(0, 0.5, (n_soft, 32)) if n_soft else None
+    state = lm.prefill(soft, ids)
+    assert np.max(np.abs(state.logits - _full_logits(lm, soft, ids)[-1])) < 1e-9
+    assert lm.generate(soft, ids, max_new) == _reference_generate(lm, soft, ids, max_new)
+    if len(ids) > 1:  # forked from a state of the first half of the prompt
+        prefix = lm.prefill(soft, ids[: len(ids) // 2])
+        assert lm.generate(soft, ids, max_new, prefix=prefix) == lm.generate(soft, ids, max_new)
 
 
 def test_embeddings_equal_onehot_products_bitwise():

@@ -4,12 +4,12 @@ import pytest
 import graftkit.autograd as ag
 from graftkit.autograd import Tape, Tensor
 from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet
-from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, tokenize
+from graftkit.corpus import CorpusSpec, build_vocab, detokenize, generate_corpus, tokenize
 from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
     Phase1Config, Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, generate_impression,
-    itc_loss, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_eval, phase1_train,
+    itc_loss, itg_decoder, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_eval, phase1_train,
     phase2_eval, phase2_step, soft_prompts_for_grid, zero_shot_score_b,
 )
 from graftkit.stats import auc
@@ -352,6 +352,46 @@ def test_generate_impression_deterministic_and_bounded():
     b = generate_impression(grid, model, vocab)
     assert a == b
     assert len(a.split()) <= 64
+
+
+def _reference_impression(grid, model, vocab, max_len=64):
+    """Greedy grounded decoding that reruns queries and text every step."""
+    ids = [vocab.id("[BOS]")]
+    for _ in range(max_len):
+        arr = np.asarray(ids)[None]
+        _, t_out = model.forward(grid[None], arr, [arr.shape[1]], mode="itg")
+        nxt = int(np.argmax(model.itg_head(t_out).data[0, -1]))
+        if nxt == vocab.id("[EOS]"):
+            break
+        ids.append(nxt)
+        if len(ids) >= model.cfg.text_max_len:
+            break
+    return detokenize(ids[1:], vocab)
+
+
+@pytest.mark.parametrize("grid_dim", [16, 12])
+def test_itg_decoder_logits_match_the_itg_forward(grid_dim):
+    model = QFormerModel(tiny_cfg(grid_dim=grid_dim), seed=2)
+    rng = np.random.default_rng(9)
+    for n in (1, 5, model.cfg.text_max_len):
+        grid = rng.normal(0, 1, (4, grid_dim))
+        tokens = rng.integers(0, 40, n)
+        _, t_out = model.forward(grid[None], tokens[None], [n], mode="itg")
+        full = model.itg_head(t_out).data[0]
+        step = itg_decoder(grid, model)
+        cached = np.stack([step(int(t)) for t in tokens])
+        assert np.max(np.abs(cached - full)) < 1e-9
+
+
+def test_generate_impression_equals_full_recompute_reference():
+    vocab = build_vocab()
+    for seed, text_max_len in ((1, 24), (3, 24), (4, 6)):
+        model = QFormerModel(tiny_cfg(vocab=len(vocab), text_max_len=text_max_len), seed=seed)
+        for g in range(3):
+            grid = rand_grids(1, model.cfg, seed=10 * seed + g)[0] * 3.0
+            for max_len in (2, 64):
+                assert (generate_impression(grid, model, vocab, max_len)
+                        == _reference_impression(grid, model, vocab, max_len))
 
 
 def test_qformer_checkpoint_roundtrip(tmp_path, model):

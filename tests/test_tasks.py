@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from graftkit import templates as T
+from graftkit import vqa as vqa_mod
 from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c,
                                  zero_shot_scores_c)
 from graftkit.corpus import (CorpusSpec, Finding, build_vocab, generate_corpus, generate_study,
                              tokenize)
-from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, pool_grid
+from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pool_grid
 from graftkit.params import ParamRegistry
 from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
                             embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, default_reviewer, grade_qa_case,
-                         load_grades_csv, save_grades_csv)
+                         load_grades_csv, run_qa_pipeline, save_grades_csv)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, precompute_grids,
                               zero_shot_score_b, zero_shot_scores_b)
 from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval,
@@ -666,3 +667,32 @@ def test_run_vqa_rejects_prompt_over_the_context(small_world):
     long_question = "is there " + "a very large " * 200 + "effusion ?"
     with pytest.raises(ValueError, match=r"VQA prompt of \d+ tokens plus 3 soft prompts"):
         run_vqa(image, long_question, _vqa_bundle(small_world, 448))
+
+
+def test_qa_case_prepares_the_image_once_and_forks_every_question(small_world, monkeypatch):
+    corpus, clip, qf, _, _ = small_world
+    bundle = _vqa_bundle(small_world, 1400)  # room for 12 answers of up to 64 tokens
+    study = corpus.studies[1]
+    expected = [run_vqa(study.image, q, bundle) for q in T.QA_QUESTIONS]
+    calls = {"impression": 0, "encoder": 0, "vqa": 0, "reviewer": 0}
+    impression, forward, generate = vqa_mod.generate_impression, ImageEncoder.forward, \
+        DecoderLM.generate
+
+    def counting_impression(*args, **kwargs):
+        calls["impression"] += 1
+        return impression(*args, **kwargs)
+
+    def counting_forward(self, images):
+        calls["encoder"] += 1
+        return forward(self, images)
+
+    def counting_generate(self, soft, *args, **kwargs):
+        calls["reviewer" if soft is None else "vqa"] += 1
+        return generate(self, soft, *args, **kwargs)
+
+    monkeypatch.setattr(vqa_mod, "generate_impression", counting_impression)
+    monkeypatch.setattr(ImageEncoder, "forward", counting_forward)
+    monkeypatch.setattr(DecoderLM, "generate", counting_generate)
+    result = run_qa_pipeline(study, study.report_impression, bundle)
+    assert calls == {"impression": 1, "encoder": 1, "vqa": 12, "reviewer": 2}
+    assert result.answers == expected
