@@ -5,9 +5,12 @@ replays the node list in reverse, accumulating vector-Jacobian products in a
 single fixed order so repeated runs are bit-identical.  With no tape active,
 ops run eagerly as plain numpy and build no graph (inference mode).
 
-Primitives: matmul, add, mul, transpose, reshape, concat, take, layer_norm,
-gelu, softmax, cross_entropy, masked scaled-dot-product attention, reduce
-mean/sum/max, l2_normalize.  Everything else is composed from these.
+Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
+concat, take, layer_norm, gelu, softmax, cross_entropy, masked
+scaled-dot-product attention, reduce mean/sum/max, l2_normalize.  Everything
+else is composed from these.  No primitive writes to its inputs or to the
+gradient its VJP receives; in-place numpy work happens only on buffers the
+primitive allocated itself.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
-    if not np.all(np.isfinite(out.data)):
+    if not np.isfinite(out.data).all():
         raise FloatingPointError("non-finite values produced by an op")
     tape = _tape_state.current
     if tape is None:
@@ -191,6 +194,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for ``x`` (..., d_in), ``w`` (d_in, d_out), ``b`` (d_out,):
+    one tape node and one output buffer, bitwise equal to
+    ``add(matmul(x, w), b)``.  The weight gradient is one 2-D GEMM over all
+    leading axes, and gradients are computed only for inputs that need one."""
+    if x.ndim < 2:
+        raise ValueError("linear requires ndim >= 2 input")
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y)
+    d_in, d_out = w.shape
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def vjp(g):
+        g2 = g.reshape(-1, d_out)
+        gx = gw = gb = None
+        if need_x:
+            gx = np.empty(x.shape)
+            np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
+        if need_w:
+            gw = x.data.reshape(-1, d_in).T @ g2
+        if need_b:
+            gb = g2.sum(axis=0)
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), vjp)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
     out = Tensor(np.transpose(a.data, axes))
     if axes is None:
@@ -236,24 +267,34 @@ def take(x: Tensor, idx, axis: int = 0) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x.data * cdf)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        gx = x.data * -0.5
+        gx *= x.data
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT2PI  # the pdf
+        gx *= x.data
+        gx += cdf
+        gx *= g
+        return (gx,)
 
     return _record(out, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
     n = x.shape[-1]
 
     def vjp(g):
@@ -304,18 +345,22 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
         m = np.ones(lg.shape[0], dtype=np.float64)
     else:
         m = np.asarray(mask, dtype=np.float64)
+        if m.shape != (lg.shape[0],):
+            raise ValueError(f"cross_entropy mask has shape {m.shape}; "
+                             f"expected one entry per logits row ({lg.shape[0]},)")
     nsel = m.sum()
     if nsel <= 0:
         raise ValueError("cross_entropy mask selects no positions")
 
-    shifted = lg - lg.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + lg.max(axis=1)
+    mx = lg.max(axis=1, keepdims=True)
+    e = np.exp(lg - mx)
+    z = e.sum(axis=1, keepdims=True)
+    lse = np.log(z[:, 0]) + mx[:, 0]
     nll = lse - lg[np.arange(lg.shape[0]), tgt]
     out = Tensor(np.asarray((nll * m).sum() / nsel))
 
     def vjp(g):
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / z
         p[np.arange(lg.shape[0]), tgt] -= 1.0
         grad = p * (m / nsel)[:, None] * g
         return (grad[0] if squeeze else grad,)
@@ -331,19 +376,24 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None, scale: float | None = None)
     """
     dh = q.shape[-1]
     sc = scale if scale is not None else 1.0 / np.sqrt(dh)
-    att_logits = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * sc
+    # the softmax runs in place in the logits buffer
+    att = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    att *= sc
     if mask is not None:
-        att_logits = att_logits + mask
-    att_logits = att_logits - att_logits.max(axis=-1, keepdims=True)
-    e = np.exp(att_logits)
-    att = e / e.sum(axis=-1, keepdims=True)
+        att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     out = Tensor(np.matmul(att, v.data))
 
     def vjp(g):
         gv = np.matmul(np.swapaxes(att, -1, -2), g)
-        g_att = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        dot = (g_att * att).sum(axis=-1, keepdims=True)
-        g_logits = (g_att - dot) * att * sc
+        # rowsum(dA * A) == rowsum(dO * O): an (L, dh) product, not an (L, L) one
+        dot = (g * out.data).sum(axis=-1, keepdims=True)
+        g_logits = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        g_logits -= dot
+        g_logits *= att
+        g_logits *= sc
         gq = np.matmul(g_logits, k.data)
         gk = np.matmul(np.swapaxes(g_logits, -1, -2), q.data)
         return (
@@ -382,14 +432,13 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max over one axis; ties route gradient to the first occurrence."""
-    out_data = x.data.max(axis=axis)
-    out = Tensor(out_data)
-    arg = x.data.argmax(axis=axis)
-    onehot = np.zeros_like(x.data)
-    np.put_along_axis(onehot, np.expand_dims(arg, axis), 1.0, axis=axis)
+    arg = np.expand_dims(x.data.argmax(axis=axis), axis)
+    out = Tensor(np.take_along_axis(x.data, arg, axis=axis).squeeze(axis))
 
     def vjp(g):
-        return (onehot * np.expand_dims(g, axis),)
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, arg, np.expand_dims(g, axis), axis=axis)
+        return (gx,)
 
     return _record(out, (x,), vjp)
 

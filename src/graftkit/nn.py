@@ -69,7 +69,7 @@ class Linear:
         self.b = reg.param(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.matmul(x, self.w), self.b)
+        return ag.linear(x, self.w, self.b)
 
 
 class LayerNorm:

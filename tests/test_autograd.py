@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor, finite_diff_check
+from graftkit.nn import Linear
+from graftkit.params import ParamRegistry
 
 
 def make_param(name, shape, seed=0, frozen=False):
@@ -45,6 +48,14 @@ def test_cross_entropy_values():
     assert abs(ag.cross_entropy(Tensor([1.0, 0.0]), 0).item() - np.log(1 + np.exp(-1))) < 1e-12
     assert ag.cross_entropy(Tensor([100.0, 0.0]), 0).item() < 1e-9
     assert ag.cross_entropy(Tensor([100.0, 0.0]), 0).item() >= 0.0
+
+
+@pytest.mark.parametrize("mask", [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], np.ones((3, 1))])
+def test_cross_entropy_rejects_mask_of_wrong_shape(mask):
+    # a length-1 mask used to broadcast silently over every row
+    logits = Tensor(np.arange(9.0).reshape(3, 3))
+    with pytest.raises(ValueError, match=r"mask has shape \(.*\).*\(3,\)"):
+        ag.cross_entropy(logits, [0, 1, 2], mask=np.asarray(mask))
 
 
 def test_cross_entropy_target_out_of_range():
@@ -213,6 +224,145 @@ def test_concat_gradient():
         return ag.reduce_sum(ag.mul(ag.concat([a, b], axis=0), Tensor(np.linspace(0, 2, 18).reshape(6, 3))))
 
     assert finite_diff_check(f, [a, b]) < 1e-8
+
+
+def test_linear_gradient_2d_and_3d_trainable_and_frozen():
+    for x_shape in [(3, 4), (2, 3, 4)]:
+        for frozen in (False, True):
+            for seed in range(5):
+                x = make_param("x", x_shape, seed=seed)
+                w = make_param("w", (4, 5), seed=seed + 50, frozen=frozen)
+                b = make_param("b", (5,), seed=seed + 90, frozen=frozen)
+                proj = Tensor(np.linspace(-1, 1, x.data.size // 4 * 5).reshape(x_shape[:-1] + (5,)))
+
+                def f():
+                    return ag.reduce_sum(ag.mul(ag.linear(x, w, b), proj))
+
+                assert finite_diff_check(f, [x, w, b], seed=seed) < 1e-6
+                with Tape() as tape:
+                    loss = f()
+                assert set(tape.gradients(loss)) == ({"x"} if frozen else {"x", "w", "b"})
+
+
+def test_sdpa_gradient_with_key_padding_mask():
+    lengths = np.array([5, 3])
+    mask = np.where(np.arange(5)[None, :] < lengths[:, None], 0.0, -1e9)[:, None, None, :]  # (B, 1, 1, L)
+    for seed in range(10):
+        q = make_param("q", (2, 2, 3, 4), seed=seed)
+        k = make_param("k", (2, 2, 5, 4), seed=seed + 50)
+        v = make_param("v", (2, 2, 5, 4), seed=seed + 90)
+        proj = Tensor(np.linspace(-1, 1, 48).reshape(2, 2, 3, 4))
+
+        def f():
+            return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), proj))
+
+        assert finite_diff_check(f, [q, k, v], seed=seed, max_coords=80) < 1e-4
+    with Tape() as tape:
+        loss = f()
+    grads = tape.gradients(loss)
+    # the second row's padded keys receive no attention, hence no gradient
+    assert not grads["k"][1, :, 3:].any() and not grads["v"][1, :, 3:].any()
+
+
+def test_taped_linear_is_one_node():
+    reg = ParamRegistry()
+    lin = Linear(reg, "fc", 4, 3, np.random.default_rng(0))
+    with Tape() as tape:
+        lin(Tensor(np.ones((2, 5, 4))))
+    assert len(tape.nodes) == 1
+
+
+# The compositions the fused / in-place primitives replaced: their forwards
+# must stay bitwise equal to these.
+
+def ref_linear(x, w, b):
+    return ag.add(ag.matmul(x, w), b).data
+
+
+def ref_gelu(x):
+    cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+    return x.data * cdf
+
+
+def ref_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (xc * inv) * gain.data + bias.data
+
+
+def ref_sdpa(q, k, v, mask):
+    att_logits = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        att_logits = att_logits + mask
+    att_logits = att_logits - att_logits.max(axis=-1, keepdims=True)
+    e = np.exp(att_logits)
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), v.data)
+
+
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 24))
+
+
+@given(shapes, st.integers(1, 24), st.floats(0.01, 30.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fused_forwards_bitwise_equal_old_compositions(shape, d_out, spread, seed):
+    rng = np.random.default_rng(seed)
+    b, l, d = shape
+    x = Tensor(rng.normal(0, spread, (b, l, d)))
+    w, bias, gain, shift = (Tensor(rng.normal(0, 1, s)) for s in [(d, d_out), (d_out,), (d,), (d,)])
+    for xs in (x, Tensor(x.data[0])):  # 3-D and 2-D
+        assert np.array_equal(ag.linear(xs, w, bias).data, ref_linear(xs, w, bias))
+        assert np.array_equal(ag.gelu(xs).data, ref_gelu(xs))
+        assert np.array_equal(ag.layer_norm(xs, gain, shift).data, ref_layer_norm(xs, gain, shift))
+
+    lk = int(rng.integers(1, 9))
+    q, k, v = (Tensor(rng.normal(0, spread, (b, 2, n, d))) for n in (l, lk, lk))
+    pad = np.where(np.arange(lk)[None, :] < rng.integers(1, lk + 1, b)[:, None], 0.0, -1e9)
+    for mask in (None, pad[:, None, None, :], np.triu(np.full((l, lk), -1e9), k=1)):
+        assert np.array_equal(ag.sdpa(q, k, v, mask=mask).data, ref_sdpa(q, k, v, mask))
+
+
+def _readonly(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def test_no_primitive_writes_to_inputs_mask_or_incoming_gradient():
+    rng = np.random.default_rng(5)
+
+    def p(name, *shape):
+        return Parameter(name, _readonly(rng.normal(0, 1, shape)))
+
+    mask = _readonly(np.where(np.arange(4) < 3, 0.0, -1e9)[None, None, None, :])
+    cases = {
+        "matmul": lambda: ag.matmul(p("a", 2, 3, 4), p("b", 4, 5)),
+        "linear": lambda: ag.linear(p("x", 2, 3, 4), p("w", 4, 5), p("b", 5)),
+        "add": lambda: ag.add(p("a", 3, 4), p("b", 4)),
+        "mul": lambda: ag.mul(p("a", 3, 4), p("b", 3, 1)),
+        "transpose": lambda: ag.transpose(p("a", 2, 3, 4), (0, 2, 1)),
+        "reshape": lambda: ag.reshape(p("a", 3, 4), (2, 6)),
+        "concat": lambda: ag.concat([p("a", 2, 3), p("b", 1, 3)]),
+        "take": lambda: ag.take(p("a", 4, 3), [1, 1, 3]),
+        "layer_norm": lambda: ag.layer_norm(p("x", 2, 3, 6), p("g", 6), p("b", 6)),
+        "gelu": lambda: ag.gelu(p("x", 3, 4)),
+        "softmax": lambda: ag.softmax(p("x", 3, 4)),
+        "cross_entropy": lambda: ag.cross_entropy(p("x", 3, 4), [0, 3, 1], mask=_readonly([1.0, 0.0, 2.0])),
+        "sdpa": lambda: ag.sdpa(p("q", 2, 2, 3, 4), p("k", 2, 2, 4, 4), p("v", 2, 2, 4, 4), mask=mask),
+        "reduce_sum": lambda: ag.reduce_sum(p("x", 3, 4), axis=1),
+        "reduce_mean": lambda: ag.reduce_mean(p("x", 3, 4), axis=0),
+        "reduce_max": lambda: ag.reduce_max(p("x", 3, 4), axis=1),
+        "l2_normalize": lambda: ag.l2_normalize(p("x", 3, 4)),
+    }
+    for name, op in cases.items():
+        with Tape() as tape:
+            out = op()
+        (node,) = tape.nodes
+        g = _readonly(rng.normal(0, 1, out.shape))
+        first = node.vjp(g)  # a write to g, an input or the mask raises here
+        second = node.vjp(g)  # saved state is unchanged by the first call
+        assert all(np.array_equal(a, b) for a, b in zip(first, second)), name
 
 
 def test_take_equals_onehot_matmul_bitwise():
