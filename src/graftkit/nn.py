@@ -106,19 +106,24 @@ class MultiHeadAttention:
         v = self._split(self.v(x_kv), b, lk)
         return self._merge(ag.sdpa(q, k, v, mask=mask))
 
-    def extend(self, h: Tensor, past=None, causal: bool = True) -> tuple[Tensor, tuple]:
-        """Self-attention of new rows ``h`` (1, m, dim) over the cached
-        (keys, values) ``past`` (each (1, heads, n, dh), or None) and over
-        themselves, causally unless ``causal`` is False.  Returns (output rows,
+    def extend(self, h: Tensor, past=None, causal: bool = True,
+               mask=None) -> tuple[Tensor, tuple]:
+        """Self-attention of new rows ``h`` (B, m, dim) over the cached
+        (keys, values) ``past`` (each (B, heads, n, dh), or None) and over
+        themselves, causally unless ``causal`` is False.  ``mask``, additive
+        and broadcastable to (B, heads, m, n + m), hides further keys: padding,
+        or other sequences packed into the same row.  Returns (output rows,
         (keys, values) of all n + m rows); inference only, ``past`` is kept."""
-        m = h.shape[1]
-        q = self._split(self.q(h), 1, m)
-        k = self._split(self.k(h), 1, m).data
-        v = self._split(self.v(h), 1, m).data
+        b, m = h.shape[:2]
+        q = self._split(self.q(h), b, m)
+        k = self._split(self.k(h), b, m).data
+        v = self._split(self.v(h), b, m).data
         if past is not None:
             k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
         n = k.shape[2] - m
-        mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1) if causal and m > 1 else None
+        if causal and m > 1:
+            tri = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
+            mask = tri if mask is None else mask + tri
         return self._merge(ag.sdpa(q, Tensor(k), Tensor(v), mask=mask)), (k, v)
 
 
@@ -145,10 +150,10 @@ class TransformerBlock:
         x = ag.add(x, self.attn(h, h, mask))
         return ag.add(x, self.mlp(self.ln2(x)))
 
-    def extend(self, x: Tensor, past) -> tuple[Tensor, tuple]:
+    def extend(self, x: Tensor, past, mask=None) -> tuple[Tensor, tuple]:
         """The block over new causal rows after cached (keys, values)
         (``MultiHeadAttention.extend``); inference only."""
-        a, kv = self.attn.extend(self.ln1(x), past)
+        a, kv = self.attn.extend(self.ln1(x), past, mask=mask)
         x = ag.add(x, a)
         return ag.add(x, self.mlp(self.ln2(x))), kv
 
@@ -397,111 +402,192 @@ class DecoderLM:
 
     # -- incremental decoding (no tape)
 
-    def prefill(self, soft_prompts, prompt_ids, prefix: LmState | None = None) -> LmState:
-        """The decoding state of [soft prompts (S, dim) || prompt ids].
+    def prefill(self, soft_prompts, prompts, prefix: LmState | None = None) -> LmState:
+        """The decoding state of the rows [soft prompts (S, dim) || ids], one
+        per id sequence in ``prompts``.
 
-        Given ``prefix``, a state built from the same soft prompts, its rows up
-        to the longest common prefix of the ids are reused, keeping at least
-        one prompt token to run (``LmState.cut``).
+        Given ``prefix``, a one-row state built from the same soft prompts,
+        its rows up to the longest prefix that every prompt shares with it are
+        reused, keeping at least one token of each prompt to run
+        (``LmState.cut``); a prefix that holds the prompt itself and its
+        logits is the state, and nothing runs.  The rest of all prompts runs
+        as one packed sequence: under a block-diagonal causal mask each prompt
+        sees the reused rows and its own earlier tokens, at its own positions.
         """
         soft = None if soft_prompts is None else np.asarray(soft_prompts, dtype=np.float64)
         if soft is not None and (soft.ndim != 2 or soft.shape[0] < 1
                                  or soft.shape[1] != self.cfg.dim):
             raise ValueError(f"soft prompts must be (S >= 1, {self.cfg.dim}), "
                              f"got shape {soft.shape}")
-        ids = tuple(int(i) for i in prompt_ids)
-        if soft is None and not ids:
+        prompts = tuple(tuple(int(i) for i in p) for p in prompts)
+        if not prompts:
+            raise ValueError("prefill needs at least one prompt")
+        if soft is None and not all(prompts):
             raise ValueError("nothing to decode from: no soft prompts (shape None) and 0 "
                              "prompt ids")
-        if prefix is not None:
-            if (prefix.soft is None) != (soft is None) or (
-                    soft is not None and not np.array_equal(prefix.soft, soft)):
-                raise ValueError("prefix state was built from other soft prompts")
-            if ids:
-                n = 0
-                limit = min(len(prefix.ids), len(ids) - 1)
-                while n < limit and prefix.ids[n] == ids[n]:
-                    n += 1
-                return self.extend(prefix.cut(n), ids[n:])[0]
-        emb = self._embed(None if soft is None else Tensor(soft[None]), [ids])
-        return self._append(LmState(soft, (), (None,) * len(self.blocks), None), emb, ids)
+        if prefix is not None and ((prefix.soft is None) != (soft is None) or (
+                soft is not None and not np.array_equal(prefix.soft, soft))):
+            raise ValueError("prefix state was built from other soft prompts")
+        if prefix is not None and prefix.logits is not None and prefix.ids == prompts:
+            return prefix
+        if prefix is not None and all(prompts):
+            n = min(min(_common_prefix(prefix.ids[0], p), len(p) - 1) for p in prompts)
+            base = prefix.cut(n)
+            parts = [self.embed_tokens(np.asarray(p[n:], dtype=np.int64)[None])
+                     for p in prompts]
+        else:
+            base = LmState(soft, ((),), (None,) * len(self.blocks), None, None)
+            soft_t = None if soft is None else Tensor(soft[None])
+            parts = [self._embed(soft_t, [p]) for p in prompts]
+        n0, sizes = base.length, np.array([e.shape[1] for e in parts])
+        starts = np.cumsum(sizes) - sizes  # where each sequence starts in the packed one
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        block = None  # a single sequence needs the causal mask alone
+        if len(parts) > 1:
+            block = np.zeros((len(seg), n0 + len(seg)))
+            block[:, n0:][seg[:, None] != seg[None, :]] = NEG_INF
+        kv, logits = self._pass(base.kv, parts[0] if len(parts) == 1 else ag.concat(parts, 1),
+                                (n0 + np.arange(len(seg)) - starts[seg])[None], block,
+                                starts + sizes - 1)
+        mask = None
+        if len(parts) > 1:  # unpack the sequences into right-padded rows
+            width = sizes.max()
+            cols = np.minimum(np.arange(width), sizes[:, None] - 1) + starts[:, None]
+            cols = np.concatenate([np.tile(np.arange(n0), (len(sizes), 1)), n0 + cols], axis=1)
+            kv = [(k[0][:, cols].transpose(1, 0, 2, 3), v[0][:, cols].transpose(1, 0, 2, 3))
+                  for k, v in kv]
+            if (sizes < width).any():
+                mask = np.zeros((len(sizes), 1, 1, n0 + width))
+                mask[:, 0, 0, n0:][np.arange(width) >= sizes[:, None]] = NEG_INF
+        return LmState(soft, prompts, tuple(kv), logits, mask)
 
-    def extend(self, state: LmState, ids) -> tuple[LmState, np.ndarray]:
-        """(state after ``ids``, next-token logits after its last row);
-        ``state`` itself is kept, so one state can fork into many."""
-        ids = tuple(int(i) for i in ids)
-        new = self._append(state, self.embed_tokens(np.asarray(ids, dtype=np.int64)[None]), ids)
-        return new, new.logits
-
-    def _append(self, state: LmState, emb: Tensor, ids: tuple) -> LmState:
-        n, m = state.length, emb.shape[1]
+    def extend(self, state: LmState, tokens) -> tuple[LmState, np.ndarray]:
+        """(state after each row's ``tokens`` (B, m), the next-token logits
+        (B, vocab) after each row); ``state`` itself is kept, so one state can
+        fork into many."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        b, m = tokens.shape
         if m < 1:
             raise ValueError("extend needs at least one token")
-        if n + m > self.cfg.max_len:
-            raise ValueError(f"sequence length {n + m} exceeds LM max_len {self.cfg.max_len}")
-        x = ag.add(emb, Tensor(self.pos[n : n + m]))
+        mask = state.mask
+        if mask is not None:
+            mask = np.concatenate([mask, np.zeros((b, 1, 1, m))], axis=3)
+        kv, logits = self._pass(state.kv, self.embed_tokens(tokens),
+                                state.lengths[:, None] + np.arange(m), mask, [m - 1])
+        ids = tuple(r + tuple(t) for r, t in zip(state.ids, tokens.tolist()))
+        return LmState(state.soft, ids, tuple(kv), logits, mask), logits
+
+    def _pass(self, past, emb: Tensor, positions: np.ndarray, mask, last):
+        """The blocks over embedded rows ``emb`` (B, m, dim) at ``positions``
+        (B, m), after the cached per-block ``past``, under the additive
+        ``mask``: (per-block (keys, values) of all rows, (B * len(last), vocab)
+        next-token logits after the columns ``last``)."""
+        top = int(positions.max()) + 1
+        if top > self.cfg.max_len:
+            raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
+        x = ag.add(emb, Tensor(self.pos[positions]))
         kv = []
-        for blk, past in zip(self.blocks, state.kv):
-            x, blk_kv = blk.extend(x, past)
+        for blk, blk_past in zip(self.blocks, past):
+            x, blk_kv = blk.extend(x, blk_past, mask)
             kv.append(blk_kv)
-        last = ag.take(x, [m - 1], axis=1)
-        logits = self.head(self.ln_out(last)).data[0, 0]
-        return LmState(state.soft, state.ids + ids, tuple(kv), logits)
+        logits = self.head(self.ln_out(ag.take(x, last, axis=1))).data
+        return kv, logits.reshape(-1, self.cfg.vocab_size)
 
-    def generate(self, soft_prompts, prompt_ids, max_new: int = 64,
-                 prefix: LmState | None = None) -> list[int]:
-        """Greedy decode on a K/V cache; stops at [EOS], after max_new tokens
-        or when the context is full.  ``prefix`` is a state to fork from
-        (``prefill``)."""
-        state = self.prefill(soft_prompts, prompt_ids, prefix)
+    def decode(self, state: LmState, max_new: int = 64) -> list[list[int]]:
+        """Greedy tokens for every row of ``state`` (``prefill``), decoded in
+        lockstep on the K/V cache; each row stops on its own at [EOS], after
+        ``max_new`` tokens or when its context is full."""
 
-        def step(token: int) -> np.ndarray:
+        def step(keep: list[bool], tokens: list[int]) -> np.ndarray:
             nonlocal state
-            state, logits = self.extend(state, [token])
+            if not all(keep):
+                state = state.rows(np.array(keep))
+            state, logits = self.extend(state, [[t] for t in tokens])
             return logits
 
         return greedy_decode(state.logits, step, self.cfg.eos_id, max_new,
-                             self.cfg.max_len - state.length)
+                             self.cfg.max_len - state.lengths)
+
+    def generate(self, soft_prompts, prompt_ids, max_new: int = 64,
+                 prefix: LmState | None = None) -> list[int]:
+        """Greedy decode of one prompt: ``decode`` of a one-row ``prefill``
+        (forked from ``prefix`` when given)."""
+        return self.decode(self.prefill(soft_prompts, [prompt_ids], prefix), max_new)[0]
+
+
+def _common_prefix(a, b) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 @dataclass(frozen=True, eq=False)
 class LmState:
-    """Per-block (keys, values), each (1, heads, n, dh), of the n rows
-    [soft prompts || ids], and the next-token logits after the last row
-    (None once cut).  States are never mutated."""
+    """B decoding rows over one set of soft prompts: per-block (keys, values),
+    each (B, heads, n, dh), where row b holds [soft prompts || ids[b]]
+    right-padded to n under the additive key ``mask`` ((B, 1, 1, n), None
+    when no row is padded), and the next-token logits (B, vocab) after each
+    row (None once cut).  States are never mutated."""
 
     soft: np.ndarray | None
-    ids: tuple[int, ...]
+    ids: tuple[tuple[int, ...], ...]
     kv: tuple
     logits: np.ndarray | None
+    mask: np.ndarray | None
 
     @property
     def length(self) -> int:
+        """Cached columns per row, padding included."""
         return 0 if self.kv[0] is None else self.kv[0][0].shape[2]
 
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each row's sequence length, the position of its next token."""
+        s = 0 if self.soft is None else len(self.soft)
+        return np.array([s + len(r) for r in self.ids])
+
     def cut(self, n_ids: int) -> LmState:
-        """The state of [soft prompts || ids[:n_ids]], exact because no row
-        attends to a later one under the causal mask."""
-        n = self.length - len(self.ids) + n_ids
-        return LmState(self.soft, self.ids[:n_ids],
-                       tuple((k[:, :, :n], v[:, :, :n]) for k, v in self.kv), None)
+        """The one-row state of [soft prompts || ids[:n_ids]], exact because
+        no row attends to a later one under the causal mask."""
+        if len(self.ids) != 1:
+            raise ValueError(f"only a one-row state can be cut, not one of {len(self.ids)} rows")
+        n = self.length - len(self.ids[0]) + n_ids
+        return LmState(self.soft, (self.ids[0][:n_ids],),
+                       tuple((k[:, :, :n], v[:, :, :n]) for k, v in self.kv), None, None)
+
+    def rows(self, keep: np.ndarray) -> LmState:
+        """The rows where the boolean ``keep`` is set."""
+        return LmState(self.soft, tuple(r for r, k in zip(self.ids, keep) if k),
+                       tuple((k[keep], v[keep]) for k, v in self.kv), self.logits[keep],
+                       None if self.mask is None else self.mask[keep])
 
 
-def greedy_decode(logits: np.ndarray, step: Callable[[int], np.ndarray], eos_id: int,
-                  max_new: int, room: int) -> list[int]:
-    """Greedy tokens from the next-token ``logits`` on; ``step(token)`` runs a
-    chosen token and returns the logits after it.  Stops at ``eos_id``, after
-    ``max_new`` tokens, or once ``room`` tokens fill the context (the first
-    token is kept even when there is no room)."""
-    out: list[int] = []
-    for _ in range(max_new):
-        nxt = int(np.argmax(logits))
-        if nxt == eos_id:
-            break
-        out.append(nxt)
-        if len(out) == max_new or len(out) >= room:
-            break
-        logits = step(nxt)
+def greedy_decode(logits: np.ndarray, step: Callable[[list, list], np.ndarray],
+                  eos_id: int, max_new: int, room) -> list[list[int]]:
+    """Greedy tokens for each row of the (B, vocab) next-token ``logits``, in
+    lockstep.  ``step(keep, tokens)`` drops the rows last stepped (all B at
+    first) whose entry in the list of booleans ``keep`` is False, runs the
+    chosen ``tokens``, one per kept row, and returns their (kept rows, vocab)
+    logits.  Row b stops at ``eos_id``, after ``max_new`` tokens, or once
+    ``room[b]`` tokens fill its context (its first token is kept even when
+    there is no room)."""
+    room = np.broadcast_to(room, len(logits)).tolist()
+    out: list[list[int]] = [[] for _ in range(len(logits))]
+    live = list(range(len(logits)))
+    while max_new > 0 and live:
+        keep, tokens = [], []
+        for b, nxt in zip(live, logits.argmax(axis=-1).tolist()):
+            if nxt != eos_id:
+                out[b].append(nxt)
+            keep.append(nxt != eos_id and len(out[b]) < max_new and len(out[b]) < room[b])
+            if keep[-1]:
+                tokens.append(nxt)
+        live = [b for b, k in zip(live, keep) if k]
+        if live:
+            logits = step(keep, tokens)
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import templates as T
-from .corpus import SyntheticStudy, swap_laterality_words, tokenize, detokenize
+from .corpus import SyntheticStudy, swap_laterality_words
 from .vqa import ElixrBundle
 
 @dataclass
@@ -137,26 +137,6 @@ class QaResult:
     response_added: str
 
 
-def default_reviewer(bundle: ElixrBundle):
-    """Text-in/text-out endpoint backed by the frozen desk-scale LM; any
-    conforming callable can replace it.  It keeps the LM state of the last
-    prompt it saw, so a prompt sharing a header with it runs only the rest."""
-    last = None
-
-    def review(prompt: str) -> str:
-        nonlocal last
-        ids = tokenize(prompt, bundle.vocab, max_len=None, lead=None)
-        limit = bundle.lm.cfg.max_len
-        if len(ids) + 16 > limit:
-            raise ValueError(f"reviewer prompt of {len(ids)} tokens plus 16 answer tokens "
-                             f"exceeds the LM context of {limit} tokens")
-        last = bundle.lm.prefill(None, ids, prefix=last)
-        out = bundle.lm.generate(None, ids, max_new=32, prefix=last)
-        return detokenize(out, bundle.vocab)
-
-    return review
-
-
 def assessment_text(answers) -> str:
     """One line per question: the question followed by the model's answer."""
     return "\n".join(f"{q} {a}" for q, a in zip(T.QA_QUESTIONS, answers))
@@ -164,11 +144,17 @@ def assessment_text(answers) -> str:
 
 def run_qa_pipeline(study: SyntheticStudy, altered_impression: str,
                     bundle: ElixrBundle, reviewer=None, case: QaCase | None = None) -> QaResult:
-    """Ask all 12 questions about the image, then have the reviewer LM diff
-    the assessment against the altered impression (both prompt templates)."""
-    reviewer = reviewer or default_reviewer(bundle)
+    """Ask all 12 questions about the image, then have the reviewer diff the
+    assessment against the altered impression (both prompt templates).
+
+    The reviewer defaults to ``bundle.review``, the frozen LM, which keeps the
+    state of the last prompt it saw on the bundle for the bundle's lifetime:
+    consecutive cases sharing a bundle reuse each other's prompt header, and a
+    bundle is not shared across threads.  Any text-in/text-out callable can
+    replace it."""
+    reviewer = reviewer or bundle.review
     prepared = bundle.prepare(study.image)
-    answers = [bundle.answer(prepared, q) for q in T.QA_QUESTIONS]
+    answers = bundle.answers(prepared, T.QA_QUESTIONS)
     assessment = assessment_text(answers)
     prompt_missing, prompt_added = T.make_reviewer_prompts(assessment, altered_impression)
     resp_missing = reviewer(prompt_missing)

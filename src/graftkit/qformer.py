@@ -322,8 +322,8 @@ def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab,
     """Greedy grounded decoding from [BOS] until [EOS] (deterministic), on
     ``itg_decoder``."""
     step = itg_decoder(grid_tokens, model)
-    out = greedy_decode(step(vocab.id("[BOS]")), step, vocab.id("[EOS]"), max_len,
-                        model.cfg.text_max_len - 1)
+    out = greedy_decode(step(vocab.id("[BOS]"))[None], lambda _, tokens: step(tokens[0])[None],
+                        vocab.id("[EOS]"), max_len, model.cfg.text_max_len - 1)[0]
     return detokenize(out, vocab)
 
 

@@ -5,7 +5,7 @@ phase-2 aligned tokens, greedy decoding, and programmatic yes/no grading.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,10 @@ class ElixrBundle:
     ``qformer_impression`` is the phase-1 generation-best adapter (drives
     impressions); ``qformer_aligned`` plus ``bridge`` is the phase-2 pair
     that produces soft prompts for the frozen LM.
+
+    The bundle also keeps the LM state of the last reviewer prompt
+    (``review``), for as long as the bundle lives; the LM is frozen, so that
+    state stays valid.  A bundle is therefore not shared across threads.
     """
 
     clip: ClipModel
@@ -31,6 +35,7 @@ class ElixrBundle:
     bridge: Phase2Bridge
     lm: DecoderLM
     vocab: Vocab
+    _review_state: LmState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lm.frozen:
@@ -52,7 +57,7 @@ class ElixrBundle:
         dialog = tokenize(vqa_prompt_body(impression, ""), self.vocab, max_len=None, lead=None)
         self._check_vqa_prompt(dialog)
         soft = soft_prompts_for_grid(self.qformer_aligned, self.bridge, grid)
-        return PreparedImage(grid, impression, soft, self.lm.prefill(soft, dialog))
+        return PreparedImage(grid, impression, soft, self.lm.prefill(soft, [dialog]))
 
     def _check_vqa_prompt(self, prompt_ids) -> None:
         """Reject a prompt that does not fit the LM context next to the soft
@@ -62,14 +67,38 @@ class ElixrBundle:
             raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft "
                              f"prompts exceeds the LM context of {limit} tokens")
 
+    def answers(self, prepared: "PreparedImage", questions, max_new: int = 64) -> list[str]:
+        """Greedy answers from the frozen LM, one per question: every question
+        forks from the prepared dialog in one packed prefill, and the answers
+        decode in lockstep (``DecoderLM.prefill`` / ``decode``)."""
+        prompts = [tokenize(vqa_prompt_body(prepared.impression, q), self.vocab, max_len=None,
+                            lead=None) for q in questions]
+        for prompt_ids in prompts:
+            self._check_vqa_prompt(prompt_ids)
+        state = self.lm.prefill(prepared.soft, prompts, prefix=prepared.dialog)
+        return [detokenize(ids, self.vocab) for ids in self.lm.decode(state, max_new)]
+
     def answer(self, prepared: "PreparedImage", question: str, max_new: int = 64) -> str:
-        """Greedy answer from the frozen LM, forked from the prepared dialog."""
-        body = vqa_prompt_body(prepared.impression, question)
-        prompt_ids = tokenize(body, self.vocab, max_len=None, lead=None)
-        self._check_vqa_prompt(prompt_ids)
-        answer_ids = self.lm.generate(prepared.soft, prompt_ids, max_new=max_new,
-                                      prefix=prepared.dialog)
-        return detokenize(answer_ids, self.vocab)
+        """``answers`` for one question."""
+        return self.answers(prepared, [question], max_new)[0]
+
+    def review(self, prompt: str) -> str:
+        """The frozen LM's greedy response to a reviewer prompt (text in, text
+        out).  The prompt forks from the state of the last prompt this bundle
+        reviewed at their longest common prefix, so a prompt that shares the
+        header and question lines with it runs only the rest; the response
+        then decodes from the prompt's own state (a ``generate`` forked from
+        that state runs no prompt token again).  The last prompt's state stays
+        on the bundle for the bundle's lifetime, so one bundle serves one
+        thread."""
+        ids = tokenize(prompt, self.vocab, max_len=None, lead=None)
+        limit = self.lm.cfg.max_len
+        if len(ids) + 16 > limit:
+            raise ValueError(f"reviewer prompt of {len(ids)} tokens plus 16 answer tokens "
+                             f"exceeds the LM context of {limit} tokens")
+        self._review_state = self.lm.prefill(None, [ids], prefix=self._review_state)
+        out = self.lm.generate(None, ids, max_new=32, prefix=self._review_state)
+        return detokenize(out, self.vocab)
 
 
 @dataclass(frozen=True)

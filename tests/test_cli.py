@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graftkit import vqa as vqa_mod
+from graftkit import cli as cli_mod, vqa as vqa_mod
 from graftkit.cli import checkpoint_roundtrip, main
 from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel
-from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, save_corpus
+from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, load_corpus, save_corpus
 from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, save_lm
 from graftkit.params import ParamRegistry, save_checkpoint
+from graftkit.qa import build_qa_cases
 from graftkit.qformer import Phase2Bridge, QFormerConfig, QFormerModel, save_phase2
 
 
@@ -26,10 +27,10 @@ def tiny_clip(vocab) -> ClipModel:
                                             text_dim=16, text_blocks=1, text_heads=2), seed=0)
 
 
-def tiny_lm(vocab) -> DecoderLM:
+def tiny_lm(vocab, max_len=448) -> DecoderLM:
     lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2,
-                                             pad_id=vocab.id("[PAD]"), eos_id=vocab.id("[EOS]"),
-                                             img_id=vocab.id("[IMG]")),
+                                             max_len=max_len, pad_id=vocab.id("[PAD]"),
+                                             eos_id=vocab.id("[EOS]"), img_id=vocab.id("[IMG]")),
                    np.random.default_rng(0))
     lm.freeze()
     return lm
@@ -289,11 +290,11 @@ def test_cli_chain_end_to_end(tmp_path):
         assert json.loads((out / result).read_text())["result"], args[0]
 
 
-def _vqa_checkpoints(tmp_path, lm_seed=0):
+def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448):
     """A saved corpus, CLIP, phase-1 Q-Former and phase-2 pair trained (by
     manifest) against ``tiny_lm``, and an LM made from ``lm_seed``; returns
     the ``graftkit vqa`` arguments."""
-    corpus = generate_corpus(3, CorpusSpec(n_studies=4))
+    corpus = generate_corpus(3, CorpusSpec(n_studies=n_studies))
     save_corpus(corpus, tmp_path / "corpus")
     vocab = corpus.vocab
     tiny_clip(vocab).save(tmp_path / "clip.ckpt")
@@ -304,7 +305,7 @@ def _vqa_checkpoints(tmp_path, lm_seed=0):
     bridge = Phase2Bridge(bridge_reg, 16, 16, 16, np.random.default_rng(1))
     save_phase2(qf, bridge, bridge_reg, tmp_path / "b2.ckpt", tmp_path / "bridge.ckpt",
                 lm_digest=tiny_lm(vocab).digest())
-    lm = tiny_lm(vocab)
+    lm = tiny_lm(vocab, lm_max_len)
     if lm_seed:
         lm = DecoderLM(ParamRegistry(), lm.cfg, np.random.default_rng(lm_seed))
         lm.freeze()
@@ -338,3 +339,21 @@ def test_vqa_rejects_a_phase2_pair_trained_against_another_lm(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"--b2 checkpoint was trained against LM digest {want}, but --lm has digest" in err
     assert not (tmp_path / "o" / "vqa.json").exists()
+
+
+def test_qa_over_several_cases_writes_the_rows_of_one_case_runs(tmp_path, monkeypatch):
+    """Cases that share a bundle (and so the reviewer's last prompt state)
+    give the rows that each case gives alone."""
+    # the checkpoint flags only; the LM has room for the reviewer prompt after
+    # 12 answers of up to 64 tokens
+    args = _vqa_checkpoints(tmp_path, n_studies=60, lm_max_len=1400)[1:-6]
+    out = tmp_path / "o"
+    assert run_cli(["qa", *args, "--cases", "3", "--out", str(out)]) == 0
+    rows = json.loads((out / "qa.json").read_text())["result"]["cases"]
+    cases = build_qa_cases(load_corpus(tmp_path / "corpus"), seed=0)[:3]
+    assert [(r["study_id"], r["alteration"]) for r in rows] == [
+        (c.study_id, c.alteration) for c in cases]
+    for case, row in zip(cases, rows):
+        monkeypatch.setattr(cli_mod, "build_qa_cases", lambda corpus, seed: [case])
+        assert run_cli(["qa", *args, "--out", str(tmp_path / "one")]) == 0
+        assert json.loads((tmp_path / "one" / "qa.json").read_text())["result"]["cases"] == [row]

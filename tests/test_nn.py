@@ -297,6 +297,45 @@ def _reference_generate(lm, soft, prompt_ids, max_new=64):
     return out
 
 
+def _one_row_generate(lm, soft, ids, max_new, prefix=None):
+    """The cached decode of one prompt as it ran before rows were batched:
+    the prompt (forked from ``prefix`` at the longest common prefix, keeping
+    one token to run) in one pass, then one token per step, every block over
+    its cached keys under the causal mask alone.  Returns (tokens, the
+    next-token logits before each token)."""
+    s = 0 if soft is None else len(soft)
+
+    def run(kv, emb, n):
+        m = emb.shape[1]
+        x = ag.add(emb, Tensor(lm.pos[n: n + m]))
+        out = []
+        for blk, past in zip(lm.blocks, kv):
+            x, blk_kv = blk.extend(x, past)
+            out.append(blk_kv)
+        return out, lm.head(lm.ln_out(ag.take(x, [m - 1], axis=1))).data[0, 0]
+
+    if prefix is not None:
+        n = 0
+        while n < min(len(prefix.ids[0]), len(ids) - 1) and prefix.ids[0][n] == ids[n]:
+            n += 1
+        kv = [(k[:, :, : s + n], v[:, :, : s + n]) for k, v in prefix.kv]
+        kv, logits = run(kv, lm.embed_tokens(np.asarray(ids[n:])[None]), s + n)
+    else:
+        soft_t = None if soft is None else Tensor(np.asarray(soft)[None])
+        kv, logits = run([None] * len(lm.blocks), lm._embed(soft_t, [list(ids)]), 0)
+    room, out, seen = lm.cfg.max_len - s - len(ids), [], [logits]
+    for _ in range(max_new):
+        nxt = int(np.argmax(logits))
+        if nxt == lm.cfg.eos_id:
+            break
+        out.append(nxt)
+        if len(out) == max_new or len(out) >= room:
+            break
+        kv, logits = run(kv, lm.embed_tokens(np.array([[nxt]])), s + len(ids) + len(out) - 1)
+        seen.append(logits)
+    return out, seen
+
+
 def _prompt_set():
     """(soft prompts or None, prompt ids) pairs: no soft prompts, soft prompts
     only, both, one token, and a prompt that nearly fills the context."""
@@ -311,13 +350,13 @@ def test_prefill_and_extend_logits_match_the_full_sequence_pass():
     _, lm = make_lm()
     for soft, ids in _prompt_set():
         full = _full_logits(lm, soft, ids)
-        state = lm.prefill(soft, ids)
-        assert state.length == len(full)
-        assert np.max(np.abs(state.logits - full[-1])) < 1e-9
+        state = lm.prefill(soft, [ids])
+        assert state.length == len(full) and state.lengths.tolist() == [len(full)]
+        assert np.max(np.abs(state.logits[0] - full[-1])) < 1e-9
         for tail in ([7], [8, 9, 10]):
             if state.length + len(tail) <= lm.cfg.max_len:
-                _, logits = lm.extend(state, tail)
-                assert np.max(np.abs(logits - _full_logits(lm, soft, [*ids, *tail])[-1])) < 1e-9
+                _, logits = lm.extend(state, [tail])
+                assert np.max(np.abs(logits[0] - _full_logits(lm, soft, [*ids, *tail])[-1])) < 1e-9
 
 
 def test_generate_equals_full_recompute_reference():
@@ -327,101 +366,71 @@ def test_generate_equals_full_recompute_reference():
             assert lm.generate(soft, ids, max_new) == _reference_generate(lm, soft, ids, max_new)
 
 
-def test_extend_keeps_its_input_state():
+def test_one_row_decode_is_bitwise_the_unbatched_decode():
     _, lm = make_lm()
-    state = lm.prefill(None, [4, 5, 6])
-    before = [(k.copy(), v.copy()) for k, v in state.kv]
-    logits = state.logits.copy()
-    lm.extend(state, [7, 8])
-    lm.extend(state.cut(1), [9])
-    assert state.ids == (4, 5, 6) and np.array_equal(state.logits, logits)
-    assert all(np.array_equal(k, k0) and np.array_equal(v, v0)
-               for (k, v), (k0, v0) in zip(state.kv, before))
+    seen = []
+    extend = lm.extend
+
+    def recording(state, tokens):
+        new, logits = extend(state, tokens)
+        seen.append(logits[0])
+        return new, logits
+
+    lm.extend = recording
+    for soft, ids in _prompt_set():
+        for prefix in ([None] if len(ids) < 2 else [None, lm.prefill(soft, [ids[: len(ids) // 2]]),
+                                                       lm.prefill(soft, [ids[:-1] + [29]])]):
+            tokens, logits = _one_row_generate(lm, soft, ids, 64, prefix)
+            seen.clear()
+            assert lm.prefill(soft, [ids], prefix).logits[0].tobytes() == logits[0].tobytes()
+            assert lm.generate(soft, ids, 64, prefix=prefix) == tokens
+            assert [a.tobytes() for a in seen] == [b.tobytes() for b in logits[1:]]
 
 
-def test_a_forked_state_equals_a_fresh_prefill():
+def _forks(rng, dialog):
+    """Prompt lists forking from ``dialog``: one prompt; equal suffix
+    lengths (no padding); ragged suffixes, one of them leaving the dialog
+    early, one equal to the dialog (its last token re-runs)."""
+    suffix = lambda n: [int(i) for i in rng.integers(4, 30, n)]
+    return [[dialog + suffix(1)], [dialog + suffix(4), dialog + suffix(4)],
+            [dialog + suffix(1), dialog + suffix(6), dialog[:9] + suffix(3), list(dialog),
+             dialog + suffix(2)]]
+
+
+def test_packed_prefill_and_lockstep_decode_equal_the_per_prompt_path():
     _, lm = make_lm()
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(5)
     soft = rng.normal(0, 0.1, (3, 32))
-    head, branch, other = ([int(i) for i in rng.integers(4, 30, n)] for n in (12, 8, 6))
-    fresh = lm.prefill(soft, head)
-    # cutting is exact: a state grown from ``head`` and cut back is ``head``'s state
-    grown = lm.extend(fresh, branch)[0].cut(len(head))
-    assert grown.ids == fresh.ids and grown.length == fresh.length
-    a, b = lm.extend(grown, other)[1], lm.extend(fresh, other)[1]
-    assert a.tobytes() == b.tobytes()
-    assert (lm.generate(soft, head + other, 20, prefix=grown)
-            == lm.generate(soft, head + other, 20, prefix=fresh))
-    # a fork of a longer prefill reuses rows computed over more (masked) keys:
-    # equal tokens, logits equal to rounding
-    longer = lm.prefill(soft, head + branch)
-    forked = lm.prefill(soft, head + other, prefix=longer)
-    assert np.max(np.abs(forked.logits - lm.prefill(soft, head + other).logits)) < 1e-12
-    assert (lm.generate(soft, head + other, 20, prefix=longer)
-            == lm.generate(soft, head + other, 20) == _reference_generate(lm, soft, head + other,
-                                                                          20))
+    dialog = [int(i) for i in rng.integers(4, 30, 15)]
+    state = lm.prefill(soft, [dialog])
+    for prompts in _forks(rng, dialog):
+        packed = lm.prefill(soft, prompts, prefix=state)
+        assert packed.ids == tuple(tuple(p) for p in prompts)
+        for b, p in enumerate(prompts):
+            one = lm.prefill(soft, [p], prefix=state)
+            assert np.max(np.abs(packed.logits[b] - one.logits[0])) < 1e-9
+            assert np.max(np.abs(packed.logits[b] - _full_logits(lm, soft, p)[-1])) < 1e-9
+        nxt = packed.logits.argmax(axis=1)[:, None]
+        _, logits = lm.extend(packed, nxt)  # one lockstep step over right-padded rows
+        for b, p in enumerate(prompts):
+            assert np.max(np.abs(logits[b] - _full_logits(lm, soft, [*p, nxt[b, 0]])[-1])) < 1e-9
+        for max_new in (1, 5, 30):
+            assert lm.decode(packed, max_new) == [
+                _reference_generate(lm, soft, p, max_new) for p in prompts]
 
 
-def test_generate_prefix_keeps_one_prompt_token_to_run():
-    _, lm = make_lm()
-    state = lm.prefill(None, [4, 5, 6])
-    calls = []
-    original = lm.extend
-
-    def counting(st, ids):
-        calls.append((st.length, tuple(ids)))
-        return original(st, ids)
-
-    lm.extend = counting
-    assert lm.generate(None, [4, 5, 6], 1, prefix=state) == lm.generate(None, [4, 5, 6], 1)
-    assert calls[0] == (2, (6,))  # the same prompt re-runs its last token only
-    calls.clear()
-    lm.generate(None, [4, 9, 6], 1, prefix=state)
-    assert calls[0] == (1, (9, 6))
-
-
-def test_generate_prefix_from_other_soft_prompts_raises():
-    _, lm = make_lm()
-    soft = np.random.default_rng(0).normal(0, 0.1, (2, 32))
-    state = lm.prefill(soft, [4, 5])
-    for other in (soft + 1.0, None):
-        with pytest.raises(ValueError, match="prefix state was built from other soft prompts"):
-            lm.generate(other, [4, 5, 6], 3, prefix=state)
-    with pytest.raises(ValueError, match="other soft prompts"):
-        lm.generate(soft, [4], 3, prefix=lm.prefill(None, [4]))
-
-
-def test_prefill_rejects_bad_soft_prompts_and_empty_sequences():
-    _, lm = make_lm()
-    for bad in (np.zeros((2, 16)), np.zeros((0, 32)), np.zeros(32), np.zeros((1, 2, 32))):
-        with pytest.raises(ValueError, match=re.escape(f"soft prompts must be (S >= 1, 32), "
-                                                       f"got shape {bad.shape}")):
-            lm.generate(bad, [4, 5], 3)
-    with pytest.raises(ValueError, match=r"no soft prompts \(shape None\) and 0 prompt ids"):
-        lm.generate(None, [], 3)
-    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
-        lm.generate(np.zeros((1, 32)), [4 + i % 20 for i in range(64)], 3)
-    long_ids = [4 + i % 20 for i in range(65)]
-    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
-        lm.generate(None, long_ids, 3, prefix=lm.prefill(None, long_ids[:5]))
-
-
-def test_greedy_decode_stops_at_eos_max_new_and_room():
-    seq = iter([1, 2, 3, 0])
-
-    def step(token):
-        logits = np.zeros(5)
-        logits[next(seq)] = 1.0
-        return logits
-
-    first = np.eye(5)[4]
-    assert greedy_decode(first, step, eos_id=0, max_new=10, room=10) == [4, 1, 2, 3]
-    seq = iter([1, 2, 3, 0])
-    assert greedy_decode(first, step, eos_id=0, max_new=2, room=10) == [4, 1]
-    seq = iter([1, 2, 3, 0])
-    assert greedy_decode(first, step, eos_id=0, max_new=10, room=3) == [4, 1, 2]
-    assert greedy_decode(first, step, eos_id=0, max_new=10, room=0) == [4]
-    assert greedy_decode(first, step, eos_id=4, max_new=10, room=10) == []
+def test_lockstep_rows_stop_on_their_own_at_eos_max_new_and_room():
+    _, lm = make_lm(seed=2)
+    lm.cfg.eos_id = 0  # this LM emits 0 after a few tokens of one of the prompts
+    rng = np.random.default_rng(8)
+    dialog = [int(i) for i in rng.integers(4, 30, 10)]
+    short, _, eos_row = (dialog + [int(i) for i in rng.integers(4, 30, k)] for k in (1, 2, 3))
+    near_full = dialog + [int(i) for i in rng.integers(4, 30, 50)]  # room for 4 tokens
+    prompts = [short, near_full, eos_row]
+    refs = [_reference_generate(lm, None, p, 8) for p in prompts]
+    assert [len(r) for r in refs] == [8, 4, 3]  # max_new, room, EOS
+    state = lm.prefill(None, prompts, prefix=lm.prefill(None, [dialog]))
+    assert lm.decode(state, 8) == refs
 
 
 @given(st.lists(st.integers(0, 29), min_size=0, max_size=24), st.integers(0, 3),
@@ -432,12 +441,162 @@ def test_cached_decoding_matches_full_recompute_property(ids, n_soft, max_new, s
         ids = [5]
     _, lm = make_lm(max_len=40)
     soft = np.random.default_rng(seed).normal(0, 0.5, (n_soft, 32)) if n_soft else None
-    state = lm.prefill(soft, ids)
-    assert np.max(np.abs(state.logits - _full_logits(lm, soft, ids)[-1])) < 1e-9
+    state = lm.prefill(soft, [ids])
+    assert np.max(np.abs(state.logits[0] - _full_logits(lm, soft, ids)[-1])) < 1e-9
     assert lm.generate(soft, ids, max_new) == _reference_generate(lm, soft, ids, max_new)
     if len(ids) > 1:  # forked from a state of the first half of the prompt
-        prefix = lm.prefill(soft, ids[: len(ids) // 2])
+        prefix = lm.prefill(soft, [ids[: len(ids) // 2]])
         assert lm.generate(soft, ids, max_new, prefix=prefix) == lm.generate(soft, ids, max_new)
+
+
+@given(st.lists(st.integers(4, 29), min_size=1, max_size=10), st.integers(0, 3),
+       st.lists(st.tuples(st.integers(0, 10), st.lists(st.integers(4, 29), max_size=5)),
+                min_size=1, max_size=4),
+       st.integers(1, 8), st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_packed_fork_matches_per_prompt_decoding_property(dialog, n_soft, forks, max_new, seed):
+    _, lm = make_lm(max_len=40)
+    soft = np.random.default_rng(seed).normal(0, 0.5, (n_soft, 32)) if n_soft else None
+    prompts = [dialog[:keep] + tail or [5] for keep, tail in forks]
+    state = lm.prefill(soft, [dialog])
+    packed = lm.prefill(soft, prompts, prefix=state)
+    for b, p in enumerate(prompts):
+        assert np.max(np.abs(packed.logits[b] - lm.prefill(soft, [p]).logits[0])) < 1e-9
+    assert lm.decode(packed, max_new) == [_reference_generate(lm, soft, p, max_new)
+                                          for p in prompts]
+
+
+def test_extend_keeps_its_input_state():
+    _, lm = make_lm()
+    state = lm.prefill(None, [[4, 5, 6], [7, 8]])
+    before = [(k.copy(), v.copy()) for k, v in state.kv]
+    logits, mask = state.logits.copy(), state.mask.copy()
+    lm.extend(state, [[7, 8], [9, 9]])
+    lm.extend(state.rows(np.array([True, False])), [[9]])
+    assert state.ids == ((4, 5, 6), (7, 8)) and np.array_equal(state.logits, logits)
+    assert np.array_equal(state.mask, mask)
+    assert all(np.array_equal(k, k0) and np.array_equal(v, v0)
+               for (k, v), (k0, v0) in zip(state.kv, before))
+
+
+def test_a_forked_state_equals_a_fresh_prefill():
+    _, lm = make_lm()
+    rng = np.random.default_rng(4)
+    soft = rng.normal(0, 0.1, (3, 32))
+    head, branch, other = ([int(i) for i in rng.integers(4, 30, n)] for n in (12, 8, 6))
+    fresh = lm.prefill(soft, [head])
+    # cutting is exact: a state grown from ``head`` and cut back is ``head``'s state
+    grown = lm.extend(fresh, [branch])[0].cut(len(head))
+    assert grown.ids == fresh.ids and grown.length == fresh.length
+    a, b = lm.extend(grown, [other])[1], lm.extend(fresh, [other])[1]
+    assert a.tobytes() == b.tobytes()
+    assert (lm.generate(soft, head + other, 20, prefix=grown)
+            == lm.generate(soft, head + other, 20, prefix=fresh))
+    # a fork of a longer prefill reuses rows computed over more (masked) keys:
+    # equal tokens, logits equal to rounding
+    longer = lm.prefill(soft, [head + branch])
+    forked = lm.prefill(soft, [head + other], prefix=longer)
+    assert np.max(np.abs(forked.logits - lm.prefill(soft, [head + other]).logits)) < 1e-12
+    assert (lm.generate(soft, head + other, 20, prefix=longer)
+            == lm.generate(soft, head + other, 20) == _reference_generate(lm, soft, head + other,
+                                                                          20))
+
+
+def test_generate_prefix_keeps_one_prompt_token_to_run():
+    _, lm = make_lm()
+    state = lm.prefill(None, [[4, 5, 6]])
+    calls = []
+    original = lm._pass
+
+    def counting(past, emb, *args):
+        calls.append((0 if past[0] is None else past[0][0].shape[2], emb.shape[1]))
+        return original(past, emb, *args)
+
+    lm._pass = counting
+    assert lm.generate(None, [4, 5, 6], 1, prefix=state.cut(3)) == lm.generate(None, [4, 5, 6], 1)
+    assert calls[0] == (2, 1)  # the same prompt without its logits re-runs its last token only
+    calls.clear()
+    assert lm.prefill(None, [[4, 5, 6]], prefix=state) is state  # with them, nothing runs
+    assert lm.generate(None, [4, 5, 6], 1, prefix=state) == lm.generate(None, [4, 5, 6], 1)
+    assert calls[0] == (0, 3)  # the fresh prefill only
+    calls.clear()
+    lm.generate(None, [4, 9, 6], 1, prefix=state)
+    assert calls[0] == (1, 2)  # [9, 6] after the shared [4]
+    calls.clear()
+    lm.prefill(None, [[4, 5, 6, 7], [4, 9], [4, 5]], prefix=state)
+    assert calls == [(1, 3 + 1 + 1)]  # one packed pass after the prefix all prompts share
+
+
+def test_generate_prefix_from_other_soft_prompts_raises():
+    _, lm = make_lm()
+    soft = np.random.default_rng(0).normal(0, 0.1, (2, 32))
+    state = lm.prefill(soft, [[4, 5]])
+    for other in (soft + 1.0, None):
+        with pytest.raises(ValueError, match="prefix state was built from other soft prompts"):
+            lm.generate(other, [4, 5, 6], 3, prefix=state)
+    with pytest.raises(ValueError, match="other soft prompts"):
+        lm.generate(soft, [4], 3, prefix=lm.prefill(None, [[4]]))
+
+
+def test_prefill_rejects_bad_soft_prompts_and_empty_sequences():
+    _, lm = make_lm()
+    for bad in (np.zeros((2, 16)), np.zeros((0, 32)), np.zeros(32), np.zeros((1, 2, 32))):
+        with pytest.raises(ValueError, match=re.escape(f"soft prompts must be (S >= 1, 32), "
+                                                       f"got shape {bad.shape}")):
+            lm.generate(bad, [4, 5], 3)
+    with pytest.raises(ValueError, match=r"no soft prompts \(shape None\) and 0 prompt ids"):
+        lm.generate(None, [], 3)
+    with pytest.raises(ValueError, match=r"no soft prompts \(shape None\) and 0 prompt ids"):
+        lm.prefill(None, [[4], []])
+    with pytest.raises(ValueError, match="at least one prompt"):
+        lm.prefill(None, [])
+    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
+        lm.generate(np.zeros((1, 32)), [4 + i % 20 for i in range(64)], 3)
+    long_ids = [4 + i % 20 for i in range(65)]
+    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
+        lm.generate(None, long_ids, 3, prefix=lm.prefill(None, [long_ids[:5]]))
+    with pytest.raises(ValueError, match="sequence length 65 exceeds LM max_len 64"):
+        lm.prefill(None, [[4, 5], long_ids], prefix=lm.prefill(None, [long_ids[:5]]))
+    with pytest.raises(ValueError, match="only a one-row state can be cut, not one of 2 rows"):
+        lm.generate(None, [4, 5], 3, prefix=lm.prefill(None, [[4], [5]]))
+
+
+def _scripted_rows(seqs, vocab=5):
+    """(first logits, step, rows run per step) replaying each row's token
+    sequence ``seqs[b]`` through ``greedy_decode``'s step protocol."""
+    live, at, ran = list(range(len(seqs))), [0] * len(seqs), []
+
+    def logits():
+        out = np.zeros((len(live), vocab))
+        out[np.arange(len(live)), [seqs[b][at[b]] for b in live]] = 1.0
+        return out
+
+    def step(keep, tokens):
+        live[:] = [b for b, k in zip(live, keep) if k]
+        assert [seqs[b][at[b]] for b in live] == list(tokens)
+        ran.append(list(live))
+        for b in live:
+            at[b] += 1
+        return logits()
+
+    return logits(), step, ran
+
+
+def test_greedy_decode_stops_at_eos_max_new_and_room():
+    for kw, want in ((dict(max_new=10, room=10), [4, 1, 2, 3]), (dict(max_new=2, room=10), [4, 1]),
+                     (dict(max_new=10, room=3), [4, 1, 2]), (dict(max_new=10, room=0), [4]),
+                     (dict(max_new=0, room=10), [])):
+        first, step, _ = _scripted_rows([[4, 1, 2, 3, 0]])
+        assert greedy_decode(first, step, eos_id=0, **kw) == [want]
+    first, step, _ = _scripted_rows([[4, 1, 2, 3, 0]])
+    assert greedy_decode(first, step, eos_id=4, max_new=10, room=10) == [[]]
+
+
+def test_greedy_decode_rows_stop_on_their_own():
+    first, step, ran = _scripted_rows([[4, 1, 0], [4, 1, 2, 3, 1], [2, 2, 2, 2], [0]])
+    out = greedy_decode(first, step, eos_id=0, max_new=4, room=np.array([10, 10, 2, 10]))
+    assert out == [[4, 1], [4, 1, 2, 3], [2, 2], []]  # EOS, max_new, room, EOS first
+    assert ran == [[0, 1, 2], [0, 1], [1]]  # a stopped row is never stepped again
 
 
 def test_embeddings_equal_onehot_products_bitwise():

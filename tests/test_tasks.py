@@ -7,14 +7,14 @@ from graftkit import templates as T
 from graftkit import vqa as vqa_mod
 from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c,
                                  zero_shot_scores_c)
-from graftkit.corpus import (CorpusSpec, Finding, build_vocab, generate_corpus, generate_study,
-                             tokenize)
+from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, generate_corpus,
+                             generate_study, tokenize)
 from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pool_grid
 from graftkit.params import ParamRegistry
 from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
                             embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
-                         assessment_text, build_qa_cases, default_reviewer, grade_qa_case,
+                         assessment_text, build_qa_cases, grade_qa_case,
                          load_grades_csv, run_qa_pipeline, save_grades_csv)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, precompute_grids,
                               zero_shot_score_b, zero_shot_scores_b)
@@ -633,14 +633,16 @@ def _vqa_prompt_len(small_world, image, question):
     return len(tokenize(body, bundle.vocab, max_len=None, lead=None))
 
 
-def test_default_reviewer_rejects_prompt_over_the_context(small_world):
+def test_bundle_review_rejects_prompt_over_the_context(small_world):
     prompt = T.make_reviewer_prompts(assessment_text(["no."] * 12), T.NORMAL_IMPRESSION)[0]
     n = len(tokenize(prompt, build_vocab(), max_len=None, lead=None))
-    assert isinstance(default_reviewer(_vqa_bundle(small_world, n + 16))(prompt), str)
+    assert isinstance(_vqa_bundle(small_world, n + 16).review(prompt), str)
     for max_len in (n + 15, n - 10):
+        bundle = _vqa_bundle(small_world, max_len)
         with pytest.raises(ValueError, match=f"reviewer prompt of {n} tokens plus 16 answer "
                                              f"tokens exceeds the LM context of {max_len} tokens"):
-            default_reviewer(_vqa_bundle(small_world, max_len))(prompt)
+            bundle.review(prompt)
+        assert bundle._review_state is None
 
 
 def test_run_vqa_prompt_filling_the_context_is_answered(small_world):
@@ -659,7 +661,7 @@ def test_run_vqa_rejects_prompt_over_the_context(small_world):
     def no_decode(*args, **kwargs):
         raise AssertionError("decoding started for an over-long prompt")
 
-    bundle.lm.generate = no_decode
+    bundle.lm.decode = no_decode
     msg = (f"VQA prompt of {p} tokens plus {qf.cfg.n_queries} soft prompts exceeds "
            f"the LM context of {qf.cfg.n_queries + p - 1} tokens")
     with pytest.raises(ValueError, match=msg):
@@ -669,14 +671,27 @@ def test_run_vqa_rejects_prompt_over_the_context(small_world):
         run_vqa(image, long_question, _vqa_bundle(small_world, 448))
 
 
+def _per_question_answers(bundle, prepared, questions, max_new=64):
+    """The reference: each question forked from the prepared dialog and
+    decoded on its own."""
+    out = []
+    for q in questions:
+        ids = tokenize(vqa_prompt_body(prepared.impression, q), bundle.vocab, max_len=None,
+                       lead=None)
+        out.append(detokenize(bundle.lm.generate(prepared.soft, ids, max_new,
+                                                 prefix=prepared.dialog), bundle.vocab))
+    return out
+
+
 def test_qa_case_prepares_the_image_once_and_forks_every_question(small_world, monkeypatch):
     corpus, clip, qf, _, _ = small_world
     bundle = _vqa_bundle(small_world, 1400)  # room for 12 answers of up to 64 tokens
     study = corpus.studies[1]
     expected = [run_vqa(study.image, q, bundle) for q in T.QA_QUESTIONS]
-    calls = {"impression": 0, "encoder": 0, "vqa": 0, "reviewer": 0}
-    impression, forward, generate = vqa_mod.generate_impression, ImageEncoder.forward, \
-        DecoderLM.generate
+    calls = {"impression": 0, "encoder": 0, "answers": 0, "reviewer": 0}
+    rows = []
+    impression, forward, decode = vqa_mod.generate_impression, ImageEncoder.forward, \
+        DecoderLM.decode
 
     def counting_impression(*args, **kwargs):
         calls["impression"] += 1
@@ -686,13 +701,88 @@ def test_qa_case_prepares_the_image_once_and_forks_every_question(small_world, m
         calls["encoder"] += 1
         return forward(self, images)
 
-    def counting_generate(self, soft, *args, **kwargs):
-        calls["reviewer" if soft is None else "vqa"] += 1
-        return generate(self, soft, *args, **kwargs)
+    def counting_decode(self, state, *args, **kwargs):
+        calls["reviewer" if state.soft is None else "answers"] += 1
+        rows.append(len(state.ids))
+        return decode(self, state, *args, **kwargs)
 
     monkeypatch.setattr(vqa_mod, "generate_impression", counting_impression)
     monkeypatch.setattr(ImageEncoder, "forward", counting_forward)
-    monkeypatch.setattr(DecoderLM, "generate", counting_generate)
+    monkeypatch.setattr(DecoderLM, "decode", counting_decode)
     result = run_qa_pipeline(study, study.report_impression, bundle)
-    assert calls == {"impression": 1, "encoder": 1, "vqa": 12, "reviewer": 2}
+    assert calls == {"impression": 1, "encoder": 1, "answers": 1, "reviewer": 2}
+    assert rows == [12, 1, 1]  # one packed pass answers all 12 questions
     assert result.answers == expected
+
+
+@pytest.mark.parametrize("study_id", [1, 4])
+def test_packed_answers_equal_per_question_answers(small_world, study_id):
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    prepared = bundle.prepare(corpus.studies[study_id].image)
+    questions = [*T.QA_QUESTIONS, "is there a pleural effusion ?", "Is a pneumothorax present?"]
+    for qs in (questions, questions[:1], questions[3:5]):
+        for max_new in (3, 64):
+            assert bundle.answers(prepared, qs, max_new) == _per_question_answers(
+                bundle, prepared, qs, max_new)
+
+
+def test_review_decodes_from_the_prompt_state_without_rerunning_a_token(small_world):
+    bundle = _vqa_bundle(small_world, 1400)
+    prompts = T.make_reviewer_prompts(assessment_text(["no."] * 12), T.NORMAL_IMPRESSION)
+    fed, runs = [], []
+    run, extend = bundle.lm._pass, bundle.lm.extend
+
+    def counting_pass(past, emb, *args):
+        runs.append(emb.shape[0] * emb.shape[1])
+        return run(past, emb, *args)
+
+    def counting_extend(state, tokens):
+        fed.extend(np.asarray(tokens)[:, 0].tolist())
+        return extend(state, tokens)
+
+    bundle.lm._pass, bundle.lm.extend = counting_pass, counting_extend
+    last = None
+    for prompt in prompts:
+        ids = tokenize(prompt, bundle.vocab, max_len=None, lead=None)
+        fed.clear()
+        runs.clear()
+        response = bundle.review(prompt)
+        ran, ran_rows = list(fed), sum(runs)
+        out = bundle.lm.generate(None, ids, 32)
+        assert response == detokenize(out, bundle.vocab)
+        # decoding runs only the response's own tokens (its last one too,
+        # unless max_new stopped it), never the prompt's last token again
+        assert ran == out[: len(ran)] and len(ran) == min(len(out), 31)
+        # and the prompt runs once, past what it shares with the last prompt
+        shared = 0 if last is None else next(
+            i for i, (x, y) in enumerate(zip(last, ids)) if x != y)
+        assert ran_rows == len(ids) - shared + len(ran)
+        assert bundle._review_state.ids == (tuple(ids),)
+        last = ids
+    assert shared > 300  # the two templates share the header and assessment
+
+
+def test_review_after_another_case_equals_a_fresh_review(small_world):
+    corpus = small_world[0]
+    study_a, study_b = corpus.studies[2], corpus.studies[5]
+    shared = _vqa_bundle(small_world, 1400)
+    run_qa_pipeline(study_a, study_a.report_impression, shared)
+    after = run_qa_pipeline(study_b, T.NORMAL_IMPRESSION, shared)
+    fresh = run_qa_pipeline(study_b, T.NORMAL_IMPRESSION, _vqa_bundle(small_world, 1400))
+    assert (after.answers, after.response_missing, after.response_added) == (
+        fresh.answers, fresh.response_missing, fresh.response_added)
+    # the next case's first prompt forks from the last one: only its own tail runs
+    runs = []
+    run = shared.lm._pass
+
+    def counting(past, emb, *args):
+        runs.append(emb.shape[1])
+        return run(past, emb, *args)
+
+    shared.lm._pass = counting
+    assert shared.review(fresh.prompt_missing) == fresh.response_missing
+    n = len(tokenize(fresh.prompt_missing, shared.vocab, max_len=None, lead=None))
+    header = len(tokenize(T.REVIEWER_MISSING_TEMPLATE.split("{assessment}")[0], shared.vocab,
+                          max_len=None, lead=None))
+    assert 1 <= runs[0] <= n - header
