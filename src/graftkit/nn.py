@@ -7,6 +7,10 @@ frozen-graft contracts can be checked by content digest per prefix.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -664,31 +668,199 @@ def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:
     return total / max(count, 1)
 
 
+def _check_lm_training(dataset, cfg: LmTrainConfig) -> None:
+    """Reject input on which ``pretrain_lm`` would spin forever or fail mid-run."""
+    if cfg.steps < 0:
+        raise ValueError(f"LmTrainConfig.steps must be >= 0, got {cfg.steps}")
+    for field in ("batch_size", "long_batch_size"):
+        if getattr(cfg, field) < 1:
+            raise ValueError(f"LmTrainConfig.{field} must be >= 1, got {getattr(cfg, field)}")
+    if not len(dataset):
+        raise ValueError("LM training dataset is empty")
+    for i, (seq, start) in enumerate(dataset):
+        if len(seq) <= max(start, 1):  # targets are tokens 1.. len-1 at or past loss_start
+            raise ValueError(f"dataset[{i}]: loss_start {start} selects no target "
+                             f"in a sequence of {len(seq)} tokens")
+
+
+def _half_grads(lm: DecoderLM, half, total: int) -> tuple[float, dict[str, np.ndarray]]:
+    """(loss share, gradients) of one half ``(tokens, lengths, starts)`` of a
+    batch: the half's token-loss sum over ``total``, the whole batch's target
+    count, and its gradient.  A half that selects no target adds nothing."""
+    tokens, lengths, starts = half
+    n = int(next_token_targets(tokens, lengths, starts)[1].sum())
+    if n == 0:
+        return 0.0, {}
+    with Tape() as tape:
+        loss = ag.mul(lm.batch_loss(tokens, lengths, starts), Tensor(n / total))
+    return float(loss.data), tape.gradients(loss)
+
+
+def _worker_main(conn, parent_end) -> None:
+    """Serve ``_half_grads`` requests until the parent's end of the pipe closes.
+
+    The fork copied the parent's end too; closing it here makes the parent's
+    exit, even by SIGKILL, an ``EOFError`` on the next ``recv``.  Ctrl-C is
+    left to the parent, which drops the worker when interrupted.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    lm = None
+    while True:
+        try:
+            cfg, prefix, values, half, total = conn.recv()
+        except (EOFError, OSError):  # the parent is gone
+            return
+        try:
+            if lm is None or lm.cfg != cfg or lm.prefix != prefix:
+                lm = DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0), prefix)
+            lm.reg.load_values(values)
+            reply = ("ok", _half_grads(lm, half, total))
+        except Exception as exc:  # the parent re-raises it
+            reply = ("err", exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+
+
+class _HalfWorker:
+    """A forked process that computes ``_half_grads`` for the parent.
+
+    Fork rather than spawn: a spawned child re-imports the parent's
+    ``__main__``, which a script calling ``pretrain_lm`` at top level without
+    a main guard does not survive, while the forked child needs no import and
+    runs only numpy on what the pipe brings.  It is a daemon, so the
+    interpreter's exit stops it.
+    """
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child_end, self.conn),
+                                name="graftkit-lm-half", daemon=True)
+        self.proc.start()
+        child_end.close()  # so that a dead worker is an EOFError here, not a hang
+        self.owner = os.getpid()
+
+    def submit(self, lm: DecoderLM, half, total: int) -> None:
+        values = {p.name: p.data for p in lm.params()}
+        self._io(self.conn.send, (lm.cfg, lm.prefix, values, half, total))
+
+    def result(self) -> tuple[float, dict[str, np.ndarray]]:
+        """The reply to the last ``submit``; the worker's exception is
+        re-raised as the same type."""
+        reply = self._io(self.conn.recv)
+        if reply[0] == "err":
+            exc = reply[1]
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                exc.add_note("raised in the LM training worker:\n" + reply[2])
+            raise exc
+        return reply[1]
+
+    def _io(self, op, *args):
+        """A dead worker or an interrupted transfer leaves the pipe out of
+        step, so the worker is dropped; the next step forks a new one."""
+        try:
+            return op(*args)
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, (EOFError, OSError)):
+                raise RuntimeError("the LM training worker exited") from exc
+            raise
+
+    def close(self) -> None:
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+_worker: _HalfWorker | None = None
+
+
+def _half_worker() -> _HalfWorker | None:
+    """The process's LM training worker, forked on first use, or None when
+    fewer than two cores are available to this process.  One thread at a
+    time may train with it."""
+    global _worker
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cores or 1) < 2:
+        return None
+    if _worker is None or _worker.owner != os.getpid() or not _worker.proc.is_alive():
+        _worker = _HalfWorker()  # a forked copy of the process owns no worker
+    return _worker
+
+
+def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean target loss of the batch ``idx`` and its gradient, computed as
+    two halves, rows ``[:ceil(B/2)]`` (A) and the rest (B), each padded on
+    its own, added as A + B.  B runs in the worker while A runs here."""
+    cut = -(-len(idx) // 2)
+    halves = [_pad_batch(dataset, part, lm.cfg.pad_id) for part in (idx[:cut], idx[cut:])
+              if len(part)]
+    total = sum(int(next_token_targets(*h)[1].sum()) for h in halves)
+    if total == 0:
+        raise ValueError("LM batch selects no target positions")
+    worker = _half_worker() if len(halves) == 2 else None
+    if worker is not None:
+        worker.submit(lm, halves[1], total)
+        try:
+            parts = [_half_grads(lm, halves[0], total)]
+        except BaseException:
+            try:
+                worker.result()  # keep the pipe in step; A's error is the one raised
+            except Exception:
+                pass
+            raise
+        parts.append(worker.result())
+    else:
+        parts = [_half_grads(lm, h, total) for h in halves]
+    loss, grads = parts[0]
+    if len(parts) == 2:
+        loss += parts[1][0]
+        for name, g in parts[1][1].items():
+            grads[name] = grads[name] + g if name in grads else g
+    return loss, grads
+
+
 def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
                 holdout=None, log=None) -> dict:
     """Train the decoder LM, verify held-out perplexity, then freeze it.
 
     ``dataset`` is a list of (token ids, loss_start); ``holdout`` a separate
-    list evaluated for the perplexity gate (report sequences).
+    list evaluated for the perplexity gate (report sequences).  Input on
+    which training cannot make progress raises ``ValueError`` before any step.
+
+    Each step's loss is the mean over the target tokens of a length-sorted
+    batch of B rows, computed as two fixed halves: rows ``[:ceil(B/2)]`` and
+    the rest.  Each half's gradient is that of its token-loss sum divided by
+    the whole batch's target count; the two are added in that order and one
+    Adam step is taken.  A one-row batch has no second half, and its factor
+    is exactly 1.0.
+
+    The second half runs in a worker process, forked on the first step that
+    needs it and reused for the life of the process across calls, when at
+    least two cores are available; otherwise it runs here after the first.
+    It is the same function on the same arrays either way, so the trained
+    bits do not depend on the core count.
     """
     from .optim import Adam
 
+    _check_lm_training(dataset, cfg)
     rng = np.random.default_rng(seed)
     opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     batches = _make_batches(dataset, cfg, rng)
     history = []
     for step in range(cfg.steps):
-        idx = next(batches)
-        tokens, lengths, starts = _pad_batch(dataset, idx, lm.cfg.pad_id)
-        with Tape() as tape:
-            loss = lm.batch_loss(tokens, lengths, starts)
-        if not np.isfinite(loss.data):
+        loss, grads = _batch_grads(lm, dataset, next(batches))
+        if not np.isfinite(loss):
             raise FloatingPointError("LM pretraining diverged (non-finite loss)")
-        grads = tape.gradients(loss)
         opt.step(grads)
-        history.append(float(loss.data))
+        history.append(loss)
         if log and (step % 200 == 0 or step == cfg.steps - 1):
-            log(f"lm step {step} loss {loss.data:.4f}")
+            log(f"lm step {step} loss {loss:.4f}")
     stats = {"final_train_loss": history[-1] if history else float("nan"),
              "history_head": history[:5]}
     if holdout:
