@@ -7,6 +7,7 @@ frozen-graft contracts can be checked by content digest per prefix.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import signal
@@ -683,11 +684,26 @@ def _check_lm_training(dataset, cfg: LmTrainConfig) -> None:
                              f"in a sequence of {len(seq)} tokens")
 
 
-def _half_grads(lm: DecoderLM, half, total: int) -> tuple[float, dict[str, np.ndarray]]:
-    """(loss share, gradients) of one half ``(tokens, lengths, starts)`` of a
-    batch: the half's token-loss sum over ``total``, the whole batch's target
-    count, and its gradient.  A half that selects no target adds nothing."""
-    tokens, lengths, starts = half
+# A training batch is computed as at most this many parts of equal row count.
+_MAX_PARTS = 8
+
+
+def _worker_share(n_parts: int) -> int:
+    """How many of a step's last parts the worker computes: a third, at
+    least one.  Fewer than half, so that from three parts on this process
+    finishes last unless the worker's core runs at under half the speed of
+    this one's.  On a shared machine the two cores' speeds drift apart by
+    10-80% from step to step; with an even split of four one-row parts,
+    every step waited for whichever core was slower at the time.
+    """
+    return max(1, n_parts // 3)
+
+
+def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.ndarray]]:
+    """(loss share, gradients) of one part ``(tokens, lengths, starts)`` of a
+    batch: the part's token-loss sum over ``total``, the whole batch's target
+    count, and its gradient.  A part that selects no target adds nothing."""
+    tokens, lengths, starts = part
     n = int(next_token_targets(tokens, lengths, starts)[1].sum())
     if n == 0:
         return 0.0, {}
@@ -696,8 +712,35 @@ def _half_grads(lm: DecoderLM, half, total: int) -> tuple[float, dict[str, np.nd
     return float(loss.data), tape.gradients(loss)
 
 
-def _worker_main(conn, parent_end) -> None:
-    """Serve ``_half_grads`` requests until the parent's end of the pipe closes.
+def _lm_layout(lm: DecoderLM) -> tuple:
+    """What a worker is forked for: the LM's config and prefix, and the name,
+    shape and dtype of each parameter in order."""
+    return lm.cfg, lm.prefix, tuple((p.name, p.data.shape, p.data.dtype.str) for p in lm.params())
+
+
+def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
+    """``copies`` sets of arrays shaped like the LM's parameters, in one
+    anonymous shared mapping: made before a fork, the child sees the same
+    pages."""
+    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout[2]]
+    sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
+    buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
+    offset, out = 0, []
+    for _ in range(copies):
+        out.append({})
+        for (name, shape, dtype), size in zip(specs, sizes):
+            out[-1][name] = np.ndarray(shape, dtype, buffer=buf, offset=offset)
+            offset += size
+    return out
+
+
+def _worker_main(conn, parent_end, layout, weights, slots) -> None:
+    """Serve steps until the parent's end of the pipe closes.
+
+    A request is the worker's parts of a batch and the batch's target count.
+    The weights are read from ``weights`` and part i's gradients written to
+    ``slots[i]``, memory shared with the parent; the reply holds each part's
+    loss share and the names of its gradients.
 
     The fork copied the parent's end too; closing it here makes the parent's
     exit, even by SIGKILL, an ``EOFError`` on the next ``recv``.  Ctrl-C is
@@ -708,14 +751,21 @@ def _worker_main(conn, parent_end) -> None:
     lm = None
     while True:
         try:
-            cfg, prefix, values, half, total = conn.recv()
+            parts, total = conn.recv()
         except (EOFError, OSError):  # the parent is gone
             return
         try:
-            if lm is None or lm.cfg != cfg or lm.prefix != prefix:
+            if lm is None:
+                cfg, prefix, _ = layout
                 lm = DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0), prefix)
-            lm.reg.load_values(values)
-            reply = ("ok", _half_grads(lm, half, total))
+            lm.reg.load_values(weights)
+            done = []
+            for part, slot in zip(parts, slots):
+                loss, grads = _part_grads(lm, part, total)
+                for name, g in grads.items():
+                    slot[name][...] = g
+                done.append((loss, tuple(grads)))
+            reply = ("ok", done)
         except Exception as exc:  # the parent re-raises it
             reply = ("err", exc, traceback.format_exc())
         try:
@@ -724,39 +774,56 @@ def _worker_main(conn, parent_end) -> None:
             return
 
 
-class _HalfWorker:
-    """A forked process that computes ``_half_grads`` for the parent.
+class _PartWorker:
+    """A forked process that computes the last parts of each step for one
+    LM layout.
+
+    The weights go to it and its gradients come back through arrays in an
+    anonymous shared mapping made before the fork; the pipe carries only the
+    parts' padded rows, a few kilobytes, and the reply.  Pickling the 4 MB
+    of weights and of gradients through the pipe instead cost 4-140 ms a
+    step on a 2-core VM, varying with how promptly each process was woken
+    for every 64 KB the pipe holds.
 
     Fork rather than spawn: a spawned child re-imports the parent's
     ``__main__``, which a script calling ``pretrain_lm`` at top level without
     a main guard does not survive, while the forked child needs no import and
-    runs only numpy on what the pipe brings.  It is a daemon, so the
-    interpreter's exit stops it.
+    runs only numpy on what the pipe and the shared memory bring.  It is a
+    daemon, so the interpreter's exit stops it.
     """
 
-    def __init__(self):
+    def __init__(self, lm: DecoderLM):
+        self.layout = _lm_layout(lm)
+        self.weights, *self.slots = _shared_arrays(self.layout,
+                                                   1 + _worker_share(_MAX_PARTS))
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_worker_main, args=(child_end, self.conn),
-                                name="graftkit-lm-half", daemon=True)
+        self.proc = ctx.Process(target=_worker_main,
+                                args=(child_end, self.conn, self.layout, self.weights,
+                                      self.slots),
+                                name="graftkit-lm-part", daemon=True)
         self.proc.start()
         child_end.close()  # so that a dead worker is an EOFError here, not a hang
         self.owner = os.getpid()
 
-    def submit(self, lm: DecoderLM, half, total: int) -> None:
-        values = {p.name: p.data for p in lm.params()}
-        self._io(self.conn.send, (lm.cfg, lm.prefix, values, half, total))
+    def submit(self, lm: DecoderLM, parts, total: int) -> None:
+        """Start the worker on ``parts``, at most one per slot."""
+        for p in lm.params():
+            self.weights[p.name][...] = p.data
+        self._io(self.conn.send, (parts, total))
 
-    def result(self) -> tuple[float, dict[str, np.ndarray]]:
-        """The reply to the last ``submit``; the worker's exception is
-        re-raised as the same type."""
+    def result(self) -> list[tuple[float, dict[str, np.ndarray]]]:
+        """(loss share, gradients) of each part of the last ``submit``; the
+        worker's exception is re-raised as the same type.  The gradients are
+        views of the shared memory, valid until the next ``submit``."""
         reply = self._io(self.conn.recv)
         if reply[0] == "err":
             exc = reply[1]
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note("raised in the LM training worker:\n" + reply[2])
             raise exc
-        return reply[1]
+        return [(loss, {name: slot[name] for name in names})
+                for slot, (loss, names) in zip(self.slots, reply[1])]
 
     def _io(self, op, *args):
         """A dead worker or an interrupted transfer leaves the pipe out of
@@ -777,51 +844,56 @@ class _HalfWorker:
             self.proc.join()
 
 
-_worker: _HalfWorker | None = None
+_worker: _PartWorker | None = None
 
 
-def _half_worker() -> _HalfWorker | None:
-    """The process's LM training worker, forked on first use, or None when
-    fewer than two cores are available to this process.  One thread at a
-    time may train with it."""
+def _part_worker(lm: DecoderLM) -> _PartWorker | None:
+    """The process's LM training worker, forked on first use and again for
+    an LM of another layout, or None when fewer than two cores are available
+    to this process.  One thread at a time may train with it."""
     global _worker
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cores or 1) < 2:
         return None
-    if _worker is None or _worker.owner != os.getpid() or not _worker.proc.is_alive():
-        _worker = _HalfWorker()  # a forked copy of the process owns no worker
+    if _worker is None or _worker.owner != os.getpid():  # a forked copy owns no worker
+        _worker = _PartWorker(lm)
+    elif not _worker.proc.is_alive() or _worker.layout != _lm_layout(lm):
+        _worker.close()
+        _worker = _PartWorker(lm)
     return _worker
 
 
 def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray]]:
     """Mean target loss of the batch ``idx`` and its gradient, computed as
-    two halves, rows ``[:ceil(B/2)]`` (A) and the rest (B), each padded on
-    its own, added as A + B.  B runs in the worker while A runs here."""
-    cut = -(-len(idx) // 2)
-    halves = [_pad_batch(dataset, part, lm.cfg.pad_id) for part in (idx[:cut], idx[cut:])
-              if len(part)]
-    total = sum(int(next_token_targets(*h)[1].sum()) for h in halves)
+    parts of ``ceil(B / _MAX_PARTS)`` consecutive rows, each padded on its
+    own, and added in part order.  With a worker, the worker computes the
+    last ``_worker_share`` parts while this process computes the others."""
+    size = -(-len(idx) // _MAX_PARTS)
+    parts = [_pad_batch(dataset, idx[i:i + size], lm.cfg.pad_id)
+             for i in range(0, len(idx), size)]
+    total = sum(int(next_token_targets(*part)[1].sum()) for part in parts)
     if total == 0:
         raise ValueError("LM batch selects no target positions")
-    worker = _half_worker() if len(halves) == 2 else None
-    if worker is not None:
-        worker.submit(lm, halves[1], total)
+    worker = _part_worker(lm) if len(parts) >= 2 else None
+    if worker is None:
+        results = [_part_grads(lm, part, total) for part in parts]
+    else:
+        cut = len(parts) - _worker_share(len(parts))
+        worker.submit(lm, parts[cut:], total)
         try:
-            parts = [_half_grads(lm, halves[0], total)]
+            results = [_part_grads(lm, part, total) for part in parts[:cut]]
         except BaseException:
             try:
-                worker.result()  # keep the pipe in step; A's error is the one raised
+                worker.result()  # keep the pipe in step; this error is the one raised
             except Exception:
                 pass
             raise
-        parts.append(worker.result())
-    else:
-        parts = [_half_grads(lm, h, total) for h in halves]
-    loss, grads = parts[0]
-    if len(parts) == 2:
-        loss += parts[1][0]
-        for name, g in parts[1][1].items():
-            grads[name] = grads[name] + g if name in grads else g
+        results += worker.result()
+    loss, grads = results[0]
+    for part_loss, part_grads in results[1:]:
+        loss += part_loss
+        for name, g in part_grads.items():
+            grads[name] = grads[name] + g if name in grads else g.copy()
     return loss, grads
 
 
@@ -834,17 +906,20 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     which training cannot make progress raises ``ValueError`` before any step.
 
     Each step's loss is the mean over the target tokens of a length-sorted
-    batch of B rows, computed as two fixed halves: rows ``[:ceil(B/2)]`` and
-    the rest.  Each half's gradient is that of its token-loss sum divided by
-    the whole batch's target count; the two are added in that order and one
-    Adam step is taken.  A one-row batch has no second half, and its factor
-    is exactly 1.0.
+    batch of B rows, computed as fixed parts of ``ceil(B / 8)`` consecutive
+    rows (so at most eight).  Each part's gradient is that of its token-loss
+    sum divided by the whole batch's target count; the parts are added in
+    row order and one Adam step is taken.  A one-row batch is one part, and
+    its factor is exactly 1.0.
 
-    The second half runs in a worker process, forked on the first step that
-    needs it and reused for the life of the process across calls, when at
-    least two cores are available; otherwise it runs here after the first.
-    It is the same function on the same arrays either way, so the trained
-    bits do not depend on the core count.
+    When at least two cores are available, a worker process computes the
+    last third of each step's parts (at least one) while this process
+    computes the rest.  The worker is forked on the first step that needs
+    it and reused for the life of the process across calls (forked again
+    for an LM of another shape).  Without it, every part runs here.  Each
+    part is the same function on the same arrays whoever computes it, and
+    the sum's order is fixed, so the trained bits do not depend on the core
+    count.
     """
     from .optim import Adam
 

@@ -1,5 +1,6 @@
-"""LM pretraining: the two-half step against the single-batch loop it
-replaced, its determinism, input checks, and the worker process's lifetime."""
+"""LM pretraining: the step computed in parts against the single-batch loop
+it replaced, its determinism, input checks, and the worker process's
+lifetime."""
 
 import os
 import select
@@ -68,7 +69,7 @@ def test_split_matches_the_single_batch_oracle():
     data = dataset()
     hist = nn.pretrain_lm(split, data, CFG, seed=3)["history_head"]
     ref_hist = oracle_pretrain(ref, data, CFG, seed=3)
-    # The halves sum the same float64 terms in another order and pad to other
+    # The parts sum the same float64 terms in another order and pad to other
     # widths: a few ulps per step in the loss (~4e-16 at 3.4), and Adam turns
     # gradient differences of that size into weight differences far below 1e-10.
     np.testing.assert_allclose(hist, ref_hist[:5], rtol=0, atol=1e-13)
@@ -88,11 +89,12 @@ def test_one_row_batch_is_the_single_batch_loss_bitwise():
     assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
 
-def test_a_half_without_targets_adds_nothing():
+def test_a_part_without_targets_adds_nothing():
     lm = tiny_lm()
     data = [([1, 2, 3], 3), ([4, 5, 6, 7, 8], 1)]  # the first row selects no target
     loss, grads = nn._batch_grads(lm, data, np.array([0, 1]))
-    ref = nn._half_grads(lm, nn._pad_batch(data, [1], lm.cfg.pad_id), total=4)
+    ref = nn._part_grads(lm, nn._pad_batch(data, [1], lm.cfg.pad_id), total=4)
+    nn._batch_grads(lm, dataset(), np.arange(4))  # reuses the worker's shared memory
     assert loss == ref[0]
     assert all(np.array_equal(grads[k], ref[1][k]) for k in ref[1])
 
@@ -105,8 +107,8 @@ def test_a_batch_without_targets_raises():
 @needs_two_cores
 def test_worker_and_inline_runs_are_bitwise_equal(monkeypatch):
     submitted = []
-    submit = nn._HalfWorker.submit
-    monkeypatch.setattr(nn._HalfWorker, "submit",
+    submit = nn._PartWorker.submit
+    monkeypatch.setattr(nn._PartWorker, "submit",
                         lambda self, *a: (submitted.append(1), submit(self, *a))[1])
     with_worker = trained()
     n_submitted = len(submitted)
@@ -121,6 +123,25 @@ def test_two_runs_are_bitwise_equal():
 
 
 @needs_two_cores
+@pytest.mark.parametrize("rows, worker_rows", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (8, 2),
+                                               (9, 1), (16, 4)])
+def test_the_worker_computes_the_last_third_of_the_parts(monkeypatch, rows, worker_rows):
+    # parts of ceil(rows / 8) rows; the worker computes the last third of them
+    lm = tiny_lm()
+    data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(rows)]
+    parent_rows = []
+    part_grads = nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda lm, part, total: (
+        parent_rows.extend(part[1]), part_grads(lm, part, total))[1])
+    ref = nn._batch_grads(tiny_lm(), data, np.arange(rows))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    got = nn._batch_grads(lm, data, np.arange(rows))
+    assert len(parent_rows) == 2 * rows - worker_rows  # inline: every row
+    assert parent_rows[:rows - worker_rows] == [5 + i for i in range(rows - worker_rows)]
+    assert got[0] == ref[0] and all(np.array_equal(got[1][k], ref[1][k]) for k in ref[1])
+
+
+@needs_two_cores
 def test_two_calls_share_one_worker():
     trained()
     first = nn._worker.proc.pid
@@ -129,17 +150,17 @@ def test_two_calls_share_one_worker():
 
 
 @needs_two_cores
-@pytest.mark.parametrize("bad_half", [0, 1])
-def test_a_failing_half_is_reraised_and_the_next_call_works(bad_half):
+@pytest.mark.parametrize("bad_part", [0, 1])
+def test_a_failing_part_is_reraised_and_the_next_call_works(bad_part):
     ref = trained()
     lm = tiny_lm()
-    lm.tok.data[28] = np.inf  # a token that only the bad half holds
-    rows = [[1, 2, 3, 4], [1, 2, 3, 4, 5]]  # length-sorted: half A, then half B
-    rows[bad_half][1] = 28
+    lm.tok.data[28] = np.inf  # a token that only the bad part holds
+    rows = [[1, 2, 3, 4], [1, 2, 3, 4, 5]]  # length-sorted: the parent's part, the worker's
+    rows[bad_part][1] = 28
     with pytest.raises(FloatingPointError) as info:
         nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1, batch_size=2))
     from_worker = any("LM training worker" in n for n in getattr(info.value, "__notes__", []))
-    assert from_worker == (bad_half == 1)
+    assert from_worker == (bad_part == 1)
     worker = nn._worker
     assert trained() == ref  # the pipe is in step: no stale reply is read
     assert nn._worker is worker
@@ -148,12 +169,13 @@ def test_a_failing_half_is_reraised_and_the_next_call_works(bad_half):
 @needs_two_cores
 def test_a_dead_worker_raises_instead_of_hanging():
     lm, data = tiny_lm(), dataset()
-    worker = nn._HalfWorker()
+    worker = nn._PartWorker(lm)
     worker.proc.kill()
     worker.proc.join(timeout=5)
     assert worker.conn.poll(5)  # end of file, since the parent holds no copy of the child's end
+    part = nn._pad_batch(data, [0], lm.cfg.pad_id)
     with pytest.raises(RuntimeError, match="worker exited"):
-        worker.submit(lm, nn._pad_batch(data, [0, 1], lm.cfg.pad_id), 10)
+        worker.submit(lm, [part, part], 10)
         worker.result()
     assert not worker.proc.is_alive()
 
