@@ -71,12 +71,6 @@ def load_prompt_sets(path) -> dict[str, PromptSet]:
     return out
 
 
-def save_prompt_sets(prompt_sets, path) -> None:
-    data = [{"finding": ps.finding, "positive": ps.positive, "negative": ps.negative}
-            for ps in prompt_sets.values()]
-    Path(path).write_text(json.dumps(data, indent=1))
-
-
 DEFAULT_PROMPT_SETS = {
     "effusion": PromptSet("effusion",
                           ["left pleural effusion", "right pleural effusion",

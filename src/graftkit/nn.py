@@ -31,8 +31,10 @@ def sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def causal_mask(n: int) -> np.ndarray:
-    return np.triu(np.full((n, n), NEG_INF), k=1)[None, None]
+def causal_mask(m: int, n: int = 0) -> np.ndarray:
+    """(m, n + m) additive mask of m new rows after n cached ones: row i sees
+    the cached keys and the new keys up to itself."""
+    return np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
 
 
 def key_padding_mask(lengths, max_len: int) -> np.ndarray:
@@ -40,6 +42,12 @@ def key_padding_mask(lengths, max_len: int) -> np.ndarray:
     lengths = np.asarray(lengths)
     cols = np.arange(max_len)[None, :]
     return np.where(cols < lengths[:, None], 0.0, NEG_INF)[:, None, None, :]
+
+
+def token_embedding(table: Tensor, pos: np.ndarray, tokens, start: int = 0) -> Tensor:
+    """Embeddings of (..., L) ids: ``table`` rows plus ``pos[start:start + L]``."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    return ag.add(ag.take(table, tokens), Tensor(pos[start:start + tokens.shape[-1]]))
 
 
 def next_token_targets(tokens, lengths, loss_starts) -> tuple[np.ndarray, np.ndarray]:
@@ -103,33 +111,23 @@ class MultiHeadAttention:
         b, _, l, _ = att.shape
         return self.o(ag.reshape(ag.transpose(att, (0, 2, 1, 3)), (b, l, self.dim)))
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None) -> Tensor:
-        b, lq, _ = x_q.shape
-        lk = x_kv.shape[1]
-        q = self._split(self.q(x_q), b, lq)
-        k = self._split(self.k(x_kv), b, lk)
-        v = self._split(self.v(x_kv), b, lk)
-        return self._merge(ag.sdpa(q, k, v, mask=mask))
-
-    def extend(self, h: Tensor, past=None, causal: bool = True,
-               mask=None) -> tuple[Tensor, tuple]:
-        """Self-attention of new rows ``h`` (B, m, dim) over the cached
-        (keys, values) ``past`` (each (B, heads, n, dh), or None) and over
-        themselves, causally unless ``causal`` is False.  ``mask``, additive
-        and broadcastable to (B, heads, m, n + m), hides further keys: padding,
-        or other sequences packed into the same row.  Returns (output rows,
-        (keys, values) of all n + m rows); inference only, ``past`` is kept."""
-        b, m = h.shape[:2]
-        q = self._split(self.q(h), b, m)
-        k = self._split(self.k(h), b, m).data
-        v = self._split(self.v(h), b, m).data
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None,
+                 past=None) -> tuple[Tensor, tuple]:
+        """Attention of the rows ``x_q`` (B, m, dim) over the keys of
+        ``x_kv`` (B, l, dim), after the cached (keys, values) ``past`` (each
+        (B, heads, n, dh)) when given, under the additive ``mask``
+        broadcastable to (B, heads, m, n + l).  Returns (output rows, (keys,
+        values) of all n + l keys).  Cached keys are plain arrays, so a call
+        with ``past`` is inference only; ``past`` itself is kept."""
+        b, m = x_q.shape[:2]
+        l = x_kv.shape[1]
+        q = self._split(self.q(x_q), b, m)
+        k = self._split(self.k(x_kv), b, l)
+        v = self._split(self.v(x_kv), b, l)
         if past is not None:
-            k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
-        n = k.shape[2] - m
-        if causal and m > 1:
-            tri = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
-            mask = tri if mask is None else mask + tri
-        return self._merge(ag.sdpa(q, Tensor(k), Tensor(v), mask=mask)), (k, v)
+            k = Tensor(np.concatenate([past[0], k.data], axis=2))
+            v = Tensor(np.concatenate([past[1], v.data], axis=2))
+        return self._merge(ag.sdpa(q, k, v, mask=mask)), (k.data, v.data)
 
 
 class Mlp:
@@ -150,15 +148,11 @@ class TransformerBlock:
         self.ln2 = LayerNorm(reg, f"{name}.ln2", dim)
         self.mlp = Mlp(reg, f"{name}.mlp", dim, rng)
 
-    def __call__(self, x: Tensor, mask=None) -> Tensor:
+    def __call__(self, x: Tensor, mask=None, past=None) -> tuple[Tensor, tuple]:
+        """(output rows, self-attention (keys, values)) of the rows ``x``
+        after the cached ``past`` (``MultiHeadAttention.__call__``)."""
         h = self.ln1(x)
-        x = ag.add(x, self.attn(h, h, mask))
-        return ag.add(x, self.mlp(self.ln2(x)))
-
-    def extend(self, x: Tensor, past, mask=None) -> tuple[Tensor, tuple]:
-        """The block over new causal rows after cached (keys, values)
-        (``MultiHeadAttention.extend``); inference only."""
-        a, kv = self.attn.extend(self.ln1(x), past, mask=mask)
+        a, kv = self.attn(h, h, mask, past)
         x = ag.add(x, a)
         return ag.add(x, self.mlp(self.ln2(x))), kv
 
@@ -208,14 +202,8 @@ class ImageEncoder:
     def forward(self, images: np.ndarray) -> Tensor:
         x = ag.add(self.patch_features(images), Tensor(self.pos))
         for blk in self.blocks:
-            x = blk(x)
+            x, _ = blk(x)
         return self.ln_out(x)
-
-    def encode_image(self, image: np.ndarray) -> np.ndarray:
-        """Unpooled spatial embedding grid (g, g, dim); inference only."""
-        out = self.forward(np.asarray(image, dtype=np.float64)[None])
-        g = self.cfg.grid
-        return out.data[0].reshape(g, g, self.cfg.dim)
 
     def grid_tokens(self, images: np.ndarray, pooled_hw: int) -> np.ndarray:
         """(B, H, W) images -> (B, pooled_hw**2, dim) average-pooled grid
@@ -258,9 +246,6 @@ class TextEncoder:
         self.ln_out = LayerNorm(reg, f"{prefix}.ln_out", cfg.dim)
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
-    def embed(self, tokens: np.ndarray) -> Tensor:
-        return ag.add(ag.take(self.tok, tokens), Tensor(self.pos[: tokens.shape[-1]]))
-
     def forward(self, tokens: np.ndarray, lengths) -> tuple[Tensor, Tensor]:
         """(B, L) padded ids -> ((B, L, d) per-token, (B, d) pooled unit-norm)."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -268,22 +253,15 @@ class TextEncoder:
         if np.any(lengths < 1):
             raise ValueError("empty token sequence")
         mask = key_padding_mask(lengths, tokens.shape[1])
-        x = self.embed(tokens)
+        x = token_embedding(self.tok, self.pos, tokens)
         for blk in self.blocks:
-            x = blk(x, mask)
+            x, _ = blk(x, mask)
         x = self.ln_out(x)
         # mean over real positions only, then normalize
         weights = np.where(np.arange(tokens.shape[1])[None, :] < lengths[:, None],
                            1.0 / lengths[:, None], 0.0)
         pooled = ag.reduce_sum(ag.mul(x, Tensor(weights[..., None])), axis=1)
         return x, ag.l2_normalize(pooled)
-
-    def encode_text(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("empty token sequence")
-        per_tok, pooled = self.forward(ids[None], [ids.size])
-        return per_tok.data[0], pooled.data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +326,30 @@ class DecoderLM:
             parts.append(self.embed_tokens(tokens))
         return ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
-    def _run(self, emb: Tensor, lengths) -> Tensor:
-        b, l, _ = emb.shape
-        if l > self.cfg.max_len:
-            raise ValueError(f"sequence length {l} exceeds LM max_len {self.cfg.max_len}")
-        mask = causal_mask(l) + key_padding_mask(lengths, l)
-        x = ag.add(emb, Tensor(self.pos[:l]))
-        for blk in self.blocks:
-            x = blk(x, mask)
-        return self.head(self.ln_out(x))
+    def _forward(self, emb: Tensor, positions, mask=None, past=None,
+                 last=None) -> tuple[Tensor, list]:
+        """The LM over embedded rows ``emb`` (B, m, dim) at ``positions``
+        ((m,) or (B, m)), after the cached per-block (keys, values) ``past``
+        (None, or None per block: nothing cached), causally and under the
+        additive ``mask`` broadcastable to (B, 1, m, n + m).  Returns (logits,
+        per-block (keys, values) of all n + m rows); the logits are
+        (B, m, vocab), or (B, len(last), vocab) after the columns ``last``.
+        Training is the taped call without ``past``."""
+        top = int(np.max(positions)) + 1
+        if top > self.cfg.max_len:
+            raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
+        past = (None,) * len(self.blocks) if past is None else past
+        if emb.shape[1] > 1:  # a single new row sees every key
+            tri = causal_mask(emb.shape[1], 0 if past[0] is None else past[0][0].shape[2])
+            mask = tri if mask is None else mask + tri
+        x = ag.add(emb, Tensor(self.pos[positions]))
+        kv = []
+        for blk, blk_past in zip(self.blocks, past):
+            x, blk_kv = blk(x, mask, blk_past)
+            kv.append(blk_kv)
+        if last is not None:
+            x = ag.take(x, last, axis=1)
+        return self.head(self.ln_out(x)), kv
 
     def batch_loss(self, tokens: np.ndarray, lengths, loss_starts) -> Tensor:
         """Mean next-token cross-entropy over token positions >= loss_start,
@@ -364,7 +357,8 @@ class DecoderLM:
         padded targets are masked out rather than sliced away."""
         tokens = np.asarray(tokens, dtype=np.int64)
         b, l = tokens.shape
-        logits = self._run(self.embed_tokens(tokens), lengths)
+        logits, _ = self._forward(self.embed_tokens(tokens), np.arange(l),
+                                  key_padding_mask(lengths, l))
         targets, sel = next_token_targets(tokens, lengths, loss_starts)
         return ag.cross_entropy(ag.reshape(logits, (b * l, self.cfg.vocab_size)),
                                 targets.reshape(-1), mask=sel.reshape(-1).astype(np.float64))
@@ -388,7 +382,9 @@ class DecoderLM:
         tokens = np.concatenate([np.full((b, s), self.cfg.pad_id), hard], axis=1)
         tgt, sel = next_token_targets(tokens, s + lengths, [s + len(p) for p in prompts])
         n = sel.sum(axis=1)
-        logits = self._run(self._embed(soft, hard), s + lengths)
+        l = tokens.shape[1]
+        logits, _ = self._forward(self._embed(soft, hard), np.arange(l),
+                                  key_padding_mask(s + lengths, l))
         return ag.cross_entropy(ag.reshape(logits, (tgt.size, self.cfg.vocab_size)),
                                 tgt.reshape(-1), mask=(sel * (n.max() / n)[:, None]).reshape(-1))
 
@@ -451,9 +447,10 @@ class DecoderLM:
         if len(parts) > 1:
             block = np.zeros((len(seg), n0 + len(seg)))
             block[:, n0:][seg[:, None] != seg[None, :]] = NEG_INF
-        kv, logits = self._pass(base.kv, parts[0] if len(parts) == 1 else ag.concat(parts, 1),
-                                (n0 + np.arange(len(seg)) - starts[seg])[None], block,
-                                starts + sizes - 1)
+        logits, kv = self._forward(parts[0] if len(parts) == 1 else ag.concat(parts, 1),
+                                   (n0 + np.arange(len(seg)) - starts[seg])[None], block,
+                                   past=base.kv, last=starts + sizes - 1)
+        logits = logits.data.reshape(-1, self.cfg.vocab_size)
         mask = None
         if len(parts) > 1:  # unpack the sequences into right-padded rows
             width = sizes.max()
@@ -477,26 +474,12 @@ class DecoderLM:
         mask = state.mask
         if mask is not None:
             mask = np.concatenate([mask, np.zeros((b, 1, 1, m))], axis=3)
-        kv, logits = self._pass(state.kv, self.embed_tokens(tokens),
-                                state.lengths[:, None] + np.arange(m), mask, [m - 1])
+        logits, kv = self._forward(self.embed_tokens(tokens),
+                                   state.lengths[:, None] + np.arange(m), mask,
+                                   past=state.kv, last=[m - 1])
+        logits = logits.data.reshape(-1, self.cfg.vocab_size)
         ids = tuple(r + tuple(t) for r, t in zip(state.ids, tokens.tolist()))
         return LmState(state.soft, ids, tuple(kv), logits, mask), logits
-
-    def _pass(self, past, emb: Tensor, positions: np.ndarray, mask, last):
-        """The blocks over embedded rows ``emb`` (B, m, dim) at ``positions``
-        (B, m), after the cached per-block ``past``, under the additive
-        ``mask``: (per-block (keys, values) of all rows, (B * len(last), vocab)
-        next-token logits after the columns ``last``)."""
-        top = int(positions.max()) + 1
-        if top > self.cfg.max_len:
-            raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
-        x = ag.add(emb, Tensor(self.pos[positions]))
-        kv = []
-        for blk, blk_past in zip(self.blocks, past):
-            x, blk_kv = blk.extend(x, blk_past, mask)
-            kv.append(blk_kv)
-        logits = self.head(self.ln_out(ag.take(x, last, axis=1))).data
-        return kv, logits.reshape(-1, self.cfg.vocab_size)
 
     def decode(self, state: LmState, max_new: int = 64) -> list[list[int]]:
         """Greedy tokens for every row of ``state`` (``prefill``), decoded in
@@ -663,7 +646,7 @@ def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:
         idx = list(range(i, min(i + batch_size, len(dataset))))
         tokens, lengths, starts = _pad_batch(dataset, idx, lm.cfg.pad_id)
         loss = lm.batch_loss(tokens, lengths, starts)
-        n = int(np.sum(np.maximum(lengths - starts, 0)))
+        n = int(next_token_targets(tokens, lengths, starts)[1].sum())
         total += float(loss.data) * n
         count += n
     return total / max(count, 1)

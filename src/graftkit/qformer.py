@@ -15,7 +15,7 @@ from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
 from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
                  greedy_decode, key_padding_mask, next_token_targets, pad_batch, sinusoid_table,
-                 symmetric_cross_entropy)
+                 symmetric_cross_entropy, token_embedding)
 from .optim import Adam
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .seeding import substream
@@ -50,7 +50,9 @@ class QFormerConfig:
 
 class _QFormerBlock:
     """Self-attention over [queries || text], cross-attention from the query
-    positions to the grid tokens, then a feed-forward."""
+    positions to the grid tokens, then a feed-forward.  Cached decoding runs
+    text rows alone after the cached self-attention ``past``, with
+    ``n_queries`` 0."""
 
     def __init__(self, reg, name, cfg: QFormerConfig, rng):
         self.ln1 = LayerNorm(reg, f"{name}.ln1", cfg.dim)
@@ -60,17 +62,21 @@ class _QFormerBlock:
         self.ln2 = LayerNorm(reg, f"{name}.ln2", cfg.dim)
         self.mlp = Mlp(reg, f"{name}.mlp", cfg.dim, rng)
 
-    def __call__(self, x: Tensor, n_queries: int, grid: Tensor | None, self_mask) -> Tensor:
+    def __call__(self, x: Tensor, n_queries: int, grid: Tensor | None, self_mask,
+                 past=None) -> tuple[Tensor, tuple]:
+        """(output rows, self-attention (keys, values)) of the rows ``x``,
+        the first ``n_queries`` of them queries."""
         h = self.ln1(x)
-        x = ag.add(x, self.self_attn(h, h, self_mask))
+        a, kv = self.self_attn(h, h, self_mask, past)
+        x = ag.add(x, a)
         if grid is not None and n_queries:
             m = x.shape[1]
             q_rows = ag.take(x, np.arange(n_queries), axis=1)
-            x_q = ag.add(q_rows, self.cross_attn(self.ln_x(q_rows), grid))
+            x_q = ag.add(q_rows, self.cross_attn(self.ln_x(q_rows), grid)[0])
             if m > n_queries:  # text rows pass through unchanged
                 x_q = ag.concat([x_q, ag.take(x, np.arange(n_queries, m), axis=1)], axis=1)
             x = x_q
-        return ag.add(x, self.mlp(self.ln2(x)))
+        return ag.add(x, self.mlp(self.ln2(x))), kv
 
 
 def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
@@ -87,7 +93,7 @@ def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
     elif mode == "itg":
         base[q, t] = NEG_INF  # queries never see text
         if l_text:  # text attends causally to itself, freely to queries
-            base[t, t] = causal_mask(l_text)[0, 0]
+            base[t, t] = causal_mask(l_text)
     mask = base[None, None]
     if lengths is not None and l_text:
         mask = mask + np.pad(key_padding_mask(lengths, l_text), [(0, 0)] * 3 + [(n_q, 0)])
@@ -119,9 +125,6 @@ class QFormerModel:
 
     # -- forward
 
-    def _embed_text(self, tokens: np.ndarray) -> Tensor:
-        return ag.add(ag.take(self.tok, tokens), Tensor(self.pos[: tokens.shape[-1]]))
-
     def forward(self, grids: np.ndarray | None, tokens: np.ndarray | None,
                 lengths=None, mode: str = "itc") -> tuple[Tensor | None, Tensor | None]:
         """Run queries and/or text through the adapter under a mode mask.
@@ -149,11 +152,11 @@ class QFormerModel:
         if tokens is not None:
             tokens = np.asarray(tokens, dtype=np.int64)
             l_text = tokens.shape[1]
-            parts.append(self._embed_text(tokens))
+            parts.append(token_embedding(self.tok, self.pos, tokens))
         x = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
         mask = _self_mask(mode, n_q, lengths if tokens is not None else None, l_text)
         for blk in self.blocks:
-            x = blk(x, n_q, grid_t, mask)
+            x, _ = blk(x, n_q, grid_t, mask)
         x = self.ln_out(x)
 
         q_out = ag.take(x, np.arange(n_q), axis=1) if n_q else None
@@ -294,24 +297,20 @@ def itg_decoder(grid_tokens: np.ndarray, model: QFormerModel):
     grid = Tensor(np.asarray(grid_tokens, dtype=np.float64)[None])
     if model.grid_proj is not None:
         grid = model.grid_proj(grid)
-    x = ag.take(model.queries, np.arange(model.cfg.n_queries)[None])
+    n_q = model.cfg.n_queries
+    x = ag.take(model.queries, np.arange(n_q)[None])
     kv = []
     for blk in model.blocks:
-        a, blk_kv = blk.self_attn.extend(blk.ln1(x), causal=False)
+        x, blk_kv = blk(x, n_q, grid, None)
         kv.append(blk_kv)
-        x = ag.add(x, a)
-        x = ag.add(x, blk.cross_attn(blk.ln_x(x), grid))
-        x = ag.add(x, blk.mlp(blk.ln2(x)))
     n_text = 0
 
     def step(token: int) -> np.ndarray:
         nonlocal n_text
-        t = ag.add(ag.take(model.tok, [[token]]), Tensor(model.pos[n_text : n_text + 1]))
+        t = token_embedding(model.tok, model.pos, [[token]], n_text)
         n_text += 1
         for i, blk in enumerate(model.blocks):
-            a, kv[i] = blk.self_attn.extend(blk.ln1(t), kv[i])
-            t = ag.add(t, a)
-            t = ag.add(t, blk.mlp(blk.ln2(t)))
+            t, kv[i] = blk(t, 0, None, None, kv[i])
         return model.itg_head(model.ln_out(t)).data[0, 0]
 
     return step

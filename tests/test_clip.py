@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import graftkit.autograd as ag
 from graftkit.autograd import Tape, Tensor
 from graftkit.clip_stage import (
     ClipConfig, ClipModel, DEFAULT_PROMPT_SETS, PromptSet, clip_loss, load_clip,
-    load_prompt_sets, save_prompt_sets, softmax_pair, train_elixr_c, zero_shot_score_c,
+    load_prompt_sets, softmax_pair, train_elixr_c, zero_shot_score_c,
 )
 from graftkit.corpus import CorpusSpec, TWO_FINDING_PREVALENCE, generate_corpus
 from graftkit.nn import ImageEncoderConfig
@@ -136,7 +138,8 @@ def test_softmax_pair_values():
 
 def test_prompt_sets_roundtrip(tmp_path):
     path = tmp_path / "prompts.json"
-    save_prompt_sets(DEFAULT_PROMPT_SETS, path)
+    path.write_text(json.dumps([{"finding": ps.finding, "positive": ps.positive,
+                                 "negative": ps.negative} for ps in DEFAULT_PROMPT_SETS.values()]))
     loaded = load_prompt_sets(path)
     assert set(loaded) == set(DEFAULT_PROMPT_SETS)
     assert loaded["effusion"].positive == DEFAULT_PROMPT_SETS["effusion"].positive

@@ -1,6 +1,7 @@
 """Static checks: every name a graftkit module imports is used in that module,
-and every top-level function, class or constant of a graftkit module is
-referenced somewhere in src/, tests/ or perfbench/ outside its own definition."""
+and every top-level function, class or constant of a graftkit module, and
+every non-dunder method of its classes, is referenced somewhere in src/,
+tests/ or perfbench/ outside its own definition."""
 
 import ast
 import re
@@ -73,7 +74,7 @@ def test_module_has_no_unused_imports(path):
 
 
 # --------------------------------------------------------------------------
-# dead top-level names
+# dead top-level names and methods
 
 _PATH = re.compile(r"[A-Za-z_][\w.:]*")  # "name", "pkg.mod:Name" (tracer targets)
 
@@ -112,15 +113,27 @@ def top_level_definitions(tree: ast.Module):
             yield node.target.id, node
 
 
+def methods(tree: ast.Module):
+    """The non-dunder methods of each top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item
+
+
 def dead_definitions(modules: dict[str, str], others=()) -> list[tuple[str, str]]:
-    """(module, name) for each top-level definition in ``modules`` that no
-    source in ``modules`` or ``others`` references outside the definition."""
+    """(module, name) for each top-level definition or method in ``modules``
+    that no source in ``modules`` or ``others`` references outside the
+    definition.  A method counts as referenced when any attribute of that
+    name is."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
     refs = Counter()
     for tree in [*trees.values(), *(ast.parse(src) for src in others)]:
         refs += referenced_names(tree)
     return sorted((mod, name) for mod, tree in trees.items()
-                  for name, node in top_level_definitions(tree)
+                  for name, node in [*top_level_definitions(tree), *methods(tree)]
                   if refs[name] <= referenced_names(node)[name])
 
 
@@ -128,9 +141,12 @@ def test_dead_checker_flags_unreferenced_definitions():
     module = ("X = 1\nY = 2\nZ: int = 3\n"
               "def f(n):\n    return f(n - 1)\n"
               "class C:\n    def copy(self) -> 'C':\n        return self\n"
-              "def g():\n    return Y\n")
+              "class D:\n    def __init__(self):\n        self.go()\n"
+              "    def go(self):\n        pass\n    def stop(self):\n        self.stop()\n"
+              "def g():\n    return Y, D()\n")
     other = "import m\nm.g()\ngetattr(m, 'Z')\n"
-    assert dead_definitions({"m": module}, [other]) == [("m", "C"), ("m", "X"), ("m", "f")]
+    assert dead_definitions({"m": module}, [other]) == [
+        ("m", "C"), ("m", "X"), ("m", "copy"), ("m", "f"), ("m", "stop")]
 
 
 def test_no_dead_top_level_names():

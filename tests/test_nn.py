@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
-    DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
+    NEG_INF, DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
     causal_mask, greedy_decode, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
-    symmetric_cross_entropy,
+    symmetric_cross_entropy, token_embedding,
 )
 from graftkit.params import ParamRegistry
 
@@ -37,9 +37,13 @@ def make_lm(seed=0, vocab=30, dim=32, blocks=2, heads=2, max_len=64, frozen=True
 
 
 def test_masks_shapes():
-    assert causal_mask(5).shape == (1, 1, 5, 5)
-    assert causal_mask(3)[0, 0, 0, 2] < -1e8
-    assert causal_mask(3)[0, 0, 2, 0] == 0.0
+    assert causal_mask(5).shape == (5, 5)
+    assert causal_mask(3)[0, 2] < -1e8
+    assert causal_mask(3)[2, 0] == 0.0
+    # 2 new rows after 3 cached ones: row i sees columns up to 3 + i
+    tri = causal_mask(2, 3)
+    assert tri.shape == (2, 5)
+    assert (tri < -1e8).tolist() == [[False] * 4 + [True], [False] * 5]
     kp = key_padding_mask([2, 3], 4)
     assert kp.shape == (2, 1, 1, 4)
     assert kp[0, 0, 0, 1] == 0.0 and kp[0, 0, 0, 2] < -1e8
@@ -68,10 +72,16 @@ def test_pool_grid_leading_axes_equal_3d_form_bitwise():
     assert np.array_equal(pool_grid(grids[None], 1)[0], np.stack([pool_grid(g, 1) for g in grids]))
 
 
+def image_grid(enc, image):
+    """The unpooled (g, g, dim) embedding grid of one image."""
+    g = enc.cfg.grid
+    return enc.forward(np.asarray(image, dtype=np.float64)[None]).data[0].reshape(g, g, -1)
+
+
 def test_encode_image_deterministic_and_golden():
     _, enc = make_image_encoder(seed=0)
-    grid1 = enc.encode_image(np.zeros((64, 64)))
-    grid2 = enc.encode_image(np.zeros((64, 64)))
+    grid1 = image_grid(enc, np.zeros((64, 64)))
+    grid2 = image_grid(enc, np.zeros((64, 64)))
     assert grid1.shape == (4, 4, 64)
     assert grid1.tobytes() == grid2.tobytes()
     digest = hashlib.sha256(np.ascontiguousarray(grid1, dtype="<f8").tobytes()).hexdigest()
@@ -83,7 +93,7 @@ def test_encode_image_deterministic_and_golden():
 def test_encode_image_rejects_wrong_size():
     _, enc = make_image_encoder()
     with pytest.raises(ValueError):
-        enc.encode_image(np.zeros((32, 32)))
+        enc.forward(np.zeros((32, 32))[None])
 
 
 def test_patch_grid_locality():
@@ -115,31 +125,38 @@ def test_left_half_influences_left_grid_columns():
     _, enc = make_image_encoder()
     rng = np.random.default_rng(4)
     img = rng.uniform(0, 1, (64, 64))
-    grid = enc.encode_image(img)
+    grid = image_grid(enc, img)
     img2 = img.copy()
     img2[:, :32] += 0.3
-    grid2 = enc.encode_image(img2)
+    grid2 = image_grid(enc, img2)
     delta = np.abs(grid2 - grid).mean(axis=(0, 2))  # per grid column
     assert delta[:2].mean() > delta[2:].mean()
 
 
+def encode_text(enc, token_ids):
+    """(per-token (L, dim), pooled (dim,)) outputs for one id sequence."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    per_tok, pooled = enc.forward(ids[None], [ids.size])
+    return per_tok.data[0], pooled.data[0]
+
+
 def test_encode_text_pooled_unit_norm():
     _, enc = make_text_encoder()
-    per_tok, pooled = enc.encode_text([3, 5, 7, 2])
+    per_tok, pooled = encode_text(enc, [3, 5, 7, 2])
     assert per_tok.shape == (4, 64)
     assert abs(np.linalg.norm(pooled) - 1.0) < 1e-9
 
 
 def test_encode_text_single_token_is_normalized_embedding():
     _, enc = make_text_encoder()
-    per_tok, pooled = enc.encode_text([9])
+    per_tok, pooled = encode_text(enc, [9])
     assert np.allclose(pooled, per_tok[0] / np.linalg.norm(per_tok[0]), atol=1e-12)
 
 
 def test_encode_text_empty_errors():
     _, enc = make_text_encoder()
-    with pytest.raises(ValueError):
-        enc.encode_text([])
+    with pytest.raises(ValueError, match="empty token sequence"):
+        encode_text(enc, [])
 
 
 def test_pad_positions_do_not_affect_pooled():
@@ -229,6 +246,41 @@ def test_next_token_targets_hand_worked():
                                  [True, True, True, True, False]]
 
 
+def _reference_run(lm, emb, lengths=None, past=None, last=None):
+    """The LM pass as it was written before training, prefill and decoding
+    shared ``DecoderLM._forward``, from ``Linear``, ``LayerNorm``, ``Mlp``
+    and ``ag.sdpa`` only: (logits, per-block (keys, values)).
+
+    Without ``past`` it is the taped full-sequence pass over ``emb``
+    (B, L, dim) under the causal mask and, given ``lengths``, the key-padding
+    mask.  With ``past`` the rows run after the cached keys of one sequence,
+    whose (keys, values) are concatenated as plain arrays, under the causal
+    mask alone.  Given ``last``, only those columns reach the output head.
+    """
+    b, m, _ = emb.shape
+    n = 0 if past is None else past[0][0].shape[2]
+    mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
+    if lengths is not None:
+        mask = mask + key_padding_mask(lengths, n + m)
+    x = ag.add(emb, Tensor(lm.pos[n:n + m]))
+    kv = []
+    for i, blk in enumerate(lm.blocks):
+        att = blk.attn
+        split = lambda t: ag.transpose(ag.reshape(t, (b, m, att.n_heads, att.dh)), (0, 2, 1, 3))
+        h = blk.ln1(x)
+        q, k, v = split(att.q(h)), split(att.k(h)), split(att.v(h))
+        if past is not None:
+            k = Tensor(np.concatenate([past[i][0], k.data], axis=2))
+            v = Tensor(np.concatenate([past[i][1], v.data], axis=2))
+        kv.append((k.data, v.data))
+        a = ag.transpose(ag.sdpa(q, k, v, mask=mask), (0, 2, 1, 3))
+        x = ag.add(x, att.o(ag.reshape(a, (b, m, att.dim))))
+        x = ag.add(x, blk.mlp(blk.ln2(x)))
+    if last is not None:
+        x = ag.take(x, last, axis=1)
+    return lm.head(lm.ln_out(x)), kv
+
+
 def _per_target_loop_loss(lm, soft, prompt_ids, target_ids):
     """The per-target-loop construction ``next_token_targets`` replaced in
     ``soft_prompt_loss``, kept as the reference."""
@@ -241,7 +293,7 @@ def _per_target_loop_loss(lm, soft, prompt_ids, target_ids):
         targets[s + p - 1 + j] = tok_id  # position s+p-1+j predicts target j
         mask[s + p - 1 + j] = 1.0
     emb = ag.concat([ag.reshape(soft, (1, s, lm.cfg.dim)), lm.embed_tokens(hard[None])], axis=1)
-    logits = lm._run(emb, [l])
+    logits, _ = _reference_run(lm, emb, [l])
     return ag.cross_entropy(ag.reshape(logits, (l, lm.cfg.vocab_size)), targets, mask=mask)
 
 
@@ -260,6 +312,30 @@ def test_soft_prompt_loss_equals_per_target_loop_bitwise(prompt):
     assert grad.tobytes() == ref_grad.tobytes()
 
 
+def test_batch_loss_equals_the_reference_pass_bitwise():
+    # three right-padded rows of unequal length, loss from different starts
+    _, lm = make_lm(frozen=False)
+    tokens, lengths = pad_batch([[4, 5, 6, 7, 8, 9, 10], [11, 12, 13], [14, 15, 16, 17, 18]], 0)
+    starts = [1, 0, 3]
+    results = []
+    for run in ("batch_loss", "reference"):
+        with Tape() as tape:
+            if run == "batch_loss":
+                loss = lm.batch_loss(tokens, lengths, starts)
+            else:
+                b, l = tokens.shape
+                logits, _ = _reference_run(lm, lm.embed_tokens(tokens), lengths)
+                targets, sel = next_token_targets(tokens, lengths, starts)
+                loss = ag.cross_entropy(ag.reshape(logits, (b * l, lm.cfg.vocab_size)),
+                                        targets.reshape(-1), mask=sel.reshape(-1).astype(float))
+        results.append((loss.data, tape.gradients(loss)))
+    (value, grads), (ref_value, ref_grads) = results
+    assert value.tobytes() == ref_value.tobytes()
+    assert list(grads) == list(ref_grads) and len(grads) == len(lm.params())
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
 def test_lm_generate_terminates_and_deterministic():
     _, lm = make_lm()
     out1 = lm.generate(None, [4, 5, 6], max_new=10)
@@ -271,14 +347,14 @@ def test_lm_generate_terminates_and_deterministic():
     assert len(out3) <= 64
 
 
-# -- incremental decoding against the full-sequence path (``DecoderLM._run``)
+# -- incremental decoding against the reference pass (``_reference_run``)
 
 
 def _full_logits(lm, soft, ids):
     """(S + L, vocab) logits of [soft || ids] from one full-sequence pass."""
     soft_t = None if soft is None else Tensor(np.asarray(soft)[None])
     n = (0 if soft is None else len(soft)) + len(ids)
-    return lm._run(lm._embed(soft_t, [list(ids)]), [n]).data[0]
+    return _reference_run(lm, lm._embed(soft_t, [list(ids)]), [n])[0].data[0]
 
 
 def _reference_generate(lm, soft, prompt_ids, max_new=64):
@@ -305,24 +381,19 @@ def _one_row_generate(lm, soft, ids, max_new, prefix=None):
     next-token logits before each token)."""
     s = 0 if soft is None else len(soft)
 
-    def run(kv, emb, n):
-        m = emb.shape[1]
-        x = ag.add(emb, Tensor(lm.pos[n: n + m]))
-        out = []
-        for blk, past in zip(lm.blocks, kv):
-            x, blk_kv = blk.extend(x, past)
-            out.append(blk_kv)
-        return out, lm.head(lm.ln_out(ag.take(x, [m - 1], axis=1))).data[0, 0]
+    def run(kv, emb):
+        logits, kv = _reference_run(lm, emb, past=kv, last=[emb.shape[1] - 1])
+        return kv, logits.data[0, 0]
 
     if prefix is not None:
         n = 0
         while n < min(len(prefix.ids[0]), len(ids) - 1) and prefix.ids[0][n] == ids[n]:
             n += 1
         kv = [(k[:, :, : s + n], v[:, :, : s + n]) for k, v in prefix.kv]
-        kv, logits = run(kv, lm.embed_tokens(np.asarray(ids[n:])[None]), s + n)
+        kv, logits = run(kv, lm.embed_tokens(np.asarray(ids[n:])[None]))
     else:
         soft_t = None if soft is None else Tensor(np.asarray(soft)[None])
-        kv, logits = run([None] * len(lm.blocks), lm._embed(soft_t, [list(ids)]), 0)
+        kv, logits = run(None, lm._embed(soft_t, [list(ids)]))
     room, out, seen = lm.cfg.max_len - s - len(ids), [], [logits]
     for _ in range(max_new):
         nxt = int(np.argmax(logits))
@@ -331,7 +402,7 @@ def _one_row_generate(lm, soft, ids, max_new, prefix=None):
         out.append(nxt)
         if len(out) == max_new or len(out) >= room:
             break
-        kv, logits = run(kv, lm.embed_tokens(np.array([[nxt]])), s + len(ids) + len(out) - 1)
+        kv, logits = run(kv, lm.embed_tokens(np.array([[nxt]])))
         seen.append(logits)
     return out, seen
 
@@ -506,13 +577,13 @@ def test_generate_prefix_keeps_one_prompt_token_to_run():
     _, lm = make_lm()
     state = lm.prefill(None, [[4, 5, 6]])
     calls = []
-    original = lm._pass
+    original = lm._forward
 
-    def counting(past, emb, *args):
+    def counting(emb, *args, past=None, **kwargs):
         calls.append((0 if past[0] is None else past[0][0].shape[2], emb.shape[1]))
-        return original(past, emb, *args)
+        return original(emb, *args, past=past, **kwargs)
 
-    lm._pass = counting
+    lm._forward = counting
     assert lm.generate(None, [4, 5, 6], 1, prefix=state.cut(3)) == lm.generate(None, [4, 5, 6], 1)
     assert calls[0] == (2, 1)  # the same prompt without its logits re-runs its last token only
     calls.clear()
@@ -607,7 +678,8 @@ def test_embeddings_equal_onehot_products_bitwise():
     _, lm = make_lm(vocab=30)
     assert np.array_equal(lm.embed_tokens(tokens).data, onehot @ lm.tok.data)
     _, enc = make_text_encoder(vocab=30)
-    assert np.array_equal(enc.embed(tokens).data, onehot @ enc.tok.data + enc.pos[:4])
+    assert np.array_equal(token_embedding(enc.tok, enc.pos, tokens).data,
+                          onehot @ enc.tok.data + enc.pos[:4])
 
 
 def test_pad_batch():

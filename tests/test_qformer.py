@@ -134,10 +134,10 @@ def _eye_forward(model, grids, tokens, lengths, mode):
     mask = _self_mask(mode, n_q, lengths if tokens is not None else None, l_text)
     for blk in model.blocks:
         h = blk.ln1(x)
-        x = ag.add(x, blk.self_attn(h, h, mask))
+        x = ag.add(x, blk.self_attn(h, h, mask)[0])
         if grid_t is not None:
             q_rows = ag.matmul(Tensor(np.eye(n_q, m)), x)
-            cross = blk.cross_attn(blk.ln_x(q_rows), grid_t)
+            cross = blk.cross_attn(blk.ln_x(q_rows), grid_t)[0]
             if m > n_q:
                 cross = ag.concat([cross, Tensor(np.zeros((b, m - n_q, cfg.dim)))], axis=1)
             x = ag.add(x, cross)

@@ -527,8 +527,9 @@ def test_itm_scores_one_adapter_forward(small_world, monkeypatch):
 def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
     corpus, clip, qf, _, index_b = small_world
     hw = qf.cfg.pooled_hw
-    grids = np.stack([pool_grid(clip.image_encoder.encode_image(s.image), hw).reshape(-1, 16)
-                      for s in corpus.studies])
+    enc = clip.image_encoder
+    grids = np.stack([pool_grid(enc.forward(s.image[None]).data[0].reshape(
+        enc.cfg.grid, enc.cfg.grid, -1), hw).reshape(-1, 16) for s in corpus.studies])
     assert index_b.ids == [s.study_id for s in corpus.studies]
     assert np.array_equal(index_b.grids, grids)
     assert np.array_equal(index_b.query_proj, np.stack([qf.image_query_proj(g) for g in grids]))
@@ -731,17 +732,17 @@ def test_review_decodes_from_the_prompt_state_without_rerunning_a_token(small_wo
     bundle = _vqa_bundle(small_world, 1400)
     prompts = T.make_reviewer_prompts(assessment_text(["no."] * 12), T.NORMAL_IMPRESSION)
     fed, runs = [], []
-    run, extend = bundle.lm._pass, bundle.lm.extend
+    run, extend = bundle.lm._forward, bundle.lm.extend
 
-    def counting_pass(past, emb, *args):
+    def counting_forward(emb, *args, **kwargs):
         runs.append(emb.shape[0] * emb.shape[1])
-        return run(past, emb, *args)
+        return run(emb, *args, **kwargs)
 
     def counting_extend(state, tokens):
         fed.extend(np.asarray(tokens)[:, 0].tolist())
         return extend(state, tokens)
 
-    bundle.lm._pass, bundle.lm.extend = counting_pass, counting_extend
+    bundle.lm._forward, bundle.lm.extend = counting_forward, counting_extend
     last = None
     for prompt in prompts:
         ids = tokenize(prompt, bundle.vocab, max_len=None, lead=None)
@@ -774,13 +775,13 @@ def test_review_after_another_case_equals_a_fresh_review(small_world):
         fresh.answers, fresh.response_missing, fresh.response_added)
     # the next case's first prompt forks from the last one: only its own tail runs
     runs = []
-    run = shared.lm._pass
+    run = shared.lm._forward
 
-    def counting(past, emb, *args):
+    def counting(emb, *args, **kwargs):
         runs.append(emb.shape[1])
-        return run(past, emb, *args)
+        return run(emb, *args, **kwargs)
 
-    shared.lm._pass = counting
+    shared.lm._forward = counting
     assert shared.review(fresh.prompt_missing) == fresh.response_missing
     n = len(tokenize(fresh.prompt_missing, shared.vocab, max_len=None, lead=None))
     header = len(tokenize(T.REVIEWER_MISSING_TEMPLATE.split("{assessment}")[0], shared.vocab,
