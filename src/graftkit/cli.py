@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import traceback
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -57,30 +58,38 @@ def _counts(text: str) -> tuple[int, ...]:
     return tuple(COUNT(x) for x in text.split(","))
 
 
-METRIC_INPUTS = {"ndcg": ("rel",), "precision": ("rel",), "auc": ("scores", "labels"),
-                 "bootstrap-mean": ("scores",), "permutation": ("scores", "labels"),
-                 "checkpoint": ("ckpt",)}  # the flags each eval metric reads
+# The shared flags: flag -> add_argument keywords, which a command's entry overrides
+FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "out": {"help": "output dir (or $GRAFTKIT_OUT)"},
+    "verbose": {"action": "store_true"},
+    "corpus": {"required": True},
+    "clip": {"required": True},
+    "variant": {"choices": ("C", "B"), "default": "C"},
+    "b1": {},
+    "b2": {"required": True},
+    "bridge": {"required": True},
+    "lm": {"required": True},
+    "steps": {"type": COUNT},
+    "finding": {},
+    "n": {"type": COUNT},
+}
+COMMON = ("seed", "out", "verbose")  # the flags of every command
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("GRAFTKIT_OUT") or "graftkit-out"
-    path = Path(out)
+    path = Path(args.out or os.environ.get("GRAFTKIT_OUT") or "graftkit-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_result(out_dir: Path, name: str, payload: dict, config: dict) -> Path:
+def _write_result(out_dir: Path, name: str, payload: dict, config: dict) -> None:
     doc = {"version": VERSION_STRING, "config": config, "result": payload}
-    path = out_dir / name
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    return path
+    (out_dir / name).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _resolved_config(args, extra=None) -> dict:
-    skip = {"func"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
-    cfg.update(extra or {})
-    return cfg
+def _log(args):
+    return print if args.verbose else None
 
 
 def checkpoint_roundtrip(path) -> dict:
@@ -102,67 +111,49 @@ def checkpoint_roundtrip(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed flags and the output directory and returns
+# its result payload, or (payload, config entries it resolved from the flags)
 
 
-def cmd_synth(args):
-    out = _out_dir(args)
-    if args.spec:
-        spec = CorpusSpec.from_json(json.loads(Path(args.spec).read_text()))
-    else:
-        spec = CorpusSpec()
-        (out / "spec.json").write_text(json.dumps(spec.to_json(), indent=1))
+def cmd_synth(args, out):
+    spec = CorpusSpec.from_json(json.loads(Path(args.spec).read_text()) if args.spec else {})
     if args.n is not None:
         spec.n_studies = args.n
+    if not args.spec:  # dumped for discoverability, and to re-run with --spec
+        (out / "spec.json").write_text(json.dumps(spec.to_json(), indent=1))
     corpus = generate_corpus(args.seed, spec)
     manifest = save_corpus(corpus, out / "corpus")
-    payload = {"digest": manifest["digest"], "n_studies": manifest["n_studies"],
-               "corpus_dir": str(out / "corpus")}
-    _write_result(out, "synth.json", payload, _resolved_config(args, {"spec": spec.to_json()}))
-    return 0
+    return ({"digest": manifest["digest"], "n_studies": manifest["n_studies"],
+             "corpus_dir": str(out / "corpus")}, {"spec": spec.to_json()})
 
 
-def cmd_train_c(args):
-    out = _out_dir(args)
+def cmd_train_c(args, out):
     corpus = load_corpus(args.corpus)
-    cfg = ClipConfig()
-    if args.steps is not None:
-        cfg.steps = args.steps
-    model, history = train_elixr_c(corpus, cfg, seed=args.seed,
-                                   log=print if args.verbose else None)
+    cfg = ClipConfig(steps=args.steps or ClipConfig.steps)
+    model, history = train_elixr_c(corpus, cfg, seed=args.seed, log=_log(args))
     ckpt = out / "elixr_c.ckpt"
     manifest = model.save(ckpt)
-    payload = {"checkpoint": str(ckpt), "blob_sha256": manifest["blob_sha256"],
-               "final_loss": history[-1] if history else None,
-               "first_loss": history[0] if history else None}
-    _write_result(out, "train_c.json", payload, _resolved_config(args, {"clip": cfg.to_json()}))
-    return 0
+    return ({"checkpoint": str(ckpt), "blob_sha256": manifest["blob_sha256"],
+             "final_loss": history[-1] if history else None,
+             "first_loss": history[0] if history else None}, {"clip": cfg.to_json()})
 
 
-def cmd_train_b1(args):
-    out = _out_dir(args)
+def cmd_train_b1(args, out):
     corpus = load_corpus(args.corpus)
     clip_model = load_clip(args.clip)
-    cfg = Phase1Config()
-    if args.steps is not None:
-        cfg.steps = args.steps
+    cfg = Phase1Config(steps=args.steps or Phase1Config.steps)
     cfg.qformer.vocab_size = len(corpus.vocab)
     cfg.qformer.grid_dim = clip_model.cfg.image.dim
-    models, history, meta = phase1_train(corpus, clip_model, cfg, seed=args.seed,
-                                         log=print if args.verbose else None)
-    p_scoring = out / "b1_scoring.ckpt"
-    p_itg = out / "b1_itg.ckpt"
-    models["scoring"].save(p_scoring, extra_meta={"phase": 1, "selected": "scoring"})
-    models["itg"].save(p_itg, extra_meta={"phase": 1, "selected": "itg"})
+    models, history, meta = phase1_train(corpus, clip_model, cfg, seed=args.seed, log=_log(args))
+    for part in ("scoring", "itg"):
+        models[part].save(out / f"b1_{part}.ckpt", extra_meta={"phase": 1, "selected": part})
     (out / "b1_loss_log.csv").write_text(loss_log_to_csv(history))
-    payload = {"scoring_checkpoint": str(p_scoring), "itg_checkpoint": str(p_itg),
-               "selection": meta, "loss_log": str(out / "b1_loss_log.csv")}
-    _write_result(out, "train_b1.json", payload, _resolved_config(args))
-    return 0
+    return {"scoring_checkpoint": str(out / "b1_scoring.ckpt"),
+            "itg_checkpoint": str(out / "b1_itg.ckpt"),
+            "selection": meta, "loss_log": str(out / "b1_loss_log.csv")}
 
 
-def cmd_train_b2(args):
-    out = _out_dir(args)
+def cmd_train_b2(args, out):
     corpus = load_corpus(args.corpus)
     clip_model = load_clip(args.clip)
     qf_itg = load_qformer(args.b1)
@@ -171,19 +162,16 @@ def cmd_train_b2(args):
     else:
         lm_cfg = LmTrainConfig()
         _, lm, lm_stats = pretrain_frozen_lm(corpus, seed=args.seed, train_cfg=lm_cfg,
-                                             log=print if args.verbose else None)
+                                             log=_log(args))
         if not lm_stats["perplexity_ok"]:
             ppl = lm_stats.get("holdout_perplexity", float("inf"))
             raise RuntimeError(f"LM held-out perplexity {ppl:.3f} is above the target "
                                f"{lm_cfg.target_perplexity}; phase 2 not run "
                                "(pass an LM that meets it with --lm)")
         save_lm(lm, out / "lm.ckpt")
-    cfg = Phase2Config()
-    if args.steps is not None:
-        cfg.steps = args.steps
+    cfg = Phase2Config(steps=args.steps or Phase2Config.steps)
     model, bridge, bridge_reg, history, eval_stats = phase2_train(
-        corpus, clip_model, qf_itg, lm, cfg, seed=args.seed,
-        log=print if args.verbose else None)
+        corpus, clip_model, qf_itg, lm, cfg, seed=args.seed, log=_log(args))
     save_phase2(model, bridge, bridge_reg, out / "b2_qformer.ckpt",
                 out / "b2_bridge.ckpt", lm.digest())
     payload = {"qformer_checkpoint": str(out / "b2_qformer.ckpt"),
@@ -193,71 +181,61 @@ def cmd_train_b2(args):
     if not args.lm:
         payload["lm_checkpoint"] = str(out / "lm.ckpt")
         payload["lm_stats"] = lm_stats
-    _write_result(out, "train_b2.json", payload, _resolved_config(args))
-    return 0
+    return payload
 
 
-def _load_prompts(args):
-    if args.prompts:
-        return load_prompt_sets(args.prompts)
-    return DEFAULT_PROMPT_SETS
-
-
-def cmd_zeroshot(args):
-    out = _out_dir(args)
+def _load_encoders(args, findings=None):
+    """The corpus, CLIP and, for variant B, the --b1 Q-Former of an image task.
+    ``findings(corpus)`` gives the valid --finding values; an unknown one is a
+    usage error raised before any checkpoint is read."""
     corpus = load_corpus(args.corpus)
+    known = sorted(findings(corpus)) if findings else None
+    if known is not None and args.finding and args.finding not in known:
+        raise UsageError(f"unknown --finding {args.finding!r}; known findings: {', '.join(known)}")
     clip_model = load_clip(args.clip)
-    prompts = _load_prompts(args)
-    findings = [args.finding] if args.finding else sorted(prompts)
-    if args.variant == "C":
+    return corpus, clip_model, load_qformer(args.b1) if args.variant == "B" else None
+
+
+def cmd_zeroshot(args, out):
+    prompts = load_prompt_sets(args.prompts) if args.prompts else DEFAULT_PROMPT_SETS
+    corpus, clip_model, qf = _load_encoders(args, lambda corpus: prompts)
+    if qf is None:
         model, score = clip_model, zero_shot_scores_c
         feats = ImageIndexC.build(clip_model, corpus.studies).embeddings
     else:
-        model, score = load_qformer(args.b1), zero_shot_scores_b
-        feats = ImageIndexB.build(clip_model, model, corpus.studies).query_proj
+        model, score = qf, zero_shot_scores_b
+        feats = ImageIndexB.build(clip_model, qf, corpus.studies).query_proj
     scores = {}
-    for finding in findings:
+    for finding in [args.finding] if args.finding else sorted(prompts):
         vals = score(feats, prompts[finding], model, corpus.vocab).tolist()
         labels = [s.labels[finding] for s in corpus.studies]
         entry = {"scores_head": vals[:5]}
         if len(set(labels)) == 2:
             entry["auc"] = auc(vals, labels)
         scores[finding] = entry
-    _write_result(out, "zeroshot.json", scores, _resolved_config(args))
-    return 0
+    return scores
 
 
-def cmd_probe(args):
-    out = _out_dir(args)
-    corpus = load_corpus(args.corpus)
-    clip_model = load_clip(args.clip)
-    qf = load_qformer(args.b1) if args.variant == "B" else None
+def cmd_probe(args, out):
+    corpus, clip_model, qf = _load_encoders(args, lambda corpus: corpus.studies[0].labels)
     feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,
                             clip_model, qf)
     labels = np.asarray([s.labels[args.finding] for s in corpus.studies])
-    n_test = max(len(corpus) // 4, 2)
-    tr_f, te_f = feats[:-n_test], feats[-n_test:]
-    tr_l, te_l = labels[:-n_test], labels[-n_test:]
-    curve = data_efficiency_curve(tr_f, tr_l, te_f, te_l, sizes=args.sizes,
-                                  repeats=args.repeats, cfg=ProbeConfig(), seed=args.seed)
-    _write_result(out, "probe.json", curve, _resolved_config(args))
-    return 0
+    n_test = max(len(corpus) // 4, 2)  # the last quarter is the test split
+    return data_efficiency_curve(feats[:-n_test], labels[:-n_test], feats[-n_test:],
+                                 labels[-n_test:], sizes=args.sizes, repeats=args.repeats,
+                                 cfg=ProbeConfig(), seed=args.seed)
 
 
-def cmd_search(args):
-    out = _out_dir(args)
-    corpus = load_corpus(args.corpus)
-    clip_model = load_clip(args.clip)
-    if args.variant == "C":
+def cmd_search(args, out):
+    corpus, clip_model, qf = _load_encoders(args)
+    if qf is None:
         index = ImageIndexC.build(clip_model, corpus.studies)
         res = search_c(args.query, index, clip_model, corpus.vocab, k=args.k)
     else:
-        qf = load_qformer(args.b1)
         index = ImageIndexB.build(clip_model, qf, corpus.studies)
         res = search_b(args.query, index, qf, corpus.vocab, k=args.k, stage1=args.stage1)
-    payload = {"query": res.query, "ranked": [[i, s] for i, s in res.ranked]}
-    _write_result(out, "search.json", payload, _resolved_config(args))
-    return 0
+    return {"query": res.query, "ranked": [[i, s] for i, s in res.ranked]}
 
 
 def _load_bundle(args, corpus) -> ElixrBundle:
@@ -276,31 +254,24 @@ def _load_bundle(args, corpus) -> ElixrBundle:
     return ElixrBundle(clip_model, qf_imp, qf_aligned, bridge, lm, corpus.vocab)
 
 
-def cmd_vqa(args):
-    out = _out_dir(args)
+def cmd_vqa(args, out):
     corpus = load_corpus(args.corpus)
     if args.study >= len(corpus):
         raise ValueError(f"--study {args.study} is past the corpus (studies 0..{len(corpus) - 1})")
     bundle = _load_bundle(args, corpus)
     study = corpus.studies[args.study]
     prepared = bundle.prepare(study.image)
-    payload = {"study_id": study.study_id, "question": args.question,
-               "answer": bundle.answer(prepared, args.question),
-               "impression": prepared.impression}
-    _write_result(out, "vqa.json", payload, _resolved_config(args))
-    return 0
+    return {"study_id": study.study_id, "question": args.question,
+            "answer": bundle.answer(prepared, args.question),
+            "impression": prepared.impression}
 
 
-def cmd_qa(args):
-    out = _out_dir(args)
+def cmd_qa(args, out):
     corpus = load_corpus(args.corpus)
     bundle = _load_bundle(args, corpus)
-    cases = build_qa_cases(corpus, seed=args.seed)
-    if args.cases is not None:
-        cases = cases[: args.cases]
     by_id = {s.study_id: s for s in corpus.studies}
     rows = []
-    for case in cases:
+    for case in build_qa_cases(corpus, seed=args.seed)[: args.cases]:
         result = run_qa_pipeline(by_id[case.study_id], case.altered_impression,
                                  bundle, case=case)
         grade = grade_qa_case(case, result.response_missing, result.response_added)
@@ -309,153 +280,105 @@ def cmd_qa(args):
                      "response_missing": result.response_missing,
                      "response_added": result.response_added})
     overall = float(np.mean([r["grade"] for r in rows])) if rows else float("nan")
-    payload = {"cases": rows, "overall": overall}
-    _write_result(out, "qa.json", payload, _resolved_config(args))
-    return 0
+    return {"cases": rows, "overall": overall}
 
 
-def cmd_eval(args):
-    for flag in METRIC_INPUTS[args.metric]:
-        if not getattr(args, flag):
-            raise UsageError(f"--{flag} required for metric {args.metric}")
-    out = _out_dir(args)
-    if args.metric == "ndcg":
-        rel = [int(x) for x in args.rel.split(",")]
-        payload = {"metric": "ndcg", "value": ndcg_at_k(rel, k=len(rel)), "n": len(rel)}
-    elif args.metric == "precision":
-        rel = [int(x) for x in args.rel.split(",")]
-        p2, p1 = precision_at_k(rel, k=len(rel))
-        payload = {"metric": "precision", "value": {"score=2": p2, "score>=1": p1},
-                   "n": len(rel)}
-    elif args.metric == "auc":
-        scores = [float(x) for x in args.scores.split(",")]
-        labels = [int(x) for x in args.labels.split(",")]
-        payload = {"metric": "auc", "value": auc(scores, labels), "n": len(scores)}
-    elif args.metric == "bootstrap-mean":
-        samples = [float(x) for x in args.scores.split(",")]
-        lo, hi = bootstrap_ci(samples, np.mean, n=args.n, seed=args.seed)
-        payload = {"metric": "bootstrap-mean", "value": {"lo": lo, "hi": hi},
-                   "n": args.n, "seed": args.seed}
-    elif args.metric == "permutation":
-        a = [float(x) for x in args.scores.split(",")]
-        b = [float(x) for x in args.labels.split(",")]
-        payload = {"metric": "permutation", "value": permutation_test(a, b, n=args.n,
-                                                                      seed=args.seed),
-                   "n": args.n, "seed": args.seed}
-    else:
-        payload = {"metric": "checkpoint", "value": checkpoint_roundtrip(args.ckpt)}
-    _write_result(out, "eval.json", payload, _resolved_config(args))
+def _values(text: str, kind=float) -> list:
+    return [kind(x) for x in text.split(",")]
+
+
+def _ndcg(args) -> dict:
+    rel = _values(args.rel, int)
+    return {"value": ndcg_at_k(rel, k=len(rel)), "n": len(rel)}
+
+
+def _precision(args) -> dict:
+    rel = _values(args.rel, int)
+    p2, p1 = precision_at_k(rel, k=len(rel))
+    return {"value": {"score=2": p2, "score>=1": p1}, "n": len(rel)}
+
+
+def _auc(args) -> dict:
+    scores = _values(args.scores)
+    return {"value": auc(scores, _values(args.labels, int)), "n": len(scores)}
+
+
+def _bootstrap_mean(args) -> dict:
+    lo, hi = bootstrap_ci(_values(args.scores), np.mean, n=args.n, seed=args.seed)
+    return {"value": {"lo": lo, "hi": hi}, "n": args.n, "seed": args.seed}
+
+
+def _permutation(args) -> dict:
+    p = permutation_test(_values(args.scores), _values(args.labels), n=args.n, seed=args.seed)
+    return {"value": p, "n": args.n, "seed": args.seed}
+
+
+METRICS = {  # metric -> (the flags it reads, its payload from them)
+    "ndcg": (("rel",), _ndcg),
+    "precision": (("rel",), _precision),
+    "auc": (("scores", "labels"), _auc),
+    "bootstrap-mean": (("scores",), _bootstrap_mean),
+    "permutation": (("scores", "labels"), _permutation),
+    "checkpoint": (("ckpt",), lambda args: {"value": checkpoint_roundtrip(args.ckpt)}),
+}
+
+
+def cmd_eval(args, out):
+    payload = {"metric": args.metric, **METRICS[args.metric][1](args)}
     print(json.dumps(payload))
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
+# run(args, out_dir) gives the result; flags maps each flag, in --help order, to
+# its add_argument keywords over its FLAGS entry
+Command = namedtuple("Command", "run help flags")
+
+REQUIRED = {"required": True}
+ENCODERS = {"corpus": {}, "clip": {}, "variant": {}, "b1": {}}  # read by _load_encoders
+BUNDLE = {"corpus": {}, "clip": {}, "b1": REQUIRED, "b2": {}, "bridge": {}, "lm": {}}  # vqa, qa
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a synthetic corpus",
+                     {"spec": {"help": "corpus spec JSON"}, "n": {}}),
+    "train-c": Command(cmd_train_c, "stage-1 contrastive training", {"corpus": {}, "steps": {}}),
+    "train-b1": Command(cmd_train_b1, "adapter phase-1 training",
+                        {"corpus": {}, "clip": {}, "steps": {}}),
+    "train-b2": Command(cmd_train_b2, "adapter phase-2 soft-prompt training", {
+        "corpus": {}, "clip": {}, "b1": {**REQUIRED, "help": "phase-1 generation checkpoint"},
+        "lm": {"required": False, "help": "frozen LM checkpoint (pretrained here if absent)"},
+        "steps": {}}),
+    "zeroshot": Command(cmd_zeroshot, "prompt-based zero-shot classification", {
+        **ENCODERS, "prompts": {"help": "prompt-set JSON file"}, "finding": {}}),
+    "probe": Command(cmd_probe, "data-efficient classification ladder", {
+        **ENCODERS, "finding": {"default": "effusion"},
+        "sizes": {"type": _counts, "default": "16,64,256"},
+        "repeats": {"type": COUNT, "default": 10}}),
+    "search": Command(cmd_search, "semantic search over a corpus", {
+        **ENCODERS, "query": REQUIRED, "k": {"type": COUNT, "default": 5},
+        "stage1": {"type": COUNT, "default": 128}}),
+    "vqa": Command(cmd_vqa, "visual question answering on one study", {
+        **BUNDLE, "study": {"type": INDEX, **REQUIRED}, "question": REQUIRED}),
+    "qa": Command(cmd_qa, "report quality-assurance pipeline",
+                  {**BUNDLE, "cases": {"type": COUNT}}),
+    "eval": Command(cmd_eval, "evaluation metrics on explicit inputs", {
+        "metric": {**REQUIRED, "choices": tuple(METRICS)},
+        "rel": {"help": "comma-separated relevance grades"}, "scores": {}, "labels": {},
+        "n": {"default": 1000}, "ckpt": {}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graftkit",
                                      description="desk-scale vision-language grafting pipeline")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output dir (or $GRAFTKIT_OUT)")
-        p.add_argument("--verbose", action="store_true")
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
-    p.add_argument("--spec", default=None, help="corpus spec JSON")
-    p.add_argument("--n", type=COUNT, default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train-c", help="stage-1 contrastive training")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=COUNT, default=None)
-    p.set_defaults(func=cmd_train_c)
-
-    p = sub.add_parser("train-b1", help="adapter phase-1 training")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--steps", type=COUNT, default=None)
-    p.set_defaults(func=cmd_train_b1)
-
-    p = sub.add_parser("train-b2", help="adapter phase-2 soft-prompt training")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--b1", required=True, help="phase-1 generation checkpoint")
-    p.add_argument("--lm", default=None, help="frozen LM checkpoint (pretrained here if absent)")
-    p.add_argument("--steps", type=COUNT, default=None)
-    p.set_defaults(func=cmd_train_b2)
-
-    p = sub.add_parser("zeroshot", help="prompt-based zero-shot classification")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--variant", choices=("C", "B"), default="C")
-    p.add_argument("--b1", default=None)
-    p.add_argument("--prompts", default=None, help="prompt-set JSON file")
-    p.add_argument("--finding", default=None)
-    p.set_defaults(func=cmd_zeroshot)
-
-    p = sub.add_parser("probe", help="data-efficient classification ladder")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--variant", choices=("C", "B"), default="C")
-    p.add_argument("--b1", default=None)
-    p.add_argument("--finding", default="effusion")
-    p.add_argument("--sizes", type=_counts, default="16,64,256")
-    p.add_argument("--repeats", type=COUNT, default=10)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("search", help="semantic search over a corpus")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--variant", choices=("C", "B"), default="C")
-    p.add_argument("--b1", default=None)
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=COUNT, default=5)
-    p.add_argument("--stage1", type=COUNT, default=128)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("vqa", help="visual question answering on one study")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--b1", required=True)
-    p.add_argument("--b2", required=True)
-    p.add_argument("--bridge", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--study", type=INDEX, required=True)
-    p.add_argument("--question", required=True)
-    p.set_defaults(func=cmd_vqa)
-
-    p = sub.add_parser("qa", help="report quality-assurance pipeline")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clip", required=True)
-    p.add_argument("--b1", required=True)
-    p.add_argument("--b2", required=True)
-    p.add_argument("--bridge", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--cases", type=COUNT, default=None)
-    p.set_defaults(func=cmd_qa)
-
-    p = sub.add_parser("eval", help="evaluation metrics on explicit inputs")
-    common(p)
-    p.add_argument("--metric", required=True, choices=tuple(METRIC_INPUTS))
-    p.add_argument("--rel", default=None, help="comma-separated relevance grades")
-    p.add_argument("--scores", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--n", type=COUNT, default=1000)
-    p.add_argument("--ckpt", default=None)
-    p.set_defaults(func=cmd_eval)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in (*COMMON, *command.flags):
+            p.add_argument(f"--{flag}", **{**FLAGS.get(flag, {}), **command.flags.get(flag, {})})
     return parser
 
 
@@ -474,9 +397,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
+        # usage errors seen in the flags alone come before any file is touched
         if getattr(args, "variant", None) == "B" and not args.b1:
             raise UsageError("variant B requires --b1")
-        return args.func(args)
+        for flag in METRICS[args.metric][0] if args.command == "eval" else ():
+            if not getattr(args, flag):
+                raise UsageError(f"--{flag} required for metric {args.metric}")
+        out = _out_dir(args)
+        result = COMMANDS[args.command].run(args, out)
+        payload, resolved = result if isinstance(result, tuple) else (result, {})
+        _write_result(out, f"{args.command.replace('-', '_')}.json", payload,
+                      {**vars(args), **resolved})
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

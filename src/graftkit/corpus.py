@@ -74,11 +74,16 @@ class CorpusSpec:
     separable: tuple = ("effusion", "cardiomegaly")
 
     def validate(self) -> None:
+        if self.n_studies < 1:
+            raise ValueError(f"n_studies must be at least 1, got {self.n_studies}")
         for kind, p in self.prevalence.items():
             if kind not in T.KINDS:
                 raise ValueError(f"unknown finding kind {kind!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"prevalence for {kind} outside [0, 1]: {p}")
+        for kind in self.separable:
+            if kind not in T.KINDS:
+                raise ValueError(f"unknown finding kind {kind!r} in separable")
 
     def to_json(self) -> dict:
         return asdict(self)

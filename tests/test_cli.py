@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graftkit import cli as cli_mod, vqa as vqa_mod
+from graftkit import cli as cli_mod, templates as T, vqa as vqa_mod
 from graftkit.cli import checkpoint_roundtrip, main
 from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel
 from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, load_corpus, save_corpus
@@ -34,6 +35,67 @@ def tiny_lm(vocab, max_len=448) -> DecoderLM:
                    np.random.default_rng(0))
     lm.freeze()
     return lm
+
+
+_COMMON = [("seed", 0, False, None, "int", None),
+           ("out", None, False, None, None, "output dir (or $GRAFTKIT_OUT)"),
+           ("verbose", False, False, None, None, None)]
+_ENCODERS = [("corpus", None, True, None, None, None), ("clip", None, True, None, None, None),
+             ("variant", "C", False, ("C", "B"), None, None), ("b1", None, False, None, None, None)]
+_BUNDLE = [("corpus", None, True, None, None, None), ("clip", None, True, None, None, None),
+           ("b1", None, True, None, None, None), ("b2", None, True, None, None, None),
+           ("bridge", None, True, None, None, None), ("lm", None, True, None, None, None)]
+# command -> (its help, then (dest, default, required, choices, type name, help) per flag)
+CLI_SURFACE = {
+    "synth": ("generate a synthetic corpus", [
+        ("spec", None, False, None, None, "corpus spec JSON"),
+        ("n", None, False, None, "integer", None)]),
+    "train-c": ("stage-1 contrastive training", [
+        ("corpus", None, True, None, None, None), ("steps", None, False, None, "integer", None)]),
+    "train-b1": ("adapter phase-1 training", [
+        ("corpus", None, True, None, None, None), ("clip", None, True, None, None, None),
+        ("steps", None, False, None, "integer", None)]),
+    "train-b2": ("adapter phase-2 soft-prompt training", [
+        ("corpus", None, True, None, None, None), ("clip", None, True, None, None, None),
+        ("b1", None, True, None, None, "phase-1 generation checkpoint"),
+        ("lm", None, False, None, None, "frozen LM checkpoint (pretrained here if absent)"),
+        ("steps", None, False, None, "integer", None)]),
+    "zeroshot": ("prompt-based zero-shot classification", [
+        *_ENCODERS, ("prompts", None, False, None, None, "prompt-set JSON file"),
+        ("finding", None, False, None, None, None)]),
+    "probe": ("data-efficient classification ladder", [
+        *_ENCODERS, ("finding", "effusion", False, None, None, None),
+        ("sizes", "16,64,256", False, None, "_counts", None),
+        ("repeats", 10, False, None, "integer", None)]),
+    "search": ("semantic search over a corpus", [
+        *_ENCODERS, ("query", None, True, None, None, None),
+        ("k", 5, False, None, "integer", None), ("stage1", 128, False, None, "integer", None)]),
+    "vqa": ("visual question answering on one study", [
+        *_BUNDLE, ("study", None, True, None, "integer", None),
+        ("question", None, True, None, None, None)]),
+    "qa": ("report quality-assurance pipeline", [
+        *_BUNDLE, ("cases", None, False, None, "integer", None)]),
+    "eval": ("evaluation metrics on explicit inputs", [
+        ("metric", None, True,
+         ("ndcg", "precision", "auc", "bootstrap-mean", "permutation", "checkpoint"), None, None),
+        ("rel", None, False, None, None, "comma-separated relevance grades"),
+        ("scores", None, False, None, None, None), ("labels", None, False, None, None, None),
+        ("n", 1000, False, None, "integer", None), ("ckpt", None, False, None, None, None)]),
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand keeps its help and, in order, each flag's dest,
+    default, required, choices, type and help."""
+    sub = next(a for a in cli_mod.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {c.dest: c.help for c in sub._choices_actions} == {
+        name: help for name, (help, _) in CLI_SURFACE.items()}
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, parser in sub.choices.items():
+        flags = [(a.dest, a.default, a.required, a.choices, getattr(a.type, "__name__", None),
+                  a.help) for a in parser._actions if a.dest != "help"]
+        assert flags == _COMMON + CLI_SURFACE[name][1], name
 
 
 def test_unknown_command_exits_2(capsys):
@@ -71,11 +133,26 @@ def test_synth_with_spec_file(tmp_path):
     assert doc["result"]["n_studies"] == 4
 
 
+def test_synth_spec_dump_reproduces_the_corpus(tmp_path):
+    """The spec.json a specless run writes records --n, so re-running with it
+    as --spec builds the same corpus."""
+    assert run_cli(["synth", "--n", "4", "--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "spec.json").read_text())["n_studies"] == 4
+    assert run_cli(["synth", "--spec", str(tmp_path / "a" / "spec.json"),
+                    "--out", str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "synth.json").read_text())["result"] for d in "ab")
+    assert a["digest"] == b["digest"] and b["n_studies"] == 4
+
+
 def test_synth_rejects_bad_spec(tmp_path, capsys):
+    """Each bad field exits 1 with the field named and no corpus written."""
     spec_path = tmp_path / "bad.json"
-    spec_path.write_text(json.dumps({"prevalence": {"effusion": 2.0}}))
-    assert run_cli(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 1
-    assert "prevalence" in capsys.readouterr().err
+    for spec, field in [({"prevalence": {"effusion": 2.0}}, "prevalence"),
+                        ({"n_studies": 0}, "n_studies"), ({"separable": ["bogus"]}, "separable")]:
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o" / "corpus").exists()
 
 
 def test_eval_ndcg_value(tmp_path, capsys):
@@ -244,6 +321,20 @@ def test_variant_b_without_b1_is_a_usage_error_before_loading(tmp_path, capsys, 
     assert "usage error: variant B requires --b1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, known", [
+    ("zeroshot", sorted(DEFAULT_PROMPT_SETS)),  # the prompt sets' findings
+    ("probe", sorted(T.LABEL_KINDS)),           # the corpus label keys
+])
+def test_unknown_finding_is_a_usage_error_before_loading(tmp_path, capsys, command, known):
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=4)), tmp_path / "corpus")
+    assert run_cli([command, "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing"), "--finding", "bogus",
+                    "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: unknown --finding 'bogus'; known findings: {', '.join(known)}" in err
+    assert list((tmp_path / "o").glob("*.json")) == []
+
+
 def test_zeroshot_c_encodes_the_images_once(tmp_path, monkeypatch):
     corpus = generate_corpus(3, CorpusSpec(n_studies=12))
     save_corpus(corpus, tmp_path / "corpus")
@@ -265,29 +356,33 @@ def test_zeroshot_c_encodes_the_images_once(tmp_path, monkeypatch):
 
 def test_cli_chain_end_to_end(tmp_path):
     """synth -> train-c -> train-b1 -> train-b2 (on a saved frozen LM) ->
-    zeroshot / probe / search on the adapter -> vqa; each step exits 0 and
-    writes its result file."""
+    zeroshot / probe / search on the adapter -> vqa -> qa -> eval; each step
+    exits 0 and writes its result file, named after the command."""
     out = tmp_path / "o"
-    save_lm(tiny_lm(build_vocab()), tmp_path / "lm.ckpt")
+    save_lm(tiny_lm(build_vocab(), max_len=1400), tmp_path / "lm.ckpt")
     corpus, clip = ["--corpus", str(out / "corpus")], ["--clip", str(out / "elixr_c.ckpt")]
     b1 = ["--b1", str(out / "b1_scoring.ckpt"), "--variant", "B"]
+    bundle = [*corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
+              "--b2", str(out / "b2_qformer.ckpt"), "--bridge", str(out / "b2_bridge.ckpt"),
+              "--lm", str(tmp_path / "lm.ckpt")]
     steps = [
-        (["synth", "--n", "100"], "synth.json"),
-        (["train-c", *corpus, "--steps", "2"], "train_c.json"),
-        (["train-b1", *corpus, *clip, "--steps", "2"], "train_b1.json"),
-        (["train-b2", *corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
-          "--lm", str(tmp_path / "lm.ckpt"), "--steps", "1"], "train_b2.json"),
-        (["zeroshot", *corpus, *clip, *b1], "zeroshot.json"),
-        (["probe", *corpus, *clip, *b1, "--sizes", "16", "--repeats", "1"], "probe.json"),
-        (["search", *corpus, *clip, *b1, "--query", "left pleural effusion"], "search.json"),
-        (["vqa", *corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
-          "--b2", str(out / "b2_qformer.ckpt"), "--bridge", str(out / "b2_bridge.ckpt"),
-          "--lm", str(tmp_path / "lm.ckpt"), "--study", "0",
-          "--question", "Is a pneumothorax present?"], "vqa.json"),
+        ["synth", "--n", "100"],
+        ["train-c", *corpus, "--steps", "2"],
+        ["train-b1", *corpus, *clip, "--steps", "2"],
+        ["train-b2", *corpus, *clip, "--b1", str(out / "b1_itg.ckpt"),
+         "--lm", str(tmp_path / "lm.ckpt"), "--steps", "1"],
+        ["zeroshot", *corpus, *clip, *b1],
+        ["probe", *corpus, *clip, *b1, "--sizes", "16", "--repeats", "1"],
+        ["search", *corpus, *clip, *b1, "--query", "left pleural effusion"],
+        ["vqa", *bundle, "--study", "0", "--question", "Is a pneumothorax present?"],
+        ["qa", *bundle, "--cases", "1"],
+        ["eval", "--metric", "checkpoint", "--ckpt", str(out / "elixr_c.ckpt")],
     ]
-    for args, result in steps:
+    assert [args[0] for args in steps] == list(CLI_SURFACE)
+    for args in steps:
         assert run_cli([*args, "--out", str(out)]) == 0, args[0]
-        assert json.loads((out / result).read_text())["result"], args[0]
+        result = out / f"{args[0].replace('-', '_')}.json"
+        assert json.loads(result.read_text())["result"], args[0]
 
 
 def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448):

@@ -1,13 +1,16 @@
 """Static checks: every name a graftkit module imports is used in that module,
 and every top-level function, class or constant of a graftkit module, and
 every non-dunder method of its classes, is referenced somewhere in src/,
-tests/ or perfbench/ outside its own definition."""
+tests/ or perfbench/ outside its own definition.  A method that shares its
+name with a method of a builtin container, ``str`` or ``np.ndarray`` counts
+as referenced only through ``self.<name>`` in its class or ``<Class>.<name>``."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,27 +117,60 @@ def top_level_definitions(tree: ast.Module):
 
 
 def methods(tree: ast.Module):
-    """The non-dunder methods of each top-level class."""
+    """(class, method) for the non-dunder methods of each top-level class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield item.name, item
+                    yield node, item
+
+
+# Public method names of the builtin containers, str and np.ndarray: a method
+# of one of these names (say ``extend``) would look referenced by every
+# ``list.extend`` call, so it must be reached through its own class.
+SHARED_NAMES = {name for t in (list, dict, set, str, tuple, np.ndarray) for name in dir(t)
+                if not name.startswith("_")}
+
+
+def attribute_uses(tree: ast.AST, owner: str, name: str) -> int:
+    """The ``<owner>.<name>`` attributes in ``tree``."""
+    return sum(isinstance(n, ast.Attribute) and n.attr == name
+               and isinstance(n.value, ast.Name) and n.value.id == owner for n in ast.walk(tree))
+
+
+def class_uses(cls: ast.ClassDef, fn: ast.FunctionDef, trees) -> int:
+    """``self.<fn>`` inside ``cls`` plus ``<cls>.<fn>`` anywhere in ``trees``,
+    outside ``fn`` itself."""
+    inside = attribute_uses(fn, "self", fn.name) + attribute_uses(fn, cls.name, fn.name)
+    return (attribute_uses(cls, "self", fn.name) - inside
+            + sum(attribute_uses(t, cls.name, fn.name) for t in trees))
 
 
 def dead_definitions(modules: dict[str, str], others=()) -> list[tuple[str, str]]:
     """(module, name) for each top-level definition or method in ``modules``
     that no source in ``modules`` or ``others`` references outside the
     definition.  A method counts as referenced when any attribute of that
-    name is."""
+    name is, except that one named in ``SHARED_NAMES`` (and not a property)
+    counts only through ``class_uses``."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
+    everything = [*trees.values(), *(ast.parse(src) for src in others)]
     refs = Counter()
-    for tree in [*trees.values(), *(ast.parse(src) for src in others)]:
+    for tree in everything:
         refs += referenced_names(tree)
-    return sorted((mod, name) for mod, tree in trees.items()
-                  for name, node in [*top_level_definitions(tree), *methods(tree)]
-                  if refs[name] <= referenced_names(node)[name])
+    dead = [(mod, name) for mod, tree in trees.items()
+            for name, node in top_level_definitions(tree)
+            if refs[name] <= referenced_names(node)[name]]
+    for mod, tree in trees.items():
+        for cls, fn in methods(tree):
+            if fn.name in SHARED_NAMES and not any(
+                    isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list):
+                live = class_uses(cls, fn, everything) > 0
+            else:
+                live = refs[fn.name] > referenced_names(fn)[fn.name]
+            if not live:
+                dead.append((mod, fn.name))
+    return sorted(dead)
 
 
 def test_dead_checker_flags_unreferenced_definitions():
@@ -147,6 +183,20 @@ def test_dead_checker_flags_unreferenced_definitions():
     other = "import m\nm.g()\ngetattr(m, 'Z')\n"
     assert dead_definitions({"m": module}, [other]) == [
         ("m", "C"), ("m", "X"), ("m", "copy"), ("m", "f"), ("m", "stop")]
+
+
+def test_dead_checker_resolves_builtin_method_names_by_class():
+    """An orphaned ``extend`` is dead although ``[].extend`` is called; one
+    reached as ``self.extend`` in its class or as ``Lm.extend`` is not, and a
+    property of a shared name is exempt."""
+    module = ("class Block:\n    def extend(self, x):\n        return self.extend(x)\n"
+              "class Lm:\n    def extend(self, x):\n        return x\n"
+              "    def decode(self):\n        return self.extend(1)\n"
+              "class Grid:\n    def count(self):\n        return 0\n"
+              "    @property\n    def index(self):\n        return 0\n"
+              "def run():\n    [].extend([Lm().decode(), Grid.count, Grid().index])\n")
+    other = "import m\nm.run()\n"
+    assert dead_definitions({"m": module}, [other]) == [("m", "Block"), ("m", "extend")]
 
 
 def test_no_dead_top_level_names():
