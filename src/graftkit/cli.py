@@ -184,21 +184,37 @@ def cmd_train_b2(args, out):
     return payload
 
 
-def _load_encoders(args, findings=None):
+def _load_encoders(args, check=None):
     """The corpus, CLIP and, for variant B, the --b1 Q-Former of an image task.
-    ``findings(corpus)`` gives the valid --finding values; an unknown one is a
-    usage error raised before any checkpoint is read."""
+    ``check(corpus)`` raises ``UsageError`` for flags the corpus rules out; it
+    runs before any checkpoint is read."""
     corpus = load_corpus(args.corpus)
-    known = sorted(findings(corpus)) if findings else None
-    if known is not None and args.finding and args.finding not in known:
-        raise UsageError(f"unknown --finding {args.finding!r}; known findings: {', '.join(known)}")
+    if check:
+        check(corpus)
     clip_model = load_clip(args.clip)
     return corpus, clip_model, load_qformer(args.b1) if args.variant == "B" else None
 
 
+def _check_finding(finding: str, known) -> None:
+    if finding not in known:
+        raise UsageError(f"unknown --finding {finding!r}; known findings: "
+                         f"{', '.join(sorted(known))}")
+
+
 def cmd_zeroshot(args, out):
     prompts = load_prompt_sets(args.prompts) if args.prompts else DEFAULT_PROMPT_SETS
-    corpus, clip_model, qf = _load_encoders(args, lambda corpus: prompts)
+    findings = [args.finding] if args.finding else sorted(prompts)  # empty: every prompt set
+
+    def check(corpus):
+        if args.finding:
+            _check_finding(args.finding, prompts)
+        labels = corpus.studies[0].labels
+        unlabeled = [f for f in findings if f not in labels]
+        if unlabeled:
+            raise UsageError(f"no corpus label for the prompt sets of {', '.join(unlabeled)}; "
+                             f"corpus label keys: {', '.join(sorted(labels))}")
+
+    corpus, clip_model, qf = _load_encoders(args, check)
     if qf is None:
         model, score = clip_model, zero_shot_scores_c
         feats = ImageIndexC.build(clip_model, corpus.studies).embeddings
@@ -206,7 +222,7 @@ def cmd_zeroshot(args, out):
         model, score = qf, zero_shot_scores_b
         feats = ImageIndexB.build(clip_model, qf, corpus.studies).query_proj
     scores = {}
-    for finding in [args.finding] if args.finding else sorted(prompts):
+    for finding in findings:
         vals = score(feats, prompts[finding], model, corpus.vocab).tolist()
         labels = [s.labels[finding] for s in corpus.studies]
         entry = {"scores_head": vals[:5]}
@@ -217,7 +233,8 @@ def cmd_zeroshot(args, out):
 
 
 def cmd_probe(args, out):
-    corpus, clip_model, qf = _load_encoders(args, lambda corpus: corpus.studies[0].labels)
+    corpus, clip_model, qf = _load_encoders(
+        args, lambda corpus: _check_finding(args.finding, corpus.studies[0].labels))
     feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,
                             clip_model, qf)
     labels = np.asarray([s.labels[args.finding] for s in corpus.studies])

@@ -67,6 +67,15 @@ def next_token_targets(tokens, lengths, loss_starts) -> tuple[np.ndarray, np.nda
     return targets, selected
 
 
+def target_columns(selected) -> np.ndarray:
+    """The columns of a (B, L) selection from the first one selected in any
+    row to the last one, the only ones whose logits a loss reads."""
+    cols = np.flatnonzero(np.any(selected, axis=0))
+    if not cols.size:
+        raise ValueError("cross_entropy mask selects no positions")
+    return np.arange(cols[0], cols[-1] + 1)
+
+
 def symmetric_cross_entropy(logits: Tensor) -> Tensor:
     """Symmetric InfoNCE over an (N, N) logit matrix whose diagonal holds the
     matched pairs: the mean of the row-wise and column-wise cross-entropies."""
@@ -148,11 +157,22 @@ class TransformerBlock:
         self.ln2 = LayerNorm(reg, f"{name}.ln2", dim)
         self.mlp = Mlp(reg, f"{name}.mlp", dim, rng)
 
-    def __call__(self, x: Tensor, mask=None, past=None) -> tuple[Tensor, tuple]:
+    def __call__(self, x: Tensor, mask=None, past=None, rows=None) -> tuple[Tensor, tuple]:
         """(output rows, self-attention (keys, values)) of the rows ``x``
-        after the cached ``past`` (``MultiHeadAttention.__call__``)."""
+        after the cached ``past`` (``MultiHeadAttention.__call__``).
+
+        Given ``rows``, only the rows ``x[:, rows]`` are output: they alone
+        go through the query path, the residual and the MLP, while the keys
+        and values still come from every row.  A mask with a query axis is
+        sliced to ``rows``; a key-only one applies as it is."""
         h = self.ln1(x)
-        a, kv = self.attn(h, h, mask, past)
+        if rows is None:
+            a, kv = self.attn(h, h, mask, past)
+        else:
+            if mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
+                mask = np.take(mask, rows, axis=-2)
+            a, kv = self.attn(ag.take(h, rows, 1), h, mask, past)
+            x = ag.take(x, rows, 1)
         x = ag.add(x, a)
         return ag.add(x, self.mlp(self.ln2(x))), kv
 
@@ -333,8 +353,10 @@ class DecoderLM:
         (None, or None per block: nothing cached), causally and under the
         additive ``mask`` broadcastable to (B, 1, m, n + m).  Returns (logits,
         per-block (keys, values) of all n + m rows); the logits are
-        (B, m, vocab), or (B, len(last), vocab) after the columns ``last``.
-        Training is the taped call without ``past``."""
+        (B, m, vocab), or (B, len(last), vocab) of the columns ``last`` alone:
+        the final block then runs its query path, residual and MLP on those
+        columns only (``TransformerBlock.__call__``'s ``rows``).  Training is
+        the taped call without ``past``."""
         top = int(np.max(positions)) + 1
         if top > self.cfg.max_len:
             raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
@@ -345,23 +367,25 @@ class DecoderLM:
         x = ag.add(emb, Tensor(self.pos[positions]))
         kv = []
         for blk, blk_past in zip(self.blocks, past):
-            x, blk_kv = blk(x, mask, blk_past)
+            x, blk_kv = blk(x, mask, blk_past, last if blk is self.blocks[-1] else None)
             kv.append(blk_kv)
-        if last is not None:
-            x = ag.take(x, last, axis=1)
         return self.head(self.ln_out(x)), kv
 
     def batch_loss(self, tokens: np.ndarray, lengths, loss_starts) -> Tensor:
         """Mean next-token cross-entropy over token positions >= loss_start,
-        pads excluded.  Position i predicts token i+1; the final position and
-        padded targets are masked out rather than sliced away."""
+        pads excluded.  Position i predicts token i+1.  Logits are computed
+        for the columns from the first selected position of any row to the
+        last one (``target_columns``); unselected positions among them are
+        masked out."""
         tokens = np.asarray(tokens, dtype=np.int64)
         b, l = tokens.shape
-        logits, _ = self._forward(self.embed_tokens(tokens), np.arange(l),
-                                  key_padding_mask(lengths, l))
         targets, sel = next_token_targets(tokens, lengths, loss_starts)
-        return ag.cross_entropy(ag.reshape(logits, (b * l, self.cfg.vocab_size)),
-                                targets.reshape(-1), mask=sel.reshape(-1).astype(np.float64))
+        cols = target_columns(sel)
+        logits, _ = self._forward(self.embed_tokens(tokens), np.arange(l),
+                                  key_padding_mask(lengths, l), last=cols)
+        return ag.cross_entropy(ag.reshape(logits, (b * len(cols), self.cfg.vocab_size)),
+                                targets[:, cols].reshape(-1),
+                                mask=sel[:, cols].reshape(-1).astype(np.float64))
 
     # -- the gradient-server contract
 
@@ -383,10 +407,12 @@ class DecoderLM:
         tgt, sel = next_token_targets(tokens, s + lengths, [s + len(p) for p in prompts])
         n = sel.sum(axis=1)
         l = tokens.shape[1]
+        cols = target_columns(sel)
         logits, _ = self._forward(self._embed(soft, hard), np.arange(l),
-                                  key_padding_mask(s + lengths, l))
-        return ag.cross_entropy(ag.reshape(logits, (tgt.size, self.cfg.vocab_size)),
-                                tgt.reshape(-1), mask=(sel * (n.max() / n)[:, None]).reshape(-1))
+                                  key_padding_mask(s + lengths, l), last=cols)
+        weights = sel[:, cols] * (n.max() / n)[:, None]
+        return ag.cross_entropy(ag.reshape(logits, (weights.size, self.cfg.vocab_size)),
+                                tgt[:, cols].reshape(-1), mask=weights.reshape(-1))
 
     def lm_loss_and_grad(self, soft_prompts: np.ndarray, prompt_ids, target_ids):
         """(loss, d loss / d soft_prompts) for one (S, dim) soft prompt; the

@@ -335,6 +335,33 @@ def test_unknown_finding_is_a_usage_error_before_loading(tmp_path, capsys, comma
     assert list((tmp_path / "o").glob("*.json")) == []
 
 
+def test_probe_with_an_empty_finding_is_a_usage_error_before_loading(tmp_path, capsys):
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=4)), tmp_path / "corpus")
+    assert run_cli(["probe", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing"), "--finding", "",
+                    "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: unknown --finding ''; known findings: {', '.join(sorted(T.LABEL_KINDS))}" in err
+
+
+@pytest.mark.parametrize("finding", ["", "atelectasis"])
+def test_zeroshot_prompt_sets_without_a_corpus_label_are_a_usage_error(tmp_path, capsys, finding):
+    """A prompt file's finding the corpus does not label is refused before any
+    checkpoint loads, whether it is picked by --finding or scored by default
+    (an empty --finding: every prompt set)."""
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=4)), tmp_path / "corpus")
+    sets = [{"finding": f, "positive": [f"{f} present"], "negative": ["no acute process"]}
+            for f in ("effusion", "atelectasis")]
+    (tmp_path / "prompts.json").write_text(json.dumps(sets))
+    assert run_cli(["zeroshot", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing"), "--prompts", str(tmp_path / "prompts.json"),
+                    "--finding", finding, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (f"usage error: no corpus label for the prompt sets of atelectasis; corpus label keys: "
+            f"{', '.join(sorted(T.LABEL_KINDS))}") in err
+    assert list((tmp_path / "o").glob("*.json")) == []
+
+
 def test_zeroshot_c_encodes_the_images_once(tmp_path, monkeypatch):
     corpus = generate_corpus(3, CorpusSpec(n_studies=12))
     save_corpus(corpus, tmp_path / "corpus")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graftkit.autograd as ag
+import graftkit.nn as nn
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
     NEG_INF, DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
@@ -255,7 +256,9 @@ def _reference_run(lm, emb, lengths=None, past=None, last=None):
     (B, L, dim) under the causal mask and, given ``lengths``, the key-padding
     mask.  With ``past`` the rows run after the cached keys of one sequence,
     whose (keys, values) are concatenated as plain arrays, under the causal
-    mask alone.  Given ``last``, only those columns reach the output head.
+    mask alone.  Given ``last``, only those columns go through the final
+    block's query path, residual and MLP and reach the output head; its keys
+    and values still come from every column.
     """
     b, m, _ = emb.shape
     n = 0 if past is None else past[0][0].shape[2]
@@ -266,35 +269,38 @@ def _reference_run(lm, emb, lengths=None, past=None, last=None):
     kv = []
     for i, blk in enumerate(lm.blocks):
         att = blk.attn
-        split = lambda t: ag.transpose(ag.reshape(t, (b, m, att.n_heads, att.dh)), (0, 2, 1, 3))
+        split = lambda t: ag.transpose(ag.reshape(t, (b, -1, att.n_heads, att.dh)), (0, 2, 1, 3))
         h = blk.ln1(x)
-        q, k, v = split(att.q(h)), split(att.k(h)), split(att.v(h))
+        h_q = h
+        if last is not None and i == len(lm.blocks) - 1:
+            h_q, x, mask = ag.take(h, last, 1), ag.take(x, last, 1), mask[..., last, :]
+        q, k, v = split(att.q(h_q)), split(att.k(h)), split(att.v(h))
         if past is not None:
             k = Tensor(np.concatenate([past[i][0], k.data], axis=2))
             v = Tensor(np.concatenate([past[i][1], v.data], axis=2))
         kv.append((k.data, v.data))
         a = ag.transpose(ag.sdpa(q, k, v, mask=mask), (0, 2, 1, 3))
-        x = ag.add(x, att.o(ag.reshape(a, (b, m, att.dim))))
+        x = ag.add(x, att.o(ag.reshape(a, (b, x.shape[1], att.dim))))
         x = ag.add(x, blk.mlp(blk.ln2(x)))
-    if last is not None:
-        x = ag.take(x, last, axis=1)
     return lm.head(lm.ln_out(x)), kv
 
 
 def _per_target_loop_loss(lm, soft, prompt_ids, target_ids):
     """The per-target-loop construction ``next_token_targets`` replaced in
-    ``soft_prompt_loss``, kept as the reference."""
+    ``soft_prompt_loss``, kept as the reference: the logits of the target
+    columns only, each predicting its target."""
     s, p, t = soft.shape[0], len(prompt_ids), len(target_ids)
     hard = np.asarray(list(prompt_ids) + list(target_ids), dtype=np.int64)
     l = s + p + t
-    targets = np.zeros(l, dtype=np.int64)
-    mask = np.zeros(l)
+    cols = np.arange(s + p - 1, l - 1)  # column s+p-1+j predicts target j
+    targets = np.zeros(t, dtype=np.int64)
+    mask = np.zeros(t)
     for j, tok_id in enumerate(target_ids):
-        targets[s + p - 1 + j] = tok_id  # position s+p-1+j predicts target j
-        mask[s + p - 1 + j] = 1.0
+        targets[j] = tok_id
+        mask[j] = 1.0
     emb = ag.concat([ag.reshape(soft, (1, s, lm.cfg.dim)), lm.embed_tokens(hard[None])], axis=1)
-    logits, _ = _reference_run(lm, emb, [l])
-    return ag.cross_entropy(ag.reshape(logits, (l, lm.cfg.vocab_size)), targets, mask=mask)
+    logits, _ = _reference_run(lm, emb, [l], last=cols)
+    return ag.cross_entropy(ag.reshape(logits, (t, lm.cfg.vocab_size)), targets, mask=mask)
 
 
 @pytest.mark.parametrize("prompt", [[], [4, 5, 9]])
@@ -323,17 +329,167 @@ def test_batch_loss_equals_the_reference_pass_bitwise():
             if run == "batch_loss":
                 loss = lm.batch_loss(tokens, lengths, starts)
             else:
-                b, l = tokens.shape
-                logits, _ = _reference_run(lm, lm.embed_tokens(tokens), lengths)
                 targets, sel = next_token_targets(tokens, lengths, starts)
-                loss = ag.cross_entropy(ag.reshape(logits, (b * l, lm.cfg.vocab_size)),
-                                        targets.reshape(-1), mask=sel.reshape(-1).astype(float))
+                cols = np.arange(0, 6)  # from the first target column (row 1) to the last (row 0)
+                logits, _ = _reference_run(lm, lm.embed_tokens(tokens), lengths, last=cols)
+                loss = ag.cross_entropy(ag.reshape(logits, (3 * 6, lm.cfg.vocab_size)),
+                                        targets[:, cols].reshape(-1),
+                                        mask=sel[:, cols].reshape(-1).astype(float))
         results.append((loss.data, tape.gradients(loss)))
     (value, grads), (ref_value, ref_grads) = results
     assert value.tobytes() == ref_value.tobytes()
     assert list(grads) == list(ref_grads) and len(grads) == len(lm.params())
     for name, g in grads.items():
         assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+# -- the final block run on the read columns only (``_forward``'s ``last``)
+
+
+def _padded_batch():
+    """Three right-padded rows with mixed loss starts: targets in columns 3..9."""
+    tokens, lengths = pad_batch([[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14], [15, 16, 17, 18, 19],
+                                 [20, 21, 22, 23, 24, 25, 26]], 0)
+    return tokens, lengths, [6, 4, 6]
+
+
+def _pruned_logit_gaps(lm, run):
+    """Run ``run()`` with each ``_forward`` call that is given ``last`` made
+    again without it; returns the largest gap between the pruned logits and
+    the full pass's logits at ``last`` per call.  The keys and values of
+    every block must not change at all."""
+    original, gaps = lm._forward, []
+
+    def both(emb, positions, mask=None, past=None, last=None):
+        out, kv = original(emb, positions, mask, past, last)
+        if last is not None:
+            full, full_kv = original(emb, positions, mask, past)
+            assert out.shape == full.data[:, last].shape
+            gaps.append(np.max(np.abs(out.data - full.data[:, last])))
+            assert all(np.array_equal(k, fk) and np.array_equal(v, fv)
+                       for (k, v), (fk, fv) in zip(kv, full_kv))
+        return out, kv
+
+    lm._forward = both
+    try:
+        run()
+    finally:
+        del lm._forward
+    assert gaps
+    return gaps
+
+
+def test_pruned_forward_equals_the_full_pass_at_the_read_columns():
+    _, lm = make_lm()
+    for soft, ids in _prompt_set():
+        assert max(_pruned_logit_gaps(lm, lambda: lm.prefill(soft, [ids]))) < 1e-12
+    rng = np.random.default_rng(5)
+    soft = rng.normal(0, 0.1, (3, 32))
+    dialog = [int(i) for i in rng.integers(4, 30, 15)]
+    state = lm.prefill(soft, [dialog])
+    for prompts in _forks(rng, dialog):
+        assert max(_pruned_logit_gaps(lm, lambda: lm.prefill(soft, prompts, prefix=state))) < 1e-12
+    assert max(_pruned_logit_gaps(lm, lambda: lm.batch_loss(*_padded_batch()))) < 1e-12
+
+
+def test_forward_with_every_column_last_is_the_unpruned_pass_bitwise():
+    _, lm = make_lm(frozen=False)
+    tokens, lengths, _ = _padded_batch()
+    l = tokens.shape[1]
+    results = []
+    for last in (None, np.arange(l)):
+        with Tape() as tape:
+            logits, kv = lm._forward(lm.embed_tokens(tokens), np.arange(l),
+                                     key_padding_mask(lengths, l), last=last)
+            loss = ag.reduce_sum(ag.mul(logits, Tensor(np.sin(np.arange(logits.data.size))
+                                                       .reshape(logits.shape))))
+        results.append((logits.data, kv, tape.gradients(loss)))
+    (logits, kv, grads), (ref_logits, ref_kv, ref_grads) = results
+    assert logits.tobytes() == ref_logits.tobytes()
+    assert all(k.tobytes() == rk.tobytes() and v.tobytes() == rv.tobytes()
+               for (k, v), (rk, rv) in zip(kv, ref_kv))
+    assert list(grads) == list(ref_grads)
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def _loss_and_grads(loss_fn):
+    with Tape() as tape:
+        loss = loss_fn()
+    grads = tape.gradients(loss)
+    return float(loss.data), grads
+
+
+@pytest.mark.parametrize("case", ["batch_loss", "soft_prompt_loss", "soft_prompt_loss_no_prompt"])
+def test_pruned_losses_equal_the_unpruned_pass(case, monkeypatch):
+    _, lm = make_lm(frozen=case != "batch_loss")
+    rng = np.random.default_rng(9)
+    soft = Parameter("_soft", rng.normal(0, 0.1, (3, 2, 32)))
+    prompts = [[], [], []] if case.endswith("no_prompt") else [[4, 5, 9], [7], [8, 8, 8, 8, 8]]
+    targets = [[6, 7, 8, 3], [9, 10], [11, 12, 13]]
+    if case == "batch_loss":
+        run = lambda: lm.batch_loss(*_padded_batch())
+    else:
+        run = lambda: lm.soft_prompt_loss(soft, prompts, targets)
+    loss, grads = _loss_and_grads(run)
+    # every column last is the unpruned pass, bitwise (the test above)
+    monkeypatch.setattr(nn, "target_columns", lambda sel: np.arange(sel.shape[1]))
+    ref_loss, ref_grads = _loss_and_grads(run)
+    assert abs(loss - ref_loss) < 1e-12
+    assert list(grads) == list(ref_grads)
+    scale = max(np.max(np.abs(g)) for g in ref_grads.values())
+    for name, g in grads.items():
+        assert np.max(np.abs(g - ref_grads[name])) < 1e-12 * scale, name
+
+
+def test_batch_loss_with_a_late_loss_start_matches_finite_differences():
+    _, lm = make_lm(vocab=20, dim=16, blocks=2, heads=2, frozen=False)
+    tokens, lengths = pad_batch([[4, 5, 6, 7, 8, 9, 10, 11, 12], [13, 14, 15, 16, 17, 18]], 0)
+    f = lambda: lm.batch_loss(tokens, lengths, [7, 5])
+    assert ag.finite_diff_check(f, lm.params(), max_coords=6) < 1e-6
+
+
+def test_batch_loss_that_selects_nothing_raises_the_cross_entropy_error():
+    _, lm = make_lm(frozen=False)
+    tokens, lengths = pad_batch([[4, 5, 6], [7, 8]], 0)
+    for starts in ([3, 2], [5, 9]):
+        with pytest.raises(ValueError, match=r"^cross_entropy mask selects no positions$"):
+            lm.batch_loss(tokens, lengths, starts)
+
+
+def _mlp_rows(lm, run):
+    """The (rows, columns) each block's MLP is given during ``run()``."""
+    seen, mlps = [[] for _ in lm.blocks], [blk.mlp for blk in lm.blocks]
+    for blk, mlp, rows in zip(lm.blocks, mlps, seen):
+        def spy(x, mlp=mlp, rows=rows):
+            rows.append(x.shape[:2])
+            return mlp(x)
+        blk.mlp = spy
+    try:
+        run()
+    finally:
+        for blk, mlp in zip(lm.blocks, mlps):
+            blk.mlp = mlp
+    return seen
+
+
+def test_the_final_block_runs_its_mlp_on_the_read_columns_only():
+    _, lm = make_lm(blocks=3)
+    tokens, lengths = pad_batch([[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], [16, 17, 18, 19]], 0)
+    # late loss starts: only columns 8..10 predict a target
+    seen = _mlp_rows(lm, lambda: lm.batch_loss(tokens, lengths, [9, 30]))
+    assert seen == [[(2, 12)], [(2, 12)], [(2, 3)]]
+    soft = np.random.default_rng(0).normal(0, 0.1, (2, 4, 32))
+    # [4 soft || 2 prompt || 3 target] rows: columns 5..7 predict the targets
+    seen = _mlp_rows(lm, lambda: lm.soft_prompt_loss(Tensor(soft), [[4, 5], [6, 7]],
+                                                     [[8, 9, 10], [11, 12, 13]]))
+    assert seen == [[(2, 9)], [(2, 9)], [(2, 3)]]
+    state = lm.prefill(soft[0], [[4, 5, 6, 7]])
+    # a packed 3-prompt prefill after the shared [4, 5, 6] runs 3 + 1 + 4
+    # suffix columns, of which one per prompt is read
+    seen = _mlp_rows(lm, lambda: lm.prefill(soft[0], [[4, 5, 6, 7, 8, 9], [4, 5, 6, 9],
+                                                      [4, 5, 6, 7, 10, 11, 12]], prefix=state))
+    assert seen == [[(1, 8)], [(1, 8)], [(1, 3)]]
 
 
 def test_lm_generate_terminates_and_deterministic():
