@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt_sets,
                          train_elixr_c, zero_shot_scores_c)
-from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
+from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus, words
 from .lmdata import pretrain_frozen_lm
 from .nn import LmTrainConfig, load_lm, save_lm
 from .params import checkpoint_meta, load_checkpoint, save_checkpoint, ParamRegistry
@@ -245,7 +245,11 @@ def cmd_probe(args, out):
 
 
 def cmd_search(args, out):
-    corpus, clip_model, qf = _load_encoders(args)
+    def check(corpus):
+        if not words(args.query):
+            raise UsageError(f"--query {args.query!r} has no words")
+
+    corpus, clip_model, qf = _load_encoders(args, check)
     if qf is None:
         index = ImageIndexC.build(clip_model, corpus.studies)
         res = search_c(args.query, index, clip_model, corpus.vocab, k=args.k)

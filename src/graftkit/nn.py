@@ -125,14 +125,15 @@ class MultiHeadAttention:
         """Attention of the rows ``x_q`` (B, m, dim) over the keys of
         ``x_kv`` (B, l, dim), after the cached (keys, values) ``past`` (each
         (B, heads, n, dh)) when given, under the additive ``mask``
-        broadcastable to (B, heads, m, n + l).  Returns (output rows, (keys,
-        values) of all n + l keys).  Cached keys are plain arrays, so a call
-        with ``past`` is inference only; ``past`` itself is kept."""
+        broadcastable to (B, heads, m, n + l).  Either batch may be 1 and
+        broadcast against the other.  Returns (output rows, (keys, values)
+        of all n + l keys).  Cached keys are plain arrays, so a call with
+        ``past`` is inference only; ``past`` itself is kept."""
         b, m = x_q.shape[:2]
-        l = x_kv.shape[1]
+        b_kv, l = x_kv.shape[:2]
         q = self._split(self.q(x_q), b, m)
-        k = self._split(self.k(x_kv), b, l)
-        v = self._split(self.v(x_kv), b, l)
+        k = self._split(self.k(x_kv), b_kv, l)
+        v = self._split(self.v(x_kv), b_kv, l)
         if past is not None:
             k = Tensor(np.concatenate([past[0], k.data], axis=2))
             v = Tensor(np.concatenate([past[1], v.data], axis=2))

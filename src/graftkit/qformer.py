@@ -63,20 +63,41 @@ class _QFormerBlock:
         self.mlp = Mlp(reg, f"{name}.mlp", cfg.dim, rng)
 
     def __call__(self, x: Tensor, n_queries: int, grid: Tensor | None, self_mask,
-                 past=None) -> tuple[Tensor, tuple]:
+                 past=None, rows=None) -> tuple[Tensor, tuple]:
         """(output rows, self-attention (keys, values)) of the rows ``x``,
-        the first ``n_queries`` of them queries."""
+        the first ``n_queries`` of them queries.
+
+        Rows ``x`` of batch 1 against B grids are shared by every grid: their
+        self-attention runs once, the query rows take batch B at the
+        cross-attention, and the text rows run their MLP once before they
+        are broadcast to B.  Given ``rows`` (the query rows first), only the
+        rows ``x[:, rows]`` are output, as in ``TransformerBlock``: the keys
+        and values still come from every row."""
         h = self.ln1(x)
-        a, kv = self.self_attn(h, h, self_mask, past)
+        if rows is None:
+            a, kv = self.self_attn(h, h, self_mask, past)
+        else:
+            if self_mask is not None:
+                self_mask = np.take(self_mask, rows, axis=-2)
+            a, kv = self.self_attn(ag.take(h, rows, 1), h, self_mask, past)
+            x = ag.take(x, rows, 1)
         x = ag.add(x, a)
-        if grid is not None and n_queries:
-            m = x.shape[1]
-            q_rows = ag.take(x, np.arange(n_queries), axis=1)
-            x_q = ag.add(q_rows, self.cross_attn(self.ln_x(q_rows), grid)[0])
-            if m > n_queries:  # text rows pass through unchanged
-                x_q = ag.concat([x_q, ag.take(x, np.arange(n_queries, m), axis=1)], axis=1)
-            x = x_q
-        return ag.add(x, self.mlp(self.ln2(x))), kv
+        if grid is None or not n_queries:
+            return self._feed_forward(x), kv
+        m = x.shape[1]
+        q = x if m == n_queries else ag.take(x, np.arange(n_queries), axis=1)
+        q = ag.add(q, self.cross_attn(self.ln_x(q), grid)[0])
+        if m == n_queries:
+            return self._feed_forward(q), kv
+        t = ag.take(x, np.arange(n_queries, m), axis=1)  # text rows skip the cross-attention
+        if t.shape[0] == q.shape[0]:
+            return self._feed_forward(ag.concat([q, t], axis=1)), kv
+        # one text for every grid: its MLP runs once, then it is broadcast
+        t = ag.take(self._feed_forward(t), np.zeros(q.shape[0], dtype=np.int64))
+        return ag.concat([self._feed_forward(q), t], axis=1), kv
+
+    def _feed_forward(self, x: Tensor) -> Tensor:
+        return ag.add(x, self.mlp(self.ln2(x)))
 
 
 def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
@@ -130,16 +151,35 @@ class QFormerModel:
         """Run queries and/or text through the adapter under a mode mask.
 
         ``grids`` is (B, G, grid_dim) frozen image tokens or None; ``tokens``
-        is (B, L) padded ids or None.  Returns (query outputs, text outputs).
+        is (B, L) padded ids or None, each row 1 to ``text_max_len`` tokens
+        long.  A text batch of 1 is shared by all B grids: its embeddings,
+        block 0's self-attention and the text rows' block-0 MLP run once,
+        and the text rows are broadcast to B only as the next block's keys
+        and values.  Returns (query outputs, text outputs).  In "itm" mode
+        the final block runs only the query rows, which are all the matching
+        head reads, and the text outputs are None.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if tokens is None and mode in ("itg", "itm"):
             raise ValueError(f"mode {mode} requires text")
+        if grids is None and mode == "itm":
+            raise ValueError("mode itm requires grids")
         if grids is None and tokens is None:
             raise ValueError("nothing to run")
         n_q = self.cfg.n_queries if grids is not None else 0
-        b = grids.shape[0] if grids is not None else tokens.shape[0]
+        if tokens is None:
+            b_text, l_text = grids.shape[0], 0
+        else:
+            tokens = np.asarray(tokens, dtype=np.int64)
+            b_text, l_text = tokens.shape
+            shortest = l_text if lengths is None else int(np.min(lengths))
+            if shortest < 1 or l_text > self.cfg.text_max_len:
+                raise ValueError(f"every text needs 1 to text_max_len = {self.cfg.text_max_len} "
+                                 f"tokens; got one of {l_text if shortest else 0}")
+        if grids is not None and b_text not in (1, grids.shape[0]):
+            raise ValueError(f"{b_text} texts for {grids.shape[0]} grids: give one text per "
+                             "grid, or one for all")
 
         parts = []
         grid_t = None
@@ -147,17 +187,18 @@ class QFormerModel:
             grid_t = Tensor(np.asarray(grids, dtype=np.float64))
             if self.grid_proj is not None:
                 grid_t = self.grid_proj(grid_t)
-            parts.append(ag.take(self.queries, np.broadcast_to(np.arange(n_q), (b, n_q))))
-        l_text = 0
+            parts.append(ag.take(self.queries, np.broadcast_to(np.arange(n_q), (b_text, n_q))))
         if tokens is not None:
-            tokens = np.asarray(tokens, dtype=np.int64)
-            l_text = tokens.shape[1]
             parts.append(token_embedding(self.tok, self.pos, tokens))
         x = ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
         mask = _self_mask(mode, n_q, lengths if tokens is not None else None, l_text)
-        for blk in self.blocks:
-            x, _ = blk(x, n_q, grid_t, mask)
+        last = len(self.blocks) - 1
+        for i, blk in enumerate(self.blocks):
+            rows = np.arange(n_q) if mode == "itm" and i == last else None
+            x, _ = blk(x, n_q, grid_t, mask, rows=rows)
         x = self.ln_out(x)
+        if mode == "itm":
+            return x, None
 
         q_out = ag.take(x, np.arange(n_q), axis=1) if n_q else None
         t_out = ag.take(x, np.arange(n_q, n_q + l_text), axis=1) if l_text else None
@@ -189,10 +230,12 @@ class QFormerModel:
 
     def itm_probabilities(self, grids: np.ndarray, token_ids) -> np.ndarray:
         """Matched-class probability of one text against each of (N, G, grid_dim)
-        grids, from one matching-head forward (the rows need no padding)."""
+        grids, from one matching-head forward.  The text goes in as a batch
+        of 1 that every grid shares (``forward``), so its embeddings and its
+        block-0 work run once, not N times, and the final block runs only the
+        N grids' query rows."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        n = grids.shape[0]
-        z = self.itm_logits(grids, np.broadcast_to(ids, (n, ids.size)), [ids.size] * n).data
+        z = self.itm_logits(grids, ids[None], None).data
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e[:, 0] / e.sum(axis=1)
 

@@ -4,7 +4,11 @@ adapter, with deterministic id-ascending tie-breaking throughout.
 
 Everything is batch-first: an index build runs one image-encoder pass (and,
 for the adapter, one query pass) over all the studies it is given, and the
-rerank scores the whole shortlist with one matching-head forward.
+rerank scores the whole shortlist with one matching-head forward.  In that
+forward the query text is a batch of 1 that every shortlisted grid shares:
+its embeddings, its block-0 self-attention (with the learned queries) and
+its block-0 MLP run once per query, not once per grid, and the final block
+skips the text rows, which the matching head never reads.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import tokenize, words
 from .stats import ndcg_at_k, precision_at_k
 
 
@@ -41,12 +45,26 @@ def _rank(ids, scores, k: int) -> list:
     return [(ids[i], float(scores[i])) for i in order[:k]]
 
 
+def _check_lengths(ids, **arrays) -> None:
+    for name, arr in arrays.items():
+        if len(arr) != len(ids):
+            raise ValueError(f"index has {len(ids)} ids but {len(arr)} {name} rows")
+
+
+def _check_query(query: str) -> None:
+    if not words(query):
+        raise ValueError(f"query {query!r} has no words")
+
+
 @dataclass
 class ImageIndexC:
     """Precomputed contrastive image embeddings for a pool."""
 
     ids: list
     embeddings: np.ndarray  # (N, proj_dim), unit rows
+
+    def __post_init__(self):
+        _check_lengths(self.ids, embeddings=self.embeddings)
 
     @staticmethod
     def build(clip_model, studies) -> "ImageIndexC":
@@ -62,6 +80,9 @@ class ImageIndexB:
     grids: np.ndarray        # (N, G, grid_dim)
     query_proj: np.ndarray   # (N, Q, proj_dim)
 
+    def __post_init__(self):
+        _check_lengths(self.ids, grids=self.grids, query_proj=self.query_proj)
+
     @staticmethod
     def build(clip_model, qformer, studies) -> "ImageIndexB":
         grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]),
@@ -74,6 +95,7 @@ def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> R
     """Rank the pool by cosine between the query text and image embeddings."""
     if not index.ids:
         raise ValueError("empty retrieval pool")
+    _check_query(query)
     q = clip_model.embed_text(tokenize(query, vocab))
     scores = index.embeddings @ q
     return RankedRetrieval(query, _rank(index.ids, scores, k))
@@ -94,6 +116,7 @@ def search_b(query: str, index: ImageIndexB, qformer, vocab, k: int = 5,
         raise ValueError("empty retrieval pool")
     if stage1 < 1:
         raise ValueError(f"stage1 must be at least 1, got {stage1}")
+    _check_query(query)
     q_ids = tokenize(query, vocab, qformer.cfg.text_max_len)
     t_proj = qformer.text_cls_proj(q_ids)
     cosine = (index.query_proj @ t_proj).max(axis=1)
@@ -103,14 +126,6 @@ def search_b(query: str, index: ImageIndexB, qformer, vocab, k: int = 5,
     probs = itm_scores(q_ids, index, qformer, subset=shortlist)
     ids = [index.ids[i] for i in shortlist]
     return RankedRetrieval(query, _rank(ids, probs, k))
-
-
-def exhaustive_itm_ranking(query: str, index: ImageIndexB, qformer, vocab,
-                           k: int = 5) -> RankedRetrieval:
-    """Oracle: matching-head ranking of the entire pool (no shortlist)."""
-    q_ids = tokenize(query, vocab, qformer.cfg.text_max_len)
-    probs = itm_scores(q_ids, index, qformer)
-    return RankedRetrieval(query, _rank(index.ids, probs, k))
 
 
 # ---------------------------------------------------------------------------

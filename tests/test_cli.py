@@ -321,6 +321,16 @@ def test_variant_b_without_b1_is_a_usage_error_before_loading(tmp_path, capsys, 
     assert "usage error: variant B requires --b1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["C", "B"])
+def test_search_with_a_wordless_query_is_a_usage_error_before_loading(tmp_path, capsys, variant):
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=4)), tmp_path / "corpus")
+    assert run_cli(["search", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing"), "--b1", str(tmp_path / "missing"),
+                    "--variant", variant, "--query", "", "--out", str(tmp_path / "o")]) == 2
+    assert "usage error: --query '' has no words" in capsys.readouterr().err
+    assert list((tmp_path / "o").glob("*.json")) == []
+
+
 @pytest.mark.parametrize("command, known", [
     ("zeroshot", sorted(DEFAULT_PROMPT_SETS)),  # the prompt sets' findings
     ("probe", sorted(T.LABEL_KINDS)),           # the corpus label keys

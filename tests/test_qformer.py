@@ -42,6 +42,26 @@ def test_forward_requires_consistent_inputs(model):
         model.forward(None, None, mode="itc")
     with pytest.raises(ValueError):
         model.forward(grids, None, mode="bogus")
+    with pytest.raises(ValueError, match="mode itm requires grids"):
+        model.forward(None, np.array([[1, 8]]), mode="itm")
+    with pytest.raises(ValueError, match="2 texts for 3 grids"):
+        model.forward(rand_grids(3, model.cfg), np.array([[1, 8], [1, 9]]), mode="itm")
+
+
+_TOO_LONG = list(range(5, 30))  # 25 ids: one more than tiny_cfg's text_max_len
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, grids: m.itm_probabilities(grids, _TOO_LONG),
+    lambda m, grids: m.text_cls_projs([[1, 8], _TOO_LONG]),
+    lambda m, grids: m.text_cls_projs([[]]),
+    lambda m, grids: m.text_cls_projs([[1, 8], []]),
+    lambda m, grids: m.itm_probabilities(grids, []),
+], ids=["itm-too-long", "cls-too-long", "cls-empty", "cls-one-empty", "itm-empty"])
+def test_forward_rejects_text_it_cannot_embed(model, call):
+    assert model.cfg.text_max_len == len(_TOO_LONG) - 1
+    with pytest.raises(ValueError, match="1 to text_max_len = 24 tokens"):
+        call(model, rand_grids(3, model.cfg))
 
 
 def test_itc_mode_queries_blind_to_text(model):
@@ -108,6 +128,9 @@ def test_pad_positions_inert(model):
         qa, ta = model.forward(grids, tok_a, [3, 4], mode=mode)
         qb, tb = model.forward(grids, tok_b, [3, 4], mode=mode)
         assert np.allclose(qa.data, qb.data, atol=1e-12), mode
+        if mode == "itm":  # the matching pass outputs no text rows
+            assert ta is None and tb is None
+            continue
         assert np.allclose(ta.data[0, :3], tb.data[0, :3], atol=1e-12), mode
         assert np.allclose(ta.data[1, :4], tb.data[1, :4], atol=1e-12), mode
 
@@ -159,11 +182,13 @@ def test_forward_equals_identity_selection_reference(model, mode, with_grids, wi
     lengths = [3, 4] if with_text else None
     got = model.forward(grids, tokens, lengths, mode=mode)
     want = _eye_forward(model, grids, tokens, lengths, mode)
+    if mode == "itm":  # the final block runs the query rows alone
+        want = (want[0], None)
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
         if g is not None:
             assert np.array_equal(g.data, w.data)
-    if with_text:
+    if got[1] is not None:
         cls = model.cls_projection(got[1]).data
         sel = np.zeros((1, tokens.shape[1]))
         sel[0, 0] = 1.0
@@ -177,7 +202,7 @@ def test_same_inputs_same_outputs(model):
     a = model.forward(grids, tok, [3, 3], mode="itm")
     b = model.forward(grids, tok, [3, 3], mode="itm")
     assert a[0].data.tobytes() == b[0].data.tobytes()
-    assert a[1].data.tobytes() == b[1].data.tobytes()
+    assert a[1] is None and b[1] is None
 
 
 def test_pairwise_similarity_is_max_over_queries(model):

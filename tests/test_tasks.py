@@ -1,26 +1,29 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graftkit import autograd as ag
 from graftkit import templates as T
 from graftkit import vqa as vqa_mod
+from graftkit.autograd import Tape, Tensor
 from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c,
                                  zero_shot_scores_c)
 from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, generate_corpus,
                              generate_study, tokenize)
-from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pool_grid
+from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pad_batch,
+                         pool_grid, token_embedding)
 from graftkit.params import ParamRegistry
 from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
                             embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, grade_qa_case,
                          load_grades_csv, run_qa_pipeline, save_grades_csv)
-from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, precompute_grids,
-                              zero_shot_score_b, zero_shot_scores_b)
-from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval,
-                             exhaustive_itm_ranking, grade_retrieval, itm_scores,
-                             laterality_query, search_b, search_c)
+from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, itm_loss,
+                              precompute_grids, zero_shot_score_b, zero_shot_scores_b)
+from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval, grade_retrieval,
+                             itm_scores, laterality_query, search_b, search_c)
 from graftkit.stats import auc
 from graftkit.vqa import ElixrBundle, auto_grade_yes_no, map_yes_no, run_vqa, vqa_prompt_body
 
@@ -391,12 +394,19 @@ def test_search_c_matches_brute_force(small_world):
     assert res.ids() == [index_c.ids[i] for i in order[:5]]
 
 
+def exhaustive_itm_ranking(query, index, qformer, vocab, k=5) -> list:
+    """Oracle for ``search_b``: the matching-head ranking of the whole pool
+    (no shortlist), ties id-ascending."""
+    probs = itm_scores(tokenize(query, vocab, qformer.cfg.text_max_len), index, qformer)
+    order = sorted(range(len(index.ids)), key=lambda i: (-probs[i], index.ids[i]))
+    return [(index.ids[i], float(probs[i])) for i in order[:k]]
+
+
 def test_search_b_equals_exhaustive_on_small_pool(small_world):
     corpus, _, qf, _, index_b = small_world
     for query in ("left pleural effusion", "moderate cardiomegaly", "pneumothorax"):
         two_stage = search_b(query, index_b, qf, corpus.vocab, k=5, stage1=128)
-        oracle = exhaustive_itm_ranking(query, index_b, qf, corpus.vocab, k=5)
-        assert two_stage.ranked == oracle.ranked
+        assert two_stage.ranked == exhaustive_itm_ranking(query, index_b, qf, corpus.vocab, k=5)
 
 
 def test_search_b_stage1_excludes_candidates(small_world):
@@ -426,6 +436,26 @@ def test_search_empty_pool_rejected(small_world):
     with pytest.raises(ValueError):
         search_b("x", ImageIndexB([], np.zeros((0, 4, 16)), np.zeros((0, 3, 8))),
                  qf, corpus.vocab)
+
+
+@pytest.mark.parametrize("query", ["", "  ", "#-- *"])
+def test_search_rejects_a_query_without_words(small_world, query):
+    corpus, clip, qf, index_c, index_b = small_world
+    with pytest.raises(ValueError, match="has no words"):
+        search_c(query, index_c, clip, corpus.vocab)
+    with pytest.raises(ValueError, match="has no words"):
+        search_b(query, index_b, qf, corpus.vocab)
+
+
+def test_indexes_reject_rows_of_unequal_length(small_world):
+    _, _, _, index_c, index_b = small_world
+    ids = index_b.ids[:2]
+    with pytest.raises(ValueError, match="2 ids but 30 embeddings rows"):
+        ImageIndexC(ids, index_c.embeddings)
+    with pytest.raises(ValueError, match="2 ids but 30 grids rows"):
+        ImageIndexB(ids, index_b.grids, index_b.query_proj[:2])
+    with pytest.raises(ValueError, match="2 ids but 1 query_proj rows"):
+        ImageIndexB(ids, index_b.grids[:2], index_b.query_proj[:1])
 
 
 @pytest.mark.parametrize("k", [0, -2])
@@ -522,6 +552,112 @@ def test_itm_scores_one_adapter_forward(small_world, monkeypatch):
     itm_scores(tokenize("pneumothorax", corpus.vocab, qf.cfg.text_max_len), index_b, qf,
                subset=list(range(12)))
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# the matching pass against its unshared, unpruned form
+
+
+def _unpruned_itm_logits(qf, grids, tokens, lengths) -> Tensor:
+    """The matching forward as it ran before the text was shared and the final
+    block pruned: every text row runs at the grids' batch through every block,
+    text rows included, and the query rows are taken after ``ln_out``."""
+    n, n_q = grids.shape[0], qf.cfg.n_queries
+    tokens = np.asarray(tokens)
+    q_rows, t_rows = np.arange(n_q), np.arange(n_q, n_q + tokens.shape[1])
+    grid = Tensor(grids) if qf.grid_proj is None else qf.grid_proj(Tensor(grids))
+    x = ag.concat([ag.take(qf.queries, np.broadcast_to(q_rows, (n, n_q))),
+                   token_embedding(qf.tok, qf.pos, tokens)], axis=1)
+    mask = _self_mask("itm", n_q, lengths, tokens.shape[1])
+    for blk in qf.blocks:
+        h = blk.ln1(x)
+        x = ag.add(x, blk.self_attn(h, h, mask)[0])
+        q = ag.take(x, q_rows, axis=1)
+        q = ag.add(q, blk.cross_attn(blk.ln_x(q), grid)[0])
+        x = ag.concat([q, ag.take(x, t_rows, axis=1)], axis=1)
+        x = ag.add(x, blk.mlp(blk.ln2(x)))
+    return ag.reduce_mean(qf.itm_head(ag.take(qf.ln_out(x), q_rows, axis=1)), axis=1)
+
+
+def _unpruned_itm_probabilities(qf, grids, ids) -> np.ndarray:
+    n = grids.shape[0]
+    z = _unpruned_itm_logits(qf, grids, np.broadcast_to(ids, (n, len(ids))), [len(ids)] * n).data
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e[:, 0] / e.sum(axis=1)
+
+
+def _itm_adapter(small_world, blocks):
+    """small_world's one-block adapter, or a two-block one on the same grids
+    (block 0 is then not the final block)."""
+    qf = small_world[2]
+    return qf if blocks == 1 else QFormerModel(replace(qf.cfg, blocks=blocks), seed=1)
+
+
+class _Spy:
+    """Stands in for a module and records the shape of each call's first input."""
+
+    def __init__(self, module, shapes):
+        self.module, self.shapes = module, shapes
+
+    def __call__(self, x, *args, **kwargs):
+        self.shapes.append(x.shape)
+        return self.module(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_itm_probabilities_equal_the_unpruned_broadcast_pass_bitwise(small_world, blocks):
+    corpus, _, _, _, index_b = small_world
+    qf = _itm_adapter(small_world, blocks)
+    for query, subset in (("left pleural effusion", None), ("moderate cardiomegaly", [7, 0, 19, 3, 3]),
+                          ("pneumothorax", [5]), ("severe right airspace opacity", range(0, 30, 2))):
+        ids = tokenize(query, corpus.vocab, qf.cfg.text_max_len)
+        grids = index_b.grids if subset is None else index_b.grids[list(subset)]
+        assert np.array_equal(qf.itm_probabilities(grids, ids),
+                              _unpruned_itm_probabilities(qf, grids, ids)), (query, subset)
+
+
+def test_itm_probabilities_run_the_text_once_and_prune_the_final_block(small_world, monkeypatch):
+    corpus, _, _, _, index_b = small_world
+    qf = _itm_adapter(small_world, 2)
+    attn_in, mlp_in = [], []
+    monkeypatch.setattr(qf.blocks[0], "self_attn", _Spy(qf.blocks[0].self_attn, attn_in))
+    monkeypatch.setattr(qf.blocks[-1], "mlp", _Spy(qf.blocks[-1].mlp, mlp_in))
+    ids = tokenize("left pleural effusion", corpus.vocab, qf.cfg.text_max_len)
+    qf.itm_probabilities(index_b.grids, ids)
+    n_q, dim = qf.cfg.n_queries, qf.cfg.dim
+    assert attn_in == [(1, n_q + len(ids), dim)]       # block 0: one text row set, batch 1
+    assert mlp_in == [(len(index_b.ids), n_q, dim)]    # final block: the query rows only
+
+
+def test_itm_loss_matches_the_unpruned_pass_and_finite_differences(small_world):
+    corpus, _, _, _, index_b = small_world
+    qf = _itm_adapter(small_world, 2)
+    seqs = [tokenize(s.report_impression, corpus.vocab, qf.cfg.text_max_len)
+            for s in corpus.studies[:4]]
+    tokens, lengths = pad_batch(seqs + [seqs[i] for i in (2, 0, 3, 1)], corpus.vocab.id("[PAD]"))
+    assert len(set(lengths)) > 1  # padded rows are part of the check
+    grids = np.concatenate([index_b.grids[:4]] * 2)
+    matched = [True] * 4 + [False] * 4
+
+    def loss_and_grads(f):
+        with Tape() as tape:
+            loss = f()
+        return float(loss.data), tape.gradients(loss)
+
+    def pruned():
+        return itm_loss(qf, grids, tokens, lengths, matched)
+
+    loss, grads = loss_and_grads(pruned)
+    ref_loss, ref_grads = loss_and_grads(lambda: ag.cross_entropy(
+        _unpruned_itm_logits(qf, grids, tokens, lengths), np.where(matched, 0, 1)))
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert list(grads) == list(ref_grads)
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in grads.items():
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+    params = [qf.registry[n] for n in ("qf.queries", "qf.tok", "qf.blk0.self.k.w",
+                                       "qf.blk1.self.q.w", "qf.blk1.mlp.fc1.w", "qf.itm_head.w")]
+    assert ag.finite_diff_check(pruned, params, max_coords=6, seed=3) < 1e-6
 
 
 def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
