@@ -11,6 +11,7 @@ import mmap
 import multiprocessing
 import os
 import signal
+import threading
 import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -667,7 +668,9 @@ def _pad_batch(dataset, idx, pad_id):
 
 
 def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:
-    """Mean per-token loss over a dataset (no tape)."""
+    """Mean per-token loss over a non-empty dataset (no tape)."""
+    if not len(dataset):
+        raise ValueError("eval_lm_loss: the dataset is empty")
     total, count = 0.0, 0
     for i in range(0, len(dataset), batch_size):
         idx = list(range(i, min(i + batch_size, len(dataset))))
@@ -676,10 +679,10 @@ def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:
         n = int(next_token_targets(tokens, lengths, starts)[1].sum())
         total += float(loss.data) * n
         count += n
-    return total / max(count, 1)
+    return total / count
 
 
-def _check_lm_training(dataset, cfg: LmTrainConfig) -> None:
+def _check_lm_training(dataset, cfg: LmTrainConfig, holdout=None) -> None:
     """Reject input on which ``pretrain_lm`` would spin forever or fail mid-run."""
     if cfg.steps < 0:
         raise ValueError(f"LmTrainConfig.steps must be >= 0, got {cfg.steps}")
@@ -688,25 +691,15 @@ def _check_lm_training(dataset, cfg: LmTrainConfig) -> None:
             raise ValueError(f"LmTrainConfig.{field} must be >= 1, got {getattr(cfg, field)}")
     if not len(dataset):
         raise ValueError("LM training dataset is empty")
-    for i, (seq, start) in enumerate(dataset):
-        if len(seq) <= max(start, 1):  # targets are tokens 1.. len-1 at or past loss_start
-            raise ValueError(f"dataset[{i}]: loss_start {start} selects no target "
-                             f"in a sequence of {len(seq)} tokens")
+    for name, rows in (("dataset", dataset), ("holdout", holdout or [])):
+        for i, (seq, start) in enumerate(rows):
+            if len(seq) <= max(start, 1):  # targets are tokens 1.. len-1 at or past loss_start
+                raise ValueError(f"{name}[{i}]: loss_start {start} selects no target "
+                                 f"in a sequence of {len(seq)} tokens")
 
 
 # A training batch is computed as at most this many parts of equal row count.
 _MAX_PARTS = 8
-
-
-def _worker_share(n_parts: int) -> int:
-    """How many of a step's last parts the worker computes: a third, at
-    least one.  Fewer than half, so that from three parts on this process
-    finishes last unless the worker's core runs at under half the speed of
-    this one's.  On a shared machine the two cores' speeds drift apart by
-    10-80% from step to step; with an even split of four one-row parts,
-    every step waited for whichever core was slower at the time.
-    """
-    return max(1, n_parts // 3)
 
 
 def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.ndarray]]:
@@ -731,7 +724,7 @@ def _lm_layout(lm: DecoderLM) -> tuple:
 def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
     """``copies`` sets of arrays shaped like the LM's parameters, in one
     anonymous shared mapping: made before a fork, the child sees the same
-    pages."""
+    pages.  A page is backed by memory only once written."""
     specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout[2]]
     sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
     buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
@@ -744,13 +737,46 @@ def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
     return out
 
 
-def _worker_main(conn, parent_end, layout, weights, slots) -> None:
+class _PartCounter:
+    """A two-ended counter over one step's parts, in an anonymous shared
+    mapping guarded by a lock, both made before the fork: this process takes
+    parts from the front, the worker from the back, until none is left."""
+
+    def __init__(self, ctx):
+        self.lock = ctx.Lock()
+        self.ends = np.ndarray(2, np.int64, buffer=mmap.mmap(-1, 16))
+
+    def reset(self, n: int) -> None:
+        with self.lock:
+            self.ends[:] = 0, n
+
+    def claim(self, back: bool = False) -> int | None:
+        """The first (or last) unclaimed part, or None when none is left."""
+        with self.lock:
+            lo, hi = int(self.ends[0]), int(self.ends[1])
+            if lo >= hi:
+                return None
+            if back:
+                self.ends[1] = hi - 1
+                return hi - 1
+            self.ends[0] = lo + 1
+            return lo
+
+    def close(self) -> None:
+        """Leave nothing to claim, so that the other process stops."""
+        with self.lock:
+            self.ends[1] = self.ends[0]
+
+
+def _worker_main(conn, parent_end, layout, weights, slots, counter) -> None:
     """Serve steps until the parent's end of the pipe closes.
 
-    A request is the worker's parts of a batch and the batch's target count.
-    The weights are read from ``weights`` and part i's gradients written to
-    ``slots[i]``, memory shared with the parent; the reply holds each part's
-    loss share and the names of its gradients.
+    A request is every part of a batch and the batch's target count.  The
+    weights are read from ``weights``; then parts are claimed from the back
+    of ``counter`` until none is left, and part i's gradients written to
+    ``slots[i]``, memory shared with the parent.  The reply names each part
+    computed here, with its loss share and the names of its gradients.  A
+    part that raises closes ``counter``, so that the parent stops too.
 
     The fork copied the parent's end too; closing it here makes the parent's
     exit, even by SIGKILL, an ``EOFError`` on the next ``recv``.  Ctrl-C is
@@ -770,13 +796,14 @@ def _worker_main(conn, parent_end, layout, weights, slots) -> None:
                 lm = DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0), prefix)
             lm.reg.load_values(weights)
             done = []
-            for part, slot in zip(parts, slots):
-                loss, grads = _part_grads(lm, part, total)
+            while (i := counter.claim(back=True)) is not None:
+                loss, grads = _part_grads(lm, parts[i], total)
                 for name, g in grads.items():
-                    slot[name][...] = g
-                done.append((loss, tuple(grads)))
+                    slots[i][name][...] = g
+                done.append((i, loss, tuple(grads)))
             reply = ("ok", done)
         except Exception as exc:  # the parent re-raises it
+            counter.close()
             reply = ("err", exc, traceback.format_exc())
         try:
             conn.send(reply)
@@ -785,15 +812,18 @@ def _worker_main(conn, parent_end, layout, weights, slots) -> None:
 
 
 class _PartWorker:
-    """A forked process that computes the last parts of each step for one
-    LM layout.
+    """A forked process that computes parts of each step for one LM layout,
+    claiming them from the back of ``counter`` while the parent claims from
+    the front.
 
     The weights go to it and its gradients come back through arrays in an
-    anonymous shared mapping made before the fork; the pipe carries only the
-    parts' padded rows, a few kilobytes, and the reply.  Pickling the 4 MB
-    of weights and of gradients through the pipe instead cost 4-140 ms a
-    step on a 2-core VM, varying with how promptly each process was woken
-    for every 64 KB the pipe holds.
+    anonymous shared mapping made before the fork: one weight-sized set for
+    the weights and one per part (``1 + _MAX_PARTS`` sets), of which only
+    the parts it computes are written.  The pipe carries only the parts'
+    padded rows, a few kilobytes, and the reply.  Pickling the 4 MB of
+    weights and of gradients through the pipe instead cost 4-140 ms a step
+    on a 2-core VM, varying with how promptly each process was woken for
+    every 64 KB the pipe holds.
 
     Fork rather than spawn: a spawned child re-imports the parent's
     ``__main__``, which a script calling ``pretrain_lm`` at top level without
@@ -804,36 +834,39 @@ class _PartWorker:
 
     def __init__(self, lm: DecoderLM):
         self.layout = _lm_layout(lm)
-        self.weights, *self.slots = _shared_arrays(self.layout,
-                                                   1 + _worker_share(_MAX_PARTS))
+        self.weights, *self.slots = _shared_arrays(self.layout, 1 + _MAX_PARTS)
         ctx = multiprocessing.get_context("fork")
+        self.counter = _PartCounter(ctx)
         self.conn, child_end = ctx.Pipe()
         self.proc = ctx.Process(target=_worker_main,
                                 args=(child_end, self.conn, self.layout, self.weights,
-                                      self.slots),
+                                      self.slots, self.counter),
                                 name="graftkit-lm-part", daemon=True)
         self.proc.start()
         child_end.close()  # so that a dead worker is an EOFError here, not a hang
         self.owner = os.getpid()
 
     def submit(self, lm: DecoderLM, parts, total: int) -> None:
-        """Start the worker on ``parts``, at most one per slot."""
+        """Open the counter on ``parts``, at most ``_MAX_PARTS``, and start the
+        worker claiming from the back."""
         for p in lm.params():
             self.weights[p.name][...] = p.data
+        self.counter.reset(len(parts))
         self._io(self.conn.send, (parts, total))
 
-    def result(self) -> list[tuple[float, dict[str, np.ndarray]]]:
-        """(loss share, gradients) of each part of the last ``submit``; the
-        worker's exception is re-raised as the same type.  The gradients are
-        views of the shared memory, valid until the next ``submit``."""
+    def result(self) -> dict[int, tuple[float, dict[str, np.ndarray]]]:
+        """Part index -> (loss share, gradients) of each part the worker
+        computed since the last ``submit``; the worker's exception is
+        re-raised as the same type.  The gradients are views of the shared
+        memory, valid until the next ``submit``."""
         reply = self._io(self.conn.recv)
         if reply[0] == "err":
             exc = reply[1]
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note("raised in the LM training worker:\n" + reply[2])
             raise exc
-        return [(loss, {name: slot[name] for name in names})
-                for slot, (loss, names) in zip(self.slots, reply[1])]
+        return {i: (loss, {name: self.slots[i][name] for name in names})
+                for i, loss, names in reply[1]}
 
     def _io(self, op, *args):
         """A dead worker or an interrupted transfer leaves the pipe out of
@@ -855,12 +888,15 @@ class _PartWorker:
 
 
 _worker: _PartWorker | None = None
+# Held from a worker's ``submit`` to its ``result``: the worker has one pipe
+# and one set of slots, so a second thread training meanwhile runs inline.
+_worker_lock = threading.Lock()
 
 
 def _part_worker(lm: DecoderLM) -> _PartWorker | None:
     """The process's LM training worker, forked on first use and again for
     an LM of another layout, or None when fewer than two cores are available
-    to this process.  One thread at a time may train with it."""
+    to this process.  Call it holding ``_worker_lock``."""
     global _worker
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cores or 1) < 2:
@@ -873,38 +909,68 @@ def _part_worker(lm: DecoderLM) -> _PartWorker | None:
     return _worker
 
 
-def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean target loss of the batch ``idx`` and its gradient, computed as
-    parts of ``ceil(B / _MAX_PARTS)`` consecutive rows, each padded on its
-    own, and added in part order.  With a worker, the worker computes the
-    last ``_worker_share`` parts while this process computes the others."""
+def _claimed_grads(worker: _PartWorker, lm: DecoderLM, parts, total: int) -> tuple[list, int]:
+    """Each part's (loss share, gradients), in part order, with this process
+    claiming parts from the front and ``worker`` from the back; and how many
+    the worker computed.  If a part raises here, the counter is closed and
+    the worker's reply read, to keep the pipe in step, before re-raising."""
+    worker.submit(lm, parts, total)
+    results = {}
+    try:
+        while (i := worker.counter.claim()) is not None:
+            results[i] = _part_grads(lm, parts[i], total)
+    except BaseException:
+        worker.counter.close()
+        try:
+            worker.result()  # this error is the one raised
+        except Exception:
+            pass
+        raise
+    theirs = worker.result()
+    results.update(theirs)
+    return [results[i] for i in range(len(parts))], len(theirs)
+
+
+def _sum_parts(results) -> tuple[float, dict[str, np.ndarray]]:
+    """The parts' (loss share, gradients) added in part order, into arrays
+    of their own."""
+    loss, grads = 0.0, {}
+    for part_loss, part_grads in results:
+        loss += part_loss
+        for name, g in part_grads.items():
+            grads[name] = grads[name] + g if name in grads else g.copy()
+    return loss, grads
+
+
+def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray], dict]:
+    """Mean target loss of the batch ``idx``, its gradient, and how many of
+    its parts each process computed: ``{"parent": n, "worker": m}``.
+
+    The batch is computed as parts of ``ceil(B / _MAX_PARTS)`` consecutive
+    rows, each padded on its own, and the parts are added in part order.
+    With a worker free, this process claims parts from the front and the
+    worker from the back, each until none is left, so a faster core takes
+    more of them; otherwise every part runs here.
+    """
     size = -(-len(idx) // _MAX_PARTS)
     parts = [_pad_batch(dataset, idx[i:i + size], lm.cfg.pad_id)
              for i in range(0, len(idx), size)]
     total = sum(int(next_token_targets(*part)[1].sum()) for part in parts)
     if total == 0:
         raise ValueError("LM batch selects no target positions")
-    worker = _part_worker(lm) if len(parts) >= 2 else None
-    if worker is None:
-        results = [_part_grads(lm, part, total) for part in parts]
-    else:
-        cut = len(parts) - _worker_share(len(parts))
-        worker.submit(lm, parts[cut:], total)
+    if len(parts) >= 2 and _worker_lock.acquire(blocking=False):
         try:
-            results = [_part_grads(lm, part, total) for part in parts[:cut]]
-        except BaseException:
-            try:
-                worker.result()  # keep the pipe in step; this error is the one raised
-            except Exception:
-                pass
-            raise
-        results += worker.result()
-    loss, grads = results[0]
-    for part_loss, part_grads in results[1:]:
-        loss += part_loss
-        for name, g in part_grads.items():
-            grads[name] = grads[name] + g if name in grads else g.copy()
-    return loss, grads
+            worker = _part_worker(lm)
+            if worker is not None:
+                results, by_worker = _claimed_grads(worker, lm, parts, total)
+                # added up before the lock is released: the worker's
+                # gradients are shared memory that the next submit overwrites
+                return *_sum_parts(results), {"parent": len(parts) - by_worker,
+                                              "worker": by_worker}
+        finally:
+            _worker_lock.release()
+    results = [_part_grads(lm, part, total) for part in parts]
+    return *_sum_parts(results), {"parent": len(parts), "worker": 0}
 
 
 def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
@@ -913,7 +979,8 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
 
     ``dataset`` is a list of (token ids, loss_start); ``holdout`` a separate
     list evaluated for the perplexity gate (report sequences).  Input on
-    which training cannot make progress raises ``ValueError`` before any step.
+    which training cannot make progress, or a held-out row without a target,
+    raises ``ValueError`` before any step.
 
     Each step's loss is the mean over the target tokens of a length-sorted
     batch of B rows, computed as fixed parts of ``ceil(B / 8)`` consecutive
@@ -922,24 +989,31 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     row order and one Adam step is taken.  A one-row batch is one part, and
     its factor is exactly 1.0.
 
-    When at least two cores are available, a worker process computes the
-    last third of each step's parts (at least one) while this process
-    computes the rest.  The worker is forked on the first step that needs
+    When at least two cores are available, a worker process shares each
+    step's parts with this one: this process claims them one at a time from
+    the front, the worker from the back, from a counter in shared memory,
+    until none is left.  The worker is forked on the first step that needs
     it and reused for the life of the process across calls (forked again
-    for an LM of another shape).  Without it, every part runs here.  Each
-    part is the same function on the same arrays whoever computes it, and
-    the sum's order is fixed, so the trained bits do not depend on the core
-    count.
+    for an LM of another shape); one thread at a time uses it, and another
+    thread training meanwhile computes its parts here.  Each part is the
+    same function on the same arrays whoever computes it, and the sum's
+    order is fixed, so the trained bits depend neither on which process
+    computed which part nor on the core count.
+
+    The stats hold ``parts``: how many parts this process and the worker
+    computed, summed over the steps.
     """
     from .optim import Adam
 
-    _check_lm_training(dataset, cfg)
+    _check_lm_training(dataset, cfg, holdout)
     rng = np.random.default_rng(seed)
     opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     batches = _make_batches(dataset, cfg, rng)
-    history = []
+    history, split = [], {"parent": 0, "worker": 0}
     for step in range(cfg.steps):
-        loss, grads = _batch_grads(lm, dataset, next(batches))
+        loss, grads, step_split = _batch_grads(lm, dataset, next(batches))
+        for side, n in step_split.items():
+            split[side] += n
         if not np.isfinite(loss):
             raise FloatingPointError("LM pretraining diverged (non-finite loss)")
         opt.step(grads)
@@ -947,7 +1021,7 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
         if log and (step % 200 == 0 or step == cfg.steps - 1):
             log(f"lm step {step} loss {loss:.4f}")
     stats = {"final_train_loss": history[-1] if history else float("nan"),
-             "history_head": history[:5]}
+             "history_head": history[:5], "parts": split}
     if holdout:
         held = eval_lm_loss(lm, holdout)
         stats["holdout_loss"] = held

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -76,6 +77,11 @@ def test_eval_lm_loss_is_the_per_token_mean(start):
     assert abs(nn.eval_lm_loss(lm, data, batch_size=4) - float(whole.data)) < 1e-12
 
 
+def test_eval_lm_loss_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="empty"):
+        nn.eval_lm_loss(tiny_lm(), [])
+
+
 def test_split_matches_the_single_batch_oracle():
     split, ref = tiny_lm(), tiny_lm()
     data = dataset()
@@ -91,7 +97,7 @@ def test_split_matches_the_single_batch_oracle():
 
 def test_one_row_batch_is_the_single_batch_loss_bitwise():
     lm, data = tiny_lm(), dataset()
-    loss, grads = nn._batch_grads(lm, data, np.array([5]))
+    loss, grads, _ = nn._batch_grads(lm, data, np.array([5]))
     tokens, lengths, starts = nn._pad_batch(data, [5], lm.cfg.pad_id)
     with Tape() as tape:
         ref = lm.batch_loss(tokens, lengths, starts)
@@ -104,7 +110,7 @@ def test_one_row_batch_is_the_single_batch_loss_bitwise():
 def test_a_part_without_targets_adds_nothing():
     lm = tiny_lm()
     data = [([1, 2, 3], 3), ([4, 5, 6, 7, 8], 1)]  # the first row selects no target
-    loss, grads = nn._batch_grads(lm, data, np.array([0, 1]))
+    loss, grads, _ = nn._batch_grads(lm, data, np.array([0, 1]))
     ref = nn._part_grads(lm, nn._pad_batch(data, [1], lm.cfg.pad_id), total=4)
     nn._batch_grads(lm, dataset(), np.arange(4))  # reuses the worker's shared memory
     assert loss == ref[0]
@@ -134,23 +140,70 @@ def test_two_runs_are_bitwise_equal():
     assert trained() == trained()
 
 
-@needs_two_cores
-@pytest.mark.parametrize("rows, worker_rows", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (8, 2),
-                                               (9, 1), (16, 4)])
-def test_the_worker_computes_the_last_third_of_the_parts(monkeypatch, rows, worker_rows):
-    # parts of ceil(rows / 8) rows; the worker computes the last third of them
-    lm = tiny_lm()
-    data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(rows)]
-    parent_rows = []
-    part_grads = nn._part_grads
-    monkeypatch.setattr(nn, "_part_grads", lambda lm, part, total: (
-        parent_rows.extend(part[1]), part_grads(lm, part, total))[1])
-    ref = nn._batch_grads(tiny_lm(), data, np.arange(rows))
+def test_two_threads_training_at_once_match_two_sequential_runs():
+    # the worker serves one thread at a time; the other computes inline
+    cfg = nn.LmTrainConfig(steps=30, batch_size=5, long_batch_size=3, long_threshold=25, lr=1e-3)
+    sequential = [trained(seed, cfg=cfg) for seed in (0, 1)]
+    out = {}
+    threads = [threading.Thread(target=lambda s=seed: out.update({s: trained(s, cfg=cfg)}))
+               for seed in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [out.get(0), out.get(1)] == sequential
+
+
+def test_stats_count_the_parts_each_process_computed(monkeypatch):
+    data = dataset()
+    batches = nn._make_batches(data, CFG, np.random.default_rng(3))
+    sizes = [len(next(batches)) for _ in range(CFG.steps)]
+    n_parts = sum(len(range(0, n, -(-n // nn._MAX_PARTS))) for n in sizes)
+    parts = nn.pretrain_lm(tiny_lm(), data, CFG, seed=3)["parts"]
+    assert parts["parent"] + parts["worker"] == n_parts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    got = nn._batch_grads(lm, data, np.arange(rows))
-    assert len(parent_rows) == 2 * rows - worker_rows  # inline: every row
-    assert parent_rows[:rows - worker_rows] == [5 + i for i in range(rows - worker_rows)]
-    assert got[0] == ref[0] and all(np.array_equal(got[1][k], ref[1][k]) for k in ref[1])
+    parts = nn.pretrain_lm(tiny_lm(), data, CFG, seed=3)["parts"]
+    assert parts == {"parent": n_parts, "worker": 0}
+
+
+def rows_of_lengths(n):
+    return [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(n)]
+
+
+def assert_bitwise(got, ref):
+    assert got[0] == ref[0] and got[1].keys() == ref[1].keys()
+    assert all(np.array_equal(got[1][k], ref[1][k]) for k in ref[1])
+
+
+@needs_two_cores
+@pytest.mark.parametrize("rows", range(2, 17))
+def test_claimed_parts_are_the_inline_run_bitwise(monkeypatch, rows):
+    # parts of ceil(rows / 8) rows, claimed by both processes
+    data = rows_of_lengths(rows)
+    n_parts = len(range(0, rows, -(-rows // nn._MAX_PARTS)))
+    got = nn._batch_grads(tiny_lm(), data, np.arange(rows))
+    assert sum(got[2].values()) == n_parts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ref = nn._batch_grads(tiny_lm(), data, np.arange(rows))
+    assert ref[2] == {"parent": n_parts, "worker": 0}
+    assert_bitwise(got, ref)
+
+
+@needs_two_cores
+def test_a_slow_parent_leaves_more_parts_to_the_worker(monkeypatch):
+    data = rows_of_lengths(8)
+    ref = nn._batch_grads(tiny_lm(), data, np.arange(8))  # forks the worker if none is up
+    part_grads = nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda *a: (time.sleep(0.1), part_grads(*a))[1])
+    got = nn._batch_grads(tiny_lm(), data, np.arange(8))  # the worker's copy is not slowed
+    assert got[2]["worker"] > 8 // 3
+    assert_bitwise(got, ref)
 
 
 @needs_two_cores
@@ -163,19 +216,58 @@ def test_two_calls_share_one_worker():
 
 @needs_two_cores
 @pytest.mark.parametrize("bad_part", [0, 1])
-def test_a_failing_part_is_reraised_and_the_next_call_works(bad_part):
-    ref = trained()
+def test_a_failing_part_is_reraised_and_the_next_call_works(monkeypatch, bad_part):
+    ref = trained()  # forks the worker if none is up
+    parent_lengths = []
+    part_grads = nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda lm, part, total: (
+        parent_lengths.append(int(part[1][0])), part_grads(lm, part, total))[1])
     lm = tiny_lm()
     lm.tok.data[28] = np.inf  # a token that only the bad part holds
-    rows = [[1, 2, 3, 4], [1, 2, 3, 4, 5]]  # length-sorted: the parent's part, the worker's
+    rows = [[1, 2, 3, 4], [1, 2, 3, 4, 5]]  # length-sorted, one part each
     rows[bad_part][1] = 28
     with pytest.raises(FloatingPointError) as info:
         nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1, batch_size=2))
     from_worker = any("LM training worker" in n for n in getattr(info.value, "__notes__", []))
-    assert from_worker == (bad_part == 1)
+    assert from_worker == (len(rows[bad_part]) not in parent_lengths)
     worker = nn._worker
     assert trained() == ref  # the pipe is in step: no stale reply is read
     assert nn._worker is worker
+
+
+@needs_two_cores
+def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
+    lm, data = tiny_lm(), rows_of_lengths(8)
+    parts = [nn._pad_batch(data, [i], lm.cfg.pad_id) for i in range(8)]
+    total = sum(int(nn.next_token_targets(*part)[1].sum()) for part in parts)
+    part_grads = nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda *a: (time.sleep(0.05), part_grads(*a))[1])
+    worker = nn._PartWorker(lm)  # forked with parts that take 50 ms each
+    claimed = []
+    result = worker.result
+    worker.result = lambda: (r := result(), claimed.append(sorted(r)))[0]
+
+    def parent_part(fail):
+        def run(lm, part, total):
+            # until the worker has claimed one part, or, unless this part
+            # fails, all the others
+            while worker.counter.ends[1] > (7 if fail else 1):
+                time.sleep(0.001)
+            if fail:
+                raise ValueError("bad part")
+            return 0.0, {}
+        return run
+
+    try:
+        monkeypatch.setattr(nn, "_part_grads", parent_part(fail=False))
+        nn._claimed_grads(worker, lm, parts, total)
+        monkeypatch.setattr(nn, "_part_grads", parent_part(fail=True))
+        with pytest.raises(ValueError, match="bad part"):
+            nn._claimed_grads(worker, lm, parts, total)
+    finally:
+        worker.close()
+    assert claimed[0] == list(range(1, 8))
+    assert 1 <= len(claimed[1]) < 7 and claimed[1][-1] == 7
 
 
 @needs_two_cores
@@ -199,15 +291,20 @@ def test_a_dead_worker_raises_instead_of_hanging():
     (None, [], "empty"),
     (None, [([1, 2, 3, 4], 1), ([5, 6], 2)], r"dataset\[1\]"),
     (None, [([7], 0)], r"dataset\[0\]"),
+    ("holdout", [([1, 2, 3], 3)], r"holdout\[0\]"),  # data is the held-out set here
+    ("holdout", [([1, 2, 3, 4], 1), ([5, 6], 2)], r"holdout\[1\]"),
 ])
 def test_bad_training_input_is_rejected_up_front(field, data, match):
     cfg = nn.LmTrainConfig(steps=2)
-    if field:
+    holdout = None
+    if field == "holdout":
+        holdout, data = data, None
+    elif field:
         setattr(cfg, field, -1 if field == "steps" else 0)
     lm = tiny_lm()
     before = lm.digest()
     with pytest.raises(ValueError, match=match):
-        nn.pretrain_lm(lm, dataset() if data is None else data, cfg)
+        nn.pretrain_lm(lm, dataset() if data is None else data, cfg, holdout=holdout)
     assert lm.digest() == before
 
 
