@@ -6,11 +6,11 @@ single fixed order so repeated runs are bit-identical.  With no tape active,
 ops run eagerly as plain numpy and build no graph (inference mode).
 
 Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
-concat, take, layer_norm, gelu, softmax, cross_entropy, masked
-scaled-dot-product attention, reduce mean/sum/max, l2_normalize.  Everything
-else is composed from these.  No primitive writes to its inputs or to the
-gradient its VJP receives; in-place numpy work happens only on buffers the
-primitive allocated itself.
+concat, take, layer_norm, gelu, cross_entropy, masked scaled-dot-product
+attention, reduce mean/sum/max, l2_normalize.  Everything else is composed
+from these.  No primitive writes to its inputs or to the gradient its VJP
+receives; in-place numpy work happens only on buffers the primitive
+allocated itself.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
-            # contiguous so .reshape(-1) is a mutable view (finite diffs rely on it)
+            # contiguous so .reshape(-1) is a mutable view, which the tests'
+            # finite-difference oracle (tests/helpers.py) writes through
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
@@ -308,21 +309,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), vjp)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.data.size == 0:
-        raise ValueError("softmax of empty input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
-
-    def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return ((g - dot) * s,)
-
-    return _record(out, (x,), vjp)
-
-
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     """Mean negative log-softmax at ``targets``.
 
@@ -450,43 +436,3 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
         return ((g - y * dot) / norm,)
 
     return _record(out, (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-
-
-def finite_diff_check(f, params, step: float = 1e-5, max_coords: int = 40, seed: int = 0) -> float:
-    """Compare ``Tape.gradients`` against central differences on sampled coordinates.
-
-    ``f`` maps the live values of ``params`` to a scalar Tensor.  Frozen
-    parameters receive no AD gradient and are excluded from the comparison.
-    Returns max over sampled coordinates of |g_ad - g_fd| / max(1, |g_fd|).
-    """
-    params = list(params)
-    with Tape() as tape:
-        loss = f()
-    grads = tape.gradients(loss)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p in params:
-        if not isinstance(p, Parameter) or p.frozen:
-            continue
-        g_ad = grads.get(p.name)
-        if g_ad is None:
-            g_ad = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + step
-            plus = float(f().data)
-            flat[c] = orig - step
-            minus = float(f().data)
-            flat[c] = orig
-            g_fd = (plus - minus) / (2.0 * step)
-            err = abs(g_ad.reshape(-1)[c] - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
-    return worst

@@ -110,6 +110,21 @@ def checkpoint_roundtrip(path) -> dict:
             "manifest_identical": same_manifest, "blob_identical": same_blob}
 
 
+LOADERS = {"clip": load_clip, "b1": load_qformer, "b2": load_qformer, "lm": load_lm}
+
+
+def _load(flag: str, args, corpus):
+    """The model in the checkpoint named by ``--flag``, refused unless its
+    vocabulary is the corpus's: another vocabulary's ids index past (or
+    into the wrong rows of) its token table."""
+    model = LOADERS[flag](getattr(args, flag))
+    size = model.vocab_size if flag == "clip" else model.cfg.vocab_size
+    if size != len(corpus.vocab):
+        raise ValueError(f"--{flag} checkpoint has a vocabulary of {size} tokens, "
+                         f"but the corpus has {len(corpus.vocab)}")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed flags and the output directory and returns
 # its result payload, or (payload, config entries it resolved from the flags)
@@ -140,7 +155,7 @@ def cmd_train_c(args, out):
 
 def cmd_train_b1(args, out):
     corpus = load_corpus(args.corpus)
-    clip_model = load_clip(args.clip)
+    clip_model = _load("clip", args, corpus)
     cfg = Phase1Config(steps=args.steps or Phase1Config.steps)
     cfg.qformer.vocab_size = len(corpus.vocab)
     cfg.qformer.grid_dim = clip_model.cfg.image.dim
@@ -155,10 +170,10 @@ def cmd_train_b1(args, out):
 
 def cmd_train_b2(args, out):
     corpus = load_corpus(args.corpus)
-    clip_model = load_clip(args.clip)
-    qf_itg = load_qformer(args.b1)
+    clip_model = _load("clip", args, corpus)
+    qf_itg = _load("b1", args, corpus)
     if args.lm:
-        lm = load_lm(args.lm)
+        lm = _load("lm", args, corpus)
     else:
         lm_cfg = LmTrainConfig()
         _, lm, lm_stats = pretrain_frozen_lm(corpus, seed=args.seed, train_cfg=lm_cfg,
@@ -191,8 +206,8 @@ def _load_encoders(args, check=None):
     corpus = load_corpus(args.corpus)
     if check:
         check(corpus)
-    clip_model = load_clip(args.clip)
-    return corpus, clip_model, load_qformer(args.b1) if args.variant == "B" else None
+    clip_model = _load("clip", args, corpus)
+    return corpus, clip_model, _load("b1", args, corpus) if args.variant == "B" else None
 
 
 def _check_finding(finding: str, known) -> None:
@@ -262,11 +277,9 @@ def cmd_search(args, out):
 def _load_bundle(args, corpus) -> ElixrBundle:
     """The text-task checkpoints; the phase-2 pair must have been trained
     against the LM it is served with."""
-    clip_model = load_clip(args.clip)
-    qf_imp = load_qformer(args.b1)
-    qf_aligned = load_qformer(args.b2)
+    clip_model, qf_imp, qf_aligned, lm = (_load(flag, args, corpus)
+                                          for flag in ("clip", "b1", "b2", "lm"))
     _, bridge, bridge_meta = load_bridge(args.bridge)
-    lm = load_lm(args.lm)
     digest = lm.digest()
     for flag, meta in (("--b2", checkpoint_meta(args.b2, "qformer")), ("--bridge", bridge_meta)):
         if meta.get("lm_digest") != digest:

@@ -62,8 +62,6 @@ DEFAULT_PREVALENCE = {
     "nodule": 0.15,
 }
 
-TWO_FINDING_PREVALENCE = {k: 0.0 for k in T.KINDS} | {"effusion": 0.55, "cardiomegaly": 0.45}
-
 
 @dataclass
 class CorpusSpec:

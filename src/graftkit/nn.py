@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tape, Tensor
-from .params import ParamRegistry
+from .params import ParamRegistry, load_checkpoint, save_checkpoint
 
 NEG_INF = -1e9
 
@@ -608,14 +608,10 @@ def greedy_decode(logits: np.ndarray, step: Callable[[list, list], np.ndarray],
 
 
 def save_lm(lm: DecoderLM, path) -> dict:
-    from .params import save_checkpoint
-
     return save_checkpoint(lm.reg, path, meta={"kind": "lm", "config": lm.cfg.to_json()})
 
 
 def load_lm(path) -> DecoderLM:
-    from .params import load_checkpoint
-
     meta, values, frozen = load_checkpoint(path, "lm")
     reg = ParamRegistry()
     lm = DecoderLM(reg, LmConfig.from_json(meta["config"]), np.random.default_rng(0))

@@ -68,13 +68,22 @@ class ParamRegistry:
 
     def load_values(self, values: dict[str, np.ndarray],
                     frozen: dict[str, bool] | None = None) -> None:
-        """Overwrite registered parameter values in place (shapes must match),
-        then freeze every parameter whose ``frozen`` flag is set."""
+        """Overwrite every registered parameter's value in place, then freeze
+        every parameter whose ``frozen`` flag is set.  ``values`` must name
+        exactly the registered parameters, each with its shape; nothing is
+        written unless they do."""
+        missing = [n for n in self._params if n not in values]
+        unexpected = [n for n in values if n not in self._params]
+        if missing or unexpected:
+            raise ValueError("values are not the registry's parameters: " + "; ".join(
+                f"{len(names)} {what}, first {names[0]!r}"
+                for what, names in (("missing", missing), ("unexpected", unexpected)) if names))
         for name, arr in values.items():
-            p = self._params[name]
-            if p.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arr.shape}")
-            p.data[...] = arr
+            shape = self._params[name].data.shape
+            if shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
+        for name, arr in values.items():
+            self._params[name].data[...] = arr
         for name, flag in (frozen or {}).items():
             if flag:
                 self._params[name].freeze()

@@ -123,19 +123,6 @@ def data_efficiency_curve(train_features, train_labels, test_features, test_labe
     return out
 
 
-def curve_is_monotone(curve: dict, slack: float = 0.01, max_inversions: int = 1) -> bool:
-    """Non-decreasing across sizes, allowing ``max_inversions`` dips <= slack."""
-    sizes = sorted(curve)
-    means = [curve[s]["mean_auc"] for s in sizes]
-    inversions = 0
-    for a, b in zip(means[:-1], means[1:]):
-        if b < a - 1e-12:
-            if a - b > slack:
-                return False
-            inversions += 1
-    return inversions <= max_inversions
-
-
 def embed_for_probe(images: np.ndarray, variant: str, clip_model, qformer=None) -> np.ndarray:
     """(N, H, W) images -> (N, F) features from one encoder pass: pooled
     projection embeddings (C) or concatenated query-token outputs (B, on

@@ -5,8 +5,6 @@ verdict grading, and grade aggregation.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +195,7 @@ def grade_qa_case(case: QaCase, response_missing: str, response_added: str) -> i
 
 
 # ---------------------------------------------------------------------------
-# grade aggregation and the grades-file interface
+# grade aggregation
 
 
 def aggregate_grades(grades, condition_positive) -> dict:
@@ -213,24 +211,3 @@ def aggregate_grades(grades, condition_positive) -> dict:
     if neg:
         out["specificity"] = float(np.mean(neg))
     return out
-
-
-def save_grades_csv(rows) -> str:
-    """rows: (case id, question id, grade in {0, 0.5, 1} or None for NA)."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["case_id", "question_id", "grade"])
-    for case_id, question_id, grade in rows:
-        w.writerow([case_id, question_id, "NA" if grade is None else grade])
-    return buf.getvalue()
-
-
-def load_grades_csv(text: str):
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        g = rec["grade"]
-        grade = None if g == "NA" else float(g)
-        if grade is not None and grade not in (0.0, 0.5, 1.0):
-            raise ValueError(f"invalid grade {g!r}")
-        rows.append((rec["case_id"], rec["question_id"], grade))
-    return rows

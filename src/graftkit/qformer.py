@@ -445,9 +445,12 @@ def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):
 
 def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
                  prompt_sets=None, eval_ids=None, grids=None, log=None):
-    """Joint training; returns (model, history, selection) where selection
-    holds deep-copied best checkpoints: lexicographic (zero-shot AUC, ITM
-    loss, ITC loss) for scoring and search, best ITG loss for phase 2."""
+    """Joint training; returns (models, history, metrics).  ``models`` maps
+    "final" to the trained model and "scoring" / "itg" to models restored
+    from the best checkpoints: lexicographic (zero-shot AUC, ITM loss, ITC
+    loss) for scoring and search, best ITG loss for phase 2.  ``metrics``
+    holds each selected checkpoint's eval metrics and step as
+    "scoring_metrics" / "itg_metrics"."""
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
         qcfg = replace(qcfg, vocab_size=len(corpus.vocab))

@@ -145,24 +145,20 @@ def _check_relevance(rel):
     return rel
 
 
-def dcg(rel, k: int, exponential: bool = False) -> float:
+def dcg(rel, k: int) -> float:
     rel = np.asarray(rel, dtype=np.float64)[:k]
-    gains = (2.0 ** rel - 1.0) if exponential else rel
     discounts = np.log2(np.arange(2, rel.size + 2))
-    return float((gains / discounts).sum())
+    return float((rel / discounts).sum())
 
 
-def ndcg_at_k(rel, k: int = 5, exponential: bool = False) -> float:
-    """NDCG with linear gain by default; ideal ranking is all grades 2.
-
-    The exponential-gain variant exists for comparison only; it does not
-    reproduce the reference table values the linear form matches.
-    """
+def ndcg_at_k(rel, k: int = 5) -> float:
+    """NDCG with linear gain (the form that reproduces the reference table
+    values); ideal ranking is all grades 2."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rel = _check_relevance(rel)
     ideal = np.full(k, 2.0)
-    return dcg(rel, k, exponential) / dcg(ideal, k, exponential)
+    return dcg(rel, k) / dcg(ideal, k)
 
 
 def precision_at_k(rel, k: int = 5) -> tuple[float, float]:

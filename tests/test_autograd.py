@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 import graftkit.autograd as ag
-from graftkit.autograd import Parameter, Tape, Tensor, finite_diff_check
+from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import Linear
 from graftkit.params import ParamRegistry
+from helpers import finite_diff_check
 
 
 def make_param(name, shape, seed=0, frozen=False):
@@ -14,31 +15,15 @@ def make_param(name, shape, seed=0, frozen=False):
     return Parameter(name, rng.normal(0, 1, shape), frozen=frozen)
 
 
-def test_softmax_symmetry_and_values():
-    assert np.allclose(ag.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-12)
-    out = ag.softmax(Tensor([np.log(2.0), 0.0])).data
-    assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-    assert np.allclose(ag.softmax(Tensor([5.0, 5.0, 5.0])).data, [1 / 3] * 3, atol=1e-12)
-
-
-def test_softmax_empty_errors():
-    with pytest.raises(ValueError):
-        ag.softmax(Tensor(np.zeros(0)))
-
-
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-30, 30))
 @settings(max_examples=60, deadline=None)
-def test_softmax_sums_to_one_and_shift_invariant(logits, shift):
-    a = ag.softmax(Tensor(logits)).data
-    assert abs(a.sum() - 1.0) < 1e-9
-    b = ag.softmax(Tensor(np.asarray(logits) + shift)).data
-    assert np.all(np.abs(a - b) < 1e-12)
-
-
-def test_softmax_order_preserving():
-    logits = np.array([0.3, -1.2, 2.0, 0.3001])
-    probs = ag.softmax(Tensor(logits)).data
-    assert np.array_equal(np.argsort(probs), np.argsort(logits))
+def test_cross_entropy_sums_to_one_and_shift_invariant(logits, shift):
+    # the softmax inside cross_entropy: exp(-loss) over every target is a distribution
+    losses = [float(ag.cross_entropy(Tensor(logits), t).data) for t in range(len(logits))]
+    assert abs(np.exp(-np.asarray(losses)).sum() - 1.0) < 1e-9
+    shifted = [float(ag.cross_entropy(Tensor(np.asarray(logits) + shift), t).data)
+               for t in range(len(logits))]
+    assert np.all(np.abs(np.asarray(losses) - shifted) < 1e-9)
 
 
 def test_cross_entropy_values():
@@ -72,16 +57,6 @@ def test_backward_square():
         loss = ag.reduce_sum(ag.mul(x, x))
     grads = tape.gradients(loss)
     assert np.allclose(grads["x"], [6.0])
-
-
-def test_backward_softmax_slope():
-    # d/dx softmax([x, 0])[0] at x=0 is 0.25
-    x = Parameter("x", np.zeros(1))
-    with Tape() as tape:
-        logits = ag.concat([x, Tensor(np.zeros(1))])
-        loss = ag.reduce_sum(ag.mul(ag.softmax(logits), Tensor([1.0, 0.0])))
-    grads = tape.gradients(loss)
-    assert abs(grads["x"][0] - 0.25) < 1e-12
 
 
 def test_backward_frozen_only_graph_is_empty():
@@ -154,7 +129,6 @@ PRIMS = [
     ("transpose", lambda p: ag.reduce_sum(ag.mul(ag.transpose(p), ag.transpose(p)))),
     ("reshape", lambda p: ag.reduce_sum(ag.mul(ag.reshape(p, (4, 3)), Tensor(np.ones((4, 3)))))),
     ("gelu", lambda p: ag.reduce_sum(ag.gelu(p))),
-    ("softmax", lambda p: ag.reduce_sum(ag.mul(ag.softmax(p), Tensor(np.linspace(0, 1, 12).reshape(3, 4))))),
     ("mean", lambda p: ag.reduce_mean(p)),
     ("max", lambda p: ag.reduce_sum(ag.reduce_max(p, axis=1))),
     ("l2norm", lambda p: ag.reduce_sum(ag.mul(ag.l2_normalize(p), Tensor(np.linspace(0.1, 1, 12).reshape(3, 4))))),
@@ -348,7 +322,6 @@ def test_no_primitive_writes_to_inputs_mask_or_incoming_gradient():
         "take": lambda: ag.take(p("a", 4, 3), [1, 1, 3]),
         "layer_norm": lambda: ag.layer_norm(p("x", 2, 3, 6), p("g", 6), p("b", 6)),
         "gelu": lambda: ag.gelu(p("x", 3, 4)),
-        "softmax": lambda: ag.softmax(p("x", 3, 4)),
         "cross_entropy": lambda: ag.cross_entropy(p("x", 3, 4), [0, 3, 1], mask=_readonly([1.0, 0.0, 2.0])),
         "sdpa": lambda: ag.sdpa(p("q", 2, 2, 3, 4), p("k", 2, 2, 4, 4), p("v", 2, 2, 4, 4), mask=mask),
         "reduce_sum": lambda: ag.reduce_sum(p("x", 3, 4), axis=1),

@@ -28,6 +28,11 @@ def tiny_clip(vocab) -> ClipModel:
                                             text_dim=16, text_blocks=1, text_heads=2), seed=0)
 
 
+def tiny_qformer(vocab) -> QFormerModel:
+    return QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
+                                      vocab_size=len(vocab)), seed=0)
+
+
 def tiny_lm(vocab, max_len=448) -> DecoderLM:
     lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2,
                                              max_len=max_len, pad_id=vocab.id("[PAD]"),
@@ -287,8 +292,7 @@ def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, ca
     save_corpus(corpus, tmp_path / "corpus")
     vocab = corpus.vocab
     tiny_clip(vocab).save(tmp_path / "clip.ckpt")
-    QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
-                               vocab_size=len(vocab)), seed=0).save(tmp_path / "b1.ckpt")
+    tiny_qformer(vocab).save(tmp_path / "b1.ckpt")
     ppl = 2.5 if perplexity_ok else 4.25
 
     def fake_pretrain(corpus, seed=0, train_cfg=None, log=None):
@@ -430,8 +434,7 @@ def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448):
     save_corpus(corpus, tmp_path / "corpus")
     vocab = corpus.vocab
     tiny_clip(vocab).save(tmp_path / "clip.ckpt")
-    qf = QFormerModel(QFormerConfig(n_queries=2, dim=16, blocks=1, heads=2, grid_dim=16,
-                                    vocab_size=len(vocab)), seed=0)
+    qf = tiny_qformer(vocab)
     qf.save(tmp_path / "b1.ckpt")
     bridge_reg = ParamRegistry()
     bridge = Phase2Bridge(bridge_reg, 16, 16, 16, np.random.default_rng(1))
@@ -489,3 +492,73 @@ def test_qa_over_several_cases_writes_the_rows_of_one_case_runs(tmp_path, monkey
         monkeypatch.setattr(cli_mod, "build_qa_cases", lambda corpus, seed: [case])
         assert run_cli(["qa", *args, "--out", str(tmp_path / "one")]) == 0
         assert json.loads((tmp_path / "one" / "qa.json").read_text())["result"]["cases"] == [row]
+
+
+def _save_other_vocab(flag, path, size=20):
+    """A tiny checkpoint of ``--flag``'s kind with a ``size``-token vocabulary."""
+    if flag == "clip":
+        tiny_clip(range(size)).save(path)
+    elif flag == "lm":
+        lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=size, dim=16, blocks=1, heads=2,
+                                                 max_len=448, pad_id=0, eos_id=1, img_id=2),
+                       np.random.default_rng(0))
+        lm.freeze()
+        save_lm(lm, path)
+    else:
+        tiny_qformer(range(size)).save(path)
+
+
+def _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys):
+    encoded = []
+    monkeypatch.setattr(ImageEncoder, "patch_grid", lambda self, images: encoded.append(images))
+    out = tmp_path / "o"
+    assert run_cli([*args, "--out", str(out)]) == 1
+    n_vocab = len(load_corpus(tmp_path / "corpus").vocab)
+    assert (f"error: --{flag} checkpoint has a vocabulary of 20 tokens, but the corpus has "
+            f"{n_vocab}") in capsys.readouterr().err
+    assert encoded == []
+    assert list(out.glob("*.json")) == []
+
+
+@pytest.mark.parametrize("command", ["zeroshot", "probe", "search"])
+@pytest.mark.parametrize("flag", ["clip", "b1"])
+def test_image_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeypatch, capsys,
+                                                               command, flag):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=8))
+    save_corpus(corpus, tmp_path / "corpus")
+    tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
+    tiny_qformer(corpus.vocab).save(tmp_path / "b1.ckpt")
+    _save_other_vocab(flag, tmp_path / f"{flag}.ckpt")
+    args = [command, "--corpus", str(tmp_path / "corpus"), "--clip", str(tmp_path / "clip.ckpt"),
+            "--b1", str(tmp_path / "b1.ckpt"), "--variant", "B"]
+    if command == "search":
+        args += ["--query", "left pleural effusion"]
+    _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["vqa", "qa"])
+@pytest.mark.parametrize("flag", ["clip", "b1", "b2", "lm"])
+def test_text_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeypatch, capsys,
+                                                              command, flag):
+    args = _vqa_checkpoints(tmp_path)[:-2]
+    if command == "qa":
+        args = ["qa", *args[1:-4]]
+    _save_other_vocab(flag, Path(args[args.index(f"--{flag}") + 1]))
+    _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train-b1", "clip"), ("train-b2", "clip"), ("train-b2", "b1"), ("train-b2", "lm")])
+def test_training_refuses_a_checkpoint_of_another_vocabulary(tmp_path, monkeypatch, capsys,
+                                                             command, flag):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=36))
+    save_corpus(corpus, tmp_path / "corpus")
+    tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
+    tiny_qformer(corpus.vocab).save(tmp_path / "b1.ckpt")
+    save_lm(tiny_lm(corpus.vocab), tmp_path / "lm.ckpt")
+    _save_other_vocab(flag, tmp_path / f"{flag}.ckpt")
+    args = [command, "--corpus", str(tmp_path / "corpus"), "--clip", str(tmp_path / "clip.ckpt"),
+            "--steps", "1"]
+    if command == "train-b2":
+        args += ["--b1", str(tmp_path / "b1.ckpt"), "--lm", str(tmp_path / "lm.ckpt")]
+    _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys)

@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-import graftkit.autograd as ag
 from graftkit.autograd import Tape, Tensor
 from graftkit.clip_stage import (
     ClipConfig, ClipModel, DEFAULT_PROMPT_SETS, PromptSet, clip_loss, load_clip,
     load_prompt_sets, softmax_pair, train_elixr_c, zero_shot_score_c,
 )
-from graftkit.corpus import CorpusSpec, TWO_FINDING_PREVALENCE, generate_corpus
+from graftkit.corpus import CorpusSpec, generate_corpus
 from graftkit.nn import ImageEncoderConfig
+from helpers import TWO_FINDING_PREVALENCE, finite_diff_check
 
 
 def unit_rows(arr):
@@ -60,7 +60,7 @@ def test_clip_loss_gradient_through_model():
 
     params = [model.registry["img_proj.w"], model.registry["txt_proj.w"],
               model.registry["img_enc.embed1.w"], model.registry["txt_enc.tok"]]
-    worst = ag.finite_diff_check(f, params, max_coords=6, seed=1)
+    worst = finite_diff_check(f, params, max_coords=6, seed=1)
     assert worst < 1e-4
 
 

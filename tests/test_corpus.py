@@ -3,10 +3,11 @@ import pytest
 
 from graftkit import templates as T
 from graftkit.corpus import (
-    Corpus, CorpusSpec, Finding, TWO_FINDING_PREVALENCE, augment, build_vocab,
+    Corpus, CorpusSpec, Finding, augment, build_vocab,
     detokenize, flip_image, generate_corpus, generate_study, load_corpus,
     rotate_image, save_corpus, select_report_text, swap_laterality_words, tokenize,
 )
+from helpers import TWO_FINDING_PREVALENCE
 
 
 @pytest.fixture(scope="module")

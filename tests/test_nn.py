@@ -14,6 +14,7 @@ from graftkit.nn import (
     symmetric_cross_entropy, token_embedding,
 )
 from graftkit.params import ParamRegistry
+from helpers import finite_diff_check
 
 
 def make_image_encoder(seed=0):
@@ -446,7 +447,7 @@ def test_batch_loss_with_a_late_loss_start_matches_finite_differences():
     _, lm = make_lm(vocab=20, dim=16, blocks=2, heads=2, frozen=False)
     tokens, lengths = pad_batch([[4, 5, 6, 7, 8, 9, 10, 11, 12], [13, 14, 15, 16, 17, 18]], 0)
     f = lambda: lm.batch_loss(tokens, lengths, [7, 5])
-    assert ag.finite_diff_check(f, lm.params(), max_coords=6) < 1e-6
+    assert finite_diff_check(f, lm.params(), max_coords=6) < 1e-6
 
 
 def test_batch_loss_that_selects_nothing_raises_the_cross_entropy_error():

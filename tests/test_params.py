@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from graftkit.autograd import Tensor
-from graftkit.clip_stage import load_clip
-from graftkit.nn import DecoderLM, LmConfig, load_lm, save_lm
+from graftkit.clip_stage import ClipConfig, ClipModel, load_clip
+from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, load_lm, save_lm
 from graftkit.params import ParamRegistry, load_checkpoint, save_checkpoint
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, load_bridge,
                               load_qformer, save_phase2)
@@ -75,10 +75,29 @@ def test_edited_shape_refused_with_field_name(tmp_path):
 
 def test_load_values_shape_checked():
     reg = small_registry()
-    with pytest.raises(ValueError, match="shape mismatch"):
-        reg.load_values({"enc.b": np.zeros((2, 2))})
-    reg.load_values({"enc.b": np.ones(4)})
+    values = reg.snapshot()
+    before = reg.combined_digest()
+    with pytest.raises(ValueError, match="shape mismatch for enc.b"):
+        reg.load_values({**values, "enc.w": values["enc.w"] + 1.0, "enc.b": np.zeros((2, 2))})
+    assert reg.combined_digest() == before  # enc.w, ahead of enc.b, is not written either
+    reg.load_values({**values, "enc.b": np.ones(4)})
     assert np.all(reg["enc.b"].data == 1.0)
+
+
+def test_load_values_needs_exactly_the_registered_names():
+    reg = small_registry()
+    before = reg.combined_digest()
+    values = reg.snapshot()
+    del values["enc.w"], values["lm.emb"]
+    with pytest.raises(ValueError, match=r"2 missing, first 'enc\.w'$"):
+        reg.load_values(values)
+    values = {**reg.snapshot(), "enc.extra": np.ones(2)}
+    with pytest.raises(ValueError, match=r"1 unexpected, first 'enc\.extra'$"):
+        reg.load_values(values)
+    del values["enc.b"]
+    with pytest.raises(ValueError, match=r"1 missing, first 'enc\.b'; 1 unexpected, first 'enc\.extra'"):
+        reg.load_values(values)
+    assert reg.combined_digest() == before  # refused before any value is written
 
 
 def test_combined_digest_covers_prefix():
@@ -127,6 +146,52 @@ def test_loaders_reject_wrong_kind(tmp_path, loader, message):
     save_checkpoint(small_registry(), p, meta={"kind": "other"})
     with pytest.raises(ValueError, match=f"{message}: kind='other'"):
         loader(p)
+
+
+def _saved_models(tmp_path) -> dict:
+    """Loader -> the path of a saved tiny model of its kind."""
+    clip = ClipModel(12, ClipConfig(image=ImageEncoderConfig(patch=32, dim=8, blocks=1, heads=2),
+                                    text_dim=8, text_blocks=1, text_heads=2), seed=0)
+    clip.save(tmp_path / "clip.ckpt")
+    qf = QFormerModel(QFormerConfig(n_queries=2, dim=8, blocks=1, heads=2, proj_dim=4,
+                                    grid_dim=8, text_max_len=8, vocab_size=12), seed=0)
+    reg = ParamRegistry()
+    save_phase2(qf, Phase2Bridge(reg, 8, 6, 10, np.random.default_rng(2)), reg,
+                tmp_path / "qf.ckpt", tmp_path / "bridge.ckpt", lm_digest="d")
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=12, dim=8, blocks=1, heads=2, max_len=16),
+                   np.random.default_rng(1))
+    save_lm(lm, tmp_path / "lm.ckpt")
+    return {load_clip: tmp_path / "clip.ckpt", load_qformer: tmp_path / "qf.ckpt",
+            load_lm: tmp_path / "lm.ckpt", load_bridge: tmp_path / "bridge.ckpt"}
+
+
+@pytest.mark.parametrize("loader,missing,extra", [
+    (load_clip, "txt_proj.w", "clip.extra"),
+    (load_qformer, "qf.itm_head.w", "qf.extra"),
+    (load_lm, "lm.head.w", "lm.extra"),
+    (load_bridge, "bridge.fc2.w", "bridge.extra"),
+], ids=["clip", "qformer", "lm", "bridge"])
+@pytest.mark.parametrize("change", ["missing", "unexpected"])
+def test_loaders_reject_a_missing_or_an_unexpected_parameter(tmp_path, loader, missing, extra,
+                                                             change):
+    """A consistent checkpoint (digest and byte extents agree) that lacks one
+    of the model's parameters, or holds one more, is refused by name: the
+    model would otherwise keep a random initialisation of the missing one."""
+    path = _saved_models(tmp_path)[loader]
+    loader(path)  # the saved model loads
+    meta, values, frozen = load_checkpoint(path)
+    if change == "missing":
+        name = missing
+        del values[name]
+    else:
+        name = extra
+        values[name], frozen[name] = np.ones(3), False
+    reg = ParamRegistry()
+    for n in sorted(values):
+        reg.param(n, values[n], frozen=frozen[n])
+    save_checkpoint(reg, path, meta=meta)
+    with pytest.raises(ValueError, match=rf"1 {change}, first '{name}'$"):
+        loader(path)
 
 
 def test_load_lm_restores_values_and_frozen_flags(tmp_path):

@@ -13,6 +13,7 @@ from graftkit.qformer import (
     phase2_eval, phase2_step, soft_prompts_for_grid, zero_shot_score_b,
 )
 from graftkit.stats import auc
+from helpers import finite_diff_check
 
 
 def tiny_cfg(vocab=40, **kw):
@@ -232,7 +233,7 @@ def test_itc_gradient(model):
 
     params = [model.registry["qf.queries"], model.registry["qf.itc_img_proj.w"],
               model.registry["qf.tok"], model.registry["qf.blk0.self.q.w"]]
-    assert ag.finite_diff_check(f, params, max_coords=6, seed=0) < 1e-4
+    assert finite_diff_check(f, params, max_coords=6, seed=0) < 1e-4
 
 
 def test_itg_untrained_near_log_vocab(model):
@@ -257,7 +258,7 @@ def test_itg_gradient(model):
 
     params = [model.registry["qf.itg_head.w"], model.registry["qf.queries"],
               model.registry["qf.blk1.cross.q.w"]]
-    assert ag.finite_diff_check(f, params, max_coords=6, seed=1) < 1e-4
+    assert finite_diff_check(f, params, max_coords=6, seed=1) < 1e-4
 
 
 def test_itm_saturated_and_uniform(model):
@@ -281,7 +282,7 @@ def test_itm_gradient(model):
 
     params = [model.registry["qf.itm_head.w"], model.registry["qf.queries"],
               model.registry["qf.blk0.cross.k.w"]]
-    assert ag.finite_diff_check(f, params, max_coords=6, seed=2) < 1e-4
+    assert finite_diff_check(f, params, max_coords=6, seed=2) < 1e-4
 
 
 def test_phase2_end_to_end_gradient(model):

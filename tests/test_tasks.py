@@ -15,17 +15,17 @@ from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, gener
 from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pad_batch,
                          pool_grid, token_embedding)
 from graftkit.params import ParamRegistry
-from graftkit.probe import (ProbeConfig, curve_is_monotone, data_efficiency_curve,
-                            embed_for_probe, eval_probe, train_probe)
+from graftkit.probe import (ProbeConfig, data_efficiency_curve, embed_for_probe, eval_probe,
+                            train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
-                         assessment_text, build_qa_cases, grade_qa_case,
-                         load_grades_csv, run_qa_pipeline, save_grades_csv)
+                         assessment_text, build_qa_cases, grade_qa_case, run_qa_pipeline)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, itm_loss,
                               precompute_grids, zero_shot_score_b, zero_shot_scores_b)
 from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval, grade_retrieval,
                              itm_scores, laterality_query, search_b, search_c)
 from graftkit.stats import auc
 from graftkit.vqa import ElixrBundle, auto_grade_yes_no, map_yes_no, run_vqa, vqa_prompt_body
+from helpers import finite_diff_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -247,14 +247,6 @@ def test_aggregate_grades():
     assert res["sensitivity"] == 1.0 and res["specificity"] == 0.0
 
 
-def test_grades_csv_roundtrip():
-    rows = [("c1", "q1", 1.0), ("c1", "q2", None), ("c2", "q1", 0.5)]
-    text = save_grades_csv(rows)
-    assert load_grades_csv(text) == rows
-    with pytest.raises(ValueError):
-        load_grades_csv("case_id,question_id,grade\nc1,q1,0.7\n")
-
-
 # --------------------------------------------------------------------------
 # mention parsing / belief diffs (reviewer target machinery)
 
@@ -327,14 +319,9 @@ def test_data_efficiency_curve_monotone_on_clean_features():
                                   repeats=4, cfg=ProbeConfig(epochs=10), seed=0)
     assert set(curve) == {16, 64, 256}
     assert all(len(v["aucs"]) == 4 for v in curve.values())
-    assert curve_is_monotone(curve, slack=0.02, max_inversions=1)
-
-
-def test_curve_is_monotone_rules():
-    good = {16: {"mean_auc": 0.7}, 64: {"mean_auc": 0.8}, 256: {"mean_auc": 0.795}}
-    assert curve_is_monotone(good, slack=0.01, max_inversions=1)
-    bad = {16: {"mean_auc": 0.9}, 64: {"mean_auc": 0.8}, 256: {"mean_auc": 0.85}}
-    assert not curve_is_monotone(bad, slack=0.01)
+    means = [curve[n]["mean_auc"] for n in (16, 64, 256)]
+    dips = [a - b for a, b in zip(means, means[1:]) if b < a]
+    assert len(dips) <= 1 and all(d <= 0.02 for d in dips)  # at most one small dip
 
 
 # --------------------------------------------------------------------------
@@ -657,7 +644,7 @@ def test_itm_loss_matches_the_unpruned_pass_and_finite_differences(small_world):
         assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
     params = [qf.registry[n] for n in ("qf.queries", "qf.tok", "qf.blk0.self.k.w",
                                        "qf.blk1.self.q.w", "qf.blk1.mlp.fc1.w", "qf.itm_head.w")]
-    assert ag.finite_diff_check(pruned, params, max_coords=6, seed=3) < 1e-6
+    assert finite_diff_check(pruned, params, max_coords=6, seed=3) < 1e-6
 
 
 def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
