@@ -284,11 +284,12 @@ def gelu(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (variance + 1e-5),
+    then scale-shift."""
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
@@ -351,14 +352,14 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return _record(out, (logits,), vjp)
 
 
-def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None, scale: float | None = None) -> Tensor:
-    """Masked scaled-dot-product attention over the last two axes.
+def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+    """Masked scaled-dot-product attention over the last two axes, scaled by
+    1/sqrt(head dim).
 
     ``mask`` is an additive constant array broadcastable to the attention
     matrix (use large negative values to forbid positions).
     """
-    dh = q.shape[-1]
-    sc = scale if scale is not None else 1.0 / np.sqrt(dh)
+    sc = 1.0 / np.sqrt(q.shape[-1])
     # the softmax runs in place in the logits buffer
     att = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     att *= sc
@@ -426,13 +427,14 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + eps)
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale the last axis to unit length (squared norm + 1e-12)."""
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-12)
     y = x.data / norm
     out = Tensor(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - y * dot) / norm,)
 
     return _record(out, (x,), vjp)

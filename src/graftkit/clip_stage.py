@@ -16,7 +16,7 @@ from .corpus import Corpus, augment, select_report_text, tokenize
 from .nn import (ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig,
                  pad_batch, symmetric_cross_entropy)
 from .optim import SgdMomentum
-from .params import ParamRegistry, load_checkpoint, save_checkpoint
+from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
 from .seeding import substream
 
 
@@ -129,9 +129,6 @@ class ClipModel:
 
     # -- inference API
 
-    def embed_image(self, image: np.ndarray) -> np.ndarray:
-        return self.image_embeddings(np.asarray(image, dtype=np.float64)[None]).data[0]
-
     def embed_texts(self, seqs) -> np.ndarray:
         """(N, proj_dim) unit embeddings of N token sequences, one padded forward."""
         tokens, lengths = pad_batch(seqs, 0)  # pad keys are masked: any id will do
@@ -159,8 +156,9 @@ class ClipModel:
 
 def load_clip(path) -> ClipModel:
     meta, values, frozen = load_checkpoint(path, "elixr-c")
-    model = ClipModel(int(meta["vocab_size"]), ClipConfig.from_json(meta["config"]),
-                      int(meta["seed"]))
+    model = ClipModel(checked_field(path, meta, "meta", "vocab_size", int),
+                      ClipConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
+                      checked_field(path, meta, "meta", "seed", int))
     model.registry.load_values(values, frozen)
     return model
 
@@ -232,7 +230,8 @@ def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: Clip
 
 def zero_shot_score_c(image, prompt_set: PromptSet, model: ClipModel, vocab) -> float:
     """``zero_shot_scores_c`` for one image."""
-    return float(zero_shot_scores_c(model.embed_image(image)[None], prompt_set, model, vocab)[0])
+    image_emb = model.image_embeddings(np.asarray(image, dtype=np.float64)[None]).data
+    return float(zero_shot_scores_c(image_emb, prompt_set, model, vocab)[0])
 
 
 def softmax_pair(pos, neg):

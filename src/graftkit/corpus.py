@@ -18,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import templates as T
+from .params import checked_field
 
 IMAGE_SIZE = 64
 MAX_TEXT_LEN = 128
@@ -68,7 +69,6 @@ class CorpusSpec:
     n_studies: int = 512
     prevalence: dict = field(default_factory=lambda: dict(DEFAULT_PREVALENCE))
     image_size: int = IMAGE_SIZE
-    max_text_len: int = MAX_TEXT_LEN
     separable: tuple = ("effusion", "cardiomegaly")
 
     def validate(self) -> None:
@@ -92,7 +92,6 @@ class CorpusSpec:
             n_studies=int(d.get("n_studies", 512)),
             prevalence={k: float(v) for k, v in d.get("prevalence", DEFAULT_PREVALENCE).items()},
             image_size=int(d.get("image_size", IMAGE_SIZE)),
-            max_text_len=int(d.get("max_text_len", MAX_TEXT_LEN)),
             separable=tuple(d.get("separable", ("effusion", "cardiomegaly"))),
         )
         spec.validate()
@@ -297,21 +296,20 @@ def rotate_image(image: np.ndarray, angle_deg: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def augment(image, report, rng, max_rotation_deg: float = 15.0,
-            p_flip: float = 0.5, swap_text_on_flip: bool = True):
-    """Random flip (with consistent laterality-word swap) plus small rotation.
+def augment(image, report, rng, swap_text_on_flip: bool = True):
+    """A horizontal flip with probability 0.5 (with a consistent
+    laterality-word swap), then a rotation drawn uniformly from ±15 degrees.
 
     ``swap_text_on_flip=False`` reproduces image-only flipping, which corrupts
     laterality supervision and exists for comparison only.
     """
     findings_text, impression = report
-    if rng.random() < p_flip:
+    if rng.random() < 0.5:
         image = flip_image(image)
         if swap_text_on_flip:
             findings_text = swap_laterality_words(findings_text)
             impression = swap_laterality_words(impression)
-    angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
-    image = rotate_image(image, angle)
+    image = rotate_image(image, rng.uniform(-15.0, 15.0))
     return image, (findings_text, impression)
 
 
@@ -344,9 +342,19 @@ def save_corpus(corpus: Corpus, out_dir) -> dict:
     return manifest
 
 
+_MANIFEST_FIELDS = {"spec": dict, "n_studies": int, "seed": int, "vocab": list, "digest": str}
+_ROW_FIELDS = {"study_id": int, "findings": list, "report_findings": str,
+               "report_impression": str, "labels": dict}
+
+
 def load_corpus(in_dir) -> Corpus:
+    """The corpus ``save_corpus`` wrote to ``in_dir``; a missing or mistyped
+    field of the manifest or of a metadata row, a count that disagrees with
+    the manifest, or a digest mismatch is refused with a ValueError."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
+    for name, kind in _MANIFEST_FIELDS.items():
+        checked_field(src / "manifest.json", manifest, "the manifest", name, kind)
     spec = CorpusSpec.from_json(manifest["spec"])
     size, n = spec.image_size, manifest["n_studies"]
     rows = (src / "meta.jsonl").read_text().splitlines()
@@ -357,11 +365,16 @@ def load_corpus(in_dir) -> Corpus:
             raise ValueError(f"{path} has {have} {unit}; the manifest's {n} studies need {want}")
     images = np.frombuffer(blob, dtype="<f8").reshape(n, size, size)
     studies = []
-    for line in rows:
+    for i, line in enumerate(rows, 1):
         d = json.loads(line)
-        sid = d["study_id"]
+        for name, kind in _ROW_FIELDS.items():
+            checked_field(src / "meta.jsonl", d, f"row {i}", name, kind)
+        if not all(isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
+                   for f in d["findings"]):
+            raise ValueError(f"{src / 'meta.jsonl'}: row {i} field 'findings' is not a list "
+                             "of [kind, laterality, severity] lists")
         studies.append(SyntheticStudy(
-            sid,
+            d["study_id"],
             images[len(studies)].copy(),
             [Finding(*f) for f in d["findings"]],
             d["report_findings"],

@@ -165,7 +165,7 @@ def build_lm_dataset(corpus: Corpus, slots: int, seed: int,
 
 
 def pretrain_frozen_lm(corpus: Corpus, seed: int = 0, train_cfg: LmTrainConfig | None = None,
-                       data_cfg: LmDataConfig | None = None, log=None):
+                       log=None):
     """Build the LM for the corpus vocabulary, pretrain it on the mixed
     template corpus, freeze it.
 
@@ -178,7 +178,7 @@ def pretrain_frozen_lm(corpus: Corpus, seed: int = 0, train_cfg: LmTrainConfig |
     train_cfg = train_cfg or LmTrainConfig()
     reg = ParamRegistry()
     lm = DecoderLM(reg, lm_cfg, substream(seed, "init.lm"))
-    dataset, holdout = build_lm_dataset(corpus, lm_cfg.soft_slots, seed, data_cfg)
+    dataset, holdout = build_lm_dataset(corpus, lm_cfg.soft_slots, seed)
     stats = pretrain_lm(lm, dataset, train_cfg, seed=seed, holdout=holdout, log=log)
     if stats.get("holdout_perplexity", float("inf")) > train_cfg.target_perplexity:
         stats["perplexity_ok"] = False

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tape, Tensor
-from .params import ParamRegistry, load_checkpoint, save_checkpoint
+from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
 
 NEG_INF = -1e9
 
@@ -150,6 +150,31 @@ class Mlp:
         return self.fc2(ag.gelu(self.fc1(x)))
 
 
+def self_attention_residual(ln: LayerNorm, attn: MultiHeadAttention, x: Tensor, mask, past,
+                            rows) -> tuple[Tensor, tuple]:
+    """(rows + their pre-LN self-attention, (keys, values)) of the rows ``x``
+    after the cached ``past`` (``MultiHeadAttention.__call__``).
+
+    Given ``rows``, only the rows ``x[:, rows]`` are output: they alone go
+    through the query path and the residual, while the keys and values still
+    come from every row.  A mask with a query axis is sliced to ``rows``; a
+    key-only one applies as it is."""
+    h = ln(x)
+    if rows is None:
+        a, kv = attn(h, h, mask, past)
+    else:
+        if mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
+            mask = np.take(mask, rows, axis=-2)
+        a, kv = attn(ag.take(h, rows, 1), h, mask, past)
+        x = ag.take(x, rows, 1)
+    return ag.add(x, a), kv
+
+
+def mlp_residual(ln: LayerNorm, mlp: Mlp, x: Tensor) -> Tensor:
+    """The rows ``x`` plus their pre-LN feed-forward."""
+    return ag.add(x, mlp(ln(x)))
+
+
 class TransformerBlock:
     """Pre-LN self-attention block."""
 
@@ -161,22 +186,10 @@ class TransformerBlock:
 
     def __call__(self, x: Tensor, mask=None, past=None, rows=None) -> tuple[Tensor, tuple]:
         """(output rows, self-attention (keys, values)) of the rows ``x``
-        after the cached ``past`` (``MultiHeadAttention.__call__``).
-
-        Given ``rows``, only the rows ``x[:, rows]`` are output: they alone
-        go through the query path, the residual and the MLP, while the keys
-        and values still come from every row.  A mask with a query axis is
-        sliced to ``rows``; a key-only one applies as it is."""
-        h = self.ln1(x)
-        if rows is None:
-            a, kv = self.attn(h, h, mask, past)
-        else:
-            if mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
-                mask = np.take(mask, rows, axis=-2)
-            a, kv = self.attn(ag.take(h, rows, 1), h, mask, past)
-            x = ag.take(x, rows, 1)
-        x = ag.add(x, a)
-        return ag.add(x, self.mlp(self.ln2(x))), kv
+        after the cached ``past``; given ``rows``, of the rows ``x[:, rows]``
+        alone (``self_attention_residual``)."""
+        x, kv = self_attention_residual(self.ln1, self.attn, x, mask, past, rows)
+        return mlp_residual(self.ln2, self.mlp, x), kv
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +210,14 @@ class ImageEncoderConfig:
 
 
 class ImageEncoder:
-    def __init__(self, reg: ParamRegistry, cfg: ImageEncoderConfig, rng, prefix="img_enc"):
+    def __init__(self, reg: ParamRegistry, cfg: ImageEncoderConfig, rng):
         self.cfg = cfg
         flat = cfg.patch * cfg.patch
-        self.embed1 = Linear(reg, f"{prefix}.embed1", flat, cfg.dim, rng)
-        self.embed2 = Linear(reg, f"{prefix}.embed2", cfg.dim, cfg.dim, rng)
-        self.blocks = [TransformerBlock(reg, f"{prefix}.blk{i}", cfg.dim, cfg.heads, rng)
+        self.embed1 = Linear(reg, "img_enc.embed1", flat, cfg.dim, rng)
+        self.embed2 = Linear(reg, "img_enc.embed2", cfg.dim, cfg.dim, rng)
+        self.blocks = [TransformerBlock(reg, f"img_enc.blk{i}", cfg.dim, cfg.heads, rng)
                        for i in range(cfg.blocks)]
-        self.ln_out = LayerNorm(reg, f"{prefix}.ln_out", cfg.dim)
+        self.ln_out = LayerNorm(reg, "img_enc.ln_out", cfg.dim)
         self.pos = sinusoid_table(cfg.grid * cfg.grid, cfg.dim) * 0.1
 
     def patch_grid(self, images: np.ndarray) -> np.ndarray:
@@ -260,12 +273,12 @@ class TextEncoderConfig:
 
 
 class TextEncoder:
-    def __init__(self, reg: ParamRegistry, cfg: TextEncoderConfig, rng, prefix="txt_enc"):
+    def __init__(self, reg: ParamRegistry, cfg: TextEncoderConfig, rng):
         self.cfg = cfg
-        self.tok = reg.param(f"{prefix}.tok", rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.dim)))
-        self.blocks = [TransformerBlock(reg, f"{prefix}.blk{i}", cfg.dim, cfg.heads, rng)
+        self.tok = reg.param("txt_enc.tok", rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.dim)))
+        self.blocks = [TransformerBlock(reg, f"txt_enc.blk{i}", cfg.dim, cfg.heads, rng)
                        for i in range(cfg.blocks)]
-        self.ln_out = LayerNorm(reg, f"{prefix}.ln_out", cfg.dim)
+        self.ln_out = LayerNorm(reg, "txt_enc.ln_out", cfg.dim)
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
     def forward(self, tokens: np.ndarray, lengths) -> tuple[Tensor, Tensor]:
@@ -311,31 +324,30 @@ class LmConfig:
 
 
 class DecoderLM:
-    def __init__(self, reg: ParamRegistry, cfg: LmConfig, rng, prefix="lm"):
+    def __init__(self, reg: ParamRegistry, cfg: LmConfig, rng):
         self.reg = reg
         self.cfg = cfg
-        self.prefix = prefix
-        self.tok = reg.param(f"{prefix}.tok", rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.dim)))
-        self.blocks = [TransformerBlock(reg, f"{prefix}.blk{i}", cfg.dim, cfg.heads, rng)
+        self.tok = reg.param("lm.tok", rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.dim)))
+        self.blocks = [TransformerBlock(reg, f"lm.blk{i}", cfg.dim, cfg.heads, rng)
                        for i in range(cfg.blocks)]
-        self.ln_out = LayerNorm(reg, f"{prefix}.ln_out", cfg.dim)
-        self.head = Linear(reg, f"{prefix}.head", cfg.dim, cfg.vocab_size, rng, scale=0.02)
+        self.ln_out = LayerNorm(reg, "lm.ln_out", cfg.dim)
+        self.head = Linear(reg, "lm.head", cfg.dim, cfg.vocab_size, rng, scale=0.02)
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
     # -- plumbing
 
     def params(self) -> list[Parameter]:
-        return self.reg.select(self.prefix + ".")
+        return self.reg.select("lm.")
 
     @property
     def frozen(self) -> bool:
         return all(p.frozen for p in self.params())
 
     def freeze(self) -> None:
-        self.reg.freeze(self.prefix + ".")
+        self.reg.freeze("lm.")
 
     def digest(self) -> str:
-        return self.reg.combined_digest(self.prefix + ".")
+        return self.reg.combined_digest("lm.")
 
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
@@ -614,7 +626,8 @@ def save_lm(lm: DecoderLM, path) -> dict:
 def load_lm(path) -> DecoderLM:
     meta, values, frozen = load_checkpoint(path, "lm")
     reg = ParamRegistry()
-    lm = DecoderLM(reg, LmConfig.from_json(meta["config"]), np.random.default_rng(0))
+    lm = DecoderLM(reg, LmConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
+                   np.random.default_rng(0))
     reg.load_values(values, frozen)
     return lm
 
@@ -663,13 +676,13 @@ def _pad_batch(dataset, idx, pad_id):
     return tokens, lengths, np.asarray([dataset[i][1] for i in idx])
 
 
-def eval_lm_loss(lm: DecoderLM, dataset, batch_size: int = 8) -> float:
-    """Mean per-token loss over a non-empty dataset (no tape)."""
+def eval_lm_loss(lm: DecoderLM, dataset) -> float:
+    """Mean per-token loss over a non-empty dataset, in batches of 8 (no tape)."""
     if not len(dataset):
         raise ValueError("eval_lm_loss: the dataset is empty")
     total, count = 0.0, 0
-    for i in range(0, len(dataset), batch_size):
-        idx = list(range(i, min(i + batch_size, len(dataset))))
+    for i in range(0, len(dataset), 8):
+        idx = list(range(i, min(i + 8, len(dataset))))
         tokens, lengths, starts = _pad_batch(dataset, idx, lm.cfg.pad_id)
         loss = lm.batch_loss(tokens, lengths, starts)
         n = int(next_token_targets(tokens, lengths, starts)[1].sum())
@@ -712,16 +725,16 @@ def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.nd
 
 
 def _lm_layout(lm: DecoderLM) -> tuple:
-    """What a worker is forked for: the LM's config and prefix, and the name,
-    shape and dtype of each parameter in order."""
-    return lm.cfg, lm.prefix, tuple((p.name, p.data.shape, p.data.dtype.str) for p in lm.params())
+    """What a worker is forked for: the LM's config, and the name, shape and
+    dtype of each parameter in order."""
+    return lm.cfg, tuple((p.name, p.data.shape, p.data.dtype.str) for p in lm.params())
 
 
 def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
     """``copies`` sets of arrays shaped like the LM's parameters, in one
     anonymous shared mapping: made before a fork, the child sees the same
     pages.  A page is backed by memory only once written."""
-    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout[2]]
+    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout[1]]
     sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
     buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
     offset, out = 0, []
@@ -788,8 +801,7 @@ def _worker_main(conn, parent_end, layout, weights, slots, counter) -> None:
             return
         try:
             if lm is None:
-                cfg, prefix, _ = layout
-                lm = DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0), prefix)
+                lm = DecoderLM(ParamRegistry(), layout[0], np.random.default_rng(0))
             lm.reg.load_values(weights)
             done = []
             while (i := counter.claim(back=True)) is not None:

@@ -88,8 +88,8 @@ class ParamRegistry:
             if flag:
                 self._params[name].freeze()
 
-    def snapshot(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {p.name: p.data.copy() for p in self.select(prefix)}
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {p.name: p.data.copy() for p in self}
 
 
 def save_checkpoint(registry: ParamRegistry, path, meta: dict | None = None) -> dict:
@@ -124,12 +124,40 @@ def save_checkpoint(registry: ParamRegistry, path, meta: dict | None = None) -> 
     return manifest
 
 
+def checked_field(path, record, where: str, name: str, kind: type):
+    """``record[name]``, refused with a ValueError that names the file, the
+    record and the field unless ``record`` is a JSON object holding a
+    ``kind`` under ``name`` (a bool is no int)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: {where} is not a JSON object")
+    if name not in record:
+        raise ValueError(f"{path}: {where} has no field {name!r}")
+    value = record[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{path}: {where} field {name!r} is not of type {kind.__name__}")
+    return value
+
+
+_ENTRY_FIELDS = {"name": str, "shape": list, "frozen": bool, "offset": int, "nbytes": int}
+
+
 def _read_manifest(path: Path, kind: str | None) -> dict:
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: the manifest is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"checkpoint manifest version {manifest.get('version')!r} "
                          f"!= supported {MANIFEST_VERSION}")
+    checked_field(path, manifest, "the manifest", "blob_sha256", str)
+    for i, e in enumerate(checked_field(path, manifest, "the manifest", "params", list)):
+        for name, t in _ENTRY_FIELDS.items():
+            checked_field(path, e, f"params entry {i}", name, t)
+        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+                   for d in e["shape"]):
+            raise ValueError(f"{path}: params entry {i} field 'shape' is not a list of sizes")
     meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta is not a JSON object")
     if kind is not None and meta.get("kind") != kind:
         article = "an" if kind[0] in "aeilo" else "a"  # "an elixr-c", "an lm"
         raise ValueError(f"not {article} {kind} checkpoint: kind={meta.get('kind')!r}")
@@ -146,7 +174,8 @@ def load_checkpoint(path, kind: str | None = None
                     ) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]:
     """Read a manifest + blob; returns (meta, values, frozen flags).
 
-    Refuses to load when the manifest version is not ``MANIFEST_VERSION``,
+    Refuses to load when the manifest or an entry lacks a field or holds one
+    of the wrong type, the manifest version is not ``MANIFEST_VERSION``,
     ``kind`` is given and differs from ``meta["kind"]``, the blob digest
     differs from the manifest, an entry's shape disagrees with its byte
     extent, or the entries do not tile the blob exactly (no overlap, no gap,

@@ -59,14 +59,10 @@ def alter_impression_text(impression: str, primary: str, laterality: str,
     raise ValueError(f"unknown alteration {alteration!r}")
 
 
-def alter_impression(study: SyntheticStudy, alteration: str, rng=None,
-                     primary: str | None = None) -> QaCase:
-    """Build a QA case from a study; the primary finding defaults to the
-    study's first finding in canonical order (or no-finding)."""
+def alter_impression(study: SyntheticStudy, alteration: str, primary: str) -> QaCase:
+    """Build a QA case from a study about its ``primary`` finding (or
+    no-finding)."""
     fmap = study.finding_map()
-    if primary is None:
-        present = [k for k in T.KINDS if k in fmap]
-        primary = present[0] if present else T.NO_FINDING
     if primary != T.NO_FINDING and primary not in fmap:
         raise ValueError(f"study {study.study_id} has no {primary!r} finding")
     if primary == T.NO_FINDING and study.findings:
@@ -88,12 +84,11 @@ DEFAULT_CATEGORY_MIX = {
 }
 
 
-def build_qa_cases(corpus, seed: int = 0, mix=None) -> list[QaCase]:
-    """48 synthetic cases drawn per the default category proportions."""
-    mix = mix or DEFAULT_CATEGORY_MIX
+def build_qa_cases(corpus, seed: int = 0) -> list[QaCase]:
+    """48 synthetic cases drawn per ``DEFAULT_CATEGORY_MIX``."""
     rng = np.random.default_rng(seed)
     cases = []
-    for primary, counts in mix.items():
+    for primary, counts in DEFAULT_CATEGORY_MIX.items():
         if primary == T.NO_FINDING:
             eligible = [s for s in corpus.studies if s.labels[T.NO_FINDING] == 1]
         else:
@@ -141,22 +136,20 @@ def assessment_text(answers) -> str:
 
 
 def run_qa_pipeline(study: SyntheticStudy, altered_impression: str,
-                    bundle: ElixrBundle, reviewer=None, case: QaCase | None = None) -> QaResult:
+                    bundle: ElixrBundle, case: QaCase | None = None) -> QaResult:
     """Ask all 12 questions about the image, then have the reviewer diff the
     assessment against the altered impression (both prompt templates).
 
-    The reviewer defaults to ``bundle.review``, the frozen LM, which keeps the
-    state of the last prompt it saw on the bundle for the bundle's lifetime:
+    The reviewer is ``bundle.review``, the frozen LM, which keeps the state of
+    the last prompt it saw on the bundle for the bundle's lifetime:
     consecutive cases sharing a bundle reuse each other's prompt header, and a
-    bundle is not shared across threads.  Any text-in/text-out callable can
-    replace it."""
-    reviewer = reviewer or bundle.review
+    bundle is not shared across threads."""
     prepared = bundle.prepare(study.image)
     answers = bundle.answers(prepared, T.QA_QUESTIONS)
     assessment = assessment_text(answers)
     prompt_missing, prompt_added = T.make_reviewer_prompts(assessment, altered_impression)
-    resp_missing = reviewer(prompt_missing)
-    resp_added = reviewer(prompt_added)
+    resp_missing = bundle.review(prompt_missing)
+    resp_added = bundle.review(prompt_added)
     if case is None:
         case = QaCase(study.study_id, "control", T.NO_FINDING, "n/a",
                       study.report_impression, altered_impression)

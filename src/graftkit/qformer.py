@@ -14,10 +14,11 @@ from .autograd import Tape, Tensor
 from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
 from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
-                 greedy_decode, key_padding_mask, next_token_targets, pad_batch, sinusoid_table,
-                 symmetric_cross_entropy, token_embedding)
+                 greedy_decode, key_padding_mask, mlp_residual, next_token_targets, pad_batch,
+                 self_attention_residual, sinusoid_table, symmetric_cross_entropy,
+                 token_embedding)
 from .optim import Adam
-from .params import ParamRegistry, load_checkpoint, save_checkpoint
+from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
 from .seeding import substream
 
 MODES = ("itc", "itg", "itm")
@@ -71,33 +72,22 @@ class _QFormerBlock:
         self-attention runs once, the query rows take batch B at the
         cross-attention, and the text rows run their MLP once before they
         are broadcast to B.  Given ``rows`` (the query rows first), only the
-        rows ``x[:, rows]`` are output, as in ``TransformerBlock``: the keys
+        rows ``x[:, rows]`` are output (``self_attention_residual``): the keys
         and values still come from every row."""
-        h = self.ln1(x)
-        if rows is None:
-            a, kv = self.self_attn(h, h, self_mask, past)
-        else:
-            if self_mask is not None:
-                self_mask = np.take(self_mask, rows, axis=-2)
-            a, kv = self.self_attn(ag.take(h, rows, 1), h, self_mask, past)
-            x = ag.take(x, rows, 1)
-        x = ag.add(x, a)
+        x, kv = self_attention_residual(self.ln1, self.self_attn, x, self_mask, past, rows)
         if grid is None or not n_queries:
-            return self._feed_forward(x), kv
+            return mlp_residual(self.ln2, self.mlp, x), kv
         m = x.shape[1]
         q = x if m == n_queries else ag.take(x, np.arange(n_queries), axis=1)
         q = ag.add(q, self.cross_attn(self.ln_x(q), grid)[0])
         if m == n_queries:
-            return self._feed_forward(q), kv
+            return mlp_residual(self.ln2, self.mlp, q), kv
         t = ag.take(x, np.arange(n_queries, m), axis=1)  # text rows skip the cross-attention
         if t.shape[0] == q.shape[0]:
-            return self._feed_forward(ag.concat([q, t], axis=1)), kv
+            return mlp_residual(self.ln2, self.mlp, ag.concat([q, t], axis=1)), kv
         # one text for every grid: its MLP runs once, then it is broadcast
-        t = ag.take(self._feed_forward(t), np.zeros(q.shape[0], dtype=np.int64))
-        return ag.concat([self._feed_forward(q), t], axis=1), kv
-
-    def _feed_forward(self, x: Tensor) -> Tensor:
-        return ag.add(x, self.mlp(self.ln2(x)))
+        t = ag.take(mlp_residual(self.ln2, self.mlp, t), np.zeros(q.shape[0], dtype=np.int64))
+        return ag.concat([mlp_residual(self.ln2, self.mlp, q), t], axis=1), kv
 
 
 def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
@@ -216,9 +206,6 @@ class QFormerModel:
 
     # -- inference conveniences
 
-    def image_query_proj(self, grid_tokens: np.ndarray) -> np.ndarray:
-        return self.query_projections(grid_tokens[None]).data[0]
-
     def text_cls_projs(self, seqs) -> np.ndarray:
         """(N, proj_dim) [CLS] projections of N token sequences, one padded forward."""
         tokens, lengths = pad_batch(seqs, 0)  # pad keys are masked: any id will do
@@ -255,7 +242,8 @@ class QFormerModel:
 
 def load_qformer(path) -> "QFormerModel":
     meta, values, frozen = load_checkpoint(path, "qformer")
-    model = QFormerModel(QFormerConfig.from_json(meta["config"]), int(meta["seed"]))
+    model = QFormerModel(QFormerConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
+                         checked_field(path, meta, "meta", "seed", int))
     model.registry.load_values(values, frozen)
     return model
 
@@ -324,7 +312,7 @@ def zero_shot_scores_b(query_proj: np.ndarray, prompt_set, model: QFormerModel,
 
 def zero_shot_score_b(grid_tokens: np.ndarray, prompt_set, model: QFormerModel, vocab) -> float:
     """``zero_shot_scores_b`` for one (G, grid_dim) grid."""
-    return float(zero_shot_scores_b(model.image_query_proj(grid_tokens)[None], prompt_set,
+    return float(zero_shot_scores_b(model.query_projections(grid_tokens[None]).data, prompt_set,
                                     model, vocab)[0])
 
 
@@ -359,13 +347,12 @@ def itg_decoder(grid_tokens: np.ndarray, model: QFormerModel):
     return step
 
 
-def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab,
-                        max_len: int = 64) -> str:
-    """Greedy grounded decoding from [BOS] until [EOS] (deterministic), on
-    ``itg_decoder``."""
+def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab) -> str:
+    """Greedy grounded decoding from [BOS] until [EOS], 64 tokens or a full
+    text context (deterministic), on ``itg_decoder``."""
     step = itg_decoder(grid_tokens, model)
     out = greedy_decode(step(vocab.id("[BOS]"))[None], lambda _, tokens: step(tokens[0])[None],
-                        vocab.id("[EOS]"), max_len, model.cfg.text_max_len - 1)[0]
+                        vocab.id("[EOS]"), 64, model.cfg.text_max_len - 1)[0]
     return detokenize(out, vocab)
 
 
@@ -444,12 +431,13 @@ def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):
 
 
 def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
-                 prompt_sets=None, eval_ids=None, grids=None, log=None):
+                 eval_ids=None, grids=None, log=None):
     """Joint training; returns (models, history, metrics).  ``models`` maps
     "final" to the trained model and "scoring" / "itg" to models restored
     from the best checkpoints: lexicographic (zero-shot AUC, ITM loss, ITC
-    loss) for scoring and search, best ITG loss for phase 2.  ``metrics``
-    holds each selected checkpoint's eval metrics and step as
+    loss) for scoring and search, best ITG loss for phase 2.  The AUC is the
+    mean over the ``DEFAULT_PROMPT_SETS`` of the corpus's separable findings.
+    ``metrics`` holds each selected checkpoint's eval metrics and step as
     "scoring_metrics" / "itg_metrics"."""
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
@@ -465,9 +453,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     order_rng = substream(seed, "batch-order.phase1")
     neg_rng = substream(seed, "itm-negatives")
     eval_rng = substream(seed, "phase1-eval")
-    if prompt_sets is None:
-        separable = set(corpus.spec.separable)
-        prompt_sets = {k: v for k, v in DEFAULT_PROMPT_SETS.items() if k in separable}
+    prompt_sets = {k: v for k, v in DEFAULT_PROMPT_SETS.items() if k in corpus.spec.separable}
     if eval_ids is None:
         eval_ids = list(range(max(0, len(corpus) - 64), len(corpus)))
     train_ids = [i for i in range(len(corpus)) if i not in set(eval_ids)]
@@ -591,7 +577,7 @@ def phase2_step(model: QFormerModel, bridge: Phase2Bridge, lm: DecoderLM, grids:
         q_out, _ = model.forward(grids, None, mode="itc")
         loss = lm.soft_prompt_loss(bridge(q_out), [[]] * len(targets), targets)
     grads = tape.gradients(loss)
-    if any(name.startswith(lm.prefix + ".") for name in grads):
+    if any(name.startswith("lm.") for name in grads):
         raise RuntimeError("gradient leaked into frozen LM")
     return grads, float(loss.data)
 
@@ -672,7 +658,8 @@ def save_phase2(model: QFormerModel, bridge: Phase2Bridge, bridge_reg: ParamRegi
 def load_bridge(path) -> tuple[ParamRegistry, Phase2Bridge, dict]:
     meta, values, frozen = load_checkpoint(path, "bridge")
     reg = ParamRegistry()
-    bridge = Phase2Bridge(reg, int(meta["q_dim"]), int(meta["lm_dim"]),
-                          int(meta["hidden"]), np.random.default_rng(0))
+    q_dim, lm_dim, hidden = (checked_field(path, meta, "meta", name, int)
+                             for name in ("q_dim", "lm_dim", "hidden"))
+    bridge = Phase2Bridge(reg, q_dim, lm_dim, hidden, np.random.default_rng(0))
     reg.load_values(values, frozen)
     return reg, bridge, meta

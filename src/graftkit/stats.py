@@ -173,9 +173,8 @@ def precision_at_k(rel, k: int = 5) -> tuple[float, float]:
 # resampling
 
 
-def bootstrap_ci(samples, statistic, n: int = 1000, seed: int = 0,
-                 alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile CI from ``n`` resamples with replacement."""
+def bootstrap_ci(samples, statistic, n: int = 1000, seed: int = 0) -> tuple[float, float]:
+    """95% percentile CI from ``n`` resamples with replacement."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("bootstrap of empty sample")
@@ -183,7 +182,7 @@ def bootstrap_ci(samples, statistic, n: int = 1000, seed: int = 0,
     for i in range(n):
         idx = indexed_rng(seed, i).integers(0, samples.size, size=samples.size)
         stats[i] = statistic(samples[idx])
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -191,20 +190,20 @@ def mean_difference(a, b) -> float:
     return float(np.mean(a) - np.mean(b))
 
 
-def permutation_test(group_a, group_b, statistic=mean_difference, n: int = 1000,
-                     seed: int = 0) -> float:
-    """Two-sided permutation p-value with add-one smoothing."""
+def permutation_test(group_a, group_b, n: int = 1000, seed: int = 0) -> float:
+    """Two-sided permutation p-value of the ``mean_difference``, with add-one
+    smoothing."""
     a = np.asarray(group_a, dtype=np.float64)
     b = np.asarray(group_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("permutation test needs both groups nonempty")
-    t_obs = abs(statistic(a, b))
+    t_obs = abs(mean_difference(a, b))
     pooled = np.concatenate([a, b])
     hits = 0
     for i in range(n):
         perm = indexed_rng(seed, i).permutation(pooled.size)
         pa = pooled[perm[: a.size]]
         pb = pooled[perm[a.size:]]
-        if abs(statistic(pa, pb)) >= t_obs:
+        if abs(mean_difference(pa, pb)) >= t_obs:
             hits += 1
     return (1 + hits) / (n + 1)

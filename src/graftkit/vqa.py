@@ -67,20 +67,21 @@ class ElixrBundle:
             raise ValueError(f"VQA prompt of {len(prompt_ids)} tokens plus {n_soft} soft "
                              f"prompts exceeds the LM context of {limit} tokens")
 
-    def answers(self, prepared: "PreparedImage", questions, max_new: int = 64) -> list[str]:
-        """Greedy answers from the frozen LM, one per question: every question
-        forks from the prepared dialog in one packed prefill, and the answers
-        decode in lockstep (``DecoderLM.prefill`` / ``decode``)."""
+    def answers(self, prepared: "PreparedImage", questions) -> list[str]:
+        """Greedy answers of up to 64 tokens from the frozen LM, one per
+        question: every question forks from the prepared dialog in one packed
+        prefill, and the answers decode in lockstep (``DecoderLM.prefill`` /
+        ``decode``)."""
         prompts = [tokenize(vqa_prompt_body(prepared.impression, q), self.vocab, max_len=None,
                             lead=None) for q in questions]
         for prompt_ids in prompts:
             self._check_vqa_prompt(prompt_ids)
         state = self.lm.prefill(prepared.soft, prompts, prefix=prepared.dialog)
-        return [detokenize(ids, self.vocab) for ids in self.lm.decode(state, max_new)]
+        return [detokenize(ids, self.vocab) for ids in self.lm.decode(state)]
 
-    def answer(self, prepared: "PreparedImage", question: str, max_new: int = 64) -> str:
+    def answer(self, prepared: "PreparedImage", question: str) -> str:
         """``answers`` for one question."""
-        return self.answers(prepared, [question], max_new)[0]
+        return self.answers(prepared, [question])[0]
 
     def review(self, prompt: str) -> str:
         """The frozen LM's greedy response to a reviewer prompt (text in, text
@@ -118,12 +119,11 @@ def vqa_prompt_body(impression: str, question: str) -> str:
     return full.split("\n", 1)[1]
 
 
-def run_vqa(image: np.ndarray, question: str, bundle: ElixrBundle,
-            max_new: int = 64) -> str:
+def run_vqa(image: np.ndarray, question: str, bundle: ElixrBundle) -> str:
     """Impression from phase 1, aligned tokens from phase 2, answer from the
     frozen LM; deterministic given checkpoints.  A prompt that does not fit
     the LM context next to the soft prompts is rejected, not truncated."""
-    return bundle.answer(bundle.prepare(image), question, max_new=max_new)
+    return bundle.answer(bundle.prepare(image), question)
 
 
 _PUNCT = re.compile(r"[^\w\s\-']")

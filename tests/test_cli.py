@@ -222,6 +222,20 @@ def test_eval_checkpoint_command(tmp_path):
     assert doc["result"]["value"]["verified"]
 
 
+def test_eval_checkpoint_names_a_missing_manifest_field(tmp_path, capsys):
+    reg = ParamRegistry()
+    reg.param("w", np.ones(3))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(reg, ckpt)
+    manifest = json.loads(ckpt.read_text())
+    del manifest["blob_sha256"]
+    ckpt.write_text(json.dumps(manifest))
+    assert run_cli(["eval", "--metric", "checkpoint", "--ckpt", str(ckpt),
+                    "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: the manifest has no field 'blob_sha256'\n"
+    assert not (tmp_path / "o" / "eval.json").exists()
+
+
 def test_eval_checkpoint_requires_ckpt(capsys, tmp_path):
     assert run_cli(["eval", "--metric", "checkpoint", "--out", str(tmp_path)]) == 2
     assert "usage" in capsys.readouterr().err.lower()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,16 @@ def test_every_report_token_in_vocabulary(vocab):
             assert unk not in tokenize(text, vocab)
 
 
+FLIP_SEED = 2  # its first draw is below 0.5, so augment flips
+
+
+def _flip_seed_angle() -> float:
+    """Replay ``augment``'s draws from FLIP_SEED: the flip fires, then the angle."""
+    rng = np.random.default_rng(FLIP_SEED)
+    assert rng.random() < 0.5
+    return rng.uniform(-15.0, 15.0)
+
+
 def test_flip_swaps_words_and_columns():
     spec = CorpusSpec(prevalence={k: 0.0 for k in T.KINDS} | {"effusion": 1.0})
     s = None
@@ -133,12 +146,10 @@ def test_flip_swaps_words_and_columns():
         if s.findings[0].laterality == "left":
             break
     assert s.findings[0].laterality == "left"
-    rng = np.random.default_rng(0)  # first draw < 0.5 -> flip fires
-
-    img2, rep2 = augment(s.image, s.report, rng, max_rotation_deg=0.0, p_flip=1.0)
+    img2, rep2 = augment(s.image, s.report, np.random.default_rng(FLIP_SEED))
     assert "right" in rep2[1].split()
     assert "left" not in rep2[1].split()
-    assert np.array_equal(img2, flip_image(s.image))
+    assert np.array_equal(img2, rotate_image(flip_image(s.image), _flip_seed_angle()))
 
 
 def test_rotation_zero_is_identity():
@@ -157,9 +168,10 @@ def test_augment_deterministic_given_rng_state():
 def test_augment_flip_without_text_swap_config():
     spec = CorpusSpec(prevalence={k: 0.0 for k in T.KINDS} | {"effusion": 1.0})
     s = generate_study(1, spec, study_id=0)
-    _, rep = augment(s.image, s.report, np.random.default_rng(0), p_flip=1.0,
-                     max_rotation_deg=0.0, swap_text_on_flip=False)
+    img, rep = augment(s.image, s.report, np.random.default_rng(FLIP_SEED),
+                       swap_text_on_flip=False)
     assert rep == s.report
+    assert np.array_equal(img, rotate_image(flip_image(s.image), _flip_seed_angle()))
 
 
 def test_swap_words_involution():
@@ -205,6 +217,38 @@ def test_corpus_load_checks_counts_against_manifest(tmp_path, name, edit, counts
     path = root / name
     path.write_bytes(edit(path.read_bytes(), image))
     with pytest.raises(ValueError, match=f"{name} has {counts}"):
+        load_corpus(root)
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _edit_first_row(path, edit):
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps(edit(json.loads(first))) + "\n" + "".join(rest))
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("manifest.json", lambda m: {k: v for k, v in m.items() if k != "vocab"},
+     "the manifest has no field 'vocab'"),
+    ("manifest.json", lambda m: {**m, "n_studies": "4"},
+     "the manifest field 'n_studies' is not of type int"),
+    ("manifest.json", lambda m: {**m, "spec": None},
+     "the manifest field 'spec' is not of type dict"),
+    ("manifest.json", lambda m: [m], "the manifest is not a JSON object"),
+    ("meta.jsonl", lambda d: {k: v for k, v in d.items() if k != "study_id"},
+     "row 1 has no field 'study_id'"),
+    ("meta.jsonl", lambda d: {**d, "labels": [1]}, "row 1 field 'labels' is not of type dict"),
+    ("meta.jsonl", lambda d: {**d, "findings": [["effusion", "left"]]},
+     "row 1 field 'findings' is not a list of [kind, laterality, severity] lists"),
+], ids=["no-vocab", "n-studies-str", "spec-null", "manifest-list", "no-study-id",
+        "labels-list", "finding-pair"])
+def test_corpus_load_names_the_file_and_a_missing_or_mistyped_field(tmp_path, name, edit,
+                                                                    message):
+    root, _ = _saved_corpus(tmp_path)
+    (_edit_json if name == "manifest.json" else _edit_first_row)(root / name, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{root / name}: {message}")):
         load_corpus(root)
 
 

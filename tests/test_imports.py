@@ -5,7 +5,9 @@ perfbench/ outside its own definition; a reference from tests/ alone does
 not keep a name alive, except for the names in ``AWAITING_REPORT``.  A
 method that shares its name with a method of a builtin container, ``str`` or
 ``np.ndarray`` counts as referenced only through ``self.<name>`` in its
-class or ``<Class>.<name>``."""
+class or ``<Class>.<name>``.  Every defaulted parameter of a graftkit function
+or method is set by some call in src/ or perfbench/, except the options in
+``AWAITING_REPORT_OPTIONS``."""
 
 import ast
 import re
@@ -209,14 +211,21 @@ def test_dead_checker_resolves_builtin_method_names_by_class():
     assert dead_definitions({"m": module}, [other]) == [("m", "Block"), ("m", "extend")]
 
 
-def dead_names(root: Path, exempt=()) -> list[tuple[str, str]]:
-    """``dead_definitions`` of the graftkit modules under ``root``, with src/
-    and perfbench/ as callers (tests/ is not), less the ``exempt`` names."""
+def graftkit_sources(root: Path) -> tuple[dict[str, str], list[str]]:
+    """(module file name -> source) of the graftkit modules under ``root``,
+    and the sources of every other file of src/ and perfbench/ (tests/ are
+    not callers)."""
     src = root / "src" / "graftkit"
     modules = {p.name: p.read_text() for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
     callers = [p.read_text() for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py"))
                if p.parent != src or p.name == "__init__.py"]
-    return [d for d in dead_definitions(modules, callers) if d not in exempt]
+    return modules, callers
+
+
+def dead_names(root: Path, exempt=()) -> list[tuple[str, str]]:
+    """``dead_definitions`` of the graftkit modules under ``root``, with src/
+    and perfbench/ as callers, less the ``exempt`` names."""
+    return [d for d in dead_definitions(*graftkit_sources(root)) if d not in exempt]
 
 
 def test_dead_checker_does_not_count_tests_as_callers(tmp_path):
@@ -244,3 +253,140 @@ def test_awaiting_report_has_no_stale_entry():
     dead = set(dead_names(ROOT))
     assert {k: "has a caller" if k in defined else "is gone"
             for k in AWAITING_REPORT if k not in dead} == {}
+
+
+# --------------------------------------------------------------------------
+# options that no caller sets
+
+# Options of names awaiting the report, each with the ``AWAITING_REPORT``
+# entry whose table will set it.
+AWAITING_REPORT_OPTIONS = {
+    ("stats.py", "delong_ci", "alpha"): ("stats.py", "delong_ci"),
+    ("stats.py", "delong_compare", "alpha"): ("stats.py", "noninferiority_margin_test"),
+    ("stats.py", "noninferiority_margin_test", "margin"):
+        ("stats.py", "noninferiority_margin_test"),
+}
+
+
+def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter of ``fn`` with a default; the
+    position is None for a keyword-only one."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    first = len(positional) - len(args.defaults)
+    return ([(i, positional[i]) for i in range(first, len(positional))]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _is_super_init(call: ast.Call) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == "__init__" and isinstance(f.value, ast.Call)
+            and isinstance(f.value.func, ast.Name) and f.value.func.id == "super")
+
+
+def calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Calls keyed by the name they call (``f(...)``, ``x.f(...)``); a class
+    is called by its name, and ``super().__init__(...)`` in a class calls
+    each of its bases."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and _is_super_init(call):
+                        for base in bases:
+                            calls.setdefault(base, []).append(call)
+            elif isinstance(node, ast.Call) and not _is_super_init(node):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at ``position`` (counted
+    after any bound first parameter): by keyword, by position, or through
+    ``*`` / ``**`` unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def callables(tree: ast.Module):
+    """(label, name calls use, function, bound parameters) of every function
+    and method in ``tree`` but ``__call__``: a method binds its first
+    parameter unless it is a staticmethod, and ``__init__`` is called by its
+    class's name."""
+    methods = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                methods.add(fn)
+                if fn.name == "__call__":
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                init = fn.name == "__init__"
+                yield (f"{cls.name}.__init__" if init else fn.name,
+                       cls.name if init else fn.name, fn, 0 if static else 1)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn not in methods:
+            yield fn.name, fn.name, fn, 0
+
+
+def unset_options(root: Path, exempt=()) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each defaulted parameter of a
+    graftkit function or method under ``root`` that no call in src/ or
+    perfbench/ sets, less the ``exempt`` ones.  Methods are matched by name."""
+    modules, callers = graftkit_sources(root)
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls = calls_by_name([*trees.values(), *(ast.parse(source) for source in callers)])
+    unset = [(mod, label, name) for mod, tree in trees.items()
+             for label, called_as, fn, bound in callables(tree)
+             for position, name in defaulted_parameters(fn)
+             if not any(passes(c, None if position is None else position - bound, name)
+                        for c in calls.get(called_as, []))]
+    return sorted(u for u in unset if u not in exempt)
+
+
+def test_unset_option_checker_counts_only_src_and_perfbench_calls(tmp_path):
+    """An option is set by keyword, by position, by unpacking or through
+    ``super().__init__``; one only a test sets is unset, and ``__call__`` is
+    not checked."""
+    for d in ("src/graftkit", "tests", "perfbench"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src/graftkit/m.py").write_text(
+        "def f(x, by_pos=1, by_kw=2, tested=3, unset=4):\n    return x\n"
+        "def g(x, by_star=1, by_kwargs=2):\n    return x\n"
+        "class Base:\n    def __init__(self, by_super=1, unset=2):\n        pass\n"
+        "    def run(self, by_pos=1, *, by_kw=2, unset=3):\n        return by_pos\n"
+        "    def __call__(self, x=None):\n        return x\n"
+        "    @staticmethod\n    def make(by_pos=1):\n        return Base()\n"
+        "class Sub(Base):\n    def __init__(self):\n        super().__init__(by_super=0)\n")
+    (tmp_path / "src/graftkit/other.py").write_text(
+        "from .m import f, g\nf(0, 1, by_kw=2)\ng(*[0, 1])\n")
+    (tmp_path / "perfbench/run.py").write_text(
+        "from graftkit.m import Base, g\ng(0, **{'by_kwargs': 2})\n"
+        "Base().run(1, by_kw=2)\nBase.make(3)\n")
+    (tmp_path / "tests/test_m.py").write_text("from graftkit.m import f\nf(0, tested=1)\n")
+    assert unset_options(tmp_path) == [
+        ("m.py", "Base.__init__", "unset"), ("m.py", "f", "tested"), ("m.py", "f", "unset"),
+        ("m.py", "run", "unset")]
+    assert unset_options(tmp_path, exempt={("m.py", "f", "unset")}) == [
+        ("m.py", "Base.__init__", "unset"), ("m.py", "f", "tested"), ("m.py", "run", "unset")]
+
+
+def test_no_option_without_a_caller_that_sets_it():
+    """A defaulted parameter no caller sets is a constant: inline it."""
+    assert unset_options(ROOT, exempt=AWAITING_REPORT_OPTIONS) == []
+
+
+def test_awaiting_report_options_have_no_stale_entry():
+    """Each exempt option belongs to a name awaiting the report and is still
+    unset; one that gained a caller leaves the list."""
+    assert {k: v for k, v in AWAITING_REPORT_OPTIONS.items() if v not in AWAITING_REPORT} == {}
+    assert set(AWAITING_REPORT_OPTIONS) <= set(unset_options(ROOT))

@@ -68,13 +68,14 @@ def trained(seed=3, data=None, cfg=CFG):
 @pytest.mark.parametrize("start", [0, 1])
 def test_eval_lm_loss_is_the_per_token_mean(start):
     # batches weigh by their target count: a row of L tokens whose loss
-    # starts at 0 has L - 1 targets, as one with loss_start 1 has
+    # starts at 0 has L - 1 targets, as one with loss_start 1 has; the 9
+    # rows span two batches of 8
     lm = tiny_lm()
     rng = np.random.default_rng(7)
     data = [([int(t) for t in rng.integers(1, 29, int(rng.integers(4, 20)))], start)
             for _ in range(9)]
     whole = lm.batch_loss(*nn._pad_batch(data, range(len(data)), lm.cfg.pad_id))
-    assert abs(nn.eval_lm_loss(lm, data, batch_size=4) - float(whole.data)) < 1e-12
+    assert abs(nn.eval_lm_loss(lm, data) - float(whole.data)) < 1e-12
 
 
 def test_eval_lm_loss_rejects_an_empty_dataset():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,58 @@ def test_entries_must_tile_blob(tmp_path, edit, match):
     p.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=match):
         load_checkpoint(p)
+
+
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: [m], "the manifest is not a JSON object"),
+    (lambda m: _without(m, "blob_sha256"), "the manifest has no field 'blob_sha256'"),
+    (lambda m: {**m, "blob_sha256": None}, "the manifest field 'blob_sha256' is not of type str"),
+    (lambda m: _without(m, "params"), "the manifest has no field 'params'"),
+    (lambda m: {**m, "params": {}}, "the manifest field 'params' is not of type list"),
+    (lambda m: {**m, "params": [[]]}, "params entry 0 is not a JSON object"),
+    (lambda m: {**m, "params": [m["params"][0], _without(m["params"][1], "shape")]},
+     "params entry 1 has no field 'shape'"),
+    (lambda m: {**m, "params": [{**m["params"][0], "offset": "0"}]},
+     "params entry 0 field 'offset' is not of type int"),
+    (lambda m: {**m, "params": [{**m["params"][0], "frozen": 0}]},
+     "params entry 0 field 'frozen' is not of type bool"),
+    (lambda m: {**m, "params": [{**m["params"][0], "shape": [4.0]}]},
+     "params entry 0 field 'shape' is not a list of sizes"),
+    (lambda m: {**m, "meta": []}, "meta is not a JSON object"),
+], ids=["manifest-list", "no-sha", "sha-null", "no-params", "params-dict", "entry-list",
+        "no-shape", "offset-str", "frozen-int", "shape-floats", "meta-list"])
+def test_malformed_manifest_refused_naming_file_and_field(tmp_path, edit, message):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(small_registry(), p, meta={"kind": "t"})
+    p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("loader,field,value", [
+    (load_clip, "config", None),
+    (load_clip, "vocab_size", "12"),
+    (load_qformer, "config", []),
+    (load_qformer, "seed", None),
+    (load_lm, "config", None),
+    (load_bridge, "hidden", 10.0),
+], ids=["clip-config", "clip-vocab", "qformer-config", "qformer-seed", "lm-config",
+        "bridge-hidden"])
+def test_loaders_refuse_a_missing_or_mistyped_meta_field(tmp_path, loader, field, value):
+    path = _saved_models(tmp_path)[loader]
+    manifest = json.loads(path.read_text())
+    manifest["meta"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta field {field!r} is not of")):
+        loader(path)
+    del manifest["meta"][field]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta has no field {field!r}")):
+        loader(path)
 
 
 @pytest.mark.parametrize("loader,message", [

@@ -113,7 +113,7 @@ def study_with(findings, seed=0):
 
 def test_alter_control_is_identity():
     s = study_with([("effusion", "left", "mild")])
-    case = alter_impression(s, "control")
+    case = alter_impression(s, "control", primary="effusion")
     assert case.altered_impression == s.report_impression
     # idempotent: altering the altered text changes nothing
     assert alter_impression_text(case.altered_impression, "effusion", "left",
@@ -148,7 +148,7 @@ def test_alter_swap_invalid_for_bilateral_and_edema():
 
 def test_alter_remove_single_finding_gives_normal_sentence():
     s = study_with([("effusion", "left", "mild")])
-    case = alter_impression(s, "remove-finding")
+    case = alter_impression(s, "remove-finding", primary="effusion")
     assert case.altered_impression == T.NORMAL_IMPRESSION
 
 
@@ -167,7 +167,7 @@ def test_alter_remove_rejected_for_normal_study():
 
 def test_alter_add_for_normal_study_drops_normal_sentence():
     s = study_with([])
-    case = alter_impression(s, "add-finding")
+    case = alter_impression(s, "add-finding", primary=T.NO_FINDING)
     assert case.altered_impression == T.ADD_FINDING_SENTENCES[T.NO_FINDING]
     assert "no acute" not in case.altered_impression
 
@@ -655,26 +655,27 @@ def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
         enc.cfg.grid, enc.cfg.grid, -1), hw).reshape(-1, 16) for s in corpus.studies])
     assert index_b.ids == [s.study_id for s in corpus.studies]
     assert np.array_equal(index_b.grids, grids)
-    assert np.array_equal(index_b.query_proj, np.stack([qf.image_query_proj(g) for g in grids]))
+    assert np.array_equal(index_b.query_proj,
+                          np.stack([qf.query_projections(g[None]).data[0] for g in grids]))
     assert np.array_equal(precompute_grids(clip, corpus.studies, hw), grids)
 
 
 def test_index_c_close_to_per_image_embeddings(small_world):
     corpus, clip, _, index_c, _ = small_world
-    per_image = np.stack([clip.embed_image(s.image) for s in corpus.studies])
+    per_image = np.stack([clip.image_embeddings(s.image[None]).data[0] for s in corpus.studies])
     assert index_c.ids == [s.study_id for s in corpus.studies]
     assert np.abs(index_c.embeddings - per_image).max() <= 1e-12
 
 
 def _per_prompt_score_c(image, ps, clip, vocab):
-    img = clip.embed_image(image)
+    img = clip.image_embeddings(image[None]).data[0]
     pos = np.mean([float(img @ clip.embed_text(tokenize(p, vocab))) for p in ps.positive])
     neg = np.mean([float(img @ clip.embed_text(tokenize(p, vocab))) for p in ps.negative])
     return float(1.0 / (1.0 + np.exp(-(pos - neg))))
 
 
 def _per_prompt_score_b(grid, ps, qf, vocab):
-    q_proj = qf.image_query_proj(grid)
+    q_proj = qf.query_projections(grid[None]).data[0]
 
     def best(prompts):
         return max(float(np.max(q_proj @ qf.text_cls_proj(tokenize(p, vocab, qf.cfg.text_max_len))))
@@ -711,7 +712,7 @@ def _one_image_score_c(image, ps, clip, vocab):
     """The one-image formula ``zero_shot_score_c`` computed before it wrapped
     the batched scorer."""
     cos = clip.embed_texts([tokenize(p, vocab) for p in ps.positive + ps.negative]) \
-        @ clip.embed_image(image)
+        @ clip.image_embeddings(image[None]).data[0]
     n_pos = len(ps.positive)
     return float(1.0 / (1.0 + np.exp(-(np.mean(cos[:n_pos]) - np.mean(cos[n_pos:])))))
 
@@ -721,7 +722,7 @@ def _one_image_score_b(grid, ps, qf, vocab):
     the batched scorer."""
     t_proj = qf.text_cls_projs([tokenize(p, vocab, qf.cfg.text_max_len)
                                 for p in ps.positive + ps.negative])
-    best = (qf.image_query_proj(grid) @ t_proj.T).max(axis=0)
+    best = (qf.query_projections(grid[None]).data[0] @ t_proj.T).max(axis=0)
     n_pos = len(ps.positive)
     pos, neg = float(best[:n_pos].max()), float(best[n_pos:].max())
     return float(1.0 / (1.0 + np.exp(-(pos - neg))))
@@ -773,7 +774,7 @@ def test_run_vqa_prompt_filling_the_context_is_answered(small_world):
     corpus, _, qf, _, _ = small_world
     image, question = corpus.studies[0].image, "is there a pleural effusion ?"
     n = qf.cfg.n_queries + _vqa_prompt_len(small_world, image, question)
-    assert isinstance(run_vqa(image, question, _vqa_bundle(small_world, n), max_new=3), str)
+    assert isinstance(run_vqa(image, question, _vqa_bundle(small_world, n)), str)
 
 
 def test_run_vqa_rejects_prompt_over_the_context(small_world):
@@ -795,14 +796,14 @@ def test_run_vqa_rejects_prompt_over_the_context(small_world):
         run_vqa(image, long_question, _vqa_bundle(small_world, 448))
 
 
-def _per_question_answers(bundle, prepared, questions, max_new=64):
+def _per_question_answers(bundle, prepared, questions):
     """The reference: each question forked from the prepared dialog and
-    decoded on its own."""
+    decoded on its own, up to 64 tokens."""
     out = []
     for q in questions:
         ids = tokenize(vqa_prompt_body(prepared.impression, q), bundle.vocab, max_len=None,
                        lead=None)
-        out.append(detokenize(bundle.lm.generate(prepared.soft, ids, max_new,
+        out.append(detokenize(bundle.lm.generate(prepared.soft, ids, 64,
                                                  prefix=prepared.dialog), bundle.vocab))
     return out
 
@@ -846,9 +847,7 @@ def test_packed_answers_equal_per_question_answers(small_world, study_id):
     prepared = bundle.prepare(corpus.studies[study_id].image)
     questions = [*T.QA_QUESTIONS, "is there a pleural effusion ?", "Is a pneumothorax present?"]
     for qs in (questions, questions[:1], questions[3:5]):
-        for max_new in (3, 64):
-            assert bundle.answers(prepared, qs, max_new) == _per_question_answers(
-                bundle, prepared, qs, max_new)
+        assert bundle.answers(prepared, qs) == _per_question_answers(bundle, prepared, qs)
 
 
 def test_review_decodes_from_the_prompt_state_without_rerunning_a_token(small_world):
