@@ -13,6 +13,7 @@ import os
 import sys
 import traceback
 from collections import namedtuple
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from .clip_stage import (ClipConfig, DEFAULT_PROMPT_SETS, load_clip, load_prompt
 from .corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus, words
 from .lmdata import pretrain_frozen_lm
 from .nn import LmTrainConfig, load_lm, save_lm
-from .params import checkpoint_meta, load_checkpoint, save_checkpoint, ParamRegistry
+from .params import (decode, load_checkpoint, read_json, read_manifest, save_checkpoint,
+                     ParamRegistry)
 from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
 from .qformer import (Phase1Config, Phase2Config, load_bridge, load_qformer, phase1_train,
@@ -131,15 +133,17 @@ def _load(flag: str, args, corpus):
 
 
 def cmd_synth(args, out):
-    spec = CorpusSpec.from_json(json.loads(Path(args.spec).read_text()) if args.spec else {})
+    # the fields a spec file omits keep CorpusSpec()'s values
+    given = decode(args.spec, "the spec", read_json(args.spec), dict) if args.spec else {}
+    spec = decode(args.spec, "the spec", {**asdict(CorpusSpec()), **given}, CorpusSpec)
     if args.n is not None:
         spec.n_studies = args.n
     if not args.spec:  # dumped for discoverability, and to re-run with --spec
-        (out / "spec.json").write_text(json.dumps(spec.to_json(), indent=1))
+        (out / "spec.json").write_text(json.dumps(asdict(spec), indent=1))
     corpus = generate_corpus(args.seed, spec)
     manifest = save_corpus(corpus, out / "corpus")
     return ({"digest": manifest["digest"], "n_studies": manifest["n_studies"],
-             "corpus_dir": str(out / "corpus")}, {"spec": spec.to_json()})
+             "corpus_dir": str(out / "corpus")}, {"spec": asdict(spec)})
 
 
 def cmd_train_c(args, out):
@@ -150,7 +154,7 @@ def cmd_train_c(args, out):
     manifest = model.save(ckpt)
     return ({"checkpoint": str(ckpt), "blob_sha256": manifest["blob_sha256"],
              "final_loss": history[-1] if history else None,
-             "first_loss": history[0] if history else None}, {"clip": cfg.to_json()})
+             "first_loss": history[0] if history else None}, {"clip": asdict(cfg)})
 
 
 def cmd_train_b1(args, out):
@@ -247,13 +251,24 @@ def cmd_zeroshot(args, out):
     return scores
 
 
+def _probe_test_size(n_studies: int) -> int:
+    return max(n_studies // 4, 2)  # the last quarter is the test split
+
+
 def cmd_probe(args, out):
-    corpus, clip_model, qf = _load_encoders(
-        args, lambda corpus: _check_finding(args.finding, corpus.studies[0].labels))
+    def check(corpus):
+        _check_finding(args.finding, corpus.studies[0].labels)
+        n_train = len(corpus) - _probe_test_size(len(corpus))
+        for size in args.sizes:
+            if not 2 <= size <= n_train:  # a probe trains on both classes
+                raise UsageError(f"--sizes {size} is outside 2..{n_train}, the training split "
+                                 f"of the corpus's {len(corpus)} studies")
+
+    corpus, clip_model, qf = _load_encoders(args, check)
     feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,
                             clip_model, qf)
     labels = np.asarray([s.labels[args.finding] for s in corpus.studies])
-    n_test = max(len(corpus) // 4, 2)  # the last quarter is the test split
+    n_test = _probe_test_size(len(corpus))
     return data_efficiency_curve(feats[:-n_test], labels[:-n_test], feats[-n_test:],
                                  labels[-n_test:], sizes=args.sizes, repeats=args.repeats,
                                  cfg=ProbeConfig(), seed=args.seed)
@@ -281,7 +296,8 @@ def _load_bundle(args, corpus) -> ElixrBundle:
                                           for flag in ("clip", "b1", "b2", "lm"))
     _, bridge, bridge_meta = load_bridge(args.bridge)
     digest = lm.digest()
-    for flag, meta in (("--b2", checkpoint_meta(args.b2, "qformer")), ("--bridge", bridge_meta)):
+    b2_meta = read_manifest(args.b2, "qformer").meta
+    for flag, meta in (("--b2", b2_meta), ("--bridge", bridge_meta)):
         if meta.get("lm_digest") != digest:
             raise ValueError(f"{flag} checkpoint was trained against LM digest "
                              f"{meta.get('lm_digest')}, but --lm has digest {digest}")
@@ -302,10 +318,14 @@ def cmd_vqa(args, out):
 
 def cmd_qa(args, out):
     corpus = load_corpus(args.corpus)
+    cases = build_qa_cases(corpus, seed=args.seed)  # before any checkpoint is read
+    if args.cases is not None and args.cases > len(cases):
+        raise UsageError(f"--cases {args.cases} is more than the {len(cases)} cases "
+                         "of the QA mix")
     bundle = _load_bundle(args, corpus)
     by_id = {s.study_id: s for s in corpus.studies}
     rows = []
-    for case in build_qa_cases(corpus, seed=args.seed)[: args.cases]:
+    for case in cases[: args.cases]:
         result = run_qa_pipeline(by_id[case.study_id], case.altered_impression,
                                  bundle, case=case)
         grade = grade_qa_case(case, result.response_missing, result.response_added)

@@ -4,9 +4,7 @@ projection heads, plus the prompt-based zero-shot classification score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +14,8 @@ from .corpus import Corpus, augment, select_report_text, tokenize
 from .nn import (ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig,
                  pad_batch, symmetric_cross_entropy)
 from .optim import SgdMomentum
-from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
+from .params import (ParamRegistry, decode, decode_field, load_checkpoint, read_json,
+                     save_checkpoint)
 from .seeding import substream
 
 
@@ -38,17 +37,6 @@ class ClipConfig:
     text_blocks: int = 2
     text_heads: int = 4
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(d: dict) -> "ClipConfig":
-        d = dict(d)
-        img = d.pop("image", {})
-        cfg = ClipConfig(**d)
-        cfg.image = ImageEncoderConfig(**img)
-        return cfg
-
 
 @dataclass
 class PromptSet:
@@ -62,11 +50,14 @@ class PromptSet:
 
 
 def load_prompt_sets(path) -> dict[str, PromptSet]:
-    data = json.loads(Path(path).read_text())
+    """The prompt sets in the JSON list at ``path``, by finding; an item that
+    is not exactly a valid ``PromptSet``, or a second set for a finding, is
+    refused naming the file and the field."""
     out = {}
-    for entry in data:
-        ps = PromptSet(entry["finding"], list(entry["positive"]), list(entry["negative"]))
-        ps.validate()
+    for i, ps in enumerate(decode(path, "the prompt-set list", read_json(path), list[PromptSet])):
+        if ps.finding in out:
+            raise ValueError(f"{path}: the prompt-set list item {i} field 'finding' repeats "
+                             f"{ps.finding!r}")
         out[ps.finding] = ps
     return out
 
@@ -150,15 +141,17 @@ class ClipModel:
 
     def save(self, path) -> dict:
         meta = {"kind": "elixr-c", "seed": self.seed, "vocab_size": self.vocab_size,
-                "config": self.cfg.to_json()}
+                "config": asdict(self.cfg)}
         return save_checkpoint(self.registry, path, meta=meta)
 
 
 def load_clip(path) -> ClipModel:
+    """The ELIXR-C checkpoint at ``path``; ``load_checkpoint``'s refusals, and its
+    meta must hold the ints ``vocab_size`` and ``seed`` and a ClipConfig ``config``."""
     meta, values, frozen = load_checkpoint(path, "elixr-c")
-    model = ClipModel(checked_field(path, meta, "meta", "vocab_size", int),
-                      ClipConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
-                      checked_field(path, meta, "meta", "seed", int))
+    model = ClipModel(decode_field(path, "meta", meta, "vocab_size", int),
+                      decode_field(path, "meta", meta, "config", ClipConfig),
+                      decode_field(path, "meta", meta, "seed", int))
     model.registry.load_values(values, frozen)
     return model
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from . import templates as T
-from .params import checked_field
+from .params import decode, read_json
 
 IMAGE_SIZE = 64
 MAX_TEXT_LEN = 128
@@ -67,9 +67,11 @@ DEFAULT_PREVALENCE = {
 @dataclass
 class CorpusSpec:
     n_studies: int = 512
-    prevalence: dict = field(default_factory=lambda: dict(DEFAULT_PREVALENCE))
+    prevalence: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_PREVALENCE))
     image_size: int = IMAGE_SIZE
-    separable: tuple = ("effusion", "cardiomegaly")
+    separable: tuple[str, ...] = ("effusion", "cardiomegaly")
+
+    RETIRED_FIELDS = ("max_text_len",)  # held by older specs, read as nothing
 
     def validate(self) -> None:
         if self.n_studies < 1:
@@ -82,20 +84,6 @@ class CorpusSpec:
         for kind in self.separable:
             if kind not in T.KINDS:
                 raise ValueError(f"unknown finding kind {kind!r} in separable")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(d: dict) -> "CorpusSpec":
-        spec = CorpusSpec(
-            n_studies=int(d.get("n_studies", 512)),
-            prevalence={k: float(v) for k, v in d.get("prevalence", DEFAULT_PREVALENCE).items()},
-            image_size=int(d.get("image_size", IMAGE_SIZE)),
-            separable=tuple(d.get("separable", ("effusion", "cardiomegaly"))),
-        )
-        spec.validate()
-        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +235,6 @@ class Vocab:
     def id(self, tok: str) -> int:
         return self.index.get(tok, self.index[UNK])
 
-    def to_json(self) -> list[str]:
-        return list(self.tokens)
-
 
 def words(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
@@ -335,29 +320,30 @@ def save_corpus(corpus: Corpus, out_dir) -> dict:
         "digest": corpus.digest(),
         "seed": corpus.seed,
         "n_studies": len(corpus.studies),
-        "spec": corpus.spec.to_json(),
-        "vocab": corpus.vocab.to_json(),
+        "spec": asdict(corpus.spec),
+        "vocab": corpus.vocab.tokens,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
 
-_MANIFEST_FIELDS = {"spec": dict, "n_studies": int, "seed": int, "vocab": list, "digest": str}
-_ROW_FIELDS = {"study_id": int, "findings": list, "report_findings": str,
-               "report_impression": str, "labels": dict}
+_Manifest = make_dataclass("_Manifest", [("digest", str), ("seed", int), ("n_studies", int),
+                                         ("spec", CorpusSpec), ("vocab", list[str])])
+_Row = make_dataclass("_Row", [  # findings: (kind, laterality, severity) per finding
+    ("study_id", int), ("findings", list[tuple[str, str, str]]), ("report_findings", str),
+    ("report_impression", str), ("labels", dict[str, int])])
 
 
 def load_corpus(in_dir) -> Corpus:
-    """The corpus ``save_corpus`` wrote to ``in_dir``; a missing or mistyped
-    field of the manifest or of a metadata row, a count that disagrees with
-    the manifest, or a digest mismatch is refused with a ValueError."""
+    """The corpus ``save_corpus`` wrote to ``in_dir``, refused when the
+    manifest or a row of ``meta.jsonl`` is not JSON or not exactly a
+    ``_Manifest`` or ``_Row`` (naming the file, the row and the field), a
+    count disagrees with the manifest, or the digest differs."""
     src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    for name, kind in _MANIFEST_FIELDS.items():
-        checked_field(src / "manifest.json", manifest, "the manifest", name, kind)
-    spec = CorpusSpec.from_json(manifest["spec"])
-    size, n = spec.image_size, manifest["n_studies"]
-    rows = (src / "meta.jsonl").read_text().splitlines()
+    manifest = decode(src / "manifest.json", "the manifest", read_json(src / "manifest.json"),
+                      _Manifest)
+    size, n = manifest.spec.image_size, manifest.n_studies
+    rows = read_json(src / "meta.jsonl")
     blob = (src / "images.bin").read_bytes()
     for path, have, want, unit in ((src / "meta.jsonl", len(rows), n, "rows"),
                                    (src / "images.bin", len(blob), n * size * size * 8, "bytes")):
@@ -365,23 +351,12 @@ def load_corpus(in_dir) -> Corpus:
             raise ValueError(f"{path} has {have} {unit}; the manifest's {n} studies need {want}")
     images = np.frombuffer(blob, dtype="<f8").reshape(n, size, size)
     studies = []
-    for i, line in enumerate(rows, 1):
-        d = json.loads(line)
-        for name, kind in _ROW_FIELDS.items():
-            checked_field(src / "meta.jsonl", d, f"row {i}", name, kind)
-        if not all(isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
-                   for f in d["findings"]):
-            raise ValueError(f"{src / 'meta.jsonl'}: row {i} field 'findings' is not a list "
-                             "of [kind, laterality, severity] lists")
-        studies.append(SyntheticStudy(
-            d["study_id"],
-            images[len(studies)].copy(),
-            [Finding(*f) for f in d["findings"]],
-            d["report_findings"],
-            d["report_impression"],
-            {k: int(v) for k, v in d["labels"].items()},
-        ))
-    corpus = Corpus(spec, manifest["seed"], studies, Vocab(manifest["vocab"]))
-    if corpus.digest() != manifest["digest"]:
-        raise ValueError("corpus digest mismatch: files were modified")
+    for i, row in enumerate(rows, 1):
+        r = decode(src / "meta.jsonl", f"row {i}", row, _Row)
+        studies.append(SyntheticStudy(r.study_id, images[i - 1].copy(),
+                                      [Finding(*f) for f in r.findings],
+                                      r.report_findings, r.report_impression, r.labels))
+    corpus = Corpus(manifest.spec, manifest.seed, studies, Vocab(manifest.vocab))
+    if corpus.digest() != manifest.digest:
+        raise ValueError(f"{src}: corpus digest mismatch: files were modified")
     return corpus

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tape, Tensor
-from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
+from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
 
 NEG_INF = -1e9
 
@@ -314,13 +314,6 @@ class LmConfig:
     pad_id: int = 0
     eos_id: int = 3
     img_id: int = 6
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(d: dict) -> "LmConfig":
-        return LmConfig(**{k: int(v) for k, v in d.items()})
 
 
 class DecoderLM:
@@ -620,13 +613,15 @@ def greedy_decode(logits: np.ndarray, step: Callable[[list, list], np.ndarray],
 
 
 def save_lm(lm: DecoderLM, path) -> dict:
-    return save_checkpoint(lm.reg, path, meta={"kind": "lm", "config": lm.cfg.to_json()})
+    return save_checkpoint(lm.reg, path, meta={"kind": "lm", "config": asdict(lm.cfg)})
 
 
 def load_lm(path) -> DecoderLM:
+    """The LM checkpoint at ``path``; ``load_checkpoint``'s refusals, and its
+    meta must hold an LmConfig ``config``."""
     meta, values, frozen = load_checkpoint(path, "lm")
     reg = ParamRegistry()
-    lm = DecoderLM(reg, LmConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
+    lm = DecoderLM(reg, decode_field(path, "meta", meta, "config", LmConfig),
                    np.random.default_rng(0))
     reg.load_values(values, frozen)
     return lm

@@ -3,12 +3,17 @@
 A checkpoint is a JSON manifest (name, shape, frozen flag, byte offset per
 parameter, plus free-form metadata) next to a raw little-endian float64 blob;
 the manifest records the SHA-256 of the blob and loads refuse on mismatch.
+Every JSON file graftkit loads is parsed by ``read_json`` and typed by
+``decode``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import typing
+from dataclasses import is_dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,89 +129,123 @@ def save_checkpoint(registry: ParamRegistry, path, meta: dict | None = None) -> 
     return manifest
 
 
-def checked_field(path, record, where: str, name: str, kind: type):
-    """``record[name]``, refused with a ValueError that names the file, the
-    record and the field unless ``record`` is a JSON object holding a
-    ``kind`` under ``name`` (a bool is no int)."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: {where} is not a JSON object")
-    if name not in record:
-        raise ValueError(f"{path}: {where} has no field {name!r}")
-    value = record[name]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{path}: {where} field {name!r} is not of type {kind.__name__}")
+def read_json(path):
+    """The JSON value in the file ``path``, or the list of a ``.jsonl``
+    file's line values; a parse error names the file (and the row)."""
+    path = Path(path)
+    rows = path.suffix == ".jsonl"
+    values = []
+    for i, text in enumerate(path.read_text().splitlines() if rows else [path.read_text()], 1):
+        try:
+            values.append(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {f'row {i}: ' if rows else ''}{exc}") from None
+    return values if rows else values[0]
+
+
+_field_kinds = functools.cache(typing.get_type_hints)  # a dataclass's field -> type
+
+
+def decode(path, where: str, value, kind):
+    """``value``, at ``where`` in the JSON file ``path``, as ``kind``: bool,
+    int (not a bool), float (an int is accepted), str, dict (any object),
+    list[T], tuple[T, ...], tuple[T1, T2, T3], dict[str, T] or a dataclass,
+    whose object holds exactly its fields bar its ``RETIRED_FIELDS``
+    (dropped) and passes its ``validate()``.  Else a ValueError names the
+    file, the record and the field."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {where} is not a JSON object")
+        kinds = _field_kinds(kind)
+        for name in value:
+            if name not in kinds and name not in getattr(kind, "RETIRED_FIELDS", ()):
+                raise ValueError(f"{path}: {where} has an unknown field {name!r}")
+        obj = kind(**{name: decode_field(path, where, value, name, k)
+                      for name, k in kinds.items()})
+        try:
+            getattr(obj, "validate", lambda: None)()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {where}: {exc}") from None
+        return obj
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path}: {where} is not of type list")
+        fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[T1, T2, T3]
+        if fixed and len(value) != len(args):
+            raise ValueError(f"{path}: {where} does not hold {len(args)} items")
+        return origin(decode(path, f"{where} item {i}", v, args[i] if fixed else args[0])
+                      for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {where} is not of type dict")
+        return {k: decode(path, f"{where} key {k!r}", v, args[1]) for k, v in value.items()}
+    if kind is float and type(value) is int and abs(value) <= 1e308:  # not a bool, fits a float
+        return float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{path}: {where} is not of type {kind.__name__}")
     return value
 
 
-_ENTRY_FIELDS = {"name": str, "shape": list, "frozen": bool, "offset": int, "nbytes": int}
+def decode_field(path, where: str, record: dict, name: str, kind):
+    """``record[name]`` as ``decode`` reads it; the record may hold other fields."""
+    if name not in record:
+        raise ValueError(f"{path}: {where} has no field {name!r}")
+    return decode(path, f"{where} field {name!r}", record[name], kind)
 
 
-def _read_manifest(path: Path, kind: str | None) -> dict:
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: the manifest is not a JSON object")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"checkpoint manifest version {manifest.get('version')!r} "
+_Entry = make_dataclass("_Entry", [("name", str), ("shape", tuple[int, ...]), ("frozen", bool),
+                                   ("offset", int), ("nbytes", int)])
+_Manifest = make_dataclass("_Manifest", [("version", int), ("blob_sha256", str),
+                                         ("params", list[_Entry]), ("meta", dict)])
+
+
+def read_manifest(path, kind: str | None) -> _Manifest:
+    """A checkpoint's manifest, after the checks of ``load_checkpoint`` that
+    do not read the blob."""
+    manifest = decode(path, "the manifest", read_json(path), _Manifest)
+    if manifest.version != MANIFEST_VERSION:
+        raise ValueError(f"{path}: checkpoint manifest version {manifest.version!r} "
                          f"!= supported {MANIFEST_VERSION}")
-    checked_field(path, manifest, "the manifest", "blob_sha256", str)
-    for i, e in enumerate(checked_field(path, manifest, "the manifest", "params", list)):
-        for name, t in _ENTRY_FIELDS.items():
-            checked_field(path, e, f"params entry {i}", name, t)
-        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
-                   for d in e["shape"]):
-            raise ValueError(f"{path}: params entry {i} field 'shape' is not a list of sizes")
-    meta = manifest.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: meta is not a JSON object")
-    if kind is not None and meta.get("kind") != kind:
+    if kind is not None and manifest.meta.get("kind") != kind:
         article = "an" if kind[0] in "aeilo" else "a"  # "an elixr-c", "an lm"
-        raise ValueError(f"not {article} {kind} checkpoint: kind={meta.get('kind')!r}")
+        raise ValueError(f"{path}: not {article} {kind} checkpoint: "
+                         f"kind={manifest.meta.get('kind')!r}")
     return manifest
-
-
-def checkpoint_meta(path, kind: str | None = None) -> dict:
-    """A checkpoint's meta, after the manifest checks of ``load_checkpoint``;
-    the blob is not read."""
-    return _read_manifest(Path(path), kind).get("meta", {})
 
 
 def load_checkpoint(path, kind: str | None = None
                     ) -> tuple[dict, dict[str, np.ndarray], dict[str, bool]]:
     """Read a manifest + blob; returns (meta, values, frozen flags).
 
-    Refuses to load when the manifest or an entry lacks a field or holds one
-    of the wrong type, the manifest version is not ``MANIFEST_VERSION``,
-    ``kind`` is given and differs from ``meta["kind"]``, the blob digest
-    differs from the manifest, an entry's shape disagrees with its byte
-    extent, or the entries do not tile the blob exactly (no overlap, no gap,
-    no trailing bytes).
+    Refuses to load when the manifest is not JSON or is not exactly a
+    ``_Manifest`` (a message naming the file and the field), the version is
+    not ``MANIFEST_VERSION``, ``kind`` is given and differs from
+    ``meta["kind"]``, the blob digest differs from the manifest, an entry's
+    shape has a negative size or disagrees with its byte extent, or the
+    entries do not tile the blob exactly (no overlap, no gap, no trailing
+    bytes).
     """
     path = Path(path)
-    manifest = _read_manifest(path, kind)
-    meta = manifest.get("meta", {})
+    manifest = read_manifest(path, kind)
     blob = path.with_suffix(path.suffix + ".bin").read_bytes()
     got = hashlib.sha256(blob).hexdigest()
-    if got != manifest["blob_sha256"]:
-        raise ValueError(f"checkpoint blob digest mismatch: blob_sha256 {got} != manifest")
+    if got != manifest.blob_sha256:
+        raise ValueError(f"{path}: checkpoint blob digest mismatch: blob_sha256 {got} != manifest")
     values: dict[str, np.ndarray] = {}
     frozen: dict[str, bool] = {}
     end = 0
-    for e in sorted(manifest["params"], key=lambda e: e["offset"]):
-        shape = tuple(e["shape"])
-        expect = int(np.prod(shape, dtype=np.int64)) * 8
-        if expect != e["nbytes"]:
-            raise ValueError(
-                f"checkpoint entry {e['name']!r}: field 'shape' {shape} "
-                f"inconsistent with nbytes {e['nbytes']}"
-            )
-        if e["offset"] != end:
-            problem = "overlaps the previous entry" if e["offset"] < end else "leaves a gap"
-            raise ValueError(f"checkpoint entry {e['name']!r}: offset {e['offset']} {problem} "
+    for e in sorted(manifest.params, key=lambda e: e.offset):
+        if min(e.shape, default=0) < 0 or int(np.prod(e.shape, dtype=np.int64)) * 8 != e.nbytes:
+            raise ValueError(f"{path}: checkpoint entry {e.name!r}: field 'shape' {e.shape} "
+                             f"inconsistent with nbytes {e.nbytes}")
+        if e.offset != end:
+            problem = "overlaps the previous entry" if e.offset < end else "leaves a gap"
+            raise ValueError(f"{path}: checkpoint entry {e.name!r}: offset {e.offset} {problem} "
                              f"(expected {end})")
-        end += e["nbytes"]
-        raw = blob[e["offset"] : end]
-        values[e["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        frozen[e["name"]] = bool(e["frozen"])
+        end += e.nbytes
+        values[e.name] = np.frombuffer(blob[e.offset : end], dtype="<f8").reshape(e.shape).copy()
+        frozen[e.name] = e.frozen
     if end != len(blob):
-        raise ValueError(f"checkpoint entries end at byte {end}, blob has {len(blob)}")
-    return meta, values, frozen
+        raise ValueError(f"{path}: checkpoint entries end at byte {end}, blob has {len(blob)}")
+    return manifest.meta, values, frozen

@@ -87,19 +87,18 @@ def eval_probe(probe: Probe, features: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _stratified_subsample(rng, labels: np.ndarray, n_train: int) -> np.ndarray:
-    """Random subsample guaranteed to contain both classes."""
+    """Random subsample of distinct rows guaranteed to contain both classes."""
     n = labels.shape[0]
-    if n_train > n:
-        raise ValueError("n_train exceeds available samples")
+    if not 2 <= n_train <= n:
+        raise ValueError(f"n_train {n_train} is outside 2..{n}, the available samples")
     for _ in range(200):
         idx = rng.choice(n, size=n_train, replace=False)
         if len(set(labels[idx].tolist())) == 2:
             return idx
-    # all draws single-class: force one of each
-    pos = np.where(labels == 1)[0]
-    neg = np.where(labels == 0)[0]
-    rest = rng.choice(n, size=n_train - 2, replace=False)
-    return np.concatenate([[rng.choice(pos)], [rng.choice(neg)], rest])[:n_train]
+    # all draws single-class: force one of each, and draw the rest from the other rows
+    forced = np.array([rng.choice(np.where(labels == 1)[0]), rng.choice(np.where(labels == 0)[0])])
+    rest = rng.choice(np.setdiff1d(np.arange(n), forced), size=n_train - 2, replace=False)
+    return np.concatenate([forced, rest])
 
 
 def data_efficiency_curve(train_features, train_labels, test_features, test_labels,

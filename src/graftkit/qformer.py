@@ -18,7 +18,7 @@ from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF,
                  self_attention_residual, sinusoid_table, symmetric_cross_entropy,
                  token_embedding)
 from .optim import Adam
-from .params import ParamRegistry, checked_field, load_checkpoint, save_checkpoint
+from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
 from .seeding import substream
 
 MODES = ("itc", "itg", "itm")
@@ -36,17 +36,6 @@ class QFormerConfig:
     text_max_len: int = 64
     itc_temperature: float = 0.07
     vocab_size: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(d: dict) -> "QFormerConfig":
-        d = dict(d)
-        temp = d.pop("itc_temperature")
-        cfg = QFormerConfig(**{k: int(v) for k, v in d.items()})
-        cfg.itc_temperature = float(temp)
-        return cfg
 
 
 class _QFormerBlock:
@@ -235,15 +224,17 @@ class QFormerModel:
         return ag.reduce_mean(per_query, axis=1)
 
     def save(self, path, extra_meta: dict | None = None) -> dict:
-        meta = {"kind": "qformer", "seed": self.seed, "config": self.cfg.to_json()}
+        meta = {"kind": "qformer", "seed": self.seed, "config": asdict(self.cfg)}
         meta.update(extra_meta or {})
         return save_checkpoint(self.registry, path, meta=meta)
 
 
 def load_qformer(path) -> "QFormerModel":
+    """The Q-Former checkpoint at ``path``; ``load_checkpoint``'s refusals, and
+    its meta must hold the int ``seed`` and a QFormerConfig ``config``."""
     meta, values, frozen = load_checkpoint(path, "qformer")
-    model = QFormerModel(QFormerConfig.from_json(checked_field(path, meta, "meta", "config", dict)),
-                         checked_field(path, meta, "meta", "seed", int))
+    model = QFormerModel(decode_field(path, "meta", meta, "config", QFormerConfig),
+                         decode_field(path, "meta", meta, "seed", int))
     model.registry.load_values(values, frozen)
     return model
 
@@ -656,9 +647,11 @@ def save_phase2(model: QFormerModel, bridge: Phase2Bridge, bridge_reg: ParamRegi
 
 
 def load_bridge(path) -> tuple[ParamRegistry, Phase2Bridge, dict]:
+    """The bridge checkpoint at ``path``; ``load_checkpoint``'s refusals, and its
+    meta must hold the ints ``q_dim``, ``lm_dim`` and ``hidden``."""
     meta, values, frozen = load_checkpoint(path, "bridge")
     reg = ParamRegistry()
-    q_dim, lm_dim, hidden = (checked_field(path, meta, "meta", name, int)
+    q_dim, lm_dim, hidden = (decode_field(path, "meta", meta, name, int)
                              for name in ("q_dim", "lm_dim", "hidden"))
     bridge = Phase2Bridge(reg, q_dim, lm_dim, hidden, np.random.default_rng(0))
     reg.load_values(values, frozen)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_synth_deterministic_digest(tmp_path):
 
 def test_synth_with_spec_file(tmp_path):
     spec_path = tmp_path / "s.json"
-    spec_path.write_text(json.dumps(CorpusSpec(n_studies=4).to_json()))
+    spec_path.write_text(json.dumps(asdict(CorpusSpec(n_studies=4))))
     assert run_cli(["synth", "--seed", "1", "--spec", str(spec_path),
                     "--out", str(tmp_path / "o")]) == 0
     doc = json.loads((tmp_path / "o" / "synth.json").read_text())
@@ -234,6 +235,44 @@ def test_eval_checkpoint_names_a_missing_manifest_field(tmp_path, capsys):
                     "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {ckpt}: the manifest has no field 'blob_sha256'\n"
     assert not (tmp_path / "o" / "eval.json").exists()
+
+
+ZEROSHOT = ["zeroshot", "--corpus", "C", "--clip", "M"]
+
+
+@pytest.mark.parametrize("command, flag, content, message", [
+    (["synth"], "--spec", {"n_studies": 2.7}, "the spec field 'n_studies' is not of type int"),
+    (["synth"], "--spec", {"separable": "effusion"},
+     "the spec field 'separable' is not of type list"),
+    (["synth"], "--spec", {"prevalence": []}, "the spec field 'prevalence' is not of type dict"),
+    (["synth"], "--spec", {"n_studies": 4, "seeds": 2}, "the spec has an unknown field 'seeds'"),
+    (["synth"], "--spec", [], "the spec is not of type dict"),
+    (["synth"], "--spec", '{"n_studies": 4', "Expecting"),
+    (ZEROSHOT, "--prompts", [{"finding": "effusion", "positive": "left pleural effusion",
+                              "negative": ["no pleural effusion"]}],
+     "the prompt-set list item 0 field 'positive' is not of type list"),
+    (ZEROSHOT, "--prompts", {"finding": "effusion"}, "the prompt-set list is not of type list"),
+    (ZEROSHOT, "--prompts", "[{", "Expecting"),
+    (["eval", "--metric", "checkpoint"], "--ckpt", '{"version": 1,', "Expecting property name"),
+], ids=["spec-n-float", "spec-separable-str", "spec-prevalence-list", "spec-extra", "spec-list",
+        "spec-truncated", "prompts-positive-str", "prompts-object", "prompts-truncated",
+        "ckpt-truncated"])
+def test_a_bad_json_input_exits_1_naming_the_file_and_field(tmp_path, capsys, command, flag,
+                                                           content, message):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = tmp_path / "o"
+    assert run_cli([*command, flag, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert list(out.iterdir()) == []
+
+
+def test_synth_spec_may_hold_the_retired_max_text_len(tmp_path):
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps({"n_studies": 4, "max_text_len": 128}))
+    assert run_cli(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "synth.json").read_text())
+    assert doc["result"]["n_studies"] == 4 and "max_text_len" not in doc["config"]["spec"]
 
 
 def test_eval_checkpoint_requires_ckpt(capsys, tmp_path):
@@ -508,6 +547,40 @@ def test_qa_over_several_cases_writes_the_rows_of_one_case_runs(tmp_path, monkey
         assert json.loads((tmp_path / "one" / "qa.json").read_text())["result"]["cases"] == [row]
 
 
+@pytest.mark.parametrize("sizes, size", [("1", 1), ("7", 7), ("2,7", 7)])
+def test_probe_sizes_outside_the_training_split_are_refused_before_loading(tmp_path, capsys,
+                                                                           sizes, size):
+    save_corpus(generate_corpus(0, CorpusSpec(n_studies=8)), tmp_path / "corpus")
+    out = tmp_path / "o"
+    assert run_cli(["probe", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing.ckpt"), "--sizes", sizes,
+                    "--out", str(out)]) == 2
+    assert (f"--sizes {size} is outside 2..6, the training split of the corpus's 8 studies"
+            in capsys.readouterr().err)
+    assert list(out.glob("*.json")) == []
+
+
+def _qa_without_checkpoints(tmp_path, n_studies):
+    """``graftkit qa`` arguments on a saved corpus, every checkpoint missing."""
+    save_corpus(generate_corpus(3, CorpusSpec(n_studies=n_studies)), tmp_path / "corpus")
+    missing = str(tmp_path / "missing.ckpt")
+    return ["qa", "--corpus", str(tmp_path / "corpus"),
+            *(x for flag in ("--clip", "--b1", "--b2", "--bridge", "--lm")
+              for x in (flag, missing)),
+            "--out", str(tmp_path / "o")]
+
+
+def test_qa_cases_beyond_the_mix_are_a_usage_error(tmp_path, capsys):
+    assert run_cli([*_qa_without_checkpoints(tmp_path, 60), "--cases", "49"]) == 2
+    assert "--cases 49 is more than the 48 cases of the QA mix" in capsys.readouterr().err
+    assert list((tmp_path / "o").glob("*.json")) == []
+
+
+def test_qa_builds_its_cases_before_reading_a_checkpoint(tmp_path, capsys):
+    assert run_cli(_qa_without_checkpoints(tmp_path, 4)) == 1
+    assert "not enough eligible studies" in capsys.readouterr().err
+
+
 def _save_other_vocab(flag, path, size=20):
     """A tiny checkpoint of ``--flag``'s kind with a ``size``-token vocabulary."""
     if flag == "clip":
@@ -547,6 +620,8 @@ def test_image_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeyp
             "--b1", str(tmp_path / "b1.ckpt"), "--variant", "B"]
     if command == "search":
         args += ["--query", "left pleural effusion"]
+    if command == "probe":  # the default sizes do not fit 8 studies
+        args += ["--sizes", "2"]
     _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys)
 
 
@@ -554,7 +629,8 @@ def test_image_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeyp
 @pytest.mark.parametrize("flag", ["clip", "b1", "b2", "lm"])
 def test_text_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeypatch, capsys,
                                                               command, flag):
-    args = _vqa_checkpoints(tmp_path)[:-2]
+    # qa builds its 48 cases, which 4 studies do not hold, before reading checkpoints
+    args = _vqa_checkpoints(tmp_path, n_studies=60 if command == "qa" else 4)[:-2]
     if command == "qa":
         args = ["qa", *args[1:-4]]
     _save_other_vocab(flag, Path(args[args.index(f"--{flag}") + 1]))

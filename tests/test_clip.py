@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,29 @@ def test_prompt_sets_roundtrip(tmp_path):
     loaded = load_prompt_sets(path)
     assert set(loaded) == set(DEFAULT_PROMPT_SETS)
     assert loaded["effusion"].positive == DEFAULT_PROMPT_SETS["effusion"].positive
+
+
+EFFUSION = {"finding": "effusion", "positive": ["left effusion"], "negative": ["no effusion"]}
+
+
+@pytest.mark.parametrize("content, message", [
+    ([{**EFFUSION, "positive": "left effusion"}],
+     "the prompt-set list item 0 field 'positive' is not of type list"),
+    ([{k: v for k, v in EFFUSION.items() if k != "negative"}],
+     "the prompt-set list item 0 has no field 'negative'"),
+    (EFFUSION, "the prompt-set list is not of type list"),
+    ([EFFUSION, {**EFFUSION, "positive": ["right effusion"]}],
+     "the prompt-set list item 1 field 'finding' repeats 'effusion'"),
+    ([{**EFFUSION, "negative": []}],
+     "the prompt-set list item 0: prompt set for 'effusion' needs both lists non-empty"),
+    ([{**EFFUSION, "weight": 2}], "the prompt-set list item 0 has an unknown field 'weight'"),
+    ('[{"finding": "effusion"', "Expecting"),
+], ids=["positive-str", "no-negative", "object", "repeated", "empty", "extra", "truncated"])
+def test_prompt_sets_refused_naming_the_file_and_field(tmp_path, content, message):
+    path = tmp_path / "prompts.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_prompt_sets(path)
 
 
 def test_train_zero_steps_equals_init(tmp_path):

@@ -235,21 +235,55 @@ def _edit_first_row(path, edit):
     ("manifest.json", lambda m: {**m, "n_studies": "4"},
      "the manifest field 'n_studies' is not of type int"),
     ("manifest.json", lambda m: {**m, "spec": None},
-     "the manifest field 'spec' is not of type dict"),
+     "the manifest field 'spec' is not a JSON object"),
     ("manifest.json", lambda m: [m], "the manifest is not a JSON object"),
     ("meta.jsonl", lambda d: {k: v for k, v in d.items() if k != "study_id"},
      "row 1 has no field 'study_id'"),
     ("meta.jsonl", lambda d: {**d, "labels": [1]}, "row 1 field 'labels' is not of type dict"),
     ("meta.jsonl", lambda d: {**d, "findings": [["effusion", "left"]]},
-     "row 1 field 'findings' is not a list of [kind, laterality, severity] lists"),
+     "row 1 field 'findings' item 0 does not hold 3 items"),
+    ("manifest.json", lambda m: {**m, "spec": {**m["spec"], "prevalence": []}},
+     "the manifest field 'spec' field 'prevalence' is not of type dict"),
+    ("manifest.json", lambda m: {**m, "spec": {**m["spec"], "separable": "effusion"}},
+     "the manifest field 'spec' field 'separable' is not of type list"),
+    ("manifest.json", lambda m: {**m, "spec": {**m["spec"], "n_studies": 4.0}},
+     "the manifest field 'spec' field 'n_studies' is not of type int"),
+    ("manifest.json", lambda m: {**m, "spec": {**m["spec"], "separable": ["bogus"]}},
+     "the manifest field 'spec': unknown finding kind 'bogus' in separable"),
+    ("manifest.json", lambda m: {**m, "vocab": [*m["vocab"], 7]},
+     "the manifest field 'vocab' item "),
+    ("manifest.json", lambda m: {**m, "created": "today"},
+     "the manifest has an unknown field 'created'"),
+    ("meta.jsonl", lambda d: {**d, "labels": {**d["labels"], "effusion": "1"}},
+     "row 1 field 'labels' key 'effusion' is not of type int"),
+    ("meta.jsonl", lambda d: {**d, "view": "pa"}, "row 1 has an unknown field 'view'"),
 ], ids=["no-vocab", "n-studies-str", "spec-null", "manifest-list", "no-study-id",
-        "labels-list", "finding-pair"])
+        "labels-list", "finding-pair", "prevalence-list", "separable-str", "spec-n-float",
+        "separable-unknown", "vocab-int", "manifest-extra", "label-str", "row-extra"])
 def test_corpus_load_names_the_file_and_a_missing_or_mistyped_field(tmp_path, name, edit,
                                                                     message):
     root, _ = _saved_corpus(tmp_path)
     (_edit_json if name == "manifest.json" else _edit_first_row)(root / name, edit)
     with pytest.raises(ValueError, match=re.escape(f"{root / name}: {message}")):
         load_corpus(root)
+
+
+def test_corpus_load_names_the_file_and_row_of_json_that_does_not_parse(tmp_path):
+    root, _ = _saved_corpus(tmp_path)
+    rows = (root / "meta.jsonl").read_text().splitlines(keepends=True)
+    (root / "meta.jsonl").write_text("".join([*rows[:2], rows[2][:20] + "\n", *rows[3:]]))
+    with pytest.raises(ValueError, match=re.escape(f"{root / 'meta.jsonl'}: row 3: ")):
+        load_corpus(root)
+    (root / "manifest.json").write_text((root / "manifest.json").read_text()[:40])
+    with pytest.raises(ValueError, match=re.escape(f"{root / 'manifest.json'}: Unterminated")):
+        load_corpus(root)
+
+
+def test_corpus_with_a_retired_spec_field_loads(tmp_path):
+    """Older corpora store ``max_text_len`` in their spec; it is ignored."""
+    root, _ = _saved_corpus(tmp_path)
+    _edit_json(root / "manifest.json", lambda m: {**m, "spec": {**m["spec"], "max_text_len": 128}})
+    assert load_corpus(root).digest() == generate_corpus(8, CorpusSpec(n_studies=4)).digest()
 
 
 def test_two_finding_spec_only_two_kinds():

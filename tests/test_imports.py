@@ -7,7 +7,8 @@ method that shares its name with a method of a builtin container, ``str`` or
 ``np.ndarray`` counts as referenced only through ``self.<name>`` in its
 class or ``<Class>.<name>``.  Every defaulted parameter of a graftkit function
 or method is set by some call in src/ or perfbench/, except the options in
-``AWAITING_REPORT_OPTIONS``."""
+``AWAITING_REPORT_OPTIONS``.  No graftkit module parses JSON outside
+``params.read_json``."""
 
 import ast
 import re
@@ -390,3 +391,45 @@ def test_awaiting_report_options_have_no_stale_entry():
     unset; one that gained a caller leaves the list."""
     assert {k: v for k, v in AWAITING_REPORT_OPTIONS.items() if v not in AWAITING_REPORT} == {}
     assert set(AWAITING_REPORT_OPTIONS) <= set(unset_options(ROOT))
+
+
+# --------------------------------------------------------------------------
+# JSON parsed outside the one reader
+
+
+def json_parses(root: Path) -> list[tuple[str, int]]:
+    """(module, line) of each ``json.load`` / ``json.loads`` call, and each
+    import of either from ``json``, in the graftkit modules under ``root``
+    outside the body of ``params.read_json``."""
+    found = []
+    for path in sorted((root / "src" / "graftkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reader = {id(n) for fn in tree.body if path.name == "params.py"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "read_json"
+                  for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("load", "loads")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and any(a.name in ("load", "loads") for a in node.names))
+            if (call or imported) and id(node) not in reader:
+                found.append((path.name, node.lineno))
+    return sorted(found)
+
+
+def test_json_parse_checker_flags_all_but_the_reader(tmp_path):
+    (tmp_path / "src/graftkit").mkdir(parents=True)
+    (tmp_path / "src/graftkit/params.py").write_text(
+        "import json\ndef read_json(path):\n    return json.loads(path.read_text())\n"
+        "def other(text):\n    return json.loads(text)\n")
+    (tmp_path / "src/graftkit/m.py").write_text(
+        "import json\nfrom json import load\ndef read_json(fh):\n    return json.load(fh)\n"
+        "def dump(x):\n    return json.dumps(x)\n")
+    assert json_parses(tmp_path) == [("m.py", 2), ("m.py", 4), ("params.py", 5)]
+
+
+def test_json_is_parsed_only_by_the_reader():
+    """Every JSON file goes through ``read_json`` and ``decode``, which name
+    the file and the field of a bad input."""
+    assert json_parses(ROOT) == []

@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import re
+import typing
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graftkit import templates as T
 from graftkit.autograd import Tensor
-from graftkit.clip_stage import ClipConfig, ClipModel, load_clip
+from graftkit.clip_stage import ClipConfig, ClipModel, PromptSet, load_clip
+from graftkit.corpus import CorpusSpec
 from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, load_lm, save_lm
-from graftkit.params import ParamRegistry, load_checkpoint, save_checkpoint
+from graftkit.params import ParamRegistry, decode, load_checkpoint, save_checkpoint
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, load_bridge,
                               load_qformer, save_phase2)
 
@@ -59,7 +65,7 @@ def test_truncated_blob_refused(tmp_path):
     save_checkpoint(reg, p)
     blob = p.with_suffix(".ckpt.bin")
     blob.write_bytes(blob.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="digest mismatch"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: checkpoint blob digest mismatch")):
         load_checkpoint(p)
 
 
@@ -132,7 +138,7 @@ def test_entries_must_tile_blob(tmp_path, edit, match):
     manifest = json.loads(p.read_text())
     edit(manifest)
     p.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{match}"):
         load_checkpoint(p)
 
 
@@ -146,24 +152,78 @@ def _without(record: dict, key: str) -> dict:
     (lambda m: {**m, "blob_sha256": None}, "the manifest field 'blob_sha256' is not of type str"),
     (lambda m: _without(m, "params"), "the manifest has no field 'params'"),
     (lambda m: {**m, "params": {}}, "the manifest field 'params' is not of type list"),
-    (lambda m: {**m, "params": [[]]}, "params entry 0 is not a JSON object"),
+    (lambda m: {**m, "params": [[]]}, "the manifest field 'params' item 0 is not a JSON object"),
     (lambda m: {**m, "params": [m["params"][0], _without(m["params"][1], "shape")]},
-     "params entry 1 has no field 'shape'"),
+     "the manifest field 'params' item 1 has no field 'shape'"),
     (lambda m: {**m, "params": [{**m["params"][0], "offset": "0"}]},
-     "params entry 0 field 'offset' is not of type int"),
+     "the manifest field 'params' item 0 field 'offset' is not of type int"),
     (lambda m: {**m, "params": [{**m["params"][0], "frozen": 0}]},
-     "params entry 0 field 'frozen' is not of type bool"),
+     "the manifest field 'params' item 0 field 'frozen' is not of type bool"),
     (lambda m: {**m, "params": [{**m["params"][0], "shape": [4.0]}]},
-     "params entry 0 field 'shape' is not a list of sizes"),
-    (lambda m: {**m, "meta": []}, "meta is not a JSON object"),
+     "the manifest field 'params' item 0 field 'shape' item 0 is not of type int"),
+    (lambda m: {**m, "meta": []}, "the manifest field 'meta' is not of type dict"),
+    (lambda m: {**m, "signed": True}, "the manifest has an unknown field 'signed'"),
+    (lambda m: {**m, "params": [{**m["params"][0], "dtype": "<f8"}]},
+     "the manifest field 'params' item 0 has an unknown field 'dtype'"),
 ], ids=["manifest-list", "no-sha", "sha-null", "no-params", "params-dict", "entry-list",
-        "no-shape", "offset-str", "frozen-int", "shape-floats", "meta-list"])
+        "no-shape", "offset-str", "frozen-int", "shape-floats", "meta-list", "manifest-extra",
+        "entry-extra"])
 def test_malformed_manifest_refused_naming_file_and_field(tmp_path, edit, message):
     p = tmp_path / "m.ckpt"
     save_checkpoint(small_registry(), p, meta={"kind": "t"})
     p.write_text(json.dumps(edit(json.loads(p.read_text()))))
     with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
         load_checkpoint(p)
+
+
+def test_truncated_manifest_is_refused_naming_the_file(tmp_path):
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(small_registry(), p)
+    p.write_text('{"version": 1,')
+    with pytest.raises(ValueError, match=re.escape(f"{p}: Expecting property name")):
+        load_checkpoint(p)
+
+
+def test_negative_shape_sizes_are_refused(tmp_path):
+    """(-2, -2) has the product of (4,), so only the sign gives it away."""
+    p = tmp_path / "n.ckpt"
+    save_checkpoint(small_registry(), p)
+    manifest = json.loads(p.read_text())
+    manifest["params"][0]["shape"] = [-2, -2]  # enc.b, 4 values
+    p.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError,
+                       match=re.escape("'enc.b': field 'shape' (-2, -2) inconsistent")):
+        load_checkpoint(p)
+
+
+def _config_without(key):
+    return lambda c: {k: v for k, v in c.items() if k != key}
+
+
+@pytest.mark.parametrize("loader,edit,message", [
+    (load_qformer, _config_without("itc_temperature"), "has no field 'itc_temperature'"),
+    (load_qformer, lambda c: {**c, "itc_temperature": "0.07"},
+     "field 'itc_temperature' is not of type float"),
+    (load_qformer, lambda c: {**c, "itc_temperature": 10 ** 400},
+     "field 'itc_temperature' is not of type float"),
+    (load_clip, lambda c: {**c, "image": 3}, "field 'image' is not a JSON object"),
+    (load_clip, lambda c: {**c, "image": _config_without("patch")(c["image"])},
+     "field 'image' has no field 'patch'"),
+    (load_clip, lambda c: {**c, "augment": 1}, "field 'augment' is not of type bool"),
+    (load_lm, lambda c: {**c, "rope": 1}, "has an unknown field 'rope'"),
+    (load_lm, lambda c: {**c, "dim": "x"}, "field 'dim' is not of type int"),
+    (load_lm, lambda c: {**c, "dim": 8.0}, "field 'dim' is not of type int"),
+], ids=["qformer-no-temperature", "qformer-temperature-str", "qformer-temperature-huge",
+        "clip-image-int", "clip-image-no-patch", "clip-augment-int", "lm-extra", "lm-dim-str",
+        "lm-dim-float"])
+def test_loaders_refuse_a_config_that_is_not_exactly_their_config(tmp_path, loader, edit,
+                                                                   message):
+    path = _saved_models(tmp_path)[loader]
+    manifest = json.loads(path.read_text())
+    manifest["meta"]["config"] = edit(manifest["meta"]["config"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta field 'config' {message}")):
+        loader(path)
 
 
 @pytest.mark.parametrize("loader,field,value", [
@@ -180,7 +240,7 @@ def test_loaders_refuse_a_missing_or_mistyped_meta_field(tmp_path, loader, field
     manifest = json.loads(path.read_text())
     manifest["meta"][field] = value
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: meta field {field!r} is not of")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta field {field!r} is not ")):
         loader(path)
     del manifest["meta"][field]
     path.write_text(json.dumps(manifest))
@@ -197,7 +257,7 @@ def test_loaders_refuse_a_missing_or_mistyped_meta_field(tmp_path, loader, field
 def test_loaders_reject_wrong_kind(tmp_path, loader, message):
     p = tmp_path / "w.ckpt"
     save_checkpoint(small_registry(), p, meta={"kind": "other"})
-    with pytest.raises(ValueError, match=f"{message}: kind='other'"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}: kind='other'")):
         loader(p)
 
 
@@ -275,3 +335,51 @@ def test_load_bridge_restores_values_and_frozen_flags(tmp_path):
     assert {p.name: p.frozen for p in loaded_reg} == {p.name: p.frozen for p in reg}
     x = Tensor(np.random.default_rng(3).normal(0, 1, (2, 8)))
     assert np.array_equal(loaded(x).data, bridge(x).data)
+
+
+# --------------------------------------------------------------------------
+# decode: the dataclasses stored as JSON read back, and a bad field is named
+
+
+def valid_values(kind):
+    """A strategy of valid ``kind`` values, for the field types ``decode``
+    reads; ``CorpusSpec`` and ``PromptSet`` also pass their ``validate``."""
+    if kind is CorpusSpec:
+        return st.builds(CorpusSpec, n_studies=st.integers(1, 10**6),
+                         prevalence=st.dictionaries(st.sampled_from(T.KINDS), st.floats(0, 1)),
+                         image_size=st.integers(),
+                         separable=st.lists(st.sampled_from(T.KINDS), max_size=3).map(tuple))
+    if kind is PromptSet:
+        prompts = st.lists(st.text(max_size=12), min_size=1, max_size=3)
+        return st.builds(PromptSet, st.text(max_size=12), prompts, prompts)
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return st.builds(kind, **{f.name: valid_values(hints[f.name])
+                                  for f in dataclasses.fields(kind)})
+    return {bool: st.booleans(), int: st.integers(), str: st.text(max_size=12),
+            float: st.floats(allow_nan=False, allow_infinity=False)}[kind]
+
+
+STORED = st.sampled_from([ClipConfig, QFormerConfig, LmConfig, CorpusSpec, PromptSet]).flatmap(
+    valid_values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(STORED)
+def test_decode_reads_back_what_asdict_wrote(x):
+    assert decode("x.json", "the record", json.loads(json.dumps(asdict(x))), type(x)) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(STORED, st.data())
+def test_decode_names_a_missing_mistyped_or_unknown_field(x, data):
+    kind, record = type(x), json.loads(json.dumps(asdict(x)))
+    name = data.draw(st.sampled_from(sorted(record)))
+    unknown = data.draw(st.text(min_size=1, max_size=8).filter(
+        lambda k: k not in record and k not in getattr(kind, "RETIRED_FIELDS", ())))
+    for edited, message in [
+            ({k: v for k, v in record.items() if k != name}, f"has no field {name!r}"),
+            ({**record, name: None}, f"field {name!r} is not "),
+            ({**record, unknown: 0}, f"has an unknown field {unknown!r}")]:
+        with pytest.raises(ValueError, match=re.escape(f"x.json: the record {message}")):
+            decode("x.json", "the record", edited, kind)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -424,7 +426,7 @@ def test_qformer_checkpoint_roundtrip(tmp_path, model):
     model.save(p, extra_meta={"phase": 1})
     loaded = load_qformer(p)
     assert loaded.registry.combined_digest() == model.registry.combined_digest()
-    assert loaded.cfg.to_json() == model.cfg.to_json()
+    assert asdict(loaded.cfg) == asdict(model.cfg)
 
 
 def test_phase2_step_matches_per_example_surrogate(model):

@@ -15,8 +15,9 @@ from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, gener
 from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pad_batch,
                          pool_grid, token_embedding)
 from graftkit.params import ParamRegistry
-from graftkit.probe import (ProbeConfig, data_efficiency_curve, embed_for_probe, eval_probe,
-                            train_probe)
+from graftkit.seeding import indexed_rng
+from graftkit.probe import (ProbeConfig, _stratified_subsample, data_efficiency_curve,
+                            embed_for_probe, eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, grade_qa_case, run_qa_pipeline)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, itm_loss,
@@ -309,6 +310,18 @@ def test_probe_single_class_rejected():
     feats, _ = synth_features(n=20)
     with pytest.raises(ValueError):
         train_probe(feats, np.ones(20, dtype=int), ProbeConfig())
+
+
+def test_stratified_subsample_fallback_draws_distinct_rows():
+    """With one positive in 1000 rows every random draw of 3 is single-class,
+    so the fallback forces one row of each class; the third row is another."""
+    labels = np.zeros(1000, dtype=np.int64)
+    labels[7] = 1
+    idx = _stratified_subsample(indexed_rng(895, 3), labels, 3)
+    assert len(set(idx.tolist())) == 3 and 7 in idx.tolist()
+    for n_train in (1, 1001):
+        with pytest.raises(ValueError, match=f"n_train {n_train} is outside 2..1000"):
+            _stratified_subsample(indexed_rng(895, 3), labels, n_train)
 
 
 def test_data_efficiency_curve_monotone_on_clean_features():
