@@ -26,10 +26,11 @@ from .lmdata import pretrain_frozen_lm
 from .nn import LmTrainConfig, load_lm, save_lm
 from .params import (decode, load_checkpoint, read_json, read_manifest, save_checkpoint,
                      ParamRegistry)
-from .probe import ProbeConfig, data_efficiency_curve, embed_for_probe
+from .probe import data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
-from .qformer import (Phase1Config, Phase2Config, load_bridge, load_qformer, phase1_train,
-                      phase2_train, save_phase2, loss_log_to_csv, zero_shot_scores_b)
+from .qformer import (PHASE1_HELD_OUT, PHASE2_HELD_OUT, Phase1Config, Phase2Config, load_bridge,
+                      load_qformer, phase1_train, phase2_train, save_phase2, loss_log_to_csv,
+                      split_studies, zero_shot_scores_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c
 from .stats import auc, bootstrap_ci, ndcg_at_k, permutation_test, precision_at_k
 from .vqa import ElixrBundle
@@ -159,6 +160,7 @@ def cmd_train_c(args, out):
 
 def cmd_train_b1(args, out):
     corpus = load_corpus(args.corpus)
+    split_studies(len(corpus), PHASE1_HELD_OUT)  # a corpus with no study to train on stops here
     clip_model = _load("clip", args, corpus)
     cfg = Phase1Config(steps=args.steps or Phase1Config.steps)
     cfg.qformer.vocab_size = len(corpus.vocab)
@@ -174,6 +176,7 @@ def cmd_train_b1(args, out):
 
 def cmd_train_b2(args, out):
     corpus = load_corpus(args.corpus)
+    split_studies(len(corpus), PHASE2_HELD_OUT)  # as in train-b1, and before LM pretraining
     clip_model = _load("clip", args, corpus)
     qf_itg = _load("b1", args, corpus)
     if args.lm:
@@ -271,7 +274,7 @@ def cmd_probe(args, out):
     n_test = _probe_test_size(len(corpus))
     return data_efficiency_curve(feats[:-n_test], labels[:-n_test], feats[-n_test:],
                                  labels[-n_test:], sizes=args.sizes, repeats=args.repeats,
-                                 cfg=ProbeConfig(), seed=args.seed)
+                                 seed=args.seed)
 
 
 def cmd_search(args, out):

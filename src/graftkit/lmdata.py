@@ -16,7 +16,7 @@ from . import templates as T
 from .corpus import Corpus, Vocab, sample_findings, select_report_text, tokenize
 from .nn import DecoderLM, LmConfig, LmTrainConfig, pretrain_lm
 from .params import ParamRegistry
-from .qa import alter_impression_text, assessment_text
+from .qa import alter_impression_text, assessment_text, can_swap_laterality
 from .seeding import substream
 from .vqa import vqa_prompt_body
 
@@ -25,8 +25,11 @@ from .vqa import vqa_prompt_body
 class LmDataConfig:
     n_dialog: int = 1400
     n_reviewer: int = 1400
-    belief_noise: float = 0.08
     holdout_reports: int = 48
+
+
+# The chance, per finding kind, that a reviewer example's beliefs get it wrong.
+_BELIEF_NOISE = 0.08
 
 
 def _img_prefix(vocab: Vocab, slots: int) -> list[int]:
@@ -90,10 +93,10 @@ def _dialog_example(vocab, slots, rng):
     return _seq(vocab, _img_prefix(vocab, slots), body, answer)
 
 
-def _perturbed_beliefs(findings, rng, noise):
+def _perturbed_beliefs(findings, rng):
     fmap = {k: (lat, sev) for k, lat, sev in findings}
     for kind in T.KINDS:
-        if rng.random() >= noise:
+        if rng.random() >= _BELIEF_NOISE:
             continue
         if kind in fmap:
             del fmap[kind]
@@ -104,10 +107,10 @@ def _perturbed_beliefs(findings, rng, noise):
     return fmap
 
 
-def _reviewer_examples(vocab, rng, noise):
+def _reviewer_examples(vocab, rng):
     findings = _random_findings(rng)
     fmap = {k: (lat, sev) for k, lat, sev in findings}
-    beliefs_map = _perturbed_beliefs(findings, rng, noise)
+    beliefs_map = _perturbed_beliefs(findings, rng)
     answers = [T.ideal_answer(kind, beliefs_map) for kind in T.QA_QUESTION_KINDS]
     assessment = assessment_text(answers)
     impression = _render_impression(findings, rng)
@@ -118,7 +121,7 @@ def _reviewer_examples(vocab, rng, noise):
         primary = present[int(rng.integers(len(present)))]
         lat = fmap[primary][0]
         choices.append("remove-finding")
-        if lat in ("left", "right") and primary != "edema":
+        if can_swap_laterality(primary, lat):
             choices.append("swap-laterality")
     else:
         primary = T.NO_FINDING
@@ -160,7 +163,7 @@ def build_lm_dataset(corpus: Corpus, slots: int, seed: int,
     for _ in range(cfg.n_dialog):
         train.append(_dialog_example(vocab, slots, rng))
     for _ in range(cfg.n_reviewer // 2):
-        train.extend(_reviewer_examples(vocab, rng, cfg.belief_noise))
+        train.extend(_reviewer_examples(vocab, rng))
     return train, holdout
 
 

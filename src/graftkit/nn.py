@@ -269,7 +269,8 @@ class TextEncoderConfig:
     dim: int = 64
     blocks: int = 2
     heads: int = 4
-    max_len: int = 128
+
+    max_len = 128  # positional-table rows; CLIP cuts its texts to ClipConfig.text_max_len
 
 
 class TextEncoder:
@@ -634,13 +635,13 @@ def load_lm(path) -> DecoderLM:
 @dataclass
 class LmTrainConfig:
     steps: int = 3000
-    batch_size: int = 8
-    long_batch_size: int = 4     # used for sequences past this length...
-    long_threshold: int = 200    # ...to keep attention matrices affordable
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    target_perplexity: float = 3.0
+
+    batch_size = 8
+    long_batch_size = 4     # used for sequences past this length...
+    long_threshold = 200    # ...to keep attention matrices affordable
+    beta1 = 0.9             # Adam's other settings are its defaults
+    target_perplexity = 3.0
 
 
 def _make_batches(dataset, cfg: LmTrainConfig, rng):
@@ -690,9 +691,6 @@ def _check_lm_training(dataset, cfg: LmTrainConfig, holdout=None) -> None:
     """Reject input on which ``pretrain_lm`` would spin forever or fail mid-run."""
     if cfg.steps < 0:
         raise ValueError(f"LmTrainConfig.steps must be >= 0, got {cfg.steps}")
-    for field in ("batch_size", "long_batch_size"):
-        if getattr(cfg, field) < 1:
-            raise ValueError(f"LmTrainConfig.{field} must be >= 1, got {getattr(cfg, field)}")
     if not len(dataset):
         raise ValueError("LM training dataset is empty")
     for name, rows in (("dataset", dataset), ("holdout", holdout or [])):
@@ -1010,7 +1008,7 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
 
     _check_lm_training(dataset, cfg, holdout)
     rng = np.random.default_rng(seed)
-    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1)
     batches = _make_batches(dataset, cfg, rng)
     history, split = [], {"parent": 0, "worker": 0}
     for step in range(cfg.steps):

@@ -56,11 +56,15 @@ class SgdMomentum(_Optimizer):
 
 
 class Adam(_Optimizer):
-    """Bias-corrected Adam."""
+    """Bias-corrected Adam.  The default beta1 with ``beta2`` and ``eps``,
+    (0.98, 0.999) and 1e-8, is the paper's setting for both adapter phases."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.98, beta2: float = 0.999, eps: float = 1e-8):
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float, beta1: float = 0.98):
         super().__init__(params, lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
+        self.beta1 = float(beta1)
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
@@ -85,24 +89,23 @@ class Adam(_Optimizer):
 class Lars(_Optimizer):
     """Layer-wise adaptive rate scaling; one layer = one parameter tensor.
 
-    local_lr = trust * ||w|| / (||g|| + wd * ||w||), falling back to 1 when
-    either norm is zero; the trust-scaled gradient then goes through
-    heavy-ball momentum.
+    local_lr = trust * ||w|| / ||g||, falling back to 1 when either norm is
+    zero; the trust-scaled gradient then goes through heavy-ball momentum.
+    No weight decay.
     """
 
-    def __init__(self, params, lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0, trust_coefficient: float = 0.001):
+    momentum = 0.9
+    trust = 0.001
+
+    def __init__(self, params, lr: float):
         super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.trust = float(trust_coefficient)
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
-    @staticmethod
-    def local_lr(w_norm: float, g_norm: float, weight_decay: float, trust: float) -> float:
+    @classmethod
+    def local_lr(cls, w_norm: float, g_norm: float) -> float:
         if w_norm == 0.0 or g_norm == 0.0:
             return 1.0
-        return trust * w_norm / (g_norm + weight_decay * w_norm)
+        return cls.trust * w_norm / g_norm
 
     def step(self, grads):
         self._check(grads)
@@ -113,10 +116,8 @@ class Lars(_Optimizer):
                 continue
             w_norm = float(np.linalg.norm(p.data))
             g_norm = float(np.linalg.norm(g))
-            llr = self.local_lr(w_norm, g_norm, self.weight_decay, self.trust)
-            update = g + self.weight_decay * p.data
             v = self.v[p.name]
             v *= self.momentum
-            v += llr * update
+            v += self.local_lr(w_norm, g_norm) * g
             p.data -= self.lr * v
 

@@ -5,8 +5,6 @@ repeated subsamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
@@ -18,28 +16,21 @@ from .seeding import indexed_rng, substream
 from .stats import auc
 
 
-@dataclass
-class ProbeConfig:
-    # paper-scale values are (512, 256) hidden, batch 512, 300 epochs; the
-    # desk-scale defaults below train in milliseconds
-    hidden: tuple = (64, 32)
-    lr: float = 0.2
-    batch_size: int = 64
-    epochs: int = 30
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    trust_coefficient: float = 0.001
-    seed: int = 0
+# Paper scale is (512, 256) hidden, batch 512, 300 epochs; these desk-scale
+# values train in milliseconds.
+HIDDEN = (64, 32)
+LR = 0.2
+BATCH_SIZE = 64
+EPOCHS = 30
 
 
 class Probe:
     """Two-hidden-layer MLP with a 2-way head."""
 
-    def __init__(self, n_features: int, cfg: ProbeConfig):
-        self.cfg = cfg
+    def __init__(self, n_features: int, seed: int):
         self.registry = ParamRegistry()
-        rng = substream(cfg.seed, "probe-init")
-        dims = [n_features, *cfg.hidden, 2]
+        rng = substream(seed, "probe-init")
+        dims = [n_features, *HIDDEN, 2]
         self.layers = [Linear(self.registry, f"probe.l{i}", a, b, rng)
                        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))]
 
@@ -59,20 +50,19 @@ class Probe:
         return e[:, 1] / e.sum(axis=1)
 
 
-def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> Probe:
+def train_probe(features: np.ndarray, labels: np.ndarray, seed: int) -> Probe:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(set(labels.tolist())) < 2:
         raise ValueError("probe training needs both classes present")
-    probe = Probe(features.shape[1], cfg)
-    opt = Lars(list(probe.registry), lr=cfg.lr, momentum=cfg.momentum,
-               weight_decay=cfg.weight_decay, trust_coefficient=cfg.trust_coefficient)
-    rng = substream(cfg.seed, "probe-batches")
+    probe = Probe(features.shape[1], seed)
+    opt = Lars(list(probe.registry), lr=LR)
+    rng = substream(seed, "probe-batches")
     n = features.shape[0]
-    for _ in range(cfg.epochs):
+    for _ in range(EPOCHS):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             with Tape() as tape:
                 loss = ag.cross_entropy(probe.logits(features[idx]), labels[idx])
             opt.step(tape.gradients(loss))
@@ -102,11 +92,9 @@ def _stratified_subsample(rng, labels: np.ndarray, n_train: int) -> np.ndarray:
 
 
 def data_efficiency_curve(train_features, train_labels, test_features, test_labels,
-                          sizes=(16, 64, 256, 1024), repeats: int = 10,
-                          cfg: ProbeConfig | None = None, seed: int = 0) -> dict:
+                          sizes=(16, 64, 256, 1024), repeats: int = 10, seed: int = 0) -> dict:
     """Mean AUC (plus the per-repeat list) across the sample-size ladder,
     averaged over ``repeats`` random subsamples per size."""
-    cfg = cfg or ProbeConfig()
     train_labels = np.asarray(train_labels, dtype=np.int64)
     out = {}
     for n_train in sizes:
@@ -114,8 +102,7 @@ def data_efficiency_curve(train_features, train_labels, test_features, test_labe
         for rep in range(repeats):
             rng = indexed_rng(seed, rep * 100_003 + n_train)
             idx = _stratified_subsample(rng, train_labels, n_train)
-            rep_cfg = ProbeConfig(**{**vars(cfg), "seed": seed * 1000 + rep})
-            probe = train_probe(train_features[idx], train_labels[idx], rep_cfg)
+            probe = train_probe(train_features[idx], train_labels[idx], seed * 1000 + rep)
             aucs.append(eval_probe(probe, test_features, test_labels))
         out[int(n_train)] = {"mean_auc": float(np.mean(aucs)),
                              "aucs": [float(a) for a in aucs]}

@@ -23,9 +23,11 @@ class QaCase:
     altered_impression: str
 
 
-def _swap_valid(primary: str, laterality: str) -> bool:
-    return (primary in T.KINDS and T.KIND_LATERALITY.get(primary)
-            and primary != "edema" and laterality in ("left", "right"))
+def can_swap_laterality(primary: str, laterality: str) -> bool:
+    """Whether a swap-laterality alteration applies to a finding ``primary``
+    at ``laterality``: a lateralized kind other than edema, on one side."""
+    return bool(primary in T.KINDS and T.KIND_LATERALITY.get(primary)
+                and primary != "edema" and laterality in ("left", "right"))
 
 
 def alter_impression_text(impression: str, primary: str, laterality: str,
@@ -35,7 +37,7 @@ def alter_impression_text(impression: str, primary: str, laterality: str,
         return impression
     sentences = T.split_sentences(impression)
     if alteration == "swap-laterality":
-        if not _swap_valid(primary, laterality):
+        if not can_swap_laterality(primary, laterality):
             raise ValueError(f"cannot swap laterality for ({primary}, {laterality})")
         out = [swap_laterality_words(s) if T.sentence_mentions(s, primary) else s
                for s in sentences]
@@ -108,7 +110,7 @@ def build_qa_cases(corpus, seed: int = 0) -> list[QaCase]:
         for alteration, count in counts.items():
             for _ in range(count):
                 if alteration == "swap-laterality":
-                    s = take(lambda s: _swap_valid(primary, s.finding_map()[primary][0]))
+                    s = take(lambda s: can_swap_laterality(primary, s.finding_map()[primary][0]))
                 else:
                     s = take(lambda s: True)
                 cases.append(alter_impression(s, alteration, primary=primary))

@@ -354,14 +354,31 @@ def generate_impression(grid_tokens: np.ndarray, model: QFormerModel, vocab) -> 
 @dataclass
 class Phase1Config:
     steps: int = 2000
-    batch_size: int = 8
-    # paper: Adam(0.98, 0.999, 1e-8) at constant 1e-5; desk-scale lr raised
-    lr: float = 1e-3
-    beta1: float = 0.98
-    beta2: float = 0.999
-    eps: float = 1e-8
     eval_every: int = 250
     qformer: QFormerConfig = field(default_factory=QFormerConfig)
+
+    batch_size = 8
+    lr = 1e-3  # paper: constant 1e-5; desk-scale lr raised
+
+
+# The studies each phase holds out for evaluation by default: the corpus's last ones.
+PHASE1_HELD_OUT, PHASE2_HELD_OUT = 64, 32
+
+
+def split_studies(n_studies: int, held_out: int, eval_ids=None) -> tuple[list[int], list]:
+    """(training ids, eval ids) of a corpus of ``n_studies``: the eval ids are
+    ``eval_ids``, by default the last ``held_out`` studies, and the training
+    ids are the others, refused when none is left."""
+    if eval_ids is None:
+        eval_ids = list(range(max(0, n_studies - held_out), n_studies))
+    else:
+        held_out = len(set(eval_ids))
+    held = set(eval_ids)
+    train_ids = [i for i in range(n_studies) if i not in held]
+    if not train_ids:
+        raise ValueError(f"holding out {held_out} studies for evaluation leaves no training "
+                         f"study in a corpus of {n_studies}")
+    return train_ids, eval_ids
 
 
 def precompute_grids(clip_model, studies, pooled_hw: int) -> np.ndarray:
@@ -430,6 +447,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     mean over the ``DEFAULT_PROMPT_SETS`` of the corpus's separable findings.
     ``metrics`` holds each selected checkpoint's eval metrics and step as
     "scoring_metrics" / "itg_metrics"."""
+    train_ids, eval_ids = split_studies(len(corpus), PHASE1_HELD_OUT, eval_ids)
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
         qcfg = replace(qcfg, vocab_size=len(corpus.vocab))
@@ -440,14 +458,11 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     clip_digest_before = clip_model.tower_digests()
 
     model = QFormerModel(qcfg, seed)
-    opt = Adam(list(model.registry), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(list(model.registry), lr=cfg.lr)
     order_rng = substream(seed, "batch-order.phase1")
     neg_rng = substream(seed, "itm-negatives")
     eval_rng = substream(seed, "phase1-eval")
     prompt_sets = {k: v for k, v in DEFAULT_PROMPT_SETS.items() if k in corpus.spec.separable}
-    if eval_ids is None:
-        eval_ids = list(range(max(0, len(corpus) - 64), len(corpus)))
-    train_ids = [i for i in range(len(corpus)) if i not in set(eval_ids)]
 
     history = []
     best_score_key = None
@@ -522,12 +537,10 @@ def loss_log_to_csv(history) -> str:
 @dataclass
 class Phase2Config:
     steps: int = 400
-    batch_size: int = 4
-    lr: float = 5e-4  # paper's phase-2 constant rate
-    beta1: float = 0.98
-    beta2: float = 0.999
-    eps: float = 1e-8
-    bridge_hidden: int = 96
+
+    batch_size = 4
+    lr = 5e-4  # paper's phase-2 constant rate
+    bridge_hidden = 96
 
 
 class Phase2Bridge:
@@ -583,6 +596,7 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     """
     if not lm.frozen:
         raise RuntimeError("phase 2 requires a frozen LM")
+    train_ids, eval_ids = split_studies(len(corpus), PHASE2_HELD_OUT, eval_ids)
     if grids is None:
         grids = precompute_grids(clip_model, corpus.studies, qformer_itg.cfg.pooled_hw)
     lm_digest_before = lm.digest()
@@ -594,11 +608,8 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     bridge = Phase2Bridge(bridge_reg, model.cfg.dim, lm.cfg.dim, cfg.bridge_hidden,
                           substream(seed, "init.bridge"), init_bias=lm.tok.data[lm.cfg.img_id])
     params = list(model.registry) + list(bridge_reg)
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(params, lr=cfg.lr)
     order_rng = substream(seed, "batch-order.phase2")
-    if eval_ids is None:
-        eval_ids = list(range(max(0, len(corpus) - 32), len(corpus)))
-    train_ids = [i for i in range(len(corpus)) if i not in set(eval_ids)]
     targets_all = impression_targets(corpus, range(len(corpus)))
 
     history = []

@@ -137,7 +137,6 @@ class QuerySpec:
     text: str
     kind: str
     laterality: str | None = None
-    severity: str | None = None
 
 
 def laterality_query(kind: str, laterality: str) -> QuerySpec:
@@ -147,14 +146,11 @@ def laterality_query(kind: str, laterality: str) -> QuerySpec:
 
 
 def grade_study(spec: QuerySpec, study) -> int:
-    """2 = exact match, 1 = right finding but wrong attribute, 0 = miss."""
+    """2 = exact match, 1 = right finding but wrong laterality, 0 = miss."""
     fmap = study.finding_map()
     if spec.kind not in fmap:
         return 0
-    lat, sev = fmap[spec.kind]
-    if spec.laterality is not None and lat != spec.laterality:
-        return 1
-    if spec.severity is not None and sev != spec.severity:
+    if spec.laterality is not None and fmap[spec.kind][0] != spec.laterality:
         return 1
     return 2
 

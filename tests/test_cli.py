@@ -368,6 +368,39 @@ def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, ca
         assert not written & {p.name for p in out.iterdir()}
 
 
+@pytest.mark.parametrize("command, n_studies, held_out", [("train-b1", 40, 64),
+                                                        ("train-b2", 30, 32)])
+def test_training_without_a_training_study_exits_1_before_loading(tmp_path, monkeypatch, capsys,
+                                                                  command, n_studies, held_out):
+    """Each phase holds out the corpus's last studies; when that leaves none
+    to train on, the command stops before it loads a checkpoint or
+    pretrains an LM, and writes nothing."""
+    corpus = generate_corpus(3, CorpusSpec(n_studies=n_studies))
+    save_corpus(corpus, tmp_path / "corpus")
+    tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
+    tiny_qformer(corpus.vocab).save(tmp_path / "b1.ckpt")
+    calls = []
+    load = cli_mod._load
+    monkeypatch.setattr(cli_mod, "_load", lambda flag, *a: (calls.append(flag), load(flag, *a))[1])
+
+    def fake_pretrain(corpus, seed=0, train_cfg=None, log=None):
+        calls.append("pretrain")
+        lm = tiny_lm(corpus.vocab)
+        return lm.reg, lm, {"holdout_perplexity": 2.5, "perplexity_ok": True}
+
+    monkeypatch.setattr(cli_mod, "pretrain_frozen_lm", fake_pretrain)
+    out = tmp_path / "o"
+    args = [command, "--corpus", str(tmp_path / "corpus"), "--clip", str(tmp_path / "clip.ckpt"),
+            "--steps", "1", "--out", str(out)]
+    if command == "train-b2":
+        args += ["--b1", str(tmp_path / "b1.ckpt")]
+    assert run_cli(args) == 1
+    assert (f"error: holding out {held_out} studies for evaluation leaves no training study in a "
+            f"corpus of {n_studies}") in capsys.readouterr().err
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["zeroshot", "probe", "search"])
 def test_variant_b_without_b1_is_a_usage_error_before_loading(tmp_path, capsys, command):
     args = [command, "--corpus", str(tmp_path / "missing"), "--clip", str(tmp_path / "missing"),
@@ -641,7 +674,7 @@ def test_text_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeypa
     ("train-b1", "clip"), ("train-b2", "clip"), ("train-b2", "b1"), ("train-b2", "lm")])
 def test_training_refuses_a_checkpoint_of_another_vocabulary(tmp_path, monkeypatch, capsys,
                                                              command, flag):
-    corpus = generate_corpus(3, CorpusSpec(n_studies=36))
+    corpus = generate_corpus(3, CorpusSpec(n_studies=72))  # train-b1 holds out 64
     save_corpus(corpus, tmp_path / "corpus")
     tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
     tiny_qformer(corpus.vocab).save(tmp_path / "b1.ckpt")

@@ -7,8 +7,9 @@ method that shares its name with a method of a builtin container, ``str`` or
 ``np.ndarray`` counts as referenced only through ``self.<name>`` in its
 class or ``<Class>.<name>``.  Every defaulted parameter of a graftkit function
 or method is set by some call in src/ or perfbench/, except the options in
-``AWAITING_REPORT_OPTIONS``.  No graftkit module parses JSON outside
-``params.read_json``."""
+``AWAITING_REPORT_OPTIONS``, and so is every defaulted field of a graftkit
+dataclass that is not read from a file.  No graftkit module parses JSON
+outside ``params.read_json``."""
 
 import ast
 import re
@@ -285,6 +286,11 @@ def _is_super_init(call: ast.Call) -> bool:
             and isinstance(f.value.func, ast.Name) and f.value.func.id == "super")
 
 
+def _name(node: ast.AST) -> str | None:
+    """``f`` of a name ``f`` or an attribute ``x.f``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def calls_by_name(trees) -> dict[str, list[ast.Call]]:
     """Calls keyed by the name they call (``f(...)``, ``x.f(...)``); a class
     is called by its name, and ``super().__init__(...)`` in a class calls
@@ -300,8 +306,7 @@ def calls_by_name(trees) -> dict[str, list[ast.Call]]:
                         for base in bases:
                             calls.setdefault(base, []).append(call)
             elif isinstance(node, ast.Call) and not _is_super_init(node):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                name = _name(node.func)
                 if name is not None:
                     calls.setdefault(name, []).append(node)
     return calls
@@ -339,18 +344,126 @@ def callables(tree: ast.Module):
             yield fn.name, fn.name, fn, 0
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def dataclass_fields(cls: ast.ClassDef) -> list[tuple[int, str, bool]]:
+    """(position, name, defaulted) of each ``__init__`` field of a dataclass:
+    its annotated class attributes but ``ClassVar``s and ``init=False``
+    fields, which take no position."""
+    fields = []
+    for node in cls.body:
+        if (not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name)
+                or "ClassVar" in ast.unparse(node.annotation)):
+            continue
+        value, defaulted = node.value, node.value is not None
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        fields.append((len(fields), node.target.id, defaulted))
+    return fields
+
+
+def type_names(node: ast.AST) -> set[str]:
+    """The names a type expression uses, quoted ones too."""
+    return {n.id if isinstance(n, ast.Name) else n.value for n in ast.walk(node)
+            if isinstance(n, ast.Name) or (isinstance(n, ast.Constant)
+                                           and isinstance(n.value, str) and n.value.isidentifier())}
+
+
+def decoded_dataclasses(trees) -> set[str]:
+    """The names of the dataclasses ``params.decode`` builds from files: each
+    name in the kind argument of a ``decode`` or ``decode_field`` call, and
+    each name in the field types of a dataclass so named (a decorated class
+    or a ``make_dataclass``), which ``decode`` builds too."""
+    field_types: dict[str, set[str]] = {}
+    decoded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                field_types.setdefault(node.name, set()).update(
+                    *(type_names(n.annotation) for n in node.body if isinstance(n, ast.AnnAssign)))
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and _name(node.value.func) == "make_dataclass"):
+                # make_dataclass(name, [(field, type), ...])
+                types = [type_names(f.elts[1]) for f in ast.walk(node.value)
+                         if isinstance(f, ast.Tuple) and len(f.elts) > 1]
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        field_types.setdefault(target.id, set()).update(*types)
+            elif isinstance(node, ast.Call) and _name(node.func) in ("decode", "decode_field"):
+                at = 3 if _name(node.func) == "decode" else 4  # decode(path, where, value, kind)
+                kinds = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "kind"]
+                decoded.update(*map(type_names, kinds))
+    pending = set(decoded)
+    while pending:
+        new = field_types.get(pending.pop(), set()) - decoded
+        decoded |= new
+        pending |= new
+    return decoded
+
+
+def _targets(node: ast.AST):
+    """The single targets of an assignment target, tuples unpacked."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _targets(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _targets(node.value)
+    else:
+        yield node
+
+
+def assigned_fields(trees) -> set[str]:
+    """The field names set other than by a constructor call: each keyword of a
+    ``replace`` call, and every attribute in the target chain of an
+    assignment not rooted at ``self`` (``cfg.qformer.vocab_size = ...``
+    sets ``qformer`` and ``vocab_size``)."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) == "replace":
+                names.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                tops = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in (t for top in tops for t in _targets(top)):
+                    chain = []
+                    while isinstance(target, ast.Attribute):
+                        chain.append(target.attr)
+                        target = target.value
+                    if not (isinstance(target, ast.Name) and target.id == "self"):
+                        names.update(chain)
+    return names
+
+
 def unset_options(root: Path, exempt=()) -> list[tuple[str, str, str]]:
     """(module, function, parameter) for each defaulted parameter of a
     graftkit function or method under ``root`` that no call in src/ or
-    perfbench/ sets, less the ``exempt`` ones.  Methods are matched by name."""
+    perfbench/ sets, and (module, class, field) for each defaulted field of a
+    graftkit dataclass that no code there sets, less the ``exempt`` ones.
+    Methods are matched by name, and so are fields outside a constructor
+    call; ``init=False`` fields and the dataclasses that ``decode`` builds
+    from files are not checked."""
     modules, callers = graftkit_sources(root)
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    calls = calls_by_name([*trees.values(), *(ast.parse(source) for source in callers)])
+    everything = [*trees.values(), *(ast.parse(source) for source in callers)]
+    calls = calls_by_name(everything)
     unset = [(mod, label, name) for mod, tree in trees.items()
              for label, called_as, fn, bound in callables(tree)
              for position, name in defaulted_parameters(fn)
              if not any(passes(c, None if position is None else position - bound, name)
                         for c in calls.get(called_as, []))]
+    assigned, decoded = assigned_fields(everything), decoded_dataclasses(everything)
+    unset += [(mod, cls.name, name) for mod, tree in trees.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and is_dataclass(cls) and cls.name not in decoded
+              for position, name, defaulted in dataclass_fields(cls)
+              if defaulted and name not in assigned
+              and not any(passes(c, position, name) for c in calls.get(cls.name, []))]
     return sorted(u for u in unset if u not in exempt)
 
 
@@ -379,6 +492,37 @@ def test_unset_option_checker_counts_only_src_and_perfbench_calls(tmp_path):
         ("m.py", "run", "unset")]
     assert unset_options(tmp_path, exempt={("m.py", "f", "unset")}) == [
         ("m.py", "Base.__init__", "unset"), ("m.py", "f", "tested"), ("m.py", "run", "unset")]
+
+
+def test_unset_field_checker_counts_only_src_and_perfbench_setters(tmp_path):
+    """A dataclass field is set by keyword, by position, by ``**``, by
+    ``replace`` or by an assignment not rooted at ``self``, which sets each
+    attribute of its chain; a ``self.`` assignment or a test does not set
+    one.  ``init=False`` fields take no position and are not checked, nor are
+    the dataclasses ``decode`` builds, with their fields' dataclasses."""
+    for d in ("src/graftkit", "tests", "perfbench"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src/graftkit/m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\nclass Inner:\n    by_chain: int = 1\n    unset: int = 2\n"
+        "@dataclass\nclass Cfg:\n    need: int\n    cache: int = field(default=0, init=False)\n"
+        "    by_pos: int = 1\n    by_kw: int = 2\n    by_replace: int = 3\n"
+        "    inner: Inner = field(default_factory=Inner)\n    by_self: int = 4\n"
+        "    tested: int = 5\n    CONSTANT = 6\n"
+        "    def reset(self):\n        self.by_self = 0\n"
+        "@dataclass(frozen=True)\nclass Spread:\n    a: int = 1\n    b: int = 2\n"
+        "@dataclass\nclass Saved:\n    x: int = 1\n    part: 'Part' = None\n"
+        "@dataclass\nclass Part:\n    y: int = 1\n")
+    (tmp_path / "src/graftkit/other.py").write_text(
+        "from dataclasses import replace\nfrom .m import Cfg, Saved\nfrom .params import decode\n"
+        "cfg = replace(Cfg(0, 1), by_replace=3)\n"
+        "saved = decode('f.json', 'the file', {}, list[Saved])\n")
+    (tmp_path / "perfbench/run.py").write_text(
+        "from graftkit.m import Cfg, Spread\ncfg = Cfg(0, by_kw=2)\ncfg.inner.by_chain = 3\n"
+        "Spread(**{})\n")
+    (tmp_path / "tests/test_m.py").write_text("from graftkit.m import Cfg\nCfg(0, tested=1)\n")
+    assert unset_options(tmp_path) == [
+        ("m.py", "Cfg", "by_self"), ("m.py", "Cfg", "tested"), ("m.py", "Inner", "unset")]
 
 
 def test_no_option_without_a_caller_that_sets_it():

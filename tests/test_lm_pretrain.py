@@ -21,7 +21,7 @@ from graftkit.optim import Adam
 from graftkit.params import ParamRegistry
 
 SRC = Path(nn.__file__).resolve().parents[1]
-CFG = nn.LmTrainConfig(steps=8, batch_size=5, long_batch_size=3, long_threshold=25, lr=1e-3)
+CFG = nn.LmTrainConfig(steps=8, lr=1e-3)
 
 needs_two_cores = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the worker runs only with two cores")
@@ -47,7 +47,7 @@ def dataset(n=24, seed=1):
 def oracle_pretrain(lm, data, cfg, seed=0):
     """The single-batch training loop: one tape over the whole padded batch."""
     rng = np.random.default_rng(seed)
-    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1)
     batches = nn._make_batches(data, cfg, rng)
     history = []
     for _ in range(cfg.steps):
@@ -143,7 +143,7 @@ def test_two_runs_are_bitwise_equal():
 
 def test_two_threads_training_at_once_match_two_sequential_runs():
     # the worker serves one thread at a time; the other computes inline
-    cfg = nn.LmTrainConfig(steps=30, batch_size=5, long_batch_size=3, long_threshold=25, lr=1e-3)
+    cfg = nn.LmTrainConfig(steps=30, lr=1e-3)
     sequential = [trained(seed, cfg=cfg) for seed in (0, 1)]
     out = {}
     threads = [threading.Thread(target=lambda s=seed: out.update({s: trained(s, cfg=cfg)}))
@@ -159,6 +159,21 @@ def test_two_threads_training_at_once_match_two_sequential_runs():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [out.get(0), out.get(1)] == sequential
+
+
+def test_batches_are_length_sorted_with_fewer_rows_past_the_long_threshold():
+    # 24 rows up to the threshold, the last exactly at it, and 12 past it,
+    # in shuffled order: three batches of 8 rows, then three of 4
+    t = nn.LmTrainConfig.long_threshold
+    lengths = [t - 23 + i for i in range(24)] + [t + 1 + i for i in range(12)]
+    data = [([1] * lengths[i], 0) for i in np.random.default_rng(0).permutation(len(lengths))]
+    by_length = sorted(range(len(data)), key=lambda i: len(data[i][0]))
+    expected = sorted([by_length[i:i + 8] for i in range(0, 24, 8)]
+                      + [by_length[i:i + 4] for i in range(24, 36, 4)])
+    batches = nn._make_batches(data, nn.LmTrainConfig(), np.random.default_rng(1))
+    for _ in range(2):  # each epoch is every batch once, in a shuffled order
+        epoch = [next(batches).tolist() for _ in expected]
+        assert sorted(epoch) == expected
 
 
 def test_stats_count_the_parts_each_process_computed(monkeypatch):
@@ -228,7 +243,7 @@ def test_a_failing_part_is_reraised_and_the_next_call_works(monkeypatch, bad_par
     rows = [[1, 2, 3, 4], [1, 2, 3, 4, 5]]  # length-sorted, one part each
     rows[bad_part][1] = 28
     with pytest.raises(FloatingPointError) as info:
-        nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1, batch_size=2))
+        nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1))
     from_worker = any("LM training worker" in n for n in getattr(info.value, "__notes__", []))
     assert from_worker == (len(rows[bad_part]) not in parent_lengths)
     worker = nn._worker
@@ -285,23 +300,24 @@ def test_a_dead_worker_raises_instead_of_hanging():
     assert not worker.proc.is_alive()
 
 
+# fixed ids keep each case's name when a case is added or removed
 @pytest.mark.parametrize("field, data, match", [
     ("steps", None, "LmTrainConfig.steps"),
-    ("batch_size", None, "LmTrainConfig.batch_size"),
-    ("long_batch_size", None, "LmTrainConfig.long_batch_size"),
     (None, [], "empty"),
     (None, [([1, 2, 3, 4], 1), ([5, 6], 2)], r"dataset\[1\]"),
     (None, [([7], 0)], r"dataset\[0\]"),
     ("holdout", [([1, 2, 3], 3)], r"holdout\[0\]"),  # data is the held-out set here
     ("holdout", [([1, 2, 3, 4], 1), ([5, 6], 2)], r"holdout\[1\]"),
-])
+], ids=["steps-None-LmTrainConfig.steps", "None-data3-empty", r"None-data4-dataset\[1\]",
+        r"None-data5-dataset\[0\]", r"holdout-data6-holdout\[0\]",
+        r"holdout-data7-holdout\[1\]"])
 def test_bad_training_input_is_rejected_up_front(field, data, match):
     cfg = nn.LmTrainConfig(steps=2)
     holdout = None
     if field == "holdout":
         holdout, data = data, None
     elif field:
-        setattr(cfg, field, -1 if field == "steps" else 0)
+        cfg.steps = -1
     lm = tiny_lm()
     before = lm.digest()
     with pytest.raises(ValueError, match=match):
@@ -325,7 +341,7 @@ TRAIN_SCRIPT = textwrap.dedent("""
     def log(_):
         print(nn._worker.proc.pid, flush=True)
 
-    nn.pretrain_lm(lm, data, nn.LmTrainConfig(steps=int(sys.argv[1]), batch_size=8), log=log)
+    nn.pretrain_lm(lm, data, nn.LmTrainConfig(steps=int(sys.argv[1])), log=log)
 """)
 
 

@@ -45,22 +45,22 @@ def test_sgd_momentum_accumulates():
 
 
 def test_lars_local_lr_formula():
-    assert Lars.local_lr(1.0, 2.0, 0.0, 0.001) == pytest.approx(5e-4)
-    assert Lars.local_lr(0.0, 2.0, 0.0, 0.001) == 1.0
-    assert Lars.local_lr(1.0, 0.0, 0.0, 0.001) == 1.0
-    # documented ratio: trust * ||w|| / (||g|| + wd * ||w||)
-    assert Lars.local_lr(3.0, 4.0, 0.1, 0.02) == pytest.approx(0.02 * 3.0 / (4.0 + 0.3))
+    # documented ratio: trust * ||w|| / ||g||, trust 0.001
+    assert Lars.local_lr(1.0, 2.0) == pytest.approx(5e-4)
+    assert Lars.local_lr(3.0, 4.0) == pytest.approx(0.001 * 3.0 / 4.0)
+    assert Lars.local_lr(0.0, 2.0) == 1.0
+    assert Lars.local_lr(1.0, 0.0) == 1.0
 
 
 def test_lars_gradient_scale_invariance():
-    # with wd=0 and fresh momentum, the trust-scaled step depends on g only
-    # through g / ||g||
+    # with fresh momentum, the trust-scaled step depends on g only through
+    # g / ||g||
     rng = np.random.default_rng(0)
     g = rng.normal(0, 1, (3, 3))
     updates = []
     for scale in (1.0, 10.0):
         p = Parameter("w", np.full((3, 3), 0.7))
-        opt = Lars([p], lr=0.5, momentum=0.0, weight_decay=0.0)
+        opt = Lars([p], lr=0.5)
         opt.step({"w": g * scale})
         updates.append(p.data - 0.7)
     assert np.allclose(updates[0], updates[1], atol=1e-12)
@@ -68,9 +68,9 @@ def test_lars_gradient_scale_invariance():
 
 def test_lars_zero_weight_fallback():
     p = Parameter("w", np.zeros(3))
-    opt = Lars([p], lr=0.1, momentum=0.0)
+    opt = Lars([p], lr=0.1)
     opt.step({"w": np.ones(3)})
-    # local_lr falls back to 1 -> plain sgd step
+    # local_lr falls back to 1 and momentum is fresh -> plain sgd step
     assert np.allclose(p.data, -0.1)
 
 

@@ -494,7 +494,7 @@ def test_phase1_train_leaves_caller_config_unchanged():
     clip = ClipModel(len(corpus.vocab),
                      ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2),
                                 text_dim=16, text_blocks=1, text_heads=2, proj_dim=8), seed=0)
-    cfg = Phase1Config(steps=1, batch_size=2, eval_every=1,
+    cfg = Phase1Config(steps=1, eval_every=1,
                        qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
     models, _, _ = phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
     assert cfg.qformer.vocab_size == 0

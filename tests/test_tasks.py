@@ -16,8 +16,8 @@ from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, 
                          pool_grid, token_embedding)
 from graftkit.params import ParamRegistry
 from graftkit.seeding import indexed_rng
-from graftkit.probe import (ProbeConfig, _stratified_subsample, data_efficiency_curve,
-                            embed_for_probe, eval_probe, train_probe)
+from graftkit.probe import (_stratified_subsample, data_efficiency_curve, embed_for_probe,
+                            eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, grade_qa_case, run_qa_pipeline)
 from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, itm_loss,
@@ -291,25 +291,26 @@ def synth_features(n=300, d=16, sep=2.0, seed=0):
 
 def test_probe_separable_reaches_auc_one():
     feats, labels = synth_features(sep=8.0)
-    probe = train_probe(feats, labels, ProbeConfig(epochs=20, seed=1))
+    probe = train_probe(feats, labels, seed=1)
     assert eval_probe(probe, feats, labels) == 1.0
 
 
 def test_probe_shuffled_labels_near_half():
+    # scored on the rows it did not train on, which its 30 epochs cannot memorise
     feats, labels = synth_features(sep=0.0, seed=3)
     aucs = []
     for rep in range(10):
         rng = np.random.default_rng(rep)
         shuffled = rng.permutation(labels)
-        probe = train_probe(feats, shuffled, ProbeConfig(epochs=5, seed=rep))
-        aucs.append(eval_probe(probe, feats, shuffled))
+        probe = train_probe(feats[:200], shuffled[:200], seed=rep)
+        aucs.append(eval_probe(probe, feats[200:], shuffled[200:]))
     assert abs(np.mean(aucs) - 0.5) < 0.1
 
 
 def test_probe_single_class_rejected():
     feats, _ = synth_features(n=20)
     with pytest.raises(ValueError):
-        train_probe(feats, np.ones(20, dtype=int), ProbeConfig())
+        train_probe(feats, np.ones(20, dtype=int), seed=0)
 
 
 def test_stratified_subsample_fallback_draws_distinct_rows():
@@ -329,7 +330,7 @@ def test_data_efficiency_curve_monotone_on_clean_features():
     tr_f, te_f = feats[:900], feats[900:]
     tr_l, te_l = labels[:900], labels[900:]
     curve = data_efficiency_curve(tr_f, tr_l, te_f, te_l, sizes=(16, 64, 256),
-                                  repeats=4, cfg=ProbeConfig(epochs=10), seed=0)
+                                  repeats=4, seed=0)
     assert set(curve) == {16, 64, 256}
     assert all(len(v["aucs"]) == 4 for v in curve.values())
     means = [curve[n]["mean_auc"] for n in (16, 64, 256)]
