@@ -51,14 +51,29 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf tensor.  Frozen parameters never enter the graph."""
+    """Named leaf tensor.  Frozen parameters never enter the graph.
 
-    __slots__ = ("name", "frozen")
+    ``version`` counts the writes to ``data``: every in-place write goes
+    through ``write``, which adds one, so a value computed from the
+    parameter at one version is known to be stale at any other
+    (``ParamRegistry.memo``, ``LmState``)."""
+
+    __slots__ = ("name", "frozen", "version")
 
     def __init__(self, name: str, data, frozen: bool = False):
         super().__init__(data, requires_grad=not frozen)
         self.name = name
         self.frozen = frozen
+        self.version = 0
+
+    def write(self, value, ufunc=None) -> None:
+        """Set ``data`` to ``value``, or to ``ufunc(data, value)`` (say
+        ``np.subtract``), in place, and bump ``version``."""
+        if ufunc is None:
+            self.data[...] = value
+        else:
+            ufunc(self.data, value, out=self.data)
+        self.version += 1
 
     def freeze(self) -> None:
         self.frozen = True

@@ -211,14 +211,17 @@ def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: Clip
     """(N,) P(positive) for (N, proj_dim) unit image embeddings: mean
     positive/negative prompt cosine -> 2-way softmax.
 
-    The set's prompts are encoded once, in one padded text forward
-    (``ClipModel.embed_texts``).  The softmax takes the raw cosines; the
-    stored training temperature is not applied (it would rescale the margin
-    but leave the AUC ordering unchanged).
+    The set's prompts are encoded once per parameter state of the model, in
+    one padded text forward (``ClipModel.embed_texts``) that the model's
+    ``registry.memo`` keeps until a parameter is written; later calls, one
+    per image say, reuse it.  The softmax takes the raw cosines; the stored
+    training temperature is not applied (it would rescale the margin but
+    leave the AUC ordering unchanged).
     """
     prompt_set.validate()
-    prompts = prompt_set.positive + prompt_set.negative
-    cos = model.embed_texts([tokenize(p, vocab) for p in prompts]) @ np.asarray(image_emb).T
+    seqs = tuple(tuple(tokenize(p, vocab)) for p in prompt_set.positive + prompt_set.negative)
+    t_emb = model.registry.memo(("embed_texts", seqs), lambda: model.embed_texts(seqs))
+    cos = t_emb @ np.asarray(image_emb).T
     n_pos = len(prompt_set.positive)
     return softmax_pair(cos[:n_pos].mean(axis=0), cos[n_pos:].mean(axis=0))
 

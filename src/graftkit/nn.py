@@ -343,6 +343,11 @@ class DecoderLM:
     def digest(self) -> str:
         return self.reg.combined_digest("lm.")
 
+    def versions(self) -> tuple[int, ...]:
+        """The LM parameters' ``version``s: a decoding state is valid only at
+        the versions it was built at (``LmState.versions``)."""
+        return self.reg.versions("lm.")
+
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
 
@@ -445,7 +450,8 @@ class DecoderLM:
         its rows up to the longest prefix that every prompt shares with it are
         reused, keeping at least one token of each prompt to run
         (``LmState.cut``); a prefix that holds the prompt itself and its
-        logits is the state, and nothing runs.  The rest of all prompts runs
+        logits is the state, and nothing runs.  A prefix built at other
+        parameter versions of the LM is refused.  The rest of all prompts runs
         as one packed sequence: under a block-diagonal causal mask each prompt
         sees the reused rows and its own earlier tokens, at its own positions.
         """
@@ -463,6 +469,10 @@ class DecoderLM:
         if prefix is not None and ((prefix.soft is None) != (soft is None) or (
                 soft is not None and not np.array_equal(prefix.soft, soft))):
             raise ValueError("prefix state was built from other soft prompts")
+        versions = self.versions()
+        if prefix is not None and prefix.versions != versions:
+            raise ValueError("prefix state was built at other LM parameter versions: the LM's "
+                             "values were written since")
         if prefix is not None and prefix.logits is not None and prefix.ids == prompts:
             return prefix
         if prefix is not None and all(prompts):
@@ -471,7 +481,7 @@ class DecoderLM:
             parts = [self.embed_tokens(np.asarray(p[n:], dtype=np.int64)[None])
                      for p in prompts]
         else:
-            base = LmState(soft, ((),), (None,) * len(self.blocks), None, None)
+            base = LmState(soft, ((),), (None,) * len(self.blocks), None, None, versions)
             soft_t = None if soft is None else Tensor(soft[None])
             parts = [self._embed(soft_t, [p]) for p in prompts]
         n0, sizes = base.length, np.array([e.shape[1] for e in parts])
@@ -495,7 +505,7 @@ class DecoderLM:
             if (sizes < width).any():
                 mask = np.zeros((len(sizes), 1, 1, n0 + width))
                 mask[:, 0, 0, n0:][np.arange(width) >= sizes[:, None]] = NEG_INF
-        return LmState(soft, prompts, tuple(kv), logits, mask)
+        return LmState(soft, prompts, tuple(kv), logits, mask, versions)
 
     def extend(self, state: LmState, tokens) -> tuple[LmState, np.ndarray]:
         """(state after each row's ``tokens`` (B, m), the next-token logits
@@ -513,7 +523,7 @@ class DecoderLM:
                                    past=state.kv, last=[m - 1])
         logits = logits.data.reshape(-1, self.cfg.vocab_size)
         ids = tuple(r + tuple(t) for r, t in zip(state.ids, tokens.tolist()))
-        return LmState(state.soft, ids, tuple(kv), logits, mask), logits
+        return LmState(state.soft, ids, tuple(kv), logits, mask, state.versions), logits
 
     def decode(self, state: LmState, max_new: int = 64) -> list[list[int]]:
         """Greedy tokens for every row of ``state`` (``prefill``), decoded in
@@ -552,13 +562,15 @@ class LmState:
     each (B, heads, n, dh), where row b holds [soft prompts || ids[b]]
     right-padded to n under the additive key ``mask`` ((B, 1, 1, n), None
     when no row is padded), and the next-token logits (B, vocab) after each
-    row (None once cut).  States are never mutated."""
+    row (None once cut), built at the LM parameters' ``versions``
+    (``DecoderLM.versions``).  States are never mutated."""
 
     soft: np.ndarray | None
     ids: tuple[tuple[int, ...], ...]
     kv: tuple
     logits: np.ndarray | None
     mask: np.ndarray | None
+    versions: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -578,13 +590,14 @@ class LmState:
             raise ValueError(f"only a one-row state can be cut, not one of {len(self.ids)} rows")
         n = self.length - len(self.ids[0]) + n_ids
         return LmState(self.soft, (self.ids[0][:n_ids],),
-                       tuple((k[:, :, :n], v[:, :, :n]) for k, v in self.kv), None, None)
+                       tuple((k[:, :, :n], v[:, :, :n]) for k, v in self.kv), None, None,
+                       self.versions)
 
     def rows(self, keep: np.ndarray) -> LmState:
         """The rows where the boolean ``keep`` is set."""
         return LmState(self.soft, tuple(r for r, k in zip(self.ids, keep) if k),
                        tuple((k[keep], v[keep]) for k, v in self.kv), self.logits[keep],
-                       None if self.mask is None else self.mask[keep])
+                       None if self.mask is None else self.mask[keep], self.versions)
 
 
 def greedy_decode(logits: np.ndarray, step: Callable[[list, list], np.ndarray],

@@ -52,7 +52,7 @@ class SgdMomentum(_Optimizer):
             v = self.v[p.name]
             v *= self.momentum
             v += g
-            p.data -= self.lr * v
+            p.write(self.lr * v, np.subtract)
 
 
 class Adam(_Optimizer):
@@ -83,7 +83,7 @@ class Adam(_Optimizer):
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.write(self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps), np.subtract)
 
 
 class Lars(_Optimizer):
@@ -119,5 +119,5 @@ class Lars(_Optimizer):
             v = self.v[p.name]
             v *= self.momentum
             v += self.local_lr(w_norm, g_norm) * g
-            p.data -= self.lr * v
+            p.write(self.lr * v, np.subtract)
 

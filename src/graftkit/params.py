@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import threading
 import typing
 from dataclasses import is_dataclass, make_dataclass
 from pathlib import Path
@@ -32,10 +33,14 @@ def digest_array(arr: np.ndarray) -> str:
 
 
 class ParamRegistry:
-    """Named parameters with per-parameter frozen status and content digests."""
+    """Named parameters with per-parameter frozen status and content digests,
+    and a memo of values computed from them (``memo``)."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._memo: dict = {}
+        self._memo_versions: tuple = ()
+        self._memo_lock = threading.Lock()
 
     def param(self, name: str, data, frozen: bool = False) -> Parameter:
         if name in self._params:
@@ -59,6 +64,31 @@ class ParamRegistry:
     def freeze(self, prefix: str = "") -> None:
         for p in self.select(prefix):
             p.freeze()
+
+    def versions(self, prefix: str = "") -> tuple[int, ...]:
+        """Each parameter's ``version`` under ``prefix``, in registration order."""
+        return tuple(p.version for n, p in self._params.items() if n.startswith(prefix))
+
+    def memo(self, key, compute) -> np.ndarray:
+        """The array ``compute()`` returns, computed once per hashable ``key``
+        for as long as no parameter is written.  The memo holds entries for
+        one tuple of ``versions()``: the first call after a write to any
+        parameter drops them all.  The array is read-only, and bit for bit
+        what ``compute()`` returns at the current versions; one computed
+        while a parameter was written is returned but not kept."""
+        with self._memo_lock:
+            versions = self.versions()
+            if versions != self._memo_versions:
+                self._memo, self._memo_versions = {}, versions
+            hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        value = compute()
+        value.setflags(write=False)
+        with self._memo_lock:
+            if self.versions() == versions:
+                value = self._memo.setdefault(key, value)
+        return value
 
     def digest(self, name: str) -> str:
         return digest_array(self._params[name].data)
@@ -88,7 +118,7 @@ class ParamRegistry:
             if shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
         for name, arr in values.items():
-            self._params[name].data[...] = arr
+            self._params[name].write(arr)
         for name, flag in (frozen or {}).items():
             if flag:
                 self._params[name].freeze()

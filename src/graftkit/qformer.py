@@ -290,12 +290,15 @@ def zero_shot_scores_b(query_proj: np.ndarray, prompt_set, model: QFormerModel,
     """(N,) P(positive) for (N, Q, proj_dim) query projections: max
     query-token cosine per prompt; max over each list; 2-way softmax.
 
-    The set's prompts are encoded once, in one padded text forward
-    (``QFormerModel.text_cls_projs``).
+    The set's prompts are encoded once per parameter state of the model, in
+    one padded text forward (``QFormerModel.text_cls_projs``) that the
+    model's ``registry.memo`` keeps until a parameter is written; later
+    calls, one per image say, reuse it.
     """
     prompt_set.validate()
-    prompts = prompt_set.positive + prompt_set.negative
-    t_proj = model.text_cls_projs([tokenize(p, vocab, model.cfg.text_max_len) for p in prompts])
+    seqs = tuple(tuple(tokenize(p, vocab, model.cfg.text_max_len))
+                 for p in prompt_set.positive + prompt_set.negative)
+    t_proj = model.registry.memo(("text_cls_projs", seqs), lambda: model.text_cls_projs(seqs))
     best = (query_proj @ t_proj.T).max(axis=1)  # (N, Q, P) -> (N, P)
     n_pos = len(prompt_set.positive)
     return softmax_pair(best[:, :n_pos].max(axis=1), best[:, n_pos:].max(axis=1))
@@ -551,7 +554,7 @@ class Phase2Bridge:
         self.fc1 = Linear(reg, "bridge.fc1", q_dim, hidden, rng)
         self.fc2 = Linear(reg, "bridge.fc2", hidden, lm_dim, rng)
         if init_bias is not None:
-            self.fc2.b.data[...] = init_bias
+            self.fc2.b.write(init_bias)
 
     def __call__(self, q_out: Tensor) -> Tensor:
         return self.fc2(ag.gelu(self.fc1(q_out)))

@@ -25,8 +25,11 @@ class ElixrBundle:
     that produces soft prompts for the frozen LM.
 
     The bundle also keeps the LM state of the last reviewer prompt
-    (``review``), for as long as the bundle lives; the LM is frozen, so that
-    state stays valid.  A bundle is therefore not shared across threads.
+    (``review``), for as long as the bundle lives and the LM's parameters
+    are not written: frozen parameters can still be overwritten
+    (``ParamRegistry.load_values``), and a state built at other parameter
+    versions is dropped, not forked from.  A bundle is therefore not shared
+    across threads.
     """
 
     clip: ClipModel
@@ -71,7 +74,8 @@ class ElixrBundle:
         """Greedy answers of up to 64 tokens from the frozen LM, one per
         question: every question forks from the prepared dialog in one packed
         prefill, and the answers decode in lockstep (``DecoderLM.prefill`` /
-        ``decode``)."""
+        ``decode``).  An image prepared before the LM's values were written
+        is refused."""
         prompts = [tokenize(vqa_prompt_body(prepared.impression, q), self.vocab, max_len=None,
                             lead=None) for q in questions]
         for prompt_ids in prompts:
@@ -90,14 +94,17 @@ class ElixrBundle:
         header and question lines with it runs only the rest; the response
         then decodes from the prompt's own state (a ``generate`` forked from
         that state runs no prompt token again).  The last prompt's state stays
-        on the bundle for the bundle's lifetime, so one bundle serves one
-        thread."""
+        on the bundle until the LM's parameters are written, so one bundle
+        serves one thread."""
         ids = tokenize(prompt, self.vocab, max_len=None, lead=None)
         limit = self.lm.cfg.max_len
         if len(ids) + 16 > limit:
             raise ValueError(f"reviewer prompt of {len(ids)} tokens plus 16 answer tokens "
                              f"exceeds the LM context of {limit} tokens")
-        self._review_state = self.lm.prefill(None, [ids], prefix=self._review_state)
+        last = self._review_state
+        if last is not None and last.versions != self.lm.versions():
+            last = None  # built before the LM's values were written: start afresh
+        self._review_state = self.lm.prefill(None, [ids], prefix=last)
         out = self.lm.generate(None, ids, max_new=32, prefix=self._review_state)
         return detokenize(out, self.vocab)
 

@@ -11,6 +11,7 @@ from graftkit.clip_stage import (
 )
 from graftkit.corpus import CorpusSpec, generate_corpus
 from graftkit.nn import ImageEncoderConfig
+from graftkit.params import ParamRegistry
 from helpers import TWO_FINDING_PREVALENCE, finite_diff_check
 
 
@@ -71,6 +72,7 @@ class _StubClip:
     def __init__(self, cosines):
         self.cosines = cosines
         self.cfg = ClipConfig()
+        self.registry = ParamRegistry()
 
     def image_embeddings(self, images):
         return Tensor(np.array([[1.0, 0.0]]))

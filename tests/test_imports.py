@@ -9,7 +9,8 @@ class or ``<Class>.<name>``.  Every defaulted parameter of a graftkit function
 or method is set by some call in src/ or perfbench/, except the options in
 ``AWAITING_REPORT_OPTIONS``, and so is every defaulted field of a graftkit
 dataclass that is not read from a file.  No graftkit module parses JSON
-outside ``params.read_json``."""
+outside ``params.read_json``, and none writes to a ``.data`` in place outside
+``Parameter.write``, which bumps the parameter's version."""
 
 import ast
 import re
@@ -577,3 +578,80 @@ def test_json_is_parsed_only_by_the_reader():
     """Every JSON file goes through ``read_json`` and ``decode``, which name
     the file and the field of a bad input."""
     assert json_parses(ROOT) == []
+
+
+# --------------------------------------------------------------------------
+# parameter values written outside the one version-bumping method
+
+
+def _reaches_data(node) -> bool:
+    """Whether ``node`` is ``<x>.data``, or a subscript, attribute or call
+    result down a chain from one (``p.data[0]``, ``p.data.reshape(-1)``)."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+        if isinstance(node, ast.Attribute) and node.attr == "data":
+            return True
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return False
+
+
+def data_writes(root: Path) -> list[tuple[str, int]]:
+    """(module, line) of each in-place write to a ``.data`` in the graftkit
+    modules under ``root``: an assignment to or into one (``=``, ``-=``,
+    ``+=``, ``[...] =``) or a call's ``out=`` one, outside the bodies of
+    ``autograd.Parameter.write`` and of ``autograd.Tensor.__init__``, which
+    binds a new tensor's data."""
+    exempt = {("Parameter", "write"), ("Tensor", "__init__")}
+    found = []
+    for path in sorted((root / "src" / "graftkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for cls in tree.body if path.name == "autograd.py"
+                   and isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and (cls.name, fn.name) in exempt
+                   for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call):
+                targets = [k.value for k in node.keywords if k.arg == "out"]
+            else:
+                continue
+            if id(node) not in allowed and any(_reaches_data(t) for t in targets):
+                found.append((path.name, node.lineno))
+    return sorted(found)
+
+
+def test_data_write_checker_flags_all_but_the_version_bumping_method(tmp_path):
+    (tmp_path / "src/graftkit").mkdir(parents=True)
+    (tmp_path / "src/graftkit/autograd.py").write_text(
+        "import numpy as np\n"
+        "class Tensor:\n"
+        "    def __init__(self, data):\n"
+        "        self.data = data\n"
+        "class Parameter(Tensor):\n"
+        "    def write(self, value, ufunc=None):\n"
+        "        self.data[...] = value\n"
+        "        ufunc(self.data, value, out=self.data)\n"
+        "    def other(self, value):\n"
+        "        self.data = value\n")
+    (tmp_path / "src/graftkit/optim.py").write_text(
+        "import numpy as np\n"
+        "def step(p, d, buf):\n"
+        "    p.data -= d\n"
+        "    p.data += d\n"
+        "    p.data[...] = d\n"
+        "    p.data.reshape(-1)[0] = 1.0\n"
+        "    np.subtract(p.data, d, out=p.data)\n"
+        "    np.subtract(p.data, d, out=buf)\n"
+        "    buf -= p.data\n"
+        "    buf[...] = p.data\n"
+        "    p.write(d, np.subtract)\n")
+    assert data_writes(tmp_path) == [("autograd.py", 10), ("optim.py", 3), ("optim.py", 4),
+                                     ("optim.py", 5), ("optim.py", 6), ("optim.py", 7)]
+
+
+def test_parameter_values_are_written_only_by_the_version_bumping_method():
+    """A write that skips ``Parameter.write`` leaves the version as it was,
+    so ``ParamRegistry.memo`` and ``LmState`` would serve stale values."""
+    assert data_writes(ROOT) == []

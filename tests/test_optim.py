@@ -93,3 +93,13 @@ def test_deterministic_given_state():
 
     assert run() == run()
 
+
+
+def test_a_step_bumps_the_version_of_each_parameter_it_writes():
+    for make in (lambda ps: SgdMomentum(ps, lr=0.1, momentum=0.9),
+                 lambda ps: Adam(ps, lr=0.1), lambda ps: Lars(ps, lr=0.1)):
+        stepped, skipped = params_one(1.0, name="a"), params_one(1.0, name="b")
+        opt = make([stepped, skipped])
+        opt.step({"a": np.ones(4)})  # no gradient for "b": not written
+        opt.step({"a": np.ones(4)})
+        assert (stepped.version, skipped.version) == (2, 0)

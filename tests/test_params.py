@@ -383,3 +383,77 @@ def test_decode_names_a_missing_mistyped_or_unknown_field(x, data):
             ({**record, unknown: 0}, f"has an unknown field {unknown!r}")]:
         with pytest.raises(ValueError, match=re.escape(f"x.json: the record {message}")):
             decode("x.json", "the record", edited, kind)
+
+
+# --------------------------------------------------------------------------
+# parameter versions and the registry memo
+
+
+def test_write_bumps_the_version_and_writes_what_the_in_place_ops_write():
+    rng = np.random.default_rng(3)
+    a, d = rng.normal(0, 1, (3, 4)), rng.normal(0, 1e-3, (3, 4))
+    p = ParamRegistry().param("w", np.zeros((3, 4)))
+    assert p.version == 0
+    p.write(a)
+    assert p.version == 1 and p.data.tobytes() == a.tobytes()
+    p.write(d, np.subtract)
+    expected = a.copy()
+    expected -= d
+    assert p.version == 2 and p.data.tobytes() == expected.tobytes()
+
+
+def test_load_values_bumps_every_version_frozen_ones_too():
+    reg = small_registry()
+    reg.load_values(reg.snapshot())
+    assert reg.versions() == (1, 1, 1)
+    assert reg.versions("lm.") == (1,)
+
+
+def test_memo_computes_once_per_key_and_returns_a_read_only_array():
+    reg = small_registry()
+    calls = []
+
+    def compute(scale):
+        calls.append(scale)
+        return reg["enc.w"].data * scale
+
+    first = reg.memo(("x", 2), lambda: compute(2))
+    assert reg.memo(("x", 2), lambda: compute(2)) is first
+    assert calls == [2] and not first.flags.writeable
+    assert first.tobytes() == (reg["enc.w"].data * 2).tobytes()
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    reg.memo(("x", 3), lambda: compute(3))
+    assert calls == [2, 3]
+
+
+def test_memo_never_outlives_a_write_to_any_parameter():
+    reg = small_registry()
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return reg["enc.w"].data.sum(axis=0)
+
+    reg.memo("k", compute)
+    reg["lm.emb"].write(reg["lm.emb"].data)  # frozen, and not read by compute: still a write
+    reg.memo("k", compute)
+    assert len(calls) == 2
+    reg["enc.w"].write(np.ones((3, 4)), np.subtract)
+    fresh = reg.memo("k", compute)
+    assert len(calls) == 3 and fresh.tobytes() == reg["enc.w"].data.sum(axis=0).tobytes()
+
+
+def test_memo_keeps_nothing_computed_while_a_parameter_is_written():
+    reg = small_registry()
+    calls = []
+
+    def compute_and_write():
+        calls.append(1)
+        value = reg["enc.b"].data + 1.0
+        reg["enc.b"].write(value)
+        return value
+
+    reg.memo("k", compute_and_write)
+    reg.memo("k", compute_and_write)
+    assert len(calls) == 2

@@ -326,6 +326,7 @@ class _StubQFormer:
         # q_cosines: prompt name -> list of per-query cosines
         self.q_cosines = q_cosines
         self.cfg = tiny_cfg()
+        self.registry = ParamRegistry()
 
     def query_projections(self, grids):
         return Tensor(np.eye(3)[None])
@@ -556,7 +557,8 @@ def test_phase1_eval_encodes_each_image_and_prompt_set_once(monkeypatch):
     scored = [ps for ps in DEFAULT_PROMPT_SETS.values()
               if len({corpus.studies[i].labels[ps.finding] for i in eval_ids}) == 2]
     assert len(scored) >= 2
-    per_image = np.mean([auc([zero_shot_score_b(grids[i], ps, model, vocab) for i in eval_ids],
+    same = QFormerModel(tiny_cfg(len(vocab)), seed=0)  # its own prompt memo: model's stays cold
+    per_image = np.mean([auc([zero_shot_score_b(grids[i], ps, same, vocab) for i in eval_ids],
                              [corpus.studies[i].labels[ps.finding] for i in eval_ids])
                          for ps in scored])
     calls, original = [], QFormerModel.text_cls_projs

@@ -923,3 +923,36 @@ def test_review_after_another_case_equals_a_fresh_review(small_world):
     header = len(tokenize(T.REVIEWER_MISSING_TEMPLATE.split("{assessment}")[0], shared.vocab,
                           max_len=None, lead=None))
     assert 1 <= runs[0] <= n - header
+
+
+def test_lm_states_from_before_a_reload_of_the_lm_values_are_not_forked_from(small_world):
+    """Frozen LM parameters can still be overwritten (``load_values``): a
+    state built before is refused by ``prefill`` and dropped by ``review``."""
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    other = _vqa_bundle(small_world, 1400)
+    other.lm.reg.load_values(DecoderLM(ParamRegistry(), other.lm.cfg,
+                                       np.random.default_rng(7)).reg.snapshot())
+    prompt, next_prompt = T.make_reviewer_prompts(assessment_text(["no."] * 12),
+                                                  T.NORMAL_IMPRESSION)
+    bundle.review(prompt)
+    stale = bundle._review_state
+    prepared = bundle.prepare(corpus.studies[0].image)
+    bundle.lm.reg.load_values(other.lm.reg.snapshot())
+    assert bundle.lm.frozen
+    ids = tokenize(next_prompt, bundle.vocab, max_len=None, lead=None)
+    with pytest.raises(ValueError, match="other LM parameter versions"):
+        bundle.lm.prefill(None, [ids], prefix=stale)
+    with pytest.raises(ValueError, match="other LM parameter versions"):
+        bundle.answer(prepared, "is there a pleural effusion ?")
+    runs = []
+    run = bundle.lm._forward
+
+    def counting(emb, *args, **kwargs):
+        runs.append(emb.shape[1])
+        return run(emb, *args, **kwargs)
+
+    bundle.lm._forward = counting
+    assert bundle.review(next_prompt) == other.review(next_prompt)
+    assert runs[0] == len(ids)  # the whole prompt ran again
+    assert bundle._review_state.versions == bundle.lm.versions()
