@@ -169,7 +169,10 @@ def clip_loss(img_emb: Tensor, txt_emb: Tensor, temperature: float = 0.07) -> Te
 
 
 def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> tuple[ClipModel, list]:
-    """CLIP training on (image, selected report text) pairs."""
+    """CLIP training on (image, selected report text) pairs; ``steps`` below 0
+    raises ``ValueError`` before any work."""
+    if cfg.steps < 0:
+        raise ValueError(f"ClipConfig.steps must be >= 0, got {cfg.steps}")
     model = ClipModel(len(corpus.vocab), cfg, seed)
     opt = SgdMomentum(list(model.registry), lr=cfg.lr, momentum=cfg.momentum)
     order_rng = substream(seed, "batch-order")

@@ -7,18 +7,13 @@ frozen-graft contracts can be checked by content digest per prefix.
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
-import os
-import signal
-import threading
-import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import autograd as ag
+from . import partworker
 from .autograd import Parameter, Tape, Tensor
 from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
 
@@ -730,230 +725,18 @@ def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.nd
     return float(loss.data), tape.gradients(loss)
 
 
-def _lm_layout(lm: DecoderLM) -> tuple:
-    """What a worker is forked for: the LM's config, and the name, shape and
-    dtype of each parameter in order."""
-    return lm.cfg, tuple((p.name, p.data.shape, p.data.dtype.str) for p in lm.params())
+def _lm_model(cfg: LmConfig) -> DecoderLM:
+    """A trainable LM of ``cfg``, built in the worker; its weights are overwritten."""
+    return DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0))
 
 
-def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
-    """``copies`` sets of arrays shaped like the LM's parameters, in one
-    anonymous shared mapping: made before a fork, the child sees the same
-    pages.  A page is backed by memory only once written."""
-    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout[1]]
-    sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
-    buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
-    offset, out = 0, []
-    for _ in range(copies):
-        out.append({})
-        for (name, shape, dtype), size in zip(specs, sizes):
-            out[-1][name] = np.ndarray(shape, dtype, buffer=buf, offset=offset)
-            offset += size
-    return out
+def _lm_part(lm: DecoderLM, batch, i: int) -> tuple[float, dict[str, np.ndarray]]:
+    """Part i of a batch ``(parts, total)`` (``_part_grads``)."""
+    parts, total = batch
+    return _part_grads(lm, parts[i], total)
 
 
-class _PartCounter:
-    """A two-ended counter over one step's parts, in an anonymous shared
-    mapping guarded by a lock, both made before the fork: this process takes
-    parts from the front, the worker from the back, until none is left."""
-
-    def __init__(self, ctx):
-        self.lock = ctx.Lock()
-        self.ends = np.ndarray(2, np.int64, buffer=mmap.mmap(-1, 16))
-
-    def reset(self, n: int) -> None:
-        with self.lock:
-            self.ends[:] = 0, n
-
-    def claim(self, back: bool = False) -> int | None:
-        """The first (or last) unclaimed part, or None when none is left."""
-        with self.lock:
-            lo, hi = int(self.ends[0]), int(self.ends[1])
-            if lo >= hi:
-                return None
-            if back:
-                self.ends[1] = hi - 1
-                return hi - 1
-            self.ends[0] = lo + 1
-            return lo
-
-    def close(self) -> None:
-        """Leave nothing to claim, so that the other process stops."""
-        with self.lock:
-            self.ends[1] = self.ends[0]
-
-
-def _worker_main(conn, parent_end, layout, weights, slots, counter) -> None:
-    """Serve steps until the parent's end of the pipe closes.
-
-    A request is every part of a batch and the batch's target count.  The
-    weights are read from ``weights``; then parts are claimed from the back
-    of ``counter`` until none is left, and part i's gradients written to
-    ``slots[i]``, memory shared with the parent.  The reply names each part
-    computed here, with its loss share and the names of its gradients.  A
-    part that raises closes ``counter``, so that the parent stops too.
-
-    The fork copied the parent's end too; closing it here makes the parent's
-    exit, even by SIGKILL, an ``EOFError`` on the next ``recv``.  Ctrl-C is
-    left to the parent, which drops the worker when interrupted.
-    """
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    lm = None
-    while True:
-        try:
-            parts, total = conn.recv()
-        except (EOFError, OSError):  # the parent is gone
-            return
-        try:
-            if lm is None:
-                lm = DecoderLM(ParamRegistry(), layout[0], np.random.default_rng(0))
-            lm.reg.load_values(weights)
-            done = []
-            while (i := counter.claim(back=True)) is not None:
-                loss, grads = _part_grads(lm, parts[i], total)
-                for name, g in grads.items():
-                    slots[i][name][...] = g
-                done.append((i, loss, tuple(grads)))
-            reply = ("ok", done)
-        except Exception as exc:  # the parent re-raises it
-            counter.close()
-            reply = ("err", exc, traceback.format_exc())
-        try:
-            conn.send(reply)
-        except OSError:  # the parent is gone
-            return
-
-
-class _PartWorker:
-    """A forked process that computes parts of each step for one LM layout,
-    claiming them from the back of ``counter`` while the parent claims from
-    the front.
-
-    The weights go to it and its gradients come back through arrays in an
-    anonymous shared mapping made before the fork: one weight-sized set for
-    the weights and one per part (``1 + _MAX_PARTS`` sets), of which only
-    the parts it computes are written.  The pipe carries only the parts'
-    padded rows, a few kilobytes, and the reply.  Pickling the 4 MB of
-    weights and of gradients through the pipe instead cost 4-140 ms a step
-    on a 2-core VM, varying with how promptly each process was woken for
-    every 64 KB the pipe holds.
-
-    Fork rather than spawn: a spawned child re-imports the parent's
-    ``__main__``, which a script calling ``pretrain_lm`` at top level without
-    a main guard does not survive, while the forked child needs no import and
-    runs only numpy on what the pipe and the shared memory bring.  It is a
-    daemon, so the interpreter's exit stops it.
-    """
-
-    def __init__(self, lm: DecoderLM):
-        self.layout = _lm_layout(lm)
-        self.weights, *self.slots = _shared_arrays(self.layout, 1 + _MAX_PARTS)
-        ctx = multiprocessing.get_context("fork")
-        self.counter = _PartCounter(ctx)
-        self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_worker_main,
-                                args=(child_end, self.conn, self.layout, self.weights,
-                                      self.slots, self.counter),
-                                name="graftkit-lm-part", daemon=True)
-        self.proc.start()
-        child_end.close()  # so that a dead worker is an EOFError here, not a hang
-        self.owner = os.getpid()
-
-    def submit(self, lm: DecoderLM, parts, total: int) -> None:
-        """Open the counter on ``parts``, at most ``_MAX_PARTS``, and start the
-        worker claiming from the back."""
-        for p in lm.params():
-            self.weights[p.name][...] = p.data
-        self.counter.reset(len(parts))
-        self._io(self.conn.send, (parts, total))
-
-    def result(self) -> dict[int, tuple[float, dict[str, np.ndarray]]]:
-        """Part index -> (loss share, gradients) of each part the worker
-        computed since the last ``submit``; the worker's exception is
-        re-raised as the same type.  The gradients are views of the shared
-        memory, valid until the next ``submit``."""
-        reply = self._io(self.conn.recv)
-        if reply[0] == "err":
-            exc = reply[1]
-            if hasattr(exc, "add_note"):  # Python 3.11+
-                exc.add_note("raised in the LM training worker:\n" + reply[2])
-            raise exc
-        return {i: (loss, {name: self.slots[i][name] for name in names})
-                for i, loss, names in reply[1]}
-
-    def _io(self, op, *args):
-        """A dead worker or an interrupted transfer leaves the pipe out of
-        step, so the worker is dropped; the next step forks a new one."""
-        try:
-            return op(*args)
-        except BaseException as exc:
-            self.close()
-            if isinstance(exc, (EOFError, OSError)):
-                raise RuntimeError("the LM training worker exited") from exc
-            raise
-
-    def close(self) -> None:
-        self.conn.close()
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-
-
-_worker: _PartWorker | None = None
-# Held from a worker's ``submit`` to its ``result``: the worker has one pipe
-# and one set of slots, so a second thread training meanwhile runs inline.
-_worker_lock = threading.Lock()
-
-
-def _part_worker(lm: DecoderLM) -> _PartWorker | None:
-    """The process's LM training worker, forked on first use and again for
-    an LM of another layout, or None when fewer than two cores are available
-    to this process.  Call it holding ``_worker_lock``."""
-    global _worker
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cores or 1) < 2:
-        return None
-    if _worker is None or _worker.owner != os.getpid():  # a forked copy owns no worker
-        _worker = _PartWorker(lm)
-    elif not _worker.proc.is_alive() or _worker.layout != _lm_layout(lm):
-        _worker.close()
-        _worker = _PartWorker(lm)
-    return _worker
-
-
-def _claimed_grads(worker: _PartWorker, lm: DecoderLM, parts, total: int) -> tuple[list, int]:
-    """Each part's (loss share, gradients), in part order, with this process
-    claiming parts from the front and ``worker`` from the back; and how many
-    the worker computed.  If a part raises here, the counter is closed and
-    the worker's reply read, to keep the pipe in step, before re-raising."""
-    worker.submit(lm, parts, total)
-    results = {}
-    try:
-        while (i := worker.counter.claim()) is not None:
-            results[i] = _part_grads(lm, parts[i], total)
-    except BaseException:
-        worker.counter.close()
-        try:
-            worker.result()  # this error is the one raised
-        except Exception:
-            pass
-        raise
-    theirs = worker.result()
-    results.update(theirs)
-    return [results[i] for i in range(len(parts))], len(theirs)
-
-
-def _sum_parts(results) -> tuple[float, dict[str, np.ndarray]]:
-    """The parts' (loss share, gradients) added in part order, into arrays
-    of their own."""
-    loss, grads = 0.0, {}
-    for part_loss, part_grads in results:
-        loss += part_loss
-        for name, g in part_grads.items():
-            grads[name] = grads[name] + g if name in grads else g.copy()
-    return loss, grads
+_LM_PARTS = partworker.PartKind("LM", _lm_model, _lm_part, _MAX_PARTS)
 
 
 def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray], dict]:
@@ -972,19 +755,9 @@ def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarr
     total = sum(int(next_token_targets(*part)[1].sum()) for part in parts)
     if total == 0:
         raise ValueError("LM batch selects no target positions")
-    if len(parts) >= 2 and _worker_lock.acquire(blocking=False):
-        try:
-            worker = _part_worker(lm)
-            if worker is not None:
-                results, by_worker = _claimed_grads(worker, lm, parts, total)
-                # added up before the lock is released: the worker's
-                # gradients are shared memory that the next submit overwrites
-                return *_sum_parts(results), {"parent": len(parts) - by_worker,
-                                              "worker": by_worker}
-        finally:
-            _worker_lock.release()
-    results = [_part_grads(lm, part, total) for part in parts]
-    return *_sum_parts(results), {"parent": len(parts), "worker": 0}
+    losses, grads, split = partworker.run_parts(_LM_PARTS, (lm.cfg,), lm, (parts, total),
+                                                len(parts))
+    return sum(losses), grads, split
 
 
 def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
@@ -1003,13 +776,14 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     row order and one Adam step is taken.  A one-row batch is one part, and
     its factor is exactly 1.0.
 
-    When at least two cores are available, a worker process shares each
-    step's parts with this one: this process claims them one at a time from
-    the front, the worker from the back, from a counter in shared memory,
-    until none is left.  The worker is forked on the first step that needs
-    it and reused for the life of the process across calls (forked again
-    for an LM of another shape); one thread at a time uses it, and another
-    thread training meanwhile computes its parts here.  Each part is the
+    When at least two cores are available, the LM's worker process
+    (``partworker``) shares each step's parts with this one: this process
+    claims them one at a time from the front, the worker from the back,
+    from a counter in shared memory, until none is left.  The worker is
+    forked on the first step that needs it and reused for the life of the
+    process across calls (forked again for an LM of another shape); one
+    thread at a time uses a worker, and another thread training meanwhile
+    computes its parts here.  Each part is the
     same function on the same arrays whoever computes it, and the sum's
     order is fixed, so the trained bits depend neither on which process
     computed which part nor on the core count.

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autograd as ag
+from . import partworker
 from .autograd import Tape, Tensor
 from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
@@ -122,6 +123,9 @@ class QFormerModel:
         self.itm_head = Linear(reg, "qf.itm_head", cfg.dim, 2, rng)  # [matched, unmatched]
         self.itg_head = Linear(reg, "qf.itg_head", cfg.dim, cfg.vocab_size, rng, scale=0.02)
         self.pos = sinusoid_table(cfg.text_max_len, cfg.dim) * 0.02
+
+    def params(self) -> list:
+        return list(self.registry)
 
     # -- forward
 
@@ -398,21 +402,42 @@ def _phase1_batch(corpus, grids, ids, vocab, cfg):
     return grids[ids], pad_batch(cls_seqs, pad), pad_batch(itg_seqs, pad)
 
 
+def _phase1_itm_loss(model, batch_grids, cls_batch, mismatch_idx) -> Tensor:
+    """ITM on matched pairs plus, per image, the in-batch text ``mismatch_idx``
+    picks."""
+    cls_tokens, cls_lengths = cls_batch
+    n = batch_grids.shape[0]
+    return itm_loss(model, np.concatenate([batch_grids, batch_grids]),
+                    np.concatenate([cls_tokens, cls_tokens[mismatch_idx]]),
+                    np.concatenate([cls_lengths, cls_lengths[mismatch_idx]]),
+                    np.concatenate([np.ones(n, bool), np.zeros(n, bool)]))
+
+
 def phase1_losses(model, batch_grids, q_proj, cls_batch, itg_batch, mismatch_idx):
     """The three objectives on one batch of grids and their query projections;
     ITM sees matched pairs plus one uniformly drawn in-batch mismatched text
     per image."""
-    cls_tokens, cls_lengths = cls_batch
-    itg_tokens, itg_lengths = itg_batch
-    l_itc = itc_loss(model, q_proj, cls_tokens, cls_lengths)
-    l_itg = itg_loss(model, batch_grids, itg_tokens, itg_lengths)
-    n = batch_grids.shape[0]
-    itm_grids = np.concatenate([batch_grids, batch_grids])
-    itm_tokens = np.concatenate([cls_tokens, cls_tokens[mismatch_idx]])
-    itm_lengths = np.concatenate([cls_lengths, cls_lengths[mismatch_idx]])
-    matched = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
-    l_itm = itm_loss(model, itm_grids, itm_tokens, itm_lengths, matched)
-    return l_itc, l_itg, l_itm
+    return (itc_loss(model, q_proj, *cls_batch), itg_loss(model, batch_grids, *itg_batch),
+            _phase1_itm_loss(model, batch_grids, cls_batch, mismatch_idx))
+
+
+def _phase1_part(model, batch, i: int) -> tuple[float, dict[str, np.ndarray]]:
+    """(loss, gradients) of objective i of a phase-1 step ``(grids, cls
+    batch, itg batch, mismatch)``: ITC (0), ITG (1) or ITM (2), each on a
+    tape of its own.  ``query_projections`` feeds ITC only, so the three
+    share no activation."""
+    grids, cls_batch, itg_batch, mismatch = batch
+    with Tape() as tape:
+        if i == 0:
+            loss = itc_loss(model, model.query_projections(grids), *cls_batch)
+        elif i == 1:
+            loss = itg_loss(model, grids, *itg_batch)
+        else:
+            loss = _phase1_itm_loss(model, grids, cls_batch, mismatch)
+    return float(loss.data), tape.gradients(loss)
+
+
+_PHASE1_PARTS = partworker.PartKind("phase-1", QFormerModel, _phase1_part, 3)
 
 
 def _mismatch(rng, n: int) -> np.ndarray:
@@ -449,7 +474,21 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     loss) for scoring and search, best ITG loss for phase 2.  The AUC is the
     mean over the ``DEFAULT_PROMPT_SETS`` of the corpus's separable findings.
     ``metrics`` holds each selected checkpoint's eval metrics and step as
-    "scoring_metrics" / "itg_metrics"."""
+    "scoring_metrics" / "itg_metrics".  ``steps`` or ``eval_every`` below 1
+    raises ``ValueError`` before any work.
+
+    Each step is three parts in a fixed order, ITC, ITG and ITM, each the
+    gradient of one objective on a tape of its own (``_phase1_part``); they
+    share no activation.  When at least two cores are available, the
+    phase-1 worker process (``partworker``) takes parts from the back while
+    this process takes them from the front; the worker is forked on first
+    use and reused across calls (forked again for another ``QFormerConfig``).
+    The gradients are added in part order and the logged total is (ITC +
+    ITG) + ITM, so the bits depend neither on which process computed which
+    part nor on the core count.  Evaluation runs in this process."""
+    for name in ("steps", "eval_every"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"Phase1Config.{name} must be >= 1, got {getattr(cfg, name)}")
     train_ids, eval_ids = split_studies(len(corpus), PHASE1_HELD_OUT, eval_ids)
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
@@ -461,7 +500,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     clip_digest_before = clip_model.tower_digests()
 
     model = QFormerModel(qcfg, seed)
-    opt = Adam(list(model.registry), lr=cfg.lr)
+    opt = Adam(model.params(), lr=cfg.lr)
     order_rng = substream(seed, "batch-order.phase1")
     neg_rng = substream(seed, "itm-negatives")
     eval_rng = substream(seed, "phase1-eval")
@@ -494,19 +533,15 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
         ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
                                replace=False)
         ids = np.asarray([train_ids[int(i)] for i in ids])
-        batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, ids, vocab, qcfg)
-        mismatch = _mismatch(neg_rng, len(ids))
-        with Tape() as tape:
-            l_itc, l_itg, l_itm = phase1_losses(model, batch_grids,
-                                                model.query_projections(batch_grids),
-                                                cls_batch, itg_batch, mismatch)
-            total = ag.add(ag.add(l_itc, l_itg), l_itm)
-        grads = tape.gradients(total)
+        batch = (*_phase1_batch(corpus, grids, ids, vocab, qcfg), _mismatch(neg_rng, len(ids)))
+        # the worker's model takes this one's weights each step: its seed is moot
+        (l_itc, l_itg, l_itm), grads, _ = partworker.run_parts(_PHASE1_PARTS, (qcfg, 0), model,
+                                                               batch, 3)
         opt.step(grads)
-        history.append({"step": step, "itc": float(l_itc.data), "itg": float(l_itg.data),
-                        "itm": float(l_itm.data), "total": float(total.data)})
+        total = l_itc + l_itg + l_itm
+        history.append({"step": step, "itc": l_itc, "itg": l_itg, "itm": l_itm, "total": total})
         if log and step % 200 == 0:
-            log(f"phase1 step {step} total {total.data:.4f}")
+            log(f"phase1 step {step} total {total:.4f}")
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
             evaluate(step)
 
@@ -597,6 +632,8 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     frozen LM (``phase2_step``); the LM passes gradient only to its soft
     prompts.
     """
+    if cfg.steps < 0:
+        raise ValueError(f"Phase2Config.steps must be >= 0, got {cfg.steps}")
     if not lm.frozen:
         raise RuntimeError("phase 2 requires a frozen LM")
     train_ids, eval_ids = split_studies(len(corpus), PHASE2_HELD_OUT, eval_ids)

@@ -9,8 +9,9 @@ class or ``<Class>.<name>``.  Every defaulted parameter of a graftkit function
 or method is set by some call in src/ or perfbench/, except the options in
 ``AWAITING_REPORT_OPTIONS``, and so is every defaulted field of a graftkit
 dataclass that is not read from a file.  No graftkit module parses JSON
-outside ``params.read_json``, and none writes to a ``.data`` in place outside
-``Parameter.write``, which bumps the parameter's version."""
+outside ``params.read_json``, none writes to a ``.data`` in place outside
+``Parameter.write``, which bumps the parameter's version, and none but
+``partworker`` imports ``multiprocessing``, ``mmap`` or ``signal``."""
 
 import ast
 import re
@@ -655,3 +656,46 @@ def test_parameter_values_are_written_only_by_the_version_bumping_method():
     """A write that skips ``Parameter.write`` leaves the version as it was,
     so ``ParamRegistry.memo`` and ``LmState`` would serve stale values."""
     assert data_writes(ROOT) == []
+
+
+# --------------------------------------------------------------------------
+# process machinery outside the part worker
+
+
+PROCESS_MODULES = ("multiprocessing", "mmap", "signal")
+
+
+def process_imports(root: Path) -> list[tuple[str, int]]:
+    """(module, line) of each import of ``PROCESS_MODULES`` (or of a
+    submodule or name from one) in the graftkit modules under ``root``
+    other than ``partworker.py``."""
+    found = []
+    for path in sorted((root / "src" / "graftkit").glob("*.py")):
+        if path.name == "partworker.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] in PROCESS_MODULES for n in names):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_process_import_checker_flags_all_but_the_worker_module(tmp_path):
+    (tmp_path / "src/graftkit").mkdir(parents=True)
+    (tmp_path / "src/graftkit/partworker.py").write_text("import mmap\nimport signal\n")
+    (tmp_path / "src/graftkit/m.py").write_text(
+        "import os, mmap\nfrom multiprocessing import get_context\n"
+        "import multiprocessing.shared_memory\nfrom . import signal\nimport signals\n"
+        "def f():\n    import signal\n")
+    assert process_imports(tmp_path) == [("m.py", 1), ("m.py", 2), ("m.py", 3), ("m.py", 7)]
+
+
+def test_only_the_worker_module_starts_or_signals_processes():
+    """Processes, shared memory and signal handlers live in ``partworker``,
+    so the model modules hold models only."""
+    assert process_imports(ROOT) == []

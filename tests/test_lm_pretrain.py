@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graftkit import nn
+from graftkit import nn, partworker
 from graftkit.autograd import Tape
 from graftkit.optim import Adam
 from graftkit.params import ParamRegistry
@@ -126,8 +126,8 @@ def test_a_batch_without_targets_raises():
 @needs_two_cores
 def test_worker_and_inline_runs_are_bitwise_equal(monkeypatch):
     submitted = []
-    submit = nn._PartWorker.submit
-    monkeypatch.setattr(nn._PartWorker, "submit",
+    submit = partworker._PartWorker.submit
+    monkeypatch.setattr(partworker._PartWorker, "submit",
                         lambda self, *a: (submitted.append(1), submit(self, *a))[1])
     with_worker = trained()
     n_submitted = len(submitted)
@@ -225,9 +225,10 @@ def test_a_slow_parent_leaves_more_parts_to_the_worker(monkeypatch):
 @needs_two_cores
 def test_two_calls_share_one_worker():
     trained()
-    first = nn._worker.proc.pid
+    first = partworker._workers["LM"].proc.pid
     trained(seed=4)
-    assert nn._worker.proc.pid == first and nn._worker.proc.is_alive()
+    worker = partworker._workers["LM"].proc
+    assert worker.pid == first and worker.is_alive()
 
 
 @needs_two_cores
@@ -246,9 +247,9 @@ def test_a_failing_part_is_reraised_and_the_next_call_works(monkeypatch, bad_par
         nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1))
     from_worker = any("LM training worker" in n for n in getattr(info.value, "__notes__", []))
     assert from_worker == (len(rows[bad_part]) not in parent_lengths)
-    worker = nn._worker
+    worker = partworker._workers["LM"]
     assert trained() == ref  # the pipe is in step: no stale reply is read
-    assert nn._worker is worker
+    assert partworker._workers["LM"] is worker
 
 
 @needs_two_cores
@@ -258,7 +259,8 @@ def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
     total = sum(int(nn.next_token_targets(*part)[1].sum()) for part in parts)
     part_grads = nn._part_grads
     monkeypatch.setattr(nn, "_part_grads", lambda *a: (time.sleep(0.05), part_grads(*a))[1])
-    worker = nn._PartWorker(lm)  # forked with parts that take 50 ms each
+    # forked with parts that take 50 ms each
+    worker = partworker._PartWorker(nn._LM_PARTS, (lm.cfg,), lm)
     claimed = []
     result = worker.result
     worker.result = lambda: (r := result(), claimed.append(sorted(r)))[0]
@@ -276,10 +278,10 @@ def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
 
     try:
         monkeypatch.setattr(nn, "_part_grads", parent_part(fail=False))
-        nn._claimed_grads(worker, lm, parts, total)
+        partworker._claimed_grads(worker, lm, (parts, total), len(parts))
         monkeypatch.setattr(nn, "_part_grads", parent_part(fail=True))
         with pytest.raises(ValueError, match="bad part"):
-            nn._claimed_grads(worker, lm, parts, total)
+            partworker._claimed_grads(worker, lm, (parts, total), len(parts))
     finally:
         worker.close()
     assert claimed[0] == list(range(1, 8))
@@ -289,13 +291,13 @@ def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
 @needs_two_cores
 def test_a_dead_worker_raises_instead_of_hanging():
     lm, data = tiny_lm(), dataset()
-    worker = nn._PartWorker(lm)
+    worker = partworker._PartWorker(nn._LM_PARTS, (lm.cfg,), lm)
     worker.proc.kill()
     worker.proc.join(timeout=5)
     assert worker.conn.poll(5)  # end of file, since the parent holds no copy of the child's end
     part = nn._pad_batch(data, [0], lm.cfg.pad_id)
     with pytest.raises(RuntimeError, match="worker exited"):
-        worker.submit(lm, [part, part], 10)
+        worker.submit(lm, ([part, part], 10), 2)
         worker.result()
     assert not worker.proc.is_alive()
 
@@ -331,7 +333,7 @@ def test_bad_training_input_is_rejected_up_front(field, data, match):
 TRAIN_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
-    from graftkit import nn
+    from graftkit import nn, partworker
     from graftkit.params import ParamRegistry
 
     lm = nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=30, dim=32, blocks=2, heads=2,
@@ -339,7 +341,7 @@ TRAIN_SCRIPT = textwrap.dedent("""
     data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(16)]
 
     def log(_):
-        print(nn._worker.proc.pid, flush=True)
+        print(partworker._workers["LM"].proc.pid, flush=True)
 
     nn.pretrain_lm(lm, data, nn.LmTrainConfig(steps=int(sys.argv[1])), log=log)
 """)

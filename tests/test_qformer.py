@@ -1,21 +1,24 @@
-from dataclasses import asdict
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import graftkit.autograd as ag
+from graftkit import partworker, qformer
 from graftkit.autograd import Tape, Tensor
-from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet
+from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet,
+                                 train_elixr_c)
 from graftkit.corpus import CorpusSpec, build_vocab, detokenize, generate_corpus, tokenize
 from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
-    Phase1Config, Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, generate_impression,
+    Phase1Config, Phase2Bridge, Phase2Config, QFormerConfig, QFormerModel, _self_mask, generate_impression,
     itc_loss, itg_decoder, itg_loss, itm_loss, load_qformer, pairwise_similarity, phase1_eval, phase1_train,
-    phase2_eval, phase2_step, soft_prompts_for_grid, zero_shot_score_b,
+    phase2_eval, phase2_step, phase2_train, soft_prompts_for_grid, zero_shot_score_b,
 )
 from graftkit.stats import auc
-from helpers import finite_diff_check
+from helpers import finite_diff_check, phase1_step_oracle
 
 
 def tiny_cfg(vocab=40, **kw):
@@ -490,11 +493,15 @@ def test_phase2_step_refuses_an_unfrozen_lm(model):
         phase2_step(model, bridge, lm, grids, targets)
 
 
-def test_phase1_train_leaves_caller_config_unchanged():
-    corpus = generate_corpus(3, CorpusSpec(n_studies=6))
-    clip = ClipModel(len(corpus.vocab),
+def tiny_clip(corpus):
+    return ClipModel(len(corpus.vocab),
                      ClipConfig(image=ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2),
                                 text_dim=16, text_blocks=1, text_heads=2, proj_dim=8), seed=0)
+
+
+def test_phase1_train_leaves_caller_config_unchanged():
+    corpus = generate_corpus(3, CorpusSpec(n_studies=6))
+    clip = tiny_clip(corpus)
     cfg = Phase1Config(steps=1, eval_every=1,
                        qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
     models, _, _ = phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
@@ -591,3 +598,108 @@ def test_phase1_eval_runs_the_itc_query_forward_once(monkeypatch):
     phase1_eval(model, corpus, grids, eval_ids, DEFAULT_PROMPT_SETS, corpus.vocab,
                 np.random.default_rng(0))
     assert query_forwards == [True]
+
+
+# ---------------------------------------------------------------------------
+# phase 1's step in three parts (ITC, ITG, ITM), in one or two processes
+
+
+def phase1_batch(cfg, n=4, seed=0):
+    """A phase-1 step's batch: grids, [CLS] and ITG texts, one mismatch each."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 9, n)
+    tokens = rng.integers(1, cfg.vocab_size, (n, int(lengths.max())))
+    return (rand_grids(n, cfg, seed), (tokens, lengths), (tokens, lengths),
+            qformer._mismatch(rng, n))
+
+
+def test_split_phase1_step_matches_the_one_tape_step(model):
+    batch = phase1_batch(model.cfg)
+    losses, grads, split = partworker.run_parts(qformer._PHASE1_PARTS, (model.cfg, 0), model,
+                                                batch, 3)
+    ref_loss, ref = phase1_step_oracle(model, batch)
+    assert sum(losses) == ref_loss  # the same association: (ITC + ITG) + ITM
+    assert sum(split.values()) == 3
+    assert grads.keys() == ref.keys()
+    # the three gradients are added in another order than the one tape adds
+    # them, so low bits differ; some entries (key biases) are zero up to
+    # rounding, hence the scale of the largest entry
+    scale = max(np.abs(r).max() for r in ref.values())
+    for name, g in grads.items():
+        assert np.abs(g - ref[name]).max() <= 1e-12 * scale, name
+
+
+def phase1_run():
+    corpus = generate_corpus(3, CorpusSpec(n_studies=12))
+    cfg = Phase1Config(steps=4, eval_every=2, qformer=tiny_cfg(vocab=0, blocks=1,
+                                                                 text_max_len=32))
+    models, history, meta = phase1_train(corpus, tiny_clip(corpus), cfg, seed=5,
+                                         eval_ids=[10, 11])
+    return history, meta, {k: m.registry.combined_digest() for k, m in models.items()}
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker runs only with two cores")
+def test_phase1_worker_and_inline_runs_are_bitwise_equal(monkeypatch):
+    submitted = []
+    submit = partworker._PartWorker.submit
+    monkeypatch.setattr(partworker._PartWorker, "submit",
+                        lambda self, *a: (submitted.append(self.kind.name), submit(self, *a))[1])
+    with_worker = phase1_run()
+    assert submitted == ["phase-1"] * 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert phase1_run() == with_worker
+    assert len(submitted) == 4
+
+
+def test_two_phase1_runs_are_bitwise_equal():
+    assert phase1_run() == phase1_run()
+
+
+def test_phase1_logs_the_one_tape_association_of_the_total(monkeypatch):
+    run_parts = partworker.run_parts
+
+    def tiny_tail(*args):
+        _, grads, split = run_parts(*args)
+        return [1.0, 2.0 ** -53, 2.0 ** -53], grads, split
+
+    monkeypatch.setattr(partworker, "run_parts", tiny_tail)
+    # (1 + u) + u rounds to 1 twice; 1 + (u + u) is the next float above 1
+    assert all(h["total"] == 1.0 for h in phase1_run()[0])
+
+
+def _stage_call(stage, value):
+    """A call of training ``stage`` with its config's field set to ``value``."""
+    corpus = generate_corpus(3, CorpusSpec(n_studies=6))
+    clip = tiny_clip(corpus)
+    if stage == "clip":
+        cfg = replace(clip.cfg, steps=value)
+        return lambda: train_elixr_c(corpus, cfg)
+    if stage == "phase2":
+        lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(corpus.vocab), dim=16, blocks=1,
+                                                 heads=2, max_len=32), np.random.default_rng(9))
+        lm.freeze()
+        itg = QFormerModel(tiny_cfg(len(corpus.vocab)), seed=0)
+        return lambda: phase2_train(corpus, clip, itg, lm, Phase2Config(steps=value))
+    field = stage.split(".")[1]
+    cfg = Phase1Config(**{"steps": 2, "eval_every": 1, field: value},
+                       qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
+    return lambda: phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
+
+
+@pytest.mark.parametrize("stage, value, match", [
+    ("phase1.steps", 0, "Phase1Config.steps"),
+    ("phase1.steps", -1, "Phase1Config.steps"),
+    ("phase1.eval_every", 0, "Phase1Config.eval_every"),
+    ("phase1.eval_every", -2, "Phase1Config.eval_every"),
+    ("clip", -1, "ClipConfig.steps"),
+    ("phase2", -1, "Phase2Config.steps"),
+])
+def test_bad_stage_config_is_rejected_before_any_model_is_built(monkeypatch, stage, value, match):
+    call = _stage_call(stage, value)
+
+    def no_model(*_):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(ParamRegistry, "param", no_model)
+    with pytest.raises(ValueError, match=match):
+        call()
