@@ -28,8 +28,8 @@ from .params import (decode, load_checkpoint, read_json, read_manifest, save_che
                      ParamRegistry)
 from .probe import data_efficiency_curve, embed_for_probe
 from .qa import build_qa_cases, grade_qa_case, run_qa_pipeline
-from .qformer import (PHASE1_HELD_OUT, PHASE2_HELD_OUT, Phase1Config, Phase2Config, load_bridge,
-                      load_qformer, phase1_train, phase2_train, save_phase2, loss_log_to_csv,
+from .qformer import (PHASE2_HELD_OUT, Phase1Config, Phase2Config, load_bridge, load_qformer,
+                      phase1_split, phase1_train, phase2_train, save_phase2, loss_log_to_csv,
                       split_studies, zero_shot_scores_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c
 from .stats import auc, bootstrap_ci, ndcg_at_k, permutation_test, precision_at_k
@@ -160,7 +160,7 @@ def cmd_train_c(args, out):
 
 def cmd_train_b1(args, out):
     corpus = load_corpus(args.corpus)
-    split_studies(len(corpus), PHASE1_HELD_OUT)  # a corpus with no study to train on stops here
+    phase1_split(len(corpus))  # a corpus with too few studies to train on stops here
     clip_model = _load("clip", args, corpus)
     cfg = Phase1Config(steps=args.steps or Phase1Config.steps)
     cfg.qformer.vocab_size = len(corpus.vocab)
@@ -266,6 +266,12 @@ def cmd_probe(args, out):
             if not 2 <= size <= n_train:  # a probe trains on both classes
                 raise UsageError(f"--sizes {size} is outside 2..{n_train}, the training split "
                                  f"of the corpus's {len(corpus)} studies")
+        labels = [s.labels[args.finding] for s in corpus.studies]
+        for split, part in (("training", labels[:n_train]), ("test", labels[n_train:])):
+            for value, name in ((1, "positive"), (0, "negative")):
+                if value not in part:  # a probe trains and is scored on both classes
+                    raise UsageError(f"--finding {args.finding} has no {name} study in the "
+                                     f"{split} split of the corpus's {len(corpus)} studies")
 
     corpus, clip_model, qf = _load_encoders(args, check)
     feats = embed_for_probe(np.stack([s.image for s in corpus.studies]), args.variant,

@@ -725,18 +725,13 @@ def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.nd
     return float(loss.data), tape.gradients(loss)
 
 
-def _lm_model(cfg: LmConfig) -> DecoderLM:
-    """A trainable LM of ``cfg``, built in the worker; its weights are overwritten."""
-    return DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0))
-
-
 def _lm_part(lm: DecoderLM, batch, i: int) -> tuple[float, dict[str, np.ndarray]]:
     """Part i of a batch ``(parts, total)`` (``_part_grads``)."""
     parts, total = batch
     return _part_grads(lm, parts[i], total)
 
 
-_LM_PARTS = partworker.PartKind("LM", _lm_model, _lm_part, _MAX_PARTS)
+_LM_PARTS = partworker.PartKind("LM", _lm_part, _MAX_PARTS)
 
 
 def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray], dict]:
@@ -744,10 +739,8 @@ def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarr
     its parts each process computed: ``{"parent": n, "worker": m}``.
 
     The batch is computed as parts of ``ceil(B / _MAX_PARTS)`` consecutive
-    rows, each padded on its own, and the parts are added in part order.
-    With a worker free, this process claims parts from the front and the
-    worker from the back, each until none is left, so a faster core takes
-    more of them; otherwise every part runs here.
+    rows, each padded on its own, shared with the LM's worker process and
+    added in part order (``partworker.run_parts``).
     """
     size = -(-len(idx) // _MAX_PARTS)
     parts = [_pad_batch(dataset, idx[i:i + size], lm.cfg.pad_id)
@@ -755,8 +748,7 @@ def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarr
     total = sum(int(next_token_targets(*part)[1].sum()) for part in parts)
     if total == 0:
         raise ValueError("LM batch selects no target positions")
-    losses, grads, split = partworker.run_parts(_LM_PARTS, (lm.cfg,), lm, (parts, total),
-                                                len(parts))
+    losses, grads, split = partworker.run_parts(_LM_PARTS, lm, (parts, total), len(parts))
     return sum(losses), grads, split
 
 
@@ -776,17 +768,10 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     row order and one Adam step is taken.  A one-row batch is one part, and
     its factor is exactly 1.0.
 
-    When at least two cores are available, the LM's worker process
-    (``partworker``) shares each step's parts with this one: this process
-    claims them one at a time from the front, the worker from the back,
-    from a counter in shared memory, until none is left.  The worker is
-    forked on the first step that needs it and reused for the life of the
-    process across calls (forked again for an LM of another shape); one
-    thread at a time uses a worker, and another thread training meanwhile
-    computes its parts here.  Each part is the
-    same function on the same arrays whoever computes it, and the sum's
-    order is fixed, so the trained bits depend neither on which process
-    computed which part nor on the core count.
+    When at least two cores are available, the LM's worker process shares
+    each step's parts with this one (``partworker``); the trained bits
+    depend neither on which process computed which part nor on the core
+    count.
 
     The stats hold ``parts``: how many parts this process and the worker
     computed, summed over the steps.

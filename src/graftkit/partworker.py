@@ -9,12 +9,13 @@ same arrays whoever computes it, and the sum's order is fixed, so the
 trained bits depend neither on which process computed which part nor on
 the core count.
 
-A kind of step (``PartKind``) names a model builder, which the worker calls
-with the caller's arguments, and a part function.  Each kind has one
+A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
-the process; it is forked again only when the kind's builder arguments or
-parameter layout change.  Forking one per training call instead cost about
-a fifth of LM pretraining throughput on a 2-core VM.
+the process; the fork copies the caller's model, and the worker computes
+on that copy, given the caller's weights before each step.  It is forked
+again when the model's config or parameter layout change.  Forking one per
+training call instead cost about a fifth of LM pretraining throughput on a
+2-core VM.
 
 Shared memory, not the pipe: the weights go to the worker and its
 gradients come back through arrays in an anonymous shared mapping made
@@ -55,15 +56,12 @@ import numpy as np
 class PartKind:
     """One kind of split training step.
 
-    ``build(*args)`` makes, in the worker, a model whose ``params()`` are
-    named and shaped as the caller's; its values are overwritten before each
-    step.  ``part(model, batch, i)`` returns part i's (loss share, gradients
-    by parameter name); it must be a module-level function, which the
-    worker and this process look up alike.  A step has at most
-    ``max_parts`` parts."""
+    ``part(model, batch, i)`` returns part i's (loss share, gradients by
+    parameter name), computed here on the caller's model and in the worker
+    on its forked copy of it, whose weights are the caller's at each step.
+    A step has at most ``max_parts`` parts."""
 
     name: str
-    build: Callable
     part: Callable
     max_parts: int
 
@@ -120,15 +118,16 @@ class _PartCounter:
             self.ends[1] = self.ends[0]
 
 
-def _worker_main(conn, inherited, kind: PartKind, args, weights, slots, counter) -> None:
+def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter) -> None:
     """Serve steps until the parent's end of the pipe closes.
 
-    A request is a step's ``batch``.  The model, built on the first one, is
-    given the weights in ``weights``; then parts are claimed from the back
-    of ``counter`` until none is left, and part i's gradients written to
-    ``slots[i]``, memory shared with the parent.  The reply names each part
-    computed here, with its loss share and the names of its gradients.  A
-    part that raises closes ``counter``, so that the parent stops too.
+    A request is a step's ``batch``.  ``model``, the fork's copy of the
+    parent's, is given the weights in ``weights``; then parts are claimed
+    from the back of ``counter`` until none is left, and part i's gradients
+    written to ``slots[i]``, memory shared with the parent.  The reply names
+    each part computed here, with its loss share and the names of its
+    gradients.  A part that raises closes ``counter``, so that the parent
+    stops too.
 
     The fork copied the parent's ends of every worker's pipe, this one's
     included (``inherited``); closing them here makes the parent's exit,
@@ -138,15 +137,12 @@ def _worker_main(conn, inherited, kind: PartKind, args, weights, slots, counter)
     for parent_end in inherited:
         parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    model = None
     while True:
         try:
             batch = conn.recv()
         except (EOFError, OSError):  # the parent is gone
             return
         try:
-            if model is None:
-                model = kind.build(*args)
             for p in model.params():
                 p.write(weights[p.name])
             done = []
@@ -166,22 +162,22 @@ def _worker_main(conn, inherited, kind: PartKind, args, weights, slots, counter)
 
 
 class _PartWorker:
-    """A forked process that computes parts of each step of one ``kind``,
-    for one model layout, claiming them from the back of ``counter`` while
-    the parent claims from the front.  Its shared memory holds one
+    """A forked process that computes parts of each step of one ``kind``
+    on its copy of ``model``, claiming them from the back of ``counter``
+    while the parent claims from the front.  Its shared memory holds one
     weight-sized set for the weights and one per part (``1 +
     kind.max_parts`` sets), of which only the parts it computes are
     written."""
 
-    def __init__(self, kind: PartKind, args: tuple, model):
-        self.kind, self.key = kind, (args, _layout(model))
+    def __init__(self, kind: PartKind, model):
+        self.kind, self.key = kind, (model.cfg, _layout(model))
         self.weights, *self.slots = _shared_arrays(self.key[1], 1 + kind.max_parts)
         ctx = multiprocessing.get_context("fork")
         self.counter = _PartCounter(ctx)
         self.conn, child_end = ctx.Pipe()
         inherited = [self.conn, *(w.conn for w in _workers.values())]
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child_end, inherited, kind, args, self.weights,
+                                args=(child_end, inherited, kind, model, self.weights,
                                       self.slots, self.counter),
                                 name=f"graftkit-{kind.name}-part", daemon=True)
         self.proc.start()
@@ -238,9 +234,9 @@ _workers: dict[str, _PartWorker] = {}
 _lock = threading.Lock()
 
 
-def _part_worker(kind: PartKind, args: tuple, model) -> _PartWorker | None:
+def _part_worker(kind: PartKind, model) -> _PartWorker | None:
     """The process's worker for ``kind``, forked on first use and again when
-    ``args`` or the model's layout change, or None when fewer than two cores
+    the model's config or layout change, or None when fewer than two cores
     are available to this process.  Call it holding ``_lock``."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cores or 1) < 2:
@@ -249,11 +245,11 @@ def _part_worker(kind: PartKind, args: tuple, model) -> _PartWorker | None:
     if worker is not None and worker.owner != os.getpid():  # a forked copy owns no worker
         worker = None
     elif worker is not None and (not worker.proc.is_alive()
-                                 or worker.key != (args, _layout(model))):
+                                 or worker.key != (model.cfg, _layout(model))):
         worker.close()
         worker = None
     if worker is None:
-        worker = _workers[kind.name] = _PartWorker(kind, args, model)
+        worker = _workers[kind.name] = _PartWorker(kind, model)
     return worker
 
 
@@ -289,7 +285,7 @@ def _sum_parts(results) -> tuple[list[float], dict[str, np.ndarray]]:
     return [loss for loss, _ in results], grads
 
 
-def run_parts(kind: PartKind, args: tuple, model, batch,
+def run_parts(kind: PartKind, model, batch,
               n_parts: int) -> tuple[list[float], dict[str, np.ndarray], dict]:
     """One step of ``kind`` on ``batch``: each part's loss share in part
     order, the parts' gradients added in part order, and how many parts each
@@ -301,7 +297,7 @@ def run_parts(kind: PartKind, args: tuple, model, batch,
     """
     if n_parts >= 2 and _lock.acquire(blocking=False):
         try:
-            worker = _part_worker(kind, args, model)
+            worker = _part_worker(kind, model)
             if worker is not None:
                 results, by_worker = _claimed_grads(worker, model, batch, n_parts)
                 # added up before the lock is released: the worker's

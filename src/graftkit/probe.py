@@ -94,8 +94,12 @@ def _stratified_subsample(rng, labels: np.ndarray, n_train: int) -> np.ndarray:
 def data_efficiency_curve(train_features, train_labels, test_features, test_labels,
                           sizes=(16, 64, 256, 1024), repeats: int = 10, seed: int = 0) -> dict:
     """Mean AUC (plus the per-repeat list) across the sample-size ladder,
-    averaged over ``repeats`` random subsamples per size."""
+    averaged over ``repeats`` random subsamples per size.  Labels of one
+    class only, in either split, raise ``ValueError`` before any draw."""
     train_labels = np.asarray(train_labels, dtype=np.int64)
+    for split, labels in (("training", train_labels), ("test", test_labels)):
+        if len(set(np.asarray(labels).tolist())) < 2:
+            raise ValueError(f"the probe's {split} labels hold one class only; it needs both")
     out = {}
     for n_train in sizes:
         aucs = []

@@ -393,103 +393,111 @@ def precompute_grids(clip_model, studies, pooled_hw: int) -> np.ndarray:
     return clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
 
 
-def _phase1_batch(corpus, grids, ids, vocab, cfg):
+def phase1_split(n_studies: int, eval_ids=None) -> tuple[list[int], list]:
+    """``split_studies`` for phase 1, refused unless each side holds at least
+    two studies: ITM pairs each image with another study's text."""
+    train_ids, eval_ids = split_studies(n_studies, PHASE1_HELD_OUT, eval_ids)
+    for side, ids in (("training", train_ids), ("eval", eval_ids)):
+        if len(set(ids)) < 2:
+            raise ValueError(f"phase 1 needs at least 2 {side} studies, as ITM pairs each image "
+                             f"with another study's text; holding out {len(set(eval_ids))} of "
+                             f"a corpus of {n_studies} leaves {len(train_ids)} for training")
+    return train_ids, eval_ids
+
+
+def _mismatch(rng, n: int) -> np.ndarray:
+    """One uniformly drawn in-batch index != i per position."""
+    off = rng.integers(1, n, size=n)
+    return (np.arange(n) + off) % n
+
+
+def _phase1_batch(corpus, grids, ids, vocab, cfg, rng):
+    """The phase-1 batch of the studies ``ids``: ``(grids, cls batch, itg
+    batch, mismatch)``, ``mismatch`` drawn from ``rng`` (``_mismatch``)."""
     texts = [select_report_text(corpus.studies[i].report) for i in ids]
     cls_seqs = [tokenize(t, vocab, cfg.text_max_len) for t in texts]
     bos, eos = vocab.id("[BOS]"), vocab.id("[EOS]")
     itg_seqs = [[bos] + tokenize(t, vocab, cfg.text_max_len - 2, lead=None) + [eos] for t in texts]
     pad = vocab.id("[PAD]")
-    return grids[ids], pad_batch(cls_seqs, pad), pad_batch(itg_seqs, pad)
+    return (grids[ids], pad_batch(cls_seqs, pad), pad_batch(itg_seqs, pad),
+            _mismatch(rng, len(ids)))
 
 
-def _phase1_itm_loss(model, batch_grids, cls_batch, mismatch_idx) -> Tensor:
-    """ITM on matched pairs plus, per image, the in-batch text ``mismatch_idx``
-    picks."""
-    cls_tokens, cls_lengths = cls_batch
-    n = batch_grids.shape[0]
-    return itm_loss(model, np.concatenate([batch_grids, batch_grids]),
-                    np.concatenate([cls_tokens, cls_tokens[mismatch_idx]]),
-                    np.concatenate([cls_lengths, cls_lengths[mismatch_idx]]),
+def _phase1_objective(model, batch, i: int) -> Tensor:
+    """Objective i of a phase-1 batch ``(grids, cls batch, itg batch,
+    mismatch)``: ITC (0), ITG (1) or ITM (2), the last on the matched pairs
+    plus, per image, the in-batch text ``mismatch`` picks.
+    ``query_projections`` feeds ITC only, so the three share no activation."""
+    grids, (cls_tokens, cls_lengths), itg_batch, mismatch = batch
+    if i == 0:
+        return itc_loss(model, model.query_projections(grids), cls_tokens, cls_lengths)
+    if i == 1:
+        return itg_loss(model, grids, *itg_batch)
+    n = grids.shape[0]
+    return itm_loss(model, np.concatenate([grids, grids]),
+                    np.concatenate([cls_tokens, cls_tokens[mismatch]]),
+                    np.concatenate([cls_lengths, cls_lengths[mismatch]]),
                     np.concatenate([np.ones(n, bool), np.zeros(n, bool)]))
 
 
-def phase1_losses(model, batch_grids, q_proj, cls_batch, itg_batch, mismatch_idx):
-    """The three objectives on one batch of grids and their query projections;
-    ITM sees matched pairs plus one uniformly drawn in-batch mismatched text
-    per image."""
-    return (itc_loss(model, q_proj, *cls_batch), itg_loss(model, batch_grids, *itg_batch),
-            _phase1_itm_loss(model, batch_grids, cls_batch, mismatch_idx))
-
-
 def _phase1_part(model, batch, i: int) -> tuple[float, dict[str, np.ndarray]]:
-    """(loss, gradients) of objective i of a phase-1 step ``(grids, cls
-    batch, itg batch, mismatch)``: ITC (0), ITG (1) or ITM (2), each on a
-    tape of its own.  ``query_projections`` feeds ITC only, so the three
-    share no activation."""
-    grids, cls_batch, itg_batch, mismatch = batch
+    """(loss, gradients) of objective i of a phase-1 batch, on a tape of its own."""
     with Tape() as tape:
-        if i == 0:
-            loss = itc_loss(model, model.query_projections(grids), *cls_batch)
-        elif i == 1:
-            loss = itg_loss(model, grids, *itg_batch)
-        else:
-            loss = _phase1_itm_loss(model, grids, cls_batch, mismatch)
+        loss = _phase1_objective(model, batch, i)
     return float(loss.data), tape.gradients(loss)
 
 
-_PHASE1_PARTS = partworker.PartKind("phase-1", QFormerModel, _phase1_part, 3)
-
-
-def _mismatch(rng, n: int) -> np.ndarray:
-    """One uniformly drawn in-batch index != i per position."""
-    if n < 2:
-        return np.zeros(n, dtype=np.int64)
-    off = rng.integers(1, n, size=n)
-    return (np.arange(n) + off) % n
+_PHASE1_PARTS = partworker.PartKind("phase-1", _phase1_part, 3)
 
 
 def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):
     from .stats import auc
 
     eval_ids = list(eval_ids)
-    batch_grids, cls_batch, itg_batch = _phase1_batch(corpus, grids, eval_ids, vocab, model.cfg)
-    q_proj = model.query_projections(batch_grids)
+    batch = _phase1_batch(corpus, grids, eval_ids, vocab, model.cfg, rng)
+    q_proj = model.query_projections(batch[0])
     aucs = []
     for ps in prompt_sets.values():
         labels = [corpus.studies[i].labels[ps.finding] for i in eval_ids]
         if len(set(labels)) < 2:
             continue
         aucs.append(auc(zero_shot_scores_b(q_proj.data, ps, model, vocab), labels))
-    l_itc, l_itg, l_itm = phase1_losses(model, batch_grids, q_proj, cls_batch, itg_batch,
-                                        _mismatch(rng, len(eval_ids)))
     return {"auc": float(np.mean(aucs)) if aucs else 0.5,
-            "itc": float(l_itc.data), "itg": float(l_itg.data), "itm": float(l_itm.data)}
+            "itc": float(itc_loss(model, q_proj, *batch[1]).data),
+            "itg": float(_phase1_objective(model, batch, 1).data),
+            "itm": float(_phase1_objective(model, batch, 2).data)}
+
+
+# Phase 1's selected checkpoints: each is the model at the eval whose
+# metrics minimize its key, the earliest on a tie.
+_PHASE1_SELECTION = {"scoring": lambda m: (-m["auc"], m["itm"], m["itc"]),  # zero-shot, search
+                     "itg": lambda m: m["itg"]}                           # phase 2
 
 
 def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
                  eval_ids=None, grids=None, log=None):
     """Joint training; returns (models, history, metrics).  ``models`` maps
     "final" to the trained model and "scoring" / "itg" to models restored
-    from the best checkpoints: lexicographic (zero-shot AUC, ITM loss, ITC
-    loss) for scoring and search, best ITG loss for phase 2.  The AUC is the
-    mean over the ``DEFAULT_PROMPT_SETS`` of the corpus's separable findings.
-    ``metrics`` holds each selected checkpoint's eval metrics and step as
-    "scoring_metrics" / "itg_metrics".  ``steps`` or ``eval_every`` below 1
-    raises ``ValueError`` before any work.
+    from the best checkpoints (``_PHASE1_SELECTION``): lexicographic
+    (zero-shot AUC, ITM loss, ITC loss) for scoring and search, best ITG
+    loss for phase 2.  The AUC is the mean over the ``DEFAULT_PROMPT_SETS``
+    of the corpus's separable findings.  ``metrics`` holds each selected
+    checkpoint's eval metrics and step as "scoring_metrics" /
+    "itg_metrics".  ``steps`` or ``eval_every`` below 1, or fewer than two
+    training or eval studies (``phase1_split``), raises ``ValueError``
+    before any work.
 
     Each step is three parts in a fixed order, ITC, ITG and ITM, each the
-    gradient of one objective on a tape of its own (``_phase1_part``); they
-    share no activation.  When at least two cores are available, the
-    phase-1 worker process (``partworker``) takes parts from the back while
-    this process takes them from the front; the worker is forked on first
-    use and reused across calls (forked again for another ``QFormerConfig``).
-    The gradients are added in part order and the logged total is (ITC +
-    ITG) + ITM, so the bits depend neither on which process computed which
-    part nor on the core count.  Evaluation runs in this process."""
+    gradient of one objective on a tape of its own (``_phase1_part``),
+    shared with the phase-1 worker process when at least two cores are
+    available (``partworker``).  The gradients are added in part order and
+    the logged total is (ITC + ITG) + ITM, so the bits depend neither on
+    which process computed which part nor on the core count.  Evaluation
+    runs in this process."""
     for name in ("steps", "eval_every"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"Phase1Config.{name} must be >= 1, got {getattr(cfg, name)}")
-    train_ids, eval_ids = split_studies(len(corpus), PHASE1_HELD_OUT, eval_ids)
+    train_ids, eval_ids = phase1_split(len(corpus), eval_ids)
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
         qcfg = replace(qcfg, vocab_size=len(corpus.vocab))
@@ -507,58 +515,36 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     prompt_sets = {k: v for k, v in DEFAULT_PROMPT_SETS.items() if k in corpus.spec.separable}
 
     history = []
-    best_score_key = None
-    best_itg = np.inf
-    selection = {}
+    best = {}  # checkpoint -> (key, snapshot, metrics with step)
     vocab = corpus.vocab
-
-    def evaluate(step):
-        nonlocal best_score_key, best_itg
-        metrics = phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, eval_rng)
-        key = (-metrics["auc"], metrics["itm"], metrics["itc"])
-        if best_score_key is None or key < best_score_key:
-            best_score_key = key
-            selection["scoring"] = model.registry.snapshot()
-            selection["scoring_metrics"] = dict(metrics, step=step)
-        if metrics["itg"] < best_itg:
-            best_itg = metrics["itg"]
-            selection["itg"] = model.registry.snapshot()
-            selection["itg_metrics"] = dict(metrics, step=step)
-        if log:
-            log(f"phase1 eval step {step}: " +
-                " ".join(f"{k} {v:.4f}" for k, v in metrics.items()))
-        return metrics
-
     for step in range(cfg.steps):
         ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
                                replace=False)
         ids = np.asarray([train_ids[int(i)] for i in ids])
-        batch = (*_phase1_batch(corpus, grids, ids, vocab, qcfg), _mismatch(neg_rng, len(ids)))
-        # the worker's model takes this one's weights each step: its seed is moot
-        (l_itc, l_itg, l_itm), grads, _ = partworker.run_parts(_PHASE1_PARTS, (qcfg, 0), model,
-                                                               batch, 3)
+        batch = _phase1_batch(corpus, grids, ids, vocab, qcfg, neg_rng)
+        (l_itc, l_itg, l_itm), grads, _ = partworker.run_parts(_PHASE1_PARTS, model, batch, 3)
         opt.step(grads)
         total = l_itc + l_itg + l_itm
         history.append({"step": step, "itc": l_itc, "itg": l_itg, "itm": l_itm, "total": total})
         if log and step % 200 == 0:
             log(f"phase1 step {step} total {total:.4f}")
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
-            evaluate(step)
+            metrics = phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, eval_rng)
+            for name, key in _PHASE1_SELECTION.items():
+                if name not in best or key(metrics) < best[name][0]:
+                    best[name] = key(metrics), model.registry.snapshot(), dict(metrics, step=step)
+            if log:
+                log(f"phase1 eval step {step}: " +
+                    " ".join(f"{k} {v:.4f}" for k, v in metrics.items()))
 
     if clip_model.tower_digests() != clip_digest_before:
         raise RuntimeError("frozen contract violated: stage-1 towers changed during phase 1")
 
-    def restore(snap):
-        m = QFormerModel(qcfg, seed)
-        m.registry.load_values(snap)
-        return m
-
-    models = {"final": model,
-              "scoring": restore(selection["scoring"]),
-              "itg": restore(selection["itg"])}
-    meta = {"scoring_metrics": selection["scoring_metrics"],
-            "itg_metrics": selection["itg_metrics"]}
-    return models, history, meta
+    models = {"final": model}
+    for name, (_, snapshot, _) in best.items():
+        models[name] = QFormerModel(qcfg, seed)
+        models[name].registry.load_values(snapshot)
+    return models, history, {f"{name}_metrics": chosen for name, (*_, chosen) in best.items()}
 
 
 def loss_log_to_csv(history) -> str:

@@ -52,15 +52,15 @@ class ElixrBundle:
         return generate_impression(self.grid_for(image), self.qformer_impression, self.vocab)
 
     def prepare(self, image: np.ndarray) -> "PreparedImage":
-        """Everything the questions about one image share, computed once: the
-        grid (one encoder pass feeds both adapters), the impression, the soft
+        """Everything the questions about one image share, computed once from
+        one encoder pass, which feeds both adapters: the impression, the soft
         prompts and the LM state of the dialog up to the question."""
         grid = self.grid_for(image)
         impression = generate_impression(grid, self.qformer_impression, self.vocab)
         dialog = tokenize(vqa_prompt_body(impression, ""), self.vocab, max_len=None, lead=None)
         self._check_vqa_prompt(dialog)
         soft = soft_prompts_for_grid(self.qformer_aligned, self.bridge, grid)
-        return PreparedImage(grid, impression, soft, self.lm.prefill(soft, [dialog]))
+        return PreparedImage(impression, soft, self.lm.prefill(soft, [dialog]))
 
     def _check_vqa_prompt(self, prompt_ids) -> None:
         """Reject a prompt that does not fit the LM context next to the soft
@@ -113,7 +113,6 @@ class ElixrBundle:
 class PreparedImage:
     """Per-image VQA inputs (``ElixrBundle.prepare``)."""
 
-    grid: np.ndarray
     impression: str
     soft: np.ndarray
     dialog: LmState

@@ -6,7 +6,7 @@ import numpy as np
 from graftkit import autograd as ag
 from graftkit import templates as T
 from graftkit.autograd import Parameter, Tape
-from graftkit.qformer import phase1_losses
+from graftkit.qformer import _phase1_objective
 
 # a corpus with two findings only, each near half the studies
 TWO_FINDING_PREVALENCE = {k: 0.0 for k in T.KINDS} | {"effusion": 0.55, "cardiomegaly": 0.45}
@@ -51,9 +51,7 @@ def finite_diff_check(f, params, step: float = 1e-5, max_coords: int = 40, seed:
 def phase1_step_oracle(model, batch) -> tuple[float, dict[str, np.ndarray]]:
     """The phase-1 step as one graph: (ITC + ITG) + ITM on one tape over a
     batch ``(grids, cls batch, itg batch, mismatch)``, and its gradients."""
-    grids, cls_batch, itg_batch, mismatch = batch
     with Tape() as tape:
-        l_itc, l_itg, l_itm = phase1_losses(model, grids, model.query_projections(grids),
-                                            cls_batch, itg_batch, mismatch)
+        l_itc, l_itg, l_itm = (_phase1_objective(model, batch, i) for i in range(3))
         total = ag.add(ag.add(l_itc, l_itg), l_itm)
     return float(total.data), tape.gradients(total)

@@ -369,11 +369,13 @@ def test_train_b2_stops_when_lm_misses_perplexity_gate(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("command, n_studies, held_out", [("train-b1", 40, 64),
-                                                        ("train-b2", 30, 32)])
+                                                        ("train-b2", 30, 32),
+                                                        ("train-b1", 65, 64)])
 def test_training_without_a_training_study_exits_1_before_loading(tmp_path, monkeypatch, capsys,
                                                                   command, n_studies, held_out):
     """Each phase holds out the corpus's last studies; when that leaves none
-    to train on, the command stops before it loads a checkpoint or
+    to train on, or for phase 1 one (its ITM pairs each image with another
+    study's text), the command stops before it loads a checkpoint or
     pretrains an LM, and writes nothing."""
     corpus = generate_corpus(3, CorpusSpec(n_studies=n_studies))
     save_corpus(corpus, tmp_path / "corpus")
@@ -395,8 +397,15 @@ def test_training_without_a_training_study_exits_1_before_loading(tmp_path, monk
     if command == "train-b2":
         args += ["--b1", str(tmp_path / "b1.ckpt")]
     assert run_cli(args) == 1
-    assert (f"error: holding out {held_out} studies for evaluation leaves no training study in a "
-            f"corpus of {n_studies}") in capsys.readouterr().err
+    left = n_studies - held_out
+    if left < 1:
+        error = (f"error: holding out {held_out} studies for evaluation leaves no training study "
+                 f"in a corpus of {n_studies}")
+    else:
+        error = ("error: phase 1 needs at least 2 training studies, as ITM pairs each image with "
+                 f"another study's text; holding out {held_out} of a corpus of {n_studies} "
+                 f"leaves {left} for training")
+    assert error in capsys.readouterr().err
     assert calls == []
     assert list(out.iterdir()) == []
 
@@ -593,6 +602,26 @@ def test_probe_sizes_outside_the_training_split_are_refused_before_loading(tmp_p
     assert list(out.glob("*.json")) == []
 
 
+@pytest.mark.parametrize("positives, missing, split", [
+    ((), "positive", "training"),       # the test split lacks one too: training is named first
+    ((0,), "positive", "test"),         # studies 0-5 train, 6-7 test
+    ((0, 6, 7), "negative", "test"),
+])
+def test_probe_on_a_split_of_one_class_is_a_usage_error_before_loading(tmp_path, capsys,
+                                                                       positives, missing, split):
+    corpus = generate_corpus(0, CorpusSpec(n_studies=8))
+    for i, study in enumerate(corpus.studies):
+        study.labels["effusion"] = int(i in positives)
+    save_corpus(corpus, tmp_path / "corpus")
+    out = tmp_path / "o"
+    assert run_cli(["probe", "--corpus", str(tmp_path / "corpus"),
+                    "--clip", str(tmp_path / "missing.ckpt"), "--finding", "effusion",
+                    "--sizes", "2", "--out", str(out)]) == 2
+    assert (f"--finding effusion has no {missing} study in the {split} split of the corpus's 8 "
+            "studies" in capsys.readouterr().err)
+    assert list(out.glob("*.json")) == []
+
+
 def _qa_without_checkpoints(tmp_path, n_studies):
     """``graftkit qa`` arguments on a saved corpus, every checkpoint missing."""
     save_corpus(generate_corpus(3, CorpusSpec(n_studies=n_studies)), tmp_path / "corpus")
@@ -653,8 +682,8 @@ def test_image_tasks_refuse_a_checkpoint_of_another_vocabulary(tmp_path, monkeyp
             "--b1", str(tmp_path / "b1.ckpt"), "--variant", "B"]
     if command == "search":
         args += ["--query", "left pleural effusion"]
-    if command == "probe":  # the default sizes do not fit 8 studies
-        args += ["--sizes", "2"]
+    if command == "probe":  # the default sizes do not fit 8 studies, none of them has effusion
+        args += ["--sizes", "2", "--finding", "pneumothorax"]
     _refused_before_any_image(args, flag, tmp_path, monkeypatch, capsys)
 
 

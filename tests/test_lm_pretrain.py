@@ -260,7 +260,7 @@ def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
     part_grads = nn._part_grads
     monkeypatch.setattr(nn, "_part_grads", lambda *a: (time.sleep(0.05), part_grads(*a))[1])
     # forked with parts that take 50 ms each
-    worker = partworker._PartWorker(nn._LM_PARTS, (lm.cfg,), lm)
+    worker = partworker._PartWorker(nn._LM_PARTS, lm)
     claimed = []
     result = worker.result
     worker.result = lambda: (r := result(), claimed.append(sorted(r)))[0]
@@ -291,7 +291,7 @@ def test_a_failing_parent_part_stops_the_worker_claiming(monkeypatch):
 @needs_two_cores
 def test_a_dead_worker_raises_instead_of_hanging():
     lm, data = tiny_lm(), dataset()
-    worker = partworker._PartWorker(nn._LM_PARTS, (lm.cfg,), lm)
+    worker = partworker._PartWorker(nn._LM_PARTS, lm)
     worker.proc.kill()
     worker.proc.join(timeout=5)
     assert worker.conn.poll(5)  # end of file, since the parent holds no copy of the child's end

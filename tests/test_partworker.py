@@ -39,7 +39,7 @@ def lm_step(bad=None):
         rows[bad][1] = 28
     parts = [nn._pad_batch([(r, 0) for r in rows], [i], lm.cfg.pad_id) for i in range(2)]
     total = sum(int(nn.next_token_targets(*part)[1].sum()) for part in parts)
-    return nn._LM_PARTS, (lm.cfg,), lm, (parts, total), len(parts)
+    return nn._LM_PARTS, lm, (parts, total), len(parts)
 
 
 def phase1_step(bad=None):
@@ -53,15 +53,14 @@ def phase1_step(bad=None):
     tokens, lengths = rng.integers(1, 40, (4, 6)), np.array([6, 2, 5, 3])
     batch = (rng.normal(0, 1, (4, 4, 16)), (tokens, lengths), (tokens, lengths),
              qformer._mismatch(rng, 4))
-    return qformer._PHASE1_PARTS, (QCFG, 0), model, batch, 3
+    return qformer._PHASE1_PARTS, model, batch, 3
 
 
 STEPS = {"LM": lm_step, "phase-1": phase1_step}
 
 
 def run(step):
-    kind, args, model, batch, n_parts = step
-    return partworker.run_parts(kind, args, model, batch, n_parts)
+    return partworker.run_parts(*step)
 
 
 def assert_bitwise(got, ref):
@@ -102,7 +101,7 @@ def test_returned_gradients_outlive_the_next_step(name):
     step = STEPS[name]()
     _, grads, _ = run(step)
     kept = {k: g.copy() for k, g in grads.items()}
-    for p in step[2].params():
+    for p in step[1].params():
         p.write(p.data * 1.5)
     run(step)
     assert all(np.array_equal(grads[k], kept[k]) for k in kept)
@@ -110,8 +109,8 @@ def test_returned_gradients_outlive_the_next_step(name):
 
 @pytest.mark.parametrize("name", STEPS)
 def test_a_dead_worker_raises_instead_of_hanging(name):
-    kind, args, model, batch, n_parts = STEPS[name]()
-    worker = partworker._PartWorker(kind, args, model)
+    kind, model, batch, n_parts = STEPS[name]()
+    worker = partworker._PartWorker(kind, model)
     worker.proc.kill()
     worker.proc.join(timeout=5)
     assert worker.conn.poll(5)  # end of file, since the parent holds no copy of the child's end
@@ -119,6 +118,27 @@ def test_a_dead_worker_raises_instead_of_hanging(name):
         worker.submit(model, batch, n_parts)
         worker.result()
     assert not worker.proc.is_alive()
+
+
+def test_another_config_of_the_same_layout_forks_a_new_worker(monkeypatch):
+    # the worker computes on its copy of the model it was forked with; two
+    # head counts split the same weights differently, so the layout alone
+    # cannot tell their steps apart
+    lm_2, lm_4 = (nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=30, dim=32, blocks=2,
+                                                             heads=heads, max_len=64),
+                               np.random.default_rng(0)) for heads in (2, 4))
+    assert partworker._layout(lm_2) == partworker._layout(lm_4)
+    data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(8)]
+    nn._batch_grads(lm_2, data, np.arange(8))
+    first = partworker._workers["LM"]
+    parent, part_grads = os.getpid(), nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda *a: (
+        os.getpid() == parent and time.sleep(0.05), part_grads(*a))[1])  # this process only
+    got = nn._batch_grads(lm_4, data, np.arange(8))
+    assert partworker._workers["LM"] is not first and not first.proc.is_alive()
+    assert got[2]["worker"] > 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, nn._batch_grads(lm_4, data, np.arange(8)))
 
 
 TRAIN_SCRIPT = textwrap.dedent("""

@@ -615,8 +615,7 @@ def phase1_batch(cfg, n=4, seed=0):
 
 def test_split_phase1_step_matches_the_one_tape_step(model):
     batch = phase1_batch(model.cfg)
-    losses, grads, split = partworker.run_parts(qformer._PHASE1_PARTS, (model.cfg, 0), model,
-                                                batch, 3)
+    losses, grads, split = partworker.run_parts(qformer._PHASE1_PARTS, model, batch, 3)
     ref_loss, ref = phase1_step_oracle(model, batch)
     assert sum(losses) == ref_loss  # the same association: (ITC + ITG) + ITM
     assert sum(split.values()) == 3
@@ -667,8 +666,37 @@ def test_phase1_logs_the_one_tape_association_of_the_total(monkeypatch):
     assert all(h["total"] == 1.0 for h in phase1_run()[0])
 
 
+def test_phase1_selects_each_checkpoint_by_its_rule_and_keeps_the_earlier_on_a_tie(monkeypatch):
+    scripted = [  # (auc, itm, itc, itg) at the eval of each step
+        (0.6, 0.70, 2.0, 5.0),
+        (0.7, 0.69, 2.0, 4.0),  # the ITG checkpoint
+        (0.7, 0.65, 1.9, 4.5),  # ties step 1's AUC; a lower ITM wins
+        (0.7, 0.65, 1.8, 4.0),  # ties AUC and ITM; a lower ITC wins: the scoring checkpoint
+        (0.7, 0.65, 1.8, 4.2),  # the scoring key of step 3: the earlier is kept
+        (0.65, 0.1, 0.1, 4.1),  # a lower AUC loses whatever its losses
+    ]
+    digests = []
+
+    def scripted_eval(model, *_):
+        auc_, itm, itc, itg = scripted[len(digests)]
+        digests.append(model.registry.combined_digest())
+        return {"auc": auc_, "itc": itc, "itg": itg, "itm": itm}
+
+    monkeypatch.setattr(qformer, "phase1_eval", scripted_eval)
+    corpus = generate_corpus(3, CorpusSpec(n_studies=12))
+    cfg = Phase1Config(steps=6, eval_every=1, qformer=tiny_cfg(vocab=0, blocks=1,
+                                                                 text_max_len=32))
+    models, _, meta = phase1_train(corpus, tiny_clip(corpus), cfg, seed=5, eval_ids=[10, 11])
+    assert meta == {"scoring_metrics": {"auc": 0.7, "itc": 1.8, "itg": 4.0, "itm": 0.65, "step": 3},
+                    "itg_metrics": {"auc": 0.7, "itc": 2.0, "itg": 4.0, "itm": 0.69, "step": 1}}
+    assert len(set(digests)) == len(scripted)  # every step's weights differ
+    assert {k: m.registry.combined_digest() for k, m in models.items()} == {
+        "final": digests[5], "scoring": digests[3], "itg": digests[1]}
+
+
 def _stage_call(stage, value):
-    """A call of training ``stage`` with its config's field set to ``value``."""
+    """A call of training ``stage`` with its config's field (or, for phase 1,
+    ``eval_ids``) set to ``value``."""
     corpus = generate_corpus(3, CorpusSpec(n_studies=6))
     clip = tiny_clip(corpus)
     if stage == "clip":
@@ -680,10 +708,10 @@ def _stage_call(stage, value):
         lm.freeze()
         itg = QFormerModel(tiny_cfg(len(corpus.vocab)), seed=0)
         return lambda: phase2_train(corpus, clip, itg, lm, Phase2Config(steps=value))
-    field = stage.split(".")[1]
-    cfg = Phase1Config(**{"steps": 2, "eval_every": 1, field: value},
-                       qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
-    return lambda: phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
+    settings = {"steps": 2, "eval_every": 1, "eval_ids": [4, 5], stage.split(".")[1]: value}
+    eval_ids = settings.pop("eval_ids")
+    cfg = Phase1Config(**settings, qformer=tiny_cfg(vocab=0, blocks=1, text_max_len=32))
+    return lambda: phase1_train(corpus, clip, cfg, eval_ids=eval_ids)
 
 
 @pytest.mark.parametrize("stage, value, match", [
@@ -691,6 +719,8 @@ def _stage_call(stage, value):
     ("phase1.steps", -1, "Phase1Config.steps"),
     ("phase1.eval_every", 0, "Phase1Config.eval_every"),
     ("phase1.eval_every", -2, "Phase1Config.eval_every"),
+    ("phase1.eval_ids", [5], "at least 2 eval studies"),  # ITM pairs each image with another
+    ("phase1.eval_ids", [0, 1, 2, 3, 4], "at least 2 training studies"),  # study's text
     ("clip", -1, "ClipConfig.steps"),
     ("phase2", -1, "Phase2Config.steps"),
 ])

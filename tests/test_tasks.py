@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graftkit import autograd as ag
+from graftkit import probe as probe_mod
 from graftkit import templates as T
 from graftkit import vqa as vqa_mod
 from graftkit.autograd import Tape, Tensor
@@ -323,6 +324,21 @@ def test_stratified_subsample_fallback_draws_distinct_rows():
     for n_train in (1, 1001):
         with pytest.raises(ValueError, match=f"n_train {n_train} is outside 2..1000"):
             _stratified_subsample(indexed_rng(895, 3), labels, n_train)
+
+
+@pytest.mark.parametrize("split", ["training", "test"])
+def test_data_efficiency_curve_refuses_one_class_labels_before_any_draw(monkeypatch, split):
+    feats, labels = synth_features(n=40, seed=1)
+    train_labels, test_labels = labels[:30].copy(), labels[30:].copy()
+    (train_labels if split == "training" else test_labels)[:] = 0
+
+    def no_draw(*_):
+        raise AssertionError("a subsample was drawn")
+
+    monkeypatch.setattr(probe_mod, "_stratified_subsample", no_draw)
+    with pytest.raises(ValueError, match=f"the probe's {split} labels hold one class only"):
+        data_efficiency_curve(feats[:30], train_labels, feats[30:], test_labels, sizes=(16,),
+                              repeats=1)
 
 
 def test_data_efficiency_curve_monotone_on_clean_features():
