@@ -1,21 +1,22 @@
-"""A second process for training steps that split into independent parts.
+"""A second process for computations that split into independent parts.
 
-A step whose loss is a sum of parts with no activation exchange between
-them (rows of an LM batch; phase 1's three objectives) is computed in two
-processes: this one claims parts from the front of a shared counter, a
-forked worker from the back, each until none is left, and the parts'
-gradients are added in part order.  Each part is the same function on the
-same arrays whoever computes it, and the sum's order is fixed, so the
-trained bits depend neither on which process computed which part nor on
-the core count.
+A step whose parts exchange no activations is computed in two processes:
+this one claims parts from the front of a shared counter, a forked worker
+from the back, each until none is left.  A training step's loss is a sum
+of parts (rows of an LM batch; phase 1's three objectives), and their
+gradients are added in part order.  A forward-only step's parts (slices of
+the matching head's rerank rows) each return a value and no gradients.
+Each part is the same function on the same arrays whoever computes it, and
+values and sums are kept in part order, so the bits depend neither on
+which process computed which part nor on the core count.
 
 A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
 the process; the fork copies the caller's model, and the worker computes
 on that copy, given the caller's weights before each step.  It is forked
-again when the model's config or parameter layout change.  Forking one per
-training call instead cost about a fifth of LM pretraining throughput on a
-2-core VM.
+again when the model's config or parameter layout (names, shapes, dtypes,
+frozen flags) change.  Forking one per training call instead cost about a
+fifth of LM pretraining throughput on a 2-core VM.
 
 Shared memory, not the pipe: the weights go to the worker and its
 gradients come back through arrays in an anonymous shared mapping made
@@ -54,12 +55,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PartKind:
-    """One kind of split training step.
+    """One kind of split step.
 
-    ``part(model, batch, i)`` returns part i's (loss share, gradients by
+    ``part(model, batch, i)`` returns part i's (value, gradients by
     parameter name), computed here on the caller's model and in the worker
     on its forked copy of it, whose weights are the caller's at each step.
-    A step has at most ``max_parts`` parts."""
+    A training part's value is its loss share; a forward-only part returns
+    its output as the value and no gradients (``{}``).  The value goes
+    through the pipe, so it should be small.  A step has at most
+    ``max_parts`` parts."""
 
     name: str
     part: Callable
@@ -67,15 +71,17 @@ class PartKind:
 
 
 def _layout(model) -> tuple:
-    """The name, shape and dtype of each of ``model.params()``, in order."""
-    return tuple((p.name, p.data.shape, p.data.dtype.str) for p in model.params())
+    """The name, shape, dtype and frozen flag of each of ``model.params()``,
+    in order: a parameter frozen after the fork must take no gradient in the
+    worker either."""
+    return tuple((p.name, p.data.shape, p.data.dtype.str, p.frozen) for p in model.params())
 
 
 def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
     """``copies`` sets of arrays of the parameter ``layout``, in one
     anonymous shared mapping: made before a fork, the child sees the same
     pages.  A page is backed by memory only once written."""
-    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype in layout]
+    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype, _ in layout]
     sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
     buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
     offset, out = 0, []
@@ -125,7 +131,7 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter
     parent's, is given the weights in ``weights``; then parts are claimed
     from the back of ``counter`` until none is left, and part i's gradients
     written to ``slots[i]``, memory shared with the parent.  The reply names
-    each part computed here, with its loss share and the names of its
+    each part computed here, with its value and the names of its
     gradients.  A part that raises closes ``counter``, so that the parent
     stops too.
 
@@ -147,10 +153,10 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter
                 p.write(weights[p.name])
             done = []
             while (i := counter.claim(back=True)) is not None:
-                loss, grads = kind.part(model, batch, i)
+                value, grads = kind.part(model, batch, i)
                 for name, g in grads.items():
                     slots[i][name][...] = g
-                done.append((i, loss, tuple(grads)))
+                done.append((i, value, tuple(grads)))
             reply = ("ok", done)
         except Exception as exc:  # the parent re-raises it
             counter.close()
@@ -166,8 +172,9 @@ class _PartWorker:
     on its copy of ``model``, claiming them from the back of ``counter``
     while the parent claims from the front.  Its shared memory holds one
     weight-sized set for the weights and one per part (``1 +
-    kind.max_parts`` sets), of which only the parts it computes are
-    written."""
+    kind.max_parts`` sets), of which only the gradients of the parts it
+    computes are written: a page is backed by memory only once written, so
+    a forward-only kind's part sets cost none."""
 
     def __init__(self, kind: PartKind, model):
         self.kind, self.key = kind, (model.cfg, _layout(model))
@@ -193,8 +200,8 @@ class _PartWorker:
         self.counter.reset(n_parts)
         self._io(self.conn.send, batch)
 
-    def result(self) -> dict[int, tuple[float, dict[str, np.ndarray]]]:
-        """Part index -> (loss share, gradients) of each part the worker
+    def result(self) -> dict[int, tuple[object, dict[str, np.ndarray]]]:
+        """Part index -> (value, gradients) of each part the worker
         computed since the last ``submit``; the worker's exception is
         re-raised as the same type.  The gradients are views of the shared
         memory, valid until the next ``submit``."""
@@ -202,10 +209,10 @@ class _PartWorker:
         if reply[0] == "err":
             exc = reply[1]
             if hasattr(exc, "add_note"):  # Python 3.11+
-                exc.add_note(f"raised in the {self.kind.name} training worker:\n" + reply[2])
+                exc.add_note(f"raised in the {self.kind.name} part worker:\n" + reply[2])
             raise exc
-        return {i: (loss, {name: self.slots[i][name] for name in names})
-                for i, loss, names in reply[1]}
+        return {i: (value, {name: self.slots[i][name] for name in names})
+                for i, value, names in reply[1]}
 
     def _io(self, op, *args):
         """A dead worker or an interrupted transfer leaves the pipe out of
@@ -215,7 +222,7 @@ class _PartWorker:
         except BaseException as exc:
             self.close()
             if isinstance(exc, (EOFError, OSError)):
-                raise RuntimeError(f"the {self.kind.name} training worker exited") from exc
+                raise RuntimeError(f"the {self.kind.name} part worker exited") from exc
             raise
 
     def close(self) -> None:
@@ -229,17 +236,23 @@ class _PartWorker:
 # One worker per kind of step, by kind name.
 _workers: dict[str, _PartWorker] = {}
 # Held from a worker's ``submit`` until its parts are added up: a worker has
-# one pipe and one set of slots, so a second thread training meanwhile runs
+# one pipe and one set of slots, so a second thread stepping meanwhile runs
 # its parts inline.
 _lock = threading.Lock()
+
+
+def cores() -> int:
+    """How many cores this process may run on: with fewer than two, every
+    part runs here."""
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return n or 1
 
 
 def _part_worker(kind: PartKind, model) -> _PartWorker | None:
     """The process's worker for ``kind``, forked on first use and again when
     the model's config or layout change, or None when fewer than two cores
     are available to this process.  Call it holding ``_lock``."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cores or 1) < 2:
+    if cores() < 2:
         return None
     worker = _workers.get(kind.name)
     if worker is not None and worker.owner != os.getpid():  # a forked copy owns no worker
@@ -254,7 +267,7 @@ def _part_worker(kind: PartKind, model) -> _PartWorker | None:
 
 
 def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[list, int]:
-    """Each part's (loss share, gradients), in part order, with this process
+    """Each part's (value, gradients), in part order, with this process
     claiming parts from the front and ``worker`` from the back; and how many
     the worker computed.  If a part raises here, the counter is closed and
     the worker's reply read, to keep the pipe in step, before re-raising."""
@@ -275,21 +288,22 @@ def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[lis
     return [results[i] for i in range(n_parts)], len(theirs)
 
 
-def _sum_parts(results) -> tuple[list[float], dict[str, np.ndarray]]:
-    """The parts' loss shares, and their gradients added in part order into
+def _sum_parts(results) -> tuple[list, dict[str, np.ndarray]]:
+    """The parts' values, and their gradients added in part order into
     arrays of their own."""
     grads = {}
     for _, part_grads in results:
         for name, g in part_grads.items():
             grads[name] = grads[name] + g if name in grads else g.copy()
-    return [loss for loss, _ in results], grads
+    return [value for value, _ in results], grads
 
 
 def run_parts(kind: PartKind, model, batch,
-              n_parts: int) -> tuple[list[float], dict[str, np.ndarray], dict]:
-    """One step of ``kind`` on ``batch``: each part's loss share in part
-    order, the parts' gradients added in part order, and how many parts each
-    process computed, ``{"parent": n, "worker": m}``.
+              n_parts: int) -> tuple[list, dict[str, np.ndarray], dict]:
+    """One step of ``kind`` on ``batch``: each part's value (a training
+    part's loss share) in part order, the parts' gradients added in part
+    order (``{}`` for a forward-only kind), and how many parts each process
+    computed, ``{"parent": n, "worker": m}``.
 
     With two or more parts and a worker free, this process claims parts from
     the front and the worker from the back, each until none is left, so a

@@ -4,11 +4,13 @@ adapter, with deterministic id-ascending tie-breaking throughout.
 
 Everything is batch-first: an index build runs one image-encoder pass (and,
 for the adapter, one query pass) over all the studies it is given, and the
-rerank scores the whole shortlist with one matching-head forward.  In that
-forward the query text is a batch of 1 that every shortlisted grid shares:
-its embeddings, its block-0 self-attention (with the learned queries) and
-its block-0 MLP run once per query, not once per grid, and the final block
-skips the text rows, which the matching head never reads.
+rerank scores the shortlist with one matching-head forward, or, from
+``qformer._ITM_SPLIT_ROWS`` candidates up with two cores, one forward per
+half on each core (``QFormerModel.itm_probabilities``), with the same bits.
+In each forward the query text is a batch of 1 that every shortlisted grid
+shares: its embeddings, its block-0 self-attention (with the learned
+queries) and its block-0 MLP run once, not once per grid, and the final
+block skips the text rows, which the matching head never reads.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ class RankedRetrieval:
                 "precision_at_2": p2, "precision_at_geq1": p1}
 
 
-def _rank(ids, scores, k: int) -> list:
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+
+
+def _rank(ids, scores, k: int) -> list:
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [(ids[i], float(scores[i])) for i in order[:k]]
 
@@ -95,6 +100,7 @@ def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> R
     """Rank the pool by cosine between the query text and image embeddings."""
     if not index.ids:
         raise ValueError("empty retrieval pool")
+    _check_k(k)
     _check_query(query)
     q = clip_model.embed_text(tokenize(query, vocab))
     scores = index.embeddings @ q
@@ -103,7 +109,8 @@ def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> R
 
 def itm_scores(query_ids, index: ImageIndexB, qformer, subset=None) -> np.ndarray:
     """Matched-class probability of the query against each ``subset`` row
-    (default: the whole pool), from one matching-head forward."""
+    (default: the whole pool), from one matching-head forward per part
+    (``QFormerModel.itm_probabilities``)."""
     grids = index.grids if subset is None else index.grids[list(subset)]
     return qformer.itm_probabilities(grids, query_ids)
 
@@ -114,6 +121,7 @@ def search_b(query: str, index: ImageIndexB, qformer, vocab, k: int = 5,
     shortlist by the matching head's matched-class probability."""
     if not index.ids:
         raise ValueError("empty retrieval pool")
+    _check_k(k)
     if stage1 < 1:
         raise ValueError(f"stage1 must be at least 1, got {stage1}")
     _check_query(query)

@@ -11,7 +11,9 @@ or method is set by some call in src/ or perfbench/, except the options in
 dataclass that is not read from a file.  No graftkit module parses JSON
 outside ``params.read_json``, none writes to a ``.data`` in place outside
 ``Parameter.write``, which bumps the parameter's version, and none but
-``partworker`` imports ``multiprocessing``, ``mmap`` or ``signal``."""
+``partworker`` imports ``multiprocessing``, ``mmap`` or ``signal``.  Every
+``PartKind`` a graftkit module defines has an entry in
+``tests/test_partworker.py``'s ``STEPS``."""
 
 import ast
 import re
@@ -699,3 +701,56 @@ def test_only_the_worker_module_starts_or_signals_processes():
     """Processes, shared memory and signal handlers live in ``partworker``,
     so the model modules hold models only."""
     assert process_imports(ROOT) == []
+
+
+# --------------------------------------------------------------------------
+# part kinds without the part worker's lifecycle tests
+
+
+def part_kinds(root: Path) -> list[tuple[str, str, int]]:
+    """(kind name, module, line) of each ``PartKind(...)`` call in the
+    graftkit modules under ``root``; a name that is not a string literal is
+    ``"?"``."""
+    found = []
+    for path in sorted((root / "src" / "graftkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _name(node.func) == "PartKind":
+                arg = node.args[0] if node.args else None
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                found.append((arg.value if literal else "?", path.name, node.lineno))
+    return found
+
+
+def lifecycle_steps(root: Path) -> set[str]:
+    """The string keys of the ``STEPS`` dict in ``tests/test_partworker.py``."""
+    tree = ast.parse((root / "tests" / "test_partworker.py").read_text())
+    keys = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(_name(t) == "STEPS" for t in node.targets)
+                and isinstance(node.value, ast.Dict)):
+            keys |= {k.value for k in node.value.keys if isinstance(k, ast.Constant)}
+    return keys
+
+
+def kinds_without_steps(root: Path) -> list[tuple[str, str, int]]:
+    steps = lifecycle_steps(root)
+    return [kind for kind in part_kinds(root) if kind[0] not in steps]
+
+
+def test_kind_checker_flags_each_kind_missing_from_steps(tmp_path):
+    (tmp_path / "src/graftkit").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src/graftkit/a.py").write_text(
+        "from . import partworker\nfrom .partworker import PartKind\n"
+        "A = partworker.PartKind('a', f, 2)\nB = PartKind('b', f, 2)\n"
+        "C = partworker.PartKind(NAME, f, 2)\nD = PartKinds('d')\n")
+    (tmp_path / "tests/test_partworker.py").write_text(
+        "def f(): pass\nSTEPS = {'a': f, 'x': f}\nOTHER = {'b': f}\n")
+    assert kinds_without_steps(tmp_path) == [("b", "a.py", 4), ("?", "a.py", 5)]
+
+
+def test_every_part_kind_has_lifecycle_tests():
+    """A kind ships only with its entry in ``test_partworker.STEPS``, which
+    runs the worker's lifecycle tests on it."""
+    assert {name for name, _, _ in part_kinds(ROOT)} >= {"LM", "phase-1", "itm"}
+    assert kinds_without_steps(ROOT) == []

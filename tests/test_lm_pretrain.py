@@ -245,7 +245,7 @@ def test_a_failing_part_is_reraised_and_the_next_call_works(monkeypatch, bad_par
     rows[bad_part][1] = 28
     with pytest.raises(FloatingPointError) as info:
         nn.pretrain_lm(lm, [(r, 0) for r in rows], nn.LmTrainConfig(steps=1))
-    from_worker = any("LM training worker" in n for n in getattr(info.value, "__notes__", []))
+    from_worker = any("LM part worker" in n for n in getattr(info.value, "__notes__", []))
     assert from_worker == (len(rows[bad_part]) not in parent_lengths)
     worker = partworker._workers["LM"]
     assert trained() == ref  # the pipe is in step: no stale reply is read

@@ -1,7 +1,8 @@
-"""The part worker for each kind of split step (LM pretraining, phase 1):
-one fork per kind for the life of the process, a failing part re-raised in
-step, a dead worker raising instead of hanging, and no process left behind
-by a script that trains and exits."""
+"""The part worker for each kind of split step (LM pretraining, phase 1,
+the matching-head rerank): one fork per kind for the life of the process, a
+failing part re-raised in step, a dead worker raising instead of hanging,
+and no process left behind by a script that runs one and exits.  Every
+``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``)."""
 
 import os
 import subprocess
@@ -56,15 +57,32 @@ def phase1_step(bad=None):
     return qformer._PHASE1_PARTS, model, batch, 3
 
 
-STEPS = {"LM": lm_step, "phase-1": phase1_step}
+def itm_step(bad=None):
+    """A rerank of 17 grids against one text, in two parts of 9 and 8 grids;
+    part ``bad``'s first grid is NaN."""
+    model = qformer.QFormerModel(QCFG, seed=0)
+    grids = np.random.default_rng(2).normal(0, 1, (17, 4, 16))
+    if bad is not None:
+        grids[9 * bad] = np.nan
+    return qformer._ITM_PARTS, model, (np.array_split(grids, 2), np.array([5, 9, 3])), 2
+
+
+STEPS = {"LM": lm_step, "phase-1": phase1_step, "itm": itm_step}
 
 
 def run(step):
     return partworker.run_parts(*step)
 
 
+def values(out) -> np.ndarray:
+    """A step's summed loss, or each part's loss share or rerank values, flat."""
+    parts = out[0] if isinstance(out[0], list) else [out[0]]
+    return np.concatenate([np.ravel(v) for v in parts])
+
+
 def assert_bitwise(got, ref):
-    assert got[0] == ref[0] and got[1].keys() == ref[1].keys()
+    assert np.array_equal(values(got), values(ref))
+    assert got[1].keys() == ref[1].keys()
     assert all(np.array_equal(got[1][k], ref[1][k]) for k in ref[1])
 
 
@@ -74,22 +92,23 @@ def test_alternating_kinds_fork_each_worker_once(monkeypatch):
     monkeypatch.setattr(partworker._PartWorker, "__init__",
                         lambda self, kind, *a: (forked.append(kind.name), init(self, kind, *a))[1])
     pids = []
-    for _ in range(2):  # LM, phase 1, LM, phase 1
+    for _ in range(2):  # LM, phase 1, ITM, LM, phase 1, ITM
         for name, step in STEPS.items():
             run(step())
             pids.append((name, partworker._workers[name].proc.pid))
-    assert pids[:2] == pids[2:]
+    assert pids[:len(STEPS)] == pids[len(STEPS):]
     assert len(forked) == len(set(forked))  # a kind whose worker was up forks none
 
 
-@pytest.mark.parametrize("name, bad", [("LM", 0), ("LM", 1), ("phase-1", 0), ("phase-1", 2)])
+@pytest.mark.parametrize("name, bad", [("LM", 0), ("LM", 1), ("phase-1", 0), ("phase-1", 2),
+                                       ("itm", 0), ("itm", 1)])
 def test_a_failing_part_is_reraised_and_the_next_call_works(name, bad):
     ref = run(STEPS[name]())  # forks the worker if none is up
     worker = partworker._workers[name]
     with pytest.raises(FloatingPointError) as info:
         run(STEPS[name](bad))
     # computed here, it is raised as it is; in the worker, with its traceback
-    assert all(f"raised in the {name} training worker" in n
+    assert all(f"raised in the {name} part worker" in n
                for n in getattr(info.value, "__notes__", []))
     assert_bitwise(run(STEPS[name]()), ref)  # the pipe is in step: no stale reply is read
     assert partworker._workers[name] is worker
@@ -114,7 +133,7 @@ def test_a_dead_worker_raises_instead_of_hanging(name):
     worker.proc.kill()
     worker.proc.join(timeout=5)
     assert worker.conn.poll(5)  # end of file, since the parent holds no copy of the child's end
-    with pytest.raises(RuntimeError, match=f"the {name} training worker exited"):
+    with pytest.raises(RuntimeError, match=f"the {name} part worker exited"):
         worker.submit(model, batch, n_parts)
         worker.result()
     assert not worker.proc.is_alive()
@@ -141,6 +160,25 @@ def test_another_config_of_the_same_layout_forks_a_new_worker(monkeypatch):
     assert_bitwise(got, nn._batch_grads(lm_4, data, np.arange(8)))
 
 
+def test_a_parameter_frozen_after_the_fork_takes_no_gradient_in_the_worker(monkeypatch):
+    # the worker computes on its copy of the model it was forked with, so a
+    # freeze since then must fork a new one
+    data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(8)]
+    nn._batch_grads(tiny_lm(), data, np.arange(8))
+    first = partworker._workers["LM"]
+    lm = tiny_lm()
+    lm.tok.freeze()
+    parent, part_grads = os.getpid(), nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda *a: (
+        os.getpid() == parent and time.sleep(0.05), part_grads(*a))[1])  # this process only
+    got = nn._batch_grads(lm, data, np.arange(8))
+    assert partworker._workers["LM"] is not first and not first.proc.is_alive()
+    assert got[2]["worker"] > got[2]["parent"]
+    assert "lm.tok" not in got[1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, nn._batch_grads(lm, data, np.arange(8)))
+
+
 TRAIN_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
@@ -148,20 +186,30 @@ TRAIN_SCRIPT = textwrap.dedent("""
     from graftkit.clip_stage import ClipConfig, ClipModel
     from graftkit.corpus import CorpusSpec, generate_corpus
     from graftkit.params import ParamRegistry
+    from graftkit.search import ImageIndexB, search_b
+
+    def clip_for(corpus):
+        return ClipModel(len(corpus.vocab), ClipConfig(
+            image=nn.ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2), text_dim=16,
+            text_blocks=1, text_heads=2, proj_dim=8), seed=0)
 
     if sys.argv[1] == "LM":
         lm = nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=30, dim=32, blocks=2, heads=2,
                                                        max_len=64), np.random.default_rng(0))
         data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(16)]
         nn.pretrain_lm(lm, data, nn.LmTrainConfig(steps=2))
-    else:
+    elif sys.argv[1] == "phase-1":
         corpus = generate_corpus(3, CorpusSpec(n_studies=6))
-        clip = ClipModel(len(corpus.vocab), ClipConfig(
-            image=nn.ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2), text_dim=16,
-            text_blocks=1, text_heads=2, proj_dim=8), seed=0)
         cfg = qformer.Phase1Config(steps=2, eval_every=2, qformer=qformer.QFormerConfig(
             n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8, grid_dim=16, text_max_len=32))
-        qformer.phase1_train(corpus, clip, cfg, eval_ids=[4, 5])
+        qformer.phase1_train(corpus, clip_for(corpus), cfg, eval_ids=[4, 5])
+    else:
+        corpus = generate_corpus(3, CorpusSpec(n_studies=qformer._ITM_SPLIT_ROWS))
+        qf = qformer.QFormerModel(qformer.QFormerConfig(
+            n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8, grid_dim=16, text_max_len=32,
+            vocab_size=len(corpus.vocab)), seed=0)
+        index = ImageIndexB.build(clip_for(corpus), qf, corpus.studies)
+        search_b("left pleural effusion", index, qf, corpus.vocab)
     print(partworker._workers[sys.argv[1]].proc.pid, flush=True)
 """)
 

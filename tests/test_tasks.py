@@ -1,3 +1,5 @@
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from graftkit import autograd as ag
+from graftkit import partworker
 from graftkit import probe as probe_mod
 from graftkit import templates as T
 from graftkit import vqa as vqa_mod
@@ -13,16 +16,17 @@ from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zer
                                  zero_shot_scores_c)
 from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, generate_corpus,
                              generate_study, tokenize)
-from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, pad_batch,
-                         pool_grid, token_embedding)
+from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder,
+                         pad_batch, pool_grid, token_embedding)
 from graftkit.params import ParamRegistry
 from graftkit.seeding import indexed_rng
 from graftkit.probe import (_stratified_subsample, data_efficiency_curve, embed_for_probe,
                             eval_probe, train_probe)
 from graftkit.qa import (QaCase, aggregate_grades, alter_impression, alter_impression_text,
                          assessment_text, build_qa_cases, grade_qa_case, run_qa_pipeline)
-from graftkit.qformer import (Phase2Bridge, QFormerConfig, QFormerModel, _self_mask, itm_loss,
-                              precompute_grids, zero_shot_score_b, zero_shot_scores_b)
+from graftkit.qformer import (_ITM_SPLIT_ROWS, Phase2Bridge, QFormerConfig, QFormerModel,
+                              _self_mask, itm_loss, precompute_grids, zero_shot_score_b,
+                              zero_shot_scores_b)
 from graftkit.search import (ImageIndexB, ImageIndexC, RankedRetrieval, grade_retrieval,
                              itm_scores, laterality_query, search_b, search_c)
 from graftkit.stats import auc
@@ -30,6 +34,8 @@ from graftkit.vqa import ElixrBundle, auto_grade_yes_no, map_yes_no, run_vqa, vq
 from helpers import finite_diff_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
+needs_two_cores = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                     reason="the worker runs only with two cores")
 
 
 # --------------------------------------------------------------------------
@@ -476,14 +482,19 @@ def test_indexes_reject_rows_of_unequal_length(small_world):
 
 
 @pytest.mark.parametrize("k", [0, -2])
-def test_search_rejects_k_or_stage1_below_one(small_world, k):
+def test_search_rejects_k_or_stage1_below_one(small_world, monkeypatch, k):
     corpus, clip, qf, index_c, index_b = small_world
+    calls = []
+    for cls in (QFormerModel, TextEncoder):  # rejected before any text is encoded
+        monkeypatch.setattr(cls, "forward", lambda self, *a, _f=cls.forward, **kw: (
+            calls.append(type(self).__name__), _f(self, *a, **kw))[1])
     with pytest.raises(ValueError, match="k must be at least 1"):
         search_c("pleural effusion", index_c, clip, corpus.vocab, k=k)
     with pytest.raises(ValueError, match="k must be at least 1"):
         search_b("pleural effusion", index_b, qf, corpus.vocab, k=k)
     with pytest.raises(ValueError, match="stage1 must be at least 1"):
         search_b("pleural effusion", index_b, qf, corpus.vocab, stage1=k)
+    assert calls == []
 
 
 def test_retrieval_grading_and_metrics(small_world):
@@ -571,6 +582,75 @@ def test_itm_scores_one_adapter_forward(small_world, monkeypatch):
     assert len(calls) == 1
 
 
+def _record_splits(monkeypatch) -> list[dict]:
+    """The parts each process computed, per ``run_parts`` call from now on."""
+    splits, run_parts = [], partworker.run_parts
+
+    def recording(*args):
+        out = run_parts(*args)
+        splits.append(out[2])
+        return out
+
+    monkeypatch.setattr(partworker, "run_parts", recording)
+    return splits
+
+
+def _slow_parent_rerank(monkeypatch) -> None:
+    """Each matching-head forward in this process, not the worker, first
+    sleeps, so that the worker claims the last part."""
+    parent, logits = os.getpid(), QFormerModel.itm_logits
+    monkeypatch.setattr(QFormerModel, "itm_logits", lambda *a: (
+        os.getpid() == parent and time.sleep(0.1), logits(*a))[1])
+
+
+@needs_two_cores
+@pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 128])
+def test_itm_scores_equal_with_the_worker_inline_and_per_pair(small_world, monkeypatch, n_rows):
+    corpus, _, qf, _, index_b = small_world
+    q_ids = tokenize("left pleural effusion", corpus.vocab, qf.cfg.text_max_len)
+    subset = [(7 * i + 3) % len(index_b.ids) for i in range(n_rows)]
+    loop = np.array([qf.itm_matched_probability(index_b.grids[i], q_ids) for i in subset])
+    splits = _record_splits(monkeypatch)
+    _slow_parent_rerank(monkeypatch)
+    with_worker = itm_scores(q_ids, index_b, qf, subset=subset)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = itm_scores(q_ids, index_b, qf, subset=subset)
+    split = n_rows >= _ITM_SPLIT_ROWS  # 17 rows split as 9 and 8
+    assert splits == [{"parent": 1, "worker": int(split)}, {"parent": 1, "worker": 0}]
+    assert np.array_equal(with_worker, loop) and np.array_equal(inline, loop)
+
+
+@needs_two_cores
+def test_adapters_of_one_config_used_alternately_rerank_with_their_own_weights(small_world,
+                                                                                 monkeypatch):
+    corpus, _, qf, _, index_b = small_world
+    other = QFormerModel(qf.cfg, seed=1)
+    ids = tokenize("moderate cardiomegaly", corpus.vocab, qf.cfg.text_max_len)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ref = {model: model.itm_probabilities(index_b.grids, ids) for model in (qf, other)}
+    assert not np.array_equal(ref[qf][-1], ref[other][-1])
+    splits = _record_splits(monkeypatch)
+    _slow_parent_rerank(monkeypatch)
+    for model in (qf, other, qf, other):
+        assert np.array_equal(model.itm_probabilities(index_b.grids, ids), ref[model])
+    assert splits == [{"parent": 1, "worker": 1}] * 4
+
+
+@needs_two_cores
+def test_a_rerank_below_the_split_count_forks_no_worker(small_world, monkeypatch):
+    corpus, _, qf, _, index_b = small_world
+    monkeypatch.delitem(partworker._workers, "itm", raising=False)
+    started = []
+    for method in ("__init__", "submit"):
+        monkeypatch.setattr(partworker._PartWorker, method, lambda *a, _m=method: started.append(_m))
+    splits = _record_splits(monkeypatch)
+    ids = tokenize("pneumothorax", corpus.vocab, qf.cfg.text_max_len)
+    qf.itm_probabilities(index_b.grids[:_ITM_SPLIT_ROWS - 1], ids)
+    assert started == [] and "itm" not in partworker._workers
+    assert splits == [{"parent": 1, "worker": 0}]
+
+
 # --------------------------------------------------------------------------
 # the matching pass against its unshared, unpruned form
 
@@ -639,6 +719,7 @@ def test_itm_probabilities_run_the_text_once_and_prune_the_final_block(small_wor
     attn_in, mlp_in = [], []
     monkeypatch.setattr(qf.blocks[0], "self_attn", _Spy(qf.blocks[0].self_attn, attn_in))
     monkeypatch.setattr(qf.blocks[-1], "mlp", _Spy(qf.blocks[-1].mlp, mlp_in))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # all grids in one part
     ids = tokenize("left pleural effusion", corpus.vocab, qf.cfg.text_max_len)
     qf.itm_probabilities(index_b.grids, ids)
     n_q, dim = qf.cfg.n_queries, qf.cfg.dim
