@@ -5,25 +5,33 @@ this one claims parts from the front of a shared counter, a forked worker
 from the back, each until none is left.  A training step's loss is a sum
 of parts (rows of an LM batch; phase 1's three objectives), and their
 gradients are added in part order.  A forward-only step's parts (slices of
-the matching head's rerank rows) each return a value and no gradients.
-Each part is the same function on the same arrays whoever computes it, and
-values and sums are kept in part order, so the bits depend neither on
-which process computed which part nor on the core count.
+the rows of a rerank or of an index build, ``split_rows``) each return a
+value and no gradients.  Each part is the same function on the same arrays
+whoever computes it, and values and sums are kept in part order, so the
+bits depend neither on which process computed which part nor on the core
+count.
 
 A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
 the process; the fork copies the caller's model, and the worker computes
-on that copy, given the caller's weights before each step.  It is forked
-again when the model's config or parameter layout (names, shapes, dtypes,
-frozen flags) change.  Forking one per training call instead cost about a
-fifth of LM pretraining throughput on a 2-core VM.
+on that copy.  It is forked again when the model's config or parameter
+layout (names, shapes, dtypes, frozen flags) change, or when a request
+does not fit its shared memory.  Forking one per training call instead
+cost about a fifth of LM pretraining throughput on a 2-core VM.
 
-Shared memory, not the pipe: the weights go to the worker and its
-gradients come back through arrays in an anonymous shared mapping made
-before the fork, and the pipe carries only the step's inputs and the
-reply.  Pickling the LM's 4 MB of weights and of gradients through the
-pipe cost 4-140 ms a step on a 2-core VM, varying with how promptly each
-process was woken for every 64 KB the pipe holds.
+Shared memory, not the pipe: everything sizeable moves through anonymous
+shared mappings made before the fork.  The weights go to the worker and
+its gradients come back through arrays of the parameter layout.  A step's
+inputs and the worker's reply are pickled with protocol 5, their arrays
+left out of band and copied into a request area and a reply area; the pipe
+carries only the metadata pickle.  The pipe holds 64 KB at a time, so a
+transfer through it waits for the other process to wake once per 64 KB:
+on a 2-core VM, a round trip of a 16-image batch (512 KB) cost 0.40-0.47 ms
+pickled through the pipe, against 0.05 ms through shared memory, and the
+LM's 4 MB of weights and of gradients cost 4-140 ms a step.  The weights
+are copied only when the step's parameters are not the objects, at the
+versions, last sent, so a frozen model's go once: copying CLIP's and the
+adapter's 3.2 MB both ways cost 0.43 ms a call, checking them 0.01 ms.
 
 Fork, not spawn: a spawned child re-imports the parent's ``__main__``,
 which a script that trains at top level without a main guard does not
@@ -41,9 +49,12 @@ so a step's time follows the core that is probed.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import mmap
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import traceback
@@ -61,9 +72,10 @@ class PartKind:
     parameter name), computed here on the caller's model and in the worker
     on its forked copy of it, whose weights are the caller's at each step.
     A training part's value is its loss share; a forward-only part returns
-    its output as the value and no gradients (``{}``).  The value goes
-    through the pipe, so it should be small.  A step has at most
-    ``max_parts`` parts."""
+    its output as the value and no gradients (``{}``).  The batch goes to
+    the worker, and a value it computes comes back, as a pickle whose
+    arrays travel through shared memory, so either may be large.  A step
+    has at most ``max_parts`` parts."""
 
     name: str
     part: Callable
@@ -91,6 +103,53 @@ def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
             out[-1][name] = np.ndarray(shape, dtype, buffer=buf, offset=offset)
             offset += size
     return out
+
+
+def _reduce_array(a: np.ndarray):
+    """numpy leaves a contiguous array's memory out of band and pickles any
+    other array in band, so that one is pickled as a contiguous copy."""
+    return (a if a.flags.c_contiguous or a.flags.f_contiguous else a.copy()).__reduce_ex__(5)
+
+
+class _Message:
+    """``obj`` pickled for the other process: ``meta``, the pickle without
+    its arrays' memory, goes through the pipe with ``spans``, the (offset,
+    size) of each out-of-band buffer in a shared area, 64-byte aligned and
+    ``nbytes`` in all."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        out, buffers = io.BytesIO(), []
+        pickler = pickle.Pickler(out, protocol=5, buffer_callback=buffers.append)
+        pickler.dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
+        pickler.dump(obj)
+        self.meta, self.buffers = out.getvalue(), [b.raw() for b in buffers]
+        self.spans, self.nbytes = [], 0
+        for b in self.buffers:
+            self.spans.append((self.nbytes, b.nbytes))
+            self.nbytes += -(-b.nbytes // 64) * 64
+
+    def place(self, area: memoryview) -> tuple[bytes, list]:
+        """Copy the buffers into ``area``, which holds ``nbytes``; what the
+        pipe carries."""
+        for (offset, size), b in zip(self.spans, self.buffers):
+            area[offset:offset + size] = b
+        return self.meta, self.spans
+
+
+def _load(meta: bytes, spans, area: memoryview, copy: bool):
+    """The object ``_Message.place`` left in ``area``: its arrays are views of
+    the area, or, with ``copy``, own their memory."""
+    views = [area[offset:offset + size] for offset, size in spans]
+    return pickle.loads(meta, buffers=[bytearray(v) for v in views] if copy else views)
+
+
+def _areas(nbytes: int) -> tuple[memoryview, memoryview]:
+    """A request area and a reply area of at least ``nbytes`` each (a power
+    of two, 1 MiB at least) in one anonymous shared mapping."""
+    size = max(1 << 20, 1 << max(nbytes - 1, 0).bit_length())
+    view = memoryview(mmap.mmap(-1, 2 * size))
+    return view[:size], view[size:]
 
 
 class _PartCounter:
@@ -124,16 +183,19 @@ class _PartCounter:
             self.ends[1] = self.ends[0]
 
 
-def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter) -> None:
+def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter,
+                 request, reply_area) -> None:
     """Serve steps until the parent's end of the pipe closes.
 
-    A request is a step's ``batch``.  ``model``, the fork's copy of the
-    parent's, is given the weights in ``weights``; then parts are claimed
-    from the back of ``counter`` until none is left, and part i's gradients
-    written to ``slots[i]``, memory shared with the parent.  The reply names
-    each part computed here, with its value and the names of its
-    gradients.  A part that raises closes ``counter``, so that the parent
-    stops too.
+    A request is ``(fresh, meta, spans)``: with ``fresh``, ``model``, the
+    fork's copy of the parent's, is first given the weights in ``weights``;
+    the step's batch is ``meta`` unpickled over the buffers in ``request``.
+    Then parts are claimed from the back of ``counter`` until none is left,
+    and part i's gradients written to ``slots[i]``, memory shared with the
+    parent.  The reply names each part computed here, with its value and
+    the names of its gradients, pickled the same way into ``reply_area``;
+    one too large for it says only how large it is.  A part that raises
+    closes ``counter``, so that the parent stops too.
 
     The fork copied the parent's ends of every worker's pipe, this one's
     included (``inherited``); closing them here makes the parent's exit,
@@ -145,19 +207,25 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            batch = conn.recv()
+            fresh, meta, spans = conn.recv()
         except (EOFError, OSError):  # the parent is gone
             return
         try:
-            for p in model.params():
-                p.write(weights[p.name])
+            if fresh:
+                for p in model.params():
+                    p.write(weights[p.name])
+            batch = _load(meta, spans, request, copy=False)
             done = []
             while (i := counter.claim(back=True)) is not None:
                 value, grads = kind.part(model, batch, i)
                 for name, g in grads.items():
                     slots[i][name][...] = g
                 done.append((i, value, tuple(grads)))
-            reply = ("ok", done)
+            message = _Message(done)
+            if message.nbytes > len(reply_area):
+                reply = ("big", message.nbytes)
+            else:
+                reply = ("ok", *message.place(reply_area))
         except Exception as exc:  # the parent re-raises it
             counter.close()
             reply = ("err", exc, traceback.format_exc())
@@ -167,52 +235,81 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter
             return
 
 
+def _same_params(a: list, b: list) -> bool:
+    """Whether two lists of (parameter, version) hold the same parameter
+    objects at the same versions."""
+    return len(a) == len(b) and all(p is q and v == w for (p, v), (q, w) in zip(a, b))
+
+
 class _PartWorker:
     """A forked process that computes parts of each step of one ``kind``
     on its copy of ``model``, claiming them from the back of ``counter``
     while the parent claims from the front.  Its shared memory holds one
     weight-sized set for the weights and one per part (``1 +
     kind.max_parts`` sets), of which only the gradients of the parts it
-    computes are written: a page is backed by memory only once written, so
-    a forward-only kind's part sets cost none."""
+    computes are written, and a request and a reply area of ``capacity``
+    bytes each, at least ``nbytes``: a page is backed by memory only once
+    written, so a forward-only kind's part sets cost none.
 
-    def __init__(self, kind: PartKind, model):
+    ``sent`` holds each parameter that the worker's copy has the values of,
+    with its version: the fork's own, then those of the last weights sent.
+    Holding the parameters, not their ids, keeps a freed parameter's id from
+    passing for a new one's."""
+
+    def __init__(self, kind: PartKind, model, nbytes: int = 0):
         self.kind, self.key = kind, (model.cfg, _layout(model))
         self.weights, *self.slots = _shared_arrays(self.key[1], 1 + kind.max_parts)
+        self.request, self.reply = _areas(nbytes)
+        self.capacity, self.reply_bytes = len(self.request), 0
+        self.sent = [(p, p.version) for p in model.params()]
         ctx = multiprocessing.get_context("fork")
         self.counter = _PartCounter(ctx)
         self.conn, child_end = ctx.Pipe()
         inherited = [self.conn, *(w.conn for w in _workers.values())]
         self.proc = ctx.Process(target=_worker_main,
                                 args=(child_end, inherited, kind, model, self.weights,
-                                      self.slots, self.counter),
+                                      self.slots, self.counter, self.request, self.reply),
                                 name=f"graftkit-{kind.name}-part", daemon=True)
         self.proc.start()
         child_end.close()  # so that a dead worker is an EOFError here, not a hang
         self.owner = os.getpid()
 
     def submit(self, model, batch, n_parts: int) -> None:
-        """Write ``model``'s weights to shared memory, open the counter on
-        ``n_parts`` parts, at most ``kind.max_parts``, and start the worker
-        claiming from the back."""
-        for p in model.params():
-            self.weights[p.name][...] = p.data
+        """Write ``model``'s weights to shared memory unless the worker has
+        them, and ``batch``'s arrays, open the counter on ``n_parts`` parts,
+        at most ``kind.max_parts``, and start the worker claiming from the
+        back.  ``batch`` may be a ``_Message`` already made of it; its
+        arrays must fit in ``capacity`` bytes (``_part_worker``)."""
+        message = batch if isinstance(batch, _Message) else _Message(batch)
+        sent = [(p, p.version) for p in model.params()]
+        fresh = not _same_params(sent, self.sent)
+        if fresh:
+            for p, _ in sent:
+                self.weights[p.name][...] = p.data
+        self.sent = sent
+        meta, spans = message.place(self.request)
         self.counter.reset(n_parts)
-        self._io(self.conn.send, batch)
+        self._io(self.conn.send, (fresh, meta, spans))
 
     def result(self) -> dict[int, tuple[object, dict[str, np.ndarray]]]:
         """Part index -> (value, gradients) of each part the worker
         computed since the last ``submit``; the worker's exception is
         re-raised as the same type.  The gradients are views of the shared
-        memory, valid until the next ``submit``."""
+        memory, valid until the next ``submit``.  A reply too large for the
+        reply area gives no part, and the next step forks a worker with
+        room for it."""
         reply = self._io(self.conn.recv)
         if reply[0] == "err":
+            self.sent = []  # whatever failed, the next step sends the weights
             exc = reply[1]
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note(f"raised in the {self.kind.name} part worker:\n" + reply[2])
             raise exc
+        if reply[0] == "big":
+            self.reply_bytes = reply[1]
+            return {}
         return {i: (value, {name: self.slots[i][name] for name in names})
-                for i, value, names in reply[1]}
+                for i, value, names in _load(*reply[1:], self.reply, copy=True)}
 
     def _io(self, op, *args):
         """A dead worker or an interrupted transfer leaves the pipe out of
@@ -248,30 +345,35 @@ def cores() -> int:
     return n or 1
 
 
-def _part_worker(kind: PartKind, model) -> _PartWorker | None:
+def _part_worker(kind: PartKind, model, nbytes: int) -> _PartWorker:
     """The process's worker for ``kind``, forked on first use and again when
-    the model's config or layout change, or None when fewer than two cores
-    are available to this process.  Call it holding ``_lock``."""
-    if cores() < 2:
-        return None
+    the model's config or layout change, or when ``nbytes`` of request, or
+    the last reply that did not fit, exceed its areas.  Call it holding
+    ``_lock``."""
     worker = _workers.get(kind.name)
     if worker is not None and worker.owner != os.getpid():  # a forked copy owns no worker
         worker = None
-    elif worker is not None and (not worker.proc.is_alive()
-                                 or worker.key != (model.cfg, _layout(model))):
-        worker.close()
-        worker = None
+    elif worker is not None:
+        nbytes = max(nbytes, worker.reply_bytes)
+        if (not worker.proc.is_alive() or worker.key != (model.cfg, _layout(model))
+                or nbytes > worker.capacity):
+            worker.close()
+            worker = None
     if worker is None:
-        worker = _workers[kind.name] = _PartWorker(kind, model)
+        worker = _workers[kind.name] = _PartWorker(kind, model, nbytes)
     return worker
 
 
 def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[list, int]:
     """Each part's (value, gradients), in part order, with this process
     claiming parts from the front and ``worker`` from the back; and how many
-    the worker computed.  If a part raises here, the counter is closed and
-    the worker's reply read, to keep the pipe in step, before re-raising."""
+    the worker computed.  ``batch`` may be a ``_Message`` made of it.  The
+    worker's parts whose reply did not fit are computed here again.  If a
+    part raises here, the counter is closed and the worker's reply read, to
+    keep the pipe in step, before re-raising."""
     worker.submit(model, batch, n_parts)
+    if isinstance(batch, _Message):
+        batch = batch.obj
     results = {}
     try:
         while (i := worker.counter.claim(back=False)) is not None:
@@ -285,6 +387,9 @@ def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[lis
         raise
     theirs = worker.result()
     results.update(theirs)
+    for i in range(n_parts):
+        if i not in results:
+            results[i] = worker.kind.part(model, batch, i)
     return [results[i] for i in range(n_parts)], len(theirs)
 
 
@@ -305,20 +410,43 @@ def run_parts(kind: PartKind, model, batch,
     order (``{}`` for a forward-only kind), and how many parts each process
     computed, ``{"parent": n, "worker": m}``.
 
-    With two or more parts and a worker free, this process claims parts from
-    the front and the worker from the back, each until none is left, so a
-    faster core takes more of them; otherwise every part runs here.
+    With two or more parts, two cores and a worker free, this process claims
+    parts from the front and the worker from the back, each until none is
+    left, so a faster core takes more of them; otherwise every part runs
+    here.
     """
-    if n_parts >= 2 and _lock.acquire(blocking=False):
+    if n_parts >= 2 and cores() >= 2 and _lock.acquire(blocking=False):
         try:
-            worker = _part_worker(kind, model)
-            if worker is not None:
-                results, by_worker = _claimed_grads(worker, model, batch, n_parts)
-                # added up before the lock is released: the worker's
-                # gradients are shared memory that the next submit overwrites
-                return *_sum_parts(results), {"parent": n_parts - by_worker,
-                                              "worker": by_worker}
+            request = _Message(batch)
+            worker = _part_worker(kind, model, request.nbytes)
+            results, by_worker = _claimed_grads(worker, model, request, n_parts)
+            # added up before the lock is released: the worker's gradients
+            # are shared memory that the next submit overwrites
+            return *_sum_parts(results), {"parent": n_parts - by_worker, "worker": by_worker}
         finally:
             _lock.release()
     results = [kind.part(model, batch, i) for i in range(n_parts)]
     return *_sum_parts(results), {"parent": n_parts, "worker": 0}
+
+
+def row_part(model, batch, i: int) -> tuple[object, dict]:
+    """Part i of a row-split forward ``(fn, row slices, args)``:
+    ``fn(model, slice i, *args)``, and no gradients."""
+    fn, slices, args = batch
+    return fn(model, slices[i], *args), {}
+
+
+def split_rows(kind: PartKind, model, fn: Callable, rows: np.ndarray, min_rows: int, *args):
+    """``fn(model, rows, *args)`` for a forward ``fn`` whose output row j
+    depends only on ``rows[j]``: from ``min_rows`` rows up, with two cores,
+    as two contiguous halves, one computed here and one by ``kind``'s worker
+    (whose part is ``row_part``), their outputs concatenated (an output
+    tuple's arrays each); otherwise in one call here.  ``fn`` goes to the
+    worker by name, so it is a module-level function."""
+    n_parts = 2 if len(rows) >= min_rows and cores() >= 2 else 1
+    values, _, _ = run_parts(kind, model, (fn, np.array_split(rows, n_parts), args), n_parts)
+    if n_parts == 1:
+        return values[0]
+    if isinstance(values[0], tuple):
+        return tuple(np.concatenate(v) for v in zip(*values))
+    return np.concatenate(values)

@@ -12,6 +12,7 @@ from .autograd import Tape, Tensor
 from .nn import Linear
 from .optim import Lars
 from .params import ParamRegistry
+from .qformer import image_query_outputs
 from .seeding import indexed_rng, substream
 from .stats import auc
 
@@ -114,16 +115,14 @@ def data_efficiency_curve(train_features, train_labels, test_features, test_labe
 
 
 def embed_for_probe(images: np.ndarray, variant: str, clip_model, qformer=None) -> np.ndarray:
-    """(N, H, W) images -> (N, F) features from one encoder pass: pooled
-    projection embeddings (C) or concatenated query-token outputs (B, on
-    grids pooled as the adapter was trained)."""
-    images = np.asarray(images, dtype=np.float64)
+    """(N, H, W) images -> (N, F) features from one encoder pass, or one per
+    half on two cores with the same bits: pooled projection embeddings (C)
+    or concatenated query-token outputs (B, on grids pooled as the adapter
+    was trained)."""
     if variant == "C":
-        return clip_model.image_embeddings(images).data
+        return clip_model.embed_images(images)
     if variant == "B":
         if qformer is None:
             raise ValueError("variant B needs a qformer")
-        tokens = clip_model.image_encoder.grid_tokens(images, qformer.cfg.pooled_hw)
-        q_out, _ = qformer.forward(tokens, None, mode="itc")
-        return q_out.data.reshape(len(images), -1)
+        return image_query_outputs(clip_model, qformer, images)
     raise ValueError(f"unknown variant {variant!r}")

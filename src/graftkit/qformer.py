@@ -12,7 +12,7 @@ import numpy as np
 from . import autograd as ag
 from . import partworker
 from .autograd import Tape, Tensor
-from .clip_stage import DEFAULT_PROMPT_SETS, softmax_pair
+from .clip_stage import _IMAGE_SPLIT_ROWS, DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
 from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
                  greedy_decode, key_padding_mask, mlp_residual, next_token_targets, pad_batch,
@@ -213,12 +213,10 @@ class QFormerModel:
         grids.  From ``_ITM_SPLIT_ROWS`` grids up, with two cores, the grids
         run as two contiguous halves, one here and one in the ``itm`` part
         worker; fewer run here in one part.  Each part is one matching-head
-        forward (``_itm_part``), and a grid's probability does not depend on
+        forward (``_itm_rows``), and a grid's probability does not depend on
         the grids beside it, so the bits are the same either way."""
-        n_parts = 2 if len(grids) >= _ITM_SPLIT_ROWS and partworker.cores() >= 2 else 1
-        batch = (np.array_split(grids, n_parts), np.asarray(token_ids, dtype=np.int64))
-        probs, _, _ = partworker.run_parts(_ITM_PARTS, self, batch, n_parts)
-        return np.concatenate(probs)
+        return partworker.split_rows(_ITM_PARTS, self, _itm_rows, grids, _ITM_SPLIT_ROWS,
+                                     np.asarray(token_ids, dtype=np.int64))
 
     def itm_matched_probability(self, grid_tokens: np.ndarray, token_ids) -> float:
         return float(self.itm_probabilities(grid_tokens[None], token_ids)[0])
@@ -234,26 +232,69 @@ class QFormerModel:
         return save_checkpoint(self.registry, path, meta=meta)
 
 
-def _itm_part(model: QFormerModel, batch, i: int) -> tuple[np.ndarray, dict]:
-    """Part i of a rerank ``(grid slices, token ids)``: the matched-class
-    probability of the text against each grid of slice i, from one
-    matching-head forward, and no gradients.  The text goes in as a batch of
-    1 that every grid shares (``forward``), so its embeddings and its
-    block-0 work run once per part, not once per grid, and the final block
-    runs only the grids' query rows."""
-    slices, ids = batch
-    z = model.itm_logits(slices[i], ids[None], None).data
+def _itm_rows(model: QFormerModel, grids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The matched-class probability of the text ``ids`` against each grid,
+    from one matching-head forward.  The text goes in as a batch of 1 that
+    every grid shares (``forward``), so its embeddings and its block-0 work
+    run once, not once per grid, and the final block runs only the grids'
+    query rows."""
+    z = model.itm_logits(grids, ids[None], None).data
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e[:, 0] / e.sum(axis=1), {}
+    return e[:, 0] / e.sum(axis=1)
 
 
-_ITM_PARTS = partworker.PartKind("itm", _itm_part, 2)
+_ITM_PARTS = partworker.PartKind("itm", partworker.row_part, 2)
 # The fewest rerank rows that run as two parts.  Medians per call with the
 # benchmark's scoring adapter (dim 64, 2 blocks, 8 queries) on a 2-core VM at
-# 1 BLAS thread, one part here against two: 1.27 against 1.43 ms at 8 rows,
-# 1.64 / 1.62 at 12, 1.95 / 1.79 at 16, 13.8 / 6.6 at 128.  Four parts were
-# slower than two (7.2 ms at 128 rows), so a rerank has at most two.
-_ITM_SPLIT_ROWS = 16
+# 1 BLAS thread, one part here against two: 0.95 against 1.03 ms at 4 rows,
+# 1.13 / 1.14 at 6, 1.30 / 1.22 at 8, 1.65 / 1.40 at 12, 1.98 / 1.58 at 16.
+# While the rows went through the pipe, two parts won only from 16 (1.95 /
+# 1.79 ms); four parts were slower than two then (7.2 against 6.6 ms at 128
+# rows), so a rerank has at most two.
+_ITM_SPLIT_ROWS = 8
+
+
+class _ImageAdapter:
+    """A CLIP model's image tower feeding an adapter, as one model for the
+    ``clip-adapter`` part worker: the configs and parameters of both."""
+
+    def __init__(self, clip_model, qformer: QFormerModel):
+        self.clip, self.qformer = clip_model, qformer
+        self.cfg = (clip_model.cfg, qformer.cfg)
+
+    def params(self) -> list:
+        return [*self.clip.params(), *self.qformer.params()]
+
+
+def _query_projection_rows(pair: _ImageAdapter, images: np.ndarray) -> tuple:
+    grids = pair.clip.image_encoder.grid_tokens(images, pair.qformer.cfg.pooled_hw)
+    return grids, pair.qformer.query_projections(grids).data
+
+
+def _query_output_rows(pair: _ImageAdapter, images: np.ndarray) -> np.ndarray:
+    grids = pair.clip.image_encoder.grid_tokens(images, pair.qformer.cfg.pooled_hw)
+    q_out, _ = pair.qformer.forward(grids, None, mode="itc")
+    return q_out.data.reshape(len(images), -1)
+
+
+_ADAPTER_PARTS = partworker.PartKind("clip-adapter", partworker.row_part, 2)
+
+
+def image_queries(clip_model, qformer: QFormerModel,
+                  images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, G, grid_dim) pooled grids of (N, H, W) images and their
+    (N, Q, proj_dim) unit query projections, from one image-encoder and one
+    query pass, or one of each per half on two cores
+    (``partworker.split_rows``) with the same bits."""
+    return partworker.split_rows(_ADAPTER_PARTS, _ImageAdapter(clip_model, qformer),
+                                 _query_projection_rows, images, _IMAGE_SPLIT_ROWS)
+
+
+def image_query_outputs(clip_model, qformer: QFormerModel, images: np.ndarray) -> np.ndarray:
+    """The (N, Q * dim) concatenated query-token outputs of (N, H, W)
+    images, split as ``image_queries``."""
+    return partworker.split_rows(_ADAPTER_PARTS, _ImageAdapter(clip_model, qformer),
+                                 _query_output_rows, images, _IMAGE_SPLIT_ROWS)
 
 
 def load_qformer(path) -> "QFormerModel":
@@ -413,7 +454,7 @@ def split_studies(n_studies: int, held_out: int, eval_ids=None) -> tuple[list[in
 
 def precompute_grids(clip_model, studies, pooled_hw: int) -> np.ndarray:
     """Frozen image-encoder grids, average pooled, flattened to token lists."""
-    return clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
+    return clip_model.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
 
 
 def phase1_split(n_studies: int, eval_ids=None) -> tuple[list[int], list]:

@@ -2,15 +2,19 @@
 and two-stage retrieval (cosine shortlist, matching-head rerank) for the
 adapter, with deterministic id-ascending tie-breaking throughout.
 
-Everything is batch-first: an index build runs one image-encoder pass (and,
-for the adapter, one query pass) over all the studies it is given, and the
-rerank scores the shortlist with one matching-head forward, or, from
-``qformer._ITM_SPLIT_ROWS`` candidates up with two cores, one forward per
-half on each core (``QFormerModel.itm_probabilities``), with the same bits.
-In each forward the query text is a batch of 1 that every shortlisted grid
-shares: its embeddings, its block-0 self-attention (with the learned
-queries) and its block-0 MLP run once, not once per grid, and the final
-block skips the text rows, which the matching head never reads.
+Everything is batch-first, and each batch forward is split by rows across
+both cores (``partworker.split_rows``) with the same bits as one pass.  An
+index build runs one image-encoder pass (and, for the adapter, one query
+pass) over the studies it is given, or from
+``clip_stage._IMAGE_SPLIT_ROWS`` studies up with two cores one per half,
+here and in a part worker (``ClipModel.embed_images``,
+``qformer.image_queries``).  The rerank scores the shortlist with one
+matching-head forward, or from ``qformer._ITM_SPLIT_ROWS`` candidates up
+one per half (``QFormerModel.itm_probabilities``).  In each rerank forward
+the query text is a batch of 1 that every shortlisted grid shares: its
+embeddings, its block-0 self-attention (with the learned queries) and its
+block-0 MLP run once, not once per grid, and the final block skips the text
+rows, which the matching head never reads.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import tokenize, words
+from .qformer import image_queries
 from .stats import ndcg_at_k, precision_at_k
 
 
@@ -56,6 +61,12 @@ def _check_lengths(ids, **arrays) -> None:
             raise ValueError(f"index has {len(ids)} ids but {len(arr)} {name} rows")
 
 
+def _images(studies) -> np.ndarray:
+    if len(studies) == 0:
+        raise ValueError("an index needs at least one study; got none")
+    return np.stack([s.image for s in studies])
+
+
 def _check_query(query: str) -> None:
     if not words(query):
         raise ValueError(f"query {query!r} has no words")
@@ -73,8 +84,8 @@ class ImageIndexC:
 
     @staticmethod
     def build(clip_model, studies) -> "ImageIndexC":
-        emb = clip_model.image_embeddings(np.stack([s.image for s in studies])).data
-        return ImageIndexC([s.study_id for s in studies], emb)
+        return ImageIndexC([s.study_id for s in studies],
+                           clip_model.embed_images(_images(studies)))
 
 
 @dataclass
@@ -90,10 +101,8 @@ class ImageIndexB:
 
     @staticmethod
     def build(clip_model, qformer, studies) -> "ImageIndexB":
-        grids = clip_model.image_encoder.grid_tokens(np.stack([s.image for s in studies]),
-                                                     qformer.cfg.pooled_hw)
-        return ImageIndexB([s.study_id for s in studies], grids,
-                           qformer.query_projections(grids).data)
+        return ImageIndexB([s.study_id for s in studies],
+                           *image_queries(clip_model, qformer, _images(studies)))
 
 
 def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> RankedRetrieval:

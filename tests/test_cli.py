@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graftkit import cli as cli_mod, templates as T, vqa as vqa_mod
+from graftkit import cli as cli_mod, partworker, templates as T, vqa as vqa_mod
 from graftkit.cli import checkpoint_roundtrip, main
 from graftkit.clip_stage import DEFAULT_PROMPT_SETS, ClipConfig, ClipModel
 from graftkit.corpus import CorpusSpec, build_vocab, generate_corpus, load_corpus, save_corpus
@@ -475,19 +475,29 @@ def test_zeroshot_c_encodes_the_images_once(tmp_path, monkeypatch):
     corpus = generate_corpus(3, CorpusSpec(n_studies=12))
     save_corpus(corpus, tmp_path / "corpus")
     tiny_clip(corpus.vocab).save(tmp_path / "clip.ckpt")
-    calls = []
+    rows = tmp_path / "rows"  # one line per encoder pass, from either process
     original = ImageEncoder.forward
 
     def counting(self, images):
-        calls.append(len(images))
+        with open(rows, "a") as f:
+            f.write(f"{len(images)}\n")
         return original(self, images)
 
     monkeypatch.setattr(ImageEncoder, "forward", counting)
-    assert run_cli(["zeroshot", "--corpus", str(tmp_path / "corpus"),
-                    "--clip", str(tmp_path / "clip.ckpt"), "--out", str(tmp_path / "o")]) == 0
+    stale = partworker._workers.pop("clip", None)
+    if stale is not None:
+        stale.close()  # the next worker is forked counting too
+    try:
+        assert run_cli(["zeroshot", "--corpus", str(tmp_path / "corpus"),
+                        "--clip", str(tmp_path / "clip.ckpt"), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        worker = partworker._workers.pop("clip", None)
+        if worker is not None:
+            worker.close()
     doc = json.loads((tmp_path / "o" / "zeroshot.json").read_text())
     assert sorted(doc["result"]) == sorted(DEFAULT_PROMPT_SETS) and len(doc["result"]) == 7
-    assert calls == [12]
+    halves = [6, 6] if partworker.cores() >= 2 else [12]  # one pass per half
+    assert sorted(int(n) for n in rows.read_text().split()) == halves
 
 
 def test_cli_chain_end_to_end(tmp_path):

@@ -11,7 +11,7 @@ or method is set by some call in src/ or perfbench/, except the options in
 dataclass that is not read from a file.  No graftkit module parses JSON
 outside ``params.read_json``, none writes to a ``.data`` in place outside
 ``Parameter.write``, which bumps the parameter's version, and none but
-``partworker`` imports ``multiprocessing``, ``mmap`` or ``signal``.  Every
+``partworker`` imports ``multiprocessing``, ``mmap``, ``pickle`` or ``signal``.  Every
 ``PartKind`` a graftkit module defines has an entry in
 ``tests/test_partworker.py``'s ``STEPS``."""
 
@@ -664,7 +664,7 @@ def test_parameter_values_are_written_only_by_the_version_bumping_method():
 # process machinery outside the part worker
 
 
-PROCESS_MODULES = ("multiprocessing", "mmap", "signal")
+PROCESS_MODULES = ("multiprocessing", "mmap", "pickle", "signal")
 
 
 def process_imports(root: Path) -> list[tuple[str, int]]:
@@ -693,13 +693,15 @@ def test_process_import_checker_flags_all_but_the_worker_module(tmp_path):
     (tmp_path / "src/graftkit/m.py").write_text(
         "import os, mmap\nfrom multiprocessing import get_context\n"
         "import multiprocessing.shared_memory\nfrom . import signal\nimport signals\n"
-        "def f():\n    import signal\n")
-    assert process_imports(tmp_path) == [("m.py", 1), ("m.py", 2), ("m.py", 3), ("m.py", 7)]
+        "from pickle import loads\nimport pickletools\ndef f():\n    import signal\n")
+    assert process_imports(tmp_path) == [("m.py", 1), ("m.py", 2), ("m.py", 3), ("m.py", 6),
+                                         ("m.py", 9)]
 
 
 def test_only_the_worker_module_starts_or_signals_processes():
-    """Processes, shared memory and signal handlers live in ``partworker``,
-    so the model modules hold models only."""
+    """Processes, shared memory, the pickles sent between processes and
+    signal handlers live in ``partworker``, so the model modules hold models
+    only."""
     assert process_imports(ROOT) == []
 
 

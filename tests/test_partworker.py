@@ -1,20 +1,28 @@
 """The part worker for each kind of split step (LM pretraining, phase 1,
-the matching-head rerank): one fork per kind for the life of the process, a
+the matching-head rerank, the image-side forwards of CLIP alone and of
+CLIP with the adapter): one fork per kind for the life of the process, a
 failing part re-raised in step, a dead worker raising instead of hanging,
 and no process left behind by a script that runs one and exits.  Every
-``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``)."""
+``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``).
+Then the transfer: weights sent only after they change, requests and
+replies of any size, and a pipe that carries metadata only."""
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import time
 from pathlib import Path
 
+from multiprocessing.connection import Connection
+
 import numpy as np
 import pytest
 
-from graftkit import nn, partworker, qformer
+from graftkit import clip_stage, nn, partworker, qformer
+from graftkit.clip_stage import ClipConfig, ClipModel
+from graftkit.optim import Adam
 from graftkit.params import ParamRegistry
 
 SRC = Path(nn.__file__).resolve().parents[1]
@@ -64,10 +72,40 @@ def itm_step(bad=None):
     grids = np.random.default_rng(2).normal(0, 1, (17, 4, 16))
     if bad is not None:
         grids[9 * bad] = np.nan
-    return qformer._ITM_PARTS, model, (np.array_split(grids, 2), np.array([5, 9, 3])), 2
+    return (qformer._ITM_PARTS, model,
+            (qformer._itm_rows, np.array_split(grids, 2), (np.array([5, 9, 3]),)), 2)
 
 
-STEPS = {"LM": lm_step, "phase-1": phase1_step, "itm": itm_step}
+def tiny_clip():
+    return ClipModel(40, ClipConfig(image=nn.ImageEncoderConfig(patch=32, dim=16, blocks=1,
+                                                                heads=2),
+                                    text_dim=16, text_blocks=1, text_heads=2, proj_dim=8),
+                     seed=0)
+
+
+def images(n: int, bad=None) -> list[np.ndarray]:
+    """``n`` random images as two halves; half ``bad``'s first image is NaN."""
+    imgs = np.random.default_rng(3).uniform(0, 1, (n, 64, 64))
+    if bad is not None:
+        imgs[-(-n // 2) * bad] = np.nan
+    return np.array_split(imgs, 2)
+
+
+def clip_step(bad=None):
+    """The embeddings of 17 images in two parts of 9 and 8."""
+    return (clip_stage._IMAGE_PARTS, tiny_clip(),
+            (clip_stage._embedding_rows, images(17, bad), ()), 2)
+
+
+def adapter_step(bad=None):
+    """The grids and query projections of 17 images in two parts."""
+    return (qformer._ADAPTER_PARTS, qformer._ImageAdapter(tiny_clip(),
+                                                          qformer.QFormerModel(QCFG, seed=0)),
+            (qformer._query_projection_rows, images(17, bad), ()), 2)
+
+
+STEPS = {"LM": lm_step, "phase-1": phase1_step, "itm": itm_step, "clip": clip_step,
+         "clip-adapter": adapter_step}
 
 
 def run(step):
@@ -75,9 +113,10 @@ def run(step):
 
 
 def values(out) -> np.ndarray:
-    """A step's summed loss, or each part's loss share or rerank values, flat."""
+    """A step's summed loss, or each part's loss share or output arrays, flat."""
     parts = out[0] if isinstance(out[0], list) else [out[0]]
-    return np.concatenate([np.ravel(v) for v in parts])
+    return np.concatenate([np.ravel(a) for v in parts
+                           for a in (v if isinstance(v, tuple) else (v,))])
 
 
 def assert_bitwise(got, ref):
@@ -101,7 +140,8 @@ def test_alternating_kinds_fork_each_worker_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, bad", [("LM", 0), ("LM", 1), ("phase-1", 0), ("phase-1", 2),
-                                       ("itm", 0), ("itm", 1)])
+                                       ("itm", 0), ("itm", 1), ("clip", 0), ("clip", 1),
+                                       ("clip-adapter", 0), ("clip-adapter", 1)])
 def test_a_failing_part_is_reraised_and_the_next_call_works(name, bad):
     ref = run(STEPS[name]())  # forks the worker if none is up
     worker = partworker._workers[name]
@@ -179,6 +219,111 @@ def test_a_parameter_frozen_after_the_fork_takes_no_gradient_in_the_worker(monke
     assert_bitwise(got, nn._batch_grads(lm, data, np.arange(8)))
 
 
+def slow_parent(monkeypatch, cls, method: str) -> None:
+    """Each call of ``cls.method`` in this process, not a worker, first
+    sleeps, so that the worker claims the last part."""
+    parent, original = os.getpid(), getattr(cls, method)
+    monkeypatch.setattr(cls, method, lambda *a: (
+        os.getpid() == parent and time.sleep(0.05), original(*a))[1])
+
+
+def pipe_messages(monkeypatch) -> list:
+    """Each object this process sends through a pipe from now on."""
+    sent, send = [], Connection.send
+    monkeypatch.setattr(Connection, "send", lambda self, obj: (sent.append(obj),
+                                                               send(self, obj))[1])
+    return sent
+
+
+def test_a_forward_after_a_weight_write_uses_the_new_weights_in_the_worker(monkeypatch):
+    kind, model, batch, n_parts = itm_step()
+    slow_parent(monkeypatch, qformer.QFormerModel, "itm_logits")
+    sent = pipe_messages(monkeypatch)
+    outputs = []
+
+    def step():
+        got = run((kind, model, batch, n_parts))
+        assert got[2] == {"parent": 1, "worker": 1}
+        outputs.append(np.concatenate([kind.part(model, batch, i)[0] for i in range(n_parts)]))
+        assert np.array_equal(values(got), outputs[-1])
+
+    step()
+    step()  # the same parameters at the same versions: no weights sent
+    Adam(model.params(), lr=0.01).step({p.name: np.ones_like(p.data) for p in model.params()})
+    step()  # an optimizer step on the same model
+    model.registry.load_values(qformer.QFormerModel(QCFG, seed=4).registry.snapshot())
+    step()  # a load into the same model
+    assert [fresh for fresh, _, _ in sent[1:]] == [False, True, True]
+    assert not any(np.array_equal(a, b) for a, b in zip(outputs[1:], outputs[2:]))
+
+
+def test_a_model_of_the_same_layout_gets_its_own_weights_sent(monkeypatch):
+    # the worker holds the parameters it was sent, so a new model whose
+    # parameters took a freed one's ids is still told apart
+    sent = pipe_messages(monkeypatch)
+    kind, model, batch, n_parts = itm_step()
+    run((kind, model, batch, n_parts))
+    del model
+    for _ in range(3):
+        kind, model, batch, n_parts = itm_step()
+        run((kind, model, batch, n_parts))
+        del model
+    assert [fresh for fresh, _, _ in sent[1:]] == [True] * 3
+
+
+def test_the_pipe_carries_a_16_image_step_as_metadata_only(monkeypatch):
+    kind, model, _, _ = clip_step()
+    batch = (clip_stage._embedding_rows, images(16), ())
+    flipped = (clip_stage._embedding_rows, [h[:, :, ::-1] for h in batch[1]], ())
+    assert not flipped[1][0].flags.c_contiguous  # numpy would pickle it in band
+    run((kind, model, batch, 2))  # forks the worker if none is up
+    sent = pipe_messages(monkeypatch)
+    run((kind, model, batch, 2))
+    run((kind, model, flipped, 2))
+    assert sum(h.nbytes for h in batch[1]) == 16 * 64 * 64 * 8
+    assert len(sent) == 2 and all(len(pickle.dumps(m)) < 1024 for m in sent)
+
+
+def test_a_request_larger_than_the_region_forks_a_bigger_worker_with_the_same_bits(monkeypatch):
+    kind, model, batch, n_parts = clip_step()
+    run((kind, model, batch, n_parts))
+    first = partworker._workers["clip"]
+    big = (clip_stage._embedding_rows, images(first.capacity // (64 * 64 * 8) + 1), ())
+    slow_parent(monkeypatch, nn.ImageEncoder, "forward")
+    got = run((kind, model, big, n_parts))
+    worker = partworker._workers["clip"]
+    assert worker is not first and not first.proc.is_alive()
+    assert worker.capacity >= sum(h.nbytes for h in big[1]) > first.capacity
+    assert got[2] == {"parent": 1, "worker": 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, run((kind, model, big, n_parts)))
+
+
+def wide_rows(model, rows, width: int, slow_pid: int) -> np.ndarray:
+    """Each row repeated ``width`` times; in process ``slow_pid``, after a sleep."""
+    if os.getpid() == slow_pid:
+        time.sleep(0.05)
+    return np.repeat(rows, width, axis=1)
+
+
+def test_a_reply_larger_than_the_region_is_computed_here_and_the_next_step_has_room():
+    kind, model, _, _ = itm_step()
+    width = 1 << 16  # 4 rows of 64 K float64: 2 MiB, above the 1 MiB of a new worker
+    batch = (wide_rows, np.array_split(np.arange(8.0)[:, None], 2), (width, os.getpid()))
+    ref = np.repeat(np.arange(8.0)[:, None], width, axis=1)
+    stale = partworker._workers.pop(kind.name, None)
+    if stale is not None:
+        stale.close()  # the next step forks a worker with 1 MiB areas
+    got = run((kind, model, batch, 2))
+    first = partworker._workers[kind.name]
+    assert got[2] == {"parent": 2, "worker": 0} and first.reply_bytes > first.capacity
+    assert np.array_equal(np.concatenate(got[0]), ref)
+    got = run((kind, model, batch, 2))
+    assert partworker._workers[kind.name] is not first
+    assert got[2] == {"parent": 1, "worker": 1}
+    assert np.array_equal(np.concatenate(got[0]), ref)
+
+
 TRAIN_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
@@ -186,7 +331,7 @@ TRAIN_SCRIPT = textwrap.dedent("""
     from graftkit.clip_stage import ClipConfig, ClipModel
     from graftkit.corpus import CorpusSpec, generate_corpus
     from graftkit.params import ParamRegistry
-    from graftkit.search import ImageIndexB, search_b
+    from graftkit.search import ImageIndexB, ImageIndexC, search_b
 
     def clip_for(corpus):
         return ClipModel(len(corpus.vocab), ClipConfig(
@@ -204,10 +349,11 @@ TRAIN_SCRIPT = textwrap.dedent("""
             n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8, grid_dim=16, text_max_len=32))
         qformer.phase1_train(corpus, clip_for(corpus), cfg, eval_ids=[4, 5])
     else:
-        corpus = generate_corpus(3, CorpusSpec(n_studies=qformer._ITM_SPLIT_ROWS))
+        corpus = generate_corpus(3, CorpusSpec(n_studies=16))
         qf = qformer.QFormerModel(qformer.QFormerConfig(
             n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8, grid_dim=16, text_max_len=32,
             vocab_size=len(corpus.vocab)), seed=0)
+        ImageIndexC.build(clip_for(corpus), corpus.studies)
         index = ImageIndexB.build(clip_for(corpus), qf, corpus.studies)
         search_b("left pleural effusion", index, qf, corpus.vocab)
     print(partworker._workers[sys.argv[1]].proc.pid, flush=True)

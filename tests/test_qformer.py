@@ -644,10 +644,10 @@ def test_phase1_worker_and_inline_runs_are_bitwise_equal(monkeypatch):
     monkeypatch.setattr(partworker._PartWorker, "submit",
                         lambda self, *a: (submitted.append(self.kind.name), submit(self, *a))[1])
     with_worker = phase1_run()
-    assert submitted == ["phase-1"] * 4
+    assert submitted == ["clip"] + ["phase-1"] * 4  # the grids of the 12 images, then the steps
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert phase1_run() == with_worker
-    assert len(submitted) == 4
+    assert len(submitted) == 5
 
 
 def test_two_phase1_runs_are_bitwise_equal():
@@ -657,9 +657,11 @@ def test_two_phase1_runs_are_bitwise_equal():
 def test_phase1_logs_the_one_tape_association_of_the_total(monkeypatch):
     run_parts = partworker.run_parts
 
-    def tiny_tail(*args):
-        _, grads, split = run_parts(*args)
-        return [1.0, 2.0 ** -53, 2.0 ** -53], grads, split
+    def tiny_tail(kind, *args):
+        losses, grads, split = run_parts(kind, *args)
+        if kind is qformer._PHASE1_PARTS:  # not the grids' image-encoder pass
+            losses = [1.0, 2.0 ** -53, 2.0 ** -53]
+        return losses, grads, split
 
     monkeypatch.setattr(partworker, "run_parts", tiny_tail)
     # (1 + u) + u rounds to 1 twice; 1 + (u + u) is the next float above 1

@@ -771,6 +771,39 @@ def test_index_b_and_precompute_grids_equal_per_image_bitwise(small_world):
     assert np.array_equal(precompute_grids(clip, corpus.studies, hw), grids)
 
 
+@needs_two_cores
+@pytest.mark.parametrize("n", [8, 16, 17])
+def test_index_builds_equal_with_the_worker_inline_and_per_image(small_world, monkeypatch, n):
+    corpus, clip, qf, _, _ = small_world
+    studies = corpus.studies[:n]
+    splits = _record_splits(monkeypatch)
+    parent, forward = os.getpid(), ImageEncoder.forward
+    monkeypatch.setattr(ImageEncoder, "forward", lambda *a: (
+        os.getpid() == parent and time.sleep(0.05), forward(*a))[1])  # the worker's half too
+    with_worker = ImageIndexC.build(clip, studies), ImageIndexB.build(clip, qf, studies)
+    assert splits == [{"parent": 1, "worker": 1}] * 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = ImageIndexC.build(clip, studies), ImageIndexB.build(clip, qf, studies)
+    assert splits[2:] == [{"parent": 1, "worker": 0}] * 2
+    # one image runs its projection as a vector product, whose low bits
+    # differ; two copies of it run as the matrix product of every build
+    per_c = np.stack([ImageIndexC.build(clip, [s, s]).embeddings[0] for s in studies])
+    per_b = [ImageIndexB.build(clip, qf, [s]) for s in studies]
+    for c, b in (with_worker, inline):
+        assert c.ids == b.ids == [s.study_id for s in studies]
+        assert np.array_equal(c.embeddings, per_c)
+        assert np.array_equal(b.grids, np.concatenate([p.grids for p in per_b]))
+        assert np.array_equal(b.query_proj, np.concatenate([p.query_proj for p in per_b]))
+
+
+def test_an_index_of_no_study_is_refused(small_world):
+    _, clip, qf, _, _ = small_world
+    with pytest.raises(ValueError, match="at least one study"):
+        ImageIndexC.build(clip, [])
+    with pytest.raises(ValueError, match="at least one study"):
+        ImageIndexB.build(clip, qf, [])
+
+
 def test_index_c_close_to_per_image_embeddings(small_world):
     corpus, clip, _, index_c, _ = small_world
     per_image = np.stack([clip.image_embeddings(s.image[None]).data[0] for s in corpus.studies])
