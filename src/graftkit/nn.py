@@ -343,6 +343,12 @@ class DecoderLM:
         the versions it was built at (``LmState.versions``)."""
         return self.reg.versions("lm.")
 
+    def check_current(self, state: LmState) -> None:
+        """Refuse a decoding state built at other parameter versions."""
+        if state.versions != self.versions():
+            raise ValueError("prefix state was built at other LM parameter versions: the LM's "
+                             "values were written since")
+
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
 
@@ -464,10 +470,9 @@ class DecoderLM:
         if prefix is not None and ((prefix.soft is None) != (soft is None) or (
                 soft is not None and not np.array_equal(prefix.soft, soft))):
             raise ValueError("prefix state was built from other soft prompts")
+        if prefix is not None:
+            self.check_current(prefix)
         versions = self.versions()
-        if prefix is not None and prefix.versions != versions:
-            raise ValueError("prefix state was built at other LM parameter versions: the LM's "
-                             "values were written since")
         if prefix is not None and prefix.logits is not None and prefix.ids == prompts:
             return prefix
         if prefix is not None and all(prompts):

@@ -2,14 +2,21 @@
 
 A step whose parts exchange no activations is computed in two processes:
 this one claims parts from the front of a shared counter, a forked worker
-from the back, each until none is left.  A training step's loss is a sum
+from the back, each until none is left.  Each computes at least one part
+whatever the scheduler does: this process claims its first before the
+worker is sent the step, so a worker woken by the send cannot take them
+all, and it leaves the last part to the worker, so it cannot take them all
+while the worker waits to run.  It waits for the worker's reply in any
+case, so taking the worker's first part would save at most that part's
+time when the worker wakes late.  A training step's loss is a sum
 of parts (rows of an LM batch; phase 1's three objectives), and their
-gradients are added in part order.  A forward-only step's parts (slices of
-the rows of a rerank or of an index build, ``split_rows``) each return a
-value and no gradients.  Each part is the same function on the same arrays
-whoever computes it, and values and sums are kept in part order, so the
-bits depend neither on which process computed which part nor on the core
-count.
+gradients are added in part order.  A forward-only step's parts each
+return a value and no gradients: slices of the rows of a rerank or of an
+index build (``split_rows``), or groups of report QA's questions, each
+prefilled and decoded from one dialog state (``vqa._answer_part``).  Each
+part is the same function on the same arrays whoever computes it, and
+values and sums are kept in part order, so the bits depend neither on which
+process computed which part nor on the core count.
 
 A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
@@ -21,17 +28,20 @@ cost about a fifth of LM pretraining throughput on a 2-core VM.
 
 Shared memory, not the pipe: everything sizeable moves through anonymous
 shared mappings made before the fork.  The weights go to the worker and
-its gradients come back through arrays of the parameter layout.  A step's
-inputs and the worker's reply are pickled with protocol 5, their arrays
-left out of band and copied into a request area and a reply area; the pipe
-carries only the metadata pickle.  The pipe holds 64 KB at a time, so a
-transfer through it waits for the other process to wake once per 64 KB:
-on a 2-core VM, a round trip of a 16-image batch (512 KB) cost 0.40-0.47 ms
-pickled through the pipe, against 0.05 ms through shared memory, and the
-LM's 4 MB of weights and of gradients cost 4-140 ms a step.  The weights
-are copied only when the step's parameters are not the objects, at the
-versions, last sent, so a frozen model's go once: copying CLIP's and the
-adapter's 3.2 MB both ways cost 0.43 ms a call, checking them 0.01 ms.
+its gradients come back through arrays of the parameter layout; the
+worker's copy takes the weights' versions too, so that a state keyed on
+versions (``LmState``, ``ParamRegistry.memo``) means the same in both
+processes.  A step's inputs and the worker's reply are pickled with
+protocol 5, their arrays left out of band and copied into a request area
+and a reply area; the pipe carries only the metadata pickle.  The pipe
+holds 64 KB at a time, so a transfer through it waits for the other
+process to wake once per 64 KB: on a 2-core VM, a round trip of a 16-image
+batch (512 KB) cost 0.40-0.47 ms pickled through the pipe, against 0.05 ms
+through shared memory, and the LM's 4 MB of weights and of gradients cost
+4-140 ms a step.  The weights are copied only when the step's parameters
+are not the objects, at the versions, last sent, so a frozen model's go
+once: copying CLIP's and the adapter's 3.2 MB both ways cost 0.43 ms a
+call, checking them 0.01 ms.
 
 Fork, not spawn: a spawned child re-imports the parent's ``__main__``,
 which a script that trains at top level without a main guard does not
@@ -72,7 +82,9 @@ class PartKind:
     parameter name), computed here on the caller's model and in the worker
     on its forked copy of it, whose weights are the caller's at each step.
     A training part's value is its loss share; a forward-only part returns
-    its output as the value and no gradients (``{}``).  The batch goes to
+    its output as the value and no gradients (``{}``): a slice of rows'
+    outputs (``row_part``) or a group of questions' decoded ids
+    (``vqa._answer_part``, on a frozen ``DecoderLM``).  The batch goes to
     the worker, and a value it computes comes back, as a pickle whose
     arrays travel through shared memory, so either may be large.  A step
     has at most ``max_parts`` parts."""
@@ -155,24 +167,27 @@ def _areas(nbytes: int) -> tuple[memoryview, memoryview]:
 class _PartCounter:
     """A two-ended counter over one step's parts, in an anonymous shared
     mapping guarded by a lock, both made before the fork: this process takes
-    parts from the front, the worker from the back, until none is left."""
+    parts from the front, the worker from the back, until none is left.  The
+    last part is kept for the worker until it claims it: the front end, the
+    back end and whether the last part is kept."""
 
     def __init__(self, ctx):
         self.lock = ctx.Lock()
-        self.ends = np.ndarray(2, np.int64, buffer=mmap.mmap(-1, 16))
+        self.ends = np.ndarray(3, np.int64, buffer=mmap.mmap(-1, 24))
 
     def reset(self, n: int) -> None:
         with self.lock:
-            self.ends[:] = 0, n
+            self.ends[:] = 0, n, 1
 
     def claim(self, back: bool) -> int | None:
-        """The first (or last) unclaimed part, or None when none is left."""
+        """The first (or last) unclaimed part, or None when none is left;
+        from the front, never the part kept for the worker."""
         with self.lock:
-            lo, hi = int(self.ends[0]), int(self.ends[1])
-            if lo >= hi:
+            lo, hi, kept = (int(e) for e in self.ends)
+            if lo >= hi - (0 if back else kept):
                 return None
             if back:
-                self.ends[1] = hi - 1
+                self.ends[1:] = hi - 1, 0
                 return hi - 1
             self.ends[0] = lo + 1
             return lo
@@ -183,13 +198,15 @@ class _PartCounter:
             self.ends[1] = self.ends[0]
 
 
-def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter,
+def _worker_main(conn, inherited, kind: PartKind, model, weights, versions, slots, counter,
                  request, reply_area) -> None:
     """Serve steps until the parent's end of the pipe closes.
 
     A request is ``(fresh, meta, spans)``: with ``fresh``, ``model``, the
-    fork's copy of the parent's, is first given the weights in ``weights``;
-    the step's batch is ``meta`` unpickled over the buffers in ``request``.
+    fork's copy of the parent's, is first given the weights in ``weights``,
+    and each parameter the parent's version from ``versions``, so that a
+    state built at the parent's versions is current here too; the step's
+    batch is ``meta`` unpickled over the buffers in ``request``.
     Then parts are claimed from the back of ``counter`` until none is left,
     and part i's gradients written to ``slots[i]``, memory shared with the
     parent.  The reply names each part computed here, with its value and
@@ -212,8 +229,9 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, slots, counter
             return
         try:
             if fresh:
-                for p in model.params():
+                for p, version in zip(model.params(), versions.tolist()):
                     p.write(weights[p.name])
+                    p.version = version
             batch = _load(meta, spans, request, copy=False)
             done = []
             while (i := counter.claim(back=True)) is not None:
@@ -245,11 +263,11 @@ class _PartWorker:
     """A forked process that computes parts of each step of one ``kind``
     on its copy of ``model``, claiming them from the back of ``counter``
     while the parent claims from the front.  Its shared memory holds one
-    weight-sized set for the weights and one per part (``1 +
-    kind.max_parts`` sets), of which only the gradients of the parts it
-    computes are written, and a request and a reply area of ``capacity``
-    bytes each, at least ``nbytes``: a page is backed by memory only once
-    written, so a forward-only kind's part sets cost none.
+    weight-sized set for the weights, with their ``versions``, and one per
+    part (``1 + kind.max_parts`` sets), of which only the gradients of the
+    parts it computes are written, and a request and a reply area of
+    ``capacity`` bytes each, at least ``nbytes``: a page is backed by memory
+    only once written, so a forward-only kind's part sets cost none.
 
     ``sent`` holds each parameter that the worker's copy has the values of,
     with its version: the fork's own, then those of the last weights sent.
@@ -259,6 +277,8 @@ class _PartWorker:
     def __init__(self, kind: PartKind, model, nbytes: int = 0):
         self.kind, self.key = kind, (model.cfg, _layout(model))
         self.weights, *self.slots = _shared_arrays(self.key[1], 1 + kind.max_parts)
+        self.versions = np.ndarray(len(self.key[1]), np.int64,
+                                   buffer=mmap.mmap(-1, max(8, 8 * len(self.key[1]))))
         self.request, self.reply = _areas(nbytes)
         self.capacity, self.reply_bytes = len(self.request), 0
         self.sent = [(p, p.version) for p in model.params()]
@@ -268,28 +288,34 @@ class _PartWorker:
         inherited = [self.conn, *(w.conn for w in _workers.values())]
         self.proc = ctx.Process(target=_worker_main,
                                 args=(child_end, inherited, kind, model, self.weights,
-                                      self.slots, self.counter, self.request, self.reply),
+                                      self.versions, self.slots, self.counter, self.request,
+                                      self.reply),
                                 name=f"graftkit-{kind.name}-part", daemon=True)
         self.proc.start()
         child_end.close()  # so that a dead worker is an EOFError here, not a hang
         self.owner = os.getpid()
 
-    def submit(self, model, batch, n_parts: int) -> None:
-        """Write ``model``'s weights to shared memory unless the worker has
-        them, and ``batch``'s arrays, open the counter on ``n_parts`` parts,
-        at most ``kind.max_parts``, and start the worker claiming from the
-        back.  ``batch`` may be a ``_Message`` already made of it; its
-        arrays must fit in ``capacity`` bytes (``_part_worker``)."""
+    def submit(self, model, batch, n_parts: int) -> int | None:
+        """Write ``model``'s weights and their versions to shared memory
+        unless the worker has them, and ``batch``'s arrays, open the counter
+        on ``n_parts`` parts, at most ``kind.max_parts``, claim the first for
+        this process, and then start the worker claiming from the back;
+        returns the part claimed (None for no parts).  ``batch`` may be a
+        ``_Message`` already made of it; its arrays must fit in ``capacity``
+        bytes (``_part_worker``)."""
         message = batch if isinstance(batch, _Message) else _Message(batch)
         sent = [(p, p.version) for p in model.params()]
         fresh = not _same_params(sent, self.sent)
         if fresh:
             for p, _ in sent:
                 self.weights[p.name][...] = p.data
+            self.versions[:] = [version for _, version in sent]
         self.sent = sent
         meta, spans = message.place(self.request)
         self.counter.reset(n_parts)
+        first = self.counter.claim(back=False)
         self._io(self.conn.send, (fresh, meta, spans))
+        return first
 
     def result(self) -> dict[int, tuple[object, dict[str, np.ndarray]]]:
         """Part index -> (value, gradients) of each part the worker
@@ -366,18 +392,20 @@ def _part_worker(kind: PartKind, model, nbytes: int) -> _PartWorker:
 
 def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[list, int]:
     """Each part's (value, gradients), in part order, with this process
-    claiming parts from the front and ``worker`` from the back; and how many
+    claiming parts from the front, the first before the worker is sent the
+    step, and ``worker`` from the back, the last part first; and how many
     the worker computed.  ``batch`` may be a ``_Message`` made of it.  The
     worker's parts whose reply did not fit are computed here again.  If a
     part raises here, the counter is closed and the worker's reply read, to
     keep the pipe in step, before re-raising."""
-    worker.submit(model, batch, n_parts)
+    i = worker.submit(model, batch, n_parts)
     if isinstance(batch, _Message):
         batch = batch.obj
     results = {}
     try:
-        while (i := worker.counter.claim(back=False)) is not None:
+        while i is not None:
             results[i] = worker.kind.part(model, batch, i)
+            i = worker.counter.claim(back=False)
     except BaseException:
         worker.counter.close()
         try:
@@ -412,8 +440,8 @@ def run_parts(kind: PartKind, model, batch,
 
     With two or more parts, two cores and a worker free, this process claims
     parts from the front and the worker from the back, each until none is
-    left, so a faster core takes more of them; otherwise every part runs
-    here.
+    left, so a faster core takes more of them, and each computes at least
+    one; otherwise every part runs here.
     """
     if n_parts >= 2 and cores() >= 2 and _lock.acquire(blocking=False):
         try:

@@ -142,6 +142,10 @@ def run_qa_pipeline(study: SyntheticStudy, altered_impression: str,
     """Ask all 12 questions about the image, then have the reviewer diff the
     assessment against the altered impression (both prompt templates).
 
+    The image is prepared once, and the questions are answered from its
+    dialog state as two groups, with two cores one of them in the
+    ``lm-answers`` part worker (``ElixrBundle.answers``).
+
     The reviewer is ``bundle.review``, the frozen LM, which keeps the state of
     the last prompt it saw on the bundle for the bundle's lifetime:
     consecutive cases sharing a bundle reuse each other's prompt header, and a

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import partworker
 from . import templates as T
 from .clip_stage import ClipModel
 from .corpus import Vocab, detokenize, tokenize
-from .nn import DecoderLM, LmState
+from .nn import DecoderLM, LmState, _common_prefix
 from .qformer import Phase2Bridge, QFormerModel, generate_impression, soft_prompts_for_grid
 
 
@@ -72,16 +73,25 @@ class ElixrBundle:
 
     def answers(self, prepared: "PreparedImage", questions) -> list[str]:
         """Greedy answers of up to 64 tokens from the frozen LM, one per
-        question: every question forks from the prepared dialog in one packed
-        prefill, and the answers decode in lockstep (``DecoderLM.prefill`` /
-        ``decode``).  An image prepared before the LM's values were written
-        is refused."""
+        question, in question order.  Every question forks from the prepared
+        dialog: a group of questions runs as one packed prefill whose rows
+        then decode in lockstep (``_answer_part``).  From
+        ``_ANSWER_SPLIT_QUESTIONS`` questions up they run as two groups
+        (``_answer_groups``), with two cores one of them in the
+        ``lm-answers`` part worker; the groups depend only on the prompts, so
+        the answers have the same bits on one core and two.  An image
+        prepared before the LM's values were written is refused before
+        anything runs."""
         prompts = [tokenize(vqa_prompt_body(prepared.impression, q), self.vocab, max_len=None,
                             lead=None) for q in questions]
         for prompt_ids in prompts:
             self._check_vqa_prompt(prompt_ids)
-        state = self.lm.prefill(prepared.soft, prompts, prefix=prepared.dialog)
-        return [detokenize(ids, self.vocab) for ids in self.lm.decode(state)]
+        self.lm.check_current(prepared.dialog)
+        groups = _answer_groups(prompts, prepared.dialog.ids[0])
+        values, _, _ = partworker.run_parts(_ANSWER_PARTS, self.lm,
+                                            (prepared.soft, prepared.dialog, groups),
+                                            len(groups))
+        return [detokenize(ids, self.vocab) for group in values for ids in group]
 
     def answer(self, prepared: "PreparedImage", question: str) -> str:
         """``answers`` for one question."""
@@ -107,6 +117,40 @@ class ElixrBundle:
         self._review_state = self.lm.prefill(None, [ids], prefix=last)
         out = self.lm.generate(None, ids, max_new=32, prefix=self._review_state)
         return detokenize(out, self.vocab)
+
+
+def _answer_part(lm: DecoderLM, batch, i: int) -> tuple[list[list[int]], dict]:
+    """Part i of an answers step ``(soft prompts, dialog state, prompt
+    groups)``: the greedy ids of group i's prompts, forked from the dialog in
+    one packed prefill and decoded in lockstep; no gradients."""
+    soft, dialog, groups = batch
+    return lm.decode(lm.prefill(soft, groups[i], prefix=dialog)), {}
+
+
+_ANSWER_PARTS = partworker.PartKind("lm-answers", _answer_part, 2)
+# The fewest questions that run as two groups.  Medians per call with the
+# benchmark's fixtures on a 2-core VM at 1 BLAS thread, over 16 prepared
+# images and the first n of the 12 QA questions, one group here against two
+# (one in the worker) and against two both here: 4.42 / 3.41 / 5.86 ms at 2
+# questions, 5.47 / 4.70 / 7.15 at 3, 6.69 / 4.70 / 8.49 at 4, 9.84 / 5.79 /
+# 10.79 at 6, 13.48 / 6.95 / 12.70 at 8, 19.79 / 11.32 / 18.67 at 12.  Two
+# groups win on two cores from 2 questions; on one core they cost up to a
+# third more below 8 questions, and less from 8 on, where the packed
+# sequence's attention grows faster than its rows.
+_ANSWER_SPLIT_QUESTIONS = 2
+
+
+def _answer_groups(prompts: list, dialog_ids) -> list[list]:
+    """``prompts`` as one group, or from ``_ANSWER_SPLIT_QUESTIONS`` prompts
+    up as two contiguous groups whose token counts past the dialog
+    ``dialog_ids`` are as near equal as can be (the earlier cut on a tie).
+    A packed prefill's low bits depend on what is packed with each prompt,
+    so the groups depend on the prompts alone."""
+    if len(prompts) < _ANSWER_SPLIT_QUESTIONS:
+        return [prompts]
+    tokens = np.cumsum([len(p) - _common_prefix(dialog_ids, p) for p in prompts])
+    cut = 1 + int(np.argmin(np.abs(2 * tokens[:-1] - tokens[-1])))
+    return [prompts[:cut], prompts[cut:]]
 
 
 @dataclass(frozen=True)

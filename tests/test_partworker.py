@@ -1,11 +1,12 @@
 """The part worker for each kind of split step (LM pretraining, phase 1,
 the matching-head rerank, the image-side forwards of CLIP alone and of
-CLIP with the adapter): one fork per kind for the life of the process, a
-failing part re-raised in step, a dead worker raising instead of hanging,
-and no process left behind by a script that runs one and exits.  Every
-``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``).
-Then the transfer: weights sent only after they change, requests and
-replies of any size, and a pipe that carries metadata only."""
+CLIP with the adapter, report QA's answers): one fork per kind for the life
+of the process, a failing part re-raised in step, a dead worker raising
+instead of hanging, a part for each process even when one of them stalls,
+and no process left behind by a script that runs one and exits.  Every ``PartKind`` under src/ has an entry in ``STEPS``
+(``test_imports.py``).  Then the transfer: weights sent only after they
+change, requests and replies of any size, and a pipe that carries metadata
+only."""
 
 import os
 import pickle
@@ -20,7 +21,7 @@ from multiprocessing.connection import Connection
 import numpy as np
 import pytest
 
-from graftkit import clip_stage, nn, partworker, qformer
+from graftkit import clip_stage, nn, partworker, qformer, vqa
 from graftkit.clip_stage import ClipConfig, ClipModel
 from graftkit.optim import Adam
 from graftkit.params import ParamRegistry
@@ -104,19 +105,41 @@ def adapter_step(bad=None):
             (qformer._query_projection_rows, images(17, bad), ()), 2)
 
 
+def answers_step(bad=None):
+    """Four prompts forked from one dialog state, answered as two groups of
+    two; group ``bad``'s first prompt reads an infinite weight."""
+    lm = tiny_lm()
+    soft = np.random.default_rng(4).normal(0, 1, (2, 32))
+    dialog = lm.prefill(soft, [[1, 2, 3, 4]])
+    groups = [[[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 7]], [[1, 2, 3, 4, 8, 9, 10], [1, 2, 3, 4, 11]]]
+    if bad is not None:
+        lm.tok.data[28] = np.inf
+        groups[bad][0] = [*groups[bad][0], 28]
+    return vqa._ANSWER_PARTS, lm, (soft, dialog, groups), 2
+
+
 STEPS = {"LM": lm_step, "phase-1": phase1_step, "itm": itm_step, "clip": clip_step,
-         "clip-adapter": adapter_step}
+         "clip-adapter": adapter_step, "lm-answers": answers_step}
 
 
 def run(step):
     return partworker.run_parts(*step)
 
 
+def _flat(v) -> list[np.ndarray]:
+    """A part's value as flat arrays: a tuple's arrays each, and a list of
+    decoded id lists as each list's length, then its ids."""
+    if isinstance(v, tuple):
+        return [np.ravel(a) for a in v]
+    if isinstance(v, list):
+        return [np.array([len(ids), *ids]) for ids in v]
+    return [np.ravel(v)]
+
+
 def values(out) -> np.ndarray:
-    """A step's summed loss, or each part's loss share or output arrays, flat."""
+    """A step's summed loss, or each part's loss share or output, flat."""
     parts = out[0] if isinstance(out[0], list) else [out[0]]
-    return np.concatenate([np.ravel(a) for v in parts
-                           for a in (v if isinstance(v, tuple) else (v,))])
+    return np.concatenate([a for v in parts for a in _flat(v)])
 
 
 def assert_bitwise(got, ref):
@@ -141,7 +164,8 @@ def test_alternating_kinds_fork_each_worker_once(monkeypatch):
 
 @pytest.mark.parametrize("name, bad", [("LM", 0), ("LM", 1), ("phase-1", 0), ("phase-1", 2),
                                        ("itm", 0), ("itm", 1), ("clip", 0), ("clip", 1),
-                                       ("clip-adapter", 0), ("clip-adapter", 1)])
+                                       ("clip-adapter", 0), ("clip-adapter", 1),
+                                       ("lm-answers", 0), ("lm-answers", 1)])
 def test_a_failing_part_is_reraised_and_the_next_call_works(name, bad):
     ref = run(STEPS[name]())  # forks the worker if none is up
     worker = partworker._workers[name]
@@ -154,7 +178,9 @@ def test_a_failing_part_is_reraised_and_the_next_call_works(name, bad):
     assert partworker._workers[name] is worker
 
 
-@pytest.mark.parametrize("name", STEPS)
+# not the answers step: it returns no gradients, and its dialog state is
+# refused once the LM is written (test_tasks covers the refusal)
+@pytest.mark.parametrize("name", [name for name in STEPS if name != "lm-answers"])
 def test_returned_gradients_outlive_the_next_step(name):
     # the worker's gradients are shared memory that the next step overwrites
     step = STEPS[name]()
@@ -177,6 +203,40 @@ def test_a_dead_worker_raises_instead_of_hanging(name):
         worker.submit(model, batch, n_parts)
         worker.result()
     assert not worker.proc.is_alive()
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_the_parent_computes_a_part_when_it_stalls_right_after_the_send(name, monkeypatch):
+    # it claims its first part before the send, so a worker woken by the
+    # request cannot take every part meanwhile
+    step = STEPS[name]()
+    run(step)  # forks the worker if none is up
+    parent, send = os.getpid(), Connection.send
+    monkeypatch.setattr(Connection, "send", lambda self, obj: (
+        send(self, obj), os.getpid() == parent and time.sleep(0.2))[0])
+    got = run(step)
+    assert got[2]["parent"] >= 1 and got[2]["worker"] >= 1
+    assert got[2]["parent"] + got[2]["worker"] == step[3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, run(step))
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_the_worker_computes_a_part_when_it_wakes_late(name, monkeypatch):
+    # the last part is kept for it, so this process cannot take every part
+    # while the worker waits to run
+    parent, load = os.getpid(), partworker._load
+    monkeypatch.setattr(partworker, "_load", lambda *a, **k: (
+        os.getpid() != parent and time.sleep(0.2), load(*a, **k))[1])
+    monkeypatch.delitem(partworker._workers, name, raising=False)
+    step = STEPS[name]()
+    try:
+        got = run(step)  # forks a worker that sleeps before each step
+    finally:
+        partworker._workers.pop(name).close()
+    assert got[2] == {"parent": step[3] - 1, "worker": 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, run(step))
 
 
 def test_another_config_of_the_same_layout_forks_a_new_worker(monkeypatch):
@@ -332,13 +392,27 @@ TRAIN_SCRIPT = textwrap.dedent("""
     from graftkit.corpus import CorpusSpec, generate_corpus
     from graftkit.params import ParamRegistry
     from graftkit.search import ImageIndexB, ImageIndexC, search_b
+    from graftkit.templates import QA_QUESTIONS
+    from graftkit.vqa import ElixrBundle
 
     def clip_for(corpus):
         return ClipModel(len(corpus.vocab), ClipConfig(
             image=nn.ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2), text_dim=16,
             text_blocks=1, text_heads=2, proj_dim=8), seed=0)
 
-    if sys.argv[1] == "LM":
+    if sys.argv[1] == "lm-answers":
+        corpus = generate_corpus(3, CorpusSpec(n_studies=4))
+        qf = qformer.QFormerModel(qformer.QFormerConfig(
+            n_queries=3, dim=16, blocks=1, heads=2, proj_dim=8, grid_dim=16, text_max_len=32,
+            vocab_size=len(corpus.vocab)), seed=0)
+        lm = nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=len(corpus.vocab), dim=16,
+                                                       blocks=1, heads=2, max_len=1400),
+                          np.random.default_rng(2))
+        lm.freeze()
+        bridge = qformer.Phase2Bridge(ParamRegistry(), 16, 16, 16, np.random.default_rng(3))
+        bundle = ElixrBundle(clip_for(corpus), qf, qf, bridge, lm, corpus.vocab)
+        bundle.answers(bundle.prepare(corpus.studies[0].image), QA_QUESTIONS)
+    elif sys.argv[1] == "LM":
         lm = nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=30, dim=32, blocks=2, heads=2,
                                                        max_len=64), np.random.default_rng(0))
         data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(16)]

@@ -957,6 +957,7 @@ def test_qa_case_prepares_the_image_once_and_forks_every_question(small_world, m
     bundle = _vqa_bundle(small_world, 1400)  # room for 12 answers of up to 64 tokens
     study = corpus.studies[1]
     expected = [run_vqa(study.image, q, bundle) for q in T.QA_QUESTIONS]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # both groups decode here
     calls = {"impression": 0, "encoder": 0, "answers": 0, "reviewer": 0}
     rows = []
     impression, forward, decode = vqa_mod.generate_impression, ImageEncoder.forward, \
@@ -979,8 +980,8 @@ def test_qa_case_prepares_the_image_once_and_forks_every_question(small_world, m
     monkeypatch.setattr(ImageEncoder, "forward", counting_forward)
     monkeypatch.setattr(DecoderLM, "decode", counting_decode)
     result = run_qa_pipeline(study, study.report_impression, bundle)
-    assert calls == {"impression": 1, "encoder": 1, "answers": 1, "reviewer": 2}
-    assert rows == [12, 1, 1]  # one packed pass answers all 12 questions
+    assert calls == {"impression": 1, "encoder": 1, "answers": 2, "reviewer": 2}
+    assert rows == [5, 7, 1, 1]  # two packed groups answer the 12 questions
     assert result.answers == expected
 
 
@@ -992,6 +993,112 @@ def test_packed_answers_equal_per_question_answers(small_world, study_id):
     questions = [*T.QA_QUESTIONS, "is there a pleural effusion ?", "Is a pneumothorax present?"]
     for qs in (questions, questions[:1], questions[3:5]):
         assert bundle.answers(prepared, qs) == _per_question_answers(bundle, prepared, qs)
+
+
+def _slow_parent_decode(monkeypatch) -> None:
+    """Each decode in this process, not the worker, first sleeps, so that
+    the worker claims the last group."""
+    parent, decode = os.getpid(), DecoderLM.decode
+    monkeypatch.setattr(DecoderLM, "decode", lambda *a, **k: (
+        os.getpid() == parent and time.sleep(0.05), decode(*a, **k))[1])
+
+
+QUESTIONS = [*T.QA_QUESTIONS, "is there a pleural effusion ?", "Is a pneumothorax present?"]
+
+
+@needs_two_cores
+@pytest.mark.parametrize("study_id, n", [(1, 12), (4, 12), (4, 14),
+                                         (1, vqa_mod._ANSWER_SPLIT_QUESTIONS)])
+def test_split_answers_equal_with_the_worker_inline_and_per_question(small_world, monkeypatch,
+                                                                     study_id, n):
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    prepared = bundle.prepare(corpus.studies[study_id].image)
+    qs = QUESTIONS[:n]
+    splits = _record_splits(monkeypatch)
+    _slow_parent_decode(monkeypatch)
+    with_worker = bundle.answers(prepared, qs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = bundle.answers(prepared, qs)
+    assert splits == [{"parent": 1, "worker": 1}, {"parent": 2, "worker": 0}]
+    assert with_worker == inline == _per_question_answers(bundle, prepared, qs)
+
+
+def test_answers_split_into_two_groups_balanced_by_their_tokens_past_the_dialog():
+    dialog = (1, 2, 3)
+    prompts = [(1, 2, 3, *range(10, 10 + k)) for k in (4, 2, 1, 1, 3)]
+    assert vqa_mod._answer_groups(prompts, dialog) == [prompts[:2], prompts[2:]]  # 6 and 5
+    tie = [(1, 2, 3, *range(10, 10 + k)) for k in (5, 1, 1, 1, 3)]  # 5 | 6 or 6 | 5
+    assert vqa_mod._answer_groups(tie, dialog) == [tie[:1], tie[1:]]
+    assert vqa_mod._answer_groups(prompts[:1], dialog) == [prompts[:1]]
+    qa_prompts = [tokenize(vqa_prompt_body("no acute findings .", q), build_vocab(),
+                           max_len=None, lead=None) for q in T.QA_QUESTIONS]
+    dialog = tokenize(vqa_prompt_body("no acute findings .", ""), build_vocab(), max_len=None,
+                      lead=None)
+    assert [len(g) for g in vqa_mod._answer_groups(qa_prompts, dialog)] == [5, 7]
+
+
+@needs_two_cores
+def test_fewer_questions_than_the_split_count_fork_no_worker(small_world, monkeypatch):
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    prepared = bundle.prepare(corpus.studies[1].image)
+    monkeypatch.delitem(partworker._workers, "lm-answers", raising=False)
+    started = []
+    for method in ("__init__", "submit"):
+        monkeypatch.setattr(partworker._PartWorker, method, lambda *a, _m=method: started.append(_m))
+    splits = _record_splits(monkeypatch)
+    one = bundle.answer(prepared, QUESTIONS[0])
+    few = bundle.answers(prepared, QUESTIONS[:vqa_mod._ANSWER_SPLIT_QUESTIONS - 1])
+    assert started == [] and "lm-answers" not in partworker._workers
+    assert splits == [{"parent": 1, "worker": 0}] * 2
+    assert [one, *few] == _per_question_answers(bundle, prepared, [QUESTIONS[0],
+                                                                   *QUESTIONS[:len(few)]])
+
+
+@needs_two_cores
+def test_answers_after_a_reload_of_the_lm_values_equal_with_the_worker_and_inline(small_world,
+                                                                                monkeypatch):
+    # two writes between steps leave the parent's versions two on from the
+    # fork's; the worker takes the parent's versions with the weights
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    bundle.answers(bundle.prepare(corpus.studies[0].image), QUESTIONS)
+    other = DecoderLM(ParamRegistry(), bundle.lm.cfg, np.random.default_rng(7)).reg.snapshot()
+    for _ in range(2):
+        bundle.lm.reg.load_values(other)
+    prepared = bundle.prepare(corpus.studies[4].image)
+    splits = _record_splits(monkeypatch)
+    _slow_parent_decode(monkeypatch)
+    with_worker = bundle.answers(prepared, QUESTIONS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = bundle.answers(prepared, QUESTIONS)
+    assert splits == [{"parent": 1, "worker": 1}, {"parent": 2, "worker": 0}]
+    assert with_worker == inline
+
+
+@needs_two_cores
+def test_a_stale_prepared_image_is_refused_before_anything_is_submitted(small_world,
+                                                                       monkeypatch):
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    stale = bundle.prepare(corpus.studies[2].image)
+    bundle.answers(stale, QUESTIONS)  # the worker is up
+    bundle.lm.reg.load_values(DecoderLM(ParamRegistry(), bundle.lm.cfg,
+                                        np.random.default_rng(7)).reg.snapshot())
+    submitted, submit = [], partworker._PartWorker.submit
+    monkeypatch.setattr(partworker._PartWorker, "submit", lambda *a: (
+        submitted.append(a[0].kind.name), submit(*a))[1])
+    with pytest.raises(ValueError, match="prefix state was built at other LM parameter versions"):
+        bundle.answers(stale, QUESTIONS)
+    assert submitted == []
+    worker = partworker._workers["lm-answers"]
+    splits = _record_splits(monkeypatch)
+    _slow_parent_decode(monkeypatch)
+    fresh = bundle.prepare(corpus.studies[2].image)
+    assert bundle.answers(fresh, QUESTIONS) == _per_question_answers(bundle, fresh, QUESTIONS)
+    assert partworker._workers["lm-answers"] is worker  # the pipe stayed in step
+    assert submitted == ["lm-answers"] and splits == [{"parent": 1, "worker": 1}]
 
 
 def test_review_decodes_from_the_prompt_state_without_rerunning_a_token(small_world):
