@@ -174,7 +174,7 @@ def _grid_rows(model: ClipModel, images: np.ndarray, pooled_hw: int) -> np.ndarr
 
 # The image-side forwards of a CLIP model, and of one with an adapter
 # (``qformer._ADAPTER_PARTS``), split by image.
-_IMAGE_PARTS = partworker.PartKind("clip", partworker.row_part, 2)
+_IMAGE_PARTS = partworker.PartKind("clip", partworker.row_part)
 # The fewest images that run as two parts.  Medians per call with the
 # benchmark's CLIP (64x64 images, patch 16, dim 64, 2 blocks) and scoring
 # adapter on a 2-core VM at 1 BLAS thread, one part here against two:

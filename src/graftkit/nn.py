@@ -736,7 +736,7 @@ def _lm_part(lm: DecoderLM, batch, i: int) -> tuple[float, dict[str, np.ndarray]
     return _part_grads(lm, parts[i], total)
 
 
-_LM_PARTS = partworker.PartKind("LM", _lm_part, _MAX_PARTS)
+_LM_PARTS = partworker.PartKind("LM", _lm_part)
 
 
 def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarray], dict]:

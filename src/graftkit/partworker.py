@@ -22,25 +22,25 @@ A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
 the process; the fork copies the caller's model, and the worker computes
 on that copy.  It is forked again when the model's config or parameter
-layout (names, shapes, dtypes, frozen flags) change, or when a request
-does not fit its shared memory.  Forking one per training call instead
-cost about a fifth of LM pretraining throughput on a 2-core VM.
+layout (names, shapes, dtypes, frozen flags) change, or when a step needs
+more room than its shared memory holds.  Forking one per training call
+instead cost about a fifth of LM pretraining throughput on a 2-core VM.
 
-Shared memory, not the pipe: everything sizeable moves through anonymous
-shared mappings made before the fork.  The weights go to the worker and
-its gradients come back through arrays of the parameter layout; the
-worker's copy takes the weights' versions too, so that a state keyed on
+Shared memory, not the pipe: everything sizeable moves through a request
+area and a reply area, one anonymous shared mapping made before the fork
+and sized from the step.  A request holds the step's batch and, when its
+parameters are not the objects, at the versions, last sent, the weights;
+the worker's copy takes their versions too, so that a state keyed on
 versions (``LmState``, ``ParamRegistry.memo``) means the same in both
-processes.  A step's inputs and the worker's reply are pickled with
-protocol 5, their arrays left out of band and copied into a request area
-and a reply area; the pipe carries only the metadata pickle.  The pipe
-holds 64 KB at a time, so a transfer through it waits for the other
-process to wake once per 64 KB: on a 2-core VM, a round trip of a 16-image
-batch (512 KB) cost 0.40-0.47 ms pickled through the pipe, against 0.05 ms
-through shared memory, and the LM's 4 MB of weights and of gradients cost
-4-140 ms a step.  The weights are copied only when the step's parameters
-are not the objects, at the versions, last sent, so a frozen model's go
-once: copying CLIP's and the adapter's 3.2 MB both ways cost 0.43 ms a
+processes.  A reply holds each part's gradients, read here as views
+valid until the next step, and the values, copied out.  Each is pickled
+with protocol 5, its arrays copied once into its area, and the pipe
+carries only the metadata.  The pipe holds 64 KB at a time, so a transfer
+through it waits for the other process to wake once per 64 KB: on a 2-core
+VM, a round trip of a 16-image batch (512 KB) cost 0.40-0.47 ms through
+the pipe, against 0.05 ms through shared memory, and the LM's 4 MB of
+weights and of gradients cost 4-140 ms a step.  A frozen model's weights
+go once: copying CLIP's and the adapter's 3.2 MB both ways cost 0.43 ms a
 call, checking them 0.01 ms.
 
 Fork, not spawn: a spawned child re-imports the parent's ``__main__``,
@@ -85,13 +85,12 @@ class PartKind:
     its output as the value and no gradients (``{}``): a slice of rows'
     outputs (``row_part``) or a group of questions' decoded ids
     (``vqa._answer_part``, on a frozen ``DecoderLM``).  The batch goes to
-    the worker, and a value it computes comes back, as a pickle whose
-    arrays travel through shared memory, so either may be large.  A step
-    has at most ``max_parts`` parts."""
+    the worker, and a value and gradients it computes come back, as
+    pickles whose arrays travel through shared memory, so any of them may
+    be large."""
 
     name: str
     part: Callable
-    max_parts: int
 
 
 def _layout(model) -> tuple:
@@ -101,45 +100,40 @@ def _layout(model) -> tuple:
     return tuple((p.name, p.data.shape, p.data.dtype.str, p.frozen) for p in model.params())
 
 
-def _shared_arrays(layout, copies: int) -> list[dict[str, np.ndarray]]:
-    """``copies`` sets of arrays of the parameter ``layout``, in one
-    anonymous shared mapping: made before a fork, the child sees the same
-    pages.  A page is backed by memory only once written."""
-    specs = [(name, shape, np.dtype(dtype)) for name, shape, dtype, _ in layout]
-    sizes = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64 for _, shape, dtype in specs]
-    buf = mmap.mmap(-1, max(1, copies * sum(sizes)))  # MAP_SHARED by default
-    offset, out = 0, []
-    for _ in range(copies):
-        out.append({})
-        for (name, shape, dtype), size in zip(specs, sizes):
-            out[-1][name] = np.ndarray(shape, dtype, buffer=buf, offset=offset)
-            offset += size
-    return out
+def _aligned(nbytes: int) -> int:
+    """The room ``nbytes`` take in a shared area, whose arrays start on
+    64-byte boundaries."""
+    return -(-nbytes // 64) * 64
 
 
 def _reduce_array(a: np.ndarray):
-    """numpy leaves a contiguous array's memory out of band and pickles any
-    other array in band, so that one is pickled as a contiguous copy."""
-    return (a if a.flags.c_contiguous or a.flags.f_contiguous else a.copy()).__reduce_ex__(5)
+    """An array as its shape, dtype and memory, left out of band (a
+    contiguous copy of a non-contiguous array's) and rebuilt by
+    ``np.ndarray``.  numpy's reduction, kept for non-numeric dtypes, took
+    290 / 150 us to pickle / unpickle the fixture LM's 69 weights on a
+    2-core VM, against 150 / 60 us."""
+    a = a if a.flags.c_contiguous else np.ascontiguousarray(a)
+    if a.dtype.kind not in "biufc":
+        return a.__reduce_ex__(5)
+    return np.ndarray, (a.shape, a.dtype, pickle.PickleBuffer(a))
 
 
 class _Message:
     """``obj`` pickled for the other process: ``meta``, the pickle without
     its arrays' memory, goes through the pipe with ``spans``, the (offset,
-    size) of each out-of-band buffer in a shared area, 64-byte aligned and
-    ``nbytes`` in all."""
+    size) of each out-of-band buffer in a shared area, 64-byte aligned from
+    ``start`` and ending at ``nbytes``."""
 
-    def __init__(self, obj):
-        self.obj = obj
+    def __init__(self, obj, start: int = 0):
         out, buffers = io.BytesIO(), []
         pickler = pickle.Pickler(out, protocol=5, buffer_callback=buffers.append)
         pickler.dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
         pickler.dump(obj)
         self.meta, self.buffers = out.getvalue(), [b.raw() for b in buffers]
-        self.spans, self.nbytes = [], 0
+        self.spans, self.nbytes = [], start
         for b in self.buffers:
             self.spans.append((self.nbytes, b.nbytes))
-            self.nbytes += -(-b.nbytes // 64) * 64
+            self.nbytes += _aligned(b.nbytes)
 
     def place(self, area: memoryview) -> tuple[bytes, list]:
         """Copy the buffers into ``area``, which holds ``nbytes``; what the
@@ -158,9 +152,11 @@ def _load(meta: bytes, spans, area: memoryview, copy: bool):
 
 def _areas(nbytes: int) -> tuple[memoryview, memoryview]:
     """A request area and a reply area of at least ``nbytes`` each (a power
-    of two, 1 MiB at least) in one anonymous shared mapping."""
+    of two, 1 MiB at least) in one anonymous shared mapping: made before a
+    fork, the child sees the same pages.  A page is backed by memory only
+    once written."""
     size = max(1 << 20, 1 << max(nbytes - 1, 0).bit_length())
-    view = memoryview(mmap.mmap(-1, 2 * size))
+    view = memoryview(mmap.mmap(-1, 2 * size))  # MAP_SHARED by default
     return view[:size], view[size:]
 
 
@@ -198,21 +194,20 @@ class _PartCounter:
             self.ends[1] = self.ends[0]
 
 
-def _worker_main(conn, inherited, kind: PartKind, model, weights, versions, slots, counter,
-                 request, reply_area) -> None:
+def _worker_main(conn, inherited, kind: PartKind, model, counter, request,
+                 reply_area) -> None:
     """Serve steps until the parent's end of the pipe closes.
 
-    A request is ``(fresh, meta, spans)``: with ``fresh``, ``model``, the
-    fork's copy of the parent's, is first given the weights in ``weights``,
-    and each parameter the parent's version from ``versions``, so that a
-    state built at the parent's versions is current here too; the step's
-    batch is ``meta`` unpickled over the buffers in ``request``.
-    Then parts are claimed from the back of ``counter`` until none is left,
-    and part i's gradients written to ``slots[i]``, memory shared with the
-    parent.  The reply names each part computed here, with its value and
-    the names of its gradients, pickled the same way into ``reply_area``;
-    one too large for it says only how large it is.  A part that raises
-    closes ``counter``, so that the parent stops too.
+    A request is ``(fresh, meta, spans)``: ``meta`` unpickled over the
+    buffers in ``request`` is the step's batch and, with ``fresh``, the
+    parent's weights and their versions, which ``model``, the fork's copy
+    of the parent's, first takes, so that a state built at the parent's
+    versions is current here too.  Then parts are claimed from the back of
+    ``counter`` until none is left.  The reply is each part's gradients,
+    pickled and placed the same way in ``reply_area`` as the part is done,
+    and after them each part's index and value; one too large for the area
+    says only how large it is.  A part that raises closes ``counter``, so
+    that the parent stops too.
 
     The fork copied the parent's ends of every worker's pipe, this one's
     included (``inherited``); closing them here makes the parent's exit,
@@ -228,22 +223,25 @@ def _worker_main(conn, inherited, kind: PartKind, model, weights, versions, slot
         except (EOFError, OSError):  # the parent is gone
             return
         try:
+            batch, weights = _load(meta, spans, request, copy=False)
             if fresh:
-                for p, version in zip(model.params(), versions.tolist()):
-                    p.write(weights[p.name])
-                    p.version = version
-            batch = _load(meta, spans, request, copy=False)
-            done = []
+                for p, w, version in zip(model.params(), *weights):
+                    p.write(w)
+                    p.version = int(version)
+            done, end = [], 0
             while (i := counter.claim(back=True)) is not None:
                 value, grads = kind.part(model, batch, i)
-                for name, g in grads.items():
-                    slots[i][name][...] = g
-                done.append((i, value, tuple(grads)))
-            message = _Message(done)
-            if message.nbytes > len(reply_area):
-                reply = ("big", message.nbytes)
+                # placed at once, so that copying them overlaps the parent's parts
+                grads = _Message(grads, end)
+                end = grads.nbytes
+                if end <= len(reply_area):
+                    grads.place(reply_area)
+                done.append((i, value, (grads.meta, grads.spans)))
+            values = _Message([(i, value) for i, value, _ in done], end)
+            if values.nbytes > len(reply_area):
+                reply = ("big", values.nbytes)
             else:
-                reply = ("ok", *message.place(reply_area))
+                reply = ("ok", [grads for _, _, grads in done], values.place(reply_area))
         except Exception as exc:  # the parent re-raises it
             counter.close()
             reply = ("err", exc, traceback.format_exc())
@@ -262,12 +260,11 @@ def _same_params(a: list, b: list) -> bool:
 class _PartWorker:
     """A forked process that computes parts of each step of one ``kind``
     on its copy of ``model``, claiming them from the back of ``counter``
-    while the parent claims from the front.  Its shared memory holds one
-    weight-sized set for the weights, with their ``versions``, and one per
-    part (``1 + kind.max_parts`` sets), of which only the gradients of the
-    parts it computes are written, and a request and a reply area of
-    ``capacity`` bytes each, at least ``nbytes``: a page is backed by memory
-    only once written, so a forward-only kind's part sets cost none.
+    while the parent claims from the front.  Each step's request and the
+    worker's reply travel through a request area and a reply area of
+    ``capacity`` bytes each, at least ``nbytes`` (``_room``); a worker made
+    for no step in particular (``nbytes`` 0) has the room of an 8-part step,
+    the most this package makes (an LM step's).
 
     ``sent`` holds each parameter that the worker's copy has the values of,
     with its version: the fork's own, then those of the last weights sent.
@@ -276,10 +273,7 @@ class _PartWorker:
 
     def __init__(self, kind: PartKind, model, nbytes: int = 0):
         self.kind, self.key = kind, (model.cfg, _layout(model))
-        self.weights, *self.slots = _shared_arrays(self.key[1], 1 + kind.max_parts)
-        self.versions = np.ndarray(len(self.key[1]), np.int64,
-                                   buffer=mmap.mmap(-1, max(8, 8 * len(self.key[1]))))
-        self.request, self.reply = _areas(nbytes)
+        self.request, self.reply = _areas(nbytes or _room(model, None, 8))
         self.capacity, self.reply_bytes = len(self.request), 0
         self.sent = [(p, p.version) for p in model.params()]
         ctx = multiprocessing.get_context("fork")
@@ -287,31 +281,25 @@ class _PartWorker:
         self.conn, child_end = ctx.Pipe()
         inherited = [self.conn, *(w.conn for w in _workers.values())]
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child_end, inherited, kind, model, self.weights,
-                                      self.versions, self.slots, self.counter, self.request,
-                                      self.reply),
+                                args=(child_end, inherited, kind, model, self.counter,
+                                      self.request, self.reply),
                                 name=f"graftkit-{kind.name}-part", daemon=True)
         self.proc.start()
         child_end.close()  # so that a dead worker is an EOFError here, not a hang
         self.owner = os.getpid()
 
     def submit(self, model, batch, n_parts: int) -> int | None:
-        """Write ``model``'s weights and their versions to shared memory
-        unless the worker has them, and ``batch``'s arrays, open the counter
-        on ``n_parts`` parts, at most ``kind.max_parts``, claim the first for
-        this process, and then start the worker claiming from the back;
-        returns the part claimed (None for no parts).  ``batch`` may be a
-        ``_Message`` already made of it; its arrays must fit in ``capacity``
-        bytes (``_part_worker``)."""
-        message = batch if isinstance(batch, _Message) else _Message(batch)
+        """Place the step's request, ``batch`` with ``model``'s weights and
+        their versions unless the worker has them, in the request area, which
+        it must fit (``_part_worker``), open the counter on ``n_parts``
+        parts, claim the first for this process, and then start the worker
+        claiming from the back; returns the part claimed (None for no
+        parts)."""
         sent = [(p, p.version) for p in model.params()]
         fresh = not _same_params(sent, self.sent)
-        if fresh:
-            for p, _ in sent:
-                self.weights[p.name][...] = p.data
-            self.versions[:] = [version for _, version in sent]
+        weights = [p.data for p, _ in sent], np.array([v for _, v in sent], np.int64)
+        meta, spans = _Message((batch, weights if fresh else None)).place(self.request)
         self.sent = sent
-        meta, spans = message.place(self.request)
         self.counter.reset(n_parts)
         first = self.counter.claim(back=False)
         self._io(self.conn.send, (fresh, meta, spans))
@@ -320,10 +308,10 @@ class _PartWorker:
     def result(self) -> dict[int, tuple[object, dict[str, np.ndarray]]]:
         """Part index -> (value, gradients) of each part the worker
         computed since the last ``submit``; the worker's exception is
-        re-raised as the same type.  The gradients are views of the shared
-        memory, valid until the next ``submit``.  A reply too large for the
-        reply area gives no part, and the next step forks a worker with
-        room for it."""
+        re-raised as the same type.  The gradients are views of the reply
+        area, valid until the next ``submit``; the values are copies.  A
+        reply too large for the reply area gives no part, and the next step
+        forks a worker with room for it."""
         reply = self._io(self.conn.recv)
         if reply[0] == "err":
             self.sent = []  # whatever failed, the next step sends the weights
@@ -334,8 +322,9 @@ class _PartWorker:
         if reply[0] == "big":
             self.reply_bytes = reply[1]
             return {}
-        return {i: (value, {name: self.slots[i][name] for name in names})
-                for i, value, names in _load(*reply[1:], self.reply, copy=True)}
+        values = _load(*reply[2], self.reply, copy=True)
+        return {i: (value, _load(*grads, self.reply, copy=False))
+                for (i, value), grads in zip(values, reply[1])}
 
     def _io(self, op, *args):
         """A dead worker or an interrupted transfer leaves the pipe out of
@@ -359,7 +348,7 @@ class _PartWorker:
 # One worker per kind of step, by kind name.
 _workers: dict[str, _PartWorker] = {}
 # Held from a worker's ``submit`` until its parts are added up: a worker has
-# one pipe and one set of slots, so a second thread stepping meanwhile runs
+# one pipe and one reply area, so a second thread stepping meanwhile runs
 # its parts inline.
 _lock = threading.Lock()
 
@@ -373,9 +362,9 @@ def cores() -> int:
 
 def _part_worker(kind: PartKind, model, nbytes: int) -> _PartWorker:
     """The process's worker for ``kind``, forked on first use and again when
-    the model's config or layout change, or when ``nbytes`` of request, or
-    the last reply that did not fit, exceed its areas.  Call it holding
-    ``_lock``."""
+    the model's config or layout change, or when ``nbytes`` of room for a
+    step, or the last reply that did not fit, exceed its areas.  Call it
+    holding ``_lock``."""
     worker = _workers.get(kind.name)
     if worker is not None and worker.owner != os.getpid():  # a forked copy owns no worker
         worker = None
@@ -394,13 +383,10 @@ def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[lis
     """Each part's (value, gradients), in part order, with this process
     claiming parts from the front, the first before the worker is sent the
     step, and ``worker`` from the back, the last part first; and how many
-    the worker computed.  ``batch`` may be a ``_Message`` made of it.  The
-    worker's parts whose reply did not fit are computed here again.  If a
-    part raises here, the counter is closed and the worker's reply read, to
-    keep the pipe in step, before re-raising."""
+    the worker computed.  The worker's parts whose reply did not fit are
+    computed here again.  If a part raises here, the counter is closed and
+    the worker's reply read, to keep the pipe in step, before re-raising."""
     i = worker.submit(model, batch, n_parts)
-    if isinstance(batch, _Message):
-        batch = batch.obj
     results = {}
     try:
         while i is not None:
@@ -431,6 +417,17 @@ def _sum_parts(results) -> tuple[list, dict[str, np.ndarray]]:
     return [value for value, _ in results], grads
 
 
+def _room(model, batch, n_parts: int) -> int:
+    """The bytes a step may need in each area: its request with the weights
+    and their versions (counted, not pickled), which a step may send, or the
+    gradients of the ``n_parts - 1`` parts the worker computes at most.  A
+    forward-only value of unforeseen size takes the "big" reply instead."""
+    params = model.params()
+    weights = sum(_aligned(p.data.nbytes) for p in params) + _aligned(8 * len(params))
+    grads = sum(_aligned(p.data.nbytes) for p in params if not p.frozen)
+    return max(_Message(batch).nbytes + weights, (n_parts - 1) * grads)
+
+
 def run_parts(kind: PartKind, model, batch,
               n_parts: int) -> tuple[list, dict[str, np.ndarray], dict]:
     """One step of ``kind`` on ``batch``: each part's value (a training
@@ -445,11 +442,10 @@ def run_parts(kind: PartKind, model, batch,
     """
     if n_parts >= 2 and cores() >= 2 and _lock.acquire(blocking=False):
         try:
-            request = _Message(batch)
-            worker = _part_worker(kind, model, request.nbytes)
-            results, by_worker = _claimed_grads(worker, model, request, n_parts)
+            worker = _part_worker(kind, model, _room(model, batch, n_parts))
+            results, by_worker = _claimed_grads(worker, model, batch, n_parts)
             # added up before the lock is released: the worker's gradients
-            # are shared memory that the next submit overwrites
+            # are views of the reply area, which the next submit overwrites
             return *_sum_parts(results), {"parent": n_parts - by_worker, "worker": by_worker}
         finally:
             _lock.release()

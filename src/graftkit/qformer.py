@@ -243,7 +243,7 @@ def _itm_rows(model: QFormerModel, grids: np.ndarray, ids: np.ndarray) -> np.nda
     return e[:, 0] / e.sum(axis=1)
 
 
-_ITM_PARTS = partworker.PartKind("itm", partworker.row_part, 2)
+_ITM_PARTS = partworker.PartKind("itm", partworker.row_part)
 # The fewest rerank rows that run as two parts.  Medians per call with the
 # benchmark's scoring adapter (dim 64, 2 blocks, 8 queries) on a 2-core VM at
 # 1 BLAS thread, one part here against two: 0.95 against 1.03 ms at 4 rows,
@@ -277,7 +277,7 @@ def _query_output_rows(pair: _ImageAdapter, images: np.ndarray) -> np.ndarray:
     return q_out.data.reshape(len(images), -1)
 
 
-_ADAPTER_PARTS = partworker.PartKind("clip-adapter", partworker.row_part, 2)
+_ADAPTER_PARTS = partworker.PartKind("clip-adapter", partworker.row_part)
 
 
 def image_queries(clip_model, qformer: QFormerModel,
@@ -511,7 +511,7 @@ def _phase1_part(model, batch, i: int) -> tuple[float, dict[str, np.ndarray]]:
     return float(loss.data), tape.gradients(loss)
 
 
-_PHASE1_PARTS = partworker.PartKind("phase-1", _phase1_part, 3)
+_PHASE1_PARTS = partworker.PartKind("phase-1", _phase1_part)
 
 
 def phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, rng):

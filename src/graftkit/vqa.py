@@ -127,7 +127,7 @@ def _answer_part(lm: DecoderLM, batch, i: int) -> tuple[list[list[int]], dict]:
     return lm.decode(lm.prefill(soft, groups[i], prefix=dialog)), {}
 
 
-_ANSWER_PARTS = partworker.PartKind("lm-answers", _answer_part, 2)
+_ANSWER_PARTS = partworker.PartKind("lm-answers", _answer_part)
 # The fewest questions that run as two groups.  Medians per call with the
 # benchmark's fixtures on a 2-core VM at 1 BLAS thread, over 16 prepared
 # images and the first n of the 12 QA questions, one group here against two

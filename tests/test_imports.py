@@ -11,7 +11,9 @@ or method is set by some call in src/ or perfbench/, except the options in
 dataclass that is not read from a file.  No graftkit module parses JSON
 outside ``params.read_json``, none writes to a ``.data`` in place outside
 ``Parameter.write``, which bumps the parameter's version, and none but
-``partworker`` imports ``multiprocessing``, ``mmap``, ``pickle`` or ``signal``.  Every
+``partworker`` imports ``multiprocessing``, ``mmap``, ``pickle`` or ``signal``,
+which maps shared memory only for its request and reply areas and its part
+counter.  Every
 ``PartKind`` a graftkit module defines has an entry in
 ``tests/test_partworker.py``'s ``STEPS``."""
 
@@ -703,6 +705,34 @@ def test_only_the_worker_module_starts_or_signals_processes():
     signal handlers live in ``partworker``, so the model modules hold models
     only."""
     assert process_imports(ROOT) == []
+
+
+def mmap_calls(path: Path) -> list[str]:
+    """The name of the top-level function or class around each
+    ``mmap.mmap(...)`` (or ``mmap(...)``) call in the module at ``path``,
+    ``"?"`` for one outside any."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        found += [getattr(top, "name", "?") for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and _name(node.func) == "mmap"]
+    return found
+
+
+def test_mmap_checker_names_the_definition_around_each_call(tmp_path):
+    path = tmp_path / "partworker.py"
+    path.write_text("import mmap\nA = mmap.mmap(-1, 8)\n"
+                    "def f():\n    return mmap.mmap(-1, 8), mmap.mmap(-1, 16)\n"
+                    "class C:\n    def g(self):\n        self.b = mmap.mmap(-1, 8)\n"
+                    "    h = mmap.mmap\n")
+    assert mmap_calls(path) == ["?", "f", "f", "C"]
+
+
+def test_the_worker_module_maps_shared_memory_in_two_places():
+    """Every step's data, the weights and gradients included, travels as a
+    message through the request and reply areas (``_areas``); the part
+    counter (``_PartCounter``) is synchronisation.  A third mapping would be
+    a second way to move data."""
+    assert mmap_calls(SRC / "partworker.py") == ["_areas", "_PartCounter"]
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,13 @@ the matching-head rerank, the image-side forwards of CLIP alone and of
 CLIP with the adapter, report QA's answers): one fork per kind for the life
 of the process, a failing part re-raised in step, a dead worker raising
 instead of hanging, a part for each process even when one of them stalls,
-and no process left behind by a script that runs one and exits.  Every ``PartKind`` under src/ has an entry in ``STEPS``
-(``test_imports.py``).  Then the transfer: weights sent only after they
-change, requests and replies of any size, and a pipe that carries metadata
-only."""
+and no process left behind by a script that runs one and exits.  Every
+``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``).
+Then the transfer, one protocol-5 message each way through shared memory:
+weights sent in the request only after they change, requests and replies of
+any size, a reply area with room for the gradients of every part the
+worker may compute, returned values and gradients that outlive the next
+step, and a pipe that carries metadata only, fresh weights included."""
 
 import os
 import pickle
@@ -182,14 +185,17 @@ def test_a_failing_part_is_reraised_and_the_next_call_works(name, bad):
 # refused once the LM is written (test_tasks covers the refusal)
 @pytest.mark.parametrize("name", [name for name in STEPS if name != "lm-answers"])
 def test_returned_gradients_outlive_the_next_step(name):
-    # the worker's gradients are shared memory that the next step overwrites
+    # the worker's gradients and values come back in the reply area, which
+    # the next step overwrites; a row kind's values are the worker's outputs
     step = STEPS[name]()
-    _, grads, _ = run(step)
-    kept = {k: g.copy() for k, g in grads.items()}
+    got = run(step)
+    kept = {k: g.copy() for k, g in got[1].items()}
+    kept_values = values(got)
     for p in step[1].params():
         p.write(p.data * 1.5)
     run(step)
-    assert all(np.array_equal(grads[k], kept[k]) for k in kept)
+    assert all(np.array_equal(got[1][k], kept[k]) for k in kept)
+    assert np.array_equal(values(got), kept_values)
 
 
 @pytest.mark.parametrize("name", STEPS)
@@ -279,6 +285,27 @@ def test_a_parameter_frozen_after_the_fork_takes_no_gradient_in_the_worker(monke
     assert_bitwise(got, nn._batch_grads(lm, data, np.arange(8)))
 
 
+def test_a_new_lm_worker_has_room_for_the_gradients_of_all_but_one_part(monkeypatch):
+    # the reply area is sized from the step, not grown by a reply too large
+    # for it: a worker that computes 5 of the 8 parts returns more than a
+    # new worker's 1 MiB of gradients
+    lm = tiny_lm()
+    assert 5 * sum(p.data.nbytes for p in lm.params()) > 1 << 20
+    data = [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(8)]
+    parent, part_grads = os.getpid(), nn._part_grads
+    monkeypatch.setattr(nn, "_part_grads", lambda *a: (
+        os.getpid() == parent and time.sleep(0.1), part_grads(*a))[1])  # this process only
+    monkeypatch.delitem(partworker._workers, "LM", raising=False)
+    try:
+        got = nn._batch_grads(lm, data, np.arange(8))  # forks a new worker
+    finally:
+        partworker._workers.pop("LM").close()
+    assert got[2]["worker"] >= 5 and got[2]["parent"] + got[2]["worker"] == 8
+    monkeypatch.setattr(nn, "_part_grads", part_grads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, nn._batch_grads(lm, data, np.arange(8)))
+
+
 def slow_parent(monkeypatch, cls, method: str) -> None:
     """Each call of ``cls.method`` in this process, not a worker, first
     sleeps, so that the worker claims the last part."""
@@ -337,11 +364,18 @@ def test_the_pipe_carries_a_16_image_step_as_metadata_only(monkeypatch):
     flipped = (clip_stage._embedding_rows, [h[:, :, ::-1] for h in batch[1]], ())
     assert not flipped[1][0].flags.c_contiguous  # numpy would pickle it in band
     run((kind, model, batch, 2))  # forks the worker if none is up
+    train = lm_step()
+    lm = train[1]
+    run(train)  # likewise
+    Adam(lm.params(), lr=0.01).step({p.name: np.ones_like(p.data) for p in lm.params()})
     sent = pipe_messages(monkeypatch)
     run((kind, model, batch, 2))
     run((kind, model, flipped, 2))
+    run(train)  # a training step after an optimizer step sends the weights
     assert sum(h.nbytes for h in batch[1]) == 16 * 64 * 64 * 8
-    assert len(sent) == 2 and all(len(pickle.dumps(m)) < 1024 for m in sent)
+    assert len(sent) == 3 and all(len(pickle.dumps(m)) < 1024 for m in sent[:2])
+    assert sent[2][0] and sum(p.data.nbytes for p in lm.params()) > 200_000
+    assert len(pickle.dumps(sent[2])) < 4096
 
 
 def test_a_request_larger_than_the_region_forks_a_bigger_worker_with_the_same_bits(monkeypatch):
