@@ -6,16 +6,30 @@ single fixed order so repeated runs are bit-identical.  With no tape active,
 ops run eagerly as plain numpy and build no graph (inference mode).
 
 Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
-concat, take, layer_norm, gelu, cross_entropy, masked scaled-dot-product
-attention, reduce mean/sum/max, l2_normalize.  Everything else is composed
-from these.  No primitive writes to its inputs or to the gradient its VJP
-receives; in-place numpy work happens only on buffers the primitive
-allocated itself.
+split_heads / merge_heads (a reshape and a transpose as one op), concat,
+take, layer_norm, gelu, cross_entropy, masked scaled-dot-product attention,
+reduce mean/sum/max, l2_normalize.  Everything else is composed from these.
+No primitive writes to its inputs or to the gradient its VJP receives;
+in-place numpy work happens only on buffers the primitive allocated itself.
+
+A decode step runs hundreds of small ops, so two rules keep each op's fixed
+cost down without moving a bit:
+
+- A forward computes only its output.  What only the VJP needs (an inverse
+  permutation, split points) is computed in the VJP, which an untaped call
+  never runs.
+- Reductions call the ufunc directly: ``np.add.reduce`` for a sum,
+  ``np.maximum.reduce`` for a max, ``np.logical_and.reduce`` for "all", and a
+  mean is ``np.add.reduce`` divided by the count.  The ndarray methods
+  (``.sum``, ``.max``, ``.all``, ``.mean``) are Python wrappers around those
+  same reductions (numpy's ``_methods._mean`` is the sum, then a true divide
+  by the count), so the bits are the same and only the wrapper's cost goes.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -31,7 +45,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
+        if not arr.flags.c_contiguous:
             # contiguous so .reshape(-1) is a mutable view, which the tests'
             # finite-difference oracle (tests/helpers.py) writes through
             arr = np.ascontiguousarray(arr)
@@ -143,7 +157,7 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
-    if not np.isfinite(out.data).all():
+    if not np.logical_and.reduce(np.isfinite(out.data), axis=None):
         raise FloatingPointError("non-finite values produced by an op")
     tape = _tape_state.current
     if tape is None:
@@ -152,6 +166,9 @@ def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
     if not tracked:
         return out
     out.requires_grad = True
+    if len(tracked) == len(inputs):
+        tape.nodes.append(_Node(tracked, out, vjp))
+        return out
     # vjp receives grads for all inputs; filter to the tracked subset
     idx = [i for i, t in enumerate(inputs) if t.requires_grad]
 
@@ -169,10 +186,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g
 
 
@@ -229,19 +246,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if need_w:
             gw = x.data.reshape(-1, d_in).T @ g2
         if need_b:
-            gb = g2.sum(axis=0)
+            gb = np.add.reduce(g2, axis=0)
         return gx, gw, gb
 
     return _record(out, (x, w, b), vjp)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    out = Tensor(np.transpose(a.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-    return _record(out, (a,), lambda g: (np.transpose(g, inv),))
+    out = Tensor(a.data.transpose(axes))
+
+    def vjp(g):
+        if axes is None:  # reversed axes: their own inverse
+            return (g.transpose(),)
+        inv = [0] * g.ndim
+        for i, ax in enumerate(axes):
+            inv[ax] = i
+        return (g.transpose(inv),)
+
+    return _record(out, (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -249,13 +271,30 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(B, L, n_heads * dh) rows to (B, n_heads, L, dh) heads: one op,
+    bitwise equal to ``transpose(reshape(x, (B, L, n_heads, dh)), (0, 2, 1,
+    3))``; its VJP is ``merge_heads``'s forward."""
+    b, l, d = x.shape
+    out = Tensor(x.data.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+    return _record(out, (x,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, l, d),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, heads, L, dh) heads back to (B, L, heads * dh) rows: one op,
+    bitwise equal to ``reshape(transpose(x, (0, 2, 1, 3)), (B, L, heads *
+    dh))``; its VJP is ``split_heads``'s forward."""
+    b, h, l, dh = x.shape
+    out = Tensor(x.data.transpose(0, 2, 1, 3).reshape(b, l, h * dh))
+    return _record(out, (x,), lambda g: (g.reshape(b, l, h, dh).transpose(0, 2, 1, 3),))
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = list(accumulate(t.shape[axis] for t in tensors[:-1]))
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors), vjp)
@@ -302,21 +341,21 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (variance + 1e-5),
     then scale-shift."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
     y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + 1e-5)
+    inv = 1.0 / np.sqrt(np.add.reduce(y, -1, keepdims=True) / n + 1e-5)
     xhat *= inv
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
     out = Tensor(y)
-    n = x.shape[-1]
 
     def vjp(g):
         g_xhat = g * gain.data
         gx = inv * (
             g_xhat
-            - g_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(g_xhat, -1, keepdims=True) / n
+            - xhat * (np.add.reduce(g_xhat * xhat, -1, keepdims=True) / n)
         )
         g_gain = _unbroadcast(g * xhat, gain.shape)
         g_bias = _unbroadcast(g, bias.shape)
@@ -338,7 +377,8 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     tgt = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if tgt.shape[0] != lg.shape[0]:
         raise ValueError("targets length does not match logits rows")
-    if np.any(tgt < 0) or np.any(tgt >= lg.shape[1]):
+    if (np.logical_or.reduce(tgt < 0, axis=None)
+            or np.logical_or.reduce(tgt >= lg.shape[1], axis=None)):
         raise ValueError("target class index out of range")
     if mask is None:
         m = np.ones(lg.shape[0], dtype=np.float64)
@@ -347,16 +387,16 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
         if m.shape != (lg.shape[0],):
             raise ValueError(f"cross_entropy mask has shape {m.shape}; "
                              f"expected one entry per logits row ({lg.shape[0]},)")
-    nsel = m.sum()
+    nsel = np.add.reduce(m)
     if nsel <= 0:
         raise ValueError("cross_entropy mask selects no positions")
 
-    mx = lg.max(axis=1, keepdims=True)
+    mx = np.maximum.reduce(lg, axis=1, keepdims=True)
     e = np.exp(lg - mx)
-    z = e.sum(axis=1, keepdims=True)
+    z = np.add.reduce(e, axis=1, keepdims=True)
     lse = np.log(z[:, 0]) + mx[:, 0]
     nll = lse - lg[np.arange(lg.shape[0]), tgt]
-    out = Tensor(np.asarray((nll * m).sum() / nsel))
+    out = Tensor(np.asarray(np.add.reduce(nll * m) / nsel))
 
     def vjp(g):
         p = e / z
@@ -380,15 +420,15 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     att *= sc
     if mask is not None:
         att += mask
-    att -= att.max(axis=-1, keepdims=True)
+    att -= np.maximum.reduce(att, -1, keepdims=True)
     np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    att /= np.add.reduce(att, -1, keepdims=True)
     out = Tensor(np.matmul(att, v.data))
 
     def vjp(g):
         gv = np.matmul(np.swapaxes(att, -1, -2), g)
         # rowsum(dA * A) == rowsum(dO * O): an (L, dh) product, not an (L, L) one
-        dot = (g * out.data).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * out.data, -1, keepdims=True)
         g_logits = np.matmul(g, np.swapaxes(v.data, -1, -2))
         g_logits -= dot
         g_logits *= att
@@ -405,7 +445,7 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(axis=axis)))
+    out = Tensor(np.asarray(np.add.reduce(x.data, axis=axis)))
 
     def vjp(g):
         if axis is None:
@@ -418,7 +458,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
-    out = Tensor(np.asarray(x.data.mean(axis=axis)))
+    out = Tensor(np.asarray(np.add.reduce(x.data, axis=axis) / n))
 
     def vjp(g):
         if axis is None:
@@ -444,12 +484,12 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale the last axis to unit length (squared norm + 1e-12)."""
-    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-12)
+    norm = np.sqrt(np.add.reduce(x.data * x.data, -1, keepdims=True) + 1e-12)
     y = x.data / norm
     out = Tensor(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * y, -1, keepdims=True)
         return ((g - y * dot) / norm,)
 
     return _record(out, (x,), vjp)

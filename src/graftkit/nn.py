@@ -100,6 +100,11 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
+    """Multi-head attention with q/k/v/o projections.  The head split of each
+    projection (``ag.split_heads``) and the merge of the heads before the
+    output projection (``ag.merge_heads``) are one tape op each: a reshape
+    and a transpose fused, with the inverse data movement as the VJP."""
+
     def __init__(self, reg, name, dim, n_heads, rng):
         if dim % n_heads:
             raise ValueError("heads must divide dim")
@@ -108,13 +113,6 @@ class MultiHeadAttention:
         self.k = Linear(reg, f"{name}.k", dim, dim, rng)
         self.v = Linear(reg, f"{name}.v", dim, dim, rng)
         self.o = Linear(reg, f"{name}.o", dim, dim, rng)
-
-    def _split(self, x: Tensor, b: int, l: int) -> Tensor:
-        return ag.transpose(ag.reshape(x, (b, l, self.n_heads, self.dh)), (0, 2, 1, 3))
-
-    def _merge(self, att: Tensor) -> Tensor:
-        b, _, l, _ = att.shape
-        return self.o(ag.reshape(ag.transpose(att, (0, 2, 1, 3)), (b, l, self.dim)))
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None,
                  past=None) -> tuple[Tensor, tuple]:
@@ -125,15 +123,13 @@ class MultiHeadAttention:
         broadcast against the other.  Returns (output rows, (keys, values)
         of all n + l keys).  Cached keys are plain arrays, so a call with
         ``past`` is inference only; ``past`` itself is kept."""
-        b, m = x_q.shape[:2]
-        b_kv, l = x_kv.shape[:2]
-        q = self._split(self.q(x_q), b, m)
-        k = self._split(self.k(x_kv), b_kv, l)
-        v = self._split(self.v(x_kv), b_kv, l)
+        q = ag.split_heads(self.q(x_q), self.n_heads)
+        k = ag.split_heads(self.k(x_kv), self.n_heads)
+        v = ag.split_heads(self.v(x_kv), self.n_heads)
         if past is not None:
             k = Tensor(np.concatenate([past[0], k.data], axis=2))
             v = Tensor(np.concatenate([past[1], v.data], axis=2))
-        return self._merge(ag.sdpa(q, k, v, mask=mask)), (k.data, v.data)
+        return self.o(ag.merge_heads(ag.sdpa(q, k, v, mask=mask))), (k.data, v.data)
 
 
 class Mlp:

@@ -81,12 +81,14 @@ class ElixrBundle:
         ``lm-answers`` part worker; the groups depend only on the prompts, so
         the answers have the same bits on one core and two.  An image
         prepared before the LM's values were written is refused before
-        anything runs."""
+        anything runs; no questions get no answers, and nothing runs."""
         prompts = [tokenize(vqa_prompt_body(prepared.impression, q), self.vocab, max_len=None,
                             lead=None) for q in questions]
         for prompt_ids in prompts:
             self._check_vqa_prompt(prompt_ids)
         self.lm.check_current(prepared.dialog)
+        if not prompts:
+            return []
         groups = _answer_groups(prompts, prepared.dialog.ids[0])
         values, _, _ = partworker.run_parts(_ANSWER_PARTS, self.lm,
                                             (prepared.soft, prepared.dialog, groups),

@@ -368,3 +368,219 @@ def test_no_tape_records_nothing():
     assert not y.requires_grad
     t = Tape()
     assert t.nodes == []
+
+
+# The numpy method forms (``.sum``, ``.mean``, ``.max``, ``np.transpose``
+# with ``np.argsort``, ``np.cumsum`` split points) that the primitives' ufunc
+# reductions replaced: each primitive's forward and VJP must stay bitwise
+# equal to these.  Each reference maps the input arrays and an output
+# gradient ``g`` to (output, input gradients).
+
+def _ref_unbroadcast(g, shape):
+    if g.shape == tuple(shape):
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def ref_add(a, b, g):
+    return a + b, (_ref_unbroadcast(g, a.shape), _ref_unbroadcast(g, b.shape))
+
+
+def ref_mul(a, b, g):
+    return a * b, (_ref_unbroadcast(g * b, a.shape), _ref_unbroadcast(g * a, b.shape))
+
+
+def ref_linear_vjp(x, w, b, g):
+    g2 = g.reshape(-1, w.shape[1])
+    return (x @ w + b,
+            ((g2 @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g2, g2.sum(axis=0)))
+
+
+def ref_transpose(a, axes, g):
+    inv = None if axes is None else tuple(np.argsort(axes))
+    return np.transpose(a, axes), (np.transpose(g, inv),)
+
+
+def ref_concat(arrays, axis, g):
+    splits = np.cumsum([a.shape[axis] for a in arrays])[:-1]
+    return (np.concatenate(arrays, axis=axis),
+            tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis)))
+
+
+def ref_layer_norm_vjp(x, gain, bias, g):
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xhat * inv
+    g_xhat = g * gain
+    gx = inv * (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+                - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True))
+    return (xhat * gain + bias,
+            (gx, _ref_unbroadcast(g * xhat, gain.shape), _ref_unbroadcast(g, bias.shape)))
+
+
+def ref_cross_entropy(lg, tgt, m, g):
+    mx = lg.max(axis=1, keepdims=True)
+    e = np.exp(lg - mx)
+    z = e.sum(axis=1, keepdims=True)
+    nll = np.log(z[:, 0]) + mx[:, 0] - lg[np.arange(lg.shape[0]), tgt]
+    nsel = m.sum()
+    p = e / z
+    p[np.arange(lg.shape[0]), tgt] -= 1.0
+    return np.asarray((nll * m).sum() / nsel), (p * (m / nsel)[:, None] * g,)
+
+
+def ref_sdpa_vjp(q, k, v, mask, g):
+    sc = 1.0 / np.sqrt(q.shape[-1])
+    att = np.matmul(q, np.swapaxes(k, -1, -2))
+    att *= sc
+    if mask is not None:
+        att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    out = np.matmul(att, v)
+    gv = np.matmul(np.swapaxes(att, -1, -2), g)
+    g_logits = np.matmul(g, np.swapaxes(v, -1, -2))
+    g_logits -= (g * out).sum(axis=-1, keepdims=True)
+    g_logits *= att
+    g_logits *= sc
+    return out, (np.matmul(g_logits, k), np.matmul(np.swapaxes(g_logits, -1, -2), q), gv)
+
+
+def ref_reduce(x, axis, g, mean):
+    n = x.size if axis is None else x.shape[axis]
+    out = np.asarray(x.mean(axis=axis) if mean else x.sum(axis=axis))
+    ge = g / n if mean else g
+    if axis is not None:
+        ge = np.expand_dims(ge, axis)
+    return out, (np.broadcast_to(ge, x.shape).astype(np.float64),)
+
+
+def ref_l2_normalize(x, g):
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
+    y = x / norm
+    return y, ((g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def taped_node(op, *arrays):
+    """(output, tape node) of ``op`` on trainable parameters holding ``arrays``."""
+    params = [Parameter(f"p{i}", a) for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        out = op(*params)
+    (node,) = tape.nodes
+    return out.data, node
+
+
+def check_against_reference(op, ref, arrays, rng):
+    out, node = taped_node(op, *arrays)
+    g = rng.normal(0, 1, out.shape)  # 0-d for a scalar output
+    ref_out, ref_grads = ref(*arrays, g)
+    assert same_bits(out, ref_out)
+    grads = node.vjp(g)
+    assert len(grads) == len(ref_grads)
+    assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
+
+
+# length-1 axes are drawn often: they are where broadcasting and keepdims
+# reductions differ from the general case
+dims = st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=3)
+
+
+@given(dims, st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_rewritten_primitives_bitwise_equal_numpy_method_forms(shape, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    x = rng.normal(0, 3, shape)
+    ndim = len(shape)
+
+    # broadcast partners: some axes cut to 1 and some leading axes dropped
+    small = tuple(1 if rng.random() < 0.5 else s for s in shape)[int(rng.integers(0, ndim)):]
+    y = rng.normal(0, 1, small)
+    check_against_reference(ag.add, ref_add, (x, y), rng)
+    check_against_reference(ag.mul, ref_mul, (y, x), rng)
+
+    d_out = int(rng.integers(1, 5))
+    w, b = rng.normal(0, 1, (shape[-1], d_out)), rng.normal(0, 1, d_out)
+    if ndim >= 2:
+        check_against_reference(ag.linear, ref_linear_vjp, (x, w, b), rng)
+
+    axes = tuple(int(a) for a in rng.permutation(ndim))
+    # an axis may be given negative; argsort on those gave a wrong inverse
+    given_axes = tuple(a - ndim if rng.random() < 0.5 else a for a in axes)
+    check_against_reference(lambda a: ag.transpose(a, given_axes),
+                            lambda a, g: ref_transpose(a, axes, g), (x,), rng)
+    check_against_reference(ag.transpose, lambda a, g: ref_transpose(a, None, g), (x,), rng)
+
+    axis = int(rng.integers(0, ndim))
+    parts = [rng.normal(0, 1, shape[:axis] + (n,) + shape[axis + 1:])
+             for n in rng.integers(1, 4, int(rng.integers(1, 4)))]
+    check_against_reference(lambda *ts: ag.concat(ts, axis=axis),
+                            lambda *a: ref_concat(a[:-1], axis, a[-1]), parts, rng)
+
+    gain, bias = rng.normal(0, 1, shape[-1]), rng.normal(0, 1, shape[-1])
+    check_against_reference(ag.layer_norm, ref_layer_norm_vjp, (x, gain, bias), rng)
+    check_against_reference(ag.l2_normalize, ref_l2_normalize, (x,), rng)
+
+    for ax in (None, axis):  # axis None: a 0-d output and a 0-d gradient
+        for mean in (False, True):
+            fn = ag.reduce_mean if mean else ag.reduce_sum
+            check_against_reference(lambda a: fn(a, axis=ax),
+                                    lambda a, g: ref_reduce(a, ax, g, mean), (x,), rng)
+
+    lg = x.reshape(-1, shape[-1])
+    tgt = rng.integers(0, shape[-1], lg.shape[0])
+    m = rng.integers(0, 3, lg.shape[0]).astype(np.float64)
+    m[0] = 1.0
+    check_against_reference(lambda a: ag.cross_entropy(a, tgt, mask=m),
+                            lambda a, g: ref_cross_entropy(a, tgt, m, g), (lg,), rng)
+
+    lead = shape[:-1][:2]
+    lq, lk, dh = int(rng.integers(1, 5)), int(rng.integers(1, 5)), shape[-1]
+    q, k, v = (rng.normal(0, 2, lead + (n, dh)) for n in (lq, lk, lk))
+    causal = np.triu(np.full((lq, lk), -1e9), k=1)
+    for mask in (None, causal):
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=mask),
+                                lambda *a: ref_sdpa_vjp(*a[:3], mask, a[3]), (q, k, v), rng)
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_head_split_and_merge_equal_reshape_transpose_compositions(b, length, heads, dh, seed):
+    rng = np.random.default_rng(seed)
+    rows = Parameter("x", rng.normal(0, 1, (b, length, heads * dh)))
+    split_proj = Tensor(rng.normal(0, 1, (b, heads, length, dh)))
+    merge_proj = Tensor(rng.normal(0, 1, (b, length, heads * dh)))
+
+    def split_composed(x):
+        return ag.transpose(ag.reshape(x, (b, length, heads, dh)), (0, 2, 1, 3))
+
+    def merge_composed(x):
+        return ag.reshape(ag.transpose(x, (0, 2, 1, 3)), (b, length, heads * dh))
+
+    def run(split, merge):
+        with Tape() as tape:
+            heads_out = split(rows)
+            rows_out = merge(heads_out)
+            # a 0-d loss through both ops, with a distinct gradient into each
+            loss = ag.add(ag.reduce_sum(ag.mul(heads_out, split_proj)),
+                          ag.reduce_sum(ag.mul(rows_out, merge_proj)))
+        return heads_out.data, rows_out.data, tape.gradients(loss)["x"], len(tape.nodes)
+
+    fused = run(lambda x: ag.split_heads(x, heads), ag.merge_heads)
+    composed = run(split_composed, merge_composed)
+    assert all(same_bits(a, c) for a, c in zip(fused[:3], composed[:3]))
+    assert fused[3] == composed[3] - 2  # one node each instead of two

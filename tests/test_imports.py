@@ -15,7 +15,9 @@ outside ``params.read_json``, none writes to a ``.data`` in place outside
 which maps shared memory only for its request and reply areas and its part
 counter.  Every
 ``PartKind`` a graftkit module defines has an entry in
-``tests/test_partworker.py``'s ``STEPS``."""
+``tests/test_partworker.py``'s ``STEPS``.  ``autograd.py`` calls no
+reduction method (``.sum``, ``.mean``, ``.max``, ...) and none of
+``np.transpose``, ``np.argsort``, ``np.any`` or ``np.all``."""
 
 import ast
 import re
@@ -786,3 +788,49 @@ def test_every_part_kind_has_lifecycle_tests():
     runs the worker's lifecycle tests on it."""
     assert {name for name, _, _ in part_kinds(ROOT)} >= {"LM", "phase-1", "itm"}
     assert kinds_without_steps(ROOT) == []
+
+
+# --------------------------------------------------------------------------
+# numpy's Python-level wrappers in the autograd primitives
+
+
+WRAPPED_METHODS = ("mean", "sum", "max", "min", "all", "any")
+WRAPPED_NUMPY = ("transpose", "argsort", "any", "all")
+
+
+def wrapper_calls(path: Path) -> list[tuple[str, int]]:
+    """(call, line) of each call in the module at ``path`` that goes through
+    a numpy Python-level wrapper: a ``.mean``, ``.sum``, ``.max``, ``.min``,
+    ``.all`` or ``.any`` method (``"np.sum"`` counts too), or ``np.transpose``,
+    ``np.argsort``, ``np.any`` or ``np.all``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        attr, owner = node.func.attr, _name(node.func.value)
+        if owner == "np" and attr in WRAPPED_NUMPY + WRAPPED_METHODS:
+            found.append((f"np.{attr}", node.lineno))
+        elif attr in WRAPPED_METHODS:
+            found.append((f".{attr}", node.lineno))
+    return sorted(found, key=lambda call: call[1])
+
+
+def test_wrapper_checker_flags_methods_and_numpy_functions_only(tmp_path):
+    path = tmp_path / "autograd.py"
+    path.write_text(
+        "import numpy as np\n"
+        "a = x.mean(axis=-1)\nb = x.data.sum()\nc = np.transpose(x, (1, 0))\n"
+        "d = np.argsort(axes)\ne = np.any(x < 0) or np.all(x)\nf = x.max(1) + x.min(1)\n"
+        "g = np.isfinite(x).all() and x.any()\nh = np.sum(x)\n"
+        "ok = (np.add.reduce(x, -1) / n, np.maximum.reduce(x, -1), x.transpose((1, 0)),\n"
+        "      x.argmax(1), np.logical_and.reduce(x, axis=None), np.swapaxes(x, 0, 1))\n")
+    assert wrapper_calls(path) == [
+        (".mean", 2), (".sum", 3), ("np.transpose", 4), ("np.argsort", 5), ("np.any", 6),
+        ("np.all", 6), (".max", 7), (".min", 7), (".all", 8), (".any", 8), ("np.sum", 9)]
+
+
+def test_the_autograd_primitives_call_no_numpy_wrapper():
+    """A decode step runs hundreds of small ops, and these wrappers cost as
+    much as the arithmetic of a small one: reductions go through
+    ``ufunc.reduce`` (same bits), transposes through ``ndarray.transpose``."""
+    assert wrapper_calls(SRC / "autograd.py") == []

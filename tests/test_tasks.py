@@ -995,6 +995,18 @@ def test_packed_answers_equal_per_question_answers(small_world, study_id):
         assert bundle.answers(prepared, qs) == _per_question_answers(bundle, prepared, qs)
 
 
+def test_no_questions_get_no_answers_and_run_nothing(small_world, monkeypatch):
+    # an empty list used to reach the LM's prefill, which needs a prompt
+    corpus = small_world[0]
+    bundle = _vqa_bundle(small_world, 1400)
+    prepared = bundle.prepare(corpus.studies[1].image)
+    ran = []
+    monkeypatch.setattr(partworker, "run_parts", lambda *a, **k: ran.append("run_parts"))
+    monkeypatch.setattr(DecoderLM, "prefill", lambda *a, **k: ran.append("prefill"))
+    assert bundle.answers(prepared, []) == []
+    assert ran == []
+
+
 def _slow_parent_decode(monkeypatch) -> None:
     """Each decode in this process, not the worker, first sleeps, so that
     the worker claims the last group."""
