@@ -709,10 +709,6 @@ def _check_lm_training(dataset, cfg: LmTrainConfig, holdout=None) -> None:
                                  f"in a sequence of {len(seq)} tokens")
 
 
-# A training batch is computed as at most this many parts of equal row count.
-_MAX_PARTS = 8
-
-
 def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.ndarray]]:
     """(loss share, gradients) of one part ``(tokens, lengths, starts)`` of a
     batch: the part's token-loss sum over ``total``, the whole batch's target
@@ -739,11 +735,11 @@ def _batch_grads(lm: DecoderLM, dataset, idx) -> tuple[float, dict[str, np.ndarr
     """Mean target loss of the batch ``idx``, its gradient, and how many of
     its parts each process computed: ``{"parent": n, "worker": m}``.
 
-    The batch is computed as parts of ``ceil(B / _MAX_PARTS)`` consecutive
-    rows, each padded on its own, shared with the LM's worker process and
-    added in part order (``partworker.run_parts``).
+    The batch is computed as parts of ``ceil(B / partworker.MAX_PARTS)``
+    consecutive rows, each padded on its own, shared with the LM's worker
+    process and added in part order (``partworker.run_parts``).
     """
-    size = -(-len(idx) // _MAX_PARTS)
+    size = -(-len(idx) // partworker.MAX_PARTS)
     parts = [_pad_batch(dataset, idx[i:i + size], lm.cfg.pad_id)
              for i in range(0, len(idx), size)]
     total = sum(int(next_token_targets(*part)[1].sum()) for part in parts)

@@ -21,27 +21,27 @@ process computed which part nor on the core count.
 A kind of step (``PartKind``) names a part function.  Each kind has one
 worker, forked on the first step that needs it and reused for the life of
 the process; the fork copies the caller's model, and the worker computes
-on that copy.  It is forked again when the model's config or parameter
-layout (names, shapes, dtypes, frozen flags) change, or when a step needs
-more room than its shared memory holds.  Forking one per training call
-instead cost about a fifth of LM pretraining throughput on a 2-core VM.
+on that copy.  It is forked again only when the model's config or
+parameter layout (names, shapes, dtypes, frozen flags) change, or when it
+has died.  Forking one per training call instead cost about a fifth of LM
+pretraining throughput on a 2-core VM.
 
 Shared memory, not the pipe: everything sizeable moves through a request
-area and a reply area, one anonymous shared mapping made before the fork
-and sized from the step.  A request holds the step's batch and, when its
-parameters are not the objects, at the versions, last sent, the weights;
-the worker's copy takes their versions too, so that a state keyed on
-versions (``LmState``, ``ParamRegistry.memo``) means the same in both
-processes.  A reply holds each part's gradients, read here as views
-valid until the next step, and the values, copied out.  Each is pickled
-with protocol 5, its arrays copied once into its area, and the pipe
-carries only the metadata.  The pipe holds 64 KB at a time, so a transfer
-through it waits for the other process to wake once per 64 KB: on a 2-core
-VM, a round trip of a 16-image batch (512 KB) cost 0.40-0.47 ms through
-the pipe, against 0.05 ms through shared memory, and the LM's 4 MB of
-weights and of gradients cost 4-140 ms a step.  A frozen model's weights
-go once: copying CLIP's and the adapter's 3.2 MB both ways cost 0.43 ms a
-call, checking them 0.01 ms.
+area and a reply area, one anonymous shared mapping made and sized at the
+fork (``_room``).  A request holds the step's batch and, when its parameters
+are not the objects, at the versions, last sent, the weights; the worker's
+copy takes their versions too, so that a state keyed on versions
+(``LmState``, ``ParamRegistry.memo``) means the same in both processes.  A
+reply holds each part's gradients, read here as views valid until the next
+step, and the values, copied out.  Each is pickled with protocol 5, its
+arrays copied once into its area, and the pipe carries only the metadata; a
+message larger than its area goes whole through the pipe.  The pipe holds
+64 KB at a time, so a transfer through it waits for the other process to
+wake once per 64 KB: on a 2-core VM, a round trip of a 16-image batch
+(512 KB) cost 0.40-0.47 ms through the pipe, against 0.05 ms through shared
+memory, and the LM's 4 MB of weights and of gradients cost 4-140 ms a step.
+A frozen model's weights go once: copying CLIP's and the adapter's 3.2 MB
+both ways cost 0.43 ms a call, checking them 0.01 ms.
 
 Fork, not spawn: a spawned child re-imports the parent's ``__main__``,
 which a script that trains at top level without a main guard does not
@@ -72,6 +72,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# The most parts a step has: a training batch is split into at most this many.
+MAX_PARTS = 8
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class _Message:
     """``obj`` pickled for the other process: ``meta``, the pickle without
     its arrays' memory, goes through the pipe with ``spans``, the (offset,
     size) of each out-of-band buffer in a shared area, 64-byte aligned from
-    ``start`` and ending at ``nbytes``."""
+    ``start`` and ending at ``nbytes``, or with the buffers (``place``)."""
 
     def __init__(self, obj, start: int = 0):
         out, buffers = io.BytesIO(), []
@@ -136,16 +139,22 @@ class _Message:
             self.nbytes += _aligned(b.nbytes)
 
     def place(self, area: memoryview) -> tuple[bytes, list]:
-        """Copy the buffers into ``area``, which holds ``nbytes``; what the
-        pipe carries."""
+        """What the pipe carries: the buffers copied into ``area`` and their
+        spans, or, for an area of fewer than ``nbytes``, the buffers as
+        ``bytearray``s, so that the arrays read from them are writable."""
+        if self.nbytes > len(area):
+            return self.meta, [bytearray(b) for b in self.buffers]
         for (offset, size), b in zip(self.spans, self.buffers):
             area[offset:offset + size] = b
         return self.meta, self.spans
 
 
 def _load(meta: bytes, spans, area: memoryview, copy: bool):
-    """The object ``_Message.place`` left in ``area``: its arrays are views of
-    the area, or, with ``copy``, own their memory."""
+    """The object ``_Message.place`` gave: the arrays of a message left in
+    ``area`` are views of the area, or, with ``copy``, own their memory; those
+    of a message sent whole own the pipe's buffers."""
+    if spans and isinstance(spans[0], bytearray):
+        return pickle.loads(meta, buffers=spans)
     views = [area[offset:offset + size] for offset, size in spans]
     return pickle.loads(meta, buffers=[bytearray(v) for v in views] if copy else views)
 
@@ -154,7 +163,7 @@ def _areas(nbytes: int) -> tuple[memoryview, memoryview]:
     """A request area and a reply area of at least ``nbytes`` each (a power
     of two, 1 MiB at least) in one anonymous shared mapping: made before a
     fork, the child sees the same pages.  A page is backed by memory only
-    once written."""
+    once written, so room that no message uses costs address space only."""
     size = max(1 << 20, 1 << max(nbytes - 1, 0).bit_length())
     view = memoryview(mmap.mmap(-1, 2 * size))  # MAP_SHARED by default
     return view[:size], view[size:]
@@ -199,15 +208,15 @@ def _worker_main(conn, inherited, kind: PartKind, model, counter, request,
     """Serve steps until the parent's end of the pipe closes.
 
     A request is ``(fresh, meta, spans)``: ``meta`` unpickled over the
-    buffers in ``request`` is the step's batch and, with ``fresh``, the
-    parent's weights and their versions, which ``model``, the fork's copy
-    of the parent's, first takes, so that a state built at the parent's
+    buffers in ``request``, or sent with it, is the step's batch and, with
+    ``fresh``, the parent's weights and their versions, which ``model``, the
+    fork's copy of the parent's, first takes, so that a state built at the parent's
     versions is current here too.  Then parts are claimed from the back of
     ``counter`` until none is left.  The reply is each part's gradients,
     pickled and placed the same way in ``reply_area`` as the part is done,
-    and after them each part's index and value; one too large for the area
-    says only how large it is.  A part that raises closes ``counter``, so
-    that the parent stops too.
+    and after them each part's index and value; a message that does not fit
+    after those placed goes whole through the pipe.  A part that raises
+    closes ``counter``, so that the parent stops too.
 
     The fork copied the parent's ends of every worker's pipe, this one's
     included (``inherited``); closing them here makes the parent's exit,
@@ -233,15 +242,11 @@ def _worker_main(conn, inherited, kind: PartKind, model, counter, request,
                 value, grads = kind.part(model, batch, i)
                 # placed at once, so that copying them overlaps the parent's parts
                 grads = _Message(grads, end)
-                end = grads.nbytes
-                if end <= len(reply_area):
-                    grads.place(reply_area)
-                done.append((i, value, (grads.meta, grads.spans)))
+                done.append((i, value, grads.place(reply_area)))
+                if grads.nbytes <= len(reply_area):
+                    end = grads.nbytes
             values = _Message([(i, value) for i, value, _ in done], end)
-            if values.nbytes > len(reply_area):
-                reply = ("big", values.nbytes)
-            else:
-                reply = ("ok", [grads for _, _, grads in done], values.place(reply_area))
+            reply = ("ok", [grads for _, _, grads in done], values.place(reply_area))
         except Exception as exc:  # the parent re-raises it
             counter.close()
             reply = ("err", exc, traceback.format_exc())
@@ -261,20 +266,18 @@ class _PartWorker:
     """A forked process that computes parts of each step of one ``kind``
     on its copy of ``model``, claiming them from the back of ``counter``
     while the parent claims from the front.  Each step's request and the
-    worker's reply travel through a request area and a reply area of
-    ``capacity`` bytes each, at least ``nbytes`` (``_room``); a worker made
-    for no step in particular (``nbytes`` 0) has the room of an 8-part step,
-    the most this package makes (an LM step's).
+    worker's reply travel through a request area and a reply area sized
+    here by ``_room(model, batch)``, ``batch`` being the first step's (None
+    for a worker made for no step in particular), or through the pipe.
 
     ``sent`` holds each parameter that the worker's copy has the values of,
     with its version: the fork's own, then those of the last weights sent.
     Holding the parameters, not their ids, keeps a freed parameter's id from
     passing for a new one's."""
 
-    def __init__(self, kind: PartKind, model, nbytes: int = 0):
+    def __init__(self, kind: PartKind, model, batch=None):
         self.kind, self.key = kind, (model.cfg, _layout(model))
-        self.request, self.reply = _areas(nbytes or _room(model, None, 8))
-        self.capacity, self.reply_bytes = len(self.request), 0
+        self.request, self.reply = _areas(_room(model, batch))
         self.sent = [(p, p.version) for p in model.params()]
         ctx = multiprocessing.get_context("fork")
         self.counter = _PartCounter(ctx)
@@ -290,11 +293,10 @@ class _PartWorker:
 
     def submit(self, model, batch, n_parts: int) -> int | None:
         """Place the step's request, ``batch`` with ``model``'s weights and
-        their versions unless the worker has them, in the request area, which
-        it must fit (``_part_worker``), open the counter on ``n_parts``
-        parts, claim the first for this process, and then start the worker
-        claiming from the back; returns the part claimed (None for no
-        parts)."""
+        their versions unless the worker has them, in the request area (or
+        the pipe), open the counter on ``n_parts`` parts, claim the first for
+        this process, and then start the worker claiming from the back;
+        returns the part claimed (None for no parts)."""
         sent = [(p, p.version) for p in model.params()]
         fresh = not _same_params(sent, self.sent)
         weights = [p.data for p, _ in sent], np.array([v for _, v in sent], np.int64)
@@ -309,9 +311,7 @@ class _PartWorker:
         """Part index -> (value, gradients) of each part the worker
         computed since the last ``submit``; the worker's exception is
         re-raised as the same type.  The gradients are views of the reply
-        area, valid until the next ``submit``; the values are copies.  A
-        reply too large for the reply area gives no part, and the next step
-        forks a worker with room for it."""
+        area, valid until the next ``submit``; the values are copies."""
         reply = self._io(self.conn.recv)
         if reply[0] == "err":
             self.sent = []  # whatever failed, the next step sends the weights
@@ -319,9 +319,6 @@ class _PartWorker:
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note(f"raised in the {self.kind.name} part worker:\n" + reply[2])
             raise exc
-        if reply[0] == "big":
-            self.reply_bytes = reply[1]
-            return {}
         values = _load(*reply[2], self.reply, copy=True)
         return {i: (value, _load(*grads, self.reply, copy=False))
                 for (i, value), grads in zip(values, reply[1])}
@@ -360,22 +357,19 @@ def cores() -> int:
     return n or 1
 
 
-def _part_worker(kind: PartKind, model, nbytes: int) -> _PartWorker:
-    """The process's worker for ``kind``, forked on first use and again when
-    the model's config or layout change, or when ``nbytes`` of room for a
-    step, or the last reply that did not fit, exceed its areas.  Call it
-    holding ``_lock``."""
+def _part_worker(kind: PartKind, model, batch) -> _PartWorker:
+    """The process's worker for ``kind``, forked on first use, with areas
+    sized for ``batch``, and again when the model's config or layout change
+    or when it has died.  Call it holding ``_lock``."""
     worker = _workers.get(kind.name)
     if worker is not None and worker.owner != os.getpid():  # a forked copy owns no worker
         worker = None
-    elif worker is not None:
-        nbytes = max(nbytes, worker.reply_bytes)
-        if (not worker.proc.is_alive() or worker.key != (model.cfg, _layout(model))
-                or nbytes > worker.capacity):
-            worker.close()
-            worker = None
+    elif worker is not None and (not worker.proc.is_alive()
+                                 or worker.key != (model.cfg, _layout(model))):
+        worker.close()
+        worker = None
     if worker is None:
-        worker = _workers[kind.name] = _PartWorker(kind, model, nbytes)
+        worker = _workers[kind.name] = _PartWorker(kind, model, batch)
     return worker
 
 
@@ -383,8 +377,7 @@ def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[lis
     """Each part's (value, gradients), in part order, with this process
     claiming parts from the front, the first before the worker is sent the
     step, and ``worker`` from the back, the last part first; and how many
-    the worker computed.  The worker's parts whose reply did not fit are
-    computed here again.  If a part raises here, the counter is closed and
+    the worker computed.  If a part raises here, the counter is closed and
     the worker's reply read, to keep the pipe in step, before re-raising."""
     i = worker.submit(model, batch, n_parts)
     results = {}
@@ -401,9 +394,6 @@ def _claimed_grads(worker: _PartWorker, model, batch, n_parts: int) -> tuple[lis
         raise
     theirs = worker.result()
     results.update(theirs)
-    for i in range(n_parts):
-        if i not in results:
-            results[i] = worker.kind.part(model, batch, i)
     return [results[i] for i in range(n_parts)], len(theirs)
 
 
@@ -417,15 +407,16 @@ def _sum_parts(results) -> tuple[list, dict[str, np.ndarray]]:
     return [value for value, _ in results], grads
 
 
-def _room(model, batch, n_parts: int) -> int:
-    """The bytes a step may need in each area: its request with the weights
-    and their versions (counted, not pickled), which a step may send, or the
-    gradients of the ``n_parts - 1`` parts the worker computes at most.  A
-    forward-only value of unforeseen size takes the "big" reply instead."""
+def _room(model, batch) -> int:
+    """The bytes of each area of a worker forked for ``batch``'s step: its
+    request with the weights and their versions (counted, not pickled),
+    which a later step may send, or the gradients of the ``MAX_PARTS - 1``
+    parts the worker computes at most, whichever is larger.  A later batch
+    or a forward-only value larger than that goes through the pipe."""
     params = model.params()
     weights = sum(_aligned(p.data.nbytes) for p in params) + _aligned(8 * len(params))
     grads = sum(_aligned(p.data.nbytes) for p in params if not p.frozen)
-    return max(_Message(batch).nbytes + weights, (n_parts - 1) * grads)
+    return max(_Message(batch).nbytes + weights, (MAX_PARTS - 1) * grads)
 
 
 def run_parts(kind: PartKind, model, batch,
@@ -442,7 +433,7 @@ def run_parts(kind: PartKind, model, batch,
     """
     if n_parts >= 2 and cores() >= 2 and _lock.acquire(blocking=False):
         try:
-            worker = _part_worker(kind, model, _room(model, batch, n_parts))
+            worker = _part_worker(kind, model, batch)
             results, by_worker = _claimed_grads(worker, model, batch, n_parts)
             # added up before the lock is released: the worker's gradients
             # are views of the reply area, which the next submit overwrites

@@ -452,6 +452,12 @@ def split_studies(n_studies: int, held_out: int, eval_ids=None) -> tuple[list[in
     return train_ids, eval_ids
 
 
+def check_grid_dim(cfg: QFormerConfig, clip_model) -> None:
+    """Refuse an adapter whose grid tokens are not ``clip_model``'s image tokens."""
+    if cfg.grid_dim != clip_model.cfg.image.dim:
+        raise ValueError("qformer grid_dim must match the image encoder dim")
+
+
 def precompute_grids(clip_model, studies, pooled_hw: int) -> np.ndarray:
     """Frozen image-encoder grids, average pooled, flattened to token lists."""
     return clip_model.grid_tokens(np.stack([s.image for s in studies]), pooled_hw)
@@ -565,8 +571,7 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
         qcfg = replace(qcfg, vocab_size=len(corpus.vocab))
-    if qcfg.grid_dim != clip_model.cfg.image.dim:
-        raise ValueError("qformer grid_dim must match the image encoder dim")
+    check_grid_dim(qcfg, clip_model)
     if grids is None:
         grids = precompute_grids(clip_model, corpus.studies, qcfg.pooled_hw)
     clip_digest_before = clip_model.tower_digests()

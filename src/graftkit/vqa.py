@@ -14,7 +14,8 @@ from . import templates as T
 from .clip_stage import ClipModel
 from .corpus import Vocab, detokenize, tokenize
 from .nn import DecoderLM, LmState, _common_prefix
-from .qformer import Phase2Bridge, QFormerModel, generate_impression, soft_prompts_for_grid
+from .qformer import (Phase2Bridge, QFormerModel, check_grid_dim, generate_impression,
+                      soft_prompts_for_grid)
 
 
 @dataclass
@@ -44,6 +45,12 @@ class ElixrBundle:
     def __post_init__(self):
         if not self.lm.frozen:
             raise RuntimeError("bundle requires a frozen LM")
+        hw = self.qformer_impression.cfg.pooled_hw, self.qformer_aligned.cfg.pooled_hw
+        if hw[0] != hw[1]:  # prepare feeds one grid to both
+            raise ValueError("the impression adapter pools grids to {0}x{0}, the aligned "
+                             "adapter to {1}x{1}".format(*hw))
+        for qf in (self.qformer_impression, self.qformer_aligned):
+            check_grid_dim(qf.cfg, self.clip)
 
     def grid_for(self, image: np.ndarray) -> np.ndarray:
         hw = self.qformer_impression.cfg.pooled_hw

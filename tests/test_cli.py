@@ -1,9 +1,10 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -322,8 +323,11 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
 
 
 def test_console_entry_point():
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-m", "graftkit.cli", "frobnicate"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2
 
 
@@ -531,10 +535,11 @@ def test_cli_chain_end_to_end(tmp_path):
         assert json.loads(result.read_text())["result"], args[0]
 
 
-def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448):
+def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448, aligned=None):
     """A saved corpus, CLIP, phase-1 Q-Former and phase-2 pair trained (by
     manifest) against ``tiny_lm``, and an LM made from ``lm_seed``; returns
-    the ``graftkit vqa`` arguments."""
+    the ``graftkit vqa`` arguments.  ``aligned`` changes the config of the
+    phase-2 Q-Former."""
     corpus = generate_corpus(3, CorpusSpec(n_studies=n_studies))
     save_corpus(corpus, tmp_path / "corpus")
     vocab = corpus.vocab
@@ -543,7 +548,8 @@ def _vqa_checkpoints(tmp_path, lm_seed=0, n_studies=4, lm_max_len=448):
     qf.save(tmp_path / "b1.ckpt")
     bridge_reg = ParamRegistry()
     bridge = Phase2Bridge(bridge_reg, 16, 16, 16, np.random.default_rng(1))
-    save_phase2(qf, bridge, bridge_reg, tmp_path / "b2.ckpt", tmp_path / "bridge.ckpt",
+    qf_aligned = QFormerModel(replace(qf.cfg, **aligned), seed=0) if aligned else qf
+    save_phase2(qf_aligned, bridge, bridge_reg, tmp_path / "b2.ckpt", tmp_path / "bridge.ckpt",
                 lm_digest=tiny_lm(vocab).digest())
     lm = tiny_lm(vocab, lm_max_len)
     if lm_seed:
@@ -579,6 +585,23 @@ def test_vqa_rejects_a_phase2_pair_trained_against_another_lm(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"--b2 checkpoint was trained against LM digest {want}, but --lm has digest" in err
     assert not (tmp_path / "o" / "vqa.json").exists()
+
+
+@pytest.mark.parametrize("command", ["vqa", "qa"])
+@pytest.mark.parametrize("aligned, message", [
+    ({"pooled_hw": 1}, "the impression adapter pools grids to 2x2, the aligned adapter to 1x1"),
+    ({"grid_dim": 8}, "qformer grid_dim must match the image encoder dim")],
+    ids=["pooled_hw", "grid_dim"])
+def test_text_tasks_refuse_an_aligned_adapter_that_does_not_fit_the_grids(tmp_path, capsys,
+                                                                          command, aligned,
+                                                                          message):
+    # qa builds its 48 cases, which 4 studies do not hold, before reading checkpoints
+    args = _vqa_checkpoints(tmp_path, n_studies=60 if command == "qa" else 4, aligned=aligned)
+    if command == "qa":
+        args = ["qa", *args[1:-6], "--out", str(tmp_path / "o")]
+    assert run_cli(args) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "o").glob("*.json")) == []
 
 
 def test_qa_over_several_cases_writes_the_rows_of_one_case_runs(tmp_path, monkeypatch):

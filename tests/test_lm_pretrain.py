@@ -180,7 +180,7 @@ def test_stats_count_the_parts_each_process_computed(monkeypatch):
     data = dataset()
     batches = nn._make_batches(data, CFG, np.random.default_rng(3))
     sizes = [len(next(batches)) for _ in range(CFG.steps)]
-    n_parts = sum(len(range(0, n, -(-n // nn._MAX_PARTS))) for n in sizes)
+    n_parts = sum(len(range(0, n, -(-n // partworker.MAX_PARTS))) for n in sizes)
     parts = nn.pretrain_lm(tiny_lm(), data, CFG, seed=3)["parts"]
     assert parts["parent"] + parts["worker"] == n_parts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -202,7 +202,7 @@ def assert_bitwise(got, ref):
 def test_claimed_parts_are_the_inline_run_bitwise(monkeypatch, rows):
     # parts of ceil(rows / 8) rows, claimed by both processes
     data = rows_of_lengths(rows)
-    n_parts = len(range(0, rows, -(-rows // nn._MAX_PARTS)))
+    n_parts = len(range(0, rows, -(-rows // partworker.MAX_PARTS)))
     got = nn._batch_grads(tiny_lm(), data, np.arange(rows))
     assert sum(got[2].values()) == n_parts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -5,11 +5,13 @@ of the process, a failing part re-raised in step, a dead worker raising
 instead of hanging, a part for each process even when one of them stalls,
 and no process left behind by a script that runs one and exits.  Every
 ``PartKind`` under src/ has an entry in ``STEPS`` (``test_imports.py``).
-Then the transfer, one protocol-5 message each way through shared memory:
-weights sent in the request only after they change, requests and replies of
-any size, a reply area with room for the gradients of every part the
-worker may compute, returned values and gradients that outlive the next
-step, and a pipe that carries metadata only, fresh weights included."""
+Then the transfer, one protocol-5 message each way through areas of shared
+memory sized once, at the fork: weights sent in the request only after they
+change, a batch pickled once a step, a reply area with room for the
+gradients of every part the worker may compute, returned values and
+gradients that outlive the next step, a pipe that carries metadata only,
+fresh weights included, and requests and replies larger than their areas
+sent whole through the pipe by the same worker."""
 
 import os
 import pickle
@@ -51,6 +53,14 @@ def lm_step(bad=None):
         lm.tok.data[28] = np.inf
         rows[bad][1] = 28
     parts = [nn._pad_batch([(r, 0) for r in rows], [i], lm.cfg.pad_id) for i in range(2)]
+    total = sum(int(nn.next_token_targets(*part)[1].sum()) for part in parts)
+    return nn._LM_PARTS, lm, (parts, total), len(parts)
+
+
+def lm_step_of_8():
+    """A step of eight one-row LM parts, the most a step has."""
+    lm, rows = tiny_lm(), [([1 + (i + j) % 27 for j in range(5 + i)], 0) for i in range(8)]
+    parts = [nn._pad_batch(rows, [i], lm.cfg.pad_id) for i in range(8)]
     total = sum(int(nn.next_token_targets(*part)[1].sum()) for part in parts)
     return nn._LM_PARTS, lm, (parts, total), len(parts)
 
@@ -151,18 +161,32 @@ def assert_bitwise(got, ref):
     assert all(np.array_equal(got[1][k], ref[1][k]) for k in ref[1])
 
 
+def close_worker(name: str) -> None:
+    """Close the worker of kind ``name``, if one is up, so that the next step
+    of that kind forks one."""
+    worker = partworker._workers.pop(name, None)
+    if worker is not None:
+        worker.close()
+
+
 def test_alternating_kinds_fork_each_worker_once(monkeypatch):
     forked = []
     init = partworker._PartWorker.__init__
     monkeypatch.setattr(partworker._PartWorker, "__init__",
                         lambda self, kind, *a: (forked.append(kind.name), init(self, kind, *a))[1])
+    for name in list(partworker._workers):
+        close_worker(name)
+    # the LM worker, forked for a step of two parts, has room for the seven
+    # gradient sets that a step of eight may return
+    steps = [STEPS["LM"], lm_step_of_8, *(step for name, step in STEPS.items() if name != "LM")]
     pids = []
-    for _ in range(2):  # LM, phase 1, ITM, LM, phase 1, ITM
-        for name, step in STEPS.items():
-            run(step())
-            pids.append((name, partworker._workers[name].proc.pid))
-    assert pids[:len(STEPS)] == pids[len(STEPS):]
-    assert len(forked) == len(set(forked))  # a kind whose worker was up forks none
+    for _ in range(2):  # LM, LM of 8 parts, phase 1, ITM, ..., then again
+        for make in steps:
+            step = make()
+            run(step)
+            pids.append((step[0].name, partworker._workers[step[0].name].proc.pid))
+    assert pids[:len(steps)] == pids[len(steps):]
+    assert sorted(forked) == sorted(STEPS)  # a kind whose worker was up forks none
 
 
 @pytest.mark.parametrize("name, bad", [("LM", 0), ("LM", 1), ("phase-1", 0), ("phase-1", 2),
@@ -378,17 +402,41 @@ def test_the_pipe_carries_a_16_image_step_as_metadata_only(monkeypatch):
     assert len(pickle.dumps(sent[2])) < 4096
 
 
-def test_a_request_larger_than_the_region_forks_a_bigger_worker_with_the_same_bits(monkeypatch):
-    kind, model, batch, n_parts = clip_step()
-    run((kind, model, batch, n_parts))
-    first = partworker._workers["clip"]
-    big = (clip_stage._embedding_rows, images(first.capacity // (64 * 64 * 8) + 1), ())
-    slow_parent(monkeypatch, nn.ImageEncoder, "forward")
-    got = run((kind, model, big, n_parts))
-    worker = partworker._workers["clip"]
-    assert worker is not first and not first.proc.is_alive()
-    assert worker.capacity >= sum(h.nbytes for h in big[1]) > first.capacity
+class Pickled:
+    """A batch item that counts how often it is pickled."""
+    count = 0
+
+    def __reduce__(self):
+        Pickled.count += 1
+        return Pickled, ()
+
+
+def same_rows(model, rows, item) -> np.ndarray:
+    """``rows`` as they are; ``item`` only rides in the batch."""
+    return rows
+
+
+def test_a_split_step_pickles_its_batch_once():
+    kind, model, _, _ = itm_step()
+    batch = (same_rows, np.array_split(np.arange(8.0)[:, None], 2), (Pickled(),))
+    run((kind, model, batch, 2))  # forks the worker if none is up
+    Pickled.count = 0
+    got = run((kind, model, batch, 2))
     assert got[2] == {"parent": 1, "worker": 1}
+    assert Pickled.count == 1  # by the request; the worker's area was sized at its fork
+
+
+def test_a_request_larger_than_its_area_goes_through_the_pipe_with_the_same_bits(monkeypatch):
+    kind, model, batch, n_parts = clip_step()
+    close_worker(kind.name)
+    run((kind, model, batch, n_parts))  # forks a worker with 1 MiB areas
+    worker = partworker._workers[kind.name]
+    big = (clip_stage._embedding_rows, images(len(worker.request) // (64 * 64 * 8) + 1), ())
+    sent = pipe_messages(monkeypatch)
+    got = run((kind, model, big, n_parts))
+    assert partworker._workers[kind.name] is worker and worker.proc.is_alive()
+    assert got[2] == {"parent": 1, "worker": 1}
+    assert len(pickle.dumps(sent[0])) > sum(h.nbytes for h in big[1]) > len(worker.request)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert_bitwise(got, run((kind, model, big, n_parts)))
 
@@ -400,22 +448,58 @@ def wide_rows(model, rows, width: int, slow_pid: int) -> np.ndarray:
     return np.repeat(rows, width, axis=1)
 
 
-def test_a_reply_larger_than_the_region_is_computed_here_and_the_next_step_has_room():
+def test_a_reply_larger_than_its_area_goes_through_the_pipe_with_the_same_bits(monkeypatch):
     kind, model, _, _ = itm_step()
     width = 1 << 16  # 4 rows of 64 K float64: 2 MiB, above the 1 MiB of a new worker
     batch = (wide_rows, np.array_split(np.arange(8.0)[:, None], 2), (width, os.getpid()))
     ref = np.repeat(np.arange(8.0)[:, None], width, axis=1)
-    stale = partworker._workers.pop(kind.name, None)
-    if stale is not None:
-        stale.close()  # the next step forks a worker with 1 MiB areas
+    close_worker(kind.name)  # the next step forks a worker with 1 MiB areas
     got = run((kind, model, batch, 2))
-    first = partworker._workers[kind.name]
-    assert got[2] == {"parent": 2, "worker": 0} and first.reply_bytes > first.capacity
+    worker = partworker._workers[kind.name]
+    assert got[2] == {"parent": 1, "worker": 1} and got[0][1].nbytes > len(worker.reply)
+    assert got[0][1].flags.writeable
     assert np.array_equal(np.concatenate(got[0]), ref)
     got = run((kind, model, batch, 2))
-    assert partworker._workers[kind.name] is not first
-    assert got[2] == {"parent": 1, "worker": 1}
-    assert np.array_equal(np.concatenate(got[0]), ref)
+    assert partworker._workers[kind.name] is worker and worker.proc.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert np.array_equal(np.concatenate(got[0]), np.concatenate(run((kind, model, batch, 2))[0]))
+
+
+def big_grads(model, batch, i: int) -> tuple[np.ndarray, dict]:
+    """Part i: its index as an array, and a gradient of ``batch[0]`` values,
+    each i + 1.  In process ``batch[1]``, it first waits (5 s at most) until
+    the worker has claimed every other part."""
+    n, waiting_pid = batch
+    if os.getpid() == waiting_pid:
+        ends = partworker._workers[BIG_GRADS.name].counter.ends
+        for _ in range(5000):
+            if ends[1] <= 1:
+                break
+            time.sleep(0.001)
+    return np.array([i]), {"g": np.full(n, i + 1.0)}
+
+
+BIG_GRADS = partworker.PartKind("big-grads", big_grads)
+
+
+def test_gradients_past_the_reply_area_go_through_the_pipe_with_the_same_sum(monkeypatch):
+    # the worker returns three 384 KB gradient sets: two fit its 1 MiB reply
+    # area, the third goes through the pipe
+    model = qformer.QFormerModel(QCFG, seed=0)
+    loaded, load = [], partworker._load
+    monkeypatch.setattr(partworker, "_load", lambda meta, spans, *a, **k: (
+        loaded.append(bool(spans) and isinstance(spans[0], bytearray)),
+        load(meta, spans, *a, **k))[1])
+    try:
+        got = run((BIG_GRADS, model, (48 << 10, os.getpid()), 4))
+        assert len(partworker._workers[BIG_GRADS.name].reply) == 1 << 20
+    finally:
+        close_worker(BIG_GRADS.name)
+    assert got[2] == {"parent": 1, "worker": 3}
+    # the values and two gradient sets from the area, one gradient set piped
+    assert sorted(loaded) == [False, False, False, True]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert_bitwise(got, run((BIG_GRADS, model, (48 << 10, -1), 4)))
 
 
 TRAIN_SCRIPT = textwrap.dedent("""

@@ -886,14 +886,30 @@ def test_zero_shot_one_image_wrappers_equal_one_image_formulas_bitwise(small_wor
 # VQA prompt length against the LM context
 
 
-def _vqa_bundle(small_world, lm_max_len):
+def _vqa_bundle(small_world, lm_max_len, impression=None, aligned=None):
+    """A bundle of the small world's models, whose Q-Former serves as either
+    adapter unless ``impression`` or ``aligned`` is given."""
     corpus, clip, qf, _, _ = small_world
     lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(corpus.vocab), dim=16, blocks=1,
                                              heads=2, max_len=lm_max_len),
                    np.random.default_rng(2))
     lm.freeze()
     bridge = Phase2Bridge(ParamRegistry(), qf.cfg.dim, 16, 16, np.random.default_rng(3))
-    return ElixrBundle(clip, qf, qf, bridge, lm, corpus.vocab)
+    return ElixrBundle(clip, impression or qf, aligned or qf, bridge, lm, corpus.vocab)
+
+
+@pytest.mark.parametrize("adapter, change, message", [
+    ("aligned", {"pooled_hw": 1}, "pools grids to 2x2, the aligned adapter to 1x1"),
+    ("aligned", {"grid_dim": 8}, "qformer grid_dim must match the image encoder dim"),
+    ("impression", {"grid_dim": 8}, "qformer grid_dim must match the image encoder dim")],
+    ids=["aligned-pooled_hw", "aligned-grid_dim", "impression-grid_dim"])
+def test_a_bundle_refuses_an_adapter_that_does_not_fit_its_grids(small_world, adapter, change,
+                                                                 message):
+    # prepare pools one grid for the impression adapter and feeds it to both
+    qf = small_world[2]
+    other = QFormerModel(replace(qf.cfg, **change), seed=0)
+    with pytest.raises(ValueError, match=message):
+        _vqa_bundle(small_world, 448, **{adapter: other})
 
 
 def _vqa_prompt_len(small_world, image, question):
