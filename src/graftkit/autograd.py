@@ -7,8 +7,10 @@ ops run eagerly as plain numpy and build no graph (inference mode).
 
 Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
 split_heads / merge_heads (a reshape and a transpose as one op), concat,
-take, layer_norm, gelu, cross_entropy, masked scaled-dot-product attention,
-reduce mean/sum/max, l2_normalize.  Everything else is composed from these.
+take, layer_norm, gelu, cross_entropy, masked scaled-dot-product attention
+(``sdpa``; causal attention over long rows runs tiled, each query tile over
+the key columns it can see), reduce mean/sum/max, l2_normalize.  Everything
+else is composed from these.
 No primitive writes to its inputs or to the gradient its VJP receives;
 in-place numpy work happens only on buffers the primitive allocated itself.
 
@@ -24,11 +26,15 @@ cost down without moving a bit:
   (``.sum``, ``.max``, ``.all``, ``.mean``) are Python wrappers around those
   same reductions (numpy's ``_methods._mean`` is the sum, then a true divide
   by the count), so the bits are the same and only the wrapper's cost goes.
+  The tiled attention path keeps to this too: its row max and row sums, and
+  its tiles' bounds, are ``np.maximum.reduce`` / ``np.add.reduce`` /
+  ``np.minimum.reduce`` calls.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -36,6 +42,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+NEG_INF = -1e9  # the additive mask value of a hidden key
 
 
 class Tensor:
@@ -407,19 +414,69 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return _record(out, (logits,), vjp)
 
 
-def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+# ``sdpa``'s causal tiling: from ``_TILED_FROM`` query rows up, each tile of
+# ``_TILE`` consecutive rows runs against only the key columns it can see.
+# Measured on the fixture LM (dim 96, 2 heads of 48, 4 blocks), one BLAS
+# thread: a one-row part's taped forward plus backward, tiled / dense medians
+# over 6 alternating rounds, was 1.03 at 80 rows, 1.01 at 96, 0.99 at 112,
+# 1.00 at 128, 1.01 at 144, 0.97 at 160, 0.96 at 192, 0.93 at 256 and 0.87
+# at 365 (66.3 against 76.2 ms).  Break-even is thus between 112 and 144
+# rows; tiling starts at two full tiles.  Tiles of 32, 48 and 96 rows ran
+# within 1% of 64 at 200 to 365 rows.
+_TILE = 64
+_TILED_FROM = 2 * _TILE
+
+
+def causal_triangle(pos, lo: int, hi: int) -> np.ndarray:
+    """The additive causal mask of the query rows at key columns ``pos``
+    over the key columns [lo, hi): ``NEG_INF`` past each row's own column,
+    0 elsewhere."""
+    return np.where(np.arange(lo, hi) > np.asarray(pos)[:, None], NEG_INF, 0.0)
+
+
+@lru_cache(maxsize=4)
+def _offset_triangle(n: int, m: int, n_keys: int) -> np.ndarray:
+    """``causal_triangle`` of m rows at key columns n, n + 1, ... over all
+    ``n_keys`` columns, read-only: the blocks of one LM pass share it."""
+    tri = causal_triangle(np.arange(n, n + m), 0, n_keys)
+    tri.flags.writeable = False
+    return tri
+
+
+def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None, causal=None) -> Tensor:
     """Masked scaled-dot-product attention over the last two axes, scaled by
     1/sqrt(head dim).
 
     ``mask`` is an additive constant array broadcastable to the attention
-    matrix (use large negative values to forbid positions).
+    matrix (use ``NEG_INF`` to forbid positions).  ``causal``, when given,
+    also hides from each query row the key columns past its own: it is a
+    cached-key offset n, the rows then sitting at key columns n, n + 1, ...,
+    or an int array of one key column per row.
+
+    Causal attention over fewer than ``_TILED_FROM`` rows, or under a mask
+    with a query axis, is dense: the triangle is added to the logits after
+    ``mask``, and the output is bitwise that of the materialized ``mask +
+    triangle``.  From ``_TILED_FROM`` rows up, each tile of ``_TILE`` rows
+    computes its logits, softmax and VJP over the key columns up to its last
+    row's position only, with the triangle added on its diagonal block; the
+    sums are then over other columns, so the low bits differ from the dense
+    path's.
     """
+    m, n_keys = q.shape[-2], k.shape[-2]
+    offset = causal is not None and np.ndim(causal) == 0
+    if causal is not None and m >= _TILED_FROM and (mask is None or np.ndim(mask) < 2
+                                                    or mask.shape[-2] == 1):
+        return _sdpa_tiled(q, k, v, mask, np.arange(causal, causal + m) if offset else causal)
     sc = 1.0 / np.sqrt(q.shape[-1])
     # the softmax runs in place in the logits buffer
     att = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     att *= sc
     if mask is not None:
         att += mask
+    if offset:
+        att += _offset_triangle(causal, m, n_keys)
+    elif causal is not None and np.minimum.reduce(causal) < n_keys - 1:  # else all keys seen
+        att += causal_triangle(causal, 0, n_keys)
     att -= np.maximum.reduce(att, -1, keepdims=True)
     np.exp(att, out=att)
     att /= np.add.reduce(att, -1, keepdims=True)
@@ -435,6 +492,58 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         g_logits *= sc
         gq = np.matmul(g_logits, k.data)
         gk = np.matmul(np.swapaxes(g_logits, -1, -2), q.data)
+        return (
+            _unbroadcast(gq, q.shape),
+            _unbroadcast(gk, k.shape),
+            _unbroadcast(gv, v.shape),
+        )
+
+    return _record(out, (q, k, v), vjp)
+
+
+def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, mask, pos: np.ndarray) -> Tensor:
+    """``sdpa``'s causal path over query tiles of ``_TILE`` rows, under a
+    key-only ``mask``: a tile whose rows sit at key columns [lo, hi) sees only
+    the key columns [0, hi), and the triangle applies to its columns [lo, hi)
+    alone."""
+    sc = 1.0 / np.sqrt(q.shape[-1])
+    m, dh = q.shape[-2:]
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    kt = np.swapaxes(k.data, -1, -2)
+    tiles, atts = [], []
+    out = np.empty(lead + (m, v.shape[-1]))
+    for i0 in range(0, m, _TILE):
+        i1 = min(i0 + _TILE, m)
+        p = pos[i0:i1]
+        lo, hi = int(np.minimum.reduce(p)), int(np.maximum.reduce(p)) + 1
+        att = np.matmul(q.data[..., i0:i1, :], kt[..., :hi])
+        att *= sc
+        if mask is not None:
+            att += mask[..., :hi]
+        att[..., lo:hi] += causal_triangle(p, lo, hi)
+        att -= np.maximum.reduce(att, -1, keepdims=True)
+        np.exp(att, out=att)
+        att /= np.add.reduce(att, -1, keepdims=True)
+        out[..., i0:i1, :] = np.matmul(att, v.data[..., :hi, :])
+        tiles.append((i0, i1, hi))
+        atts.append(att)
+    out = Tensor(out)
+
+    def vjp(g):
+        dot = np.add.reduce(g * out.data, -1, keepdims=True)
+        vt = np.swapaxes(v.data, -1, -2)
+        gq = np.empty(lead + (m, dh))
+        gk = np.zeros(lead + k.shape[-2:])
+        gv = np.zeros(lead + v.shape[-2:])
+        for (i0, i1, hi), att in zip(tiles, atts):
+            g_t = g[..., i0:i1, :]
+            gv[..., :hi, :] += np.matmul(np.swapaxes(att, -1, -2), g_t)
+            g_logits = np.matmul(g_t, vt[..., :hi])
+            g_logits -= dot[..., i0:i1, :]
+            g_logits *= att
+            g_logits *= sc
+            gq[..., i0:i1, :] = np.matmul(g_logits, k.data[..., :hi, :])
+            gk[..., :hi, :] += np.matmul(np.swapaxes(g_logits, -1, -2), q.data[..., i0:i1, :])
         return (
             _unbroadcast(gq, q.shape),
             _unbroadcast(gk, k.shape),

@@ -14,10 +14,8 @@ import numpy as np
 
 from . import autograd as ag
 from . import partworker
-from .autograd import Parameter, Tape, Tensor
+from .autograd import NEG_INF, Parameter, Tape, Tensor
 from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
-
-NEG_INF = -1e9
 
 
 def sinusoid_table(max_len: int, dim: int) -> np.ndarray:
@@ -27,10 +25,9 @@ def sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def causal_mask(m: int, n: int = 0) -> np.ndarray:
-    """(m, n + m) additive mask of m new rows after n cached ones: row i sees
-    the cached keys and the new keys up to itself."""
-    return np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
+def causal_mask(m: int) -> np.ndarray:
+    """(m, m) additive mask: row i sees keys 0..i."""
+    return ag.causal_triangle(np.arange(m), 0, m)
 
 
 def key_padding_mask(lengths, max_len: int) -> np.ndarray:
@@ -114,22 +111,24 @@ class MultiHeadAttention:
         self.v = Linear(reg, f"{name}.v", dim, dim, rng)
         self.o = Linear(reg, f"{name}.o", dim, dim, rng)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None,
-                 past=None) -> tuple[Tensor, tuple]:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None, past=None,
+                 causal=None) -> tuple[Tensor, tuple]:
         """Attention of the rows ``x_q`` (B, m, dim) over the keys of
         ``x_kv`` (B, l, dim), after the cached (keys, values) ``past`` (each
         (B, heads, n, dh)) when given, under the additive ``mask``
-        broadcastable to (B, heads, m, n + l).  Either batch may be 1 and
-        broadcast against the other.  Returns (output rows, (keys, values)
-        of all n + l keys).  Cached keys are plain arrays, so a call with
-        ``past`` is inference only; ``past`` itself is kept."""
+        broadcastable to (B, heads, m, n + l) and, given ``causal``, the
+        causal mask of ``ag.sdpa``.  Either batch may be 1 and broadcast
+        against the other.  Returns (output rows, (keys, values) of all
+        n + l keys).  Cached keys are plain arrays, so a call with ``past``
+        is inference only; ``past`` itself is kept."""
         q = ag.split_heads(self.q(x_q), self.n_heads)
         k = ag.split_heads(self.k(x_kv), self.n_heads)
         v = ag.split_heads(self.v(x_kv), self.n_heads)
         if past is not None:
             k = Tensor(np.concatenate([past[0], k.data], axis=2))
             v = Tensor(np.concatenate([past[1], v.data], axis=2))
-        return self.o(ag.merge_heads(ag.sdpa(q, k, v, mask=mask))), (k.data, v.data)
+        a = ag.sdpa(q, k, v, mask=mask, causal=causal)
+        return self.o(ag.merge_heads(a)), (k.data, v.data)
 
 
 class Mlp:
@@ -142,21 +141,25 @@ class Mlp:
 
 
 def self_attention_residual(ln: LayerNorm, attn: MultiHeadAttention, x: Tensor, mask, past,
-                            rows) -> tuple[Tensor, tuple]:
+                            rows, causal=None) -> tuple[Tensor, tuple]:
     """(rows + their pre-LN self-attention, (keys, values)) of the rows ``x``
-    after the cached ``past`` (``MultiHeadAttention.__call__``).
+    after the cached ``past`` (``MultiHeadAttention.__call__``), causal when
+    ``causal`` holds the cached-key count n: row i then sees keys 0..n + i.
 
     Given ``rows``, only the rows ``x[:, rows]`` are output: they alone go
     through the query path and the residual, while the keys and values still
     come from every row.  A mask with a query axis is sliced to ``rows``; a
-    key-only one applies as it is."""
+    key-only one applies as it is; the causal mask takes the rows' own
+    positions, n + rows."""
     h = ln(x)
     if rows is None:
-        a, kv = attn(h, h, mask, past)
+        a, kv = attn(h, h, mask, past, causal)
     else:
         if mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
             mask = np.take(mask, rows, axis=-2)
-        a, kv = attn(ag.take(h, rows, 1), h, mask, past)
+        if causal is not None:
+            causal = causal + np.asarray(rows)
+        a, kv = attn(ag.take(h, rows, 1), h, mask, past, causal)
         x = ag.take(x, rows, 1)
     return ag.add(x, a), kv
 
@@ -175,11 +178,13 @@ class TransformerBlock:
         self.ln2 = LayerNorm(reg, f"{name}.ln2", dim)
         self.mlp = Mlp(reg, f"{name}.mlp", dim, rng)
 
-    def __call__(self, x: Tensor, mask=None, past=None, rows=None) -> tuple[Tensor, tuple]:
+    def __call__(self, x: Tensor, mask=None, past=None, rows=None,
+                 causal=None) -> tuple[Tensor, tuple]:
         """(output rows, self-attention (keys, values)) of the rows ``x``
         after the cached ``past``; given ``rows``, of the rows ``x[:, rows]``
-        alone (``self_attention_residual``)."""
-        x, kv = self_attention_residual(self.ln1, self.attn, x, mask, past, rows)
+        alone; causal given the cached-key count ``causal``
+        (``self_attention_residual``)."""
+        x, kv = self_attention_residual(self.ln1, self.attn, x, mask, past, rows, causal)
         return mlp_residual(self.ln2, self.mlp, x), kv
 
 
@@ -360,9 +365,12 @@ class DecoderLM:
                  last=None) -> tuple[Tensor, list]:
         """The LM over embedded rows ``emb`` (B, m, dim) at ``positions``
         ((m,) or (B, m)), after the cached per-block (keys, values) ``past``
-        (None, or None per block: nothing cached), causally and under the
-        additive ``mask`` broadcastable to (B, 1, m, n + m).  Returns (logits,
-        per-block (keys, values) of all n + m rows); the logits are
+        (None, or None per block: nothing cached), under the additive ``mask``
+        broadcastable to (B, 1, m, n + m).  Row i sees keys 0..n + i: each
+        block is given the offset n as ``ag.sdpa``'s causal description (none
+        for one new row, which sees every key), not a materialized triangle,
+        so long rows attend over the key tiles they can see only.  Returns
+        (logits, per-block (keys, values) of all n + m rows); the logits are
         (B, m, vocab), or (B, len(last), vocab) of the columns ``last`` alone:
         the final block then runs its query path, residual and MLP on those
         columns only (``TransformerBlock.__call__``'s ``rows``).  Training is
@@ -371,13 +379,13 @@ class DecoderLM:
         if top > self.cfg.max_len:
             raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
         past = (None,) * len(self.blocks) if past is None else past
-        if emb.shape[1] > 1:  # a single new row sees every key
-            tri = causal_mask(emb.shape[1], 0 if past[0] is None else past[0][0].shape[2])
-            mask = tri if mask is None else mask + tri
+        causal = None  # a single new row sees every key
+        if emb.shape[1] > 1:
+            causal = 0 if past[0] is None else past[0][0].shape[2]
         x = ag.add(emb, Tensor(self.pos[positions]))
         kv = []
         for blk, blk_past in zip(self.blocks, past):
-            x, blk_kv = blk(x, mask, blk_past, last if blk is self.blocks[-1] else None)
+            x, blk_kv = blk(x, mask, blk_past, last if blk is self.blocks[-1] else None, causal)
             kv.append(blk_kv)
         return self.head(self.ln_out(x)), kv
 
@@ -648,7 +656,7 @@ class LmTrainConfig:
 
     batch_size = 8
     long_batch_size = 4     # used for sequences past this length...
-    long_threshold = 200    # ...to keep attention matrices affordable
+    long_threshold = 200    # ...whose attention still grows as length^2 (tiled: ag.sdpa)
     beta1 = 0.9             # Adam's other settings are its defaults
     target_perplexity = 3.0
 
@@ -696,8 +704,9 @@ def eval_lm_loss(lm: DecoderLM, dataset) -> float:
     return total / count
 
 
-def _check_lm_training(dataset, cfg: LmTrainConfig, holdout=None) -> None:
-    """Reject input on which ``pretrain_lm`` would spin forever or fail mid-run."""
+def _check_lm_training(dataset, cfg: LmTrainConfig, max_len: int, holdout=None) -> None:
+    """Reject input on which ``pretrain_lm`` would spin forever or fail
+    mid-run, rows longer than the LM's ``max_len`` included."""
     if cfg.steps < 0:
         raise ValueError(f"LmTrainConfig.steps must be >= 0, got {cfg.steps}")
     if not len(dataset):
@@ -707,6 +716,9 @@ def _check_lm_training(dataset, cfg: LmTrainConfig, holdout=None) -> None:
             if len(seq) <= max(start, 1):  # targets are tokens 1.. len-1 at or past loss_start
                 raise ValueError(f"{name}[{i}]: loss_start {start} selects no target "
                                  f"in a sequence of {len(seq)} tokens")
+            if len(seq) > max_len:
+                raise ValueError(f"{name}[{i}]: sequence length {len(seq)} exceeds LM "
+                                 f"max_len {max_len}")
 
 
 def _part_grads(lm: DecoderLM, part, total: int) -> tuple[float, dict[str, np.ndarray]]:
@@ -755,8 +767,9 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
 
     ``dataset`` is a list of (token ids, loss_start); ``holdout`` a separate
     list evaluated for the perplexity gate (report sequences).  Input on
-    which training cannot make progress, or a held-out row without a target,
-    raises ``ValueError`` before any step.
+    which training cannot make progress, a held-out row without a target, or
+    a row of either longer than the LM's ``max_len``, raises ``ValueError``
+    before any step.
 
     Each step's loss is the mean over the target tokens of a length-sorted
     batch of B rows, computed as fixed parts of ``ceil(B / 8)`` consecutive
@@ -775,7 +788,7 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     """
     from .optim import Adam
 
-    _check_lm_training(dataset, cfg, holdout)
+    _check_lm_training(dataset, cfg, lm.cfg.max_len, holdout)
     rng = np.random.default_rng(seed)
     opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1)
     batches = _make_batches(dataset, cfg, rng)

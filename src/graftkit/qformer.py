@@ -705,14 +705,19 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     params = list(model.registry) + list(bridge_reg)
     opt = Adam(params, lr=cfg.lr)
     order_rng = substream(seed, "batch-order.phase2")
-    targets_all = impression_targets(corpus, range(len(corpus)))
+    targets_all: dict[int, list[int]] = {}  # study id -> impression ids, for the ids read
+
+    def targets_of(ids) -> list[list[int]]:
+        new = [i for i in ids if i not in targets_all]
+        targets_all.update(zip(new, impression_targets(corpus, new)))
+        return [targets_all[i] for i in ids]
 
     history = []
     for step in range(cfg.steps):
         ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
                                replace=False)
         ids = [train_ids[int(i)] for i in ids]
-        grads, loss = phase2_step(model, bridge, lm, grids[ids], [targets_all[i] for i in ids])
+        grads, loss = phase2_step(model, bridge, lm, grids[ids], targets_of(ids))
         opt.step(grads)
         history.append({"step": step, "lm_loss": loss})
         if log and step % 50 == 0:
@@ -723,12 +728,14 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
     if clip_model.tower_digests() != clip_digest_before:
         raise RuntimeError("frozen contract violated: stage-1 towers changed during phase 2")
 
+    targets_of(eval_ids)
     eval_stats = phase2_eval(model, bridge, lm, grids, targets_all, eval_ids)
     return model, bridge, bridge_reg, history, eval_stats
 
 
 def phase2_eval(model, bridge, lm, grids, targets_all, eval_ids) -> dict:
-    """Held-out impression loss vs the no-image (all-zero soft prompt) baseline.
+    """Held-out impression loss vs the no-image (all-zero soft prompt) baseline;
+    ``targets_all[i]`` holds study i's impression ids.
 
     Forward passes only: one batched adapter pass makes every soft prompt,
     and one batched LM pass scores each prompt set, without a tape.

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graftkit import nn, partworker
+from graftkit import autograd as ag, nn, partworker
 from graftkit.autograd import Tape
 from graftkit.optim import Adam
 from graftkit.params import ParamRegistry
@@ -212,6 +212,31 @@ def test_claimed_parts_are_the_inline_run_bitwise(monkeypatch, rows):
 
 
 @needs_two_cores
+def test_a_row_past_the_tiling_threshold_is_bitwise_with_the_worker_and_inline(monkeypatch):
+    # one row long enough for ag.sdpa's tiled causal path, after 7 short ones
+    cfg = nn.LmConfig(vocab_size=30, dim=32, blocks=2, heads=2, max_len=ag._TILED_FROM + 16)
+    data = rows_of_lengths(7) + [([1 + j % 27 for j in range(ag._TILED_FROM + 9)], 0)]
+
+    def batch_grads():
+        lm = nn.DecoderLM(ParamRegistry(), cfg, np.random.default_rng(0))
+        return nn._batch_grads(lm, data, np.arange(len(data)))
+
+    got, again = batch_grads(), batch_grads()
+    assert got[2]["worker"] >= 1 and sum(got[2].values()) == len(data)
+    tiled_calls = []
+    tiled = ag._sdpa_tiled
+    monkeypatch.setattr(ag, "_sdpa_tiled", lambda *a: (tiled_calls.append(1), tiled(*a))[1])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = batch_grads()
+    assert inline[2] == {"parent": len(data), "worker": 0}
+    # the long row's two blocks: the first over its 137 rows, the final one
+    # over its 136 loss columns (``rows``)
+    assert len(tiled_calls) == 2
+    assert_bitwise(got, inline)
+    assert_bitwise(again, got)
+
+
+@needs_two_cores
 def test_a_slow_parent_leaves_more_parts_to_the_worker(monkeypatch):
     data = rows_of_lengths(8)
     ref = nn._batch_grads(tiny_lm(), data, np.arange(8))  # forks the worker if none is up
@@ -310,9 +335,14 @@ def test_a_dead_worker_raises_instead_of_hanging():
     (None, [([7], 0)], r"dataset\[0\]"),
     ("holdout", [([1, 2, 3], 3)], r"holdout\[0\]"),  # data is the held-out set here
     ("holdout", [([1, 2, 3, 4], 1), ([5, 6], 2)], r"holdout\[1\]"),
+    # 16 rows of 8 tokens, then one past the LM's max_len of 64
+    (None, [([1 + i % 27] * 8, 1) for i in range(16)] + [([5] * 70, 1)],
+     r"dataset\[16\]: sequence length 70 exceeds LM max_len 64"),
+    ("holdout", [([1, 2, 3, 4], 1), ([5] * 70, 1)],
+     r"holdout\[1\]: sequence length 70 exceeds LM max_len 64"),
 ], ids=["steps-None-LmTrainConfig.steps", "None-data3-empty", r"None-data4-dataset\[1\]",
         r"None-data5-dataset\[0\]", r"holdout-data6-holdout\[0\]",
-        r"holdout-data7-holdout\[1\]"])
+        r"holdout-data7-holdout\[1\]", "dataset-row-past-max_len", "holdout-row-past-max_len"])
 def test_bad_training_input_is_rejected_up_front(field, data, match):
     cfg = nn.LmTrainConfig(steps=2)
     holdout = None
@@ -333,7 +363,7 @@ def test_bad_training_input_is_rejected_up_front(field, data, match):
 TRAIN_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
-    from graftkit import nn, partworker
+    from graftkit import autograd as ag, nn, partworker
     from graftkit.params import ParamRegistry
 
     lm = nn.DecoderLM(ParamRegistry(), nn.LmConfig(vocab_size=30, dim=32, blocks=2, heads=2,

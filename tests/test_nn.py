@@ -43,7 +43,7 @@ def test_masks_shapes():
     assert causal_mask(3)[0, 2] < -1e8
     assert causal_mask(3)[2, 0] == 0.0
     # 2 new rows after 3 cached ones: row i sees columns up to 3 + i
-    tri = causal_mask(2, 3)
+    tri = ag.causal_triangle(3 + np.arange(2), 0, 5)
     assert tri.shape == (2, 5)
     assert (tri < -1e8).tolist() == [[False] * 4 + [True], [False] * 5]
     kp = key_padding_mask([2, 3], 4)

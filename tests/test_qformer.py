@@ -555,6 +555,21 @@ def test_phase2_eval_runs_no_backward_pass(model, monkeypatch):
     assert calls == [1]
 
 
+def test_phase2_train_tokenizes_only_the_studies_it_reads_once_each(monkeypatch):
+    corpus = generate_corpus(3, CorpusSpec(n_studies=10))
+    lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(corpus.vocab), dim=16, blocks=1,
+                                             heads=2, max_len=64), np.random.default_rng(9))
+    lm.freeze()
+    itg = QFormerModel(tiny_cfg(len(corpus.vocab)), seed=0)
+    read = []
+    tokenize_ids = qformer.impression_targets
+    monkeypatch.setattr(qformer, "impression_targets",
+                        lambda c, ids: (read.extend(ids), tokenize_ids(c, ids))[1])
+    # 3 steps of 4 of the 8 training studies, then the 2 eval studies
+    phase2_train(corpus, tiny_clip(corpus), itg, lm, Phase2Config(steps=3), eval_ids=[8, 9])
+    assert len(read) == len(set(read)) and {8, 9} < set(read) < set(range(10))
+
+
 def test_phase1_eval_encodes_each_image_and_prompt_set_once(monkeypatch):
     corpus = generate_corpus(3, CorpusSpec(n_studies=24))
     vocab = corpus.vocab
