@@ -8,9 +8,10 @@ ops run eagerly as plain numpy and build no graph (inference mode).
 Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
 split_heads / merge_heads (a reshape and a transpose as one op), concat,
 take, layer_norm, gelu, cross_entropy, masked scaled-dot-product attention
-(``sdpa``; causal attention over long rows runs tiled, each query tile over
-the key columns it can see), reduce mean/sum/max, l2_normalize.  Everything
-else is composed from these.
+(``sdpa``, under an additive mask or a ``Causal`` description of the keys
+each row sees; long causal rows run tiled, each query tile over the key
+columns it can see), reduce mean/sum/max, l2_normalize.  Everything else is
+composed from these.
 No primitive writes to its inputs or to the gradient its VJP receives;
 in-place numpy work happens only on buffers the primitive allocated itself.
 
@@ -34,7 +35,6 @@ cost down without moving a bit:
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -434,49 +434,65 @@ def causal_triangle(pos, lo: int, hi: int) -> np.ndarray:
     return np.where(np.arange(lo, hi) > np.asarray(pos)[:, None], NEG_INF, 0.0)
 
 
-@lru_cache(maxsize=4)
-def _offset_triangle(n: int, m: int, n_keys: int) -> np.ndarray:
-    """``causal_triangle`` of m rows at key columns n, n + 1, ... over all
-    ``n_keys`` columns, read-only: the blocks of one LM pass share it."""
-    tri = causal_triangle(np.arange(n, n + m), 0, n_keys)
-    tri.flags.writeable = False
-    return tri
+class Causal:
+    """What each query row of ``sdpa`` sees, in place of an additive mask:
+    row i sees the key columns up to its own, ``cols[i]`` (an int array),
+    except the span [lo_i, hi_i) of ``gap = (lo, hi)``, ints or arrays
+    broadcastable to (..., rows).  The first dense ``sdpa`` given it builds
+    its mask and keeps it for the blocks of the same pass, which have the
+    same rows and keys."""
+
+    __slots__ = ("cols", "gap", "_dense")
+
+    def __init__(self, cols, gap=None, _dense=None):
+        self.cols, self.gap, self._dense = cols, gap, _dense
+
+    def dense(self, n_keys: int):
+        """The additive mask (..., rows, n_keys): ``NEG_INF`` where hidden, 0
+        elsewhere; None when every row sees every key."""
+        if self._dense is None and (self.gap is not None
+                                    or np.minimum.reduce(self.cols) < n_keys - 1):
+            keys = np.arange(n_keys)
+            hidden = keys > self.cols[:, None]
+            if self.gap is not None:
+                lo, hi = (np.expand_dims(g, -1) for g in self.gap)
+                hidden = hidden | ((keys >= lo) & (keys < hi))
+            self._dense = np.where(hidden, NEG_INF, 0.0)
+        return self._dense
+
+    def rows(self, rows) -> "Causal":
+        """The description of the query rows ``rows`` alone; a dense mask
+        already built is sliced, not built again."""
+        gap = None if self.gap is None else tuple(
+            g if np.shape(g)[-1:] in ((), (1,)) else np.take(g, rows, -1) for g in self.gap)
+        dense = None if self._dense is None else np.take(self._dense, rows, -2)
+        return Causal(self.cols[rows], gap, dense)
 
 
-def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None, causal=None) -> Tensor:
+def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """Masked scaled-dot-product attention over the last two axes, scaled by
     1/sqrt(head dim).
 
     ``mask`` is an additive constant array broadcastable to the attention
-    matrix (use ``NEG_INF`` to forbid positions).  ``causal``, when given,
-    also hides from each query row the key columns past its own: it is a
-    cached-key offset n, the rows then sitting at key columns n, n + 1, ...,
-    or an int array of one key column per row.
+    matrix (use ``NEG_INF`` to forbid positions), or a ``Causal``.
 
-    Causal attention over fewer than ``_TILED_FROM`` rows, or under a mask
-    with a query axis, is dense: the triangle is added to the logits after
-    ``mask``, and the output is bitwise that of the materialized ``mask +
-    triangle``.  From ``_TILED_FROM`` rows up, each tile of ``_TILE`` rows
-    computes its logits, softmax and VJP over the key columns up to its last
-    row's position only, with the triangle added on its diagonal block; the
-    sums are then over other columns, so the low bits differ from the dense
-    path's.
+    A description without a gap over ``_TILED_FROM`` rows or more runs tiled:
+    each tile of ``_TILE`` rows computes its logits, softmax and VJP over the
+    key columns up to its last row's column only, so the low bits differ from
+    the dense path's.  Any other runs dense, its mask (``Causal.dense``) added
+    in one add: each visible logit is exact and each hidden one's weight
+    exactly 0, bitwise as under any sum of masks that hides the same keys.
     """
-    m, n_keys = q.shape[-2], k.shape[-2]
-    offset = causal is not None and np.ndim(causal) == 0
-    if causal is not None and m >= _TILED_FROM and (mask is None or np.ndim(mask) < 2
-                                                    or mask.shape[-2] == 1):
-        return _sdpa_tiled(q, k, v, mask, np.arange(causal, causal + m) if offset else causal)
+    if isinstance(mask, Causal):
+        if mask.gap is None and q.shape[-2] >= _TILED_FROM:
+            return _sdpa_tiled(q, k, v, mask.cols)
+        mask = mask.dense(k.shape[-2])
     sc = 1.0 / np.sqrt(q.shape[-1])
     # the softmax runs in place in the logits buffer
     att = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     att *= sc
     if mask is not None:
         att += mask
-    if offset:
-        att += _offset_triangle(causal, m, n_keys)
-    elif causal is not None and np.minimum.reduce(causal) < n_keys - 1:  # else all keys seen
-        att += causal_triangle(causal, 0, n_keys)
     att -= np.maximum.reduce(att, -1, keepdims=True)
     np.exp(att, out=att)
     att /= np.add.reduce(att, -1, keepdims=True)
@@ -501,11 +517,10 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None, causal=None) -> Tensor:
     return _record(out, (q, k, v), vjp)
 
 
-def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, mask, pos: np.ndarray) -> Tensor:
-    """``sdpa``'s causal path over query tiles of ``_TILE`` rows, under a
-    key-only ``mask``: a tile whose rows sit at key columns [lo, hi) sees only
-    the key columns [0, hi), and the triangle applies to its columns [lo, hi)
-    alone."""
+def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, pos: np.ndarray) -> Tensor:
+    """``sdpa``'s causal path over query tiles of ``_TILE`` rows: a tile
+    whose rows sit at key columns [lo, hi) sees only the key columns [0, hi),
+    and the triangle applies to its columns [lo, hi) alone."""
     sc = 1.0 / np.sqrt(q.shape[-1])
     m, dh = q.shape[-2:]
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
@@ -518,8 +533,6 @@ def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, mask, pos: np.ndarray) -> Tenso
         lo, hi = int(np.minimum.reduce(p)), int(np.maximum.reduce(p)) + 1
         att = np.matmul(q.data[..., i0:i1, :], kt[..., :hi])
         att *= sc
-        if mask is not None:
-            att += mask[..., :hi]
         att[..., lo:hi] += causal_triangle(p, lo, hi)
         att -= np.maximum.reduce(att, -1, keepdims=True)
         np.exp(att, out=att)

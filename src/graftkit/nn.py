@@ -25,11 +25,6 @@ def sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def causal_mask(m: int) -> np.ndarray:
-    """(m, m) additive mask: row i sees keys 0..i."""
-    return ag.causal_triangle(np.arange(m), 0, m)
-
-
 def key_padding_mask(lengths, max_len: int) -> np.ndarray:
     """(B, 1, 1, L) additive mask hiding padded key positions."""
     lengths = np.asarray(lengths)
@@ -111,23 +106,22 @@ class MultiHeadAttention:
         self.v = Linear(reg, f"{name}.v", dim, dim, rng)
         self.o = Linear(reg, f"{name}.o", dim, dim, rng)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None, past=None,
-                 causal=None) -> tuple[Tensor, tuple]:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None, past=None) -> tuple[Tensor, tuple]:
         """Attention of the rows ``x_q`` (B, m, dim) over the keys of
         ``x_kv`` (B, l, dim), after the cached (keys, values) ``past`` (each
-        (B, heads, n, dh)) when given, under the additive ``mask``
-        broadcastable to (B, heads, m, n + l) and, given ``causal``, the
-        causal mask of ``ag.sdpa``.  Either batch may be 1 and broadcast
-        against the other.  Returns (output rows, (keys, values) of all
-        n + l keys).  Cached keys are plain arrays, so a call with ``past``
-        is inference only; ``past`` itself is kept."""
+        (B, heads, n, dh)) when given, under ``ag.sdpa``'s ``mask``: an
+        additive array broadcastable to (B, heads, m, n + l), or an
+        ``ag.Causal``.  Either batch may be 1 and broadcast against the
+        other.  Returns (output rows, (keys, values) of all n + l keys).
+        Cached keys are plain arrays, so a call with ``past`` is inference
+        only; ``past`` itself is kept."""
         q = ag.split_heads(self.q(x_q), self.n_heads)
         k = ag.split_heads(self.k(x_kv), self.n_heads)
         v = ag.split_heads(self.v(x_kv), self.n_heads)
         if past is not None:
             k = Tensor(np.concatenate([past[0], k.data], axis=2))
             v = Tensor(np.concatenate([past[1], v.data], axis=2))
-        a = ag.sdpa(q, k, v, mask=mask, causal=causal)
+        a = ag.sdpa(q, k, v, mask=mask)
         return self.o(ag.merge_heads(a)), (k.data, v.data)
 
 
@@ -141,25 +135,24 @@ class Mlp:
 
 
 def self_attention_residual(ln: LayerNorm, attn: MultiHeadAttention, x: Tensor, mask, past,
-                            rows, causal=None) -> tuple[Tensor, tuple]:
+                            rows) -> tuple[Tensor, tuple]:
     """(rows + their pre-LN self-attention, (keys, values)) of the rows ``x``
-    after the cached ``past`` (``MultiHeadAttention.__call__``), causal when
-    ``causal`` holds the cached-key count n: row i then sees keys 0..n + i.
+    after the cached ``past`` under ``mask`` (``MultiHeadAttention.__call__``).
 
     Given ``rows``, only the rows ``x[:, rows]`` are output: they alone go
     through the query path and the residual, while the keys and values still
-    come from every row.  A mask with a query axis is sliced to ``rows``; a
-    key-only one applies as it is; the causal mask takes the rows' own
-    positions, n + rows."""
+    come from every row.  A description is narrowed to ``rows``
+    (``ag.Causal.rows``), an array mask with a query axis is sliced to them,
+    and a key-only one applies as it is."""
     h = ln(x)
     if rows is None:
-        a, kv = attn(h, h, mask, past, causal)
+        a, kv = attn(h, h, mask, past)
     else:
-        if mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
+        if isinstance(mask, ag.Causal):
+            mask = mask.rows(rows)
+        elif mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
             mask = np.take(mask, rows, axis=-2)
-        if causal is not None:
-            causal = causal + np.asarray(rows)
-        a, kv = attn(ag.take(h, rows, 1), h, mask, past, causal)
+        a, kv = attn(ag.take(h, rows, 1), h, mask, past)
         x = ag.take(x, rows, 1)
     return ag.add(x, a), kv
 
@@ -178,13 +171,11 @@ class TransformerBlock:
         self.ln2 = LayerNorm(reg, f"{name}.ln2", dim)
         self.mlp = Mlp(reg, f"{name}.mlp", dim, rng)
 
-    def __call__(self, x: Tensor, mask=None, past=None, rows=None,
-                 causal=None) -> tuple[Tensor, tuple]:
+    def __call__(self, x: Tensor, mask=None, past=None, rows=None) -> tuple[Tensor, tuple]:
         """(output rows, self-attention (keys, values)) of the rows ``x``
         after the cached ``past``; given ``rows``, of the rows ``x[:, rows]``
-        alone; causal given the cached-key count ``causal``
-        (``self_attention_residual``)."""
-        x, kv = self_attention_residual(self.ln1, self.attn, x, mask, past, rows, causal)
+        alone (``self_attention_residual``)."""
+        x, kv = self_attention_residual(self.ln1, self.attn, x, mask, past, rows)
         return mlp_residual(self.ln2, self.mlp, x), kv
 
 
@@ -347,8 +338,8 @@ class DecoderLM:
     def check_current(self, state: LmState) -> None:
         """Refuse a decoding state built at other parameter versions."""
         if state.versions != self.versions():
-            raise ValueError("prefix state was built at other LM parameter versions: the LM's "
-                             "values were written since")
+            raise ValueError("decoding state was built at other LM parameter versions: the "
+                             "LM's values were written since")
 
     def embed_tokens(self, tokens: np.ndarray) -> Tensor:
         return ag.take(self.tok, tokens)
@@ -361,15 +352,14 @@ class DecoderLM:
             parts.append(self.embed_tokens(tokens))
         return ag.concat(parts, axis=1) if len(parts) > 1 else parts[0]
 
-    def _forward(self, emb: Tensor, positions, mask=None, past=None,
+    def _forward(self, emb: Tensor, positions, gap=None, past=None,
                  last=None) -> tuple[Tensor, list]:
         """The LM over embedded rows ``emb`` (B, m, dim) at ``positions``
         ((m,) or (B, m)), after the cached per-block (keys, values) ``past``
-        (None, or None per block: nothing cached), under the additive ``mask``
-        broadcastable to (B, 1, m, n + m).  Row i sees keys 0..n + i: each
-        block is given the offset n as ``ag.sdpa``'s causal description (none
-        for one new row, which sees every key), not a materialized triangle,
-        so long rows attend over the key tiles they can see only.  Returns
+        (None, or None per block: nothing cached).  Row i sees keys 0..n + i
+        except the span ``gap`` (``ag.Causal``): the blocks share one
+        description, so long rows without a gap attend over the key tiles
+        they can see only, and the others share one dense mask.  Returns
         (logits, per-block (keys, values) of all n + m rows); the logits are
         (B, m, vocab), or (B, len(last), vocab) of the columns ``last`` alone:
         the final block then runs its query path, residual and MLP on those
@@ -379,13 +369,12 @@ class DecoderLM:
         if top > self.cfg.max_len:
             raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
         past = (None,) * len(self.blocks) if past is None else past
-        causal = None  # a single new row sees every key
-        if emb.shape[1] > 1:
-            causal = 0 if past[0] is None else past[0][0].shape[2]
+        n = 0 if past[0] is None else past[0][0].shape[2]
+        causal = ag.Causal(np.arange(n, n + emb.shape[1]), gap)
         x = ag.add(emb, Tensor(self.pos[positions]))
         kv = []
         for blk, blk_past in zip(self.blocks, past):
-            x, blk_kv = blk(x, mask, blk_past, last if blk is self.blocks[-1] else None, causal)
+            x, blk_kv = blk(x, causal, blk_past, last if blk is self.blocks[-1] else None)
             kv.append(blk_kv)
         return self.head(self.ln_out(x)), kv
 
@@ -394,13 +383,13 @@ class DecoderLM:
         pads excluded.  Position i predicts token i+1.  Logits are computed
         for the columns from the first selected position of any row to the
         last one (``target_columns``); unselected positions among them are
-        masked out."""
+        masked out.  No key is masked: a selected position precedes its
+        row's padding, which the causal rule already hides from it."""
         tokens = np.asarray(tokens, dtype=np.int64)
         b, l = tokens.shape
         targets, sel = next_token_targets(tokens, lengths, loss_starts)
         cols = target_columns(sel)
-        logits, _ = self._forward(self.embed_tokens(tokens), np.arange(l),
-                                  key_padding_mask(lengths, l), last=cols)
+        logits, _ = self._forward(self.embed_tokens(tokens), np.arange(l), last=cols)
         return ag.cross_entropy(ag.reshape(logits, (b * len(cols), self.cfg.vocab_size)),
                                 targets[:, cols].reshape(-1),
                                 mask=sel[:, cols].reshape(-1).astype(np.float64))
@@ -426,8 +415,7 @@ class DecoderLM:
         n = sel.sum(axis=1)
         l = tokens.shape[1]
         cols = target_columns(sel)
-        logits, _ = self._forward(self._embed(soft, hard), np.arange(l),
-                                  key_padding_mask(s + lengths, l), last=cols)
+        logits, _ = self._forward(self._embed(soft, hard), np.arange(l), last=cols)
         weights = sel[:, cols] * (n.max() / n)[:, None]
         return ag.cross_entropy(ag.reshape(logits, (weights.size, self.cfg.vocab_size)),
                                 tgt[:, cols].reshape(-1), mask=weights.reshape(-1))
@@ -457,8 +445,9 @@ class DecoderLM:
         (``LmState.cut``); a prefix that holds the prompt itself and its
         logits is the state, and nothing runs.  A prefix built at other
         parameter versions of the LM is refused.  The rest of all prompts runs
-        as one packed sequence: under a block-diagonal causal mask each prompt
-        sees the reused rows and its own earlier tokens, at its own positions.
+        as one packed sequence: each prompt sees the reused rows and its own
+        earlier tokens, at its own positions, the prompts packed before it
+        being its gap.
         """
         soft = None if soft_prompts is None else np.asarray(soft_prompts, dtype=np.float64)
         if soft is not None and (soft.ndim != 2 or soft.shape[0] < 1
@@ -491,48 +480,43 @@ class DecoderLM:
         n0, sizes = base.length, np.array([e.shape[1] for e in parts])
         starts = np.cumsum(sizes) - sizes  # where each sequence starts in the packed one
         seg = np.repeat(np.arange(len(sizes)), sizes)
-        block = None  # a single sequence needs the causal mask alone
-        if len(parts) > 1:
-            block = np.zeros((len(seg), n0 + len(seg)))
-            block[:, n0:][seg[:, None] != seg[None, :]] = NEG_INF
+        gap = None if len(parts) == 1 else (n0, n0 + starts[seg])
         logits, kv = self._forward(parts[0] if len(parts) == 1 else ag.concat(parts, 1),
-                                   (n0 + np.arange(len(seg)) - starts[seg])[None], block,
+                                   (n0 + np.arange(len(seg)) - starts[seg])[None], gap,
                                    past=base.kv, last=starts + sizes - 1)
         logits = logits.data.reshape(-1, self.cfg.vocab_size)
-        mask = None
-        if len(parts) > 1:  # unpack the sequences into right-padded rows
+        if len(parts) > 1:  # unpack the sequences into right-padded rows, their padding a gap
             width = sizes.max()
             cols = np.minimum(np.arange(width), sizes[:, None] - 1) + starts[:, None]
             cols = np.concatenate([np.tile(np.arange(n0), (len(sizes), 1)), n0 + cols], axis=1)
             kv = [(k[0][:, cols].transpose(1, 0, 2, 3), v[0][:, cols].transpose(1, 0, 2, 3))
                   for k, v in kv]
-            if (sizes < width).any():
-                mask = np.zeros((len(sizes), 1, 1, n0 + width))
-                mask[:, 0, 0, n0:][np.arange(width) >= sizes[:, None]] = NEG_INF
-        return LmState(soft, prompts, tuple(kv), logits, mask, versions)
+            gap = (n0 + sizes[:, None, None], n0 + width)
+        return LmState(soft, prompts, tuple(kv), logits, gap, versions)
 
     def extend(self, state: LmState, tokens) -> tuple[LmState, np.ndarray]:
         """(state after each row's ``tokens`` (B, m), the next-token logits
         (B, vocab) after each row); ``state`` itself is kept, so one state can
-        fork into many."""
+        fork into many.  A state built at other parameter versions of the LM
+        is refused."""
+        self.check_current(state)
         tokens = np.asarray(tokens, dtype=np.int64)
-        b, m = tokens.shape
+        m = tokens.shape[1]
         if m < 1:
             raise ValueError("extend needs at least one token")
-        mask = state.mask
-        if mask is not None:
-            mask = np.concatenate([mask, np.zeros((b, 1, 1, m))], axis=3)
         logits, kv = self._forward(self.embed_tokens(tokens),
-                                   state.lengths[:, None] + np.arange(m), mask,
+                                   state.lengths[:, None] + np.arange(m), state.gap,
                                    past=state.kv, last=[m - 1])
         logits = logits.data.reshape(-1, self.cfg.vocab_size)
         ids = tuple(r + tuple(t) for r, t in zip(state.ids, tokens.tolist()))
-        return LmState(state.soft, ids, tuple(kv), logits, mask, state.versions), logits
+        return LmState(state.soft, ids, tuple(kv), logits, state.gap, state.versions), logits
 
     def decode(self, state: LmState, max_new: int = 64) -> list[list[int]]:
         """Greedy tokens for every row of ``state`` (``prefill``), decoded in
         lockstep on the K/V cache; each row stops on its own at [EOS], after
-        ``max_new`` tokens or when its context is full."""
+        ``max_new`` tokens or when its context is full.  A state built at
+        other parameter versions of the LM is refused."""
+        self.check_current(state)
 
         def step(keep: list[bool], tokens: list[int]) -> np.ndarray:
             nonlocal state
@@ -564,16 +548,18 @@ def _common_prefix(a, b) -> int:
 class LmState:
     """B decoding rows over one set of soft prompts: per-block (keys, values),
     each (B, heads, n, dh), where row b holds [soft prompts || ids[b]]
-    right-padded to n under the additive key ``mask`` ((B, 1, 1, n), None
-    when no row is padded), and the next-token logits (B, vocab) after each
-    row (None once cut), built at the LM parameters' ``versions``
-    (``DecoderLM.versions``).  States are never mutated."""
+    right-padded to n, and the next-token logits (B, vocab) after each row
+    (None once cut), built at the LM parameters' ``versions``
+    (``DecoderLM.versions``).  Row b's padding is the key span [lo[b], hi)
+    of ``gap = (lo (B, 1, 1), hi)``, hidden from every later token of the
+    row (``ag.Causal``); it is fixed as the rows grow, and None for one
+    unpacked row.  States are never mutated."""
 
     soft: np.ndarray | None
     ids: tuple[tuple[int, ...], ...]
     kv: tuple
     logits: np.ndarray | None
-    mask: np.ndarray | None
+    gap: tuple | None
     versions: tuple[int, ...]
 
     @property
@@ -601,7 +587,8 @@ class LmState:
         """The rows where the boolean ``keep`` is set."""
         return LmState(self.soft, tuple(r for r, k in zip(self.ids, keep) if k),
                        tuple((k[keep], v[keep]) for k, v in self.kv), self.logits[keep],
-                       None if self.mask is None else self.mask[keep], self.versions)
+                       None if self.gap is None else (self.gap[0][keep], self.gap[1]),
+                       self.versions)
 
 
 def greedy_decode(logits: np.ndarray, step: Callable[[list, list], np.ndarray],

@@ -14,7 +14,7 @@ from . import partworker
 from .autograd import Tape, Tensor
 from .clip_stage import _IMAGE_SPLIT_ROWS, DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
-from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF, causal_mask,
+from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF,
                  greedy_decode, key_padding_mask, mlp_residual, next_token_targets, pad_batch,
                  self_attention_residual, sinusoid_table, symmetric_cross_entropy,
                  token_embedding)
@@ -94,7 +94,7 @@ def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
     elif mode == "itg":
         base[q, t] = NEG_INF  # queries never see text
         if l_text:  # text attends causally to itself, freely to queries
-            base[t, t] = causal_mask(l_text)
+            base[t, t] = ag.causal_triangle(np.arange(l_text), 0, l_text)
     mask = base[None, None]
     if lengths is not None and l_text:
         mask = mask + np.pad(key_padding_mask(lengths, l_text), [(0, 0)] * 3 + [(n_q, 0)])

@@ -587,30 +587,39 @@ def test_head_split_and_merge_equal_reshape_transpose_compositions(b, length, he
 
 
 # ---------------------------------------------------------------------------
-# causal sdpa: the dense path against the materialized mask + triangle, the
-# tiled path against the dense one
+# causal sdpa: a ``Causal`` description on the dense path against the
+# materialized masks it replaced, the tiled path against the dense one
 
 
-def causal_case(rng, m, n=0, lengths=None, rows=None, q_batch=None):
-    """(q, k, v, key mask, causal) of ``m`` query rows after ``n`` cached
-    keys, over 2 heads of dh 4; the query rows are ``rows`` of the n + m when
-    given, ``causal`` then being their key columns, else the offset n."""
+def causal_case(rng, m, n=0, lengths=None, rows=None, q_batch=None, segments=None):
+    """(q, k, v, description, materialized mask) of ``m`` query rows after
+    ``n`` cached keys, over 2 heads of dh 4.  Given ``lengths``, batch row b's
+    cached keys from ``lengths[b]`` on are padding, hidden as ``LmState``'s
+    gap hides them; given ``segments`` (sizes summing to m), the rows are
+    packed prompts, each hiding the prompts before it, as ``prefill``'s gap
+    does.  The query rows are ``rows`` of the n + m when given.  The
+    materialized mask is the one ``DecoderLM`` added before the description:
+    the causal triangle plus extend's padded-decode mask or prefill's block
+    mask."""
     b = 1 if lengths is None else len(lengths)
     lq = m if rows is None else len(rows)
     q = rng.normal(0, 2, (q_batch or b, 2, lq, 4))
     k, v = (rng.normal(0, 2, (b, 2, n + m, 4)) for _ in range(2))
-    mask = None
+    full = np.triu(np.full((n + m, n + m), -1e9), k=1)
+    gap = None
     if lengths is not None:
-        seen = np.arange(n + m) < np.asarray(lengths)[:, None]
-        mask = np.where(seen, 0.0, -1e9)[:, None, None, :]
-    return q, k, v, mask, n if rows is None else np.asarray(rows)
-
-
-def materialized(mask, causal, lq, l):
-    """``mask`` + the (lq, l) causal triangle, as ``DecoderLM._forward`` once built it."""
-    pos = causal + np.arange(lq) if np.ndim(causal) == 0 else causal
-    tri = np.triu(np.full((l, l), -1e9), k=1)[pos]
-    return tri if mask is None else mask + tri
+        gap = (np.asarray(lengths)[:, None, None], n)
+        pad = np.where(np.arange(n) < gap[0], 0.0, -1e9)[..., None, :]
+        full = np.concatenate([pad, np.zeros((b, 1, 1, m))], axis=3) + full
+    if segments is not None:
+        seg = np.repeat(np.arange(len(segments)), segments)
+        gap = (n, n + (np.cumsum(segments) - segments)[seg])
+        block = np.zeros((n + m, n + m))
+        block[n:, n:][seg[:, None] != seg[None, :]] = -1e9
+        full = block + full
+    if rows is None:
+        return q, k, v, ag.Causal(n + np.arange(m), gap), full[..., n:, :]
+    return q, k, v, ag.Causal(np.asarray(rows), gap), full[..., rows, :]
 
 
 @given(st.integers(1, 9), st.integers(0, 4), st.booleans(), st.booleans(),
@@ -618,52 +627,77 @@ def materialized(mask, causal, lq, l):
 @settings(max_examples=60, deadline=None)
 def test_causal_sdpa_below_the_threshold_is_the_materialized_triangle_bitwise(m, n, pad, sub, seed):
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(n + 1, n + m + 1, 2) if pad else None
+    lengths = rng.integers(1, n + 1, 2) if pad and n else None
     rows = None
     if sub:
         rows = np.sort(rng.choice(n + m, int(rng.integers(1, n + m + 1)), replace=False))
-    q, k, v, mask, causal = causal_case(rng, m, n, lengths, rows)
-    full = materialized(mask, causal, q.shape[-2], n + m)
-    check_against_reference(lambda *t: ag.sdpa(*t, mask=mask, causal=causal),
+    q, k, v, causal, full = causal_case(rng, m, n, lengths, rows)
+    check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
                             lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
 
 
 def test_causal_sdpa_stays_dense_below_the_threshold_and_under_a_query_mask(monkeypatch):
-    """``_TILED_FROM - 1`` rows, and a block mask with a query axis at any row
-    count, keep the dense path and its bits."""
+    """``_TILED_FROM - 1`` rows, and packed prompts (a gap per query row)
+    over more, keep the dense path and its bits."""
     rng = np.random.default_rng(3)
     monkeypatch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
-    m = ag._TILED_FROM - 1
-    q, k, v, mask, causal = causal_case(rng, m, 2, lengths=[m + 2, m - 9])
-    check_against_reference(lambda *t: ag.sdpa(*t, mask=mask, causal=causal),
-                            lambda *a: ref_sdpa_vjp(*a[:3], materialized(mask, 2, m, m + 2), a[3]),
-                            (q, k, v), rng)
     m = ag._TILED_FROM + 5
-    q, k, v, _, _ = causal_case(rng, m)
-    block = np.where(np.arange(m)[:, None] // 70 == np.arange(m) // 70, 0.0, -1e9)
-    check_against_reference(lambda *t: ag.sdpa(*t, mask=block, causal=0),
-                            lambda *a: ref_sdpa_vjp(*a[:3], materialized(block, 0, m, m), a[3]),
-                            (q, k, v), rng)
+    for q, k, v, causal, full in (causal_case(rng, ag._TILED_FROM - 1, 2),
+                                  causal_case(rng, m, segments=[70, m - 70])):
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
+                                lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
+
+
+@given(st.integers(0, 4), st.lists(st.integers(1, 70), min_size=1, max_size=4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_gap_sdpa_is_the_materialized_prefill_and_decode_masks_bitwise(n, sizes, packed, seed):
+    """A description with a gap never reaches ``_sdpa_tiled``, at any row
+    count, and its output and VJP are bitwise those under the materialized
+    mask it replaced: prefill's block mask over packed prompts, or extend's
+    padded-decode mask.  Narrowed to the rows the LM's final block reads, it
+    slices the dense mask already built and keeps its bits."""
+    rng = np.random.default_rng(seed)
+    m = sum(sizes)
+    if packed:
+        q, k, v, causal, full = causal_case(rng, m, n, segments=sizes)
+        last = np.cumsum(sizes) - 1
+    else:
+        n += 1
+        q, k, v, causal, full = causal_case(rng, m, n, lengths=rng.integers(1, n + 1, len(sizes)))
+        last = np.array([m - 1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
+                                lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
+        narrowed = causal.rows(last)
+        assert same_bits(narrowed._dense, np.take(causal._dense, last, -2))
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=narrowed),
+                                lambda *a: ref_sdpa_vjp(*a[:3], full[..., last, :], a[3]),
+                                (q[..., last, :], k, v), rng)
 
 
 TILE = 4  # the tiled cases below run with tiles of 4 rows, tiled from 1 row up
 
+# the padded and packed cases have a gap, so they stay on the dense path
 TILED_CASES = {
     "2T-1": dict(m=2 * TILE - 1),
     "2T": dict(m=2 * TILE),
     "2T+1": dict(m=2 * TILE + 1),
     "ragged": dict(m=3 * TILE - 1, n=2),
     "cached-offset": dict(m=2 * TILE + 1, n=5),
-    "key-padding": dict(m=3 * TILE, n=3, lengths=[3 * TILE + 3, 7]),
-    "final-rows": dict(m=3 * TILE + 2, lengths=[3 * TILE + 2, 9],
-                       rows=[0, 2, 3, 5, 6, 7, 8, 10, 13]),
-    "query-batch-1": dict(m=2 * TILE + 3, n=1, lengths=[2 * TILE + 4, 5], q_batch=1),
+    "key-padding": dict(m=3 * TILE, n=7, lengths=[7, 3]),
+    "final-rows": dict(m=3 * TILE + 2, n=3, lengths=[3, 1],
+                       rows=[0, 2, 3, 5, 6, 7, 8, 10, 13, 16]),
+    "query-batch-1": dict(m=2 * TILE + 3, n=4, lengths=[4, 2], q_batch=1),
+    "packed": dict(m=3 * TILE + 1, n=2, segments=[5, 1, 3 * TILE - 5]),
 }
 
 
-def dense_and_tiled(monkeypatch, q, k, v, mask, causal, tile=TILE):
-    """(output, VJP) of ``sdpa`` on the dense path, then on the tiled one,
-    under the same output gradient; fails unless the tiled path ran."""
+def dense_and_tiled(monkeypatch, q, k, v, causal, tile=TILE):
+    """(output, VJP) of ``sdpa`` on the dense path, then with tiling from one
+    row up, under the same output gradient; fails unless the tiled path ran,
+    or, for a description with a gap, unless it did not."""
     tiled_calls = []
     tiled = ag._sdpa_tiled
     monkeypatch.setattr(ag, "_sdpa_tiled", lambda *a: (tiled_calls.append(1), tiled(*a))[1])
@@ -671,50 +705,47 @@ def dense_and_tiled(monkeypatch, q, k, v, mask, causal, tile=TILE):
     res = []
     for tiled_from in (10**9, 1):
         monkeypatch.setattr(ag, "_TILED_FROM", tiled_from)
-        out, node = taped_node(lambda *t: ag.sdpa(*t, mask=mask, causal=causal), q, k, v)
+        out, node = taped_node(lambda *t: ag.sdpa(*t, mask=causal), q, k, v)
         g = np.random.default_rng(9).normal(0, 1, out.shape)
         res.append((out, node.vjp(g)))
-    assert tiled_calls == [1]
+    assert tiled_calls == ([] if causal.gap is not None else [1])
     return res
 
 
 @pytest.mark.parametrize("case", TILED_CASES)
 def test_tiled_causal_sdpa_matches_the_dense_path(monkeypatch, case):
-    q, k, v, mask, causal = causal_case(np.random.default_rng(4), **TILED_CASES[case])
-    (dense, dense_grads), (tiled, tiled_grads) = dense_and_tiled(monkeypatch, q, k, v, mask, causal)
+    q, k, v, causal, full = causal_case(np.random.default_rng(4), **TILED_CASES[case])
+    (dense, dense_grads), (tiled, tiled_grads) = dense_and_tiled(monkeypatch, q, k, v, causal)
     assert np.abs(tiled - dense).max() < 1e-12
     for a, b in zip(tiled_grads, dense_grads):
         assert a.shape == b.shape and np.abs(a - b).max() < 1e-12
-    # no key past a row's position, nor a padded one, gets gradient
-    pos = causal + np.arange(q.shape[-2]) if np.ndim(causal) == 0 else causal
-    unseen = np.broadcast_to(np.arange(k.shape[-2]) > pos.max(), k.shape[:1] + k.shape[-2:-1])
-    if mask is not None:
-        unseen = unseen | (mask[:, 0, 0] < 0)
-    for gk, gv, hidden in zip(*tiled_grads[1:], unseen):
-        assert not gk[:, hidden].any() and not gv[:, hidden].any()
+    # no key hidden from every row gets gradient
+    hidden = np.logical_and.reduce(full < 0, axis=-2).reshape(-1, k.shape[-2])
+    for gk, gv, h in zip(*tiled_grads[1:], np.broadcast_to(hidden, (k.shape[0], k.shape[-2]))):
+        assert not gk[:, h].any() and not gv[:, h].any()
 
 
 def test_tiled_causal_sdpa_matches_the_dense_path_at_the_lm_tile_size(monkeypatch):
     # a 365-row reviewer-length row after 3 cached keys, at the module's tile
-    q, k, v, mask, causal = causal_case(np.random.default_rng(5), 365, 3, lengths=[368, 300])
-    (dense, dense_grads), (tiled, tiled_grads) = dense_and_tiled(monkeypatch, q, k, v, mask,
-                                                                 causal, ag._TILE)
+    q, k, v, causal, _ = causal_case(np.random.default_rng(5), 365, 3)
+    (dense, dense_grads), (tiled, tiled_grads) = dense_and_tiled(monkeypatch, q, k, v, causal,
+                                                                 ag._TILE)
     assert np.abs(tiled - dense).max() < 1e-12
     assert all(np.abs(a - b).max() < 1e-12 for a, b in zip(tiled_grads, dense_grads))
 
 
-@pytest.mark.parametrize("case", ["ragged", "key-padding", "final-rows"])
+@pytest.mark.parametrize("case", ["ragged", "key-padding", "final-rows", "packed"])
 def test_tiled_causal_sdpa_gradient(monkeypatch, case):
     monkeypatch.setattr(ag, "_TILE", TILE)
     monkeypatch.setattr(ag, "_TILED_FROM", 1)
     arrays = causal_case(np.random.default_rng(6), **TILED_CASES[case])
     q, k, v = (Parameter(name, a) for name, a in zip("qkv", arrays[:3]))
-    mask, causal = arrays[3:]
+    causal = arrays[3]
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
     proj = Tensor(np.random.default_rng(7).normal(0, 1, lead + (q.shape[-2], 4)))
 
     def f():
-        return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask, causal=causal), proj))
+        return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=causal), proj))
 
     assert finite_diff_check(f, [q, k, v], max_coords=60) < 1e-4
 
@@ -722,12 +753,11 @@ def test_tiled_causal_sdpa_gradient(monkeypatch, case):
 def test_tiled_causal_sdpa_writes_no_input_and_repeats_bitwise(monkeypatch):
     monkeypatch.setattr(ag, "_TILE", TILE)
     monkeypatch.setattr(ag, "_TILED_FROM", 1)
-    q, k, v, mask, causal = (_readonly(a) if isinstance(a, np.ndarray) else a
-                             for a in causal_case(np.random.default_rng(8),
-                                                  **TILED_CASES["key-padding"]))
+    q, k, v, causal, _ = causal_case(np.random.default_rng(8), **TILED_CASES["ragged"])
+    q, k, v = (_readonly(a) for a in (q, k, v))
     runs = []
     for _ in range(2):
-        out, node = taped_node(lambda *t: ag.sdpa(*t, mask=mask, causal=causal), q, k, v)
+        out, node = taped_node(lambda *t: ag.sdpa(*t, mask=causal), q, k, v)
         g = _readonly(np.linspace(-1, 1, out.size).reshape(out.shape))
         runs.append((out, *node.vjp(g), *node.vjp(g)))
     assert all(same_bits(a, b) for a, b in zip(*runs))

@@ -10,7 +10,7 @@ import graftkit.nn as nn
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
     NEG_INF, DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
-    causal_mask, greedy_decode, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
+    greedy_decode, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
     symmetric_cross_entropy, token_embedding,
 )
 from graftkit.params import ParamRegistry
@@ -39,9 +39,9 @@ def make_lm(seed=0, vocab=30, dim=32, blocks=2, heads=2, max_len=64, frozen=True
 
 
 def test_masks_shapes():
-    assert causal_mask(5).shape == (5, 5)
-    assert causal_mask(3)[0, 2] < -1e8
-    assert causal_mask(3)[2, 0] == 0.0
+    tri = ag.causal_triangle(np.arange(5), 0, 5)
+    assert tri.shape == (5, 5)
+    assert tri[0, 2] < -1e8 and tri[2, 0] == 0.0
     # 2 new rows after 3 cached ones: row i sees columns up to 3 + i
     tri = ag.causal_triangle(3 + np.arange(2), 0, 5)
     assert tri.shape == (2, 5)
@@ -361,10 +361,10 @@ def _pruned_logit_gaps(lm, run):
     every block must not change at all."""
     original, gaps = lm._forward, []
 
-    def both(emb, positions, mask=None, past=None, last=None):
-        out, kv = original(emb, positions, mask, past, last)
+    def both(emb, positions, gap=None, past=None, last=None):
+        out, kv = original(emb, positions, gap, past, last)
         if last is not None:
-            full, full_kv = original(emb, positions, mask, past)
+            full, full_kv = original(emb, positions, gap, past)
             assert out.shape == full.data[:, last].shape
             gaps.append(np.max(np.abs(out.data - full.data[:, last])))
             assert all(np.array_equal(k, fk) and np.array_equal(v, fv)
@@ -395,13 +395,12 @@ def test_pruned_forward_equals_the_full_pass_at_the_read_columns():
 
 def test_forward_with_every_column_last_is_the_unpruned_pass_bitwise():
     _, lm = make_lm(frozen=False)
-    tokens, lengths, _ = _padded_batch()
+    tokens, _, _ = _padded_batch()
     l = tokens.shape[1]
     results = []
     for last in (None, np.arange(l)):
         with Tape() as tape:
-            logits, kv = lm._forward(lm.embed_tokens(tokens), np.arange(l),
-                                     key_padding_mask(lengths, l), last=last)
+            logits, kv = lm._forward(lm.embed_tokens(tokens), np.arange(l), last=last)
             loss = ag.reduce_sum(ag.mul(logits, Tensor(np.sin(np.arange(logits.data.size))
                                                        .reshape(logits.shape))))
         results.append((logits.data, kv, tape.gradients(loss)))
@@ -698,11 +697,11 @@ def test_extend_keeps_its_input_state():
     _, lm = make_lm()
     state = lm.prefill(None, [[4, 5, 6], [7, 8]])
     before = [(k.copy(), v.copy()) for k, v in state.kv]
-    logits, mask = state.logits.copy(), state.mask.copy()
+    logits, lo, hi = state.logits.copy(), state.gap[0].copy(), state.gap[1]
     lm.extend(state, [[7, 8], [9, 9]])
     lm.extend(state.rows(np.array([True, False])), [[9]])
     assert state.ids == ((4, 5, 6), (7, 8)) and np.array_equal(state.logits, logits)
-    assert np.array_equal(state.mask, mask)
+    assert np.array_equal(state.gap[0], lo) and state.gap[1] == hi
     assert all(np.array_equal(k, k0) and np.array_equal(v, v0)
                for (k, v), (k0, v0) in zip(state.kv, before))
 
@@ -764,6 +763,21 @@ def test_generate_prefix_from_other_soft_prompts_raises():
             lm.generate(other, [4, 5, 6], 3, prefix=state)
     with pytest.raises(ValueError, match="other soft prompts"):
         lm.generate(soft, [4], 3, prefix=lm.prefill(None, [[4]]))
+
+
+def test_decode_and_extend_refuse_a_state_built_at_other_parameter_versions():
+    # the stale state's K/V cache and logits would decode as if no write had happened
+    _, lm = make_lm()
+    state = lm.prefill(None, [[4, 5, 6], [7, 8]])
+    step = lm.extend(state, [[9], [9]])[0]
+    lm.head.w.write(2.0, np.multiply)
+    for stale in (state, step, step.rows(np.array([True, False]))):
+        with pytest.raises(ValueError, match="decoding state was built at other LM parameter "
+                                             "versions"):
+            lm.decode(stale, 3)
+        with pytest.raises(ValueError, match="other LM parameter versions"):
+            lm.extend(stale, [[4]] * len(stale.ids))
+    lm.decode(lm.prefill(None, [[4, 5, 6]]), 3)  # a state built after the write decodes
 
 
 def test_prefill_rejects_bad_soft_prompts_and_empty_sequences():

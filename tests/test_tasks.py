@@ -1117,7 +1117,7 @@ def test_a_stale_prepared_image_is_refused_before_anything_is_submitted(small_wo
     submitted, submit = [], partworker._PartWorker.submit
     monkeypatch.setattr(partworker._PartWorker, "submit", lambda *a: (
         submitted.append(a[0].kind.name), submit(*a))[1])
-    with pytest.raises(ValueError, match="prefix state was built at other LM parameter versions"):
+    with pytest.raises(ValueError, match="decoding state was built at other LM parameter versions"):
         bundle.answers(stale, QUESTIONS)
     assert submitted == []
     worker = partworker._workers["lm-answers"]
