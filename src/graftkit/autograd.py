@@ -7,11 +7,11 @@ ops run eagerly as plain numpy and build no graph (inference mode).
 
 Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
 split_heads / merge_heads (a reshape and a transpose as one op), concat,
-take, layer_norm, gelu, cross_entropy, masked scaled-dot-product attention
-(``sdpa``, under an additive mask or a ``Causal`` description of the keys
-each row sees; long causal rows run tiled, each query tile over the key
-columns it can see), reduce mean/sum/max, l2_normalize.  Everything else is
-composed from these.
+take, layer_norm, gelu, cross_entropy, scaled-dot-product attention
+(``sdpa``, under a ``Visible`` description of the keys each row sees, the one
+kind of mask it takes; long causal rows run tiled, each query tile over the
+key columns it can see), reduce mean/sum/max, l2_normalize.  Everything else
+is composed from these.
 No primitive writes to its inputs or to the gradient its VJP receives;
 in-place numpy work happens only on buffers the primitive allocated itself.
 
@@ -427,64 +427,62 @@ _TILE = 64
 _TILED_FROM = 2 * _TILE
 
 
-def causal_triangle(pos, lo: int, hi: int) -> np.ndarray:
-    """The additive causal mask of the query rows at key columns ``pos``
-    over the key columns [lo, hi): ``NEG_INF`` past each row's own column,
-    0 elsewhere."""
-    return np.where(np.arange(lo, hi) > np.asarray(pos)[:, None], NEG_INF, 0.0)
-
-
-class Causal:
-    """What each query row of ``sdpa`` sees, in place of an additive mask:
-    row i sees the key columns up to its own, ``cols[i]`` (an int array),
-    except the span [lo_i, hi_i) of ``gap = (lo, hi)``, ints or arrays
-    broadcastable to (..., rows).  The first dense ``sdpa`` given it builds
-    its mask and keeps it for the blocks of the same pass, which have the
-    same rows and keys."""
+class Visible:
+    """What each query row of ``sdpa`` sees: the key columns up to its last
+    visible one, ``cols``, except the span [lo, hi) of ``gap = (lo, hi)``,
+    each an int or int array broadcastable to (..., rows); a 1-D ``cols`` of
+    the rows' own columns is the causal rule.  The first dense ``sdpa`` given
+    it builds its mask and keeps it for the blocks of the same pass, which
+    have the same rows and keys."""
 
     __slots__ = ("cols", "gap", "_dense")
 
     def __init__(self, cols, gap=None, _dense=None):
-        self.cols, self.gap, self._dense = cols, gap, _dense
+        self.cols, self.gap, self._dense = np.asarray(cols), gap, _dense
 
     def dense(self, n_keys: int):
-        """The additive mask (..., rows, n_keys): ``NEG_INF`` where hidden, 0
-        elsewhere; None when every row sees every key."""
+        """The additive mask (..., rows or 1, n_keys): ``NEG_INF`` where
+        hidden, 0 elsewhere; None when every row sees every key."""
         if self._dense is None and (self.gap is not None
-                                    or np.minimum.reduce(self.cols) < n_keys - 1):
+                                    or np.minimum.reduce(self.cols, axis=None) < n_keys - 1):
             keys = np.arange(n_keys)
-            hidden = keys > self.cols[:, None]
+            hidden = keys > self.cols[..., None]
             if self.gap is not None:
                 lo, hi = (np.expand_dims(g, -1) for g in self.gap)
                 hidden = hidden | ((keys >= lo) & (keys < hi))
             self._dense = np.where(hidden, NEG_INF, 0.0)
         return self._dense
 
-    def rows(self, rows) -> "Causal":
+    def rows(self, rows) -> "Visible":
         """The description of the query rows ``rows`` alone; a dense mask
-        already built is sliced, not built again."""
-        gap = None if self.gap is None else tuple(
-            g if np.shape(g)[-1:] in ((), (1,)) else np.take(g, rows, -1) for g in self.gap)
-        dense = None if self._dense is None else np.take(self._dense, rows, -2)
-        return Causal(self.cols[rows], gap, dense)
+        already built is sliced, not built again.  What has no rows axis, or
+        one of length 1, holds for every row and is kept as it is."""
+        def pick(a, axis=-1):
+            return a if np.ndim(a) < -axis or np.shape(a)[axis] == 1 else np.take(a, rows, axis)
+
+        gap = None if self.gap is None else tuple(pick(g) for g in self.gap)
+        dense = None if self._dense is None else pick(self._dense, -2)
+        return Visible(pick(self.cols), gap, dense)
 
 
-def sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """Masked scaled-dot-product attention over the last two axes, scaled by
-    1/sqrt(head dim).
+def sdpa(q: Tensor, k: Tensor, v: Tensor, mask: Visible | None = None) -> Tensor:
+    """Scaled-dot-product attention over the last two axes, scaled by
+    1/sqrt(head dim), each query row over the keys ``mask`` says it sees
+    (every key when None).  Any other ``mask``, an additive array included,
+    raises ``TypeError``.
 
-    ``mask`` is an additive constant array broadcastable to the attention
-    matrix (use ``NEG_INF`` to forbid positions), or a ``Causal``.
-
-    A description without a gap over ``_TILED_FROM`` rows or more runs tiled:
-    each tile of ``_TILE`` rows computes its logits, softmax and VJP over the
-    key columns up to its last row's column only, so the low bits differ from
-    the dense path's.  Any other runs dense, its mask (``Causal.dense``) added
-    in one add: each visible logit is exact and each hidden one's weight
-    exactly 0, bitwise as under any sum of masks that hides the same keys.
+    A 1-D description without a gap (the causal rule) over ``_TILED_FROM``
+    rows or more runs tiled: each tile of ``_TILE`` rows computes its logits,
+    softmax and VJP over the key columns up to its last row's column only, so
+    the low bits differ from the dense path's.  Any other runs dense, its
+    mask (``Visible.dense``) added in one add: each visible logit is exact and
+    each hidden one's weight exactly 0, bitwise as under any sum of additive
+    masks that hides the same keys.
     """
-    if isinstance(mask, Causal):
-        if mask.gap is None and q.shape[-2] >= _TILED_FROM:
+    if mask is not None:
+        if not isinstance(mask, Visible):
+            raise TypeError(f"sdpa's mask is a Visible or None, not {type(mask).__name__}")
+        if mask.gap is None and mask.cols.ndim == 1 and q.shape[-2] >= _TILED_FROM:
             return _sdpa_tiled(q, k, v, mask.cols)
         mask = mask.dense(k.shape[-2])
     sc = 1.0 / np.sqrt(q.shape[-1])
@@ -533,7 +531,7 @@ def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, pos: np.ndarray) -> Tensor:
         lo, hi = int(np.minimum.reduce(p)), int(np.maximum.reduce(p)) + 1
         att = np.matmul(q.data[..., i0:i1, :], kt[..., :hi])
         att *= sc
-        att[..., lo:hi] += causal_triangle(p, lo, hi)
+        att[..., lo:hi] += np.where(np.arange(lo, hi) > p[:, None], NEG_INF, 0.0)
         att -= np.maximum.reduce(att, -1, keepdims=True)
         np.exp(att, out=att)
         att /= np.add.reduce(att, -1, keepdims=True)

@@ -251,7 +251,8 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
 def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: ClipModel,
                        vocab) -> np.ndarray:
     """(N,) P(positive) for (N, proj_dim) unit image embeddings: mean
-    positive/negative prompt cosine -> 2-way softmax.
+    positive/negative prompt cosine -> 2-way softmax.  Each prompt is cut to
+    the model's ``text_max_len``, as its training texts were.
 
     The set's prompts are encoded once per parameter state of the model, in
     one padded text forward (``ClipModel.embed_texts``) that the model's
@@ -261,7 +262,8 @@ def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: Clip
     leave the AUC ordering unchanged).
     """
     prompt_set.validate()
-    seqs = tuple(tuple(tokenize(p, vocab)) for p in prompt_set.positive + prompt_set.negative)
+    seqs = tuple(tuple(tokenize(p, vocab, model.cfg.text_max_len))
+                 for p in prompt_set.positive + prompt_set.negative)
     t_emb = model.registry.memo(("embed_texts", seqs), lambda: model.embed_texts(seqs))
     cos = t_emb @ np.asarray(image_emb).T
     n_pos = len(prompt_set.positive)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import partworker
-from .autograd import NEG_INF, Parameter, Tape, Tensor
+from .autograd import Parameter, Tape, Tensor
 from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
 
 
@@ -23,13 +23,6 @@ def sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     i = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-
-
-def key_padding_mask(lengths, max_len: int) -> np.ndarray:
-    """(B, 1, 1, L) additive mask hiding padded key positions."""
-    lengths = np.asarray(lengths)
-    cols = np.arange(max_len)[None, :]
-    return np.where(cols < lengths[:, None], 0.0, NEG_INF)[:, None, None, :]
 
 
 def token_embedding(table: Tensor, pos: np.ndarray, tokens, start: int = 0) -> Tensor:
@@ -109,10 +102,10 @@ class MultiHeadAttention:
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None, past=None) -> tuple[Tensor, tuple]:
         """Attention of the rows ``x_q`` (B, m, dim) over the keys of
         ``x_kv`` (B, l, dim), after the cached (keys, values) ``past`` (each
-        (B, heads, n, dh)) when given, under ``ag.sdpa``'s ``mask``: an
-        additive array broadcastable to (B, heads, m, n + l), or an
-        ``ag.Causal``.  Either batch may be 1 and broadcast against the
-        other.  Returns (output rows, (keys, values) of all n + l keys).
+        (B, heads, n, dh)) when given, each row over the keys the
+        ``ag.Visible`` ``mask`` says it sees (every key when None).  Either
+        batch may be 1 and broadcast against the other.  Returns (output
+        rows, (keys, values) of all n + l keys).
         Cached keys are plain arrays, so a call with ``past`` is inference
         only; ``past`` itself is kept."""
         q = ag.split_heads(self.q(x_q), self.n_heads)
@@ -141,17 +134,13 @@ def self_attention_residual(ln: LayerNorm, attn: MultiHeadAttention, x: Tensor, 
 
     Given ``rows``, only the rows ``x[:, rows]`` are output: they alone go
     through the query path and the residual, while the keys and values still
-    come from every row.  A description is narrowed to ``rows``
-    (``ag.Causal.rows``), an array mask with a query axis is sliced to them,
-    and a key-only one applies as it is."""
+    come from every row, and the description ``mask`` is narrowed to
+    ``rows`` (``ag.Visible.rows``)."""
     h = ln(x)
     if rows is None:
         a, kv = attn(h, h, mask, past)
     else:
-        if isinstance(mask, ag.Causal):
-            mask = mask.rows(rows)
-        elif mask is not None and np.ndim(mask) >= 2 and mask.shape[-2] > 1:
-            mask = np.take(mask, rows, axis=-2)
+        mask = None if mask is None else mask.rows(rows)
         a, kv = attn(ag.take(h, rows, 1), h, mask, past)
         x = ag.take(x, rows, 1)
     return ag.add(x, a), kv
@@ -270,15 +259,17 @@ class TextEncoder:
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
     def forward(self, tokens: np.ndarray, lengths) -> tuple[Tensor, Tensor]:
-        """(B, L) padded ids -> ((B, L, d) per-token, (B, d) pooled unit-norm)."""
+        """(B, L) padded ids and their B ``lengths`` (``check_lengths``) ->
+        ((B, L, d) per-token, (B, d) pooled unit-norm).  Every row sees its
+        own real tokens."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = check_lengths(lengths, tokens.shape)
         if np.any(lengths < 1):
             raise ValueError("empty token sequence")
-        mask = key_padding_mask(lengths, tokens.shape[1])
+        visible = ag.Visible((lengths - 1)[:, None, None])
         x = token_embedding(self.tok, self.pos, tokens)
         for blk in self.blocks:
-            x, _ = blk(x, mask)
+            x, _ = blk(x, visible)
         x = self.ln_out(x)
         # mean over real positions only, then normalize
         weights = np.where(np.arange(tokens.shape[1])[None, :] < lengths[:, None],
@@ -357,7 +348,7 @@ class DecoderLM:
         """The LM over embedded rows ``emb`` (B, m, dim) at ``positions``
         ((m,) or (B, m)), after the cached per-block (keys, values) ``past``
         (None, or None per block: nothing cached).  Row i sees keys 0..n + i
-        except the span ``gap`` (``ag.Causal``): the blocks share one
+        except the span ``gap`` (``ag.Visible``): the blocks share one
         description, so long rows without a gap attend over the key tiles
         they can see only, and the others share one dense mask.  Returns
         (logits, per-block (keys, values) of all n + m rows); the logits are
@@ -370,7 +361,7 @@ class DecoderLM:
             raise ValueError(f"sequence length {top} exceeds LM max_len {self.cfg.max_len}")
         past = (None,) * len(self.blocks) if past is None else past
         n = 0 if past[0] is None else past[0][0].shape[2]
-        causal = ag.Causal(np.arange(n, n + emb.shape[1]), gap)
+        causal = ag.Visible(np.arange(n, n + emb.shape[1]), gap)
         x = ag.add(emb, Tensor(self.pos[positions]))
         kv = []
         for blk, blk_past in zip(self.blocks, past):
@@ -552,7 +543,7 @@ class LmState:
     (None once cut), built at the LM parameters' ``versions``
     (``DecoderLM.versions``).  Row b's padding is the key span [lo[b], hi)
     of ``gap = (lo (B, 1, 1), hi)``, hidden from every later token of the
-    row (``ag.Causal``); it is fixed as the rows grow, and None for one
+    row (``ag.Visible``); it is fixed as the rows grow, and None for one
     unpacked row.  States are never mutated."""
 
     soft: np.ndarray | None
@@ -669,6 +660,18 @@ def pad_batch(seqs, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
     tokens = np.full((len(seqs), lengths.max()), pad_id, dtype=np.int64)
     tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
     return tokens, lengths
+
+
+def check_lengths(lengths, shape) -> np.ndarray:
+    """``lengths`` as an int array, refused unless it holds one length of at
+    most L per row of a (B, L) batch of padded ids of ``shape``: a single
+    length or one past L would otherwise broadcast, or read as unpadded."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, l = shape
+    if lengths.shape != (b,) or np.any(lengths > l):
+        raise ValueError(f"need one length of at most {l} per text row ({b}); got "
+                         f"{lengths.tolist()}")
+    return lengths
 
 
 def _pad_batch(dataset, idx, pad_id):

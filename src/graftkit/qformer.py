@@ -14,8 +14,8 @@ from . import partworker
 from .autograd import Tape, Tensor
 from .clip_stage import _IMAGE_SPLIT_ROWS, DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
-from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, NEG_INF,
-                 greedy_decode, key_padding_mask, mlp_residual, next_token_targets, pad_batch,
+from .nn import (DecoderLM, LayerNorm, Linear, MultiHeadAttention, Mlp, check_lengths,
+                 greedy_decode, mlp_residual, next_token_targets, pad_batch,
                  self_attention_residual, sinusoid_table, symmetric_cross_entropy,
                  token_embedding)
 from .optim import Adam
@@ -40,7 +40,8 @@ class QFormerConfig:
 
 
 class _QFormerBlock:
-    """Self-attention over [queries || text], cross-attention from the query
+    """Self-attention over [queries || text], each row over the rows its
+    ``ag.Visible`` ``self_mask`` lets it see, cross-attention from the query
     positions to the grid tokens, then a feed-forward.  Cached decoding runs
     text rows alone after the cached self-attention ``past``, with
     ``n_queries`` 0."""
@@ -80,25 +81,23 @@ class _QFormerBlock:
         return ag.concat([mlp_residual(self.ln2, self.mlp, q), t], axis=1), kv
 
 
-def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
-    """Additive (B, 1, M, M) mask implementing the per-objective attention rules."""
+def _self_mask(mode: str, n_q: int, lengths, l_text: int) -> ag.Visible:
+    """What each row of [n_q queries || l_text text rows] sees under the
+    objective ``mode`` (``ag.Visible``), up to the last real key ``last``
+    (B, 1, 1) of each of the B texts of ``lengths`` (of every text when
+    None): in "itm", or without text, every row sees every real key;
+    otherwise the queries see the queries only, and a text row sees the text
+    up to its own column in "itg" (and the queries too), all the text in
+    "itc" (and no query)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    m = n_q + l_text
-    base = np.zeros((m, m))
-    q = slice(0, n_q)
-    t = slice(n_q, m)
-    if mode == "itc":
-        base[q, t] = NEG_INF  # queries never see text
-        base[t, q] = NEG_INF  # text never sees queries (unimodal)
-    elif mode == "itg":
-        base[q, t] = NEG_INF  # queries never see text
-        if l_text:  # text attends causally to itself, freely to queries
-            base[t, t] = ag.causal_triangle(np.arange(l_text), 0, l_text)
-    mask = base[None, None]
-    if lengths is not None and l_text:
-        mask = mask + np.pad(key_padding_mask(lengths, l_text), [(0, 0)] * 3 + [(n_q, 0)])
-    return mask
+    last = np.reshape(n_q - 1 + (l_text if lengths is None else np.asarray(lengths)), (-1, 1, 1))
+    if mode == "itm" or not l_text:
+        return ag.Visible(last)
+    rows = np.arange(n_q + l_text)
+    cols = np.minimum(np.where(rows < n_q, n_q - 1, rows if mode == "itg" else last), last)
+    gap = (0, np.where(rows < n_q, 0, n_q)) if mode == "itc" and n_q else None
+    return ag.Visible(cols, gap)
 
 
 class QFormerModel:
@@ -131,11 +130,13 @@ class QFormerModel:
 
     def forward(self, grids: np.ndarray | None, tokens: np.ndarray | None,
                 lengths=None, mode: str = "itc") -> tuple[Tensor | None, Tensor | None]:
-        """Run queries and/or text through the adapter under a mode mask.
+        """Run queries and/or text through the adapter, each row over the
+        rows the objective ``mode`` lets it see (``_self_mask``).
 
         ``grids`` is (B, G, grid_dim) frozen image tokens or None; ``tokens``
         is (B, L) padded ids or None, each row 1 to ``text_max_len`` tokens
-        long.  A text batch of 1 is shared by all B grids: its embeddings,
+        long, one length per row in ``lengths`` (``check_lengths``; None:
+        all L).  A text batch of 1 is shared by all B grids: its embeddings,
         block 0's self-attention and the text rows' block-0 MLP run once,
         and the text rows are broadcast to B only as the next block's keys
         and values.  Returns (query outputs, text outputs).  In "itm" mode
@@ -156,6 +157,8 @@ class QFormerModel:
         else:
             tokens = np.asarray(tokens, dtype=np.int64)
             b_text, l_text = tokens.shape
+            if lengths is not None:
+                lengths = check_lengths(lengths, tokens.shape)
             shortest = l_text if lengths is None else int(np.min(lengths))
             if shortest < 1 or l_text > self.cfg.text_max_len:
                 raise ValueError(f"every text needs 1 to text_max_len = {self.cfg.text_max_len} "

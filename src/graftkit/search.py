@@ -106,12 +106,13 @@ class ImageIndexB:
 
 
 def search_c(query: str, index: ImageIndexC, clip_model, vocab, k: int = 5) -> RankedRetrieval:
-    """Rank the pool by cosine between the query text and image embeddings."""
+    """Rank the pool by cosine between the query text, cut to the CLIP
+    model's ``text_max_len`` as its training texts were, and image embeddings."""
     if not index.ids:
         raise ValueError("empty retrieval pool")
     _check_k(k)
     _check_query(query)
-    q = clip_model.embed_text(tokenize(query, vocab))
+    q = clip_model.embed_text(tokenize(query, vocab, clip_model.cfg.text_max_len))
     scores = index.embeddings @ q
     return RankedRetrieval(query, _rank(index.ids, scores, k))
 

@@ -1,12 +1,13 @@
 """Shared test helpers: the finite-difference gradient oracle, the one-tape
-phase-1 step, and a corpus prevalence fixture."""
+phase-1 step, a corpus prevalence fixture, and the additive-mask attention
+that ``ag.Visible`` replaced, kept as the reference it must match bitwise."""
 
 import numpy as np
 
 from graftkit import autograd as ag
 from graftkit import templates as T
-from graftkit.autograd import Parameter, Tape
-from graftkit.qformer import _phase1_objective
+from graftkit.autograd import NEG_INF, Parameter, Tape, Tensor
+from graftkit.qformer import MODES, _phase1_objective
 
 # a corpus with two findings only, each near half the studies
 TWO_FINDING_PREVALENCE = {k: 0.0 for k in T.KINDS} | {"effusion": 0.55, "cardiomegaly": 0.45}
@@ -55,3 +56,82 @@ def phase1_step_oracle(model, batch) -> tuple[float, dict[str, np.ndarray]]:
         l_itc, l_itg, l_itm = (_phase1_objective(model, batch, i) for i in range(3))
         total = ag.add(ag.add(l_itc, l_itg), l_itm)
     return float(total.data), tape.gradients(total)
+
+
+# ---------------------------------------------------------------------------
+# additive masks and the attention under them, as the models used them
+# before ``ag.sdpa`` took an ``ag.Visible`` description only
+
+
+def key_padding_mask(lengths, max_len: int) -> np.ndarray:
+    """(B, 1, 1, L) additive mask hiding padded key positions."""
+    lengths = np.asarray(lengths)
+    cols = np.arange(max_len)[None, :]
+    return np.where(cols < lengths[:, None], 0.0, NEG_INF)[:, None, None, :]
+
+
+def lm_mask(m: int, n: int = 0, lengths=None) -> np.ndarray:
+    """The LM's causal triangle of ``m`` rows after ``n`` cached keys and,
+    given ``lengths``, the key-padding mask added to it."""
+    mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
+    return mask if lengths is None else mask + key_padding_mask(lengths, n + m)
+
+
+def mode_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:
+    """The Q-Former's additive (B, 1, M, M) mode table over [queries || text]:
+    queries never see text; in "itc" text never sees queries; in "itg" text
+    is causal over itself; then the text's key padding."""
+    assert mode in MODES
+    m = n_q + l_text
+    base = np.zeros((m, m))
+    q, t = slice(0, n_q), slice(n_q, m)
+    if mode == "itc":
+        base[q, t] = NEG_INF
+        base[t, q] = NEG_INF
+    elif mode == "itg":
+        base[q, t] = NEG_INF
+        base[t, t] = lm_mask(l_text)
+    mask = base[None, None]
+    if lengths is not None and l_text:
+        mask = mask + np.pad(key_padding_mask(lengths, l_text), [(0, 0)] * 3 + [(n_q, 0)])
+    return mask
+
+
+def _ref_weights(q, k, mask):
+    """(attention weights, scale) of the arrays ``q``, ``k`` under the
+    additive ``mask`` (or None)."""
+    sc = 1.0 / np.sqrt(q.shape[-1])
+    att = np.matmul(q, np.swapaxes(k, -1, -2))
+    att *= sc
+    if mask is not None:
+        att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    return att, sc
+
+
+def ref_sdpa_vjp(q, k, v, mask, g):
+    """(output, (gq, gk, gv)) of attention over the arrays ``q``, ``k``,
+    ``v`` under the additive ``mask`` (or None), for the output gradient
+    ``g``; the gradients keep the broadcast batch."""
+    att, sc = _ref_weights(q, k, mask)
+    out = np.matmul(att, v)
+    gv = np.matmul(np.swapaxes(att, -1, -2), g)
+    g_logits = np.matmul(g, np.swapaxes(v, -1, -2))
+    g_logits -= (g * out).sum(axis=-1, keepdims=True)
+    g_logits *= att
+    g_logits *= sc
+    return out, (np.matmul(g_logits, k), np.matmul(np.swapaxes(g_logits, -1, -2), q), gv)
+
+
+def ref_sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+    """``ref_sdpa_vjp`` as a tape op: attention under an additive mask, each
+    gradient summed back to its input's shape."""
+    out = Tensor(np.matmul(_ref_weights(q.data, k.data, mask)[0], v.data))
+
+    def vjp(g):
+        grads = ref_sdpa_vjp(q.data, k.data, v.data, mask, g)[1]
+        return tuple(ag._unbroadcast(gr, t.shape) for gr, t in zip(grads, (q, k, v)))
+
+    return ag._record(out, (q, k, v), vjp)

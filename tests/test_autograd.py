@@ -7,7 +7,8 @@ import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import Linear
 from graftkit.params import ParamRegistry
-from helpers import finite_diff_check
+from graftkit.qformer import MODES, _self_mask
+from helpers import finite_diff_check, key_padding_mask, mode_mask, ref_sdpa, ref_sdpa_vjp
 
 
 def make_param(name, shape, seed=0, frozen=False):
@@ -165,8 +166,7 @@ def test_sdpa_gradient_and_mask():
         q = make_param("q", (3, 4), seed=seed)
         k = make_param("k", (5, 4), seed=seed + 50)
         v = make_param("v", (5, 4), seed=seed + 90)
-        mask = np.zeros((3, 5))
-        mask[:, 4] = -1e9
+        mask = ag.Visible(3)  # every row sees keys 0..3, none sees key 4
 
         def f():
             return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), Tensor(np.linspace(0, 1, 12).reshape(3, 4))))
@@ -221,7 +221,7 @@ def test_linear_gradient_2d_and_3d_trainable_and_frozen():
 
 def test_sdpa_gradient_with_key_padding_mask():
     lengths = np.array([5, 3])
-    mask = np.where(np.arange(5)[None, :] < lengths[:, None], 0.0, -1e9)[:, None, None, :]  # (B, 1, 1, L)
+    mask = ag.Visible((lengths - 1)[:, None, None])  # each row's last real key
     for seed in range(10):
         q = make_param("q", (2, 2, 3, 4), seed=seed)
         k = make_param("k", (2, 2, 5, 4), seed=seed + 50)
@@ -267,15 +267,6 @@ def ref_layer_norm(x, gain, bias, eps=1e-5):
     return (xc * inv) * gain.data + bias.data
 
 
-def ref_sdpa(q, k, v, mask):
-    att_logits = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
-    if mask is not None:
-        att_logits = att_logits + mask
-    att_logits = att_logits - att_logits.max(axis=-1, keepdims=True)
-    e = np.exp(att_logits)
-    return np.matmul(e / e.sum(axis=-1, keepdims=True), v.data)
-
-
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 24))
 
 
@@ -293,9 +284,11 @@ def test_fused_forwards_bitwise_equal_old_compositions(shape, d_out, spread, see
 
     lk = int(rng.integers(1, 9))
     q, k, v = (Tensor(rng.normal(0, spread, (b, 2, n, d))) for n in (l, lk, lk))
-    pad = np.where(np.arange(lk)[None, :] < rng.integers(1, lk + 1, b)[:, None], 0.0, -1e9)
-    for mask in (None, pad[:, None, None, :], np.triu(np.full((l, lk), -1e9), k=1)):
-        assert np.array_equal(ag.sdpa(q, k, v, mask=mask).data, ref_sdpa(q, k, v, mask))
+    lengths = rng.integers(1, lk + 1, b)
+    for visible, mask in ((None, None),
+                          (ag.Visible((lengths - 1)[:, None, None]), key_padding_mask(lengths, lk)),
+                          (ag.Visible(np.arange(l)), np.triu(np.full((l, lk), ag.NEG_INF), k=1))):
+        assert np.array_equal(ag.sdpa(q, k, v, mask=visible).data, ref_sdpa(q, k, v, mask).data)
 
 
 def _readonly(a):
@@ -310,7 +303,8 @@ def test_no_primitive_writes_to_inputs_mask_or_incoming_gradient():
     def p(name, *shape):
         return Parameter(name, _readonly(rng.normal(0, 1, shape)))
 
-    mask = _readonly(np.where(np.arange(4) < 3, 0.0, -1e9)[None, None, None, :])
+    mask = ag.Visible(2)  # keys 0..2 of 4; its dense mask, built here, is read-only
+    mask._dense = _readonly(mask.dense(4))
     cases = {
         "matmul": lambda: ag.matmul(p("a", 2, 3, 4), p("b", 4, 5)),
         "linear": lambda: ag.linear(p("x", 2, 3, 4), p("w", 4, 5), p("b", 5)),
@@ -435,24 +429,6 @@ def ref_cross_entropy(lg, tgt, m, g):
     return np.asarray((nll * m).sum() / nsel), (p * (m / nsel)[:, None] * g,)
 
 
-def ref_sdpa_vjp(q, k, v, mask, g):
-    sc = 1.0 / np.sqrt(q.shape[-1])
-    att = np.matmul(q, np.swapaxes(k, -1, -2))
-    att *= sc
-    if mask is not None:
-        att += mask
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    out = np.matmul(att, v)
-    gv = np.matmul(np.swapaxes(att, -1, -2), g)
-    g_logits = np.matmul(g, np.swapaxes(v, -1, -2))
-    g_logits -= (g * out).sum(axis=-1, keepdims=True)
-    g_logits *= att
-    g_logits *= sc
-    return out, (np.matmul(g_logits, k), np.matmul(np.swapaxes(g_logits, -1, -2), q), gv)
-
-
 def ref_reduce(x, axis, g, mean):
     n = x.size if axis is None else x.shape[axis]
     out = np.asarray(x.mean(axis=axis) if mean else x.sum(axis=axis))
@@ -550,9 +526,9 @@ def test_rewritten_primitives_bitwise_equal_numpy_method_forms(shape, seed):
     lead = shape[:-1][:2]
     lq, lk, dh = int(rng.integers(1, 5)), int(rng.integers(1, 5)), shape[-1]
     q, k, v = (rng.normal(0, 2, lead + (n, dh)) for n in (lq, lk, lk))
-    causal = np.triu(np.full((lq, lk), -1e9), k=1)
-    for mask in (None, causal):
-        check_against_reference(lambda *t: ag.sdpa(*t, mask=mask),
+    causal = np.triu(np.full((lq, lk), ag.NEG_INF), k=1)
+    for visible, mask in ((None, None), (ag.Visible(np.arange(lq)), causal)):
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
                                 lambda *a: ref_sdpa_vjp(*a[:3], mask, a[3]), (q, k, v), rng)
 
 
@@ -587,7 +563,7 @@ def test_head_split_and_merge_equal_reshape_transpose_compositions(b, length, he
 
 
 # ---------------------------------------------------------------------------
-# causal sdpa: a ``Causal`` description on the dense path against the
+# causal sdpa: a ``Visible`` description on the dense path against the
 # materialized masks it replaced, the tiled path against the dense one
 
 
@@ -618,8 +594,8 @@ def causal_case(rng, m, n=0, lengths=None, rows=None, q_batch=None, segments=Non
         block[n:, n:][seg[:, None] != seg[None, :]] = -1e9
         full = block + full
     if rows is None:
-        return q, k, v, ag.Causal(n + np.arange(m), gap), full[..., n:, :]
-    return q, k, v, ag.Causal(np.asarray(rows), gap), full[..., rows, :]
+        return q, k, v, ag.Visible(n + np.arange(m), gap), full[..., n:, :]
+    return q, k, v, ag.Visible(np.asarray(rows), gap), full[..., rows, :]
 
 
 @given(st.integers(1, 9), st.integers(0, 4), st.booleans(), st.booleans(),
@@ -675,6 +651,62 @@ def test_gap_sdpa_is_the_materialized_prefill_and_decode_masks_bitwise(n, sizes,
         check_against_reference(lambda *t: ag.sdpa(*t, mask=narrowed),
                                 lambda *a: ref_sdpa_vjp(*a[:3], full[..., last, :], a[3]),
                                 (q[..., last, :], k, v), rng)
+
+
+# ---------------------------------------------------------------------------
+# the Q-Former's and the text encoder's descriptions against the additive
+# masks they replaced
+
+
+@given(st.sampled_from(MODES), st.integers(0, 3), st.integers(0, 5), st.booleans(),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_qformer_descriptions_are_the_mode_table_bitwise(mode, n_q, l_text, padded, b, shared,
+                                                         seed):
+    """Under each objective's ``_self_mask`` (with lengths and without, with
+    no query row or no text row, and with one text shared by ``b`` grids),
+    ``sdpa``'s output and VJP are bitwise those under the mode table, and so
+    are they narrowed to the query rows, as the final matching block runs."""
+    l_text = l_text if mode == "itc" else max(l_text, 1)  # itg and itm need text
+    n_q = n_q if mode != "itm" and l_text else max(n_q, 1)  # itm needs grids
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, l_text + 1, 1 if shared else b) if padded and l_text else None
+    visible, full = _self_mask(mode, n_q, lengths, l_text), mode_mask(mode, n_q, lengths, l_text)
+    q, k, v = (rng.normal(0, 2, (b, 2, n_q + l_text, 4)) for _ in range(3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
+                                lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
+        if n_q:
+            rows = np.arange(n_q)
+            check_against_reference(lambda *t: ag.sdpa(*t, mask=visible.rows(rows)),
+                                    lambda *a: ref_sdpa_vjp(*a[:3], full[..., rows, :], a[3]),
+                                    (q[..., rows, :], k, v), rng)
+
+
+@given(st.sampled_from([1, 5, ag._TILED_FROM, ag._TILED_FROM + 3]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_text_encoder_description_is_the_key_padding_mask_bitwise(l, b, seed):
+    """The text encoder's description of its rows' real keys is bitwise the
+    key-padding mask, and stays dense at ``_TILED_FROM`` rows or more."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, l + 1, b)
+    q, k, v = (rng.normal(0, 2, (b, 2, l, 4)) for _ in range(3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
+        visible = ag.Visible((lengths - 1)[:, None, None])  # as TextEncoder.forward builds it
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
+                                lambda *a: ref_sdpa_vjp(*a[:3], key_padding_mask(lengths, l), a[3]),
+                                (q, k, v), rng)
+
+
+@pytest.mark.parametrize("mask", [np.zeros((3, 5)), key_padding_mask([4], 5), 0.0],
+                         ids=["array", "key-padding", "scalar"])
+def test_sdpa_refuses_an_additive_mask(mask):
+    q, kv = Tensor(np.ones((3, 4))), Tensor(np.ones((5, 4)))
+    with pytest.raises(TypeError, match="Visible"):
+        ag.sdpa(q, kv, kv, mask=mask)
 
 
 TILE = 4  # the tiled cases below run with tiles of 4 rows, tiled from 1 row up

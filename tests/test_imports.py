@@ -17,8 +17,8 @@ counter.  Every
 ``PartKind`` a graftkit module defines has an entry in
 ``tests/test_partworker.py``'s ``STEPS``.  ``autograd.py`` calls no
 reduction method (``.sum``, ``.mean``, ``.max``, ...) and none of
-``np.transpose``, ``np.argsort``, ``np.any`` or ``np.all``.  ``nn.DecoderLM``
-and ``nn.LmState`` name neither ``NEG_INF`` nor ``key_padding_mask``, and no
+``np.transpose``, ``np.argsort``, ``np.any`` or ``np.all``.  No graftkit
+module but ``autograd`` names ``NEG_INF`` or ``key_padding_mask``, and no
 graftkit function has a ``causal`` parameter."""
 
 import ast
@@ -839,17 +839,26 @@ def test_the_autograd_primitives_call_no_numpy_wrapper():
 
 
 # --------------------------------------------------------------------------
-# one attention description for the LM
+# one attention description for every model
 
-LM_CLASSES = ("DecoderLM", "LmState")
 ADDITIVE_MASK_NAMES = ("NEG_INF", "key_padding_mask")
 
 
+def _defined_or_read(node: ast.AST) -> str | None:
+    """The name a node defines, imports or reads: a function or class, an
+    import alias, a bare name or an attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return _name(node)
+
+
 def attention_mask_plumbing(root: Path) -> list[tuple[str, int, str]]:
-    """(module, line, what) of each name in ``ADDITIVE_MASK_NAMES`` that the
-    classes ``LM_CLASSES`` of ``nn.py`` read, bare or as an attribute, and of
-    each function or method with a ``causal`` parameter, in the graftkit
-    modules under ``root``."""
+    """(module, line, what) of each name in ``ADDITIVE_MASK_NAMES`` that a
+    graftkit module under ``root`` other than ``autograd.py`` defines,
+    imports or reads, bare or as an attribute, and of each function or
+    method with a ``causal`` parameter in any of them."""
     found = []
     for path in sorted((root / "src" / "graftkit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -857,33 +866,35 @@ def attention_mask_plumbing(root: Path) -> list[tuple[str, int, str]]:
                 a = node.args
                 if "causal" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
                     found.append((path.name, node.lineno, f"{node.name}(causal)"))
-            elif (path.name == "nn.py" and isinstance(node, ast.ClassDef)
-                    and node.name in LM_CLASSES):
-                found += [(path.name, n.lineno, f"{node.name} {_name(n)}") for n in ast.walk(node)
-                          if isinstance(n, (ast.Name, ast.Attribute))
-                          and _name(n) in ADDITIVE_MASK_NAMES]
+            name = _defined_or_read(node)
+            if path.name != "autograd.py" and name in ADDITIVE_MASK_NAMES:
+                found.append((path.name, getattr(node, "lineno", 0), name))
     return sorted(found)
 
 
 def test_mask_plumbing_checker_flags_lm_masks_and_causal_parameters(tmp_path):
     (tmp_path / "src/graftkit").mkdir(parents=True)
     (tmp_path / "src/graftkit/nn.py").write_text(
-        "def key_padding_mask(lengths, n):\n    return NEG_INF\n"
-        "class TextEncoder:\n    def forward(self, t):\n        return key_padding_mask(t, 3)\n"
+        "from .autograd import NEG_INF\n"
+        "def key_padding_mask(lengths, n):\n    return lengths\n"
+        "class TextEncoder:\n    def forward(self, t):\n        return t\n"
         "class DecoderLM:\n    def run(self, x, causal=None):\n"
-        "        return key_padding_mask(x, 2) + ag.NEG_INF\n"
-        "class LmState:\n    mask = NEG_INF\n")
+        "        return ag.NEG_INF\n")
+    (tmp_path / "src/graftkit/qformer.py").write_text(
+        "from . import nn\nmask = nn.key_padding_mask([1], 2)\n")
     (tmp_path / "src/graftkit/autograd.py").write_text(
-        "def sdpa(q, k, v, mask=None, *, causal=None):\n    pass\n"
-        "def causal_triangle(pos, lo, hi):\n    causal = pos\n")
+        "NEG_INF = -1e9\n"
+        "def sdpa(q, k, v, mask=None, *, causal=None):\n    return NEG_INF\n"
+        "def key_padding_mask(lengths, n):\n    causal = lengths\n")
     assert attention_mask_plumbing(tmp_path) == [
-        ("autograd.py", 1, "sdpa(causal)"), ("nn.py", 7, "run(causal)"),
-        ("nn.py", 8, "DecoderLM NEG_INF"), ("nn.py", 8, "DecoderLM key_padding_mask"),
-        ("nn.py", 10, "LmState NEG_INF")]
+        ("autograd.py", 2, "sdpa(causal)"), ("nn.py", 1, "NEG_INF"),
+        ("nn.py", 2, "key_padding_mask"), ("nn.py", 8, "run(causal)"), ("nn.py", 9, "NEG_INF"),
+        ("qformer.py", 2, "key_padding_mask")]
 
 
 def test_the_lm_describes_attention_once():
-    """The LM tells ``ag.sdpa`` what each row sees through one ``ag.Causal``
-    per pass; an additive LM mask or a second causal flag would be a second
-    description of the same rule."""
+    """The LM, the Q-Former and the text encoder tell ``ag.sdpa`` what each
+    row sees through one ``ag.Visible`` per pass; an additive mask outside
+    ``autograd`` or a second causal flag would be a second description of
+    the same rule."""
     assert attention_mask_plumbing(ROOT) == []

@@ -9,12 +9,12 @@ import graftkit.autograd as ag
 import graftkit.nn as nn
 from graftkit.autograd import Parameter, Tape, Tensor
 from graftkit.nn import (
-    NEG_INF, DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
-    greedy_decode, key_padding_mask, next_token_targets, pad_batch, pool_grid, sinusoid_table,
+    DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder, TextEncoderConfig,
+    greedy_decode, next_token_targets, pad_batch, pool_grid, sinusoid_table,
     symmetric_cross_entropy, token_embedding,
 )
 from graftkit.params import ParamRegistry
-from helpers import finite_diff_check
+from helpers import finite_diff_check, key_padding_mask, lm_mask, ref_sdpa
 
 
 def make_image_encoder(seed=0):
@@ -39,16 +39,18 @@ def make_lm(seed=0, vocab=30, dim=32, blocks=2, heads=2, max_len=64, frozen=True
 
 
 def test_masks_shapes():
-    tri = ag.causal_triangle(np.arange(5), 0, 5)
-    assert tri.shape == (5, 5)
+    tri = ag.Visible(np.arange(5)).dense(5)
+    assert tri.shape == (5, 5) and np.array_equal(tri, lm_mask(5))
     assert tri[0, 2] < -1e8 and tri[2, 0] == 0.0
     # 2 new rows after 3 cached ones: row i sees columns up to 3 + i
-    tri = ag.causal_triangle(3 + np.arange(2), 0, 5)
+    tri = ag.Visible(3 + np.arange(2)).dense(5)
     assert tri.shape == (2, 5)
     assert (tri < -1e8).tolist() == [[False] * 4 + [True], [False] * 5]
-    kp = key_padding_mask([2, 3], 4)
-    assert kp.shape == (2, 1, 1, 4)
+    # the text encoder's rows of lengths 2 and 3 over 4 keys: the key padding
+    kp = ag.Visible(np.array([1, 2])[:, None, None]).dense(4)
+    assert kp.shape == (2, 1, 1, 4) and np.array_equal(kp, key_padding_mask([2, 3], 4))
     assert kp[0, 0, 0, 1] == 0.0 and kp[0, 0, 0, 2] < -1e8
+    assert ag.Visible(np.array([3, 3])[:, None, None]).dense(4) is None  # nothing hidden
 
 
 def test_sinusoid_table_range():
@@ -161,6 +163,19 @@ def test_encode_text_empty_errors():
         encode_text(enc, [])
 
 
+@pytest.mark.parametrize("lengths,match", [
+    ([3], "one length of at most 5 per text row"),
+    ([3, 3, 3], "one length of at most 5 per text row"),
+    ([3, 6], "one length of at most 5 per text row"),
+    ([0, 3], "empty token sequence"),
+], ids=["one-for-all", "one-too-many", "past-L", "empty"])
+def test_text_encoder_refuses_lengths_not_one_per_row_in_1_to_L(lengths, match):
+    # a single length would broadcast to every row, and one past L read as unpadded
+    _, enc = make_text_encoder()
+    with pytest.raises(ValueError, match=match):
+        enc.forward(np.full((2, 5), 4), lengths)
+
+
 def test_pad_positions_do_not_affect_pooled():
     _, enc = make_text_encoder()
     base = np.array([[4, 6, 8, 0, 0]])
@@ -251,7 +266,8 @@ def test_next_token_targets_hand_worked():
 def _reference_run(lm, emb, lengths=None, past=None, last=None):
     """The LM pass as it was written before training, prefill and decoding
     shared ``DecoderLM._forward``, from ``Linear``, ``LayerNorm``, ``Mlp``
-    and ``ag.sdpa`` only: (logits, per-block (keys, values)).
+    and attention under an additive mask (``helpers.ref_sdpa``) only:
+    (logits, per-block (keys, values)).
 
     Without ``past`` it is the taped full-sequence pass over ``emb``
     (B, L, dim) under the causal mask and, given ``lengths``, the key-padding
@@ -263,9 +279,7 @@ def _reference_run(lm, emb, lengths=None, past=None, last=None):
     """
     b, m, _ = emb.shape
     n = 0 if past is None else past[0][0].shape[2]
-    mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
-    if lengths is not None:
-        mask = mask + key_padding_mask(lengths, n + m)
+    mask = lm_mask(m, n, lengths)
     x = ag.add(emb, Tensor(lm.pos[n:n + m]))
     kv = []
     for i, blk in enumerate(lm.blocks):
@@ -280,7 +294,7 @@ def _reference_run(lm, emb, lengths=None, past=None, last=None):
             k = Tensor(np.concatenate([past[i][0], k.data], axis=2))
             v = Tensor(np.concatenate([past[i][1], v.data], axis=2))
         kv.append((k.data, v.data))
-        a = ag.transpose(ag.sdpa(q, k, v, mask=mask), (0, 2, 1, 3))
+        a = ag.transpose(ref_sdpa(q, k, v, mask), (0, 2, 1, 3))
         x = ag.add(x, att.o(ag.reshape(a, (b, x.shape[1], att.dim))))
         x = ag.add(x, blk.mlp(blk.ln2(x)))
     return lm.head(lm.ln_out(x)), kv

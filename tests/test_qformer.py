@@ -70,6 +70,19 @@ def test_forward_rejects_text_it_cannot_embed(model, call):
         call(model, rand_grids(3, model.cfg))
 
 
+@pytest.mark.parametrize("lengths,match", [
+    ([3], "one length of at most 5 per text row"),
+    ([3, 3, 3], "one length of at most 5 per text row"),
+    ([3, 6], "one length of at most 5 per text row"),
+    ([0, 3], "1 to text_max_len"),
+], ids=["one-for-all", "one-too-many", "past-L", "empty"])
+@pytest.mark.parametrize("mode", ["itc", "itm"])
+def test_forward_refuses_lengths_not_one_per_row_in_1_to_L(model, mode, lengths, match):
+    # a single length would broadcast to every row, and one past L read as unpadded
+    with pytest.raises(ValueError, match=match):
+        model.forward(rand_grids(2, model.cfg), np.full((2, 5), 4), lengths, mode=mode)
+
+
 def test_itc_mode_queries_blind_to_text(model):
     grids = rand_grids(1, model.cfg)
     tok_a = np.array([[1, 8, 9, 10]])

@@ -12,8 +12,8 @@ from graftkit import probe as probe_mod
 from graftkit import templates as T
 from graftkit import vqa as vqa_mod
 from graftkit.autograd import Tape, Tensor
-from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, zero_shot_score_c,
-                                 zero_shot_scores_c)
+from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet,
+                                 zero_shot_score_c, zero_shot_scores_c)
 from graftkit.corpus import (CorpusSpec, Finding, build_vocab, detokenize, generate_corpus,
                              generate_study, tokenize)
 from graftkit.nn import (DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, TextEncoder,
@@ -415,6 +415,25 @@ def test_search_c_matches_brute_force(small_world):
     scores = index_c.embeddings @ q
     order = sorted(range(len(index_c.ids)), key=lambda i: (-scores[i], index_c.ids[i]))
     assert res.ids() == [index_c.ids[i] for i in order[:5]]
+
+
+def test_c_side_texts_are_cut_to_the_trained_length(small_world):
+    """A query or prompt scores exactly as its first ``text_max_len`` tokens
+    ([CLS] and 63 words) do, the length ``train_elixr_c`` cut its texts to."""
+    corpus, clip, _, index_c, _ = small_world
+    n = clip.cfg.text_max_len
+    words = [w for w in corpus.vocab.tokens if w.isalpha()]
+    long_text = " ".join(words[i % len(words)] for i in range(100))
+    cut_text = " ".join(long_text.split()[:n - 1])
+    assert len(tokenize(long_text, corpus.vocab, None)) == 101
+    assert tokenize(cut_text, corpus.vocab, None) == tokenize(long_text, corpus.vocab, n)
+    long_c, cut_c = (search_c(t, index_c, clip, corpus.vocab, k=len(index_c.ids))
+                     for t in (long_text, cut_text))
+    assert long_c.ranked == cut_c.ranked
+    negative = ["no pleural effusion"]
+    scores = [zero_shot_scores_c(index_c.embeddings, PromptSet("x", [t], negative), clip,
+                                 corpus.vocab) for t in (long_text, cut_text)]
+    assert np.array_equal(*scores)
 
 
 def exhaustive_itm_ranking(query, index, qformer, vocab, k=5) -> list:
