@@ -9,9 +9,10 @@ Primitives: matmul, linear (x @ w + b), add, mul, transpose, reshape,
 split_heads / merge_heads (a reshape and a transpose as one op), concat,
 take, layer_norm, gelu, cross_entropy, scaled-dot-product attention
 (``sdpa``, under a ``Visible`` description of the keys each row sees, the one
-kind of mask it takes; long causal rows run tiled, each query tile over the
-key columns it can see), reduce mean/sum/max, l2_normalize.  Everything else
-is composed from these.
+kind of mask it takes; it runs one loop over query tiles, a single tile of
+every row unless long causal rows split into tiles over the key columns each
+can see), reduce mean/sum/max, l2_normalize.  Everything else is composed
+from these.
 No primitive writes to its inputs or to the gradient its VJP receives;
 in-place numpy work happens only on buffers the primitive allocated itself.
 
@@ -27,13 +28,15 @@ cost down without moving a bit:
   (``.sum``, ``.max``, ``.all``, ``.mean``) are Python wrappers around those
   same reductions (numpy's ``_methods._mean`` is the sum, then a true divide
   by the count), so the bits are the same and only the wrapper's cost goes.
-  The tiled attention path keeps to this too: its row max and row sums, and
-  its tiles' bounds, are ``np.maximum.reduce`` / ``np.add.reduce`` /
-  ``np.minimum.reduce`` calls.
+  Attention keeps to this too: its row max and row sums, and its tiles'
+  bounds, are ``np.maximum.reduce`` / ``np.add.reduce`` /
+  ``np.minimum.reduce`` calls, and its scale is ``math.sqrt``, the same
+  correctly rounded root as ``np.sqrt`` without a numpy scalar's cost.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from itertools import accumulate
 
@@ -414,13 +417,13 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return _record(out, (logits,), vjp)
 
 
-# ``sdpa``'s causal tiling: from ``_TILED_FROM`` query rows up, each tile of
-# ``_TILE`` consecutive rows runs against only the key columns it can see.
-# Measured on the fixture LM (dim 96, 2 heads of 48, 4 blocks), one BLAS
-# thread: a one-row part's taped forward plus backward, tiled / dense medians
-# over 6 alternating rounds, was 1.03 at 80 rows, 1.01 at 96, 0.99 at 112,
-# 1.00 at 128, 1.01 at 144, 0.97 at 160, 0.96 at 192, 0.93 at 256 and 0.87
-# at 365 (66.3 against 76.2 ms).  Break-even is thus between 112 and 144
+# ``sdpa``'s causal tiling (``_tiles``): from ``_TILED_FROM`` query rows up,
+# each tile of ``_TILE`` consecutive rows runs against only the key columns it
+# can see.  Measured on the fixture LM (dim 96, 2 heads of 48, 4 blocks), one
+# BLAS thread: a one-row part's taped forward plus backward, tiled / one-tile
+# medians over 6 alternating rounds, was 1.03 at 80 rows, 1.01 at 96, 0.99 at
+# 112, 1.00 at 128, 1.01 at 144, 0.97 at 160, 0.96 at 192, 0.93 at 256 and
+# 0.87 at 365 (66.3 against 76.2 ms).  Break-even is thus between 112 and 144
 # rows; tiling starts at two full tiles.  Tiles of 32, 48 and 96 rows ran
 # within 1% of 64 at 200 to 365 rows.
 _TILE = 64
@@ -431,8 +434,10 @@ class Visible:
     """What each query row of ``sdpa`` sees: the key columns up to its last
     visible one, ``cols``, except the span [lo, hi) of ``gap = (lo, hi)``,
     each an int or int array broadcastable to (..., rows); a 1-D ``cols`` of
-    the rows' own columns is the causal rule.  The first dense ``sdpa`` given
-    it builds its mask and keeps it for the blocks of the same pass, which
+    the rows' own columns is the causal rule.  It gives each of ``sdpa``'s
+    tiles its additive mask (``piece``), the one place that reads
+    ``NEG_INF``.  The first ``sdpa`` that runs it as one tile builds the
+    whole pass's mask and keeps it for the blocks of the same pass, which
     have the same rows and keys."""
 
     __slots__ = ("cols", "gap", "_dense")
@@ -453,6 +458,14 @@ class Visible:
             self._dense = np.where(hidden, NEG_INF, 0.0)
         return self._dense
 
+    def piece(self, rows: slice, lo: int, hi: int):
+        """The additive mask on the key columns [lo, hi) of the rows ``rows``
+        of one ``sdpa`` tile (``_tiles``): ``dense(hi)`` for the tile of every
+        row, else the triangle of the tile's own columns."""
+        if rows.stop is None:
+            return self.dense(hi)
+        return np.where(np.arange(lo, hi) > self.cols[rows, None], NEG_INF, 0.0)
+
     def rows(self, rows) -> "Visible":
         """The description of the query rows ``rows`` alone; a dense mask
         already built is sliced, not built again.  What has no rows axis, or
@@ -465,101 +478,87 @@ class Visible:
         return Visible(pick(self.cols), gap, dense)
 
 
+def _tiles(mask: Visible | None, m: int, n: int) -> list[tuple[slice, int, int]]:
+    """``sdpa``'s query tiles for ``m`` rows over ``n`` keys: (rows, lo, hi)
+    per tile, whose rows run over the key columns [0, hi) and all see those
+    before ``lo``.  A 1-D description without a gap over ``_TILED_FROM`` rows
+    or more gets tiles of ``_TILE`` rows, each up to its last visible column;
+    any other runs as one tile of every row (``slice(None)``) over all keys."""
+    if mask is None or mask.gap is not None or mask.cols.ndim != 1 or m < _TILED_FROM:
+        return [(slice(None), 0, n)]
+    tiles = []
+    for i0 in range(0, m, _TILE):
+        p = mask.cols[i0:i0 + _TILE]
+        tiles.append((slice(i0, i0 + len(p)), int(np.minimum.reduce(p)),
+                      int(np.maximum.reduce(p)) + 1))
+    return tiles
+
+
+def _add_rows(total, part):
+    """``part`` added into the first rows of ``total``, or ``part`` if None."""
+    if total is None:
+        return part
+    total[..., :part.shape[-2], :] += part
+    return total
+
+
 def sdpa(q: Tensor, k: Tensor, v: Tensor, mask: Visible | None = None) -> Tensor:
     """Scaled-dot-product attention over the last two axes, scaled by
     1/sqrt(head dim), each query row over the keys ``mask`` says it sees
     (every key when None).  Any other ``mask``, an additive array included,
     raises ``TypeError``.
 
-    A 1-D description without a gap (the causal rule) over ``_TILED_FROM``
-    rows or more runs tiled: each tile of ``_TILE`` rows computes its logits,
-    softmax and VJP over the key columns up to its last row's column only, so
-    the low bits differ from the dense path's.  Any other runs dense, its
-    mask (``Visible.dense``) added in one add: each visible logit is exact and
+    It runs as the query tiles of ``_tiles``: each computes its logits,
+    softmax and VJP over the key columns it can see, its mask
+    (``Visible.piece``) added in one add, so each visible logit is exact and
     each hidden one's weight exactly 0, bitwise as under any sum of additive
-    masks that hides the same keys.
+    masks that hides the same keys.  One tile runs on the whole arrays; over
+    several, the low bits differ from one tile's.
     """
-    if mask is not None:
-        if not isinstance(mask, Visible):
-            raise TypeError(f"sdpa's mask is a Visible or None, not {type(mask).__name__}")
-        if mask.gap is None and mask.cols.ndim == 1 and q.shape[-2] >= _TILED_FROM:
-            return _sdpa_tiled(q, k, v, mask.cols)
-        mask = mask.dense(k.shape[-2])
-    sc = 1.0 / np.sqrt(q.shape[-1])
-    # the softmax runs in place in the logits buffer
-    att = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    att *= sc
-    if mask is not None:
-        att += mask
-    att -= np.maximum.reduce(att, -1, keepdims=True)
-    np.exp(att, out=att)
-    att /= np.add.reduce(att, -1, keepdims=True)
-    out = Tensor(np.matmul(att, v.data))
-
-    def vjp(g):
-        gv = np.matmul(np.swapaxes(att, -1, -2), g)
-        # rowsum(dA * A) == rowsum(dO * O): an (L, dh) product, not an (L, L) one
-        dot = np.add.reduce(g * out.data, -1, keepdims=True)
-        g_logits = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        g_logits -= dot
-        g_logits *= att
-        g_logits *= sc
-        gq = np.matmul(g_logits, k.data)
-        gk = np.matmul(np.swapaxes(g_logits, -1, -2), q.data)
-        return (
-            _unbroadcast(gq, q.shape),
-            _unbroadcast(gk, k.shape),
-            _unbroadcast(gv, v.shape),
-        )
-
-    return _record(out, (q, k, v), vjp)
-
-
-def _sdpa_tiled(q: Tensor, k: Tensor, v: Tensor, pos: np.ndarray) -> Tensor:
-    """``sdpa``'s causal path over query tiles of ``_TILE`` rows: a tile
-    whose rows sit at key columns [lo, hi) sees only the key columns [0, hi),
-    and the triangle applies to its columns [lo, hi) alone."""
-    sc = 1.0 / np.sqrt(q.shape[-1])
-    m, dh = q.shape[-2:]
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
-    kt = np.swapaxes(k.data, -1, -2)
-    tiles, atts = [], []
-    out = np.empty(lead + (m, v.shape[-1]))
-    for i0 in range(0, m, _TILE):
-        i1 = min(i0 + _TILE, m)
-        p = pos[i0:i1]
-        lo, hi = int(np.minimum.reduce(p)), int(np.maximum.reduce(p)) + 1
-        att = np.matmul(q.data[..., i0:i1, :], kt[..., :hi])
+    if mask is not None and not isinstance(mask, Visible):
+        raise TypeError(f"sdpa's mask is a Visible or None, not {type(mask).__name__}")
+    sc = 1.0 / math.sqrt(q.shape[-1])
+    tiles = _tiles(mask, q.shape[-2], k.shape[-2])
+    cut = len(tiles) > 1  # one tile is every row over every key: nothing to slice
+    saved, outs = [], []  # what the VJP reads of each tile, each tile's output
+    for rows, lo, hi in tiles:
+        q_t, k_t, v_t = ((q.data[..., rows, :], k.data[..., :hi, :], v.data[..., :hi, :])
+                         if cut else (q.data, k.data, v.data))
+        # the softmax runs in place in the logits buffer
+        att = np.matmul(q_t, np.swapaxes(k_t, -1, -2))
         att *= sc
-        att[..., lo:hi] += np.where(np.arange(lo, hi) > p[:, None], NEG_INF, 0.0)
+        if mask is not None and (piece := mask.piece(rows, lo, hi)) is not None:
+            # not ``att[..., lo:hi] +=``: its write-back cost a decode step 1-2 us
+            span = att[..., lo:hi] if cut else att
+            span += piece
         att -= np.maximum.reduce(att, -1, keepdims=True)
         np.exp(att, out=att)
         att /= np.add.reduce(att, -1, keepdims=True)
-        out[..., i0:i1, :] = np.matmul(att, v.data[..., :hi, :])
-        tiles.append((i0, i1, hi))
-        atts.append(att)
-    out = Tensor(out)
+        outs.append(np.matmul(att, v_t))
+        saved.append((rows, q_t, k_t, v_t, att))
+    out = Tensor(np.concatenate(outs, -2) if cut else outs[0])
 
     def vjp(g):
+        # rowsum(dA * A) == rowsum(dO * O): an (L, dh) product, not an (L, L) one
         dot = np.add.reduce(g * out.data, -1, keepdims=True)
-        vt = np.swapaxes(v.data, -1, -2)
-        gq = np.empty(lead + (m, dh))
-        gk = np.zeros(lead + k.shape[-2:])
-        gv = np.zeros(lead + v.shape[-2:])
-        for (i0, i1, hi), att in zip(tiles, atts):
-            g_t = g[..., i0:i1, :]
-            gv[..., :hi, :] += np.matmul(np.swapaxes(att, -1, -2), g_t)
-            g_logits = np.matmul(g_t, vt[..., :hi])
-            g_logits -= dot[..., i0:i1, :]
+        gk = gv = None
+        if cut:
+            lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+            gk, gv = np.zeros(lead + k.shape[-2:]), np.zeros(lead + v.shape[-2:])
+        gqs = []
+        # a tile's key and value gradients are added in as soon as made: kept
+        # to the end of the tile, they made 200 and 365 rows up to 8% slower
+        for rows, q_t, k_t, v_t, att in saved:
+            g_t, dot_t = (g[..., rows, :], dot[..., rows, :]) if cut else (g, dot)
+            gv = _add_rows(gv, np.matmul(np.swapaxes(att, -1, -2), g_t))
+            g_logits = np.matmul(g_t, np.swapaxes(v_t, -1, -2))
+            g_logits -= dot_t
             g_logits *= att
             g_logits *= sc
-            gq[..., i0:i1, :] = np.matmul(g_logits, k.data[..., :hi, :])
-            gk[..., :hi, :] += np.matmul(np.swapaxes(g_logits, -1, -2), q.data[..., i0:i1, :])
-        return (
-            _unbroadcast(gq, q.shape),
-            _unbroadcast(gk, k.shape),
-            _unbroadcast(gv, v.shape),
-        )
+            gqs.append(np.matmul(g_logits, k_t))
+            gk = _add_rows(gk, np.matmul(np.swapaxes(g_logits, -1, -2), q_t))
+        gq = np.concatenate(gqs, -2) if cut else gqs[0]
+        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
 
     return _record(out, (q, k, v), vjp)
 

@@ -634,7 +634,7 @@ class LmTrainConfig:
 
     batch_size = 8
     long_batch_size = 4     # used for sequences past this length...
-    long_threshold = 200    # ...whose attention still grows as length^2 (tiled: ag.sdpa)
+    long_threshold = 200    # ...whose attention still grows as length^2 (query tiles: ag.sdpa)
     beta1 = 0.9             # Adam's other settings are its defaults
     target_perplexity = 3.0
 

@@ -15,11 +15,22 @@ from scipy.stats import norm
 from .seeding import indexed_rng
 
 
+def _check_finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values
+
+
 def _check_scored(scores, labels):
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    scores = _check_finite(scores, "scores")
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d and the same length")
+    binary = (labels == 0) | (labels == 1)
+    if not np.all(binary):
+        raise ValueError(f"labels must be 0 or 1, got {labels[~binary][0]}")
+    labels = labels.astype(np.int64)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         raise ValueError("AUC needs both classes present")
     return scores, labels
@@ -175,7 +186,7 @@ def precision_at_k(rel, k: int = 5) -> tuple[float, float]:
 
 def bootstrap_ci(samples, statistic, n: int = 1000, seed: int = 0) -> tuple[float, float]:
     """95% percentile CI from ``n`` resamples with replacement."""
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = _check_finite(samples, "bootstrap samples")
     if samples.size == 0:
         raise ValueError("bootstrap of empty sample")
     stats = np.empty(n)
@@ -193,8 +204,8 @@ def mean_difference(a, b) -> float:
 def permutation_test(group_a, group_b, n: int = 1000, seed: int = 0) -> float:
     """Two-sided permutation p-value of the ``mean_difference``, with add-one
     smoothing."""
-    a = np.asarray(group_a, dtype=np.float64)
-    b = np.asarray(group_b, dtype=np.float64)
+    a = _check_finite(group_a, "permutation samples")
+    b = _check_finite(group_b, "permutation samples")
     if a.size == 0 or b.size == 0:
         raise ValueError("permutation test needs both groups nonempty")
     t_obs = abs(mean_difference(a, b))

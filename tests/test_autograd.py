@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -563,8 +565,14 @@ def test_head_split_and_merge_equal_reshape_transpose_compositions(b, length, he
 
 
 # ---------------------------------------------------------------------------
-# causal sdpa: a ``Visible`` description on the dense path against the
-# materialized masks it replaced, the tiled path against the dense one
+# causal sdpa: a ``Visible`` description run as one tile against the
+# materialized masks it replaced, the tiled run against the one-tile run
+
+
+def one_tile(q, k, mask) -> bool:
+    """Whether ``sdpa`` runs ``mask`` over these operands as one tile of every
+    row over every key (``ag._tiles``)."""
+    return ag._tiles(mask, q.shape[-2], k.shape[-2]) == [(slice(None), 0, k.shape[-2])]
 
 
 def causal_case(rng, m, n=0, lengths=None, rows=None, q_batch=None, segments=None):
@@ -612,14 +620,14 @@ def test_causal_sdpa_below_the_threshold_is_the_materialized_triangle_bitwise(m,
                             lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
 
 
-def test_causal_sdpa_stays_dense_below_the_threshold_and_under_a_query_mask(monkeypatch):
+def test_causal_sdpa_stays_dense_below_the_threshold_and_under_a_query_mask():
     """``_TILED_FROM - 1`` rows, and packed prompts (a gap per query row)
-    over more, keep the dense path and its bits."""
+    over more, run as one tile and keep its bits."""
     rng = np.random.default_rng(3)
-    monkeypatch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
     m = ag._TILED_FROM + 5
     for q, k, v, causal, full in (causal_case(rng, ag._TILED_FROM - 1, 2),
                                   causal_case(rng, m, segments=[70, m - 70])):
+        assert one_tile(q, k, causal)
         check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
                                 lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
 
@@ -628,9 +636,9 @@ def test_causal_sdpa_stays_dense_below_the_threshold_and_under_a_query_mask(monk
        st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_gap_sdpa_is_the_materialized_prefill_and_decode_masks_bitwise(n, sizes, packed, seed):
-    """A description with a gap never reaches ``_sdpa_tiled``, at any row
-    count, and its output and VJP are bitwise those under the materialized
-    mask it replaced: prefill's block mask over packed prompts, or extend's
+    """A description with a gap runs as one tile at any row count, and its
+    output and VJP are bitwise those under the materialized mask it
+    replaced: prefill's block mask over packed prompts, or extend's
     padded-decode mask.  Narrowed to the rows the LM's final block reads, it
     slices the dense mask already built and keeps its bits."""
     rng = np.random.default_rng(seed)
@@ -642,15 +650,15 @@ def test_gap_sdpa_is_the_materialized_prefill_and_decode_masks_bitwise(n, sizes,
         n += 1
         q, k, v, causal, full = causal_case(rng, m, n, lengths=rng.integers(1, n + 1, len(sizes)))
         last = np.array([m - 1])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
-        check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
-                                lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
-        narrowed = causal.rows(last)
-        assert same_bits(narrowed._dense, np.take(causal._dense, last, -2))
-        check_against_reference(lambda *t: ag.sdpa(*t, mask=narrowed),
-                                lambda *a: ref_sdpa_vjp(*a[:3], full[..., last, :], a[3]),
-                                (q[..., last, :], k, v), rng)
+    assert one_tile(q, k, causal)
+    check_against_reference(lambda *t: ag.sdpa(*t, mask=causal),
+                            lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
+    narrowed = causal.rows(last)
+    assert same_bits(narrowed._dense, np.take(causal._dense, last, -2))
+    assert one_tile(q[..., last, :], k, narrowed)
+    check_against_reference(lambda *t: ag.sdpa(*t, mask=narrowed),
+                            lambda *a: ref_sdpa_vjp(*a[:3], full[..., last, :], a[3]),
+                            (q[..., last, :], k, v), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +681,15 @@ def test_qformer_descriptions_are_the_mode_table_bitwise(mode, n_q, l_text, padd
     lengths = rng.integers(1, l_text + 1, 1 if shared else b) if padded and l_text else None
     visible, full = _self_mask(mode, n_q, lengths, l_text), mode_mask(mode, n_q, lengths, l_text)
     q, k, v = (rng.normal(0, 2, (b, 2, n_q + l_text, 4)) for _ in range(3))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
-        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
-                                lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
-        if n_q:
-            rows = np.arange(n_q)
-            check_against_reference(lambda *t: ag.sdpa(*t, mask=visible.rows(rows)),
-                                    lambda *a: ref_sdpa_vjp(*a[:3], full[..., rows, :], a[3]),
-                                    (q[..., rows, :], k, v), rng)
+    assert one_tile(q, k, visible)
+    check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
+                            lambda *a: ref_sdpa_vjp(*a[:3], full, a[3]), (q, k, v), rng)
+    if n_q:
+        rows = np.arange(n_q)
+        assert one_tile(q[..., rows, :], k, visible.rows(rows))
+        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible.rows(rows)),
+                                lambda *a: ref_sdpa_vjp(*a[:3], full[..., rows, :], a[3]),
+                                (q[..., rows, :], k, v), rng)
 
 
 @given(st.sampled_from([1, 5, ag._TILED_FROM, ag._TILED_FROM + 3]), st.integers(1, 3),
@@ -689,16 +697,15 @@ def test_qformer_descriptions_are_the_mode_table_bitwise(mode, n_q, l_text, padd
 @settings(max_examples=20, deadline=None)
 def test_text_encoder_description_is_the_key_padding_mask_bitwise(l, b, seed):
     """The text encoder's description of its rows' real keys is bitwise the
-    key-padding mask, and stays dense at ``_TILED_FROM`` rows or more."""
+    key-padding mask, and runs as one tile at ``_TILED_FROM`` rows or more."""
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, l + 1, b)
     q, k, v = (rng.normal(0, 2, (b, 2, l, 4)) for _ in range(3))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ag, "_sdpa_tiled", None)  # reaching it raises
-        visible = ag.Visible((lengths - 1)[:, None, None])  # as TextEncoder.forward builds it
-        check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
-                                lambda *a: ref_sdpa_vjp(*a[:3], key_padding_mask(lengths, l), a[3]),
-                                (q, k, v), rng)
+    visible = ag.Visible((lengths - 1)[:, None, None])  # as TextEncoder.forward builds it
+    assert one_tile(q, k, visible)
+    check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
+                            lambda *a: ref_sdpa_vjp(*a[:3], key_padding_mask(lengths, l), a[3]),
+                            (q, k, v), rng)
 
 
 @pytest.mark.parametrize("mask", [np.zeros((3, 5)), key_padding_mask([4], 5), 0.0],
@@ -711,7 +718,7 @@ def test_sdpa_refuses_an_additive_mask(mask):
 
 TILE = 4  # the tiled cases below run with tiles of 4 rows, tiled from 1 row up
 
-# the padded and packed cases have a gap, so they stay on the dense path
+# the padded and packed cases have a gap, so they run as one tile
 TILED_CASES = {
     "2T-1": dict(m=2 * TILE - 1),
     "2T": dict(m=2 * TILE),
@@ -727,12 +734,9 @@ TILED_CASES = {
 
 
 def dense_and_tiled(monkeypatch, q, k, v, causal, tile=TILE):
-    """(output, VJP) of ``sdpa`` on the dense path, then with tiling from one
-    row up, under the same output gradient; fails unless the tiled path ran,
-    or, for a description with a gap, unless it did not."""
-    tiled_calls = []
-    tiled = ag._sdpa_tiled
-    monkeypatch.setattr(ag, "_sdpa_tiled", lambda *a: (tiled_calls.append(1), tiled(*a))[1])
+    """(output, VJP) of ``sdpa`` as one tile, then with tiling from one row
+    up, under the same output gradient; fails unless the second run had more
+    than one tile, or, for a description with a gap, unless it had one."""
     monkeypatch.setattr(ag, "_TILE", tile)
     res = []
     for tiled_from in (10**9, 1):
@@ -740,7 +744,7 @@ def dense_and_tiled(monkeypatch, q, k, v, causal, tile=TILE):
         out, node = taped_node(lambda *t: ag.sdpa(*t, mask=causal), q, k, v)
         g = np.random.default_rng(9).normal(0, 1, out.shape)
         res.append((out, node.vjp(g)))
-    assert tiled_calls == ([] if causal.gap is not None else [1])
+        assert one_tile(q, k, causal) == (tiled_from > 1 or causal.gap is not None)
     return res
 
 
@@ -764,6 +768,56 @@ def test_tiled_causal_sdpa_matches_the_dense_path_at_the_lm_tile_size(monkeypatc
                                                                  ag._TILE)
     assert np.abs(tiled - dense).max() < 1e-12
     assert all(np.abs(a - b).max() < 1e-12 for a, b in zip(tiled_grads, dense_grads))
+
+
+@given(st.integers(1, 3 * ag._TILE), st.integers(0, 5), st.booleans(),
+       st.sampled_from([TILE, ag._TILE]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tiles_partition_the_rows_each_up_to_its_last_visible_column(m, n0, sub, tile, seed):
+    """``_tiles`` over a 1-D description without a gap: from ``_TILED_FROM``
+    rows up, tiles of at most ``_TILE`` rows that partition the rows in
+    order, each over the key columns up to its rows' last visible one and
+    seen by all of them below ``lo``; one tile of every row over every key
+    otherwise, and for any other description."""
+    rng = np.random.default_rng(seed)
+    n = n0 + m
+    cols = n0 + np.arange(m)
+    if sub:  # rows narrowed as the LM's final block narrows them
+        cols = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+        m = len(cols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ag, "_TILE", tile)
+        patch.setattr(ag, "_TILED_FROM", 2 * tile)
+        tiles = ag._tiles(ag.Visible(cols), m, n)
+        whole = [(slice(None), 0, n)]
+        for other in (None, ag.Visible(cols, (0, 1)), ag.Visible(cols[:, None, None])):
+            assert ag._tiles(other, m, n) == whole
+    assert [i for rows, _, _ in tiles for i in range(m)[rows]] == list(range(m))
+    if m < 2 * tile:
+        assert tiles == whole
+        return
+    for rows, lo, hi in tiles:
+        assert 1 <= len(range(m)[rows]) <= tile
+        assert lo == cols[rows].min() and hi == cols[rows].max() + 1 <= n
+
+
+# SHA-256 over the output and q/k/v gradients of the taped causal cases in
+# ``test_tiled_causal_sdpa_bits_are_pinned``, all on the tiled path at the
+# module's tile.  A rewrite of ``sdpa`` must keep it green without editing it.
+GOLDEN_TILED_SDPA_DIGEST = "fc8f2b3e48f34cf40cb443f59cb16c799663d74c97357c55286bb11ca243d22b"
+
+
+def test_tiled_causal_sdpa_bits_are_pinned():
+    # 365 rows, 200 rows after 3 cached keys, and the 136 final-block rows
+    # of a 137-row pass
+    rng = np.random.default_rng(12)
+    h = hashlib.sha256()
+    for m, n, rows in ((365, 0, None), (200, 3, None), (137, 0, np.arange(136))):
+        q, k, v, causal, _ = causal_case(rng, m, n, rows=rows)
+        out, node = taped_node(lambda *t: ag.sdpa(*t, mask=causal), q, k, v)
+        for a in (out, *node.vjp(rng.normal(0, 1, out.shape))):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == GOLDEN_TILED_SDPA_DIGEST
 
 
 @pytest.mark.parametrize("case", ["ragged", "key-padding", "final-rows", "packed"])

@@ -18,8 +18,9 @@ counter.  Every
 ``tests/test_partworker.py``'s ``STEPS``.  ``autograd.py`` calls no
 reduction method (``.sum``, ``.mean``, ``.max``, ...) and none of
 ``np.transpose``, ``np.argsort``, ``np.any`` or ``np.all``.  No graftkit
-module but ``autograd`` names ``NEG_INF`` or ``key_padding_mask``, and no
-graftkit function has a ``causal`` parameter."""
+module but ``autograd`` names ``NEG_INF`` or ``key_padding_mask``, nothing in
+``autograd`` outside ``class Visible`` reads ``NEG_INF``, and no graftkit
+function has a ``causal`` parameter."""
 
 import ast
 import re
@@ -857,11 +858,15 @@ def _defined_or_read(node: ast.AST) -> str | None:
 def attention_mask_plumbing(root: Path) -> list[tuple[str, int, str]]:
     """(module, line, what) of each name in ``ADDITIVE_MASK_NAMES`` that a
     graftkit module under ``root`` other than ``autograd.py`` defines,
-    imports or reads, bare or as an attribute, and of each function or
+    imports or reads, bare or as an attribute, of each read of ``NEG_INF``
+    in ``autograd.py`` outside ``class Visible``, and of each function or
     method with a ``causal`` parameter in any of them."""
     found = []
     for path in sorted((root / "src" / "graftkit").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        in_visible = {id(n) for c in tree.body if isinstance(c, ast.ClassDef)
+                      and c.name == "Visible" for n in ast.walk(c)}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 if "causal" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
@@ -869,6 +874,9 @@ def attention_mask_plumbing(root: Path) -> list[tuple[str, int, str]]:
             name = _defined_or_read(node)
             if path.name != "autograd.py" and name in ADDITIVE_MASK_NAMES:
                 found.append((path.name, getattr(node, "lineno", 0), name))
+            elif (name == "NEG_INF" and isinstance(getattr(node, "ctx", None), ast.Load)
+                  and id(node) not in in_visible):
+                found.append((path.name, node.lineno, name))
     return sorted(found)
 
 
@@ -885,9 +893,10 @@ def test_mask_plumbing_checker_flags_lm_masks_and_causal_parameters(tmp_path):
     (tmp_path / "src/graftkit/autograd.py").write_text(
         "NEG_INF = -1e9\n"
         "def sdpa(q, k, v, mask=None, *, causal=None):\n    return NEG_INF\n"
-        "def key_padding_mask(lengths, n):\n    causal = lengths\n")
+        "def key_padding_mask(lengths, n):\n    causal = lengths\n"
+        "class Visible:\n    def piece(self):\n        return NEG_INF\n")
     assert attention_mask_plumbing(tmp_path) == [
-        ("autograd.py", 2, "sdpa(causal)"), ("nn.py", 1, "NEG_INF"),
+        ("autograd.py", 2, "sdpa(causal)"), ("autograd.py", 3, "NEG_INF"), ("nn.py", 1, "NEG_INF"),
         ("nn.py", 2, "key_padding_mask"), ("nn.py", 8, "run(causal)"), ("nn.py", 9, "NEG_INF"),
         ("qformer.py", 2, "key_padding_mask")]
 

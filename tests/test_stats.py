@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graftkit
+from graftkit.cli import main
 from graftkit.stats import (
     auc, bootstrap_ci, delong_ci, delong_compare, dcg, mean_difference,
     ndcg_at_k, noninferiority_margin_test, permutation_test, precision_at_k,
@@ -36,6 +43,31 @@ def test_auc_hand_counted():
 def test_auc_single_class_errors():
     with pytest.raises(ValueError):
         auc([0.1, 0.2], [1, 1])
+
+
+def test_auc_of_a_nan_score_exits_1_instead_of_spinning(tmp_path):
+    # the midrank loop never got past a NaN (NaN != NaN); a subprocess with a
+    # timeout makes a regression fail rather than hang the suite
+    src = str(Path(graftkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "graftkit.cli", "eval", "--metric", "auc",
+                           "--scores", "0.1,nan", "--labels", "1,0", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and "scores must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, 0.7]], ids=["two", "fraction"])
+def test_auc_refuses_a_label_other_than_0_or_1(labels):
+    # a 2 used to drop its row, and a 0.7 to be truncated to 0
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        auc([0.1, 0.9, 0.5], labels)
+
+
+def test_delong_ci_refuses_a_nan_score():
+    # it used to report AUC 0.5 with CI (0, 1)
+    with pytest.raises(ValueError, match="scores must be finite"):
+        delong_ci([0.1, np.nan, 0.3, 0.7], [1, 0, 1, 0])
 
 
 def test_auc_matches_brute_force_oracle():
@@ -204,6 +236,13 @@ def test_bootstrap_empty_rejected():
         bootstrap_ci([], np.mean)
 
 
+def test_bootstrap_mean_of_a_nan_sample_exits_1(tmp_path, capsys):
+    # it used to print {"lo": NaN, "hi": NaN} and exit 0
+    assert main(["eval", "--metric", "bootstrap-mean", "--scores", "nan,1",
+                 "--out", str(tmp_path)]) == 1
+    assert "bootstrap samples must be finite" in capsys.readouterr().err
+
+
 def test_bootstrap_coverage_of_mean():
     # CI of the mean of 500 N(0,1) draws should contain 0 in >= 93% of trials
     hits = 0
@@ -238,6 +277,12 @@ def test_permutation_p_in_unit_interval_and_deterministic():
 def test_permutation_empty_group_rejected():
     with pytest.raises(ValueError):
         permutation_test([], [1.0])
+
+
+def test_permutation_refuses_a_nan_sample():
+    # it used to return 1 / (n + 1), which reads as significant
+    with pytest.raises(ValueError, match="permutation samples must be finite"):
+        permutation_test([np.nan, 1.0], [0.0, 1.0], n=200)
 
 
 def test_mean_difference_statistic():
