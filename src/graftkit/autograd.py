@@ -11,7 +11,7 @@ take, layer_norm, gelu, cross_entropy, scaled-dot-product attention
 (``sdpa``, under a ``Visible`` description of the keys each row sees, the one
 kind of mask it takes; it runs one loop over query tiles, a single tile of
 every row unless long causal rows split into tiles over the key columns each
-can see), reduce mean/sum/max, l2_normalize.  Everything else is composed
+can see), reduce mean/max, l2_normalize.  Everything else is composed
 from these.
 No primitive writes to its inputs or to the gradient its VJP receives;
 in-place numpy work happens only on buffers the primitive allocated itself.
@@ -561,18 +561,6 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, mask: Visible | None = None) -> Tensor
         return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
 
     return _record(out, (q, k, v), vjp)
-
-
-def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    out = Tensor(np.asarray(np.add.reduce(x.data, axis=axis)))
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(np.float64),)
-        ge = np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, x.shape).astype(np.float64),)
-
-    return _record(out, (x,), vjp)
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:

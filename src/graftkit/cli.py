@@ -32,7 +32,8 @@ from .qformer import (PHASE2_HELD_OUT, Phase1Config, Phase2Config, load_bridge, 
                       phase1_split, phase1_train, phase2_train, save_phase2, loss_log_to_csv,
                       split_studies, zero_shot_scores_b)
 from .search import ImageIndexB, ImageIndexC, search_b, search_c
-from .stats import auc, bootstrap_ci, ndcg_at_k, permutation_test, precision_at_k
+from .stats import (auc, bootstrap_ci, label_groups, ndcg_at_k, permutation_test,
+                    precision_at_k)
 from .vqa import ElixrBundle
 
 VERSION_STRING = f"graftkit-{__version__}"
@@ -372,7 +373,9 @@ def _bootstrap_mean(args) -> dict:
 
 
 def _permutation(args) -> dict:
-    p = permutation_test(_values(args.scores), _values(args.labels), n=args.n, seed=args.seed)
+    """The permutation p-value of the scores labelled 0 against those labelled 1."""
+    p = permutation_test(*label_groups(_values(args.scores), _values(args.labels, int)),
+                         n=args.n, seed=args.seed)
     return {"value": p, "n": args.n, "seed": args.seed}
 
 

@@ -118,8 +118,7 @@ class ClipModel:
         return ag.l2_normalize(self.img_proj(pooled))
 
     def text_embeddings(self, tokens: np.ndarray, lengths) -> Tensor:
-        _, pooled = self.text_encoder.forward(tokens, lengths)
-        return ag.l2_normalize(self.txt_proj(pooled))
+        return ag.l2_normalize(self.txt_proj(self.text_encoder.forward(tokens, lengths)))
 
     def params(self) -> list:
         return list(self.registry)
@@ -140,8 +139,9 @@ class ClipModel:
                                      pooled_hw)
 
     def embed_texts(self, seqs) -> np.ndarray:
-        """(N, proj_dim) unit embeddings of N token sequences, one padded forward."""
-        tokens, lengths = pad_batch(seqs, 0)  # pad keys are masked: any id will do
+        """(N, proj_dim) unit embeddings of N token sequences, from one text
+        forward that packs them (``TextEncoder.forward``)."""
+        tokens, lengths = pad_batch(seqs, 0)  # the tower reads real tokens only: any id will do
         return self.text_embeddings(tokens, lengths).data
 
     def embed_text(self, token_ids) -> np.ndarray:
@@ -255,7 +255,7 @@ def zero_shot_scores_c(image_emb: np.ndarray, prompt_set: PromptSet, model: Clip
     the model's ``text_max_len``, as its training texts were.
 
     The set's prompts are encoded once per parameter state of the model, in
-    one padded text forward (``ClipModel.embed_texts``) that the model's
+    one packed text forward (``ClipModel.embed_texts``) that the model's
     ``registry.memo`` keeps until a parameter is written; later calls, one
     per image say, reuse it.  The softmax takes the raw cosines; the stored
     training temperature is not applied (it would rescale the margin but

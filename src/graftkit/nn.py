@@ -258,24 +258,69 @@ class TextEncoder:
         self.ln_out = LayerNorm(reg, "txt_enc.ln_out", cfg.dim)
         self.pos = sinusoid_table(cfg.max_len, cfg.dim) * 0.02
 
-    def forward(self, tokens: np.ndarray, lengths) -> tuple[Tensor, Tensor]:
-        """(B, L) padded ids and their B ``lengths`` (``check_lengths``) ->
-        ((B, L, d) per-token, (B, d) pooled unit-norm).  Every row sees its
-        own real tokens."""
+    def forward(self, tokens: np.ndarray, lengths) -> Tensor:
+        """(B, d) unit-norm mean-pooled embeddings of the B texts of the (B, L)
+        padded ids ``tokens`` and their ``lengths`` (``check_lengths``), each
+        1 to ``max_len`` tokens.
+
+        The texts run packed (``pack_texts``) into rows as wide as the
+        longest, each token over its own text only, so few padded positions
+        run (11% against 48% padded, on CLIP's 16-report batches; rows twice
+        as wide ran no faster).  Each text is then pooled by one product
+        with its mean weights over the packed positions."""
         tokens = np.asarray(tokens, dtype=np.int64)
         lengths = check_lengths(lengths, tokens.shape)
         if np.any(lengths < 1):
             raise ValueError("empty token sequence")
-        visible = ag.Visible((lengths - 1)[:, None, None])
-        x = token_embedding(self.tok, self.pos, tokens)
+        if np.any(lengths > self.cfg.max_len):
+            raise ValueError(f"every text needs 1 to max_len = {self.cfg.max_len} tokens; got "
+                             f"one of {int(lengths.max())}")
+        slot, positions, visible = pack_texts(lengths, int(lengths.max()))
+        ids = np.zeros(positions.size, dtype=np.int64)  # a row's tail: any id will do
+        ids[slot] = tokens[np.arange(tokens.shape[1]) < lengths[:, None]]
+        x = ag.add(ag.take(self.tok, ids.reshape(positions.shape)), Tensor(self.pos[positions]))
         for blk in self.blocks:
             x, _ = blk(x, visible)
         x = self.ln_out(x)
-        # mean over real positions only, then normalize
-        weights = np.where(np.arange(tokens.shape[1])[None, :] < lengths[:, None],
-                           1.0 / lengths[:, None], 0.0)
-        pooled = ag.reduce_sum(ag.mul(x, Tensor(weights[..., None])), axis=1)
-        return x, ag.l2_normalize(pooled)
+        weights = np.zeros((len(lengths), positions.size))
+        text = np.repeat(np.arange(len(lengths)), lengths)
+        weights[text, slot] = 1.0 / lengths[text]
+        pooled = ag.matmul(Tensor(weights), ag.reshape(x, (positions.size, x.shape[-1])))
+        return ag.l2_normalize(pooled)
+
+
+def pack_texts(lengths, width: int) -> tuple[np.ndarray, np.ndarray, ag.Visible]:
+    """Texts of ``lengths`` (each at most ``width``) packed first-fit
+    decreasing (ties by text index) into rows of ``width`` slots: each text
+    one contiguous span of one row, its positions restarting at 0.
+
+    Returns (slot, positions, visible): the flat slot of each token of each
+    text in turn, (sum of lengths,); each slot's position, (rows, width), 0
+    in a row's unused tail; and the ``ag.Visible`` of a pass over the rows,
+    cols and gap (rows, 1, width), under which a token of the span [a, b)
+    sees [a, b) only (cols b - 1, gap [0, a)).  A row's tail is one more
+    such span."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    free = np.full(len(lengths), width)  # no more rows than texts
+    start = np.empty_like(lengths)  # each text's first slot
+    for i in np.argsort(-lengths, kind="stable"):
+        r = int(np.argmax(free >= lengths[i]))  # rows open in order: the first with room
+        start[i] = r * width + width - free[r]
+        free[r] -= lengths[i]
+    n_rows = int(np.count_nonzero(free < width))
+    first = np.repeat(start, lengths)
+    pos = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slot = first + pos
+    # each slot's span [a, b) in its row: its text's, else its row's tail
+    a = np.repeat(width - free[:n_rows], width)
+    b = np.full(n_rows * width, width)
+    a[slot] = first % width
+    b[slot] = a[slot] + np.repeat(lengths, lengths)
+    positions = np.zeros(n_rows * width, dtype=np.int64)
+    positions[slot] = pos
+    shape = (n_rows, 1, width)
+    return (slot, positions.reshape(n_rows, width),
+            ag.Visible((b - 1).reshape(shape), (0, a.reshape(shape))))
 
 
 # ---------------------------------------------------------------------------

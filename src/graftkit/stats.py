@@ -32,15 +32,21 @@ def _check_scored(scores, labels):
         raise ValueError(f"labels must be 0 or 1, got {labels[~binary][0]}")
     labels = labels.astype(np.int64)
     if not (np.any(labels == 1) and np.any(labels == 0)):
-        raise ValueError("AUC needs both classes present")
+        raise ValueError("the labels need both classes present")
     return scores, labels
+
+
+def label_groups(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(the scores labelled 0, those labelled 1); refused unless ``scores``
+    and ``labels`` are 1-d and of one length, every label is 0 or 1, and both
+    classes are present."""
+    scores, labels = _check_scored(scores, labels)
+    return scores[labels == 0], scores[labels == 1]
 
 
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC; ties count one half."""
-    scores, labels = _check_scored(scores, labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
+    neg, pos = label_groups(scores, labels)
     # midrank formulation, exact under ties
     order = np.argsort(np.concatenate([pos, neg]), kind="mergesort")
     ranks = np.empty(order.size, dtype=np.float64)

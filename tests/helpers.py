@@ -1,12 +1,14 @@
-"""Shared test helpers: the finite-difference gradient oracle, the one-tape
-phase-1 step, a corpus prevalence fixture, and the additive-mask attention
-that ``ag.Visible`` replaced, kept as the reference it must match bitwise."""
+"""Shared test helpers: the finite-difference gradient oracle, a summing
+tape op, the one-tape phase-1 step, a corpus prevalence fixture, the padded
+text-encoder forward that packing replaced, and the additive-mask attention
+that ``ag.Visible`` replaced, both kept as the references they must match."""
 
 import numpy as np
 
 from graftkit import autograd as ag
 from graftkit import templates as T
 from graftkit.autograd import NEG_INF, Parameter, Tape, Tensor
+from graftkit.nn import token_embedding
 from graftkit.qformer import MODES, _phase1_objective
 
 # a corpus with two findings only, each near half the studies
@@ -49,6 +51,37 @@ def finite_diff_check(f, params, step: float = 1e-5, max_coords: int = 40, seed:
     return worst
 
 
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
+    """The sum of ``x`` over ``axis`` (every axis when None) as a tape op,
+    whose VJP broadcasts the output gradient back to ``x``'s shape: the
+    scalar a gradient test differentiates."""
+    out = Tensor(np.asarray(np.add.reduce(x.data, axis=axis)))
+
+    def vjp(g):
+        ge = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(ge, x.shape).astype(np.float64),)
+
+    return ag._record(out, (x,), vjp)
+
+
+def padded_text_forward(enc, tokens, lengths) -> tuple[Tensor, Tensor]:
+    """``TextEncoder.forward`` as it ran before it packed its texts: each
+    text in its own row of the (B, L) padded batch, over its own real keys,
+    then mean-pooled over its real positions.  Returns ((B, L, d) per-token
+    outputs, (B, d) pooled unit-norm embeddings)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    visible = ag.Visible((lengths - 1)[:, None, None])
+    x = token_embedding(enc.tok, enc.pos, tokens)
+    for blk in enc.blocks:
+        x, _ = blk(x, visible)
+    x = enc.ln_out(x)
+    weights = np.where(np.arange(tokens.shape[1])[None, :] < lengths[:, None],
+                       1.0 / lengths[:, None], 0.0)
+    pooled = reduce_sum(ag.mul(x, Tensor(weights[..., None])), axis=1)
+    return x, ag.l2_normalize(pooled)
+
+
 def phase1_step_oracle(model, batch) -> tuple[float, dict[str, np.ndarray]]:
     """The phase-1 step as one graph: (ITC + ITG) + ITM on one tape over a
     batch ``(grids, cls batch, itg batch, mismatch)``, and its gradients."""
@@ -75,6 +108,28 @@ def lm_mask(m: int, n: int = 0, lengths=None) -> np.ndarray:
     given ``lengths``, the key-padding mask added to it."""
     mask = np.triu(np.full((m, n + m), NEG_INF), k=n + 1)
     return mask if lengths is None else mask + key_padding_mask(lengths, n + m)
+
+
+def packed_text_reference(lengths, width: int) -> tuple[list[int], np.ndarray]:
+    """Texts of ``lengths`` packed first-fit decreasing (ties by index) into
+    rows of ``width``, by brute force: (each text's first flat slot, the
+    (rows, 1, width, width) additive block-diagonal mask under which a slot
+    sees the slots of its own text only, and a row's unused tail its tail)."""
+    order = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i))
+    used, starts = [], [0] * len(lengths)
+    for i in order:
+        row = next((r for r, u in enumerate(used) if u + lengths[i] <= width), len(used))
+        if row == len(used):
+            used.append(0)
+        starts[i] = row * width + used[row]
+        used[row] += lengths[i]
+    segment = np.full((len(used), width), -1)  # a tail is segment -1 - row
+    for row, u in enumerate(used):
+        segment[row, u:] = -1 - row
+    for i, n in enumerate(lengths):
+        segment.reshape(-1)[starts[i]:starts[i] + n] = i
+    mask = np.where(segment[:, :, None] == segment[:, None, :], 0.0, NEG_INF)
+    return starts, mask[:, None]
 
 
 def mode_mask(mode: str, n_q: int, lengths, l_text: int) -> np.ndarray:

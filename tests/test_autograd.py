@@ -7,10 +7,11 @@ from scipy.special import erf
 
 import graftkit.autograd as ag
 from graftkit.autograd import Parameter, Tape, Tensor
-from graftkit.nn import Linear
+from graftkit.nn import Linear, pack_texts
 from graftkit.params import ParamRegistry
 from graftkit.qformer import MODES, _self_mask
-from helpers import finite_diff_check, key_padding_mask, mode_mask, ref_sdpa, ref_sdpa_vjp
+from helpers import (finite_diff_check, key_padding_mask, mode_mask, packed_text_reference,
+                     reduce_sum, ref_sdpa, ref_sdpa_vjp)
 
 
 def make_param(name, shape, seed=0, frozen=False):
@@ -57,7 +58,7 @@ def test_cross_entropy_target_out_of_range():
 def test_backward_square():
     x = Parameter("x", [3.0])
     with Tape() as tape:
-        loss = ag.reduce_sum(ag.mul(x, x))
+        loss = reduce_sum(ag.mul(x, x))
     grads = tape.gradients(loss)
     assert np.allclose(grads["x"], [6.0])
 
@@ -65,7 +66,7 @@ def test_backward_square():
 def test_backward_frozen_only_graph_is_empty():
     w = Parameter("w", np.ones(3), frozen=True)
     with Tape() as tape:
-        loss = ag.reduce_sum(ag.mul(w, w))
+        loss = reduce_sum(ag.mul(w, w))
     grads = tape.gradients(loss)
     assert grads == {}
 
@@ -81,7 +82,7 @@ def test_backward_requires_scalar():
 def test_gradients_is_scalar_only():
     x = Parameter("x", np.ones((2, 3)))
     with Tape() as tape:
-        y = ag.reduce_sum(ag.mul(x, x), axis=1)
+        y = reduce_sum(ag.mul(x, x), axis=1)
     with pytest.raises(ValueError, match="scalar"):
         tape.gradients(y)
     with pytest.raises(TypeError):
@@ -109,7 +110,7 @@ def test_finite_diff_quadratic_form():
     x = Parameter("x", rng.normal(0, 1, (5, 1)))
 
     def f():
-        return ag.reduce_sum(ag.mul(x, ag.matmul(Tensor(q), x)))
+        return reduce_sum(ag.mul(x, ag.matmul(Tensor(q), x)))
 
     assert finite_diff_check(f, [x]) < 1e-8
 
@@ -119,26 +120,26 @@ def test_finite_diff_excludes_frozen():
     w = Parameter("w", np.full(2, 2.0), frozen=True)
 
     def f():
-        return ag.reduce_sum(ag.mul(x, w))
+        return reduce_sum(ag.mul(x, w))
 
     # only x is compared; a frozen coordinate never enters the max
     assert finite_diff_check(f, [x, w]) < 1e-8
 
 
 PRIMS = [
-    ("matmul", lambda p: ag.reduce_sum(ag.matmul(p, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))))),
-    ("add", lambda p: ag.reduce_sum(ag.add(p, Tensor(np.ones((3, 4)))))),
-    ("mul", lambda p: ag.reduce_sum(ag.mul(p, p))),
-    ("transpose", lambda p: ag.reduce_sum(ag.mul(ag.transpose(p), ag.transpose(p)))),
-    ("reshape", lambda p: ag.reduce_sum(ag.mul(ag.reshape(p, (4, 3)), Tensor(np.ones((4, 3)))))),
-    ("gelu", lambda p: ag.reduce_sum(ag.gelu(p))),
+    ("matmul", lambda p: reduce_sum(ag.matmul(p, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))))),
+    ("add", lambda p: reduce_sum(ag.add(p, Tensor(np.ones((3, 4)))))),
+    ("mul", lambda p: reduce_sum(ag.mul(p, p))),
+    ("transpose", lambda p: reduce_sum(ag.mul(ag.transpose(p), ag.transpose(p)))),
+    ("reshape", lambda p: reduce_sum(ag.mul(ag.reshape(p, (4, 3)), Tensor(np.ones((4, 3)))))),
+    ("gelu", lambda p: reduce_sum(ag.gelu(p))),
     ("mean", lambda p: ag.reduce_mean(p)),
-    ("max", lambda p: ag.reduce_sum(ag.reduce_max(p, axis=1))),
-    ("l2norm", lambda p: ag.reduce_sum(ag.mul(ag.l2_normalize(p), Tensor(np.linspace(0.1, 1, 12).reshape(3, 4))))),
+    ("max", lambda p: reduce_sum(ag.reduce_max(p, axis=1))),
+    ("l2norm", lambda p: reduce_sum(ag.mul(ag.l2_normalize(p), Tensor(np.linspace(0.1, 1, 12).reshape(3, 4))))),
     # repeated ids accumulate in the scatter-add VJP
-    ("take_rows", lambda p: ag.reduce_sum(ag.mul(ag.take(p, [2, 0, 2, 2]), Tensor(np.linspace(-1, 1, 16).reshape(4, 4))))),
-    ("take_cols", lambda p: ag.reduce_sum(ag.mul(ag.take(p, np.arange(1, 4), axis=1), Tensor(np.linspace(0, 1, 9).reshape(3, 3))))),
-    ("take_scalar", lambda p: ag.reduce_sum(ag.mul(ag.take(p, 1, axis=1), Tensor([0.5, -1.0, 2.0])))),
+    ("take_rows", lambda p: reduce_sum(ag.mul(ag.take(p, [2, 0, 2, 2]), Tensor(np.linspace(-1, 1, 16).reshape(4, 4))))),
+    ("take_cols", lambda p: reduce_sum(ag.mul(ag.take(p, np.arange(1, 4), axis=1), Tensor(np.linspace(0, 1, 9).reshape(3, 3))))),
+    ("take_scalar", lambda p: reduce_sum(ag.mul(ag.take(p, 1, axis=1), Tensor([0.5, -1.0, 2.0])))),
 ]
 
 
@@ -158,7 +159,7 @@ def test_layer_norm_gradient():
         b = make_param("b", (6,), seed=seed + 200)
 
         def f():
-            return ag.reduce_sum(ag.mul(ag.layer_norm(x, g, b), Tensor(np.linspace(-1, 1, 12).reshape(2, 6))))
+            return reduce_sum(ag.mul(ag.layer_norm(x, g, b), Tensor(np.linspace(-1, 1, 12).reshape(2, 6))))
 
         assert finite_diff_check(f, [x, g, b], seed=seed) < 1e-4
 
@@ -171,7 +172,7 @@ def test_sdpa_gradient_and_mask():
         mask = ag.Visible(3)  # every row sees keys 0..3, none sees key 4
 
         def f():
-            return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), Tensor(np.linspace(0, 1, 12).reshape(3, 4))))
+            return reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), Tensor(np.linspace(0, 1, 12).reshape(3, 4))))
 
         assert finite_diff_check(f, [q, k, v], seed=seed) < 1e-4
 
@@ -198,7 +199,7 @@ def test_concat_gradient():
     b = make_param("b", (4, 3), seed=2)
 
     def f():
-        return ag.reduce_sum(ag.mul(ag.concat([a, b], axis=0), Tensor(np.linspace(0, 2, 18).reshape(6, 3))))
+        return reduce_sum(ag.mul(ag.concat([a, b], axis=0), Tensor(np.linspace(0, 2, 18).reshape(6, 3))))
 
     assert finite_diff_check(f, [a, b]) < 1e-8
 
@@ -213,7 +214,7 @@ def test_linear_gradient_2d_and_3d_trainable_and_frozen():
                 proj = Tensor(np.linspace(-1, 1, x.data.size // 4 * 5).reshape(x_shape[:-1] + (5,)))
 
                 def f():
-                    return ag.reduce_sum(ag.mul(ag.linear(x, w, b), proj))
+                    return reduce_sum(ag.mul(ag.linear(x, w, b), proj))
 
                 assert finite_diff_check(f, [x, w, b], seed=seed) < 1e-6
                 with Tape() as tape:
@@ -231,7 +232,7 @@ def test_sdpa_gradient_with_key_padding_mask():
         proj = Tensor(np.linspace(-1, 1, 48).reshape(2, 2, 3, 4))
 
         def f():
-            return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), proj))
+            return reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=mask), proj))
 
         assert finite_diff_check(f, [q, k, v], seed=seed, max_coords=80) < 1e-4
     with Tape() as tape:
@@ -320,7 +321,6 @@ def test_no_primitive_writes_to_inputs_mask_or_incoming_gradient():
         "gelu": lambda: ag.gelu(p("x", 3, 4)),
         "cross_entropy": lambda: ag.cross_entropy(p("x", 3, 4), [0, 3, 1], mask=_readonly([1.0, 0.0, 2.0])),
         "sdpa": lambda: ag.sdpa(p("q", 2, 2, 3, 4), p("k", 2, 2, 4, 4), p("v", 2, 2, 4, 4), mask=mask),
-        "reduce_sum": lambda: ag.reduce_sum(p("x", 3, 4), axis=1),
         "reduce_mean": lambda: ag.reduce_mean(p("x", 3, 4), axis=0),
         "reduce_max": lambda: ag.reduce_max(p("x", 3, 4), axis=1),
         "l2_normalize": lambda: ag.l2_normalize(p("x", 3, 4)),
@@ -431,10 +431,10 @@ def ref_cross_entropy(lg, tgt, m, g):
     return np.asarray((nll * m).sum() / nsel), (p * (m / nsel)[:, None] * g,)
 
 
-def ref_reduce(x, axis, g, mean):
+def ref_reduce_mean(x, axis, g):
     n = x.size if axis is None else x.shape[axis]
-    out = np.asarray(x.mean(axis=axis) if mean else x.sum(axis=axis))
-    ge = g / n if mean else g
+    out = np.asarray(x.mean(axis=axis))
+    ge = g / n
     if axis is not None:
         ge = np.expand_dims(ge, axis)
     return out, (np.broadcast_to(ge, x.shape).astype(np.float64),)
@@ -513,10 +513,8 @@ def test_rewritten_primitives_bitwise_equal_numpy_method_forms(shape, seed):
     check_against_reference(ag.l2_normalize, ref_l2_normalize, (x,), rng)
 
     for ax in (None, axis):  # axis None: a 0-d output and a 0-d gradient
-        for mean in (False, True):
-            fn = ag.reduce_mean if mean else ag.reduce_sum
-            check_against_reference(lambda a: fn(a, axis=ax),
-                                    lambda a, g: ref_reduce(a, ax, g, mean), (x,), rng)
+        check_against_reference(lambda a: ag.reduce_mean(a, axis=ax),
+                                lambda a, g: ref_reduce_mean(a, ax, g), (x,), rng)
 
     lg = x.reshape(-1, shape[-1])
     tgt = rng.integers(0, shape[-1], lg.shape[0])
@@ -554,8 +552,8 @@ def test_head_split_and_merge_equal_reshape_transpose_compositions(b, length, he
             heads_out = split(rows)
             rows_out = merge(heads_out)
             # a 0-d loss through both ops, with a distinct gradient into each
-            loss = ag.add(ag.reduce_sum(ag.mul(heads_out, split_proj)),
-                          ag.reduce_sum(ag.mul(rows_out, merge_proj)))
+            loss = ag.add(reduce_sum(ag.mul(heads_out, split_proj)),
+                          reduce_sum(ag.mul(rows_out, merge_proj)))
         return heads_out.data, rows_out.data, tape.gradients(loss)["x"], len(tape.nodes)
 
     fused = run(lambda x: ag.split_heads(x, heads), ag.merge_heads)
@@ -692,19 +690,21 @@ def test_qformer_descriptions_are_the_mode_table_bitwise(mode, n_q, l_text, padd
                                 (q[..., rows, :], k, v), rng)
 
 
-@given(st.sampled_from([1, 5, ag._TILED_FROM, ag._TILED_FROM + 3]), st.integers(1, 3),
+@given(st.lists(st.integers(1, ag._TILED_FROM + 3), min_size=1, max_size=6),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
-def test_text_encoder_description_is_the_key_padding_mask_bitwise(l, b, seed):
-    """The text encoder's description of its rows' real keys is bitwise the
-    key-padding mask, and runs as one tile at ``_TILED_FROM`` rows or more."""
+def test_packed_text_description_is_the_block_diagonal_mask_bitwise(lengths, seed):
+    """The text encoder's description of its packed rows (``pack_texts``)
+    attends bitwise as the additive block-diagonal mask of its texts and
+    rows' tails, and runs as one tile at ``_TILED_FROM`` rows or more."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, l + 1, b)
-    q, k, v = (rng.normal(0, 2, (b, 2, l, 4)) for _ in range(3))
-    visible = ag.Visible((lengths - 1)[:, None, None])  # as TextEncoder.forward builds it
+    width = max(lengths)  # as TextEncoder.forward packs
+    _, positions, visible = pack_texts(lengths, width)
+    q, k, v = (rng.normal(0, 2, (positions.shape[0], 2, width, 4)) for _ in range(3))
     assert one_tile(q, k, visible)
     check_against_reference(lambda *t: ag.sdpa(*t, mask=visible),
-                            lambda *a: ref_sdpa_vjp(*a[:3], key_padding_mask(lengths, l), a[3]),
+                            lambda *a: ref_sdpa_vjp(*a[:3], packed_text_reference(lengths, width)[1],
+                                                    a[3]),
                             (q, k, v), rng)
 
 
@@ -831,7 +831,7 @@ def test_tiled_causal_sdpa_gradient(monkeypatch, case):
     proj = Tensor(np.random.default_rng(7).normal(0, 1, lead + (q.shape[-2], 4)))
 
     def f():
-        return ag.reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=causal), proj))
+        return reduce_sum(ag.mul(ag.sdpa(q, k, v, mask=causal), proj))
 
     assert finite_diff_check(f, [q, k, v], max_coords=60) < 1e-4
 

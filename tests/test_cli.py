@@ -18,6 +18,7 @@ from graftkit.nn import DecoderLM, ImageEncoder, ImageEncoderConfig, LmConfig, s
 from graftkit.params import ParamRegistry, save_checkpoint
 from graftkit.qa import build_qa_cases
 from graftkit.qformer import Phase2Bridge, QFormerConfig, QFormerModel, save_phase2
+from graftkit.stats import permutation_test
 
 
 def run_cli(args, **kw):
@@ -180,6 +181,26 @@ def test_eval_precision_and_auc(tmp_path):
                     "--labels", "1,1,0,0", "--out", str(tmp_path / "a")]) == 0
     doc = json.loads((tmp_path / "a" / "eval.json").read_text())
     assert doc["result"]["value"] == 0.75
+
+
+def test_eval_permutation_compares_the_scores_split_by_label(tmp_path):
+    assert run_cli(["eval", "--metric", "permutation", "--scores", "0.2,0.9,0.1,0.8",
+                    "--labels", "0,1,0,1", "--n", "200", "--seed", "3",
+                    "--out", str(tmp_path / "p")]) == 0
+    doc = json.loads((tmp_path / "p" / "eval.json").read_text())
+    assert doc["result"]["value"] == permutation_test([0.2, 0.1], [0.9, 0.8], n=200, seed=3)
+
+
+@pytest.mark.parametrize("metric", ["auc", "permutation"])
+@pytest.mark.parametrize("labels,message", [
+    ("0,1,2,1", "labels must be 0 or 1, got 2"),
+    ("0,1,0", "scores and labels must be 1-d and the same length"),
+], ids=["not-binary", "length-mismatch"])
+def test_eval_refuses_labels_that_do_not_label_the_scores(tmp_path, capsys, metric, labels,
+                                                          message):
+    assert run_cli(["eval", "--metric", metric, "--scores", "0.2,0.9,0.1,0.8",
+                    "--labels", labels, "--out", str(tmp_path / "p")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_eval_bootstrap_deterministic(tmp_path):

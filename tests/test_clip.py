@@ -186,9 +186,10 @@ def test_train_deterministic_checkpoint(tmp_path):
     cfg = ClipConfig(steps=5, batch_size=4,
                      image=ImageEncoderConfig(patch=32, dim=16, blocks=1, heads=2),
                      text_dim=16, text_blocks=1, text_heads=2, proj_dim=8)
-    m1, _ = train_elixr_c(corpus, cfg, seed=4)
-    m2, _ = train_elixr_c(corpus, cfg, seed=4)
+    m1, h1 = train_elixr_c(corpus, cfg, seed=4)
+    m2, h2 = train_elixr_c(corpus, cfg, seed=4)
     assert m1.registry.combined_digest() == m2.registry.combined_digest()
+    assert np.asarray(h1).tobytes() == np.asarray(h2).tobytes()
     p = tmp_path / "c.ckpt"
     m1.save(p)
     loaded = load_clip(p)

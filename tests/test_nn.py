@@ -14,7 +14,8 @@ from graftkit.nn import (
     symmetric_cross_entropy, token_embedding,
 )
 from graftkit.params import ParamRegistry
-from helpers import finite_diff_check, key_padding_mask, lm_mask, ref_sdpa
+from helpers import (finite_diff_check, key_padding_mask, lm_mask, packed_text_reference,
+                     padded_text_forward, reduce_sum, ref_sdpa)
 
 
 def make_image_encoder(seed=0):
@@ -138,23 +139,23 @@ def test_left_half_influences_left_grid_columns():
 
 
 def encode_text(enc, token_ids):
-    """(per-token (L, dim), pooled (dim,)) outputs for one id sequence."""
+    """The pooled (dim,) embedding of one id sequence."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    per_tok, pooled = enc.forward(ids[None], [ids.size])
-    return per_tok.data[0], pooled.data[0]
+    return enc.forward(ids[None], [ids.size]).data[0]
 
 
 def test_encode_text_pooled_unit_norm():
     _, enc = make_text_encoder()
-    per_tok, pooled = encode_text(enc, [3, 5, 7, 2])
-    assert per_tok.shape == (4, 64)
+    pooled = encode_text(enc, [3, 5, 7, 2])
+    assert pooled.shape == (64,)
     assert abs(np.linalg.norm(pooled) - 1.0) < 1e-9
 
 
 def test_encode_text_single_token_is_normalized_embedding():
     _, enc = make_text_encoder()
-    per_tok, pooled = encode_text(enc, [9])
-    assert np.allclose(pooled, per_tok[0] / np.linalg.norm(per_tok[0]), atol=1e-12)
+    per_tok = padded_text_forward(enc, [[9]], [1])[0].data[0]
+    assert np.allclose(encode_text(enc, [9]), per_tok[0] / np.linalg.norm(per_tok[0]),
+                       atol=1e-12)
 
 
 def test_encode_text_empty_errors():
@@ -180,9 +181,81 @@ def test_pad_positions_do_not_affect_pooled():
     _, enc = make_text_encoder()
     base = np.array([[4, 6, 8, 0, 0]])
     alt = np.array([[4, 6, 8, 13, 21]])  # different garbage under the pad mask
-    _, p1 = enc.forward(base, [3])
-    _, p2 = enc.forward(alt, [3])
+    p1 = enc.forward(base, [3])
+    p2 = enc.forward(alt, [3])
     assert np.allclose(p1.data, p2.data, atol=1e-12)
+
+
+def test_text_encoder_refuses_a_text_longer_than_its_positional_table():
+    _, enc = make_text_encoder()
+    n = enc.cfg.max_len + 2
+    with pytest.raises(ValueError, match=f"1 to max_len = {enc.cfg.max_len} tokens; got one "
+                                         f"of {n}"):
+        enc.forward(np.ones((2, n), dtype=np.int64), [n, 3])
+
+
+# (lengths, padded width); the longest text of each is as wide as its packed
+# row: length-1 texts, all-equal lengths, a single text, a CLIP-like batch, a
+# batch padded wider than its longest text, a text of the table's full length
+PACKED_BATCHES = {
+    "ones": ([1, 1, 1, 4], 4),
+    "equal": ([5, 5, 5, 5, 5], 5),
+    "single": ([7], 7),
+    "single-one": ([1], 1),
+    "mixed": ([3, 28, 10, 1, 12, 9, 4, 17, 6, 10, 2, 25, 8, 11, 5, 13], 28),
+    "padded-wider": ([2, 6, 3], 9),
+    "full-table": ([128, 1, 64], 128),
+}
+
+
+@pytest.mark.parametrize("case", PACKED_BATCHES)
+def test_packed_text_encoder_matches_the_padded_forward(case):
+    """Pooled embeddings and every ``txt_enc.*`` gradient of the packed
+    forward match the padded forward's (``padded_text_forward``)."""
+    lengths, width = PACKED_BATCHES[case]
+    reg, enc = make_text_encoder(seed=3)
+    rng = np.random.default_rng(len(lengths) * width)
+    tokens = rng.integers(1, 40, (len(lengths), width))
+    proj = Tensor(rng.normal(0, 1, (len(lengths), enc.cfg.dim)))
+    results = []
+    for forward in (lambda: enc.forward(tokens, lengths),
+                    lambda: padded_text_forward(enc, tokens, lengths)[1]):
+        with Tape() as tape:
+            pooled = forward()
+            loss = reduce_sum(ag.mul(pooled, proj))
+        results.append((pooled.data, tape.gradients(loss)))
+    (pooled, grads), (ref_pooled, ref_grads) = results
+    assert np.abs(pooled - ref_pooled).max() <= 1e-12
+    assert list(grads) == list(ref_grads) == [p.name for p in reg if p.name in grads]
+    assert all(name.startswith("txt_enc.") for name in grads)
+    # relative to the largest entry: the key biases' gradients are zero up to
+    # rounding (a softmax ignores a shift shared by its keys)
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in grads.items():
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=12), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_pack_texts_is_first_fit_decreasing_and_each_text_sees_itself(lengths, extra):
+    """Each text is one contiguous span of one row, placed first-fit
+    decreasing (ties by index), with positions 0..len-1; no two spans share
+    a slot; no row is wider than ``width``; and the description is the
+    block-diagonal mask of the spans and the rows' tails, bitwise."""
+    width = max(lengths) + extra
+    slot, positions, visible = nn.pack_texts(lengths, width)
+    starts, ref_mask = packed_text_reference(lengths, width)
+    n_rows = ref_mask.shape[0]
+    assert positions.shape == (n_rows, width)
+    assert len(np.unique(slot)) == len(slot) == sum(lengths)
+    ends = np.cumsum(lengths)
+    for text, (n, end) in enumerate(zip(lengths, ends)):
+        span = slot[end - n:end]
+        assert span.tolist() == list(range(starts[text], starts[text] + n))
+        assert span[0] // width == span[-1] // width
+        assert positions.reshape(-1)[span].tolist() == list(range(n))
+    dense = visible.dense(width)
+    assert dense.shape == ref_mask.shape and dense.tobytes() == ref_mask.tobytes()
 
 
 def test_lm_untrained_loss_near_log_vocab():
@@ -415,7 +488,7 @@ def test_forward_with_every_column_last_is_the_unpruned_pass_bitwise():
     for last in (None, np.arange(l)):
         with Tape() as tape:
             logits, kv = lm._forward(lm.embed_tokens(tokens), np.arange(l), last=last)
-            loss = ag.reduce_sum(ag.mul(logits, Tensor(np.sin(np.arange(logits.data.size))
+            loss = reduce_sum(ag.mul(logits, Tensor(np.sin(np.arange(logits.data.size))
                                                        .reshape(logits.shape))))
         results.append((logits.data, kv, tape.gradients(loss)))
     (logits, kv, grads), (ref_logits, ref_kv, ref_grads) = results

@@ -18,7 +18,7 @@ from graftkit.qformer import (
     phase2_eval, phase2_step, phase2_train, soft_prompts_for_grid, zero_shot_score_b,
 )
 from graftkit.stats import auc
-from helpers import finite_diff_check, phase1_step_oracle
+from helpers import finite_diff_check, phase1_step_oracle, reduce_sum
 
 
 def tiny_cfg(vocab=40, **kw):
@@ -463,7 +463,7 @@ def test_phase2_step_matches_per_example_surrogate(model):
     with Tape() as tape:
         for grid, (_, g) in zip(grids, responses):
             q_out, _ = model.forward(grid[None], None, mode="itc")
-            term = ag.reduce_sum(ag.mul(bridge(q_out), Tensor(g[None] / len(targets))))
+            term = reduce_sum(ag.mul(bridge(q_out), Tensor(g[None] / len(targets))))
             surrogate = term if surrogate is None else ag.add(surrogate, term)
     ref = tape.gradients(surrogate)
     mean_loss = np.mean([loss for loss, _ in responses])
