@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from . import partworker
+from . import partworker, train
 from .autograd import Tape, Tensor
 from .corpus import Corpus, augment, select_report_text, tokenize
 from .nn import (ImageEncoder, ImageEncoderConfig, Linear, TextEncoder, TextEncoderConfig,
@@ -209,22 +209,17 @@ def clip_loss(img_emb: Tensor, txt_emb: Tensor, temperature: float = 0.07) -> Te
 
 def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> tuple[ClipModel, list]:
     """CLIP training on (image, selected report text) pairs; ``steps`` below 0
-    raises ``ValueError`` before any work."""
-    if cfg.steps < 0:
-        raise ValueError(f"ClipConfig.steps must be >= 0, got {cfg.steps}")
+    raises ``ValueError`` before any work.  It hands SGD with momentum, uniform
+    batches of studies and an augmenting InfoNCE step to ``train.run``."""
+    train.check_steps(cfg, "steps", least=0)
     model = ClipModel(len(corpus.vocab), cfg, seed)
     opt = SgdMomentum(list(model.registry), lr=cfg.lr, momentum=cfg.momentum)
-    order_rng = substream(seed, "batch-order")
     aug_rng = substream(seed, "augment")
-    history = []
-    n = len(corpus)
-    for step in range(cfg.steps):
-        ids = order_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        images = []
-        texts = []
+
+    def step(ids):
+        images, texts = [], []
         for i in ids:
-            s = corpus.studies[int(i)]
-            image, report = s.image, s.report
+            image, report = corpus.studies[i].image, corpus.studies[i].report
             if cfg.augment:
                 image, report = augment(image, report, aug_rng,
                                         swap_text_on_flip=cfg.swap_text_on_flip)
@@ -233,15 +228,13 @@ def train_elixr_c(corpus: Corpus, cfg: ClipConfig, seed: int = 0, log=None) -> t
         tokens, lengths = pad_batch([tokenize(t, corpus.vocab, cfg.text_max_len) for t in texts],
                                     corpus.vocab.id("[PAD]"))
         with Tape() as tape:
-            img_emb = model.image_embeddings(np.stack(images))
-            txt_emb = model.text_embeddings(tokens, lengths)
-            loss = clip_loss(img_emb, txt_emb, cfg.temperature)
-        grads = tape.gradients(loss)
-        opt.step(grads)
-        history.append(float(loss.data))
-        if log and (step % 200 == 0 or step == cfg.steps - 1):
-            log(f"elixr-c step {step} loss {loss.data:.4f}")
-    return model, history
+            loss = clip_loss(model.image_embeddings(np.stack(images)),
+                             model.text_embeddings(tokens, lengths), cfg.temperature)
+        return {"loss": float(loss.data)}, tape.gradients(loss)
+
+    batches = train.sample(range(len(corpus)), cfg.batch_size, substream(seed, "batch-order"))
+    history, _ = train.run("elixr-c", opt, batches, step, cfg.steps, log)
+    return model, [h["loss"] for h in history]
 
 
 # ---------------------------------------------------------------------------

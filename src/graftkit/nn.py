@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import autograd as ag
-from . import partworker
+from . import partworker, train
 from .autograd import Parameter, Tape, Tensor
 from .params import ParamRegistry, decode_field, load_checkpoint, save_checkpoint
 
@@ -742,8 +742,7 @@ def eval_lm_loss(lm: DecoderLM, dataset) -> float:
 def _check_lm_training(dataset, cfg: LmTrainConfig, max_len: int, holdout=None) -> None:
     """Reject input on which ``pretrain_lm`` would spin forever or fail
     mid-run, rows longer than the LM's ``max_len`` included."""
-    if cfg.steps < 0:
-        raise ValueError(f"LmTrainConfig.steps must be >= 0, got {cfg.steps}")
+    train.check_steps(cfg, "steps", least=0)
     if not len(dataset):
         raise ValueError("LM training dataset is empty")
     for name, rows in (("dataset", dataset), ("holdout", holdout or [])):
@@ -811,7 +810,8 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     rows (so at most eight).  Each part's gradient is that of its token-loss
     sum divided by the whole batch's target count; the parts are added in
     row order and one Adam step is taken.  A one-row batch is one part, and
-    its factor is exactly 1.0.
+    its factor is exactly 1.0.  Adam, the batches and that step go to
+    ``train.run``, which runs the loop.
 
     When at least two cores are available, the LM's worker process shares
     each step's parts with this one (``partworker``); the trained bits
@@ -824,20 +824,17 @@ def pretrain_lm(lm: DecoderLM, dataset, cfg: LmTrainConfig, seed: int = 0,
     from .optim import Adam
 
     _check_lm_training(dataset, cfg, lm.cfg.max_len, holdout)
-    rng = np.random.default_rng(seed)
-    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1)
-    batches = _make_batches(dataset, cfg, rng)
-    history, split = [], {"parent": 0, "worker": 0}
-    for step in range(cfg.steps):
-        loss, grads, step_split = _batch_grads(lm, dataset, next(batches))
+    split = {"parent": 0, "worker": 0}
+
+    def step(idx):
+        loss, grads, step_split = _batch_grads(lm, dataset, idx)
         for side, n in step_split.items():
             split[side] += n
-        if not np.isfinite(loss):
-            raise FloatingPointError("LM pretraining diverged (non-finite loss)")
-        opt.step(grads)
-        history.append(loss)
-        if log and (step % 200 == 0 or step == cfg.steps - 1):
-            log(f"lm step {step} loss {loss:.4f}")
+        return {"loss": loss}, grads
+
+    opt = Adam(lm.params(), lr=cfg.lr, beta1=cfg.beta1)
+    batches = _make_batches(dataset, cfg, np.random.default_rng(seed))
+    history = [h["loss"] for h in train.run("lm", opt, batches, step, cfg.steps, log)[0]]
     stats = {"final_train_loss": history[-1] if history else float("nan"),
              "history_head": history[:5], "parts": split}
     if holdout:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
+from . import train
 from .autograd import Tape, Tensor
 from .nn import Linear
 from .optim import Lars
@@ -52,6 +53,8 @@ class Probe:
 
 
 def train_probe(features: np.ndarray, labels: np.ndarray, seed: int) -> Probe:
+    """A probe trained by ``train.run`` on LARS, ``EPOCHS`` epochs of shuffled
+    batches and a cross-entropy step; labels of one class raise ``ValueError``."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(set(labels.tolist())) < 2:
@@ -60,13 +63,15 @@ def train_probe(features: np.ndarray, labels: np.ndarray, seed: int) -> Probe:
     opt = Lars(list(probe.registry), lr=LR)
     rng = substream(seed, "probe-batches")
     n = features.shape[0]
-    for _ in range(EPOCHS):
-        order = rng.permutation(n)
-        for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            with Tape() as tape:
-                loss = ag.cross_entropy(probe.logits(features[idx]), labels[idx])
-            opt.step(tape.gradients(loss))
+
+    def step(idx):
+        with Tape() as tape:
+            loss = ag.cross_entropy(probe.logits(features[idx]), labels[idx])
+        return {"loss": float(loss.data)}, tape.gradients(loss)
+
+    batches = (order[start : start + BATCH_SIZE] for order in map(rng.permutation, [n] * EPOCHS)
+               for start in range(0, n, BATCH_SIZE))
+    train.run("probe", opt, batches, step, EPOCHS * -(-n // BATCH_SIZE), None)
     return probe
 
 

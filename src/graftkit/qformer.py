@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autograd as ag
-from . import partworker
+from . import partworker, train
 from .autograd import Tape, Tensor
 from .clip_stage import _IMAGE_SPLIT_ROWS, DEFAULT_PROMPT_SETS, softmax_pair
 from .corpus import Corpus, detokenize, select_report_text, tokenize
@@ -566,10 +566,9 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     available (``partworker``).  The gradients are added in part order and
     the logged total is (ITC + ITG) + ITM, so the bits depend neither on
     which process computed which part nor on the core count.  Evaluation
-    runs in this process."""
-    for name in ("steps", "eval_every"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"Phase1Config.{name} must be >= 1, got {getattr(cfg, name)}")
+    runs in this process.  Adam, uniform batches, that step, ``phase1_eval``
+    and the selection go to ``train.run``, with the stage-1 towers frozen."""
+    train.check_steps(cfg, "steps", "eval_every", least=1)
     train_ids, eval_ids = phase1_split(len(corpus), eval_ids)
     qcfg = cfg.qformer
     if qcfg.vocab_size <= 0:
@@ -577,46 +576,31 @@ def phase1_train(corpus: Corpus, clip_model, cfg: Phase1Config, seed: int = 0,
     check_grid_dim(qcfg, clip_model)
     if grids is None:
         grids = precompute_grids(clip_model, corpus.studies, qcfg.pooled_hw)
-    clip_digest_before = clip_model.tower_digests()
 
     model = QFormerModel(qcfg, seed)
     opt = Adam(model.params(), lr=cfg.lr)
-    order_rng = substream(seed, "batch-order.phase1")
     neg_rng = substream(seed, "itm-negatives")
     eval_rng = substream(seed, "phase1-eval")
     prompt_sets = {k: v for k, v in DEFAULT_PROMPT_SETS.items() if k in corpus.spec.separable}
 
-    history = []
-    best = {}  # checkpoint -> (key, snapshot, metrics with step)
-    vocab = corpus.vocab
-    for step in range(cfg.steps):
-        ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
-                               replace=False)
-        ids = np.asarray([train_ids[int(i)] for i in ids])
-        batch = _phase1_batch(corpus, grids, ids, vocab, qcfg, neg_rng)
+    def step(batch):
         (l_itc, l_itg, l_itm), grads, _ = partworker.run_parts(_PHASE1_PARTS, model, batch, 3)
-        opt.step(grads)
-        total = l_itc + l_itg + l_itm
-        history.append({"step": step, "itc": l_itc, "itg": l_itg, "itm": l_itm, "total": total})
-        if log and step % 200 == 0:
-            log(f"phase1 step {step} total {total:.4f}")
-        if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
-            metrics = phase1_eval(model, corpus, grids, eval_ids, prompt_sets, vocab, eval_rng)
-            for name, key in _PHASE1_SELECTION.items():
-                if name not in best or key(metrics) < best[name][0]:
-                    best[name] = key(metrics), model.registry.snapshot(), dict(metrics, step=step)
-            if log:
-                log(f"phase1 eval step {step}: " +
-                    " ".join(f"{k} {v:.4f}" for k, v in metrics.items()))
+        return {"itc": l_itc, "itg": l_itg, "itm": l_itm, "total": l_itc + l_itg + l_itm}, grads
 
-    if clip_model.tower_digests() != clip_digest_before:
-        raise RuntimeError("frozen contract violated: stage-1 towers changed during phase 1")
+    batches = (_phase1_batch(corpus, grids, ids, corpus.vocab, qcfg, neg_rng) for ids in
+               train.sample(train_ids, cfg.batch_size, substream(seed, "batch-order.phase1")))
+    history, selected = train.run(
+        "phase1", opt, batches, step, cfg.steps, log,
+        frozen=[("stage-1 towers", clip_model.tower_digests)],
+        evaluate=lambda: phase1_eval(model, corpus, grids, eval_ids, prompt_sets, corpus.vocab,
+                                     eval_rng),
+        eval_every=cfg.eval_every, select=_PHASE1_SELECTION)
 
     models = {"final": model}
-    for name, (_, snapshot, _) in best.items():
+    for name, (_, values) in selected.items():
         models[name] = QFormerModel(qcfg, seed)
-        models[name].registry.load_values(snapshot)
-    return models, history, {f"{name}_metrics": chosen for name, (*_, chosen) in best.items()}
+        models[name].registry.load_values(values)
+    return models, history, {f"{name}_metrics": chosen for name, (chosen, _) in selected.items()}
 
 
 def loss_log_to_csv(history) -> str:
@@ -688,26 +672,22 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
 
     Each step is one taped graph through the adapter, the bridge and the
     frozen LM (``phase2_step``); the LM passes gradient only to its soft
-    prompts.
+    prompts.  Adam, uniform batches and that step go to ``train.run``, with
+    the LM and the stage-1 towers frozen.
     """
-    if cfg.steps < 0:
-        raise ValueError(f"Phase2Config.steps must be >= 0, got {cfg.steps}")
+    train.check_steps(cfg, "steps", least=0)
     if not lm.frozen:
         raise RuntimeError("phase 2 requires a frozen LM")
     train_ids, eval_ids = split_studies(len(corpus), PHASE2_HELD_OUT, eval_ids)
     if grids is None:
         grids = precompute_grids(clip_model, corpus.studies, qformer_itg.cfg.pooled_hw)
-    lm_digest_before = lm.digest()
-    clip_digest_before = clip_model.tower_digests()
 
     model = QFormerModel(qformer_itg.cfg, qformer_itg.seed)
     model.registry.load_values(qformer_itg.registry.snapshot())
     bridge_reg = ParamRegistry()
     bridge = Phase2Bridge(bridge_reg, model.cfg.dim, lm.cfg.dim, cfg.bridge_hidden,
                           substream(seed, "init.bridge"), init_bias=lm.tok.data[lm.cfg.img_id])
-    params = list(model.registry) + list(bridge_reg)
-    opt = Adam(params, lr=cfg.lr)
-    order_rng = substream(seed, "batch-order.phase2")
+    opt = Adam([*model.registry, *bridge_reg], lr=cfg.lr)
     targets_all: dict[int, list[int]] = {}  # study id -> impression ids, for the ids read
 
     def targets_of(ids) -> list[list[int]]:
@@ -715,21 +695,13 @@ def phase2_train(corpus: Corpus, clip_model, qformer_itg: QFormerModel, lm: Deco
         targets_all.update(zip(new, impression_targets(corpus, new)))
         return [targets_all[i] for i in ids]
 
-    history = []
-    for step in range(cfg.steps):
-        ids = order_rng.choice(len(train_ids), size=min(cfg.batch_size, len(train_ids)),
-                               replace=False)
-        ids = [train_ids[int(i)] for i in ids]
+    def step(ids):
         grads, loss = phase2_step(model, bridge, lm, grids[ids], targets_of(ids))
-        opt.step(grads)
-        history.append({"step": step, "lm_loss": loss})
-        if log and step % 50 == 0:
-            log(f"phase2 step {step} lm loss {loss:.4f}")
+        return {"lm_loss": loss}, grads
 
-    if lm.digest() != lm_digest_before:
-        raise RuntimeError("frozen contract violated: LM changed during phase 2")
-    if clip_model.tower_digests() != clip_digest_before:
-        raise RuntimeError("frozen contract violated: stage-1 towers changed during phase 2")
+    batches = train.sample(train_ids, cfg.batch_size, substream(seed, "batch-order.phase2"))
+    history, _ = train.run("phase2", opt, batches, step, cfg.steps, log,
+                           frozen=[("LM", lm.digest), ("stage-1 towers", clip_model.tower_digests)])
 
     targets_of(eval_ids)
     eval_stats = phase2_eval(model, bridge, lm, grids, targets_all, eval_ids)

@@ -51,3 +51,25 @@ def test_format_rows_marks_a_metric_worse_than_its_bound():
     table = ab_pairs.format_rows(rows)
     assert table.splitlines()[-1] == ("| lat (lower) | 5 [5, 5] | 6.5 [6.5, 6.5] | 0 | +30.0% | "
                                       "0/1 | no | WORSE |")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--pairs", "0", "--pairs must be at least 1"),
+    ("--pairs", "-3", "--pairs must be at least 1"),
+    ("--seconds", "0", "--seconds must be positive"),
+    ("--seconds", "-30", "--seconds must be positive"),
+    ("--seconds", "nan", "--seconds must be positive"),
+])
+def test_parse_args_refuses_a_run_of_no_pairs_or_no_time(capsys, flag, value, message):
+    argv = {"--pairs": "3", "--seconds": "30", flag: value}
+    with pytest.raises(SystemExit) as exit_info:
+        ab_pairs.parse_args(["a", "b", "--workload", "train", "--seed0", "1",
+                             *(x for kv in argv.items() for x in kv)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parse_args_accepts_one_pair_of_a_positive_duration():
+    args = ab_pairs.parse_args(["a", "b", "--workload", "train", "--pairs", "1",
+                                "--seconds", "0.5", "--seed0", "7"])
+    assert (args.pairs, args.seconds, args.seed0) == (1, 0.5, 7)

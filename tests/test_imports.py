@@ -20,7 +20,8 @@ reduction method (``.sum``, ``.mean``, ``.max``, ...) and none of
 ``np.transpose``, ``np.argsort``, ``np.any`` or ``np.all``.  No graftkit
 module but ``autograd`` names ``NEG_INF`` or ``key_padding_mask``, nothing in
 ``autograd`` outside ``class Visible`` reads ``NEG_INF``, and no graftkit
-function has a ``causal`` parameter."""
+function has a ``causal`` parameter.  No graftkit module but ``train`` calls
+an optimizer's ``.step(`` or loops ``for step in range(``."""
 
 import ast
 import re
@@ -907,3 +908,47 @@ def test_the_lm_describes_attention_once():
     ``autograd`` or a second causal flag would be a second description of
     the same rule."""
     assert attention_mask_plumbing(ROOT) == []
+
+
+# --------------------------------------------------------------------------
+# one training loop
+
+
+def training_loops(root: Path) -> list[tuple[str, int, str]]:
+    """(module, line, what) of each ``.step(...)`` call (an optimizer step)
+    and each ``for step in range(...)`` loop in a graftkit module under
+    ``root`` other than ``train.py``."""
+    found = []
+    for path in sorted((root / "src" / "graftkit").glob("*.py")):
+        if path.name == "train.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "step"):
+                found.append((path.name, node.lineno, ".step("))
+            elif (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                  and node.target.id == "step" and isinstance(node.iter, ast.Call)
+                  and _name(node.iter.func) == "range"):
+                found.append((path.name, node.lineno, "for step in range("))
+    return sorted(found)
+
+
+def test_training_loop_checker_flags_optimizer_steps_and_step_loops(tmp_path):
+    (tmp_path / "src/graftkit").mkdir(parents=True)
+    (tmp_path / "src/graftkit/stage0.py").write_text(
+        "def fit(opt, grads, steps):\n    for step in range(steps):\n"
+        "        opt.step(grads)\n    for i in range(steps):\n        pass\n"
+        "    return step\n")
+    (tmp_path / "src/graftkit/optim.py").write_text(
+        "class Sgd:\n    def step(self, grads):\n        return grads\n")
+    (tmp_path / "src/graftkit/train.py").write_text(
+        "def run(opt, steps):\n    for step in range(steps):\n        opt.step({})\n")
+    assert training_loops(tmp_path) == [("stage0.py", 2, "for step in range("),
+                                        ("stage0.py", 3, ".step(")]
+
+
+def test_only_the_train_module_steps_an_optimizer():
+    """Every training stage hands its optimizer, batches and step to
+    ``train.run``, where the finite-loss check and the frozen contracts
+    live; a stage with a loop of its own would skip them."""
+    assert training_loops(ROOT) == []

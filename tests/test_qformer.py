@@ -10,7 +10,7 @@ from graftkit.autograd import Tape, Tensor
 from graftkit.clip_stage import (DEFAULT_PROMPT_SETS, ClipConfig, ClipModel, PromptSet,
                                  train_elixr_c)
 from graftkit.corpus import CorpusSpec, build_vocab, detokenize, generate_corpus, tokenize
-from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig
+from graftkit.nn import DecoderLM, ImageEncoderConfig, LmConfig, LmTrainConfig, pretrain_lm
 from graftkit.params import ParamRegistry
 from graftkit.qformer import (
     Phase1Config, Phase2Bridge, Phase2Config, QFormerConfig, QFormerModel, _self_mask, generate_impression,
@@ -732,9 +732,11 @@ def _stage_call(stage, value):
     if stage == "clip":
         cfg = replace(clip.cfg, steps=value)
         return lambda: train_elixr_c(corpus, cfg)
-    if stage == "phase2":
+    if stage in ("lm", "phase2"):
         lm = DecoderLM(ParamRegistry(), LmConfig(vocab_size=len(corpus.vocab), dim=16, blocks=1,
                                                  heads=2, max_len=32), np.random.default_rng(9))
+        if stage == "lm":
+            return lambda: pretrain_lm(lm, [([1, 2, 3], 0)], LmTrainConfig(steps=value))
         lm.freeze()
         itg = QFormerModel(tiny_cfg(len(corpus.vocab)), seed=0)
         return lambda: phase2_train(corpus, clip, itg, lm, Phase2Config(steps=value))
@@ -752,6 +754,7 @@ def _stage_call(stage, value):
     ("phase1.eval_ids", [5], "at least 2 eval studies"),  # ITM pairs each image with another
     ("phase1.eval_ids", [0, 1, 2, 3, 4], "at least 2 training studies"),  # study's text
     ("clip", -1, "ClipConfig.steps"),
+    ("lm", -1, "LmTrainConfig.steps"),
     ("phase2", -1, "Phase2Config.steps"),
 ])
 def test_bad_stage_config_is_rejected_before_any_model_is_built(monkeypatch, stage, value, match):

@@ -13,7 +13,8 @@ two verdicts.  ``claim`` holds when the change won at least nine tenths of
 the pairs and the medians differ by more than the parent's IQR; ``bound``
 holds when the change's median is no worse than the parent's by more than
 the metric's regression bound.  Exit status is 0 when every run printed
-``correct: true`` with no failed operation, else 1.
+``correct: true`` with no failed operation, else 1; it is 2, before any
+run, when N is below 1 or S is not positive.
 """
 
 from __future__ import annotations
@@ -94,7 +95,12 @@ def parse_args(argv):
     p.add_argument("--pairs", required=True, type=int)
     p.add_argument("--seconds", required=True, type=float)
     p.add_argument("--seed0", required=True, type=int)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    if not args.seconds > 0:
+        p.error("--seconds must be positive")
+    return args
 
 
 def main(argv=None) -> int:
