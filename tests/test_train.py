@@ -116,7 +116,7 @@ def test_each_stage_after_three_steps_is_pinned_bitwise(stage, monkeypatch):
 
 
 def toy():
-    """(registry, optimizer) of one trainable vector and a second registry
+    """(registry, optimizer) of one trainable vector, and a second registry
     standing for a frozen model."""
     reg = ParamRegistry()
     reg.param("w", np.ones(3))
